@@ -578,10 +578,13 @@ class CampaignCore:
             checkpointed prefix activations (bit-identical to a full faulty
             forward).  Disabled automatically for models whose forward does
             not linearise into a :class:`~repro.nn.forward_plan.ForwardPlan`.
-        golden_cache: optional epoch-invariant :class:`GoldenCache`; golden
-            (and resil-golden) passes are computed once per batch of images
+        golden_cache: optional :class:`GoldenCache`; golden (and
+            resil-golden) passes are computed once per batch of images
             instead of once per epoch, and their boundary checkpoints are
-            reused by later epochs' suffix-only faulty lanes.
+            reused by later suffix-only faulty lanes.  A cache handed in is
+            always used: it may be shared with other campaigns (a sweep
+            passes one cache to every grid point), so whether it can hit is
+            the owner's call, not this campaign's.
         executor: forward-plan execution backend (``"module"``,
             ``"interpreter"``, ``"fused"``, or any name registered via
             :func:`repro.nn.ir.register_executor`).  Validated bit-exactly at
@@ -637,17 +640,6 @@ class CampaignCore:
         # validation falls back to the module path on any bitwise mismatch,
         # so an exotic executor name can never change campaign results.
         self.executor = executor
-        if (
-            golden_cache is not None
-            and self.scenario.num_runs <= 1
-            and golden_cache.spill_dir is None
-        ):
-            # A single-epoch campaign visits every batch exactly once, so an
-            # in-memory epoch-invariant cache can never hit — recording all
-            # boundary checkpoints for it would be pure overhead.  A spill
-            # directory keeps the cache on (entries are reused *across*
-            # campaign runs and shards).
-            golden_cache = None
         self.golden_cache = golden_cache
         # Forward plans and recording arenas, lazily built per model object
         # (``None`` marks a model whose forward could not be linearised).
@@ -799,6 +791,17 @@ class CampaignCore:
         return fingerprint
 
     @staticmethod
+    def _resumable_boundaries(plan: ForwardPlan, wrapper: ptfiwrap) -> frozenset[int]:
+        """Boundaries a fault group of ``wrapper`` can resume at.
+
+        A group resumes at the segment of its earliest faulted layer, so
+        only segments holding an injectable layer are ever asked for — the
+        only ones a cached golden pass needs to checkpoint.
+        """
+        segments = (plan.segment_for(layer.name) for layer in wrapper.fault_injection.layers)
+        return frozenset(index for index in segments if index)
+
+    @staticmethod
     def _resume_index(
         golden_plan: ForwardPlan | None,
         faulty_plan: ForwardPlan | None,
@@ -846,8 +849,12 @@ class CampaignCore:
         cache_key: tuple,
         resume_at: int | None,
         with_monitor: bool,
+        wrapper: ptfiwrap,
     ):
         """Run (or fetch) one lane's golden pass.
+
+        ``wrapper`` is the lane's fault-injection wrapper: on a cache miss
+        its injectable layers decide which boundaries are checkpointed.
 
         Returns ``(raw_output, boundary, marks, events)`` where ``boundary``
         is the checkpointed activation for ``resume_at`` (``None`` when not
@@ -880,12 +887,16 @@ class CampaignCore:
                 monitor.reset()
                 monitor.enabled = True
             try:
-                # With a cache every boundary is checkpointed (owned copies),
-                # so any later epoch's fault group can resume anywhere; the
-                # transient path records only this step's boundary into the
-                # reusable arena.
-                wanted = "all" if cache is not None else ([resume_at] if resume_at is not None else [])
-                arena = None if cache is not None else self._arena_for(model)
+                # With a cache every boundary a fault group can resume at is
+                # checkpointed (owned copies), so later epochs and grid points
+                # need no prefix pass; the transient path records only this
+                # step's boundary into the reusable arena.
+                if cache is not None:
+                    wanted = self._resumable_boundaries(plan, wrapper)
+                    arena = None
+                else:
+                    wanted = [resume_at] if resume_at is not None else []
+                    arena = self._arena_for(model)
                 output, checkpoints, marks = plan.run_recording(
                     images, wanted, arena=arena, monitor=monitor
                 )
@@ -904,19 +915,12 @@ class CampaignCore:
             cache.put(cache_key, output, batch_shape=images.shape)
         return output, None, None, None
 
-    def _cache_lane_key(
-        self, lane: str, model: Module, cache_key: tuple, images: np.ndarray
-    ) -> tuple:
-        """Full golden-cache key: lane, weight fingerprint, ids, image digest.
-
-        The per-batch content digest guards spillover reuse against a
-        changed dataset whose image ids happen to collide with an earlier
-        campaign's.
-        """
+    def _cache_lane_key(self, lane: str, model: Module, cache_key: tuple) -> tuple:
+        """Full golden-cache key: lane and weight fingerprint before the
+        step's batch key (image ids + image digest, see :meth:`_run_step`)."""
         if self.golden_cache is None:
             return (lane,) + cache_key
-        batch_digest = bytes_digest(np.ascontiguousarray(images).tobytes())
-        return (lane, self._model_fingerprint(model)) + cache_key + (batch_digest,)
+        return (lane, self._model_fingerprint(model)) + cache_key
 
     @staticmethod
     def _inherit_prefix_events(
@@ -954,6 +958,11 @@ class CampaignCore:
         task = self.task
         images = AlfiDataLoaderWrapper.stack_images(batch)
         cache_key = tuple(record.image_id for record in batch)
+        if self.golden_cache is not None:
+            # The content digest guards spillover reuse against a changed
+            # dataset whose image ids collide with an earlier campaign's;
+            # hashed once per step, shared by the golden and resil lanes.
+            cache_key += (bytes_digest(np.ascontiguousarray(images).tobytes()),)
 
         # Plans are traced before the patch session opens (the faulty model
         # object exists, and is fault-free, outside the ``with group`` scope).
@@ -972,10 +981,11 @@ class CampaignCore:
             golden_plan,
             images,
             batch,
-            self._cache_lane_key("golden", self.model, cache_key, images),
+            self._cache_lane_key("golden", self.model, cache_key),
             resume_at,
             with_monitor=golden_plan is not None
             and (self.golden_cache is not None or resume_at is not None),
+            wrapper=self.wrapper,
         )
         golden = task.finish(golden_raw)
 
@@ -1016,9 +1026,10 @@ class CampaignCore:
                 resil_plan,
                 images,
                 batch,
-                self._cache_lane_key("resil", self.resil_model, cache_key, images),
+                self._cache_lane_key("resil", self.resil_model, cache_key),
                 resil_resume,
                 with_monitor=False,
+                wrapper=self.resil_wrapper,
             )
             resil_golden = task.finish(resil_golden_raw)
             with resil_group:
@@ -1086,11 +1097,13 @@ def _execute_shard(job: _ShardJob) -> tuple[int, object, dict[str, str]]:
         input_shape=job.input_shape,
         fault_matrix=job.fault_matrix,
     )
-    golden_cache = (
-        GoldenCache(job.cache_budget, spill_dir=job.cache_spill_dir)
-        if job.cache_budget is not None
-        else None
-    )
+    golden_cache = None
+    if job.cache_budget is not None and (
+        job.cache_spill_dir is not None or job.scenario.num_runs > 1
+    ):
+        # Without a spill directory the cache is private to this shard, and
+        # a single-epoch shard visits every batch once: it could never hit.
+        golden_cache = GoldenCache(job.cache_budget, spill_dir=job.cache_spill_dir)
     core = CampaignCore(
         job.model,
         job.dataset,

@@ -1,8 +1,9 @@
-"""Epoch-invariant golden cache.
+"""Golden cache: one fault-free pass per batch of images.
 
 Golden (fault-free) outputs are a pure function of the model weights and the
-input batch — they do not depend on the epoch or the fault group.  Per-epoch
-campaigns nevertheless used to recompute them once per epoch per image.  The
+input batch — they do not depend on the epoch, the fault group or anything
+else in the scenario.  Without a cache a multi-epoch campaign recomputes
+them once per epoch per image, and a sweep once per grid point.  The
 :class:`GoldenCache` stores, per batch of dataset images:
 
 * the raw golden model output (and, in a separate lane, the hardened
@@ -10,14 +11,18 @@ campaigns nevertheless used to recompute them once per epoch per image.  The
 * the golden monitor events together with per-boundary event-count marks, so
   suffix-only faulty passes can inherit the prefix's NaN/Inf events without
   re-scanning;
-* checkpointed boundary activations of the golden forward plan, so a later
-  epoch's faulty lane can resume mid-network without re-running the prefix.
+* checkpointed boundary activations of the golden forward plan — those a
+  fault group can resume at — so a later faulty lane can resume mid-network
+  without re-running the prefix.
 
-Entries are keyed by ``(lane, dataset image ids)`` — epoch never enters the
-key.  Memory is bounded by a configurable byte budget with LRU eviction; an
-optional *spillover directory* persists entries as pickle files so the
-shards of a ``ShardedCampaignExecutor`` (separate processes walking the same
-dataset in different epoch ranges) can reuse each other's golden passes.
+Entries are keyed by ``(lane, weight fingerprint, dataset image ids, batch
+digest)`` — neither epoch nor scenario enters the key, so one cache serves
+every epoch of a campaign and every grid point of a sweep
+(:func:`repro.experiments.run_sweep` hands all points the same instance).
+Memory is bounded by a configurable byte budget with LRU eviction; an
+optional *spillover directory* persists entries as pickle files so separate
+processes (the shards of a ``ShardedCampaignExecutor``, a resumed or extended
+sweep) can reuse each other's golden passes.
 """
 
 from __future__ import annotations
@@ -36,14 +41,23 @@ DEFAULT_BYTE_BUDGET = 256 * 2**20
 
 
 def _value_nbytes(value) -> int:
-    """Rough byte estimate of a cached value (exact for ndarray trees)."""
+    """Byte estimate of a cached value (exact for ndarray trees).
+
+    Detection outputs are duck-typed the way
+    :func:`repro.nn.forward_plan._bitwise_equal` compares them: an object
+    with ``boxes`` counts its ``boxes``/``scores``/``labels`` arrays.
+    """
     if isinstance(value, np.ndarray):
         return value.nbytes
     if isinstance(value, (list, tuple)):
         return sum(_value_nbytes(item) for item in value)
     if isinstance(value, dict):
         return sum(_value_nbytes(item) for item in value.values())
-    return 256  # conservative default for opaque objects (e.g. detections)
+    if hasattr(value, "boxes"):
+        return sum(
+            np.asarray(getattr(value, name)).nbytes for name in ("boxes", "scores", "labels")
+        )
+    return 256  # conservative default for opaque objects
 
 
 class GoldenCacheEntry:
@@ -104,6 +118,10 @@ class GoldenCache:
         self._nbytes = 0
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
+        self.spill_writes = 0
+        self.spill_loads = 0
+        self.corrupt_dropped = 0
 
     # ------------------------------------------------------------------ #
     # lookup / insert
@@ -159,6 +177,7 @@ class GoldenCache:
         while self._nbytes > self.byte_budget and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)
             self._nbytes -= evicted.nbytes
+            self.evictions += 1
 
     # ------------------------------------------------------------------ #
     # spillover
@@ -180,6 +199,7 @@ class GoldenCache:
             except OSError:
                 pass
             raise
+        self.spill_writes += 1
 
     def _load_spilled(self, key: tuple) -> GoldenCacheEntry | None:
         path = self._spill_path(key)
@@ -187,7 +207,9 @@ class GoldenCache:
             return None
         try:
             with open(path, "rb") as handle:
-                return GoldenCacheEntry.from_state(pickle.load(handle))
+                entry = GoldenCacheEntry.from_state(pickle.load(handle))
+            self.spill_loads += 1
+            return entry
         except FileNotFoundError:
             return None  # lost a race with a concurrent re-spill
         except Exception:
@@ -195,6 +217,7 @@ class GoldenCache:
             # filesystem without atomic rename, disk full, external
             # tampering) is a cache miss, never a crash — and it is unlinked
             # so no later lookup trips over it again.
+            self.corrupt_dropped += 1
             try:
                 os.unlink(path)
             except OSError:
@@ -213,10 +236,19 @@ class GoldenCache:
         return self._nbytes
 
     def stats(self) -> dict:
-        """Hit/miss/size counters (for logging and tests)."""
+        """Lookup, eviction and spill counters plus the in-memory size.
+
+        Counters are per instance: lookups made by shard worker processes
+        (each holds its own instance over the shared spill directory) are
+        not included.
+        """
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "evictions": self.evictions,
+            "spill_writes": self.spill_writes,
+            "spill_loads": self.spill_loads,
+            "corrupt_dropped": self.corrupt_dropped,
             "entries": len(self._entries),
             "nbytes": self._nbytes,
             "byte_budget": self.byte_budget,

@@ -300,6 +300,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"\nsweep complete: points={len(result)} executed={result.executed} "
         f"cached={result.cached}"
     )
+    stats = result.golden_cache_stats
+    if stats is not None:
+        print(
+            f"golden cache: hits={stats['hits']} misses={stats['misses']} "
+            f"entries={stats['entries']} mib={stats['nbytes'] / 2**20:.1f}"
+        )
     _print_result_files(result.table_files)
     return 0
 

@@ -10,6 +10,9 @@ Layout of a store directory::
       <run_id>.wip/          # a point currently executing (atomically renamed
                              # to <run_id>/ on commit; leftovers are harmless)
       sweep_manifest.json    # per-sweep completion record (RunManifest idiom)
+      golden/                # golden-pass spill files shared by every point of
+                             # every sweep on this store; a pure cache, safe to
+                             # delete at any time (entries are recomputed)
 
 The run ID is content-addressed: a short digest over the point's *canonical*
 spec document (everything that affects the numbers — model, dataset,
@@ -173,6 +176,15 @@ class CampaignStore:
     def manifest_path(self) -> Path:
         """Path of the sweep's crash-safe resume manifest."""
         return self.root / "sweep_manifest.json"
+
+    def golden_dir(self) -> Path:
+        """Spill directory of the golden cache the store's sweeps share.
+
+        Not a point (it holds no ``point.json``, so :meth:`lookup` and
+        :meth:`completed_run_ids` pass over it), and deleting it only costs
+        recomputation.
+        """
+        return self.root / "golden"
 
     # ------------------------------------------------------------------ #
     # lookup

@@ -141,7 +141,10 @@ def _build_core(spec: ExperimentSpec, plugin: Any, artifacts: Artifacts) -> Camp
     if writer is None and spec.output_dir is not None:
         writer = CampaignResultWriter(Path(spec.output_dir), campaign_name=scenario.model_name)
     golden_cache = artifacts.golden_cache
-    if golden_cache is None and spec.caching.golden_cache_mb > 0:
+    if golden_cache is None and spec.caching.golden_cache_mb > 0 and scenario.num_runs > 1:
+        # A cache built here is private to this campaign, and a single-epoch
+        # campaign visits every batch once: it could never hit, so recording
+        # checkpoints for it would be pure overhead.
         golden_cache = GoldenCache(byte_budget=spec.caching.golden_cache_mb * 2**20)
     return CampaignCore(
         model,

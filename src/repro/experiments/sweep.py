@@ -10,7 +10,10 @@ sharded backend's retry/timeout/backoff applies per point), and persists
 every completed point in a content-addressed
 :class:`~repro.experiments.campaigns.CampaignStore` — re-running a finished
 sweep recomputes **zero** points, and an interrupted sweep resumed with
-``resume=True`` produces a byte-identical aggregate table.
+``resume=True`` produces a byte-identical aggregate table.  Every point of a
+sweep shares one :class:`~repro.alficore.goldencache.GoldenCache` (spilling
+to ``<store>/golden/``), so the fault-free pass of an image runs once per
+sweep, not once per grid point.
 
 Typical use::
 
@@ -29,6 +32,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.alficore.digests import config_digest, model_fingerprint
+from repro.alficore.goldencache import DEFAULT_BYTE_BUDGET, GoldenCache
 from repro.experiments.campaigns.store import (
     CampaignStore,
     StoredPoint,
@@ -277,7 +281,10 @@ class SweepResult:
     declaration order, then sorted KPI columns); :meth:`write_table`
     persists it as CSV and JSON.  Per-point campaign results stay lazy —
     :meth:`SweepPointOutcome.load_result` unpickles a cached point's task
-    state only on demand.
+    state only on demand.  ``golden_cache_stats`` is
+    :meth:`GoldenCache.stats() <repro.alficore.goldencache.GoldenCache.stats>`
+    of the cache the points shared (``None`` when the sweep ran without one);
+    it describes this invocation only and is written to no file.
     """
 
     def __init__(
@@ -285,10 +292,12 @@ class SweepResult:
         plan: SweepPlan,
         outcomes: list[SweepPointOutcome],
         store: CampaignStore | None,
+        golden_cache_stats: dict[str, Any] | None = None,
     ) -> None:
         self.plan = plan
         self.outcomes = outcomes
         self.store = store
+        self.golden_cache_stats = golden_cache_stats
         self.executed = sum(1 for outcome in outcomes if not outcome.cached)
         self.cached = sum(1 for outcome in outcomes if outcome.cached)
         self.table_files: dict[str, str] = {}
@@ -396,6 +405,7 @@ def _execute_point(
     output_dir: Path | None,
     workers: int | None,
     resume: bool,
+    golden_cache: GoldenCache | None,
 ) -> CampaignResult:
     """Run one grid point through the ordinary experiment path.
 
@@ -417,7 +427,27 @@ def _execute_point(
         if child.backend.name == "serial":
             child.backend.name = "sharded"
     child.validate()
-    return run(child, Artifacts(model=model, dataset=dataset))
+    return run(child, Artifacts(model=model, dataset=dataset, golden_cache=golden_cache))
+
+
+def _shared_golden_cache(base: ExperimentSpec, store: CampaignStore | None) -> GoldenCache | None:
+    """The one golden cache every point of a sweep runs with.
+
+    Keys hold the weight fingerprint and the batch digest but nothing of the
+    scenario, so points that share a model and dataset share golden passes
+    and points that do not simply miss.  With a store the cache spills to
+    :meth:`CampaignStore.golden_dir`, which is how shard worker processes,
+    a resumed sweep and a later sweep on the same store reuse it; without
+    one it lives in memory for this call.  ``caching.prefix_reuse: false``
+    selects the naive reference path and gets no cache.
+    """
+    if not base.caching.prefix_reuse:
+        return None
+    budget_mb = base.caching.golden_cache_mb
+    return GoldenCache(
+        byte_budget=budget_mb * 2**20 if budget_mb > 0 else DEFAULT_BYTE_BUDGET,
+        spill_dir=store.golden_dir() if store is not None else None,
+    )
 
 
 def run_sweep(
@@ -438,7 +468,8 @@ def run_sweep(
         store: campaign-store directory (or instance).  Defaults to the
             sweep's declared ``store``, then ``<output_dir>/sweep_store``;
             with neither, the sweep runs without persistence (every point
-            executes, nothing can be skipped).
+            executes, nothing can be skipped, and the shared golden cache is
+            in-memory only).
         workers: override worker count for point execution (sharded backend
             when > 1); excluded from run IDs, so cached points still match.
         resume: resume an interrupted sweep — completed points are skipped
@@ -478,6 +509,7 @@ def run_sweep(
                 )
         if manifest is None:
             manifest = SweepManifest.fresh(manifest_path, manifest_config)
+    golden_cache = _shared_golden_cache(plan.base, campaign_store)
     outcomes = []
     for point in plan.points:
         run_id = point.run_id
@@ -501,6 +533,7 @@ def run_sweep(
             result = _execute_point(
                 point, model, dataset,
                 output_dir=output_dir, workers=workers, resume=resume,
+                golden_cache=golden_cache,
             )
             if campaign_store is not None:
                 committed = campaign_store.commit(
@@ -523,7 +556,10 @@ def run_sweep(
         if manifest is not None:
             manifest.mark_completed(point.index, run_id, cached=outcome.cached)
         outcomes.append(outcome)
-    sweep_result = SweepResult(plan, outcomes, campaign_store)
+    sweep_result = SweepResult(
+        plan, outcomes, campaign_store,
+        golden_cache_stats=golden_cache.stats() if golden_cache is not None else None,
+    )
     if campaign_store is not None:
         sweep_result.write_table(campaign_store.root)
     return sweep_result

@@ -315,25 +315,173 @@ class TestGoldenCache:
         ).run()
         assert baseline.as_dict() == reused.as_dict()
 
-    def test_single_epoch_campaign_drops_useless_in_memory_cache(
-        self, fitted_model_and_dataset, tmp_path
-    ):
-        # num_runs=1 visits every batch once: an in-memory cache can never
-        # hit and is dropped; a spill directory keeps it (cross-run reuse).
+    def test_core_keeps_any_cache_it_is_given(self, fitted_model_and_dataset):
+        # Whether a cache can hit is its owner's call: a sweep hands the same
+        # in-memory cache to many single-epoch campaigns.
         from repro.alficore.campaign import CampaignCore, ClassificationTask
 
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", random_seed=36, num_runs=1)
-        dropped = CampaignCore(
-            model, dataset, ClassificationTask(), scenario=scenario, golden_cache=GoldenCache()
+        shared = GoldenCache()
+        for _ in range(2):
+            core = CampaignCore(
+                model, dataset, ClassificationTask(), scenario=scenario, golden_cache=shared
+            )
+            assert core.golden_cache is shared
+            core.run()
+        assert (shared.misses, shared.hits) == (len(dataset), len(dataset))
+
+    @pytest.mark.parametrize("num_runs,built", [(1, False), (2, True)])
+    def test_spec_run_builds_no_private_cache_for_a_single_epoch(self, num_runs, built):
+        # A cache run(spec) builds is private to that campaign: with one
+        # epoch it could never hit, so none is built.
+        from repro.experiments import Experiment, run
+
+        spec = (
+            Experiment.builder()
+            .name("private")
+            .model("lenet5", num_classes=10, seed=0)
+            .dataset("synthetic-classification", num_samples=4, num_classes=10, seed=1)
+            .scenario(injection_target="weights", random_seed=37, num_runs=num_runs)
+            .caching(golden_cache_mb=8)
+            .build()
         )
-        assert dropped.golden_cache is None
-        kept = CampaignCore(
-            model, dataset, ClassificationTask(), scenario=scenario,
-            golden_cache=GoldenCache(spill_dir=tmp_path / "spill"),
-        )
-        assert kept.golden_cache is not None
+        assert (run(spec).core.golden_cache is not None) is built
 
     def test_cache_rejects_invalid_budget(self):
         with pytest.raises(ValueError):
             GoldenCache(byte_budget=0)
+
+    def test_detection_outputs_are_booked_at_their_array_sizes(self):
+        from repro.alficore.goldencache import GoldenCacheEntry
+
+        class Detections:
+            boxes = np.zeros((7, 4), dtype=np.float32)
+            scores = np.zeros(7, dtype=np.float32)
+            labels = np.zeros(7, dtype=np.int64)
+
+        entry = GoldenCacheEntry([Detections(), Detections()], None, None, None, None)
+        assert entry.nbytes == 2 * (7 * 4 * 4 + 7 * 4 + 7 * 8)
+
+
+def _injectable_segments(plan, wrapper):
+    """Segments holding an injectable layer (boundary 0 is the input itself)."""
+    segments = {plan.segment_for(layer.name) for layer in wrapper.fault_injection.layers}
+    return segments - {0, None}
+
+
+class TestCachedBoundaries:
+    """A cached golden pass checkpoints exactly the boundaries a fault group
+    can resume at; anything else falls back to a prefix pass."""
+
+    @staticmethod
+    def _core(model, dataset, cache, **scenario):
+        from repro.alficore.campaign import CampaignCore, ClassificationTask
+
+        scenario = default_scenario(
+            injection_target="weights", rnd_bit_range=(23, 30), **scenario
+        )
+        return CampaignCore(
+            model, dataset, ClassificationTask(), scenario=scenario, golden_cache=cache
+        )
+
+    @pytest.mark.parametrize("name", ["lenet5", "alexnet", "vgg16"])
+    def test_entries_hold_the_injectable_layer_segments(self, name):
+        from repro.models import build_model
+
+        dataset = SyntheticClassificationDataset(num_samples=2, num_classes=10, seed=7)
+        model = build_model(name, num_classes=10, seed=0).eval()
+        cache = GoldenCache()
+        core = self._core(model, dataset, cache, random_seed=40)
+        core.run()
+        plan = core._plans[id(model)]
+        expected = _injectable_segments(plan, core.wrapper)
+        assert expected and expected < set(range(1, plan.num_segments))
+        assert len(cache) == len(dataset)
+        for entry in cache._entries.values():
+            assert set(entry.boundaries) == expected
+
+    def test_unrecorded_boundary_is_served_by_a_prefix_pass(
+        self, fitted_model_and_dataset, monkeypatch
+    ):
+        from repro.nn.forward_plan import ForwardPlan
+
+        model, dataset = fitted_model_and_dataset
+        cache = GoldenCache()
+        # Entries recorded by a campaign over the linear layers only ...
+        narrow = self._core(model, dataset, cache, random_seed=41, layer_types=["fcc"])
+        narrow.run()
+        plan = narrow._plans[id(model)]
+        recorded = _injectable_segments(plan, narrow.wrapper)
+        assert all(set(entry.boundaries) == recorded for entry in cache._entries.values())
+
+        prefix_stops = []
+        original = ForwardPlan.run_prefix
+
+        def counting(self, x, stop):
+            prefix_stops.append(stop)
+            return original(self, x, stop)
+
+        monkeypatch.setattr(ForwardPlan, "run_prefix", counting)
+        # ... serve one that faults the second conv layer: same keys, new boundary.
+        conv = self._core(model, dataset, cache, random_seed=42, layer_range=(1, 1))
+        conv.run()
+        uncached = self._core(model, dataset, None, random_seed=42, layer_range=(1, 1))
+        uncached.run()
+        wanted = plan.segment_for(conv.wrapper.fault_injection.layers[1].name)
+        assert wanted not in recorded
+        assert cache.hits == len(dataset)
+        assert prefix_stops == [wanted] * len(dataset)  # once per entry, no full pass
+        for entry in cache._entries.values():
+            assert set(entry.boundaries) == recorded | {wanted}
+        assert [row.tobytes() for row in conv.task.state.corrupted_logits] == [
+            row.tobytes() for row in uncached.task.state.corrupted_logits
+        ]
+
+    def test_resil_lane_records_the_resil_wrappers_segments(self, fitted_model_and_dataset):
+        from repro.alficore.campaign import CampaignCore, ClassificationTask
+
+        model, dataset = fitted_model_and_dataset
+        calibration = np.stack([dataset[i][0] for i in range(len(dataset))])
+        hardened = apply_protection(
+            model, collect_activation_bounds(model, [calibration]), "ranger"
+        )
+        cache = GoldenCache()
+        core = CampaignCore(
+            model, dataset, ClassificationTask(), resil_model=hardened, golden_cache=cache,
+            scenario=default_scenario(
+                injection_target="weights", rnd_bit_range=(23, 30), random_seed=43
+            ),
+        )
+        core.run()
+        golden = _injectable_segments(core._plans[id(core.model)], core.wrapper)
+        resil = _injectable_segments(core._plans[id(core.resil_model)], core.resil_wrapper)
+        assert golden != resil  # protection layers shift the hardened model's segments
+        lanes = {"golden": golden, "resil": resil}
+        assert {key[0] for key in cache._entries} == set(lanes)
+        for key, entry in cache._entries.items():
+            assert set(entry.boundaries) == lanes[key[0]]
+
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    def test_multi_epoch_campaign_byte_identical_to_uncached(
+        self, fitted_model_and_dataset, tmp_path, target
+    ):
+        model, dataset = fitted_model_and_dataset
+        scenario = default_scenario(
+            injection_target=target, rnd_bit_range=(23, 30), random_seed=44,
+            num_runs=3, model_name="epochs",
+        )
+
+        def run(sub, cache):
+            writer = CampaignResultWriter(tmp_path / sub, campaign_name="epochs")
+            return CampaignRunner(
+                model, dataset, scenario=scenario, writer=writer, golden_cache=cache
+            ).run()
+
+        cache = GoldenCache()
+        uncached, cached = run("off", None), run("on", cache)
+        tags = ("golden_csv", "corrupted_csv", "applied_faults")
+        assert _stream_bytes(uncached.output_files, tags) == _stream_bytes(
+            cached.output_files, tags
+        )
+        assert (cache.misses, cache.hits) == (len(dataset), 2 * len(dataset))

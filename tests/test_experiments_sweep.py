@@ -8,6 +8,7 @@ sweep manager replaces.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -364,3 +365,155 @@ class TestAggregation:
         assert json.dumps(sweep_rows, sort_keys=True) == json.dumps(
             manual_rows, sort_keys=True
         )
+
+
+# --------------------------------------------------------------------------- #
+# sweep-wide golden sharing
+# --------------------------------------------------------------------------- #
+BITS = ((23, 26), (27, 30))
+WIDE_BITS = BITS + ((30, 30),)
+TARGETS = ("weights", "neurons")
+
+
+def grid_spec(bits=BITS, **caching):
+    """A ``rnd_bit_range`` x ``injection_target`` grid over one model and dataset."""
+    builder = base_builder().sweep(
+        axes={
+            "scenario.rnd_bit_range": [list(pair) for pair in bits],
+            "scenario.injection_target": list(TARGETS),
+        }
+    )
+    if caching:
+        builder.caching(**caching)
+    return builder.build()
+
+
+def sweep_bytes(result):
+    """Every file the sweep wrote, by ``<run_id>/<tag>`` (tables by tag)."""
+    files = {tag: open(path, "rb").read() for tag, path in result.table_files.items()}
+    for outcome in result.outcomes:
+        for tag, path in outcome.stored.output_files.items():
+            files[f"{outcome.run_id}/{tag}"] = open(path, "rb").read()
+    return files
+
+
+def golden_files(store):
+    """Identity of every spill file: a rewritten entry gets a new inode."""
+    return {
+        path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in store.golden_dir().iterdir()
+    }
+
+
+@pytest.fixture(scope="module")
+def naive(tmp_path_factory):
+    """Reference bytes from the ``prefix_reuse: false`` path (no shared cache)."""
+    store = CampaignStore(tmp_path_factory.mktemp("naive") / "store")
+    wide = run_sweep(grid_spec(WIDE_BITS, prefix_reuse=False), store=store)
+    wide_bytes = sweep_bytes(wide)
+    base = run_sweep(grid_spec(prefix_reuse=False), store=store)
+    assert wide.golden_cache_stats is None and base.golden_cache_stats is None
+    assert not store.golden_dir().exists()
+    return {"base": sweep_bytes(base), "wide": wide_bytes}
+
+
+class TestGoldenSharing:
+    POINTS = len(BITS) * len(TARGETS)
+
+    def test_one_golden_pass_per_image_and_naive_bytes(self, tmp_path, naive):
+        store = CampaignStore(tmp_path / "store")
+        result = run_sweep(grid_spec(), store=store)
+        assert sweep_bytes(result) == naive["base"]
+        stats = result.golden_cache_stats
+        assert stats["misses"] == IMAGES
+        assert stats["hits"] == IMAGES * (self.POINTS - 1)
+        assert stats["spill_writes"] == IMAGES == len(golden_files(store))
+        # The spill directory is no grid point.
+        assert store.lookup("golden") is None
+        assert len(store.completed_run_ids()) == self.POINTS
+
+    def test_without_a_store_points_share_in_memory(self, naive):
+        result = run_sweep(grid_spec())
+        stats = result.golden_cache_stats
+        assert stats["spill_dir"] is None
+        assert (stats["misses"], stats["hits"]) == (IMAGES, IMAGES * (self.POINTS - 1))
+        reference = json.loads(naive["base"]["table_json"])["rows"]
+        assert result.table_rows() == reference
+
+    def test_over_budget_cache_evicts_and_stays_identical(self, monkeypatch, naive):
+        monkeypatch.setattr(sweep_module, "DEFAULT_BYTE_BUDGET", 1)
+        result = run_sweep(grid_spec())
+        stats = result.golden_cache_stats
+        # Only the newest entry survives, so later points recompute.
+        assert stats["entries"] == 1 and stats["evictions"] > 0 and stats["hits"] == 0
+        assert result.table_rows() == json.loads(naive["base"]["table_json"])["rows"]
+
+    def test_shard_processes_share_through_the_spill_dir(self, tmp_path, naive):
+        store = CampaignStore(tmp_path / "store")
+        after_each_point = []
+        result = run_sweep(
+            grid_spec(), store=store, workers=2,
+            progress=lambda line: after_each_point.append(golden_files(store)),
+        )
+        assert sweep_bytes(result) == naive["base"]
+        # Point 0's shards wrote one entry per image; no later shard, in any
+        # process, computed (and hence re-spilled) a golden pass again.
+        assert len(after_each_point[0]) == IMAGES
+        assert all(snapshot == after_each_point[0] for snapshot in after_each_point)
+
+    def test_resumed_sweep_reuses_the_interrupted_runs_entries(
+        self, tmp_path, monkeypatch, naive
+    ):
+        store = CampaignStore(tmp_path / "store")
+        original = sweep_module._execute_point
+
+        def crash_on_third(point, *args, **kwargs):
+            if point.index == 2:
+                raise RuntimeError("simulated crash mid-sweep")
+            return original(point, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "_execute_point", crash_on_third)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_sweep(grid_spec(), store=store)
+        monkeypatch.setattr(sweep_module, "_execute_point", original)
+        before = golden_files(store)
+        assert len(before) == IMAGES
+
+        resumed = run_sweep(grid_spec(), store=store, resume=True)
+        assert (resumed.executed, resumed.cached) == (2, 2)
+        assert sweep_bytes(resumed) == naive["base"]
+        assert golden_files(store) == before
+
+    def test_extending_a_finished_grid_recomputes_no_golden_pass(self, tmp_path, naive):
+        store = CampaignStore(tmp_path / "store")
+        run_sweep(grid_spec(), store=store)
+        extended = run_sweep(grid_spec(WIDE_BITS), store=store)
+        assert (extended.executed, extended.cached) == (len(TARGETS), self.POINTS)
+        assert sweep_bytes(extended) == naive["wide"]
+        stats = extended.golden_cache_stats
+        assert stats["misses"] == 0 and stats["spill_writes"] == 0
+        assert stats["spill_loads"] == IMAGES
+        assert stats["hits"] == IMAGES * len(TARGETS)
+
+    def test_corrupt_spill_file_is_a_miss_not_a_crash(self, tmp_path, naive):
+        store = CampaignStore(tmp_path / "store")
+        run_sweep(grid_spec(), store=store)
+        victim = sorted(store.golden_dir().iterdir())[0]
+        victim.write_bytes(victim.read_bytes()[:40])
+        (store.golden_dir() / "golden_stray.pkl").write_bytes(b"not a pickle")
+        extended = run_sweep(grid_spec(WIDE_BITS), store=store)
+        assert sweep_bytes(extended) == naive["wide"]
+        stats = extended.golden_cache_stats
+        # The truncated entry was dropped, recomputed once and spilled again;
+        # the stray file matches no key and is never opened.
+        assert (stats["corrupt_dropped"], stats["misses"], stats["spill_writes"]) == (1, 1, 1)
+        assert len(victim.read_bytes()) > 40
+
+    def test_deleting_the_golden_dir_only_costs_recomputation(self, tmp_path, naive):
+        store = CampaignStore(tmp_path / "store")
+        run_sweep(grid_spec(), store=store)
+        shutil.rmtree(store.golden_dir())
+        extended = run_sweep(grid_spec(WIDE_BITS), store=store)
+        assert extended.cached == self.POINTS
+        assert sweep_bytes(extended) == naive["wide"]
+        assert extended.golden_cache_stats["misses"] == IMAGES
