@@ -2,9 +2,18 @@
 
 All operations work on numpy arrays with the PyTorch layout conventions:
 images are ``(N, C, H, W)``, volumes are ``(N, C, D, H, W)`` and linear
-inputs are ``(N, features)``.  Convolutions use im2col + matmul which keeps
-the pure-python substrate fast enough for fault injection campaigns over
-small synthetic datasets.
+inputs are ``(N, features)``.
+
+Every golden and faulty inference of a campaign ends in these kernels, so
+each one is written as the cheapest numpy formulation of a *fixed*
+arithmetic: ``conv2d`` is a tap-loop :func:`im2col` plus exactly one BLAS
+GEMM whose operand order, shapes and memory layouts are part of the
+contract; pooling and ``im2col`` loop over the ``kh * kw`` kernel taps
+(strided slices) instead of reducing or copying a 6-D window view; and the
+elementwise kernels run their ufuncs on one buffer.  The result bits are
+pinned against the frozen previous generation in ``tests/oracles/`` (see
+"The bit-exactness contract" in ``docs/ir.md``); NaN *positions* are part of
+that contract, NaN payload bits are not.
 """
 
 from __future__ import annotations
@@ -44,6 +53,33 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _pad_hw(x: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
+    """``x`` with ``fill`` borders of ``ph`` rows / ``pw`` columns (``x`` itself if none)."""
+    if not (ph or pw):
+        return x
+    n, c, h, w = x.shape
+    shape = (n, c, h + 2 * ph, w + 2 * pw)
+    # np.zeros gets its zeros from the allocator; np.full writes them.
+    padded = np.zeros(shape, dtype=x.dtype) if fill == 0.0 else np.full(shape, fill, dtype=x.dtype)
+    padded[:, :, ph : ph + h, pw : pw + w] = x
+    return padded
+
+
+def _window_taps(x, kh: int, kw: int, sh: int, sw: int, out_h: int, out_w: int) -> list:
+    """The ``kh * kw`` window taps of ``x`` as strided views, in row-major order.
+
+    Tap ``(i, j)`` has shape ``(N, C, out_h, out_w)`` and holds, for every
+    output position, the element that position's window sees at offset
+    ``(i, j)``.  Looping over the taps with whole-array operations replaces
+    copying or reducing a 6-D window view.
+    """
+    span_h = (out_h - 1) * sh + 1
+    span_w = (out_w - 1) * sw + 1
+    return [
+        x[:, :, i : i + span_h : sh, j : j + span_w : sw] for i in range(kh) for j in range(kw)
+    ]
+
+
 def im2col(
     images: np.ndarray,
     kernel_size: tuple[int, int],
@@ -59,8 +95,10 @@ def im2col(
         padding: ``(ph, pw)`` zero padding.
 
     Returns:
-        A tuple ``(columns, out_h, out_w)`` where ``columns`` has shape
-        ``(N, C * kh * kw, out_h * out_w)``.
+        A tuple ``(columns, out_h, out_w)`` where ``columns`` is C-contiguous
+        with shape ``(N, C * kh * kw, out_h * out_w)``.  For a pointwise
+        kernel (1x1, stride 1, no padding) over a contiguous input the
+        columns are a view of ``images``, not a copy.
     """
     n, c, h, w = images.shape
     kh, kw = kernel_size
@@ -69,19 +107,15 @@ def im2col(
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
 
-    if ph or pw:
-        images = np.pad(images, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        # A pointwise convolution's columns are the image itself.
+        return np.ascontiguousarray(images.reshape(n, c, h * w)), out_h, out_w
 
-    # Strided view over all (kh, kw) patches.
-    stride_n, stride_c, stride_h, stride_w = images.strides
-    patches = np.lib.stride_tricks.as_strided(
-        images,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(stride_n, stride_c, stride_h * sh, stride_w * sw, stride_h, stride_w),
-        writeable=False,
-    )
-    columns = patches.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
-    return np.ascontiguousarray(columns), out_h, out_w
+    images = _pad_hw(images, ph, pw, 0.0)
+    columns = np.empty((n, c, kh * kw, out_h, out_w), dtype=images.dtype)
+    for index, tap in enumerate(_window_taps(images, kh, kw, sh, sw, out_h, out_w)):
+        columns[:, :, index] = tap
+    return columns.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
 def conv2d(
@@ -135,16 +169,29 @@ def conv2d(
         output = np.concatenate(group_outputs, axis=1)
         if bias is not None:
             output += np.asarray(bias, dtype=np.float32).reshape(1, -1, 1, 1)
-        return output.astype(np.float32)
+        return output
 
+    n = x.shape[0]
     out_channels, _, kh, kw = weight.shape
     columns, out_h, out_w = im2col(x, (kh, kw), _pair(stride), _pair(padding))
-    kernel_matrix = weight.reshape(out_channels, -1)
-    output = np.einsum("of,nfp->nop", kernel_matrix, columns, optimize=True)
-    output = output.reshape(x.shape[0], out_channels, out_h, out_w)
-    if bias is not None:
-        output += np.asarray(bias, dtype=np.float32).reshape(1, -1, 1, 1)
-    return output.astype(np.float32)
+    features, positions = columns.shape[1:]
+    # Exactly one GEMM, and its operand order, shapes and memory layouts are
+    # part of the bit-exactness contract (BLAS picks its blocking from them):
+    # left the (n*p, f) patch matrix -- a transposed view of the columns for
+    # n == 1, a C-contiguous copy otherwise -- right the transposed view of
+    # the (o, f) kernel matrix.
+    patches = columns.transpose(0, 2, 1).reshape(n * positions, features)
+    product = np.dot(patches, weight.reshape(out_channels, features).T)
+    product = product.reshape(n, positions, out_channels).transpose(0, 2, 1)
+    # One pass moves the (n, p, o) product into the C-contiguous NCHW output,
+    # with the bias add folded in.
+    output = np.empty((n, out_channels, out_h, out_w), dtype=np.float32)
+    flat = output.reshape(n, out_channels, positions)
+    if bias is None:
+        np.copyto(flat, product)
+    else:
+        np.add(product, np.asarray(bias, dtype=np.float32).reshape(1, -1, 1), out=flat)
+    return output
 
 
 def conv3d(
@@ -209,8 +256,8 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
         )
     output = x @ weight.T
     if bias is not None:
-        output = output + np.asarray(bias, dtype=np.float32)
-    return output.astype(np.float32)
+        output += np.asarray(bias, dtype=np.float32)
+    return output
 
 
 # --------------------------------------------------------------------------- #
@@ -224,7 +271,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 def leaky_relu(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
     """Leaky ReLU with configurable negative slope."""
     x = np.asarray(x, dtype=np.float32)
-    return np.where(x >= 0, x, negative_slope * x).astype(np.float32)
+    return np.where(x >= 0, x, negative_slope * x).astype(np.float32, copy=False)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -287,16 +334,24 @@ def avg_pool2d(
 
 
 def _pool2d(x, kernel_size, stride, padding, mode: str) -> np.ndarray:
-    """Vectorized pooling over all windows via ``sliding_window_view``.
+    """Pooling as a loop over the ``kh * kw`` window taps (:func:`_window_taps`).
 
-    ``sliding_window_view`` materialises a bounds-checked view over every
-    ``(kh, kw)`` window; striding is a cheap slice of that view, and the
-    max/mean reduction runs once over the whole window volume instead of a
-    python loop per output position.  :func:`_pool2d_reference` keeps the
-    naive window loop as the correctness oracle (asserted equal in tests).
+    The whole output is reduced with one whole-array ufunc call per tap, in
+    a fixed order that is part of the bit-exactness contract:
 
-    The input is made contiguous first so the windowed reduction order — and
-    with it the result bits — do not depend on the input's memory layout.
+    * ``max`` folds the taps in row-major order with
+      ``np.maximum(out, tap, out=out)`` -- the order (and argument order)
+      that decides which of ``+0.0`` / ``-0.0`` a tie returns;
+    * ``avg`` sums each window row left to right, adds the row sums top to
+      bottom onto the additive identity (so an all ``-0.0`` window averages
+      to ``+0.0``) and divides by ``float32(kh * kw)``.  Padding zeros count
+      as window elements.
+
+    ``tests/oracles/kernels_v0.py`` keeps the ``sliding_window_view`` kernel
+    this replaced and the naive per-window loop as oracles.
+
+    The input is made contiguous first so a caller's memory layout can never
+    reach the result bits; the output is always C-contiguous.
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
     if x.ndim != 4:
@@ -307,42 +362,24 @@ def _pool2d(x, kernel_size, stride, padding, mode: str) -> np.ndarray:
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
-    if ph or pw:
-        fill = -np.inf if mode == "max" else 0.0
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw]
-    assert windows.shape[2] == out_h and windows.shape[3] == out_w
+    x = _pad_hw(x, ph, pw, -np.inf if mode == "max" else 0.0)
+    taps = _window_taps(x, kh, kw, sh, sw, out_h, out_w)
+
     if mode == "max":
-        return windows.max(axis=(4, 5)).astype(np.float32)
-    return windows.mean(axis=(4, 5)).astype(np.float32)
+        output = taps[0].copy()
+        for tap in taps[1:]:
+            np.maximum(output, tap, out=output)
+        return output
 
-
-def _pool2d_reference(x, kernel_size, stride, padding, mode: str) -> np.ndarray:
-    """Naive per-window pooling loop (correctness oracle for :func:`_pool2d`)."""
-    x = np.ascontiguousarray(x, dtype=np.float32)
-    if x.ndim != 4:
-        raise ValueError(f"pooling expects 4D input, got shape {x.shape}")
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-    if ph or pw:
-        fill = -np.inf if mode == "max" else 0.0
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    output = np.empty((n, c, out_h, out_w), dtype=np.float32)
-    for i in range(out_h):
-        for j in range(out_w):
-            window = x[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
-            if mode == "max":
-                output[:, :, i, j] = window.max(axis=(2, 3))
-            else:
-                # Innermost-axis-first summation mirrors the reduction order
-                # of ``mean(axis=(4, 5))`` on the window view, keeping the
-                # reference bit-identical to the vectorized path.
-                output[:, :, i, j] = window.sum(axis=3).sum(axis=2) / (kh * kw)
+    output = np.zeros((n, c, out_h, out_w), dtype=np.float32)
+    for start in range(0, kh * kw, kw):
+        row = taps[start]
+        if kw > 1:
+            row = row + taps[start + 1]
+            for tap in taps[start + 2 : start + kw]:
+                row += tap
+        output += row
+    output /= np.float32(kh * kw)
     return output
 
 
@@ -390,12 +427,13 @@ def batch_norm2d(
     x = np.asarray(x, dtype=np.float32)
     mean = np.asarray(running_mean, dtype=np.float32).reshape(1, -1, 1, 1)
     var = np.asarray(running_var, dtype=np.float32).reshape(1, -1, 1, 1)
-    normalized = (x - mean) / np.sqrt(var + eps)
+    out = x - mean
+    np.divide(out, np.sqrt(var + eps), out=out)
     if weight is not None:
-        normalized = normalized * np.asarray(weight, dtype=np.float32).reshape(1, -1, 1, 1)
+        np.multiply(out, np.asarray(weight, dtype=np.float32).reshape(1, -1, 1, 1), out=out)
     if bias is not None:
-        normalized = normalized + np.asarray(bias, dtype=np.float32).reshape(1, -1, 1, 1)
-    return normalized.astype(np.float32)
+        np.add(out, np.asarray(bias, dtype=np.float32).reshape(1, -1, 1, 1), out=out)
+    return out
 
 
 def flatten(x: np.ndarray, start_dim: int = 1) -> np.ndarray:

@@ -78,9 +78,8 @@ def _emit_bias_add(module, x, out):
 
 
 def _emit_batchnorm2d(module, x, out):
-    # Same ufunc sequence as F.batch_norm2d, each step with out= supplied;
-    # the trailing float32->float32 astype of the functional path is a
-    # bit-preserving copy and is elided.
+    # The ufunc sequence of F.batch_norm2d (which runs it on a buffer of its
+    # own), with the chain's buffer as out=.
     mean = module._buffers["running_mean"].reshape(1, -1, 1, 1)
     var = module._buffers["running_var"].reshape(1, -1, 1, 1)
     np.subtract(x, mean, out=out)

@@ -99,9 +99,10 @@ def _bias_add(module: Module, x):
 
 # Split kernels: a Conv2d/Linear segment lowers to a weight op plus a
 # separate bias_add so the bias participates in elementwise fusion.  The
-# split is bit-identical to the module forward because the trailing
-# float32->float32 astype in F.conv2d/F.linear preserves bits and the
-# float32 add commutes with it.
+# split is bit-identical to the module forward because the bias is one
+# float32 add of the same two operands either way: F.conv2d/F.linear fold it
+# into the pass that produces their output, bias_add applies it to the
+# bias-free output (a bit-preserving copy of the same GEMM product).
 _KERNELS = {
     "conv2d": lambda m, x: F.conv2d(x, m.weight.data, None, m.stride, m.padding, m.groups),
     "matmul": lambda m, x: F.linear(x, m.weight.data, None),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from tests.oracles import kernels_v0
 
 
 def naive_conv2d(x, weight, bias, stride, padding):
@@ -206,7 +207,8 @@ class TestNormalisationAndShaping:
 
 
 class TestPool2dVectorized:
-    """The sliding-window pooling must match the naive window-loop oracle."""
+    """The tap-loop pooling must match both frozen oracles: the naive
+    window loop and the ``sliding_window_view`` kernel it replaced."""
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     @pytest.mark.parametrize(
@@ -216,8 +218,9 @@ class TestPool2dVectorized:
     def test_matches_reference_loop(self, mode, kernel, stride, padding):
         x = np.random.default_rng(42).normal(size=(2, 3, 11, 13)).astype(np.float32)
         fast = F._pool2d(x, kernel, stride, padding, mode)
-        slow = F._pool2d_reference(x, kernel, stride, padding, mode)
+        slow = kernels_v0._pool2d_reference(x, kernel, stride, padding, mode)
         np.testing.assert_array_equal(fast, slow)
+        assert fast.tobytes() == kernels_v0._pool2d(x, kernel, stride, padding, mode).tobytes()
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     def test_matches_reference_with_nonfinite_values(self, mode):
@@ -225,11 +228,11 @@ class TestPool2dVectorized:
         x[0, 0, 2, 3] = np.inf
         x[0, 1, 5, 5] = -np.inf
         fast = F._pool2d(x, 2, 2, 0, mode)
-        slow = F._pool2d_reference(x, 2, 2, 0, mode)
+        slow = kernels_v0._pool2d_reference(x, 2, 2, 0, mode)
         np.testing.assert_array_equal(fast, slow)
+        assert fast.tobytes() == kernels_v0._pool2d(x, 2, 2, 0, mode).tobytes()
 
     def test_reference_and_fast_reject_non_4d(self):
-        with pytest.raises(ValueError):
-            F._pool2d(np.zeros((2, 3, 4)), 2, None, 0, "max")
-        with pytest.raises(ValueError):
-            F._pool2d_reference(np.zeros((2, 3, 4)), 2, None, 0, "max")
+        for pool in (F._pool2d, kernels_v0._pool2d, kernels_v0._pool2d_reference):
+            with pytest.raises(ValueError):
+                pool(np.zeros((2, 3, 4)), 2, None, 0, "max")
