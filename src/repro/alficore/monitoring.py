@@ -142,10 +142,11 @@ class InferenceMonitor:
                     self._current.inf_layers.append(layer_name)
                 return None
             values = np.asarray(output)
-            if np.issubdtype(values.dtype, np.floating):
-                if np.isnan(values).any():
+            if values.dtype.kind == "f":
+                has_nan, has_inf = _nan_inf(values)
+                if has_nan:
                     self._current.nan_layers.append(layer_name)
-                if np.isinf(values).any():
+                if has_inf:
                     self._current.inf_layers.append(layer_name)
                 for monitor in self.custom_monitors:
                     event = monitor(layer_name, values)
@@ -227,28 +228,34 @@ class RangeMonitor:
         return None
 
 
+def _nan_inf(values: np.ndarray) -> tuple[bool, bool]:
+    """``(has_nan, has_inf)`` of a float array.
+
+    Almost every monitored tensor is finite, so one ``isfinite`` pass decides;
+    only a non-finite tensor pays the two scans that tell NaN from Inf.
+    """
+    if np.isfinite(values).all():
+        return False, False
+    return bool(np.isnan(values).any()), bool(np.isinf(values).any())
+
+
 def output_has_nan_or_inf(output) -> tuple[bool, bool]:
     """Check a model output (array or list of detections) for NaN / Inf values.
 
     Returns:
         Tuple ``(has_nan, has_inf)``.
     """
+    if not isinstance(output, (list, tuple)):
+        return _nan_inf(np.asarray(output, dtype=np.float64))
     has_nan = False
     has_inf = False
-    if isinstance(output, (list, tuple)):
-        for item in output:
-            if hasattr(item, "boxes"):
-                arrays = [np.asarray(item.boxes, dtype=np.float64), np.asarray(item.scores, dtype=np.float64)]
-            else:
-                arrays = [np.asarray(item, dtype=np.float64)]
-            for arr in arrays:
-                if arr.size == 0:
-                    continue
-                has_nan |= bool(np.isnan(arr).any())
-                has_inf |= bool(np.isinf(arr).any())
-        return has_nan, has_inf
-    arr = np.asarray(output, dtype=np.float64)
-    if arr.size:
-        has_nan = bool(np.isnan(arr).any())
-        has_inf = bool(np.isinf(arr).any())
+    for item in output:
+        if hasattr(item, "boxes"):
+            arrays = [item.boxes, item.scores]
+        else:
+            arrays = [item]
+        for values in arrays:
+            item_nan, item_inf = _nan_inf(np.asarray(values, dtype=np.float64))
+            has_nan |= item_nan
+            has_inf |= item_inf
     return has_nan, has_inf

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -22,8 +24,22 @@ def generate_anchor_grid(
     Returns:
         Corner-format anchors of shape ``(fh * fw * A, 4)`` where
         ``A = len(anchor_sizes) * len(aspect_ratios)``; anchor ordering is
-        row-major over cells, then sizes, then ratios.
+        row-major over cells, then sizes, then ratios.  The grid depends on
+        nothing but the arguments, so it is built once per argument tuple
+        and shared: the returned array is read-only.
     """
+    return _anchor_grid(
+        tuple(feature_size), tuple(image_size), tuple(anchor_sizes), tuple(aspect_ratios)
+    )
+
+
+@lru_cache(maxsize=64)
+def _anchor_grid(
+    feature_size: tuple[int, int],
+    image_size: tuple[int, int],
+    anchor_sizes: tuple[float, ...],
+    aspect_ratios: tuple[float, ...],
+) -> np.ndarray:
     fh, fw = feature_size
     height, width = image_size
     if fh <= 0 or fw <= 0:
@@ -49,7 +65,9 @@ def generate_anchor_grid(
         anchors[:, :, idx, 1] = cy - anchor_h / 2
         anchors[:, :, idx, 2] = cx + anchor_w / 2
         anchors[:, :, idx, 3] = cy + anchor_h / 2
-    return anchors.reshape(-1, 4)
+    anchors = anchors.reshape(-1, 4)
+    anchors.setflags(write=False)
+    return anchors
 
 
 def decode_offsets(anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -16,6 +16,16 @@ list of :class:`Detection` objects, one per image, holding corner-format
 boxes, scores and integer class labels.  Because every stage is an ordinary
 conv/linear layer of the substrate, PyTorchALFI can inject neuron or weight
 faults into any of them.
+
+**Post-processing is a module.**  Each detector's forward ends in a call to
+a parameter-free :class:`Module` (:class:`YoloDecode`, :class:`RetinaNetTail`,
+:class:`FasterRCNNTail`) rather than a plain method, so a traced
+:class:`~repro.nn.forward_plan.ForwardPlan` sees a chain -- ``backbone... ->
+head -> decode`` for YOLO, the backbone leaves plus one atomic tail for the
+two others -- and detection campaigns get suffix-only faulty passes.  The
+tails call the heads where they are registered, on the detector root, so
+the names and order of the injectable layers are those of the plain-method
+version.
 """
 
 from __future__ import annotations
@@ -73,6 +83,45 @@ class Detection:
         return self.has_nan() or self.has_inf()
 
 
+class _PostProcessing(Module):
+    """Base of the parameter-free modules that end a detector's forward.
+
+    Holds its detector as a plain attribute, outside ``_modules``: the heads
+    a tail calls stay registered on the detector root under the names fault
+    files refer to, and are looked up there at call time (a hardened copy
+    swaps protected layers into the root's ``_modules``).
+    """
+
+    def __init__(self, detector: Module):
+        super().__init__()
+        object.__setattr__(self, "detector", detector)
+
+    def _select(
+        self, boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, clip: bool = True
+    ) -> Detection:
+        """Threshold, clip to the image (unless already clipped) and NMS one image's candidates."""
+        detector = self.detector
+        # NaN scores must survive selection so the DUE monitor can see them.
+        keep_mask = (scores >= detector.score_threshold) | ~np.isfinite(scores)
+        boxes, scores, labels = boxes[keep_mask], scores[keep_mask], labels[keep_mask]
+        if len(scores) == 0:
+            return Detection()
+        if clip:
+            boxes = clip_boxes(boxes, detector.image_size)
+        finite = np.isfinite(scores) & np.isfinite(boxes).all(axis=1)
+        parts = []
+        if finite.any():
+            keep = nms(boxes[finite], scores[finite], detector.nms_threshold)
+            parts.append((boxes[finite][keep], scores[finite][keep], labels[finite][keep]))
+        if (~finite).any():
+            parts.append((boxes[~finite], scores[~finite], labels[~finite]))
+        return Detection(
+            boxes=np.concatenate([p[0] for p in parts], axis=0),
+            scores=np.concatenate([p[1] for p in parts], axis=0),
+            labels=np.concatenate([p[2] for p in parts], axis=0).astype(np.int64),
+        )
+
+
 def _conv_block(in_channels: int, out_channels: int, rng: np.random.Generator, stride: int = 1) -> nn.Sequential:
     """Conv + BatchNorm + LeakyReLU block used by the Darknet-style backbone."""
     return nn.Sequential(
@@ -119,17 +168,23 @@ class YoloV3Tiny(Module):
         self.nms_threshold = nms_threshold
         outputs_per_anchor = 5 + num_classes
         self.head = nn.Conv2d(c3, self.num_anchors * outputs_per_anchor, 1, rng=rng)
+        self.decode = YoloDecode(self)
 
     def forward(self, x: np.ndarray) -> list[Detection]:
         features = self.backbone(x)
         raw = self.head(features)
-        return self._decode(raw)
+        return self.decode(raw)
 
-    def _decode(self, raw: np.ndarray) -> list[Detection]:
+
+class YoloDecode(_PostProcessing):
+    """Decode the raw YOLO head grid into per-image detections."""
+
+    def forward(self, raw: np.ndarray) -> list[Detection]:
+        detector = self.detector
         batch, _, fh, fw = raw.shape
-        outputs_per_anchor = 5 + self.num_classes
-        raw = raw.reshape(batch, self.num_anchors, outputs_per_anchor, fh, fw)
-        anchors = generate_anchor_grid((fh, fw), self.image_size, self.anchor_sizes)
+        outputs_per_anchor = 5 + detector.num_classes
+        raw = raw.reshape(batch, detector.num_anchors, outputs_per_anchor, fh, fw)
+        anchors = generate_anchor_grid((fh, fw), detector.image_size, detector.anchor_sizes)
         detections: list[Detection] = []
         for index in range(batch):
             # (anchors, outputs, fh, fw) -> (fh*fw*anchors, outputs), cell-major
@@ -142,28 +197,6 @@ class YoloV3Tiny(Module):
             boxes = decode_offsets(anchors, offsets)
             detections.append(self._select(boxes, scores, labels))
         return detections
-
-    def _select(self, boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray) -> Detection:
-        keep_mask = scores >= self.score_threshold
-        # NaN scores must survive selection so the DUE monitor can see them.
-        keep_mask |= ~np.isfinite(scores)
-        boxes, scores, labels = boxes[keep_mask], scores[keep_mask], labels[keep_mask]
-        if len(scores) == 0:
-            return Detection()
-        boxes = clip_boxes(boxes, self.image_size)
-        finite = np.isfinite(scores) & np.isfinite(boxes).all(axis=1)
-        kept_parts = []
-        if finite.any():
-            keep = nms(boxes[finite], scores[finite], self.nms_threshold)
-            kept_parts.append(
-                (boxes[finite][keep], scores[finite][keep], labels[finite][keep])
-            )
-        if (~finite).any():
-            kept_parts.append((boxes[~finite], scores[~finite], labels[~finite]))
-        boxes = np.concatenate([p[0] for p in kept_parts], axis=0)
-        scores = np.concatenate([p[1] for p in kept_parts], axis=0)
-        labels = np.concatenate([p[2] for p in kept_parts], axis=0)
-        return Detection(boxes=boxes, scores=scores, labels=labels.astype(np.int64))
 
 
 class RetinaNetLite(Module):
@@ -210,23 +243,28 @@ class RetinaNetLite(Module):
             nn.ReLU(),
             nn.Conv2d(c3, self.num_anchors * 4, 1, rng=rng),
         )
+        self.tail = RetinaNetTail(self)
 
     def forward(self, x: np.ndarray) -> list[Detection]:
-        features = self.backbone(x)
-        cls_raw = self.cls_head(features)
-        box_raw = self.box_head(features)
-        return self._decode(cls_raw, box_raw)
+        return self.tail(self.backbone(x))
 
-    def _decode(self, cls_raw: np.ndarray, box_raw: np.ndarray) -> list[Detection]:
+
+class RetinaNetTail(_PostProcessing):
+    """Run both RetinaNet heads on the backbone features and decode them."""
+
+    def forward(self, features: np.ndarray) -> list[Detection]:
+        detector = self.detector
+        cls_raw = detector.cls_head(features)
+        box_raw = detector.box_head(features)
         batch, _, fh, fw = cls_raw.shape
         anchors = generate_anchor_grid(
-            (fh, fw), self.image_size, self.anchor_sizes, self.aspect_ratios
+            (fh, fw), detector.image_size, detector.anchor_sizes, detector.aspect_ratios
         )
-        cls_raw = cls_raw.reshape(batch, self.num_anchors, self.num_classes, fh, fw)
-        box_raw = box_raw.reshape(batch, self.num_anchors, 4, fh, fw)
+        cls_raw = cls_raw.reshape(batch, detector.num_anchors, detector.num_classes, fh, fw)
+        box_raw = box_raw.reshape(batch, detector.num_anchors, 4, fh, fw)
         detections: list[Detection] = []
         for index in range(batch):
-            cls_scores = cls_raw[index].transpose(2, 3, 0, 1).reshape(-1, self.num_classes)
+            cls_scores = cls_raw[index].transpose(2, 3, 0, 1).reshape(-1, detector.num_classes)
             offsets = box_raw[index].transpose(2, 3, 0, 1).reshape(-1, 4) * 0.1
             probs = F.sigmoid(cls_scores)
             labels = np.argmax(probs, axis=1)
@@ -234,25 +272,6 @@ class RetinaNetLite(Module):
             boxes = decode_offsets(anchors, offsets)
             detections.append(self._select(boxes, scores, labels))
         return detections
-
-    def _select(self, boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray) -> Detection:
-        keep_mask = (scores >= self.score_threshold) | ~np.isfinite(scores)
-        boxes, scores, labels = boxes[keep_mask], scores[keep_mask], labels[keep_mask]
-        if len(scores) == 0:
-            return Detection()
-        boxes = clip_boxes(boxes, self.image_size)
-        finite = np.isfinite(scores) & np.isfinite(boxes).all(axis=1)
-        parts = []
-        if finite.any():
-            keep = nms(boxes[finite], scores[finite], self.nms_threshold)
-            parts.append((boxes[finite][keep], scores[finite][keep], labels[finite][keep]))
-        if (~finite).any():
-            parts.append((boxes[~finite], scores[~finite], labels[~finite]))
-        return Detection(
-            boxes=np.concatenate([p[0] for p in parts], axis=0),
-            scores=np.concatenate([p[1] for p in parts], axis=0),
-            labels=np.concatenate([p[2] for p in parts], axis=0).astype(np.int64),
-        )
 
 
 class FasterRCNNLite(Module):
@@ -297,21 +316,29 @@ class FasterRCNNLite(Module):
             nn.ReLU(),
             nn.Linear(64, num_classes + 1, rng=rng),
         )
+        self.tail = FasterRCNNTail(self)
 
     def forward(self, x: np.ndarray) -> list[Detection]:
-        features = self.backbone(x)
-        rpn_raw = self.rpn(features)
+        return self.tail(self.backbone(x))
+
+
+class FasterRCNNTail(_PostProcessing):
+    """Both Faster-RCNN stages: proposals from the RPN, then per-proposal classification."""
+
+    def forward(self, features: np.ndarray) -> list[Detection]:
+        detector = self.detector
+        rpn_raw = detector.rpn(features)
         batch, _, fh, fw = rpn_raw.shape
-        anchors = generate_anchor_grid((fh, fw), self.image_size, self.anchor_sizes)
-        rpn_raw = rpn_raw.reshape(batch, self.num_anchors, 5, fh, fw)
+        anchors = generate_anchor_grid((fh, fw), detector.image_size, detector.anchor_sizes)
+        rpn_raw = rpn_raw.reshape(batch, detector.num_anchors, 5, fh, fw)
         detections: list[Detection] = []
         for index in range(batch):
             per_image = rpn_raw[index].transpose(2, 3, 0, 1).reshape(-1, 5)
             objectness = F.sigmoid(per_image[:, 0])
             offsets = per_image[:, 1:5] * 0.1
             proposals = decode_offsets(anchors, offsets)
-            proposals = clip_boxes(proposals, self.image_size)
-            order = np.argsort(-np.nan_to_num(objectness, nan=-1.0))[: self.top_proposals]
+            proposals = clip_boxes(proposals, detector.image_size)
+            order = np.argsort(-np.nan_to_num(objectness, nan=-1.0))[: detector.top_proposals]
             detections.append(
                 self._second_stage(features[index], proposals[order], objectness[order])
             )
@@ -326,36 +353,19 @@ class FasterRCNNLite(Module):
         if len(proposals) == 0:
             return Detection()
         pooled = self._roi_pool(feature_map, proposals)
-        logits = self.classifier(pooled)
+        logits = self.detector.classifier(pooled)
         probs = F.softmax(logits, axis=1)
         labels = np.argmax(probs[:, 1:], axis=1)  # class 0 is background
         class_scores = probs[np.arange(len(labels)), labels + 1]
         scores = class_scores * objectness
-        keep_mask = (scores >= self.score_threshold) | ~np.isfinite(scores)
-        boxes, scores, labels = proposals[keep_mask], scores[keep_mask], labels[keep_mask]
-        if len(scores) == 0:
-            return Detection()
-        finite = np.isfinite(scores) & np.isfinite(boxes).all(axis=1)
-        parts = []
-        if finite.any():
-            keep = nms(boxes[finite], scores[finite], self.nms_threshold)
-            parts.append((boxes[finite][keep], scores[finite][keep], labels[finite][keep]))
-        if (~finite).any():
-            parts.append((boxes[~finite], scores[~finite], labels[~finite]))
-        return Detection(
-            boxes=np.concatenate([p[0] for p in parts], axis=0),
-            scores=np.concatenate([p[1] for p in parts], axis=0),
-            labels=np.concatenate([p[2] for p in parts], axis=0).astype(np.int64),
-        )
+        return self._select(proposals, scores, labels, clip=False)  # clipped before ranking
 
     def _roi_pool(self, feature_map: np.ndarray, proposals: np.ndarray) -> np.ndarray:
         """Pool each proposal region to a fixed-size feature vector."""
         channels, fh, fw = feature_map.shape
-        height, width = self.image_size
-        pooled = np.zeros(
-            (len(proposals), channels, self.roi_pool_size, self.roi_pool_size),
-            dtype=np.float32,
-        )
+        height, width = self.detector.image_size
+        pool_size = self.detector.roi_pool_size
+        pooled = np.zeros((len(proposals), channels, pool_size, pool_size), dtype=np.float32)
         safe_proposals = np.nan_to_num(proposals, nan=0.0, posinf=width, neginf=0.0)
         for index, box in enumerate(safe_proposals):
             x1 = int(np.clip(box[0] / width * fw, 0, fw - 1))
@@ -364,7 +374,7 @@ class FasterRCNNLite(Module):
             y2 = int(np.clip(np.ceil(box[3] / height * fh), y1 + 1, fh))
             region = feature_map[:, y1:y2, x1:x2]
             region_4d = region[None, ...]
-            pooled[index] = F.adaptive_avg_pool2d(region_4d, self.roi_pool_size)[0]
+            pooled[index] = F.adaptive_avg_pool2d(region_4d, pool_size)[0]
         return pooled.reshape(len(proposals), -1)
 
 

@@ -22,9 +22,12 @@ The flattening is *trace-based*: one instrumented forward pass records every
 module call with the identities of its first input and its output, and a
 sub-tree is linearised only if its children were each called exactly once,
 with exactly one positional input, and chained by object identity from the
-parent's input to the parent's output.  The resulting plan is validated by
-replaying the traced input segment-by-segment and comparing the output
-bit-exactly against the traced full-model output.
+parent's input to the parent's output.  The same trace says where every
+module *executes*: :meth:`ForwardPlan.segment_for` maps a module to the
+earliest segment inside which it was seen called, whatever name it is
+registered under.  The resulting plan is validated by replaying the traced
+input segment-by-segment and comparing the output bit-exactly against the
+traced full-model output.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ class ActivationArena:
     def store(self, index: int, value):
         """Store a snapshot of ``value`` for boundary ``index`` and return it."""
         if not isinstance(value, np.ndarray):
-            # Non-array boundaries (e.g. detection structures) are kept by
-            # reference; plans over such models are atomic in practice.
+            # Non-array boundaries (a detector's list of detections) are
+            # kept by reference: only its last segment produces one, so no
+            # later pass overwrites it.
             return value
         buffer = self._buffers.get(index)
         if buffer is None or buffer.shape != value.shape or buffer.dtype != value.dtype:
@@ -128,12 +132,20 @@ class ForwardPlan:
         segment_names: list[str],
         valid: bool,
         executor: str = "module",
+        executed_in: dict[str, int] | None = None,
     ):
         self.model = model
         self.segments = segments
         self.segment_names = segment_names
         self.valid = valid
-        self._by_name = {name: index for index, name in enumerate(segment_names)}
+        # Module name -> earliest segment inside which the trace saw the
+        # module called (see _containment); without a trace, the segments
+        # themselves.
+        self._executed_in = (
+            executed_in
+            if executed_in is not None
+            else {name: index for index, name in enumerate(segment_names)}
+        )
         # Pluggable execution backend (see repro.nn.ir).  The constructor
         # trusts the name; trace() validates non-default executors bitwise
         # against the traced output before handing out the plan.
@@ -168,9 +180,21 @@ class ForwardPlan:
         names = {id(module): name for name, module in model.named_modules()}
         segments = [call.module for call in calls]
         segment_names = [names.get(id(module), "") for module in segments]
+        executed_in = cls._containment(model, calls)
+
+        def build(executor_name: str) -> "ForwardPlan":
+            return cls(
+                model,
+                segments,
+                segment_names,
+                valid=True,
+                executor=executor_name,
+                executed_in=executed_in,
+            )
+
         valid = len(segments) > 1
         if valid:
-            plan = cls(model, segments, segment_names, valid=True)
+            plan = build("module")
             try:
                 replayed = plan.resume(0, example_input)
             except Exception:
@@ -182,12 +206,12 @@ class ForwardPlan:
             return cls(model, [model], [names.get(id(model), "")], valid=False)
         if executor != "module":
             try:
-                candidate = cls(model, segments, segment_names, valid=True, executor=executor)
+                candidate = build(executor)
                 if _bitwise_equal(candidate.resume(0, example_input), output):
                     return candidate
             except Exception:
                 pass
-        return cls(model, segments, segment_names, valid=True)
+        return plan
 
     @staticmethod
     def _record_trace(model: Module, example_input) -> tuple[_TraceCall, object]:
@@ -255,6 +279,27 @@ class ForwardPlan:
             flattened.extend(cls._linearize(child))
         return flattened
 
+    @staticmethod
+    def _containment(model: Module, calls: list[_TraceCall]) -> dict[str, int]:
+        """Map every traced module name to the earliest segment it ran inside.
+
+        ``calls`` are the chain elements in execution order; a module counts
+        as running inside a segment when the trace saw it called anywhere
+        below that segment's call, whether or not it is registered there.
+        """
+        earliest: dict[int, int] = {}
+        for index, call in enumerate(calls):
+            pending = [call]
+            while pending:
+                current = pending.pop()
+                earliest.setdefault(id(current.module), index)
+                pending.extend(current.children)
+        return {
+            name: earliest[id(module)]
+            for name, module in model.named_modules()
+            if id(module) in earliest
+        }
+
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
@@ -264,20 +309,17 @@ class ForwardPlan:
         return len(self.segments)
 
     def segment_for(self, module_name: str) -> int | None:
-        """Index of the segment that is, or contains, module ``module_name``.
+        """Index of the earliest segment that executes module ``module_name``.
 
-        Resuming a faulty pass at this index guarantees the faulted module is
-        (re-)executed: for a module buried inside an atomic segment the whole
-        segment is re-run.
+        Containment is *traced*, not read off the dotted name: a module maps
+        to the first segment inside which the trace saw it called, so a layer
+        registered on the root (or under a later segment) but called from
+        inside an atomic segment maps to that segment.  Resuming a faulty
+        pass at this index guarantees the faulted module is (re-)executed:
+        for a module buried inside an atomic segment the whole segment is
+        re-run.  ``None`` for a name the trace never saw called.
         """
-        name = module_name
-        while True:
-            index = self._by_name.get(name)
-            if index is not None:
-                return index
-            if not name:
-                return None
-            name = name.rsplit(".", 1)[0] if "." in name else ""
+        return self._executed_in.get(module_name)
 
     # ------------------------------------------------------------------ #
     # execution

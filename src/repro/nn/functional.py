@@ -269,8 +269,20 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def leaky_relu(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
-    """Leaky ReLU with configurable negative slope."""
+    """Leaky ReLU with configurable negative slope.
+
+    For ``0 < negative_slope <= 1`` the result is ``max(slope * x, x)``, two
+    passes instead of ``np.where``'s mask, select and temporaries.  The
+    scaled operand comes first: for a NaN input both operands are NaN,
+    ``np.maximum`` returns its first, and ``slope * x`` is the quieted NaN
+    the select form produced.  Other slopes keep the select (at slope 0,
+    ``0 * inf`` is NaN and the maximum would differ).
+    """
     x = np.asarray(x, dtype=np.float32)
+    if 0.0 < negative_slope <= 1.0:
+        out = negative_slope * x
+        np.maximum(out, x, out=out)
+        return out
     return np.where(x >= 0, x, negative_slope * x).astype(np.float32, copy=False)
 
 

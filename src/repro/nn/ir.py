@@ -134,8 +134,9 @@ def lower_segment(module: Module, name: str):
     """Lower one plan segment to its op list, or ``None`` if it stays opaque.
 
     Only exact layer types are lowered — subclasses and containers that did
-    not linearise (residual blocks, detection heads) return ``None`` and are
-    executed as ordinary module calls by every executor.
+    not linearise (residual blocks, a detector's post-processing module)
+    return ``None`` and are executed as ordinary module calls by every
+    executor.
     """
     module_type = type(module)
     if module_type is layers.Conv2d:

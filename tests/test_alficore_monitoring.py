@@ -184,6 +184,51 @@ class TestListOutputMonitoring:
         assert result.nan_detected
 
 
+class TestLeafScan:
+    """The leaf hook decides with one ``isfinite`` pass and tells NaN from Inf
+    only on a non-finite tensor; the events are those of two full scans."""
+
+    @pytest.mark.parametrize("values,nan,inf", [
+        ([1.0, -2.0, 0.0], False, False),
+        ([1.0, np.nan], True, False),
+        ([np.inf, 1.0], False, True),
+        ([-np.inf, np.nan], True, True),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_array_outputs(self, values, nan, inf, dtype):
+        payload = np.array(values, dtype=dtype)
+        model = nn.Sequential(TestListOutputMonitoring._DetectionHead(payload)).eval()
+        seen = []
+        monitor = InferenceMonitor(model, custom_monitors=[lambda name, out: seen.append(name)])
+        with monitor:
+            model(np.ones((1, 4), dtype=np.float32))
+            result = monitor.collect()
+        assert result.nan_layers == (["0"] if nan else [])
+        assert result.inf_layers == (["0"] if inf else [])
+        assert seen == ["0"]  # custom monitors see every float tensor, finite or not
+
+    def test_integer_outputs_are_not_scanned(self):
+        model = nn.Sequential(TestListOutputMonitoring._DetectionHead(np.arange(4))).eval()
+        seen = []
+        monitor = InferenceMonitor(model, custom_monitors=[lambda name, out: seen.append(name)])
+        with monitor:
+            model(np.ones((1, 4), dtype=np.float32))
+            result = monitor.collect()
+        assert not result.due_detected and seen == []
+
+    def test_detector_post_processing_is_a_monitored_leaf(self):
+        from repro.models.detection import yolov3_tiny
+
+        model = yolov3_tiny(num_classes=5, seed=0).eval()
+        model.head.weight.data[4, 0, 0, 0] = np.nan  # objectness of the first anchor
+        monitor = InferenceMonitor(model)
+        with monitor:
+            model(np.zeros((2, 3, 64, 64), dtype=np.float32))
+            result = monitor.collect()
+        # NaN scores survive selection, so the decoded detections carry them.
+        assert result.nan_layers == ["head", "decode"]
+
+
 class TestMonitorEnableGate:
     def test_disabled_monitor_records_nothing(self, simple_model):
         monitor = InferenceMonitor(simple_model)

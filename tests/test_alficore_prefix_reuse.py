@@ -193,6 +193,77 @@ class TestSuffixOnlyBitExactness:
         assert full.corrupted.as_dict() == reused.corrupted.as_dict()
 
 
+def _detection_spec(detector, target, backend, output_dir, **caching):
+    from repro.experiments import Experiment
+
+    images = 6
+    return (
+        Experiment.builder()
+        .name(detector)
+        .task("detection")
+        .model(detector, num_classes=5, seed=1)
+        .dataset("synthetic-coco", num_samples=images, num_classes=5, seed=9)
+        .scenario(
+            injection_target=target, rnd_bit_range=(23, 30), random_seed=77,
+            model_name=detector, dataset_size=images, num_runs=2,
+        )
+        .backend(**backend)
+        .caching(**caching)
+        .output_dir(output_dir)
+        .build()
+    )
+
+
+def _file_bytes(result):
+    return {tag: open(path, "rb").read() for tag, path in result.output_files.items()}
+
+
+class TestDetectionCampaigns:
+    """Detectors end in a post-processing module, so their plans are chains
+    and the faulty lane resumes at the faulted layer — with the same bytes."""
+
+    @pytest.mark.parametrize("backend", [
+        {"name": "serial", "workers": 1},
+        {"name": "sharded", "workers": 2, "num_shards": 2},
+    ], ids=["serial", "sharded"])
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    @pytest.mark.parametrize("detector", ["yolov3", "retinanet", "faster_rcnn"])
+    def test_files_byte_identical_with_and_without_prefix_reuse(
+        self, tmp_path, monkeypatch, detector, target, backend
+    ):
+        from repro.experiments import run
+        from repro.nn.forward_plan import ForwardPlan
+
+        starts = []
+        original = ForwardPlan.resume
+
+        def counting(self, start, activation):
+            starts.append(start)
+            return original(self, start, activation)
+
+        monkeypatch.setattr(ForwardPlan, "resume", counting)
+        full = run(_detection_spec(detector, target, backend, tmp_path / "full", prefix_reuse=False))
+        assert starts == []  # the reference path builds no plan
+        reused = run(_detection_spec(detector, target, backend, tmp_path / "reuse"))
+        assert _file_bytes(full) == _file_bytes(reused)
+        assert full.summary["corrupted"] == reused.summary["corrupted"]
+        if backend["name"] == "serial":
+            # Suffix-only lanes really ran (workers count in their own process).
+            assert any(start > 0 for start in starts)
+
+    @pytest.mark.parametrize("detector", ["yolov3", "retinanet", "faster_rcnn"])
+    def test_second_epoch_is_served_from_the_golden_cache(self, tmp_path, detector):
+        from repro.experiments import run
+
+        serial = {"name": "serial", "workers": 1}
+        full = run(_detection_spec(detector, "weights", serial, tmp_path / "full", prefix_reuse=False))
+        cached = run(_detection_spec(detector, "weights", serial, tmp_path / "on", golden_cache_mb=8))
+        cache = cached.core.golden_cache
+        images = cached.spec.dataset.params["num_samples"]
+        assert (cache.misses, cache.hits) == (images, images)
+        assert _file_bytes(full) == _file_bytes(cached)
+
+
 class TestGoldenCache:
     def test_per_epoch_cache_on_vs_off_byte_identical_streams(
         self, fitted_model_and_dataset, tmp_path

@@ -203,6 +203,36 @@ class TestDetectors:
         model = build_detector("retinanet", num_classes=3)
         assert model.num_classes == 3
 
+    @pytest.mark.parametrize("name,expected", [
+        ("yolov3", ["backbone.0.0", "backbone.2.0", "backbone.4.0", "backbone.6.0", "head"]),
+        ("retinanet", [
+            "backbone.0", "backbone.3", "backbone.6",
+            "cls_head.0", "cls_head.2", "box_head.0", "box_head.2",
+        ]),
+        ("faster_rcnn", [
+            "backbone.0", "backbone.2", "backbone.4", "rpn", "classifier.0", "classifier.2",
+        ]),
+    ])
+    def test_injectable_layer_names_are_pinned(self, name, expected):
+        # Fault files address layers by index into this list and result files
+        # carry these names: post-processing modules must not move either.
+        from repro.alficore import default_scenario, ptfiwrap
+
+        model = build_detector(name, num_classes=5, seed=1).eval()
+        wrapper = ptfiwrap(
+            model, scenario=default_scenario(injection_target="weights"), input_shape=(3, 64, 64)
+        )
+        assert [layer.name for layer in wrapper.fault_injection.layers] == expected
+        # ... and own no parameters or buffers (weights are the parent's).
+        tail = model.decode if name == "yolov3" else model.tail
+        assert not list(tail.named_parameters()) and not list(tail.named_buffers())
+
+    def test_anchor_grid_is_built_once_and_read_only(self):
+        first = generate_anchor_grid((8, 8), [64, 64], [12.0, 24.0])
+        assert generate_anchor_grid((8, 8), (64, 64), (12.0, 24.0)) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
     def test_build_detector_unknown(self):
         with pytest.raises(KeyError):
             build_detector("detr")

@@ -4,8 +4,33 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.experiments.registry import MODELS
+from repro.experiments.spec import ExecutionSpec
 from repro.models import alexnet, lenet5, mlp, resnet18, vgg16
+from repro.models.detection import build_detector
 from repro.nn import ActivationArena, ForwardPlan
+from repro.nn.forward_plan import _bitwise_equal
+
+# Segment count of every registered model's plan (batch 1, default sizes).
+# A model that stops linearising collapses to 1 and loses prefix reuse, the
+# golden cache and the IR executors without any result byte changing; this
+# table is what makes that loud.  Detectors: backbone leaves + head + decode
+# (yolov3), backbone leaves + one atomic tail (retinanet, faster_rcnn).
+PLAN_SEGMENTS = {
+    "alexnet": 22,
+    "elemnet": 47,
+    "faster_rcnn": 7,
+    "lenet5": 12,
+    "mlp": 6,
+    "mobilenet": 42,
+    "resnet18": 14,
+    "resnet50": 22,
+    "retinanet": 10,
+    "squeezenet": 11,
+    "vgg11": 28,
+    "vgg16": 38,
+    "yolov3": 17,
+}
 
 
 def _input(batch=2, seed=0):
@@ -117,6 +142,133 @@ class TestLinearisation:
         assert plan.segment_for("layer2.1.conv2") == block_index
         assert plan.segment_for("layer2.1") == block_index
         assert plan.segment_for("not.a.module") is None
+
+    @pytest.mark.parametrize("name", sorted(MODELS.names()))
+    def test_every_registered_model_gets_a_full_plan(self, name):
+        assert name in PLAN_SEGMENTS, f"model {name!r} has no row in PLAN_SEGMENTS"
+        side = 64 if MODELS.metadata(name)["kind"] == "detector" else 32
+        x = np.random.default_rng(0).normal(size=(1, 3, side, side)).astype(np.float32)
+        default = ExecutionSpec().executor
+        plan = ForwardPlan.trace(MODELS.get(name)(seed=0).eval(), x, executor=default)
+        assert plan.valid, f"{name}: forward no longer linearises"
+        assert plan.executor_name == default, f"{name}: fell back to {plan.executor_name!r}"
+        assert plan.num_segments == PLAN_SEGMENTS[name], name
+
+
+class _Late(nn.Module):
+    def __init__(self, rng):
+        super().__init__()
+        self.shared = nn.Linear(8, 8, rng=rng)
+        self.act = nn.ReLU()
+
+    def forward(self, x):
+        return self.act(self.shared(x))
+
+
+class _Early(nn.Module):
+    """Atomic block that also runs a layer registered under a later segment."""
+
+    def __init__(self, shared, rng):
+        super().__init__()
+        self.own = nn.Linear(8, 8, rng=rng)
+        object.__setattr__(self, "shared", shared)  # a reference, not a child
+
+    def forward(self, x):
+        return self.own(x) + self.shared(x)
+
+
+class SharedLayerNet(nn.Module):
+    """``late.shared`` is registered under segment 2 and first runs inside segment 0."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        late = _Late(rng)
+        self.early = _Early(late.shared, rng)
+        self.mid = nn.ReLU()
+        self.late = late
+
+    def forward(self, x):
+        return self.late(self.mid(self.early(x)))
+
+
+class TestTracedContainment:
+    def test_module_maps_to_the_earliest_segment_that_executes_it(self):
+        model = SharedLayerNet().eval()
+        x = np.random.default_rng(1).normal(size=(3, 8)).astype(np.float32)
+        plan = ForwardPlan.trace(model, x)
+        assert plan.valid
+        assert plan.segment_names == ["early", "mid", "late.shared", "late.act"]
+        # Registered under segment 2, called inside the atomic segment 0.
+        assert plan.segment_for("late.shared") == 0
+        assert plan.segment_for("early.own") == 0
+        assert plan.segment_for("late.act") == 3
+        assert plan.segment_for("late") is None  # linearised away: never a segment
+
+    def test_fault_in_a_shared_layer_reaches_every_use_under_prefix_reuse(self):
+        model = SharedLayerNet().eval()
+        x = np.random.default_rng(2).normal(size=(3, 8)).astype(np.float32)
+        plan = ForwardPlan.trace(model, x)
+        golden = model(x)
+        boundaries = {k: plan.run_prefix(x, k) for k in range(plan.num_segments)}
+        weight = model.late.shared.weight.data
+        original = weight[0, 0]
+        weight[0, 0] = original + 64.0
+        try:
+            faulty = model(x)
+            start = plan.segment_for("late.shared")
+            resumed = plan.resume(start, boundaries[start])
+            # Resuming where the layer is *registered* skips its first use.
+            stale = plan.resume(2, boundaries[2])
+        finally:
+            weight[0, 0] = original
+        assert faulty.tobytes() != golden.tobytes()
+        assert resumed.tobytes() == faulty.tobytes()
+        assert stale.tobytes() != faulty.tobytes()
+
+
+DETECTORS = ("yolov3", "retinanet", "faster_rcnn")
+
+
+class TestDetectorPlans:
+    def test_yolov3_chain_ends_in_head_and_decode(self):
+        model = build_detector("yolov3", num_classes=5, seed=1).eval()
+        x = np.random.default_rng(0).normal(size=(1, 3, 64, 64)).astype(np.float32)
+        plan = ForwardPlan.trace(model, x)
+        assert plan.segment_names[:15] == [
+            f"backbone.{block}.{leaf}" if block % 2 == 0 else f"backbone.{block}"
+            for block in range(7)
+            for leaf in (range(3) if block % 2 == 0 else range(1))
+        ]
+        assert plan.segment_names[15:] == ["head", "decode"]
+
+    @pytest.mark.parametrize("name", ["retinanet", "faster_rcnn"])
+    def test_heads_map_to_the_tail_segment_that_calls_them(self, name):
+        model = build_detector(name, num_classes=5, seed=1).eval()
+        x = np.random.default_rng(0).normal(size=(2, 3, 64, 64)).astype(np.float32)
+        plan = ForwardPlan.trace(model, x)
+        tail = plan.num_segments - 1
+        assert plan.segment_names[tail] == "tail"
+        heads = [n for n, _ in model.named_modules() if n and not n.startswith("backbone")]
+        assert len(heads) > 1
+        assert {plan.segment_for(n) for n in heads} == {tail}
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("executor", ["module", "interpreter", "fused"])
+    @pytest.mark.parametrize("name", DETECTORS)
+    def test_resume_from_every_boundary_is_bit_exact(self, name, executor, batch):
+        # Random weights score low; a low threshold gives every image boxes,
+        # so the comparison below is never one of empty lists.
+        model = build_detector(name, num_classes=5, seed=1, score_threshold=0.05).eval()
+        x = np.random.default_rng(batch).normal(size=(batch, 3, 64, 64)).astype(np.float32)
+        plan = ForwardPlan.trace(model, x, executor=executor)
+        assert plan.valid and plan.executor_name == executor
+        assert plan.num_segments == PLAN_SEGMENTS[name]
+        full = model(x)
+        assert all(len(detection) for detection in full)
+        for k in range(plan.num_segments):
+            resumed = plan.resume(k, plan.run_prefix(x, k))
+            assert _bitwise_equal(resumed, full), f"resume at segment {k} diverged"
 
 
 class TestResume:

@@ -208,8 +208,21 @@ class TestKernelsMatchFrozenOracles:
         rng = np.random.default_rng(1306)
         for case in range(CASES):
             n, _, _, _, h, w = _conv_geometry(rng)
-            x = _relayout(rng, _values(rng, (n, int(rng.integers(1, 5)), h, w), case % 2 == 1))
-            slope = float(rng.choice([0.01, 0.1, 0.2, 0.0, -0.5]))
+            values = _values(rng, (n, int(rng.integers(1, 5)), h, w), case % 2 == 1)
+            if case % 4 == 3:
+                # Denormals of both signs (slope * x underflows to a signed
+                # zero) and signalling NaNs (what an exponent flip of a stored
+                # activation leaves; only arithmetic quiets them).
+                pick = rng.random(values.shape)
+                words = values.view(np.uint32)
+                sign = rng.integers(0, 2, values.shape, dtype=np.uint32) << 31
+                mantissa = rng.integers(1, 0x400000, values.shape, dtype=np.uint32)
+                words[pick < 0.10] = (sign | mantissa)[pick < 0.10]
+                words[pick > 0.97] = (sign | 0x7F800000 | mantissa)[pick > 0.97]
+            x = _relayout(rng, values)
+            # The two-pass maximum serves 0 < slope <= 1; 0.0 (0 * inf is NaN),
+            # negative and > 1 slopes must keep the select.
+            slope = float(rng.choice([0.01, 0.1, 0.2, 0.0, -0.5, 1.0, 1.5, -0.1]))
             actual = F.leaky_relu(x, slope)
             assert actual is not x and not np.shares_memory(actual, x)
             assert_same_bits(actual, kernels_v0.leaky_relu(x, slope), f"case {case}: slope {slope}")
