@@ -40,6 +40,7 @@ import copy
 import os
 import pickle
 import shutil
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -588,7 +589,8 @@ class CampaignCore:
         executor: forward-plan execution backend (``"module"``,
             ``"interpreter"``, ``"fused"``, or any name registered via
             :func:`repro.nn.ir.register_executor`).  Validated bit-exactly at
-            trace time with silent fallback to the module path.
+            trace time, on one sample, with a warned fallback to the module
+            path.
     """
 
     def __init__(
@@ -637,8 +639,9 @@ class CampaignCore:
         self._monitors = MonitorCache(self.custom_monitors)
         self.prefix_reuse = prefix_reuse
         # Plan execution backend (repro.nn.ir registry).  Trace-time
-        # validation falls back to the module path on any bitwise mismatch,
-        # so an exotic executor name can never change campaign results.
+        # validation falls back to the module path (with a RuntimeWarning)
+        # on any bitwise mismatch, so an exotic executor name can never
+        # change campaign results.
         self.executor = executor
         self.golden_cache = golden_cache
         # Forward plans and recording arenas, lazily built per model object
@@ -753,6 +756,10 @@ class CampaignCore:
     def _plan_for(self, model: Module, images: np.ndarray) -> ForwardPlan | None:
         """Return the (lazily traced) forward plan of a model, or ``None``.
 
+        The trace and its replay validation run on the first sample of
+        ``images`` only: the segment chain, the containment map and the
+        executor choice are properties of the topology, not of the batch.
+
         Must be called outside any active fault group: the trace pass runs
         the model once, and active faults would corrupt it (and pollute the
         group's applied-fault log).
@@ -762,8 +769,14 @@ class CampaignCore:
         key = id(model)
         if key not in self._plans:
             try:
-                plan = ForwardPlan.trace(model, images, executor=self.executor)
-            except Exception:
+                plan = ForwardPlan.trace(model, images[:1], executor=self.executor)
+            except Exception as error:
+                warnings.warn(
+                    f"{type(model).__name__}: no forward plan under executor "
+                    f"{self.executor!r}, running full forwards ({error!r})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
                 plan = None
             self._plans[key] = plan if plan is not None and plan.valid else None
         return self._plans[key]

@@ -28,10 +28,16 @@ earliest segment inside which it was seen called, whatever name it is
 registered under.  The resulting plan is validated by replaying the traced
 input segment-by-segment and comparing the output bit-exactly against the
 traced full-model output.
+
+Chain, containment and executor choice are properties of the topology, not
+of the batch size, so campaigns trace with the first sample of their first
+batch (three one-sample forwards per model object instead of three
+campaign-sized ones) and run the plan at any batch size afterwards.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,13 +173,17 @@ class ForwardPlan:
 
         Args:
             model: the model to plan.
-            example_input: one representative input batch.
+            example_input: the input to trace and replay with.  Any batch
+                size the model accepts gives the same plan; campaigns pass
+                one sample (``images[:1]``), since the trace pins every
+                activation it sees until the pass ends.
             executor: execution backend name (see
                 :func:`repro.nn.ir.register_executor`).  A non-default
                 executor is validated by replaying the traced input and
                 comparing the output bit-exactly; on any mismatch or error
-                the plan silently falls back to the ``"module"`` executor,
-                so a requested executor never changes results.
+                the plan falls back to the ``"module"`` executor with a
+                ``RuntimeWarning``, so a requested executor never changes
+                results.
         """
         root_call, output = cls._record_trace(model, example_input)
         calls = cls._linearize(root_call)
@@ -209,8 +219,15 @@ class ForwardPlan:
                 candidate = build(executor)
                 if _bitwise_equal(candidate.resume(0, example_input), output):
                     return candidate
-            except Exception:
-                pass
+                reason = "replay differs from traced output"
+            except Exception as error:
+                reason = repr(error)
+            warnings.warn(
+                f"{type(model).__name__}: executor {executor!r} dropped for "
+                f"'module' ({reason})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return plan
 
     @staticmethod

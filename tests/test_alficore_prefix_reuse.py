@@ -193,7 +193,162 @@ class TestSuffixOnlyBitExactness:
         assert full.corrupted.as_dict() == reused.corrupted.as_dict()
 
 
-def _detection_spec(detector, target, backend, output_dir, **caching):
+class TestDiscoveryFailuresAreLoud:
+    """A plan that cannot be built, or an executor that cannot be trusted,
+    costs speed and never bytes — and says so once per model object."""
+
+    @staticmethod
+    def _stream_files(model, dataset, out, target="weights", **core):
+        from repro.alficore.campaign import CampaignCore, ClassificationTask
+
+        scenario = default_scenario(
+            injection_target=target, rnd_bit_range=(23, 30), random_seed=52,
+            inj_policy="per_batch", batch_size=4, num_runs=2, model_name="loud",
+        )
+        writer = CampaignResultWriter(out, campaign_name="loud")
+        paths = CampaignCore(
+            model, dataset, ClassificationTask(), scenario=scenario, writer=writer, **core
+        ).run()
+        return _stream_bytes(paths, paths)
+
+    @staticmethod
+    def _runtime_warnings(caught):
+        return [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("target,model_objects", [("weights", 1), ("neurons", 2)])
+    @pytest.mark.parametrize("defect,reason", [
+        ("differs", "replay differs from traced output"),
+        ("raises", "ZeroDivisionError"),
+    ])
+    def test_untrustworthy_executor_is_dropped_with_one_warning_per_model(
+        self, fitted_model_and_dataset, tmp_path, defect, reason, target, model_objects
+    ):
+        from repro.nn import ir
+
+        class Bogus(ir.ModuleExecutor):
+            def run_segment(self, index, value):
+                if defect == "raises":
+                    return 1 // 0
+                return super().run_segment(index, value) + np.float32(index == 0)
+
+        model, dataset = fitted_model_and_dataset
+        reference = self._stream_files(
+            model, dataset, tmp_path / "full", target, prefix_reuse=False
+        )
+        ir.register_executor("test-bogus", Bogus)
+        try:
+            with pytest.warns(RuntimeWarning, match="dropped for 'module'") as caught:
+                files = self._stream_files(
+                    model, dataset, tmp_path / "bogus", target, executor="test-bogus"
+                )
+        finally:
+            ir._EXECUTORS.pop("test-bogus")
+        assert files and files == reference
+        messages = self._runtime_warnings(caught)
+        assert len(messages) == model_objects  # not one per step
+        for message in messages:
+            assert "LeNet5" in message and "'test-bogus'" in message and reason in message
+
+    def test_model_that_rejects_one_sample_runs_full_forwards_with_a_warning(
+        self, fitted_model_and_dataset, tmp_path
+    ):
+        from repro import nn
+
+        class NoSingles(nn.Module):
+            def __init__(self, net):
+                super().__init__()
+                self.net = net
+
+            def forward(self, x):
+                if len(x) == 1:
+                    raise ValueError("cannot run a batch of one")
+                return self.net(x)
+
+        fitted, _ = fitted_model_and_dataset
+        dataset = SyntheticClassificationDataset(num_samples=8, num_classes=10, noise=0.2, seed=4)
+        model = NoSingles(fitted).eval()
+        reference = self._stream_files(model, dataset, tmp_path / "full", prefix_reuse=False)
+        with pytest.warns(RuntimeWarning, match="no forward plan") as caught:
+            files = self._stream_files(model, dataset, tmp_path / "reuse")
+        assert files and files == reference
+        (message,) = self._runtime_warnings(caught)
+        assert "NoSingles" in message and "'interpreter'" in message
+        assert "cannot run a batch of one" in message
+
+
+class TestForwardBudget:
+    """Plan discovery probes with one sample: the only campaign-sized
+    forwards are the ones that produce a record (and the wrapper's shape
+    probe)."""
+
+    @pytest.mark.parametrize("images", [16, 17, 19])  # last batch: full, 1, 3
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    def test_discovery_runs_one_sample_and_lanes_run_once(
+        self, tmp_path, monkeypatch, target, images
+    ):
+        from repro.experiments import Experiment, run
+        from repro.models.classification import ResNet
+        from repro.nn.forward_plan import ForwardPlan
+
+        batch_size = 8
+        tracing = []  # non-empty while a ForwardPlan.trace is on the stack
+        traced, probing, passes = [], [], []
+
+        def spy(owner, name, size_of):
+            original = getattr(owner, name)
+
+            def wrapped(self, *args, **kwargs):
+                (probing if tracing else passes).append(size_of(*args))
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        original_trace = ForwardPlan.trace.__func__
+
+        def trace(cls, model, example_input, executor="module"):
+            traced.append(example_input.shape[0])
+            tracing.append(model)
+            try:
+                return original_trace(cls, model, example_input, executor=executor)
+            finally:
+                tracing.pop()
+
+        def spec(sub, **caching):
+            return (
+                Experiment.builder()
+                .name("budget")
+                .model("resnet18", num_classes=10, seed=3)
+                .dataset("synthetic-classification", num_samples=images, num_classes=10, seed=5)
+                .scenario(
+                    injection_target=target, rnd_bit_range=(23, 30), random_seed=51,
+                    inj_policy="per_batch", batch_size=batch_size, model_name="budget",
+                )
+                .options(fit_head=False)  # the head fit runs its own forwards
+                .caching(**caching)
+                .output_dir(tmp_path / sub)
+                .build()
+            )
+
+        full = run(spec("full", prefix_reuse=False))
+        monkeypatch.setattr(ForwardPlan, "trace", classmethod(trace))
+        # Root calls of the golden model and the neuron clone, and the plan's
+        # own full-batch entry points: every way a whole batch gets forwarded.
+        spy(ResNet, "__call__", lambda x: x.shape[0])
+        spy(ForwardPlan, "run_recording", lambda x, *rest: x.shape[0])
+        spy(ForwardPlan, "resume", lambda start, activation: activation.shape[0])
+        reused = run(spec("reuse"))
+
+        assert _file_bytes(full) == _file_bytes(reused)
+        # One trace per model object (the neuron lane adds its clone), each a
+        # hooked forward plus the module and the interpreter replay.
+        assert traced == [1] * (2 if target == "neurons" else 1)
+        assert probing == [1] * (3 * len(traced))
+        steps = [min(batch_size, images - start) for start in range(0, images, batch_size)]
+        # The shape probe, then a golden and a faulty lane per step.
+        assert passes == [batch_size] + [size for size in steps for _ in range(2)]
+
+
+def _detection_spec(detector, target, backend, output_dir, scenario=None, **caching):
     from repro.experiments import Experiment
 
     images = 6
@@ -205,7 +360,7 @@ def _detection_spec(detector, target, backend, output_dir, **caching):
         .dataset("synthetic-coco", num_samples=images, num_classes=5, seed=9)
         .scenario(
             injection_target=target, rnd_bit_range=(23, 30), random_seed=77,
-            model_name=detector, dataset_size=images, num_runs=2,
+            model_name=detector, dataset_size=images, num_runs=2, **(scenario or {}),
         )
         .backend(**backend)
         .caching(**caching)
@@ -250,6 +405,39 @@ class TestDetectionCampaigns:
         if backend["name"] == "serial":
             # Suffix-only lanes really ran (workers count in their own process).
             assert any(start > 0 for start in starts)
+
+    @pytest.mark.parametrize("backend", [
+        {"name": "serial", "workers": 1},
+        {"name": "sharded", "workers": 1, "num_shards": 2},
+    ], ids=["serial", "sharded"])
+    def test_batched_campaign_on_a_plan_probed_with_one_image(
+        self, tmp_path, monkeypatch, backend
+    ):
+        # The plan is traced and validated on a one-image list of detections
+        # and then runs batches of 4 and a last batch of 2.  One worker keeps
+        # the shards in this process, where the spy can see them.
+        from repro.experiments import run
+        from repro.nn.forward_plan import ForwardPlan
+
+        resumed = []
+        original = ForwardPlan.resume
+
+        def counting(self, start, activation):
+            resumed.append((start, len(activation)))
+            return original(self, start, activation)
+
+        monkeypatch.setattr(ForwardPlan, "resume", counting)
+        batched = {"batch_size": 4, "inj_policy": "per_batch"}
+        full = run(_detection_spec(
+            "yolov3", "weights", backend, tmp_path / "full", batched, prefix_reuse=False
+        ))
+        assert resumed == []
+        reused = run(_detection_spec("yolov3", "weights", backend, tmp_path / "reuse", batched))
+        assert _file_bytes(full) == _file_bytes(reused)
+        suffixes = [batch for start, batch in resumed if start > 0]
+        assert suffixes and set(suffixes) == {4, 2}
+        # resume(0, x) is the trace's replay, and only ever sees one image.
+        assert {batch for start, batch in resumed if start == 0} == {1}
 
     @pytest.mark.parametrize("detector", ["yolov3", "retinanet", "faster_rcnn"])
     def test_second_epoch_is_served_from_the_golden_cache(self, tmp_path, detector):

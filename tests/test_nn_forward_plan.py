@@ -155,6 +155,38 @@ class TestLinearisation:
         assert plan.num_segments == PLAN_SEGMENTS[name], name
 
 
+class TestOneSampleTrace:
+    """Campaigns trace with one sample and run the plan at the campaign's
+    batch size; nothing at run time replays a full batch any more, so the
+    batch-size independence of a plan is pinned here for every model."""
+
+    @pytest.mark.parametrize("name", sorted(PLAN_SEGMENTS))
+    def test_plan_of_one_sample_is_the_plan_of_the_batch(self, name):
+        detector = MODELS.metadata(name)["kind"] == "detector"
+        side = 64 if detector else 32
+        # Random weights score low; a low threshold gives every image boxes.
+        params = {"score_threshold": 0.05} if detector else {}
+        model = MODELS.get(name)(seed=0, **params).eval()
+        x = np.random.default_rng(0).normal(size=(16, 3, side, side)).astype(np.float32)
+        # A full batch and a partial last batch, each against its own forward.
+        expected = {batch: model(x[:batch]) for batch in (16, 5)}
+        if detector:
+            assert all(len(detection) for detection in expected[16])
+        for executor in ("module", "interpreter", "fused"):
+            probe = ForwardPlan.trace(model, x[:1], executor=executor)
+            whole = ForwardPlan.trace(model, x, executor=executor)
+            assert probe.valid and probe.executor_name == whole.executor_name == executor
+            assert probe.segment_names == whole.segment_names
+            assert probe._executed_in == whole._executed_in
+            for batch, full in expected.items():
+                output, checkpoints, _ = probe.run_recording(x[:batch], "all")
+                assert _bitwise_equal(output, full), (executor, batch)
+                assert _bitwise_equal(probe.resume(0, x[:batch]), full), (executor, batch)
+                assert sorted(checkpoints) == list(range(1, probe.num_segments))
+                for k, a_k in checkpoints.items():
+                    assert _bitwise_equal(probe.resume(k, a_k), full), (executor, batch, k)
+
+
 class _Late(nn.Module):
     def __init__(self, rng):
         super().__init__()
