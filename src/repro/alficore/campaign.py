@@ -8,12 +8,22 @@ The campaign engine is split into three layers:
   handling for the primary and the optional hardened ("resil") model lane,
   attach-once monitor caching (:class:`~repro.alficore.monitoring.MonitorCache`)
   and the streamed-record plumbing.  The core never interprets model outputs.
+  Each step's golden pass is one
+  :class:`~repro.alficore.goldencache.GoldenCacheEntry` (cached, or
+  transient without a cache) that serves both ends of the faulty pass: the
+  boundary it resumes at, and — *tail reuse* — the first cached boundary
+  behind the group's last faulted segment that the faulty activation
+  reproduces byte for byte, where the pass ends with the golden output
+  object and inherits the golden monitor events of the skipped tail.
 * :class:`CampaignTask` adapters interpret outputs per workload.
   :class:`ClassificationTask` classifies each inference masked / SDE / DUE
   against its golden top-1 and streams CSV rows;  :class:`DetectionTask`
   collects per-image predictions for IVMOD / mAP evaluation and streams
   detection JSON records.  Both keep a picklable aggregate ``state`` so shard
-  workers can ship partial results back to the parent process.
+  workers can ship partial results back to the parent process.  What a
+  record takes from the golden output alone (top-k, hit flags, the golden
+  CSV cells) is memoised with the golden pass's cache entry, so it is built
+  once per image; a rejoined pass (``corrupted is golden``) reuses it too.
 * :class:`ShardedCampaignExecutor` partitions a campaign into contiguous
   ``(epoch, fault-group, dataset-index)`` shards and runs them through the
   supervised scheduler in :mod:`repro.alficore.resilience` (or sequentially
@@ -50,8 +60,13 @@ import numpy as np
 
 from repro.alficore._deprecation import warn_once
 from repro.alficore.digests import bytes_digest, model_fingerprint
-from repro.alficore.goldencache import GoldenCache
-from repro.alficore.monitoring import MonitorCache, MonitorResult
+from repro.alficore.goldencache import GoldenCache, GoldenCacheEntry
+from repro.alficore.monitoring import (
+    MonitorCache,
+    MonitorResult,
+    _nan_inf,
+    output_has_nan_or_inf,
+)
 from repro.alficore.policies import InjectionPolicy
 from repro.alficore.resilience import (
     ExecutionPolicy,
@@ -61,8 +76,9 @@ from repro.alficore.resilience import (
 )
 from repro.alficore.results import (
     CampaignResultWriter,
-    ClassificationRecord,
     DetectionRecord,
+    classification_cells,
+    fault_positions_cell,
     merge_csv_files,
     merge_json_array_files,
 )
@@ -142,6 +158,10 @@ class StepContext:
     collect_applied: bool
     resil_golden: object | None = None
     resil: object | None = None
+    # Scratch space that lives exactly as long as the golden pass behind
+    # ``golden`` (the golden-cache entry's ``derived``): what a task computes
+    # from the golden output alone it may keep here for the next epoch.
+    golden_derived: dict | None = None
 
 
 class CampaignTask:
@@ -276,84 +296,115 @@ class ClassificationTask(CampaignTask):
                 for entry in ctx.applied:
                     stream.write(entry)
 
-        golden_classes, golden_probs = top_k_predictions(golden_out, k=5)
-        corrupted_classes, corrupted_probs = top_k_predictions(corrupted_out, k=5)
+        labels, golden_classes, golden_probs, top1_hits, top5_hits, golden_rows = (
+            self._golden_half(ctx, golden_out)
+        )
+        if ctx.corrupted is ctx.golden:
+            # The faulty pass rejoined the golden one (tail reuse): same
+            # output object, same top-k.
+            corrupted_classes, corrupted_probs = golden_classes, golden_probs
+        else:
+            classes, probabilities = top_k_predictions(corrupted_out, k=5)
+            corrupted_classes, corrupted_probs = classes.tolist(), probabilities.tolist()
+        # Monitor events are batch-scoped; per-image output NaN/Inf adds
+        # image resolution on top (for batch_size=1 they coincide).  Only a
+        # batch whose output is not finite pays the per-image scans.
+        batch_nan, batch_inf = _nan_inf(corrupted_out)
+        golden_stream = self._streams.get("golden_csv")
+        corrupted_stream = self._streams.get("corrupted_csv")
+        fault_cell = fault_positions_cell(ctx.applied) if corrupted_stream is not None else ""
         for i, record in enumerate(ctx.batch):
-            label = int(record.target)
-            # Monitor events are batch-scoped; per-image output NaN/Inf adds
-            # image resolution on top (for batch_size=1 they coincide).
-            nan_detected = ctx.monitor.nan_detected or bool(np.isnan(corrupted_out[i]).any())
-            inf_detected = ctx.monitor.inf_detected or bool(np.isinf(corrupted_out[i]).any())
+            label = labels[i]
+            nan_detected = ctx.monitor.nan_detected or (
+                batch_nan and bool(np.isnan(corrupted_out[i]).any())
+            )
+            inf_detected = ctx.monitor.inf_detected or (
+                batch_inf and bool(np.isinf(corrupted_out[i]).any())
+            )
             outcome = classify_classification_outcome(
-                int(golden_classes[i, 0]),
-                int(corrupted_classes[i, 0]),
-                nan_detected or inf_detected,
+                golden_classes[i][0], corrupted_classes[i][0], nan_detected or inf_detected
             )
             state.inferences += 1
             state.outcomes[outcome] += 1
-            state.golden_top1_hits += int(golden_classes[i, 0] == label)
-            state.golden_top5_hits += int(label in golden_classes[i])
-            state.corrupted_top1_hits += int(corrupted_classes[i, 0] == label)
+            state.golden_top1_hits += top1_hits[i]
+            state.golden_top5_hits += top5_hits[i]
+            state.corrupted_top1_hits += int(corrupted_classes[i][0] == label)
             if self.collect_outputs:
                 state.golden_logits.append(golden_out[i])
                 state.corrupted_logits.append(corrupted_out[i])
                 state.labels.append(label)
                 state.due_flags.append(bool(nan_detected or inf_detected))
-            self._write_row(
-                "golden_csv", record, label, golden_classes[i], golden_probs[i], [], False, False, "golden"
-            )
-            self._write_row(
-                "corrupted_csv", record, label, corrupted_classes[i], corrupted_probs[i],
-                ctx.applied, nan_detected, inf_detected, "corrupted",
-            )
+            if golden_stream is not None:
+                golden_stream.write(golden_rows[i])
+            if corrupted_stream is not None:
+                corrupted_stream.write(
+                    classification_cells(
+                        record.image_id, record.file_name, label, "corrupted",
+                        nan_detected, inf_detected,
+                        corrupted_classes[i], corrupted_probs[i], fault_cell,
+                    )
+                )
         if ctx.resil is not None:
             self._consume_resil(ctx)
+
+    @staticmethod
+    def _golden_half(ctx: StepContext, golden_out: np.ndarray) -> tuple:
+        """The golden side of the step's records, built once per golden pass.
+
+        Returns ``(labels, classes, probabilities, top1_hits, top5_hits,
+        rows)``, plain Python values with one list element per image: what a
+        record takes from the golden pass alone.  It depends on the golden
+        output (pinned by ``ctx.golden_derived``, which lives and dies with
+        that output) and on each image's label and file name, which
+        therefore key the memo.
+        """
+        labels = [int(record.target) for record in ctx.batch]
+        derived = ctx.golden_derived if ctx.golden_derived is not None else {}
+        key = ("classification", *zip(labels, (record.file_name for record in ctx.batch)))
+        half = derived.get(key)
+        if half is None:
+            classes, probabilities = (
+                array.tolist() for array in top_k_predictions(golden_out, k=5)
+            )
+            half = derived[key] = (
+                labels,
+                classes,
+                probabilities,
+                [int(row[0] == label) for row, label in zip(classes, labels)],
+                [int(label in row) for row, label in zip(classes, labels)],
+                [
+                    classification_cells(
+                        record.image_id, record.file_name, label, "golden",
+                        False, False, classes[i], probabilities[i], fault_positions_cell([]),
+                    )
+                    for i, (record, label) in enumerate(zip(ctx.batch, labels))
+                ],
+            )
+        return half
 
     def _consume_resil(self, ctx: StepContext) -> None:
         state = self.state
         resil_out = np.asarray(ctx.resil)
         resil_golden_out = np.asarray(ctx.resil_golden)
-        resil_classes, resil_probs = top_k_predictions(resil_out, k=5)
+        resil_classes, resil_probs = (
+            array.tolist() for array in top_k_predictions(resil_out, k=5)
+        )
+        batch_nan, batch_inf = _nan_inf(resil_out)
+        stream = self._streams.get("resil_csv")
+        fault_cell = fault_positions_cell(ctx.applied) if stream is not None else ""
         for i, record in enumerate(ctx.batch):
-            label = int(record.target)
-            resil_nan = bool(np.isnan(resil_out[i]).any())
-            resil_inf = bool(np.isinf(resil_out[i]).any())
             if self.collect_outputs:
                 state.resil_golden_logits.append(resil_golden_out[i])
                 state.resil_logits.append(resil_out[i])
-            self._write_row(
-                "resil_csv", record, label, resil_classes[i], resil_probs[i],
-                ctx.applied, resil_nan, resil_inf, "resil",
-            )
-
-    def _write_row(
-        self,
-        tag: str,
-        record: ImageRecord,
-        label: int,
-        classes: np.ndarray,
-        probabilities: np.ndarray,
-        applied: list[dict],
-        nan_detected: bool,
-        inf_detected: bool,
-        model_tag: str,
-    ) -> None:
-        stream = self._streams.get(tag)
-        if stream is None:
-            return
-        stream.write(
-            ClassificationRecord(
-                image_id=record.image_id,
-                file_name=record.file_name,
-                ground_truth=label,
-                top5_classes=[int(c) for c in classes],
-                top5_probabilities=[float(p) for p in probabilities],
-                fault_positions=applied,
-                nan_detected=nan_detected,
-                inf_detected=inf_detected,
-                model_tag=model_tag,
-            )
-        )
+            if stream is not None:
+                stream.write(
+                    classification_cells(
+                        record.image_id, record.file_name, int(record.target), "resil",
+                        batch_nan and bool(np.isnan(resil_out[i]).any()),
+                        batch_inf and bool(np.isinf(resil_out[i]).any()),
+                        resil_classes[i], resil_probs[i], fault_cell,
+                    )
+                )
 
     def end(self) -> None:
         _close_streams(self._streams)
@@ -448,16 +499,27 @@ class DetectionTask(CampaignTask):
                 for entry in ctx.applied:
                     stream.write(entry)
 
+        # One structured scan per lane; only a lane that is not finite pays
+        # the per-image has_nan() / has_inf() rescans.
+        batch_nan, batch_inf = output_has_nan_or_inf(ctx.corrupted)
+        resil_nan = resil_inf = False
+        if ctx.resil is not None:
+            resil_nan, resil_inf = output_has_nan_or_inf(ctx.resil)
         for i, record in enumerate(ctx.batch):
-            golden_detection = ctx.golden[i]
+            golden_prediction = ctx.golden[i].as_dict()
             corrupted_detection = ctx.corrupted[i]
+            corrupted_prediction = corrupted_detection.as_dict()
             target = record.target
-            nan_detected = ctx.monitor.nan_detected or corrupted_detection.has_nan()
-            inf_detected = ctx.monitor.inf_detected or corrupted_detection.has_inf()
+            nan_detected = ctx.monitor.nan_detected or (
+                batch_nan and corrupted_detection.has_nan()
+            )
+            inf_detected = ctx.monitor.inf_detected or (
+                batch_inf and corrupted_detection.has_inf()
+            )
 
             state.inferences += 1
-            state.golden_predictions.append(golden_detection.as_dict())
-            state.corrupted_predictions.append(corrupted_detection.as_dict())
+            state.golden_predictions.append(golden_prediction)
+            state.corrupted_predictions.append(corrupted_prediction)
             state.targets.append(
                 {
                     "boxes": np.asarray(target["boxes"], dtype=np.float32),
@@ -468,26 +530,28 @@ class DetectionTask(CampaignTask):
             )
             state.due_flags.append(bool(nan_detected or inf_detected))
 
-            self._write_record("golden_json", record, golden_detection, [], False, False, "golden")
+            self._write_record("golden_json", record, golden_prediction, [], False, False, "golden")
             self._write_record(
-                "corrupted_json", record, corrupted_detection,
+                "corrupted_json", record, corrupted_prediction,
                 ctx.applied, nan_detected, inf_detected, "corrupted",
             )
             if ctx.resil is not None:
                 # Judge the hardened detector against its own fault-free run.
                 resil_detection = ctx.resil[i]
+                resil_prediction = resil_detection.as_dict()
                 state.resil_golden_predictions.append(ctx.resil_golden[i].as_dict())
-                state.resil_predictions.append(resil_detection.as_dict())
+                state.resil_predictions.append(resil_prediction)
                 self._write_record(
-                    "resil_json", record, resil_detection, ctx.applied,
-                    resil_detection.has_nan(), resil_detection.has_inf(), "resil",
+                    "resil_json", record, resil_prediction, ctx.applied,
+                    resil_nan and resil_detection.has_nan(),
+                    resil_inf and resil_detection.has_inf(), "resil",
                 )
 
     def _write_record(
         self,
         tag: str,
         record: ImageRecord,
-        detection,
+        prediction: dict,
         applied: list[dict],
         nan_detected: bool,
         inf_detected: bool,
@@ -496,14 +560,13 @@ class DetectionTask(CampaignTask):
         stream = self._streams.get(tag)
         if stream is None:
             return
-        as_dict = detection.as_dict()
         stream.write(
             DetectionRecord(
                 image_id=record.image_id,
                 file_name=record.file_name,
-                boxes=as_dict["boxes"],
-                scores=as_dict["scores"],
-                labels=as_dict["labels"],
+                boxes=prediction["boxes"],
+                scores=prediction["scores"],
+                labels=prediction["labels"],
                 fault_positions=applied,
                 nan_detected=bool(nan_detected),
                 inf_detected=bool(inf_detected),
@@ -815,21 +878,24 @@ class CampaignCore:
         return frozenset(index for index in segments if index)
 
     @staticmethod
-    def _resume_index(
+    def _faulted_span(
         golden_plan: ForwardPlan | None,
         faulty_plan: ForwardPlan | None,
         wrapper: ptfiwrap,
         group,
-    ) -> int | None:
-        """Plan segment to resume the faulty lane at (``None`` = full forward).
+    ) -> tuple[int, int] | None:
+        """Plan segments ``(first, last)`` that execute a faulted layer of the group.
 
-        The golden and the faulty model (a bit-identical clone for neuron
-        campaigns) must segment identically, since the golden plan's
-        checkpoints are fed into the faulty plan's suffix.  The resume point
-        is the earliest *executed* segment over all of the group's faulted
-        layers — layer indices follow registration order, which may differ
-        from execution order, so mapping only ``first_faulted_layer`` could
-        skip a patched layer that runs earlier in the chain.
+        The faulty lane resumes at ``first`` and may rejoin the golden pass
+        behind ``last``; ``None`` means a full forward.  The golden and the
+        faulty model (a bit-identical clone for neuron campaigns) must
+        segment identically, since the golden plan's checkpoints are fed
+        into the faulty plan's suffix.  Both ends are taken over the
+        *executed* segments of all of the group's faulted layers — layer
+        indices follow registration order, which may differ from execution
+        order, so mapping only ``first_faulted_layer`` could skip a patched
+        layer that runs earlier in the chain, and rejoining before ``last``
+        would skip a fault that has yet to fire.
         """
         if golden_plan is None or faulty_plan is None:
             return None
@@ -841,17 +907,17 @@ class CampaignCore:
             layers = [] if first is None else [first]
         if not layers:
             return None
-        segments = []
+        first_segments, last_segments = [], []
         for layer in layers:
             name = wrapper.fault_injection.layers[layer].name
             index = faulty_plan.segment_for(name)
             if index is None:
                 return None
-            segments.append(index)
-        index = min(segments)
-        if index <= 0:
+            first_segments.append(index)
+            last_segments.append(faulty_plan.last_segment_for(name))
+        if min(first_segments) <= 0:
             return None
-        return index
+        return min(first_segments), max(last_segments)
 
     def _golden_pass(
         self,
@@ -863,16 +929,19 @@ class CampaignCore:
         resume_at: int | None,
         with_monitor: bool,
         wrapper: ptfiwrap,
-    ):
+    ) -> tuple[GoldenCacheEntry, object]:
         """Run (or fetch) one lane's golden pass.
 
         ``wrapper`` is the lane's fault-injection wrapper: on a cache miss
         its injectable layers decide which boundaries are checkpointed.
 
-        Returns ``(raw_output, boundary, marks, events)`` where ``boundary``
-        is the checkpointed activation for ``resume_at`` (``None`` when not
-        available), and ``marks``/``events`` carry the golden monitor state
-        used to inherit prefix NaN/Inf events (``None`` without monitoring).
+        Returns ``(entry, boundary)``: the golden pass as a cache entry — the
+        cached one, or without a cache a transient one that holds nothing
+        but this step's boundary — and its checkpointed activation for
+        ``resume_at`` (``None`` when not available).  ``entry.marks`` /
+        ``entry.events`` carry the golden monitor state the faulty lane
+        inherits for the segments it does not execute (``None`` without
+        monitoring).
         """
         cache = self.golden_cache
         if cache is not None:
@@ -892,41 +961,42 @@ class CampaignCore:
                             else boundary
                         )
                         cache.add_boundary(cache_key, resume_at, stored)
-                return entry.output, boundary, entry.marks, entry.events
-        if plan is not None:
-            monitor = None
-            if with_monitor:
-                monitor = self._monitors.monitor_for(model)
-                monitor.reset()
-                monitor.enabled = True
-            try:
-                # With a cache every boundary a fault group can resume at is
-                # checkpointed (owned copies), so later epochs and grid points
-                # need no prefix pass; the transient path records only this
-                # step's boundary into the reusable arena.
-                if cache is not None:
-                    wanted = self._resumable_boundaries(plan, wrapper)
-                    arena = None
-                else:
-                    wanted = [resume_at] if resume_at is not None else []
-                    arena = self._arena_for(model)
-                output, checkpoints, marks = plan.run_recording(
-                    images, wanted, arena=arena, monitor=monitor
-                )
-            finally:
-                if monitor is not None:
-                    monitor.enabled = False
-            events = monitor.collect() if monitor is not None else None
+                return entry, boundary
+        if plan is None:
+            output = self.task.infer(model, images, batch)
             if cache is not None:
-                cache.put(
-                    cache_key, output, checkpoints, marks, events, batch_shape=images.shape
-                )
-            boundary = checkpoints.get(resume_at) if resume_at is not None else None
-            return output, boundary, marks, events
-        output = self.task.infer(model, images, batch)
+                return cache.put(cache_key, output, batch_shape=images.shape), None
+            return GoldenCacheEntry(output), None
+        monitor = None
+        if with_monitor:
+            monitor = self._monitors.monitor_for(model)
+            monitor.reset()
+            monitor.enabled = True
+        try:
+            # With a cache every boundary a fault group can resume at is
+            # checkpointed (owned copies), so later epochs and grid points
+            # need no prefix pass; the transient path records only this
+            # step's boundary into the reusable arena.
+            if cache is not None:
+                wanted = self._resumable_boundaries(plan, wrapper)
+                arena = None
+            else:
+                wanted = [resume_at] if resume_at is not None else []
+                arena = self._arena_for(model)
+            output, checkpoints, marks = plan.run_recording(
+                images, wanted, arena=arena, monitor=monitor
+            )
+        finally:
+            if monitor is not None:
+                monitor.enabled = False
+        events = monitor.collect() if monitor is not None else None
         if cache is not None:
-            cache.put(cache_key, output, batch_shape=images.shape)
-        return output, None, None, None
+            entry = cache.put(
+                cache_key, output, checkpoints, marks, events, batch_shape=images.shape
+            )
+        else:
+            entry = GoldenCacheEntry(output, checkpoints, marks, events)
+        return entry, checkpoints.get(resume_at)
 
     def _cache_lane_key(self, lane: str, model: Module, cache_key: tuple) -> tuple:
         """Full golden-cache key: lane and weight fingerprint before the
@@ -936,27 +1006,63 @@ class CampaignCore:
         return (lane, self._model_fingerprint(model)) + cache_key
 
     @staticmethod
-    def _inherit_prefix_events(
-        events: MonitorResult | None,
-        marks: list | None,
-        resume_at: int | None,
-        suffix: MonitorResult,
+    def _inherit_golden_events(
+        entry: GoldenCacheEntry,
+        resumed_at: int | None,
+        rejoined_at: int | None,
+        executed: MonitorResult,
     ) -> MonitorResult:
-        """Prepend the golden prefix's monitor events to a suffix-only result.
+        """Add the golden monitor events of the segments a faulty pass skipped.
 
-        A suffix-only faulty pass never executes the prefix layers, but their
-        activations (hence their NaN/Inf/custom events) are bit-identical to
-        the golden pass's — inheriting them reproduces the full-forward
-        monitor result exactly.
+        A pass that resumed at ``resumed_at`` never executed the prefix, one
+        that rejoined the golden pass at ``rejoined_at`` never executed the
+        tail; the activations of both (hence their NaN/Inf/custom events) are
+        bit-identical to the golden pass's, so inheriting its events for
+        exactly those segments reproduces the full-forward monitor result.
         """
-        if resume_at is None or events is None or marks is None:
-            return suffix
-        n_nan, n_inf, n_custom = marks[resume_at]
+        events, marks = entry.events, entry.marks
+        if resumed_at is None or events is None or marks is None:
+            return executed
+        head = marks[resumed_at]
+        tail = marks[-1] if rejoined_at is None else marks[rejoined_at]
         return MonitorResult(
-            nan_layers=list(events.nan_layers[:n_nan]) + suffix.nan_layers,
-            inf_layers=list(events.inf_layers[:n_inf]) + suffix.inf_layers,
-            custom_events=list(events.custom_events[:n_custom]) + suffix.custom_events,
+            nan_layers=events.nan_layers[: head[0]]
+            + executed.nan_layers
+            + events.nan_layers[tail[0] :],
+            inf_layers=events.inf_layers[: head[1]]
+            + executed.inf_layers
+            + events.inf_layers[tail[1] :],
+            custom_events=events.custom_events[: head[2]]
+            + executed.custom_events
+            + events.custom_events[tail[2] :],
         )
+
+    def _faulty_pass(
+        self,
+        plan: ForwardPlan | None,
+        group,
+        span: tuple[int, int] | None,
+        entry: GoldenCacheEntry,
+        boundary,
+        images: np.ndarray,
+        batch: list[ImageRecord],
+    ) -> tuple[object, int | None, int | None]:
+        """Run one lane's faulty pass inside its open fault group.
+
+        Returns ``(output, resumed_at, rejoined_at)``: with a boundary to
+        start from only the segments from the group's first faulted one run,
+        and only up to the first cached boundary behind its last faulted one
+        where the activation equals the golden pass's — the output is then
+        ``entry.output`` itself.  (A transient entry holds no boundary behind
+        the fault, so without a cache the pass always runs to the end.)
+        """
+        if span is None or boundary is None:
+            return self.task.infer(group.model, images, batch), None, None
+        resume_at, last_faulted = span
+        raw = plan.resume(resume_at, boundary, golden=entry, after=last_faulted)
+        if plan.rejoined_at is not None and self.golden_cache is not None:
+            self.golden_cache.rejoins += 1
+        return self.task.finish(raw), resume_at, plan.rejoined_at
 
     def _run_step(
         self,
@@ -984,38 +1090,36 @@ class CampaignCore:
         faulty_plan = (
             golden_plan if faulty_model is self.model else self._plan_for(faulty_model, images)
         )
-        resume_at = self._resume_index(golden_plan, faulty_plan, self.wrapper, group)
+        span = self._faulted_span(golden_plan, faulty_plan, self.wrapper, group)
 
         # Golden pass runs before the patch is applied.  The monitor scan on
         # the golden pass is only paid when something consumes its events: a
         # suffix-only resume (prefix inheritance) or a cache recording.
-        golden_raw, boundary, marks, golden_events = self._golden_pass(
+        entry, boundary = self._golden_pass(
             self.model,
             golden_plan,
             images,
             batch,
             self._cache_lane_key("golden", self.model, cache_key),
-            resume_at,
+            span[0] if span is not None else None,
             with_monitor=golden_plan is not None
-            and (self.golden_cache is not None or resume_at is not None),
+            and (self.golden_cache is not None or span is not None),
             wrapper=self.wrapper,
         )
-        golden = task.finish(golden_raw)
+        golden = task.finish(entry.output)
 
         with group:
             monitor = self._monitors.monitor_for(group.model)
             monitor.reset()
             monitor.enabled = True
             try:
-                if resume_at is not None and boundary is not None:
-                    corrupted = task.finish(faulty_plan.resume(resume_at, boundary))
-                else:
-                    resume_at = None
-                    corrupted = task.infer(group.model, images, batch)
+                corrupted, resumed_at, rejoined_at = self._faulty_pass(
+                    faulty_plan, group, span, entry, boundary, images, batch
+                )
             finally:
                 monitor.enabled = False
-            monitor_result = self._inherit_prefix_events(
-                golden_events, marks, resume_at, monitor.collect()
+            monitor_result = self._inherit_golden_events(
+                entry, resumed_at, rejoined_at, monitor.collect()
             )
         applied = [fault.as_dict() for fault in group.applied_faults]
         resil_golden = resil_out = None
@@ -1031,25 +1135,25 @@ class CampaignCore:
                 if resil_faulty is self.resil_model
                 else self._plan_for(resil_faulty, images)
             )
-            resil_resume = self._resume_index(
+            resil_span = self._faulted_span(
                 resil_plan, resil_faulty_plan, self.resil_wrapper, resil_group
             )
-            resil_golden_raw, resil_boundary, _, _ = self._golden_pass(
+            resil_entry, resil_boundary = self._golden_pass(
                 self.resil_model,
                 resil_plan,
                 images,
                 batch,
                 self._cache_lane_key("resil", self.resil_model, cache_key),
-                resil_resume,
+                resil_span[0] if resil_span is not None else None,
                 with_monitor=False,
                 wrapper=self.resil_wrapper,
             )
-            resil_golden = task.finish(resil_golden_raw)
+            resil_golden = task.finish(resil_entry.output)
             with resil_group:
-                if resil_resume is not None and resil_boundary is not None:
-                    resil_out = task.finish(resil_faulty_plan.resume(resil_resume, resil_boundary))
-                else:
-                    resil_out = task.infer(resil_group.model, images, batch)
+                resil_out, _, _ = self._faulty_pass(
+                    resil_faulty_plan, resil_group, resil_span,
+                    resil_entry, resil_boundary, images, batch,
+                )
         task.consume(
             StepContext(
                 batch=batch,
@@ -1063,6 +1167,7 @@ class CampaignCore:
                 collect_applied=collect_applied,
                 resil_golden=resil_golden,
                 resil=resil_out,
+                golden_derived=entry.derived,
             )
         )
 

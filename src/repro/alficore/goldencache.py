@@ -13,7 +13,11 @@ them once per epoch per image, and a sweep once per grid point.  The
   re-scanning;
 * checkpointed boundary activations of the golden forward plan — those a
   fault group can resume at — so a later faulty lane can resume mid-network
-  without re-running the prefix.
+  without re-running the prefix, and stop at the first later checkpoint it
+  reproduces byte for byte (tail reuse, counted as ``rejoins``);
+* in memory only, whatever the campaign task derived from the golden output
+  (``derived``: top-k and formatted record cells), so the golden half of a
+  record is built once per image and goes when the entry goes.
 
 Entries are keyed by ``(lane, weight fingerprint, dataset image ids, batch
 digest)`` — neither epoch nor scenario enters the key, so one cache serves
@@ -61,16 +65,22 @@ def _value_nbytes(value) -> int:
 
 
 class GoldenCacheEntry:
-    """One cached golden pass (output, monitor events, boundary checkpoints)."""
+    """One golden pass (output, monitor events, boundary checkpoints).
 
-    __slots__ = ("output", "boundaries", "marks", "events", "batch_shape")
+    ``derived`` is scratch space for the campaign task: values it computed
+    from ``output`` alone, keyed by whatever else they depend on.  It is not
+    part of :meth:`as_state`, so it is never spilled.
+    """
 
-    def __init__(self, output, boundaries, marks, events, batch_shape):
+    __slots__ = ("output", "boundaries", "marks", "events", "batch_shape", "derived")
+
+    def __init__(self, output, boundaries=None, marks=None, events=None, batch_shape=None):
         self.output = output
         self.boundaries = dict(boundaries or {})
         self.marks = marks
         self.events = events
         self.batch_shape = tuple(batch_shape) if batch_shape is not None else None
+        self.derived: dict = {}
 
     @property
     def nbytes(self) -> int:
@@ -118,6 +128,8 @@ class GoldenCache:
         self._nbytes = 0
         self.hits = 0
         self.misses = 0
+        #: faulty passes that ended at a cached boundary (counted by the campaign)
+        self.rejoins = 0
         self.evictions = 0
         self.spill_writes = 0
         self.spill_loads = 0
@@ -245,6 +257,7 @@ class GoldenCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "rejoins": self.rejoins,
             "evictions": self.evictions,
             "spill_writes": self.spill_writes,
             "spill_loads": self.spill_loads,

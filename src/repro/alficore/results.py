@@ -28,8 +28,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Callable, Sequence
 
 import numpy as np
 import yaml
@@ -59,19 +60,58 @@ class ClassificationRecord:
 
     def as_row(self) -> dict:
         """Flatten into a CSV-writable dictionary."""
-        row = {
-            "image_id": self.image_id,
-            "file_name": self.file_name,
-            "ground_truth": self.ground_truth,
-            "model_tag": self.model_tag,
-            "nan_detected": int(self.nan_detected),
-            "inf_detected": int(self.inf_detected),
-        }
-        for rank, (cls, prob) in enumerate(zip(self.top5_classes, self.top5_probabilities), start=1):
-            row[f"top{rank}_class"] = int(cls)
-            row[f"top{rank}_prob"] = float(prob)
-        row["fault_positions"] = json.dumps(self.fault_positions, default=_json_default)
-        return row
+        cells = classification_cells(
+            self.image_id,
+            self.file_name,
+            self.ground_truth,
+            self.model_tag,
+            self.nan_detected,
+            self.inf_detected,
+            self.top5_classes,
+            self.top5_probabilities,
+            fault_positions_cell(self.fault_positions),
+        )
+        return dict(zip(classification_fieldnames(len(cells)), cells))
+
+
+def classification_fieldnames(num_cells: int) -> list[str]:
+    """Header of a classification CSV whose rows hold ``num_cells`` cells."""
+    names = ["image_id", "file_name", "ground_truth", "model_tag", "nan_detected", "inf_detected"]
+    for rank in range(1, (num_cells - len(names) - 1) // 2 + 1):
+        names += (f"top{rank}_class", f"top{rank}_prob")
+    names.append("fault_positions")
+    return names
+
+
+def fault_positions_cell(fault_positions: list[dict]) -> str:
+    """The ``fault_positions`` cell: the applied faults of the row as compact JSON."""
+    return json.dumps(fault_positions, default=_json_default)
+
+
+def classification_cells(
+    image_id: int,
+    file_name: str,
+    ground_truth: int,
+    model_tag: str,
+    nan_detected: bool,
+    inf_detected: bool,
+    classes: Sequence,
+    probabilities: Sequence,
+    fault_positions: str,
+) -> list:
+    """Cells of one classification CSV row, in :func:`classification_fieldnames` order.
+
+    The one place a row is laid out: :meth:`ClassificationRecord.as_row` (the
+    batch writer) and the campaign's streamed rows both come from here.
+    ``classes`` / ``probabilities`` are the top-k pair of the image (equal
+    length, any int / float sequence), ``fault_positions`` the finished cell
+    (:func:`fault_positions_cell`).
+    """
+    cells = [image_id, file_name, ground_truth, model_tag, int(nan_detected), int(inf_detected)]
+    for cls, prob in zip(classes, probabilities):
+        cells += (int(cls), float(prob))
+    cells.append(fault_positions)
+    return cells
 
 
 @dataclass
@@ -119,24 +159,55 @@ class CsvRecordStream:
     The header is derived from the first record; closing without having
     written any record produces an empty file, matching
     :meth:`CampaignResultWriter.write_classification_csv` with no records.
+
+    Args:
+        path: the CSV file.
+        fieldnames: for streams fed finished cell lists, the function naming
+            the columns of a row from its cell count (keyed records — dicts,
+            ``as_row()`` objects — name their own).
     """
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(
+        self, path: str | Path, fieldnames: Callable[[int], list[str]] | None = None
+    ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: IO[str] | None = None
-        self._writer: csv.DictWriter | None = None
+        self._writer: Any = None
+        self._fieldnames_for = fieldnames
+        self._fieldnames: list[str] = []
         self.num_records = 0
 
     def write(self, record: Any) -> None:
-        """Append one record (anything with ``as_row()``, or a plain dict)."""
-        row = record.as_row() if hasattr(record, "as_row") else dict(record)
-        if self._writer is None:
-            self._handle = open(self.path, "w", newline="", encoding="utf-8")
-            self._writer = csv.DictWriter(self._handle, fieldnames=list(row.keys()))
-            self._writer.writeheader()
-        self._writer.writerow(row)
+        """Append one record.
+
+        A list is a finished row (cells in column order, what the campaign
+        tasks stream); anything with ``as_row()`` and plain dicts are laid
+        out by the first record's keys (a missing key leaves its cell empty,
+        an unknown one raises ``ValueError``).
+        """
+        if isinstance(record, list):
+            if self._writer is None:
+                if self._fieldnames_for is None:
+                    raise ValueError(f"{self.path}: a cell-list row needs a stream with fieldnames")
+                self._open(self._fieldnames_for(len(record)))
+            cells = record
+        else:
+            row = record.as_row() if hasattr(record, "as_row") else record
+            if self._writer is None:
+                self._open(list(row))
+            unknown = row.keys() - set(self._fieldnames)
+            if unknown:
+                raise ValueError(f"{self.path}: record has fields not in the header: {sorted(unknown)}")
+            cells = [row.get(name, "") for name in self._fieldnames]
+        self._writer.writerow(cells)
         self.num_records += 1
+
+    def _open(self, fieldnames: list[str]) -> None:
+        self._fieldnames = fieldnames
+        self._handle = open(self.path, "w", newline="", encoding="utf-8")
+        self._writer = csv.writer(self._handle)
+        self._writer.writerow(fieldnames)
 
     def close(self) -> None:
         """Flush and close the file (writes an empty file if no records)."""
@@ -171,8 +242,7 @@ class JsonArrayStream:
             self._handle.write("[\n")
         else:
             self._handle.write(",\n")
-        blob = json.dumps(_to_plain(record), indent=2, default=_json_default)
-        self._handle.write(blob)
+        self._handle.write(dumps_indented(record))
         self.num_records += 1
 
     def close(self) -> None:
@@ -358,7 +428,10 @@ class CampaignResultWriter:
     # ------------------------------------------------------------------ #
     def stream_classification(self, tag: str = "corrupted") -> CsvRecordStream:
         """Return an incremental writer for per-inference classification rows."""
-        return CsvRecordStream(self.output_dir / f"{self.campaign_name}_{tag}_results.csv")
+        return CsvRecordStream(
+            self.output_dir / f"{self.campaign_name}_{tag}_results.csv",
+            fieldnames=classification_fieldnames,
+        )
 
     def stream_detection(self, tag: str = "corrupted") -> JsonArrayStream:
         """Return an incremental writer for per-image detection records."""
@@ -386,6 +459,80 @@ class CampaignResultWriter:
             raise FileNotFoundError(f"no detection results for tag {tag!r} at {path}")
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
+
+
+class _UnsupportedKey(Exception):
+    """A dict key :func:`dumps_indented` leaves to the stdlib encoder."""
+
+
+def dumps_indented(value: Any) -> str:
+    """``json.dumps(_to_plain(value), indent=2, default=_json_default)``, faster.
+
+    ``indent=`` forces the stdlib onto its pure-Python generator encoder;
+    this is one recursive walk that formats with the stdlib's own leaf
+    encoders and converts what it meets on the way (numpy scalars and
+    arrays, ``Path``, tuples) the way :func:`_to_plain` would have before.
+    Byte-identical for every value; dicts with non-string keys go to the
+    stdlib.
+    """
+    pieces: list[str] = []
+    try:
+        _emit_indented(value, "\n", pieces.append)
+    except _UnsupportedKey:
+        return json.dumps(_to_plain(value), indent=2, default=_json_default)
+    return "".join(pieces)
+
+
+_INFINITY = float("inf")
+
+
+def _emit_indented(value: Any, newline: str, emit: Callable[[str], Any]) -> None:
+    """Emit ``value`` as indent-2 JSON; ``newline`` is a line break plus the current indent."""
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            emit("NaN")
+        elif value in (_INFINITY, -_INFINITY):
+            emit("Infinity" if value > 0 else "-Infinity")
+        else:
+            emit(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            emit(separator)
+            _emit_indented(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise _UnsupportedKey
+            emit(separator + encode_basestring_ascii(key) + ": ")
+            _emit_indented(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    else:
+        # numpy scalars and arrays, Path, anything else: what the stdlib
+        # would ask its default= hook, which answers with plain Python.
+        _emit_indented(_json_default(value), newline, emit)
 
 
 def _to_plain(value: Any) -> Any:

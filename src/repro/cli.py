@@ -304,7 +304,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if stats is not None:
         print(
             f"golden cache: hits={stats['hits']} misses={stats['misses']} "
-            f"entries={stats['entries']} mib={stats['nbytes'] / 2**20:.1f}"
+            f"entries={stats['entries']} mib={stats['nbytes'] / 2**20:.1f} "
+            f"rejoined={stats['rejoins']}"
         )
     _print_result_files(result.table_files)
     return 0

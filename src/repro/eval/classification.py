@@ -12,6 +12,10 @@ from repro.eval.sdc import FaultOutcome, classify_classification_outcome, outcom
 def top_k_predictions(logits: np.ndarray, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """Return the top-k classes and their softmax probabilities.
 
+    Non-finite logits are an expected campaign outcome (a DUE), not a
+    numerical accident: the whole softmax runs under ``errstate`` and emits
+    no ``RuntimeWarning``.
+
     Args:
         logits: raw model outputs of shape ``(N, num_classes)``.
         k: number of top entries (clipped to the number of classes).
@@ -23,24 +27,35 @@ def top_k_predictions(logits: np.ndarray, k: int = 5) -> tuple[np.ndarray, np.nd
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ValueError(f"expected logits of shape (N, classes), got {logits.shape}")
-    num_classes = logits.shape[1]
-    k = min(k, num_classes)
-    shifted = logits - np.nanmax(logits, axis=1, keepdims=True)
+    k = min(k, logits.shape[1])
     with np.errstate(invalid="ignore", over="ignore"):
-        exp = np.exp(shifted)
-        denom = np.nansum(exp, axis=1, keepdims=True)
-        probabilities = np.where(denom > 0, exp / denom, 0.0)
-    sort_keys = np.where(np.isnan(probabilities), -np.inf, probabilities)
+        # fmax.reduce is the row maximum ignoring NaN (what nanmax computes,
+        # minus its all-NaN warning).
+        exp = np.exp(logits - np.fmax.reduce(logits, axis=1, keepdims=True))
+        nan = np.isnan(exp)
+        if nan.any():
+            denom = np.where(nan, 0.0, exp).sum(axis=1, keepdims=True)
+            probabilities = np.where(denom > 0, exp / denom, 0.0)
+            sort_keys = np.where(np.isnan(probabilities), -np.inf, probabilities)
+        else:
+            # NaN-free rows hold exp(0) = 1 at their maximum, so the
+            # denominator is positive and the probabilities sort as they are.
+            probabilities = sort_keys = exp / exp.sum(axis=1, keepdims=True)
     order = _stable_top_k_order(sort_keys, k)
     rows = np.arange(len(logits))[:, None]
     return order.astype(np.int64), probabilities[rows, order]
 
 
+# Up to this many classes a full stable argsort of the row is cheaper than
+# partitioning it and repairing the ties.
+_ARGSORT_MAX_CLASSES = 64
+
+
 def _stable_top_k_order(sort_keys: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest keys per row, ties broken by smallest index.
 
-    This runs on every image of every campaign lane, so the full
-    ``argsort`` of all classes is replaced by an O(C) ``argpartition``
+    This runs on every image of every campaign lane.  For wide rows the
+    full ``argsort`` of all classes is replaced by an O(C) ``argpartition``
     followed by a local sort of the k candidates.  The partition is only
     index-stable when the boundary value is unambiguous; rows where ties
     straddle the k-th position fall back to the stable full argsort, so the
@@ -49,7 +64,7 @@ def _stable_top_k_order(sort_keys: np.ndarray, k: int) -> np.ndarray:
     num_rows, num_classes = sort_keys.shape
     if k <= 0:
         return np.empty((num_rows, 0), dtype=np.int64)
-    if k >= num_classes:
+    if k >= num_classes or num_classes <= _ARGSORT_MAX_CLASSES:
         return np.argsort(-sort_keys, axis=1, kind="stable")[:, :k]
     rows = np.arange(num_rows)[:, None]
     candidates = np.argpartition(-sort_keys, k - 1, axis=1)[:, :k]

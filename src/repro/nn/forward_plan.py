@@ -16,7 +16,10 @@ the two lanes, so recomputing it for the faulty lane is pure waste.  A
   copies for a cache) and, optionally, snapshotting monitor event counts at
   every boundary so NaN/Inf events can later be attributed to the prefix;
 * :meth:`resume` re-enters the pass at segment ``k`` from a cached boundary
-  activation and only executes the suffix.
+  activation and only executes the suffix — and, handed the golden pass it
+  resumed from, stops at the first later checkpoint its activation equals
+  byte for byte: from there on the pass would only recompute the golden
+  output, so it returns that object instead (*tail reuse*).
 
 The flattening is *trace-based*: one instrumented forward pass records every
 module call with the identities of its first input and its output, and a
@@ -100,7 +103,8 @@ def _snapshot(value):
 
 
 def _bitwise_equal(a, b) -> bool:
-    """Bit-exact structural comparison (NaN payloads like any other pattern).
+    """Bit-exact structural comparison (NaN payloads and the sign of zero
+    like any other pattern).
 
     Arrays compare by bytes, lists/tuples recurse (covering detection-style
     list-of-objects outputs via their box/score/label arrays).  Anything the
@@ -138,25 +142,28 @@ class ForwardPlan:
         segment_names: list[str],
         valid: bool,
         executor: str = "module",
-        executed_in: dict[str, int] | None = None,
+        executed_in: dict[str, tuple[int, int]] | None = None,
     ):
         self.model = model
         self.segments = segments
         self.segment_names = segment_names
         self.valid = valid
-        # Module name -> earliest segment inside which the trace saw the
-        # module called (see _containment); without a trace, the segments
-        # themselves.
+        # Module name -> (earliest, latest) segment inside which the trace
+        # saw the module called (see _containment); without a trace, the
+        # segments themselves.
         self._executed_in = (
             executed_in
             if executed_in is not None
-            else {name: index for index, name in enumerate(segment_names)}
+            else {name: (index, index) for index, name in enumerate(segment_names)}
         )
         # Pluggable execution backend (see repro.nn.ir).  The constructor
         # trusts the name; trace() validates non-default executors bitwise
         # against the traced output before handing out the plan.
         self.executor_name = executor
         self._executor = make_executor(executor, self)
+        #: boundary at which the last :meth:`resume` rejoined its golden pass
+        #: (``None``: it ran to the end)
+        self.rejoined_at: int | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -297,24 +304,26 @@ class ForwardPlan:
         return flattened
 
     @staticmethod
-    def _containment(model: Module, calls: list[_TraceCall]) -> dict[str, int]:
-        """Map every traced module name to the earliest segment it ran inside.
+    def _containment(model: Module, calls: list[_TraceCall]) -> dict[str, tuple[int, int]]:
+        """Map every traced module name to the (earliest, latest) segment it ran inside.
 
         ``calls`` are the chain elements in execution order; a module counts
         as running inside a segment when the trace saw it called anywhere
         below that segment's call, whether or not it is registered there.
+        The two differ only for a module that atomic segments share.
         """
-        earliest: dict[int, int] = {}
+        span: dict[int, tuple[int, int]] = {}
         for index, call in enumerate(calls):
             pending = [call]
             while pending:
                 current = pending.pop()
-                earliest.setdefault(id(current.module), index)
+                first, _ = span.get(id(current.module), (index, index))
+                span[id(current.module)] = (first, index)
                 pending.extend(current.children)
         return {
-            name: earliest[id(module)]
+            name: span[id(module)]
             for name, module in model.named_modules()
-            if id(module) in earliest
+            if id(module) in span
         }
 
     # ------------------------------------------------------------------ #
@@ -336,20 +345,58 @@ class ForwardPlan:
         for a module buried inside an atomic segment the whole segment is
         re-run.  ``None`` for a name the trace never saw called.
         """
-        return self._executed_in.get(module_name)
+        return self._executed_in.get(module_name, (None, None))[0]
+
+    def last_segment_for(self, module_name: str) -> int | None:
+        """Index of the latest segment that executes module ``module_name``.
+
+        Behind this segment a pass no longer calls the module, which is what
+        lets :meth:`resume` compare a faulty pass with its golden one there.
+        Equal to :meth:`segment_for` unless atomic segments share the module.
+        """
+        return self._executed_in.get(module_name, (None, None))[1]
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def resume(self, start: int, activation):
+    def resume(self, start: int, activation, golden=None, after: int | None = None):
         """Execute the segments ``[start, ...)`` from a boundary activation.
 
         ``activation`` must be the (golden) boundary value ``a_start`` — the
         input of segment ``start``.  ``resume(0, x)`` is a full pass.
+
+        Args:
+            start: first segment to execute.
+            activation: the boundary value ``a_start``.
+            golden: the recorded golden pass ``activation`` came from (anything
+                with ``boundaries`` and ``output``, e.g. a
+                :class:`~repro.alficore.goldencache.GoldenCacheEntry`).  The
+                pass then stops at the first checkpointed boundary whose
+                ndarray it reproduces byte for byte and returns
+                ``golden.output`` itself: every later segment would see the
+                golden input under the same weights.  :attr:`rejoined_at`
+                says where (``None``: the pass ran to the end).
+            after: index of the last segment that differs from the golden
+                model (defaults to ``start``); only boundaries behind it are
+                compared, so every fault of the pass has fired by then.
         """
-        if not 0 <= start <= len(self.segments):
-            raise IndexError(f"resume index {start} outside plan of {len(self.segments)} segments")
-        return self._executor.run_range(start, len(self.segments), activation)
+        stop = len(self.segments)
+        if not 0 <= start <= stop:
+            raise IndexError(f"resume index {start} outside plan of {stop} segments")
+        self.rejoined_at = None
+        if golden is not None:
+            after = start if after is None else after
+            for boundary in sorted(index for index in golden.boundaries if after < index < stop):
+                activation = self._executor.run_range(start, boundary, activation)
+                start = boundary
+                # Arrays only: what else a boundary may hold (a detector's
+                # list of feature maps) is never taken for the golden value.
+                if isinstance(activation, np.ndarray) and _bitwise_equal(
+                    activation, golden.boundaries[boundary]
+                ):
+                    self.rejoined_at = boundary
+                    return golden.output
+        return self._executor.run_range(start, stop, activation)
 
     def run_prefix(self, x, stop: int):
         """Execute segments ``[0, stop)`` and return the boundary value ``a_stop``."""

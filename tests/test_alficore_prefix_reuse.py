@@ -167,8 +167,8 @@ class TestSuffixOnlyBitExactness:
             first_faulted_layer = 0  # the head, by registration index
             faulted_layers = [0, 1]  # head and body
 
-        resume = core._resume_index(plan, plan, core.wrapper, FakeGroup())
-        assert resume == body_segment
+        span = core._faulted_span(plan, plan, core.wrapper, FakeGroup())
+        assert span == (body_segment, head_segment)
 
         full = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
         reused = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
@@ -359,8 +359,11 @@ def _detection_spec(detector, target, backend, output_dir, scenario=None, **cach
         .model(detector, num_classes=5, seed=1)
         .dataset("synthetic-coco", num_samples=images, num_classes=5, seed=9)
         .scenario(
-            injection_target=target, rnd_bit_range=(23, 30), random_seed=77,
-            model_name=detector, dataset_size=images, num_runs=2, **(scenario or {}),
+            **{
+                "injection_target": target, "rnd_bit_range": (23, 30), "random_seed": 77,
+                "model_name": detector, "dataset_size": images, "num_runs": 2,
+                **(scenario or {}),
+            }
         )
         .backend(**backend)
         .caching(**caching)
@@ -392,9 +395,9 @@ class TestDetectionCampaigns:
         starts = []
         original = ForwardPlan.resume
 
-        def counting(self, start, activation):
+        def counting(self, start, activation, **golden):
             starts.append(start)
-            return original(self, start, activation)
+            return original(self, start, activation, **golden)
 
         monkeypatch.setattr(ForwardPlan, "resume", counting)
         full = run(_detection_spec(detector, target, backend, tmp_path / "full", prefix_reuse=False))
@@ -422,9 +425,9 @@ class TestDetectionCampaigns:
         resumed = []
         original = ForwardPlan.resume
 
-        def counting(self, start, activation):
+        def counting(self, start, activation, **golden):
             resumed.append((start, len(activation)))
-            return original(self, start, activation)
+            return original(self, start, activation, **golden)
 
         monkeypatch.setattr(ForwardPlan, "resume", counting)
         batched = {"batch_size": 4, "inj_policy": "per_batch"}
@@ -450,6 +453,29 @@ class TestDetectionCampaigns:
         images = cached.spec.dataset.params["num_samples"]
         assert (cache.misses, cache.hits) == (images, images)
         assert _file_bytes(full) == _file_bytes(cached)
+
+
+    def test_each_lane_converts_and_scans_its_detections_once(self, tmp_path, monkeypatch):
+        from repro.experiments import run
+        from repro.models.detection.detectors import Detection
+
+        calls = {"as_dict": 0, "has_nan": 0, "has_inf": 0}
+        for name in calls:
+            original = getattr(Detection, name)
+
+            def counting(self, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(Detection, name, counting)
+        serial = {"name": "serial", "workers": 1}
+        # Mantissa flips: every output stays finite, so no image is rescanned.
+        result = run(_detection_spec(
+            "yolov3", "weights", serial, tmp_path / "out", {"rnd_bit_range": (0, 8)}
+        ))
+        inferences = result.state.inferences
+        assert inferences == 12 and not any(result.state.due_flags)
+        assert calls == {"as_dict": 2 * inferences, "has_nan": 0, "has_inf": 0}
 
 
 class TestGoldenCache:

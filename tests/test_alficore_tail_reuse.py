@@ -1,0 +1,392 @@
+"""Tail reuse and the once-per-image golden half of the records.
+
+A faulty pass that reproduces a cached golden boundary byte for byte ends
+there and takes the golden output (and the golden monitor events of the
+segments it skipped).  The contract under test: every result file, the KPI
+file and the task state equal the ``caching.prefix_reuse: false`` reference
+run, while rejoined passes execute fewer segments.
+"""
+
+import dataclasses
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.alficore import GoldenCache
+from repro.alficore.campaign import CampaignCore, ClassificationTask, StepContext
+from repro.alficore.goldencache import GoldenCacheEntry
+from repro.alficore.monitoring import MonitorResult, RangeMonitor
+from repro.data.wrapper import ImageRecord
+from repro.experiments import Experiment, run
+from repro.experiments.runner import Artifacts
+from repro.nn.forward_plan import ForwardPlan
+
+IMAGES = 6
+
+
+def _spec(model, target, output_dir, scenario=None, protection=None, executor=None, **caching):
+    builder = (
+        Experiment.builder()
+        .name(model)
+        .task("classification")
+        .model(model, num_classes=10, seed=0)
+        .dataset(
+            "synthetic-classification", num_samples=IMAGES, num_classes=10, noise=0.25, seed=3
+        )
+        .scenario(
+            **{
+                "injection_target": target, "rnd_bit_range": (23, 30), "random_seed": 50,
+                "model_name": model, "dataset_size": IMAGES, "num_runs": 3, **(scenario or {}),
+            }
+        )
+        .caching(**caching)
+        .output_dir(output_dir)
+    )
+    if protection is not None:
+        builder.protection(protection)
+    if executor is not None:
+        builder.execution(executor=executor)
+    return builder.build()
+
+
+def _canonical(value):
+    """Arrays by dtype, shape and bytes; containers element-wise (a pickle
+    would also record which logits rows share one cached golden array)."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items()}
+    return value
+
+
+def _result_bytes(result):
+    """Every result file except the meta file (it records the caching knobs),
+    plus the task state, bytes and all."""
+    files = {
+        tag: Path(path).read_bytes()
+        for tag, path in result.output_files.items()
+        if tag != "meta"
+    }
+    assert {"golden_csv", "corrupted_csv", "applied_faults", "kpis"} <= set(files)
+    state = result.state
+    files["state"] = repr(
+        {field.name: _canonical(getattr(state, field.name)) for field in dataclasses.fields(state)}
+    )
+    return files
+
+
+class Resume(NamedTuple):
+    plan: ForwardPlan
+    start: int
+    rejoined_at: int | None
+    executed: list
+
+
+@pytest.fixture
+def resumes(monkeypatch):
+    """Every campaign ``resume`` (the trace's own replays carry no golden pass)
+    with the segments it really executed."""
+    log = []
+    original = ForwardPlan.resume
+
+    def spy(self, start, activation, **golden):
+        if not golden:
+            return original(self, start, activation)
+        executed = []
+        run_segment = self._executor.run_segment
+
+        def counting(index, value):
+            executed.append(index)
+            return run_segment(index, value)
+
+        self._executor.run_segment = counting
+        try:
+            output = original(self, start, activation, **golden)
+        finally:
+            del self._executor.run_segment
+        log.append(Resume(self, start, self.rejoined_at, executed))
+        return output
+
+    monkeypatch.setattr(ForwardPlan, "resume", spy)
+    return log
+
+
+def _assert_segments_match_rejoins(resumes):
+    for resume in resumes:
+        stop = resume.plan.num_segments if resume.rejoined_at is None else resume.rejoined_at
+        assert resume.executed == list(range(resume.start, stop))
+
+
+class TestCampaignsEqualTheReferencePath:
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    @pytest.mark.parametrize("model", ["lenet5", "alexnet", "vgg16"])
+    def test_three_epoch_campaign(self, tmp_path, resumes, model, target):
+        reference = run(_spec(model, target, tmp_path / "ref", prefix_reuse=False))
+        assert resumes == []  # the reference path builds no plan
+        reused = run(_spec(model, target, tmp_path / "tail", golden_cache_mb=64))
+        assert _result_bytes(reused) == _result_bytes(reference)
+
+        rejoined = [resume for resume in resumes if resume.rejoined_at is not None]
+        assert rejoined, "no faulty pass rejoined its golden pass: the test has no teeth"
+        assert len(rejoined) == reused.core.golden_cache.stats()["rejoins"]
+        _assert_segments_match_rejoins(resumes)
+        for resume in rejoined:
+            assert len(resume.executed) < resume.plan.num_segments - resume.start
+
+    @pytest.mark.parametrize("executor", ["module", "fused"])
+    def test_every_executor_rejoins_to_the_bitwise_equal(self, tmp_path, executor):
+        # The fused executor compiles one program per (start, boundary) hop
+        # and must hand each hop an activation that outlives the next one.
+        reference = run(_spec("alexnet", "weights", tmp_path / "ref", prefix_reuse=False))
+        reused = run(
+            _spec("alexnet", "weights", tmp_path / "tail", executor=executor, golden_cache_mb=64)
+        )
+        assert reused.core._plans[id(reused.core.model)].executor_name == executor
+        assert _result_bytes(reused) == _result_bytes(reference)
+        assert reused.core.golden_cache.rejoins > 0
+
+    @pytest.mark.parametrize("target, seed", [("weights", 53), ("neurons", 55)])
+    def test_rejoin_waits_for_the_last_faulted_segment(self, tmp_path, monkeypatch, target, seed):
+        several = {"max_faults_per_image": 3, "random_seed": seed}
+        reference = run(_spec("lenet5", target, tmp_path / "ref", several, prefix_reuse=False))
+        reused = run(_spec("lenet5", target, tmp_path / "tail", several, golden_cache_mb=64))
+        assert _result_bytes(reused) == _result_bytes(reference)
+
+        # The seeds have teeth: comparing behind the *first* faulted segment
+        # ends passes whose later faults have yet to fire.
+        original = CampaignCore._faulted_span
+
+        def eager(*args):
+            span = original(*args)
+            return span and (span[0], span[0])
+
+        monkeypatch.setattr(CampaignCore, "_faulted_span", staticmethod(eager))
+        broken = run(_spec("lenet5", target, tmp_path / "eager", several, golden_cache_mb=64))
+        assert broken.core.golden_cache.rejoins > reused.core.golden_cache.rejoins
+        assert _result_bytes(broken) != _result_bytes(reference)
+
+    def test_golden_tail_monitor_events_are_inherited(self, tmp_path, monkeypatch, resumes):
+        seen = []
+        consume = ClassificationTask.consume
+
+        def recording(self, ctx):
+            seen.append(ctx.monitor.as_dict())
+            return consume(self, ctx)
+
+        monkeypatch.setattr(ClassificationTask, "consume", recording)
+        monitors = Artifacts(custom_monitors=[RangeMonitor(bound=0.5)])
+        reference = run(_spec("lenet5", "weights", tmp_path / "ref", prefix_reuse=False), monitors)
+        expected, seen[:] = list(seen), []
+        reused = run(_spec("lenet5", "weights", tmp_path / "tail", golden_cache_mb=64), monitors)
+        assert seen == expected
+        assert _result_bytes(reused) == _result_bytes(reference)
+
+        inherited = 0
+        assert len(resumes) == len(seen)  # lenet5 faults never sit in segment 0
+        for resume, result in zip(resumes, seen):
+            if resume.rejoined_at is None:
+                continue
+            tail = [
+                event for event in result["custom_events"]
+                if resume.plan.segment_for(event["layer"]) >= resume.rejoined_at
+            ]
+            inherited += len(tail)
+        assert inherited > 0, "the monitor never fired in a skipped golden tail"
+
+    def test_resil_lane_with_a_hardened_model(self, tmp_path, resumes):
+        reference = run(
+            _spec("lenet5", "weights", tmp_path / "ref", protection="ranger", prefix_reuse=False)
+        )
+        reused = run(
+            _spec("lenet5", "weights", tmp_path / "tail", protection="ranger", golden_cache_mb=64)
+        )
+        files = _result_bytes(reused)
+        assert "resil_csv" in files and files == _result_bytes(reference)
+        lanes = {
+            resume.plan.model is reused.core.resil_model
+            for resume in resumes
+            if resume.rejoined_at is not None
+        }
+        assert lanes == {False, True}  # both lanes rejoined at least once
+        _assert_segments_match_rejoins(resumes)
+
+
+class TestCacheEntryStates:
+    """Entries that hold fewer boundaries than the plan offers, entries that
+    come back from a spill file, and entries that are gone."""
+
+    def test_entry_recorded_under_narrower_layer_types_and_loaded_from_spill(self, tmp_path):
+        cache = GoldenCache(spill_dir=tmp_path / "spill")
+        shared = Artifacts(golden_cache=cache)
+        # Entries recorded by a campaign over the linear layers only ...
+        run(_spec("lenet5", "weights", tmp_path / "narrow", {"layer_types": ["fcc"]}), shared)
+        recorded = {frozenset(entry.boundaries) for entry in cache._entries.values()}
+        assert len(recorded) == 1
+        narrow_rejoins = cache.rejoins
+        # ... serve one that faults the second conv layer: the rejoin can only
+        # be tested at the linear layers' boundaries (and the resumed-at one).
+        conv = {"layer_range": (1, 1), "random_seed": 51}
+        reference = run(_spec("lenet5", "weights", tmp_path / "ref", conv, prefix_reuse=False))
+        reused = run(_spec("lenet5", "weights", tmp_path / "tail", conv), shared)
+        assert _result_bytes(reused) == _result_bytes(reference)
+        wanted = {frozenset(entry.boundaries) for entry in cache._entries.values()}
+        assert len(wanted) == 1 and next(iter(recorded)) < next(iter(wanted))
+        conv_rejoins = cache.rejoins - narrow_rejoins
+        assert conv_rejoins > 0
+
+        # A fresh process sees the same entries through the spill directory;
+        # what the first campaign derived from them was never written.
+        reloaded = GoldenCache(spill_dir=tmp_path / "spill")
+        again = run(
+            _spec("lenet5", "weights", tmp_path / "spilled", conv),
+            Artifacts(golden_cache=reloaded),
+        )
+        assert _result_bytes(again) == _result_bytes(reference)
+        assert reloaded.spill_loads == IMAGES and reloaded.misses == 0
+        assert reloaded.rejoins == conv_rejoins
+        assert "derived" not in next(iter(cache._entries.values())).as_state()
+
+    def test_evicted_entry_takes_its_memo_with_it(self):
+        cache = GoldenCache(byte_budget=1)
+        output = np.zeros((1, 10), dtype=np.float32)
+        first = cache.put(("a",), output)
+        first.derived["memo"] = object()
+        cache.put(("b",), output)  # over budget: the older entry goes
+        assert cache.get(("a",)) is None and cache.evictions == 1
+        assert cache.put(("a",), output).derived == {}
+
+    def test_golden_half_is_rebuilt_when_label_or_file_name_differ(self):
+        output = np.arange(10, dtype=np.float32)[None]
+
+        def half(derived, label, file_name):
+            record = ImageRecord(
+                image=np.zeros((3, 4, 4), np.float32), image_id=7, file_name=file_name,
+                height=4, width=4, target=label,
+            )
+            ctx = StepContext(
+                batch=[record], epoch=0, step=0, group_index=0, golden=output,
+                corrupted=output, applied=[], monitor=MonitorResult(),
+                collect_applied=False, golden_derived=derived,
+            )
+            return ClassificationTask._golden_half(ctx, output)
+
+        derived: dict = {}
+        first = half(derived, 9, "a.png")
+        assert half(derived, 9, "a.png") is first
+        labels, classes, _, top1_hits, top5_hits, rows = first
+        assert (labels, classes[0][0], top1_hits, top5_hits) == ([9], 9, [1], [1])
+        relabelled = half(derived, 0, "a.png")
+        assert relabelled is not first and relabelled[3:5] == ([0], [0])
+        renamed = half(derived, 9, "b.png")
+        assert renamed[5][0][1] == "b.png" and rows[0][1] == "a.png"
+        assert len(derived) == 3
+        # Without a golden pass to pin it to, nothing is kept.
+        assert half(None, 9, "a.png") is not first
+
+
+class _ListNeck(nn.Module):
+    """Hands its activation on inside a list, like a detector's feature pyramid."""
+
+    def forward(self, x):
+        return [x]
+
+
+class _ListHead(nn.Module):
+    def __init__(self, rng):
+        super().__init__()
+        self.linear = nn.Linear(8, 4, rng=rng)
+
+    def forward(self, features):
+        return self.linear(features[0])
+
+
+class _ListNet(nn.Module):
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.body = nn.Linear(6, 8, rng=rng)
+        self.neck = _ListNeck()
+        self.head = _ListHead(rng)
+
+    def forward(self, x):
+        return self.head(self.neck(self.body(x)))
+
+
+class TestResumeAgainstAGoldenPass:
+    @staticmethod
+    def _recorded(model, x):
+        plan = ForwardPlan.trace(model, x[:1])
+        assert plan.valid
+        output, boundaries, _ = plan.run_recording(x, "all")
+        return plan, GoldenCacheEntry(output, boundaries)
+
+    def test_boundaries_that_are_not_arrays_never_rejoin(self):
+        x = np.random.default_rng(1).standard_normal((2, 6)).astype(np.float32)
+        plan, golden = self._recorded(_ListNet().eval(), x)
+        assert plan.segment_names == ["body", "neck", "head"]
+        assert isinstance(golden.boundaries[2], list)  # the head's input
+        output = plan.resume(1, golden.boundaries[1], golden=golden, after=1)
+        assert plan.rejoined_at is None
+        assert output is not golden.output and output.tobytes() == golden.output.tobytes()
+
+    def test_byte_comparison_is_nan_and_signed_zero_exact(self):
+        from repro.models import lenet5
+        from repro.nn.forward_plan import _bitwise_equal
+
+        nan = np.array([1.0, np.nan, 0.0], dtype=np.float32)
+        assert _bitwise_equal(nan, nan.copy()) and not (nan == nan.copy()).all()
+        assert not _bitwise_equal(nan, np.array([1.0, np.nan, -0.0], dtype=np.float32))
+        assert not _bitwise_equal(nan, nan.astype(np.float64))
+        assert not _bitwise_equal(nan, nan.reshape(1, 3))
+
+        x = np.random.default_rng(2).standard_normal((1, 3, 32, 32)).astype(np.float32)
+        plan, golden = self._recorded(lenet5(seed=0).eval(), x)
+        start, later = sorted(golden.boundaries)[:2]
+        # An unfaulted suffix reproduces the very next checkpoint ...
+        assert plan.resume(start, golden.boundaries[start], golden=golden) is golden.output
+        assert plan.rejoined_at == later
+        # ... but not one that equals it only numerically.
+        signed = golden.boundaries[later].copy()
+        zeros = np.flatnonzero(signed == 0)
+        assert zeros.size  # a ReLU output
+        signed.reshape(-1)[zeros[0]] = -0.0
+        assert np.array_equal(signed, golden.boundaries[later])
+        golden.boundaries[later] = signed
+        plan.resume(start, golden.boundaries[start], golden=golden)
+        assert plan.rejoined_at is not None and plan.rejoined_at > later
+        # Boundaries up to ``after`` are not compared at all.
+        plan.resume(start, golden.boundaries[start], golden=golden, after=plan.num_segments)
+        assert plan.rejoined_at is None
+
+    def test_a_module_shared_by_two_segments_counts_until_its_last_call(self):
+        class Block(nn.Module):
+            def __init__(self, inner):
+                super().__init__()
+                self.inner = inner
+
+            def forward(self, x):
+                return x + self.inner(x)
+
+        class Twice(nn.Module):
+            def __init__(self):
+                super().__init__()
+                rng = np.random.default_rng(3)
+                shared = nn.Linear(5, 5, rng=rng)
+                self.first = Block(shared)
+                self.middle = nn.Linear(5, 5, rng=rng)
+                self.second = Block(shared)
+
+            def forward(self, x):
+                return self.second(self.middle(self.first(x)))
+
+        x = np.random.default_rng(4).standard_normal((1, 5)).astype(np.float32)
+        plan = ForwardPlan.trace(Twice().eval(), x)
+        assert plan.valid and plan.segment_names == ["first", "middle", "second"]
+        assert (plan.segment_for("first.inner"), plan.last_segment_for("first.inner")) == (0, 2)
+        assert (plan.segment_for("middle"), plan.last_segment_for("middle")) == (1, 1)
+        assert plan.last_segment_for("absent") is None

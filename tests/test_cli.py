@@ -388,6 +388,7 @@ class TestSweepCommand:
         assert (tmp_path / "store" / "cli-sweep_sweep_table.csv").exists()
         # Two points over six images: one golden pass each, then six hits.
         assert "golden cache: hits=6 misses=6 entries=6 mib=" in out
+        assert " rejoined=" in out.split("golden cache:")[1].splitlines()[0]
         # Cache counters describe one invocation; they reach stdout only.
         for file in (tmp_path / "store").rglob("*"):
             if file.is_file() and file.parent.name != "golden":
@@ -396,7 +397,7 @@ class TestSweepCommand:
         assert main(["sweep", str(path)]) == 0
         out = capsys.readouterr().out
         assert "executed=0" in out and "cached=2" in out
-        assert "golden cache: hits=0 misses=0 entries=0 mib=0.0" in out
+        assert "golden cache: hits=0 misses=0 entries=0 mib=0.0 rejoined=0" in out
 
     def test_store_flag_overrides_spec(self, tmp_path, capsys):
         path = self._write_sweep_spec(tmp_path, store=tmp_path / "declared")

@@ -194,3 +194,80 @@ class TestStableTopKOrder:
         classes, probabilities = top_k_predictions(logits, k=0)
         assert classes.shape == (3, 0)
         assert probabilities.shape == (3, 0)
+
+
+class TestTopKAgainstFrozenOracle:
+    """``top_k_predictions`` / ``_stable_top_k_order`` were rewritten for fewer
+    numpy dispatches; ``tests/oracles/topk_v0.py`` holds the bodies they had."""
+
+    CASES = 400
+
+    @staticmethod
+    def _logits(rng, case):
+        rows, classes = int(rng.integers(1, 6)), int(rng.integers(1, 200))
+        if case % 3 == 0:
+            rows, classes = 1, 10  # the shape batch-1 campaigns pass
+        logits = (rng.standard_normal((rows, classes)) * rng.choice([1.0, 50.0, 1e30])).astype(
+            rng.choice([np.float32, np.float64])
+        )
+        kind = case % 8
+        pick = rng.random(logits.shape)
+        if kind == 1:
+            logits[pick < 0.2] = np.nan
+        elif kind == 2:
+            logits[pick < 0.2] = np.inf
+        elif kind == 3:
+            logits[pick < 0.2] = -np.inf
+        elif kind == 4:
+            logits[0] = np.nan  # an all-NaN row
+        elif kind == 5:
+            logits = np.round(logits / (np.abs(logits).max() or 1.0) * 2)  # ties straddling k
+        elif kind == 6:
+            logits[:] = logits[:, :1]  # every class tied
+        elif kind == 7:
+            logits[pick < 0.1] = np.nan
+            logits[(pick > 0.1) & (pick < 0.2)] = np.inf
+            logits[(pick > 0.2) & (pick < 0.3)] = -np.inf
+        return logits
+
+    def test_classes_and_probabilities_are_byte_identical(self):
+        import warnings
+
+        from tests.oracles import topk_v0
+
+        rng = np.random.default_rng(20260929)
+        for case in range(self.CASES):
+            logits = self._logits(rng, case)
+            k = int(rng.integers(1, 8))  # reaches past num_classes for narrow rows
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's, by design
+                want_classes, want_probs = topk_v0.top_k_predictions(logits, k)
+            classes, probs = top_k_predictions(logits, k)
+            assert classes.dtype == want_classes.dtype == np.int64, case
+            assert classes.shape == want_classes.shape and probs.shape == want_probs.shape, case
+            assert classes.tobytes() == want_classes.tobytes(), case
+            assert probs.tobytes() == want_probs.tobytes(), case
+
+    def test_order_matches_the_oracle_on_both_sides_of_the_argsort_threshold(self):
+        from repro.eval.classification import _ARGSORT_MAX_CLASSES, _stable_top_k_order
+        from tests.oracles import topk_v0
+
+        rng = np.random.default_rng(7)
+        for classes in (2, _ARGSORT_MAX_CLASSES, _ARGSORT_MAX_CLASSES + 1, 300):
+            for k in (1, 5, classes):
+                keys = np.round(rng.standard_normal((4, classes)), 1)
+                keys[rng.random(keys.shape) < 0.1] = -np.inf
+                want = topk_v0._stable_top_k_order(keys, k)
+                assert _stable_top_k_order(keys, k).tobytes() == want.tobytes(), (classes, k)
+
+    def test_a_due_is_not_a_warning(self):
+        import warnings
+
+        bad = np.array(
+            [[np.nan] * 4, [np.inf, 1.0, -np.inf, np.nan], [3e38, -3e38, 0.0, np.inf]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for logits in (bad, bad.astype(np.float32), bad[:1], bad[1:2]):
+                top_k_predictions(logits, k=3)
+                top_k_accuracy(logits, np.zeros(len(logits), dtype=np.int64), k=2)

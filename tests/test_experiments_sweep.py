@@ -427,6 +427,8 @@ class TestGoldenSharing:
         stats = result.golden_cache_stats
         assert stats["misses"] == IMAGES
         assert stats["hits"] == IMAGES * (self.POINTS - 1)
+        # Masked faults ended at a cached boundary, on first passes and hits alike.
+        assert 0 < stats["rejoins"] <= IMAGES * self.POINTS
         assert stats["spill_writes"] == IMAGES == len(golden_files(store))
         # The spill directory is no grid point.
         assert store.lookup("golden") is None
@@ -456,6 +458,9 @@ class TestGoldenSharing:
             progress=lambda line: after_each_point.append(golden_files(store)),
         )
         assert sweep_bytes(result) == naive["base"]
+        # The shards rejoined through entries loaded from spill files; the
+        # invoking process only ever counts its own lookups.
+        assert result.golden_cache_stats["rejoins"] == 0
         # Point 0's shards wrote one entry per image; no later shard, in any
         # process, computed (and hence re-spilled) a golden pass again.
         assert len(after_each_point[0]) == IMAGES
