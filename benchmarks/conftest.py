@@ -16,6 +16,7 @@ files, and with them ``git status``, untouched.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.data import CocoLikeDetectionDataset, SyntheticClassificationDataset
-from repro.experiments.runner import Artifacts, facade_run_scenario, facade_spec, run
+from repro.experiments import Artifacts, Experiment, run
 from repro.models import alexnet, resnet50, vgg16
 from repro.models.pretrained import fit_classifier_head
 
@@ -52,56 +53,79 @@ def run_campaign(
     *,
     resil_model=None,
     model_name: str | None = None,
+    fault_file: str = "",
     num_faults: int | None = None,
     inj_policy: str | None = None,
     num_runs: int | None = None,
-    input_shape: tuple[int, ...] = (3, 32, 32),
-    num_classes: int | None = None,
+    input_shape: tuple[int, ...] | None = None,
+    dl_shuffle: bool = False,
     output_dir=None,
     workers: int = 1,
     num_shards: int | None = None,
     prefix_reuse: bool = True,
+    writer=None,
+    error_model=None,
     golden_cache=None,
+    num_classes: int | None = None,
+    **task_options,
 ):
-    """Run one campaign on pre-built objects through the Experiment API.
+    """Run one campaign on in-memory objects: ``run(spec, Artifacts(...))``.
 
-    The spec is assembled exactly the way the historic facades did
-    (``facade_spec`` + ``facade_run_scenario`` + in-memory ``Artifacts``), so
-    campaigns benchmarked here produce the same records and KPIs those
-    facade-based runs did — without going through the deprecated shims.
-    ``num_faults``/``inj_policy``/``num_runs`` override the scenario when
-    given; ``None`` keeps the scenario's own values.
+    The helper tests and benchmarks share.  ``model_name`` / ``fault_file`` /
+    ``num_faults`` / ``inj_policy`` / ``num_runs`` (the paper's
+    ``test_rand_*_SBFs_inj`` arguments) override the scenario when given;
+    any sharding request selects the sharded backend; model and dataset in
+    the spec are placeholders for the objects handed over as artifacts.
+    Extra keywords are ``task_options`` (``collect_outputs=False`` for a
+    streaming run).  Returns the :class:`~repro.experiments.CampaignResult`.
     """
-    model_name = model_name if model_name is not None else scenario.model_name
-    model = model.eval()
-    resil_model = resil_model.eval() if resil_model is not None else None
-    scenario = facade_run_scenario(
-        scenario,
-        num_faults=num_faults if num_faults is not None else scenario.max_faults_per_image,
-        inj_policy=inj_policy if inj_policy is not None else scenario.inj_policy,
-        num_runs=num_runs if num_runs is not None else scenario.num_runs,
-        model_name=model_name,
+    overrides = {
+        "model_name": model_name,
+        "fault_file": fault_file or None,
+        "max_faults_per_image": num_faults,
+        "inj_policy": inj_policy,
+        "num_runs": num_runs,
+    }
+    scenario = scenario.copy(
+        **{key: value for key, value in overrides.items() if value is not None}
     )
-    spec = facade_spec(
-        name=model_name,
-        task=task,
-        scenario=scenario,
-        workers=workers,
-        num_shards=num_shards,
-        prefix_reuse=prefix_reuse,
-        input_shape=input_shape,
-        output_dir=output_dir,
+    sharded = workers > 1 or (num_shards or 1) > 1
+    spec = (
+        Experiment.builder()
+        .name(scenario.model_name)
+        .task(task)
+        .model(scenario.model_name)
+        .dataset("in-memory")
+        .scenario(scenario)
+        .backend("sharded" if sharded else "serial", workers, num_shards)
+        .caching(prefix_reuse=prefix_reuse)
+        .input_shape(*(input_shape or ()))
+        .shuffle(dl_shuffle)
+        .output_dir(output_dir)
+        .options(**task_options)
+        .build()
     )
     return run(
         spec,
-        artifacts=Artifacts(
-            model=model,
-            resil_model=resil_model,
+        Artifacts(
+            model=model.eval(),
+            resil_model=resil_model.eval() if resil_model is not None else None,
             dataset=dataset,
+            writer=writer,
+            error_model=error_model,
             golden_cache=golden_cache,
             num_classes=num_classes,
         ),
     )
+
+
+# A classification campaign that keeps aggregate counters only.
+run_streaming = functools.partial(run_campaign, "classification", collect_outputs=False)
+
+
+def streaming_kpis(result):
+    """What a streaming campaign reports besides its file paths."""
+    return result.summary["corrupted"], result.state
 
 
 def report(experiment_id: str, text: str) -> None:

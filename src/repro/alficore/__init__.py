@@ -22,12 +22,11 @@ The subpackage provides everything Section IV of the paper describes:
   activation range supervision used as the "enhanced" third model.
 * **Result persistence** (:mod:`~repro.alficore.results`): meta yml files,
   binary fault files, CSV (classification) and JSON (detection) outputs.
-* **High-level test classes**
-  (:mod:`~repro.alficore.test_error_models_imgclass`,
-  :mod:`~repro.alficore.test_error_models_objdet`): the paper's turnkey
-  campaign runners, now *deprecated shims* that build an experiment spec and
-  delegate to the unified Experiment API (:mod:`repro.experiments`) — which
-  is the recommended way to define and run campaigns.
+* **The campaign engine** (:mod:`~repro.alficore.campaign`): the lock-step
+  golden/faulty loop, the classification and detection tasks and sharded
+  execution.  Campaigns are defined and run through the Experiment API
+  (:mod:`repro.experiments`), which replaces the paper's turnkey test
+  classes (migration table in ``docs/index.md``).
 """
 
 from repro.alficore.analysis import (
@@ -38,8 +37,6 @@ from repro.alficore.analysis import (
 )
 from repro.alficore.campaign import (
     CampaignCore,
-    CampaignRunner,
-    CampaignSummary,
     CampaignTask,
     ClassificationTask,
     DetectionTask,
@@ -55,16 +52,12 @@ from repro.alficore.protection import Clipper, Ranger, apply_protection, collect
 from repro.alficore.resilience import ExecutionPolicy, RunManifest, ShardError, ShardSupervisor
 from repro.alficore.results import CampaignResultWriter, load_fault_file
 from repro.alficore.scenario import ScenarioConfig, default_scenario, load_scenario, save_scenario
-from repro.alficore.test_error_models_imgclass import TestErrorModels_ImgClass
-from repro.alficore.test_error_models_objdet import TestErrorModels_ObjDet
 from repro.alficore.wrapper import ptfiwrap
 
 __all__ = [
     "CampaignAnalysis",
     "CampaignCore",
     "CampaignResultWriter",
-    "CampaignRunner",
-    "CampaignSummary",
     "CampaignTask",
     "ClassificationTask",
     "DetectionTask",
@@ -88,8 +81,6 @@ __all__ = [
     "Ranger",
     "RangeMonitor",
     "ScenarioConfig",
-    "TestErrorModels_ImgClass",
-    "TestErrorModels_ObjDet",
     "WEIGHT_ROWS",
     "apply_protection",
     "bytes_digest",

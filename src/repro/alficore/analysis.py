@@ -6,8 +6,8 @@ quantify the vulnerability — bit-wise and layer-wise SDE information is
 extracted from the stored outputs, flip directions are tallied, and runs of
 different models or protection variants are compared.  This module provides
 that post-processing stage for result directories written by
-:class:`~repro.alficore.results.CampaignResultWriter` (and therefore by the
-high-level ``TestErrorModels_*`` campaign classes).
+:class:`~repro.alficore.results.CampaignResultWriter` (and therefore by
+:func:`repro.experiments.run`).
 """
 
 from __future__ import annotations

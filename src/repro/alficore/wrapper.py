@@ -19,7 +19,7 @@ bit-exactly afterwards, so no model copy is ever made::
 For weight faults ``group.model`` *is* the original model with the group's
 corruptions patched in place (restored on exit); for neuron faults it is one
 reusable hooked clone whose active fault group is swapped per step.  The
-higher-level :class:`~repro.alficore.campaign.CampaignRunner` wraps this
+higher-level :class:`~repro.alficore.campaign.CampaignCore` wraps this
 loop, adds monitoring/outcome classification and streams result records to
 disk.  The legacy ``get_fimodel_iter()`` (a fresh corrupted *copy* of the
 model per group, Listing 1 of the paper) remains available.

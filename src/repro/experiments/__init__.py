@@ -22,11 +22,7 @@ campaign into one versioned, serializable :class:`ExperimentSpec`:
 * ``register_model`` / ``register_dataset`` / ``register_error_model`` /
   ``register_protection`` / ``register_task`` / ``register_backend`` —
   central registries (:mod:`.registry`); new workloads are registrations,
-  not new facades.
-
-The historic facades (``TestErrorModels_ImgClass``,
-``TestErrorModels_ObjDet``, ``CampaignRunner``) remain as deprecated shims
-that build a spec and delegate here.
+  not new entry points.
 """
 
 from repro.experiments.builder import Experiment, ExperimentBuilder

@@ -108,10 +108,8 @@ def _register_tasks() -> None:
 # --------------------------------------------------------------------------- #
 # backends
 # --------------------------------------------------------------------------- #
-def _execution_policy(execution: ExecutionSpec | None) -> ExecutionPolicy | None:
+def _execution_policy(execution: ExecutionSpec) -> ExecutionPolicy:
     """Map the spec's execution section onto the executor's policy."""
-    if execution is None:
-        return None
     return ExecutionPolicy(
         retries=execution.retries,
         shard_timeout=execution.shard_timeout,
@@ -121,12 +119,12 @@ def _execution_policy(execution: ExecutionSpec | None) -> ExecutionPolicy | None
 
 
 def serial_backend(
-    core: Any, backend: BackendSpec, execution: ExecutionSpec | None = None
+    core: Any, backend: BackendSpec, execution: ExecutionSpec
 ) -> tuple[Any, dict[str, str]]:
     """In-process execution; supports ``step_range`` campaign slices."""
     if backend.workers != 1:
         raise ValueError("the serial backend runs with workers=1; use backend 'sharded'")
-    if execution is not None and execution.resume:
+    if execution.resume:
         raise ValueError(
             "execution.resume requires the 'sharded' backend (the run manifest "
             "tracks completed shard ranges)"
@@ -140,7 +138,7 @@ def serial_backend(
 
 
 def sharded_backend(
-    core: Any, backend: BackendSpec, execution: ExecutionSpec | None = None
+    core: Any, backend: BackendSpec, execution: ExecutionSpec
 ) -> tuple[Any, dict[str, str]]:
     """Supervised contiguous-shard execution via :class:`ShardedCampaignExecutor`."""
     if backend.step_range is not None:

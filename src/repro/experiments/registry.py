@@ -240,11 +240,13 @@ def register_task(name: str, plugin: Any = None, *, override: bool = False) -> A
 def register_backend(
     name: str, factory: Callable | None = None, *, override: bool = False
 ) -> Callable:
-    """Register an execution backend ``f(core, backend_spec) -> (state, paths)``.
+    """Register an execution backend
+    ``f(core, backend_spec, execution_spec) -> (state, paths)``.
 
-    A backend may also accept a third positional parameter — the spec's
-    :class:`~repro.experiments.spec.ExecutionSpec` with the fault-tolerance
-    knobs (retries, shard_timeout, backoff, resume); the runner detects the
-    arity and keeps two-argument backends working unchanged.
+    ``core`` is the assembled :class:`~repro.alficore.campaign.CampaignCore`,
+    ``backend_spec`` the spec's :class:`~repro.experiments.spec.BackendSpec`
+    and ``execution_spec`` its :class:`~repro.experiments.spec.ExecutionSpec`
+    with the fault-tolerance knobs (retries, shard_timeout, backoff, resume);
+    :func:`repro.experiments.run` always passes all three.
     """
     return BACKENDS.register(name, factory, override=override)

@@ -127,7 +127,8 @@ class CampaignResult:
     results: dict[str, Any] = field(default_factory=dict)
     extras: dict[str, Any] = field(default_factory=dict)
     context: dict[str, Any] = field(default_factory=dict)
-    # Live handles for facade interop; not part of the serialisable surface.
+    # Live handles of the run that produced the result; ``None`` on a result
+    # rebuilt from a store.  Not part of the serialisable surface.
     wrapper: Any = None
     core: Any = None
 

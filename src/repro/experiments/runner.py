@@ -6,99 +6,24 @@ central registries, assembles the task-pluggable
 execution backend and returns a structured :class:`CampaignResult`.
 
 Pre-built in-memory objects (a fitted model, a custom dataset, an existing
-``ptfiwrap`` or even a fully configured ``CampaignCore``) can be supplied
-via :class:`Artifacts`; anything not supplied is built from the spec.  The
-deprecated facades delegate here with their already-constructed objects, so
-facade runs and pure-spec runs share one code path — and byte-identical
-outputs.
+``ptfiwrap``, a shared golden cache) can be supplied via :class:`Artifacts`;
+anything not supplied is built from the spec.  Both ways share one code
+path — and byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.alficore.campaign import CampaignCore, normalize_campaign_scenario
-from repro.alficore.scenario import ScenarioConfig
 from repro.alficore.goldencache import GoldenCache
 from repro.alficore.results import CampaignResultWriter
 from repro.alficore.wrapper import ptfiwrap
 from repro.experiments.registry import BACKENDS, DATASETS, ERROR_MODELS, TASKS
 from repro.experiments.result import CampaignResult
-from repro.experiments.spec import (
-    BackendSpec,
-    CachingSpec,
-    ComponentSpec,
-    ExperimentSpec,
-    SpecError,
-)
-
-
-def facade_spec(
-    *,
-    name: str,
-    task: str,
-    scenario: ScenarioConfig,
-    workers: int = 1,
-    num_shards: int | None = None,
-    prefix_reuse: bool = True,
-    input_shape: tuple[int, ...] | None = None,
-    dl_shuffle: bool = False,
-    output_dir: Path | None = None,
-    task_options: dict | None = None,
-) -> ExperimentSpec:
-    """The spec a deprecated facade's configuration describes.
-
-    Model and dataset are placeholders (the facade supplies the real objects
-    through :class:`Artifacts`); the backend mirrors the facade's historic
-    executor choice: any sharding request selects the sharded backend.
-    """
-    sharded = workers > 1 or (num_shards or 1) > 1
-    # The facades accepted empty model names (result files like
-    # "_corrupted_results.csv"); keep that working through spec validation.
-    name = name or "campaign"
-    return ExperimentSpec(
-        name=name,
-        task=task,
-        model=ComponentSpec(name),
-        dataset=ComponentSpec("in-memory"),
-        scenario=scenario,
-        backend=BackendSpec(
-            name="sharded" if sharded else "serial", workers=workers, num_shards=num_shards
-        ),
-        caching=CachingSpec(prefix_reuse=prefix_reuse),
-        input_shape=input_shape,
-        dl_shuffle=dl_shuffle,
-        output_dir=output_dir,
-        task_options=dict(task_options or {}),
-    )
-
-
-def facade_run_scenario(
-    base: ScenarioConfig,
-    *,
-    num_faults: int,
-    inj_policy: str,
-    num_runs: int,
-    model_name: str,
-    fault_file: str = "",
-) -> ScenarioConfig:
-    """The run-scenario one facade campaign call describes.
-
-    An explicit (non-empty) ``fault_file`` argument overrides; a fault_file
-    declared in the base scenario keeps replaying its stored matrix.
-    """
-    overrides: dict = {
-        "max_faults_per_image": num_faults,
-        "inj_policy": inj_policy,
-        "num_runs": num_runs,
-        "model_name": model_name,
-    }
-    if fault_file:
-        overrides["fault_file"] = fault_file
-    return base.copy(**overrides)
+from repro.experiments.spec import ExperimentSpec, SpecError
 
 
 @dataclass
@@ -114,7 +39,6 @@ class Artifacts:
     custom_monitors: list[Callable] | None = None
     golden_cache: GoldenCache | None = None
     num_classes: int | None = None
-    core: CampaignCore | None = None
 
 
 def _build_core(spec: ExperimentSpec, plugin: Any, artifacts: Artifacts) -> CampaignCore:
@@ -164,25 +88,6 @@ def _build_core(spec: ExperimentSpec, plugin: Any, artifacts: Artifacts) -> Camp
     )
 
 
-def _call_backend(
-    backend: Callable, core: CampaignCore, spec: ExperimentSpec
-) -> tuple[Any, dict[str, str]]:
-    """Invoke a backend, passing the execution section when it accepts one.
-
-    Built-in backends take ``(core, backend_spec, execution_spec)``; custom
-    backends registered before the execution section existed keep their
-    historic two-argument signature and simply run without fault-tolerance
-    knobs.
-    """
-    try:
-        parameters = inspect.signature(backend).parameters
-    except (TypeError, ValueError):
-        parameters = None
-    if parameters is not None and len(parameters) >= 3:
-        return backend(core, spec.backend, spec.execution)
-    return backend(core, spec.backend)
-
-
 def run(spec: ExperimentSpec, artifacts: Artifacts | None = None) -> CampaignResult:
     """Execute the campaign one :class:`ExperimentSpec` describes.
 
@@ -210,17 +115,9 @@ def run(spec: ExperimentSpec, artifacts: Artifacts | None = None) -> CampaignRes
     artifacts = artifacts if artifacts is not None else Artifacts()
     plugin = TASKS.get(spec.task)
     spec.validate()
-    core = artifacts.core
-    if core is None:
-        core = _build_core(spec, plugin, artifacts)
-    elif core.writer is None and spec.output_dir is not None:
-        # A pre-built core without a writer still honors the spec's
-        # output_dir; streams open from core.writer at run start.
-        core.writer = CampaignResultWriter(
-            Path(spec.output_dir), campaign_name=core.scenario.model_name
-        )
+    core = _build_core(spec, plugin, artifacts)
     backend = BACKENDS.get(spec.backend.name)
-    state, stream_paths = _call_backend(backend, core, spec)
+    state, stream_paths = backend(core, spec.backend, spec.execution)
     execution_info = spec.execution.as_dict()
     # resume is a property of *this invocation*, not of the campaign: keeping
     # it out of the context (and hence the meta file) is what makes a resumed

@@ -245,12 +245,17 @@ class SweepPointOutcome:
     _result: CampaignResult | None = None
 
     def load_result(self) -> CampaignResult:
-        """The point's full campaign result (lazy for cached points)."""
-        if self._result is not None:
-            return self._result
-        if self.stored is None:
+        """The point's full campaign result.
+
+        With a store it is rebuilt from the committed point directory, for
+        executed and cached points alike; without one it is the in-memory
+        result of the run, minus its live ``core``.
+        """
+        if self.stored is not None:
+            return self.stored.load_result()
+        if self._result is None:
             raise SweepError(f"point {self.run_id} ran without a store; no result kept")
-        return self.stored.load_result()
+        return self._result
 
 
 def _flatten_summary(summary: dict, prefix: str = "") -> dict[str, Any]:
@@ -280,7 +285,7 @@ class SweepResult:
     every point's KPI scalars into one comparison table (axis columns in
     declaration order, then sorted KPI columns); :meth:`write_table`
     persists it as CSV and JSON.  Per-point campaign results stay lazy —
-    :meth:`SweepPointOutcome.load_result` unpickles a cached point's task
+    :meth:`SweepPointOutcome.load_result` unpickles a stored point's task
     state only on demand.  ``golden_cache_stats`` is
     :meth:`GoldenCache.stats() <repro.alficore.goldencache.GoldenCache.stats>`
     of the cache the points shared (``None`` when the sweep ran without one);
@@ -536,22 +541,27 @@ def run_sweep(
                 golden_cache=golden_cache,
             )
             if campaign_store is not None:
-                committed = campaign_store.commit(
+                # The result's paths point into the .wip directory the commit
+                # renames away; the committed point is the one way back to it.
+                stored = campaign_store.commit(
                     run_id,
                     result,
                     canonical_spec=canonical_spec_document(point.spec),
                     weights_fingerprint=plan.fingerprints[point.index],
                     overrides=point.overrides,
                 )
-                summary = committed.summary
-                stored = committed
+                outcome = SweepPointOutcome(
+                    point=point, run_id=run_id, cached=False, summary=stored.summary,
+                    stored=stored,
+                )
             else:
-                committed = None
-                summary = _json_value(result.summary)
-            outcome = SweepPointOutcome(
-                point=point, run_id=run_id, cached=False, summary=summary,
-                stored=stored, _result=result,
-            )
+                # Keep the records, not the engine: a core pins its plans,
+                # arenas and the neuron lane's model clone for every point.
+                result.core = None
+                outcome = SweepPointOutcome(
+                    point=point, run_id=run_id, cached=False,
+                    summary=_json_value(result.summary), _result=result,
+                )
             emit(f"point {point.index:>3} {run_id}  executed  {point.overrides}")
         if manifest is not None:
             manifest.mark_completed(point.index, run_id, cached=outcome.cached)

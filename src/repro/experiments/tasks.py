@@ -117,7 +117,7 @@ class ExperimentTask:
             **self.aux_outputs(writer, state, context),
             **stream_paths,
         }
-        if evaluated and context.get("task_options", {}).get("write_kpis", True):
+        if evaluated:
             kpis = {"corrupted": evaluated["corrupted"].as_dict()}
             if evaluated.get("resil") is not None:
                 kpis["resil"] = evaluated["resil"].as_dict()

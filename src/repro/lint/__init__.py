@@ -21,9 +21,6 @@ campaign runs:
 ``registry-mutation``
     direct mutation of legacy ``*_REGISTRY`` dicts instead of
     ``register_*`` calls.
-``deprecated-facade``
-    new imports of the deprecated ``TestErrorModels_*`` /
-    ``CampaignRunner`` facades outside their shim modules.
 ``worker-purity``
     functions dispatched to worker pools that capture unpicklable objects
     or read mutable module-level state.

@@ -12,7 +12,6 @@ Importing this package registers every built-in rule on
 
 from repro.lint.rules import (  # noqa: F401  (imported for registration side effect)
     dispatch,
-    facades,
     reductions,
     registries,
     rng,

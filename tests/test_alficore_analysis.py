@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from benchmarks.conftest import run_campaign
 from repro.alficore import (
     analyze_classification_campaign,
     analyze_detection_campaign,
@@ -11,12 +12,9 @@ from repro.alficore import (
     default_scenario,
 )
 from repro.alficore.results import CampaignResultWriter, ClassificationRecord, DetectionRecord
-from repro.alficore.test_error_models_imgclass import TestErrorModels_ImgClass
 from repro.data import SyntheticClassificationDataset
 from repro.models import lenet5
 from repro.models.pretrained import fit_classifier_head
-
-TestErrorModels_ImgClass.__test__ = False
 
 
 def _write_synthetic_classification_campaign(tmp_path, name="camp"):
@@ -87,14 +85,14 @@ class TestClassificationAnalysis:
         dataset = SyntheticClassificationDataset(num_samples=8, num_classes=10, noise=0.2, seed=17)
         model = fit_classifier_head(lenet5(seed=3), dataset, 10)
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=31)
-        runner = TestErrorModels_ImgClass(
-            model=model, model_name="real", dataset=dataset, scenario=scenario, output_dir=tmp_path
-        )
-        output = runner.test_rand_ImgClass_SBFs_inj(num_faults=1)
+        corrupted = run_campaign(
+            "classification", model, dataset, scenario,
+            model_name="real", output_dir=tmp_path, num_faults=1,
+        ).results["corrupted"]
         analysis = analyze_classification_campaign(tmp_path, "real")
-        assert analysis.num_inferences == output.corrupted.num_inferences
-        assert analysis.sde_rate == pytest.approx(output.corrupted.sde_rate)
-        assert analysis.due_rate == pytest.approx(output.corrupted.due_rate)
+        assert analysis.num_inferences == corrupted.num_inferences
+        assert analysis.sde_rate == pytest.approx(corrupted.sde_rate)
+        assert analysis.due_rate == pytest.approx(corrupted.due_rate)
 
 
 class TestDetectionAnalysis:

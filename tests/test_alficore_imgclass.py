@@ -1,4 +1,4 @@
-"""Integration tests for the classification campaign runner."""
+"""Integration tests for classification campaigns on in-memory objects."""
 
 import json
 from pathlib import Path
@@ -6,14 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.alficore import TestErrorModels_ImgClass, default_scenario
+from benchmarks.conftest import run_campaign
+from repro.alficore import CampaignCore, ClassificationTask, default_scenario
 from repro.alficore.protection import apply_protection, collect_activation_bounds
 from repro.data import SyntheticClassificationDataset
 from repro.models import lenet5
 from repro.models.pretrained import fit_classifier_head
-
-# The class name starts with "Test" but is a campaign runner, not a test case.
-TestErrorModels_ImgClass.__test__ = False
 
 
 @pytest.fixture(scope="module")
@@ -27,53 +25,49 @@ class TestClassificationCampaign:
     def test_weight_campaign_end_to_end(self, fitted_model_and_dataset, tmp_path):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=3)
-        runner = TestErrorModels_ImgClass(
-            model=model,
-            model_name="lenet_weights",
-            dataset=dataset,
-            scenario=scenario,
-            output_dir=tmp_path,
+        result = run_campaign(
+            "classification", model, dataset, scenario,
+            model_name="lenet_weights", output_dir=tmp_path, num_faults=1, inj_policy="per_image",
         )
-        output = runner.test_rand_ImgClass_SBFs_inj(num_faults=1, inj_policy="per_image")
-        assert output.corrupted.num_inferences == len(dataset)
-        assert output.corrupted.golden_top1_accuracy >= 0.9
-        assert 0.0 <= output.corrupted.sde_rate <= 1.0
-        assert output.corrupted.masked_rate + output.corrupted.sde_rate + output.corrupted.due_rate == pytest.approx(1.0)
-        assert output.golden_logits.shape == output.corrupted_logits.shape
+        corrupted = result.results["corrupted"]
+        assert corrupted.num_inferences == len(dataset)
+        assert corrupted.golden_top1_accuracy >= 0.9
+        assert 0.0 <= corrupted.sde_rate <= 1.0
+        assert corrupted.masked_rate + corrupted.sde_rate + corrupted.due_rate == pytest.approx(1.0)
+        assert result.extras["golden_logits"].shape == result.extras["corrupted_logits"].shape
 
     def test_neuron_campaign(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="neurons", rnd_bit_range=(0, 31), random_seed=4)
-        runner = TestErrorModels_ImgClass(
-            model=model, model_name="lenet_neurons", dataset=dataset, scenario=scenario
+        result = run_campaign(
+            "classification", model, dataset, scenario, model_name="lenet_neurons", num_faults=1
         )
-        output = runner.test_rand_ImgClass_SBFs_inj(num_faults=1)
-        assert output.corrupted.num_inferences == len(dataset)
+        assert result.results["corrupted"].num_inferences == len(dataset)
         # Every inference must have applied exactly one neuron fault.  The
         # sessions log per group; the injector's shared log must stay empty.
-        assert len(runner.applied_faults) == len(dataset)
-        assert runner.wrapper.fault_injection.applied_faults == []
+        assert len(result.state.applied_log) == len(dataset)
+        assert result.wrapper.fault_injection.applied_faults == []
 
     def test_output_files_written(self, fitted_model_and_dataset, tmp_path):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", random_seed=5)
-        runner = TestErrorModels_ImgClass(
-            model=model, model_name="files", dataset=dataset, scenario=scenario, output_dir=tmp_path
+        result = run_campaign(
+            "classification", model, dataset, scenario,
+            model_name="files", output_dir=tmp_path, num_faults=1,
         )
-        output = runner.test_rand_ImgClass_SBFs_inj(num_faults=1)
         for key in ("meta", "faults", "applied_faults", "golden_csv", "corrupted_csv", "kpis"):
-            assert key in output.output_files
-            assert Path(output.output_files[key]).exists()
-        kpis = json.loads(Path(output.output_files["kpis"]).read_text())
+            assert key in result.output_files
+            assert Path(result.output_files[key]).exists()
+        kpis = json.loads(Path(result.output_files["kpis"]).read_text())
         assert "corrupted" in kpis
 
     def test_corrupted_csv_contains_fault_positions(self, fitted_model_and_dataset, tmp_path):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", random_seed=6)
-        runner = TestErrorModels_ImgClass(
-            model=model, model_name="csvcheck", dataset=dataset, scenario=scenario, output_dir=tmp_path
+        run_campaign(
+            "classification", model, dataset, scenario,
+            model_name="csvcheck", output_dir=tmp_path, num_faults=2,
         )
-        runner.test_rand_ImgClass_SBFs_inj(num_faults=2)
         from repro.alficore.results import CampaignResultWriter
 
         rows = CampaignResultWriter(tmp_path, "csvcheck").read_classification_csv("corrupted")
@@ -88,42 +82,43 @@ class TestClassificationCampaign:
         bounds = collect_activation_bounds(model, [calibration])
         hardened = apply_protection(model, bounds, "ranger")
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(30, 30), random_seed=7)
-        runner = TestErrorModels_ImgClass(
-            model=model, resil_model=hardened, model_name="resil", dataset=dataset, scenario=scenario
+        result = run_campaign(
+            "classification", model, dataset, scenario,
+            resil_model=hardened, model_name="resil", num_faults=1,
         )
-        output = runner.test_rand_ImgClass_SBFs_inj(num_faults=1)
-        assert output.resil is not None
-        assert output.resil_logits is not None
+        corrupted, resil = result.results["corrupted"], result.results.get("resil")
+        assert resil is not None
+        assert result.extras["resil_logits"] is not None
         # Hardened model must not be worse overall (SDE + DUE) than the
         # unprotected one under identical exponent-MSB faults.
-        unprotected_total = output.corrupted.sde_rate + output.corrupted.due_rate
-        protected_total = output.resil.sde_rate + output.resil.due_rate
+        unprotected_total = corrupted.sde_rate + corrupted.due_rate
+        protected_total = resil.sde_rate + resil.due_rate
         assert protected_total <= unprotected_total + 1e-9
 
     def test_fault_file_reuse_produces_identical_outcomes(self, fitted_model_and_dataset, tmp_path):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=8)
-        first = TestErrorModels_ImgClass(
-            model=model, model_name="first", dataset=dataset, scenario=scenario, output_dir=tmp_path
+        first = run_campaign(
+            "classification", model, dataset, scenario,
+            model_name="first", output_dir=tmp_path, num_faults=1,
         )
-        out_first = first.test_rand_ImgClass_SBFs_inj(num_faults=1)
-        fault_file = out_first.output_files["faults"]
-
-        second = TestErrorModels_ImgClass(
-            model=model, model_name="second", dataset=dataset, scenario=scenario
+        second = run_campaign(
+            "classification", model, dataset, scenario,
+            model_name="second", num_faults=1, fault_file=first.output_files["faults"],
         )
-        out_second = second.test_rand_ImgClass_SBFs_inj(num_faults=1, fault_file=fault_file)
-        np.testing.assert_allclose(out_first.corrupted_logits, out_second.corrupted_logits)
+        np.testing.assert_allclose(
+            first.extras["corrupted_logits"], second.extras["corrupted_logits"]
+        )
 
     def test_requires_dataset(self):
         with pytest.raises(ValueError):
-            TestErrorModels_ImgClass(model=lenet5(), dataset=None)
+            CampaignCore(lenet5(), None, ClassificationTask())
 
     def test_num_runs_multiplies_inferences(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", random_seed=9)
-        runner = TestErrorModels_ImgClass(
-            model=model, model_name="epochs", dataset=dataset, scenario=scenario
+        result = run_campaign(
+            "classification", model, dataset, scenario,
+            model_name="epochs", num_faults=1, num_runs=2,
         )
-        output = runner.test_rand_ImgClass_SBFs_inj(num_faults=1, num_runs=2)
-        assert output.corrupted.num_inferences == 2 * len(dataset)
+        assert result.results["corrupted"].num_inferences == 2 * len(dataset)

@@ -1,16 +1,14 @@
-"""Integration tests for the object-detection campaign runner."""
+"""Integration tests for object-detection campaigns on in-memory objects."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.alficore import TestErrorModels_ObjDet, default_scenario
+from benchmarks.conftest import run_campaign
+from repro.alficore import CampaignCore, DetectionTask, default_scenario
 from repro.data import CocoLikeDetectionDataset
-from repro.models.detection import retinanet_lite, yolov3_tiny
-
-# The class name starts with "Test" but is a campaign runner, not a test case.
-TestErrorModels_ObjDet.__test__ = False
+from repro.models.detection import yolov3_tiny
 
 
 @pytest.fixture(scope="module")
@@ -24,77 +22,72 @@ class TestObjDetCampaign:
     def test_weight_campaign_end_to_end(self, detection_setup, tmp_path):
         model, dataset = detection_setup
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=2)
-        runner = TestErrorModels_ObjDet(
-            model=model,
-            model_name="yolo_weights",
-            dataset=dataset,
-            scenario=scenario,
-            output_dir=tmp_path,
+        result = run_campaign(
+            "detection", model, dataset, scenario,
+            model_name="yolo_weights", output_dir=tmp_path, num_faults=1, inj_policy="per_image",
         )
-        output = runner.test_rand_ObjDet_SBFs_inj(num_faults=1, inj_policy="per_image")
-        assert output.corrupted.num_images == len(dataset)
-        assert 0.0 <= output.corrupted.ivmod.sde_rate <= 1.0
-        assert 0.0 <= output.corrupted.ivmod.due_rate <= 1.0
-        assert len(output.golden_predictions) == len(dataset)
-        assert len(output.corrupted_predictions) == len(dataset)
+        corrupted = result.results["corrupted"]
+        assert corrupted.num_images == len(dataset)
+        assert 0.0 <= corrupted.ivmod.sde_rate <= 1.0
+        assert 0.0 <= corrupted.ivmod.due_rate <= 1.0
+        assert len(result.extras["golden_predictions"]) == len(dataset)
+        assert len(result.extras["corrupted_predictions"]) == len(dataset)
 
     def test_neuron_campaign(self, detection_setup):
         model, dataset = detection_setup
         scenario = default_scenario(injection_target="neurons", random_seed=4)
-        runner = TestErrorModels_ObjDet(
-            model=model, model_name="yolo_neurons", dataset=dataset, scenario=scenario
+        result = run_campaign(
+            "detection", model, dataset, scenario, model_name="yolo_neurons", num_faults=1
         )
-        output = runner.test_rand_ObjDet_SBFs_inj(num_faults=1)
-        assert output.corrupted.num_images == len(dataset)
+        assert result.results["corrupted"].num_images == len(dataset)
         # The sessions log per group; the injector's shared log stays empty.
-        assert len(runner.applied_faults) == len(dataset)
-        assert runner.wrapper.fault_injection.applied_faults == []
+        assert len(result.state.applied_log) == len(dataset)
+        assert result.wrapper.fault_injection.applied_faults == []
 
     def test_output_files_written(self, detection_setup, tmp_path):
         model, dataset = detection_setup
         scenario = default_scenario(injection_target="weights", random_seed=5)
-        runner = TestErrorModels_ObjDet(
-            model=model, model_name="files", dataset=dataset, scenario=scenario, output_dir=tmp_path
+        result = run_campaign(
+            "detection", model, dataset, scenario,
+            model_name="files", output_dir=tmp_path, num_faults=1,
         )
-        output = runner.test_rand_ObjDet_SBFs_inj(num_faults=1)
         for key in ("meta", "faults", "ground_truth", "golden_json", "corrupted_json", "kpis"):
-            assert key in output.output_files
-            assert Path(output.output_files[key]).exists()
-        corrupted = json.loads(Path(output.output_files["corrupted_json"]).read_text())
+            assert key in result.output_files
+            assert Path(result.output_files[key]).exists()
+        corrupted = json.loads(Path(result.output_files["corrupted_json"]).read_text())
         assert len(corrupted) == len(dataset)
         assert {"boxes", "scores", "labels", "fault_positions"} <= set(corrupted[0])
 
     def test_ground_truth_file_matches_dataset(self, detection_setup, tmp_path):
         model, dataset = detection_setup
         scenario = default_scenario(injection_target="weights", random_seed=6)
-        runner = TestErrorModels_ObjDet(
-            model=model, model_name="gt", dataset=dataset, scenario=scenario, output_dir=tmp_path
+        result = run_campaign(
+            "detection", model, dataset, scenario,
+            model_name="gt", output_dir=tmp_path, num_faults=1,
         )
-        output = runner.test_rand_ObjDet_SBFs_inj(num_faults=1)
-        ground_truth = json.loads(Path(output.output_files["ground_truth"]).read_text())
+        ground_truth = json.loads(Path(result.output_files["ground_truth"]).read_text())
         assert len(ground_truth) == len(dataset)
         assert ground_truth[0]["image_id"] == 0
         assert len(ground_truth[0]["boxes"][0]) == 4
 
     def test_resil_detector(self, detection_setup):
         model, dataset = detection_setup
-        resil = retinanet_lite(num_classes=5, seed=0).eval()
         # A different detector of the same layer structure would not replay
         # faults meaningfully, so the hardened model here is simply a clone.
         resil = model.clone()
         scenario = default_scenario(injection_target="weights", random_seed=7)
-        runner = TestErrorModels_ObjDet(
-            model=model, resil_model=resil, model_name="resil", dataset=dataset, scenario=scenario
+        result = run_campaign(
+            "detection", model, dataset, scenario,
+            resil_model=resil, model_name="resil", num_faults=1,
         )
-        output = runner.test_rand_ObjDet_SBFs_inj(num_faults=1)
-        assert output.resil is not None
-        assert output.resil_predictions is not None
+        assert result.results.get("resil") is not None
+        assert result.extras["resil_predictions"] is not None
 
     def test_num_classes_detection(self, detection_setup):
         model, dataset = detection_setup
-        runner = TestErrorModels_ObjDet(model=model, dataset=dataset)
-        assert runner.num_classes == 5
+        result = run_campaign("detection", model, dataset, default_scenario())
+        assert result.context["num_classes"] == 5
 
     def test_requires_dataset(self):
         with pytest.raises(ValueError):
-            TestErrorModels_ObjDet(model=yolov3_tiny(), dataset=None)
+            CampaignCore(yolov3_tiny(), None, DetectionTask())

@@ -7,15 +7,14 @@ neuron error models, with and without a hardened resil lane, serial and
 sharded.
 """
 
+
 import numpy as np
 import pytest
 
+from benchmarks.conftest import run_campaign, run_streaming, streaming_kpis
 from repro.alficore import (
     CampaignResultWriter,
-    CampaignRunner,
     GoldenCache,
-    TestErrorModels_ImgClass,
-    TestErrorModels_ObjDet,
     apply_protection,
     collect_activation_bounds,
     default_scenario,
@@ -25,9 +24,6 @@ from repro.models import lenet5, resnet18
 from repro.models.detection import yolov3_tiny
 from repro.models.pretrained import fit_classifier_head
 from repro.tensor.bitops import float_to_bits
-
-TestErrorModels_ImgClass.__test__ = False
-TestErrorModels_ObjDet.__test__ = False
 
 
 @pytest.fixture(scope="module")
@@ -54,18 +50,13 @@ class TestSuffixOnlyBitExactness:
 
         def run(sub, reuse):
             writer = CampaignResultWriter(tmp_path / sub, campaign_name="reuse")
-            return CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer, prefix_reuse=reuse
-            ).run()
+            return run_streaming(model, dataset, scenario, writer=writer, prefix_reuse=reuse)
 
         full = run(f"{target}_full", False)
         reused = run(f"{target}_reuse", True)
         tags = ("golden_csv", "corrupted_csv", "applied_faults")
         assert _stream_bytes(full.output_files, tags) == _stream_bytes(reused.output_files, tags)
-        full_kpis, reused_kpis = full.as_dict(), reused.as_dict()
-        full_kpis.pop("output_files")
-        reused_kpis.pop("output_files")
-        assert full_kpis == reused_kpis
+        assert streaming_kpis(full) == streaming_kpis(reused)
 
     @pytest.mark.parametrize("target", ["weights", "neurons"])
     def test_logits_bit_identical_per_error_model(self, fitted_model_and_dataset, target):
@@ -75,16 +66,15 @@ class TestSuffixOnlyBitExactness:
         )
 
         def run(reuse):
-            return TestErrorModels_ImgClass(
-                model=model, model_name="bits", dataset=dataset, scenario=scenario,
-                prefix_reuse=reuse,
-            ).test_rand_ImgClass_SBFs_inj(num_faults=2)
+            return run_campaign(
+                "classification", model, dataset, scenario,
+                model_name="bits", prefix_reuse=reuse, num_faults=2,
+            )
 
         full, reused = run(False), run(True)
-        assert full.corrupted_logits.tobytes() == reused.corrupted_logits.tobytes()
-        assert full.golden_logits.tobytes() == reused.golden_logits.tobytes()
-        assert full.due_flags.tolist() == reused.due_flags.tolist()
-        assert full.corrupted.as_dict() == reused.corrupted.as_dict()
+        for buffer in ("corrupted_logits", "golden_logits", "due_flags"):
+            assert full.extras[buffer].tobytes() == reused.extras[buffer].tobytes()
+        assert full.summary["corrupted"] == reused.summary["corrupted"]
 
     def test_residual_model_with_atomic_blocks(self, fitted_model_and_dataset):
         _, dataset = fitted_model_and_dataset
@@ -92,9 +82,9 @@ class TestSuffixOnlyBitExactness:
         scenario = default_scenario(
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=23
         )
-        full = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
-        reused = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
-        assert full.as_dict() == reused.as_dict()
+        full = run_streaming(model, dataset, scenario, prefix_reuse=False)
+        reused = run_streaming(model, dataset, scenario, prefix_reuse=True)
+        assert streaming_kpis(full) == streaming_kpis(reused)
 
     def test_weights_restored_bit_exactly_with_prefix_reuse(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
@@ -102,9 +92,7 @@ class TestSuffixOnlyBitExactness:
         scenario = default_scenario(
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=24, num_runs=2
         )
-        CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True, golden_cache=GoldenCache()
-        ).run()
+        run_streaming(model, dataset, scenario, prefix_reuse=True, golden_cache=GoldenCache())
         for name, param in model.named_parameters():
             np.testing.assert_array_equal(bits_before[name], float_to_bits(param.data))
 
@@ -118,17 +106,18 @@ class TestSuffixOnlyBitExactness:
         )
 
         def run(sub, reuse, cache):
-            return TestErrorModels_ImgClass(
-                model=model, resil_model=hardened, model_name="resil", dataset=dataset,
-                scenario=scenario, output_dir=tmp_path / sub,
+            return run_campaign(
+                "classification", model, dataset, scenario,
+                resil_model=hardened, model_name="resil", output_dir=tmp_path / sub,
                 prefix_reuse=reuse, golden_cache=GoldenCache() if cache else None,
-            ).test_rand_ImgClass_SBFs_inj(num_faults=1, num_runs=2)
+                num_faults=1, num_runs=2,
+            )
 
         full = run("full", False, False)
         reused = run("reuse", True, True)
-        assert full.resil is not None and reused.resil is not None
-        assert full.resil_logits.tobytes() == reused.resil_logits.tobytes()
-        assert full.corrupted_logits.tobytes() == reused.corrupted_logits.tobytes()
+        assert "resil" in full.results and "resil" in reused.results
+        for buffer in ("resil_logits", "corrupted_logits"):
+            assert full.extras[buffer].tobytes() == reused.extras[buffer].tobytes()
         assert open(full.output_files["resil_csv"], "rb").read() == open(
             reused.output_files["resil_csv"], "rb").read()
 
@@ -170,9 +159,9 @@ class TestSuffixOnlyBitExactness:
         span = core._faulted_span(plan, plan, core.wrapper, FakeGroup())
         assert span == (body_segment, head_segment)
 
-        full = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
-        reused = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
-        assert full.as_dict() == reused.as_dict()
+        full = run_streaming(model, dataset, scenario, prefix_reuse=False)
+        reused = run_streaming(model, dataset, scenario, prefix_reuse=True)
+        assert streaming_kpis(full) == streaming_kpis(reused)
 
     def test_detection_campaign_unchanged_by_prefix_reuse(self, tmp_path):
         dataset = CocoLikeDetectionDataset(num_samples=4, num_classes=5, seed=6)
@@ -182,15 +171,15 @@ class TestSuffixOnlyBitExactness:
         )
 
         def run(sub, reuse):
-            return TestErrorModels_ObjDet(
-                model=model, model_name="det", dataset=dataset, scenario=scenario,
-                output_dir=tmp_path / sub, prefix_reuse=reuse,
-            ).test_rand_ObjDet_SBFs_inj(num_faults=1)
+            return run_campaign(
+                "detection", model, dataset, scenario,
+                model_name="det", output_dir=tmp_path / sub, prefix_reuse=reuse, num_faults=1,
+            )
 
         full, reused = run("full", False), run("reuse", True)
         tags = ("golden_json", "corrupted_json", "applied_faults")
         assert _stream_bytes(full.output_files, tags) == _stream_bytes(reused.output_files, tags)
-        assert full.corrupted.as_dict() == reused.corrupted.as_dict()
+        assert full.summary["corrupted"] == reused.summary["corrupted"]
 
 
 class TestDiscoveryFailuresAreLoud:
@@ -490,10 +479,9 @@ class TestGoldenCache:
 
         def run(sub, cache):
             writer = CampaignResultWriter(tmp_path / sub, campaign_name="cache")
-            return CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer,
-                prefix_reuse=True, golden_cache=cache,
-            ).run()
+            return run_streaming(
+                model, dataset, scenario, writer=writer, prefix_reuse=True, golden_cache=cache
+            )
 
         cache = GoldenCache()
         cold = run("off", None)
@@ -513,19 +501,19 @@ class TestGoldenCache:
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=28, num_runs=2
         )
         spill = tmp_path / "spill"
-        baseline = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
-        first = CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True,
+        baseline = run_streaming(model, dataset, scenario, prefix_reuse=True)
+        first = run_streaming(
+            model, dataset, scenario, prefix_reuse=True,
             golden_cache=GoldenCache(spill_dir=spill),
-        ).run()
+        )
         # A fresh in-memory cache sharing the spill dir starts warm, as a
         # shard process reusing another shard's golden passes would.
         second_cache = GoldenCache(spill_dir=spill)
-        second = CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True, golden_cache=second_cache
-        ).run()
+        second = run_streaming(
+            model, dataset, scenario, prefix_reuse=True, golden_cache=second_cache
+        )
         assert second_cache.hits > 0
-        assert baseline.as_dict() == first.as_dict() == second.as_dict()
+        assert streaming_kpis(baseline) == streaming_kpis(first) == streaming_kpis(second)
 
     def test_stale_spillover_entries_never_match_changed_weights(
         self, fitted_model_and_dataset, tmp_path
@@ -538,20 +526,20 @@ class TestGoldenCache:
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=33, num_runs=2
         )
         spill = tmp_path / "spill"
-        CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True,
+        run_streaming(
+            model, dataset, scenario, prefix_reuse=True,
             golden_cache=GoldenCache(spill_dir=spill),
-        ).run()
+        )
 
         mutated = model.clone()
         first_param = next(iter(mutated.parameters()))
         first_param.data[...] = first_param.data * 1.5
-        baseline = CampaignRunner(mutated, dataset, scenario=scenario, prefix_reuse=False).run()
+        baseline = run_streaming(mutated, dataset, scenario, prefix_reuse=False)
         stale_cache = GoldenCache(spill_dir=spill)
-        reused = CampaignRunner(
-            mutated, dataset, scenario=scenario, prefix_reuse=True, golden_cache=stale_cache
-        ).run()
-        assert baseline.as_dict() == reused.as_dict()
+        reused = run_streaming(
+            mutated, dataset, scenario, prefix_reuse=True, golden_cache=stale_cache
+        )
+        assert streaming_kpis(baseline) == streaming_kpis(reused)
         # The old entries were keyed under the old weight fingerprint.
         assert stale_cache.misses > 0
 
@@ -561,21 +549,21 @@ class TestGoldenCache:
             injection_target="weights", rnd_bit_range=(23, 30), random_seed=29, num_runs=2
         )
         tiny = GoldenCache(byte_budget=1)  # evicts everything but the newest entry
-        baseline = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=True).run()
-        constrained = CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True, golden_cache=tiny
-        ).run()
+        baseline = run_streaming(model, dataset, scenario, prefix_reuse=True)
+        constrained = run_streaming(
+            model, dataset, scenario, prefix_reuse=True, golden_cache=tiny
+        )
         assert len(tiny) <= 2
-        assert baseline.as_dict() == constrained.as_dict()
+        assert streaming_kpis(baseline) == streaming_kpis(constrained)
 
     def test_neuron_campaign_with_cache_matches_baseline(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="neurons", random_seed=30, num_runs=2)
-        baseline = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
-        cached = CampaignRunner(
-            model, dataset, scenario=scenario, prefix_reuse=True, golden_cache=GoldenCache()
-        ).run()
-        assert baseline.as_dict() == cached.as_dict()
+        baseline = run_streaming(model, dataset, scenario, prefix_reuse=False)
+        cached = run_streaming(
+            model, dataset, scenario, prefix_reuse=True, golden_cache=GoldenCache()
+        )
+        assert streaming_kpis(baseline) == streaming_kpis(cached)
 
     def test_stale_spillover_entries_never_match_changed_dataset(
         self, fitted_model_and_dataset, tmp_path
@@ -588,17 +576,17 @@ class TestGoldenCache:
         )
         spill = tmp_path / "spill"
         old_dataset = SyntheticClassificationDataset(num_samples=8, num_classes=10, noise=0.2, seed=11)
-        CampaignRunner(
-            model, old_dataset, scenario=scenario, prefix_reuse=True,
+        run_streaming(
+            model, old_dataset, scenario, prefix_reuse=True,
             golden_cache=GoldenCache(spill_dir=spill),
-        ).run()
+        )
         new_dataset = SyntheticClassificationDataset(num_samples=8, num_classes=10, noise=0.2, seed=12)
-        baseline = CampaignRunner(model, new_dataset, scenario=scenario, prefix_reuse=False).run()
-        reused = CampaignRunner(
-            model, new_dataset, scenario=scenario, prefix_reuse=True,
+        baseline = run_streaming(model, new_dataset, scenario, prefix_reuse=False)
+        reused = run_streaming(
+            model, new_dataset, scenario, prefix_reuse=True,
             golden_cache=GoldenCache(spill_dir=spill),
-        ).run()
-        assert baseline.as_dict() == reused.as_dict()
+        )
+        assert streaming_kpis(baseline) == streaming_kpis(reused)
 
     def test_core_keeps_any_cache_it_is_given(self, fitted_model_and_dataset):
         # Whether a cache can hit is its owner's call: a sweep hands the same
@@ -759,9 +747,7 @@ class TestCachedBoundaries:
 
         def run(sub, cache):
             writer = CampaignResultWriter(tmp_path / sub, campaign_name="epochs")
-            return CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer, golden_cache=cache
-            ).run()
+            return run_streaming(model, dataset, scenario, writer=writer, golden_cache=cache)
 
         cache = GoldenCache()
         uncached, cached = run("off", None), run("on", cache)

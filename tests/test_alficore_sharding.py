@@ -12,15 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.alficore import (
-    CampaignResultWriter,
-    CampaignRunner,
-    GoldenCache,
-    TestErrorModels_ImgClass,
-    TestErrorModels_ObjDet,
-    default_scenario,
-)
-from repro.alficore.campaign import ShardedCampaignExecutor
+from benchmarks.conftest import run_campaign, run_streaming, streaming_kpis
+from repro.alficore import CampaignResultWriter, GoldenCache, default_scenario
+from repro.alficore.campaign import CampaignCore, ClassificationTask, ShardedCampaignExecutor
 from repro.alficore.results import merge_csv_files, merge_json_array_files
 from repro.alficore.wrapper import ptfiwrap
 from repro.data import CocoLikeDetectionDataset, SyntheticClassificationDataset
@@ -28,9 +22,6 @@ from repro.models import lenet5
 from repro.models.detection import yolov3_tiny
 from repro.models.pretrained import fit_classifier_head
 from repro.tensor.bitops import float_to_bits
-
-TestErrorModels_ImgClass.__test__ = False
-TestErrorModels_ObjDet.__test__ = False
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +46,11 @@ class TestShardBounds:
     def test_bounds_are_contiguous_and_balanced(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", random_seed=1, num_runs=2)
-        runner = CampaignRunner(model, dataset, scenario=scenario)
-        executor = ShardedCampaignExecutor(runner.core, workers=1, num_shards=5)
+        core = CampaignCore(model, dataset, ClassificationTask(), scenario=scenario)
+        executor = ShardedCampaignExecutor(core, workers=1, num_shards=5)
         bounds = executor.shard_bounds()
         assert bounds[0][0] == 0
-        assert bounds[-1][1] == runner.core.total_steps
+        assert bounds[-1][1] == core.total_steps
         for (_, stop), (start, _) in zip(bounds, bounds[1:]):
             assert stop == start
         sizes = [stop - start for start, stop in bounds]
@@ -67,13 +58,14 @@ class TestShardBounds:
 
     def test_more_shards_than_steps_is_clamped(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
-        runner = CampaignRunner(
-            model, dataset, scenario=default_scenario(injection_target="weights", random_seed=1)
+        core = CampaignCore(
+            model, dataset, ClassificationTask(),
+            scenario=default_scenario(injection_target="weights", random_seed=1),
         )
-        executor = ShardedCampaignExecutor(runner.core, workers=1, num_shards=1000)
-        assert executor.num_shards == runner.core.total_steps
-        summary = runner.run()
-        assert summary.num_inferences == len(dataset)
+        executor = ShardedCampaignExecutor(core, workers=1, num_shards=1000)
+        assert executor.num_shards == core.total_steps
+        state, _ = executor.run()
+        assert state.inferences == len(dataset)
 
 
 class TestClassificationShardEquivalence:
@@ -88,22 +80,16 @@ class TestClassificationShardEquivalence:
 
         def run(sub: str, workers: int, num_shards: int):
             writer = CampaignResultWriter(tmp_path / sub, campaign_name="shard")
-            runner = CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer,
-                workers=workers, num_shards=num_shards,
+            return run_streaming(
+                model, dataset, scenario, writer=writer, workers=workers, num_shards=num_shards
             )
-            return runner.run()
 
         serial = run("serial", 1, 1)
         sharded = run(f"sharded_{workers}x{num_shards}", workers, num_shards)
 
         for tag in ("golden_csv", "corrupted_csv", "applied_faults", "faults", "meta"):
             assert _file_bytes(serial.output_files[tag]) == _file_bytes(sharded.output_files[tag])
-        serial_kpis = serial.as_dict()
-        sharded_kpis = sharded.as_dict()
-        serial_kpis.pop("output_files")
-        sharded_kpis.pop("output_files")
-        assert serial_kpis == sharded_kpis
+        assert streaming_kpis(serial) == streaming_kpis(sharded)
 
     @pytest.mark.parametrize("workers,num_shards", [(1, 3), (2, 3)])
     def test_sharded_prefix_reuse_matches_serial_full_forward(
@@ -120,22 +106,18 @@ class TestClassificationShardEquivalence:
 
         def run(sub: str, workers: int, num_shards: int, reuse: bool):
             writer = CampaignResultWriter(tmp_path / sub, campaign_name="reuse_shard")
-            runner = CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer,
+            return run_streaming(
+                model, dataset, scenario, writer=writer,
                 workers=workers, num_shards=num_shards,
                 prefix_reuse=reuse, golden_cache=GoldenCache() if reuse else None,
             )
-            return runner.run()
 
         serial = run("serial_full", 1, 1, reuse=False)
         sharded = run(f"sharded_reuse_{workers}x{num_shards}", workers, num_shards, reuse=True)
 
         for tag in ("golden_csv", "corrupted_csv", "applied_faults", "faults"):
             assert _file_bytes(serial.output_files[tag]) == _file_bytes(sharded.output_files[tag])
-        serial_kpis, sharded_kpis = serial.as_dict(), sharded.as_dict()
-        serial_kpis.pop("output_files")
-        sharded_kpis.pop("output_files")
-        assert serial_kpis == sharded_kpis
+        assert streaming_kpis(serial) == streaming_kpis(sharded)
         # The shards shared one golden-cache spillover directory.
         spill = tmp_path / f"sharded_reuse_{workers}x{num_shards}" / "golden_cache"
         assert spill.is_dir() and any(spill.iterdir())
@@ -143,19 +125,19 @@ class TestClassificationShardEquivalence:
     def test_sharded_neuron_prefix_reuse_matches_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="neurons", random_seed=21, num_runs=2)
-        serial = CampaignRunner(model, dataset, scenario=scenario, prefix_reuse=False).run()
-        sharded = CampaignRunner(
-            model, dataset, scenario=scenario, workers=2, num_shards=4,
+        serial = run_streaming(model, dataset, scenario, prefix_reuse=False)
+        sharded = run_streaming(
+            model, dataset, scenario, workers=2, num_shards=4,
             prefix_reuse=True, golden_cache=GoldenCache(),
-        ).run()
-        assert serial.as_dict() == sharded.as_dict()
+        )
+        assert streaming_kpis(serial) == streaming_kpis(sharded)
 
     def test_sharded_neuron_campaign_matches_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="neurons", random_seed=8)
-        serial = CampaignRunner(model, dataset, scenario=scenario).run()
-        sharded = CampaignRunner(model, dataset, scenario=scenario, workers=2, num_shards=4).run()
-        assert serial.as_dict() == sharded.as_dict()
+        serial = run_streaming(model, dataset, scenario)
+        sharded = run_streaming(model, dataset, scenario, workers=2, num_shards=4)
+        assert streaming_kpis(serial) == streaming_kpis(sharded)
 
     def test_sharded_per_epoch_campaign_matches_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
@@ -166,20 +148,20 @@ class TestClassificationShardEquivalence:
             num_runs=3,
             random_seed=9,
         )
-        serial = CampaignRunner(model, dataset, scenario=scenario).run()
+        serial = run_streaming(model, dataset, scenario)
         # Shard boundaries intentionally cut through epochs (9 steps over 4 shards).
-        sharded = CampaignRunner(model, dataset, scenario=scenario, workers=1, num_shards=4).run()
-        assert serial.num_fault_groups == sharded.num_fault_groups == 3
-        assert serial.as_dict() == sharded.as_dict()
+        sharded = run_streaming(model, dataset, scenario, workers=1, num_shards=4)
+        assert serial.state.groups == sharded.state.groups == 3
+        assert streaming_kpis(serial) == streaming_kpis(sharded)
 
     def test_sharded_shuffled_campaign_matches_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", num_runs=2, random_seed=10)
-        serial = CampaignRunner(model, dataset, scenario=scenario, dl_shuffle=True).run()
-        sharded = CampaignRunner(
-            model, dataset, scenario=scenario, dl_shuffle=True, workers=1, num_shards=3
-        ).run()
-        assert serial.as_dict() == sharded.as_dict()
+        serial = run_streaming(model, dataset, scenario, dl_shuffle=True)
+        sharded = run_streaming(
+            model, dataset, scenario, dl_shuffle=True, workers=1, num_shards=3
+        )
+        assert streaming_kpis(serial) == streaming_kpis(sharded)
 
     def test_weights_restored_bit_exactly_after_sharded_campaign(
         self, fitted_model_and_dataset
@@ -190,9 +172,7 @@ class TestClassificationShardEquivalence:
         # In-process shards patch the parent's model object; worker-pool shards
         # patch copies.  Both must leave the parent model bit-exact.
         for workers, num_shards in ((1, 3), (2, 2)):
-            CampaignRunner(
-                model, dataset, scenario=scenario, workers=workers, num_shards=num_shards
-            ).run()
+            run_streaming(model, dataset, scenario, workers=workers, num_shards=num_shards)
             for name, param in model.named_parameters():
                 np.testing.assert_array_equal(bits_before[name], float_to_bits(param.data))
 
@@ -207,24 +187,19 @@ class TestDetectionShardEquivalence:
         )
 
         def run(sub: str, workers: int, num_shards: int | None):
-            runner = TestErrorModels_ObjDet(
-                model=model,
-                model_name="det",
-                dataset=dataset,
-                scenario=scenario,
-                output_dir=tmp_path / sub,
-                workers=workers,
-                num_shards=num_shards,
+            return run_campaign(
+                "detection", model, dataset, scenario,
+                model_name="det", output_dir=tmp_path / sub,
+                workers=workers, num_shards=num_shards, num_faults=1,
             )
-            return runner.test_rand_ObjDet_SBFs_inj(num_faults=1)
 
         serial = run("serial", 1, None)
         sharded = run("sharded", 3, 3)
 
         for tag in ("golden_json", "corrupted_json", "applied_faults", "ground_truth", "faults"):
             assert _file_bytes(serial.output_files[tag]) == _file_bytes(sharded.output_files[tag])
-        assert serial.corrupted.as_dict() == sharded.corrupted.as_dict()
-        assert serial.due_flags == sharded.due_flags
+        assert serial.summary["corrupted"] == sharded.summary["corrupted"]
+        assert serial.extras["due_flags"] == sharded.extras["due_flags"]
         # Per-shard record files are kept next to the merged output.
         shard_dirs = sorted((tmp_path / "sharded" / "shards").iterdir())
         assert len(shard_dirs) == 3
@@ -239,11 +214,10 @@ class TestDetectionShardEquivalence:
         model, dataset = detection_setup
         bits_before = {n: float_to_bits(p.data).copy() for n, p in model.named_parameters()}
         scenario = default_scenario(injection_target="weights", random_seed=13)
-        runner = TestErrorModels_ObjDet(
-            model=model, model_name="restore", dataset=dataset, scenario=scenario,
-            workers=1, num_shards=3,
+        run_campaign(
+            "detection", model, dataset, scenario,
+            model_name="restore", workers=1, num_shards=3, num_faults=2,
         )
-        runner.test_rand_ObjDet_SBFs_inj(num_faults=2)
         for name, param in model.named_parameters():
             np.testing.assert_array_equal(bits_before[name], float_to_bits(param.data))
 
@@ -253,18 +227,19 @@ class TestDetectionShardEquivalence:
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(30, 30), random_seed=17)
 
         def run(sub: str, workers: int, num_shards: int | None):
-            runner = TestErrorModels_ImgClass(
-                model=model, resil_model=hardened, model_name="resil", dataset=dataset,
-                scenario=scenario, output_dir=tmp_path / sub,
-                workers=workers, num_shards=num_shards,
+            return run_campaign(
+                "classification", model, dataset, scenario,
+                resil_model=hardened, model_name="resil", output_dir=tmp_path / sub,
+                workers=workers, num_shards=num_shards, num_faults=1,
             )
-            return runner.test_rand_ImgClass_SBFs_inj(num_faults=1)
 
         serial = run("serial", 1, None)
         sharded = run("sharded", 2, 3)
-        assert serial.resil is not None and sharded.resil is not None
-        np.testing.assert_array_equal(serial.resil_logits, sharded.resil_logits)
-        assert serial.resil.as_dict() == sharded.resil.as_dict()
+        assert "resil" in serial.results and "resil" in sharded.results
+        np.testing.assert_array_equal(
+            serial.extras["resil_logits"], sharded.extras["resil_logits"]
+        )
+        assert serial.summary["resil"] == sharded.summary["resil"]
         assert _file_bytes(serial.output_files["resil_csv"]) == _file_bytes(
             sharded.output_files["resil_csv"]
         )
@@ -285,18 +260,20 @@ class TestDetectionShardEquivalence:
             rnd_bit_range=(23, 30),
             random_seed=18,
         )
-        runner = TestErrorModels_ImgClass(
-            model=model, resil_model=hardened, model_name="epochresil",
-            dataset=dataset, scenario=scenario,
+        def run(**sharding):
+            return run_campaign(
+                "classification", model, dataset, scenario,
+                resil_model=hardened, model_name="epochresil",
+                num_faults=1, inj_policy="per_epoch", num_runs=2, **sharding,
+            )
+
+        serial = run()
+        assert "resil" in serial.results
+        assert len(serial.extras["resil_logits"]) == 2 * len(dataset)
+        sharded = run(workers=1, num_shards=3)
+        np.testing.assert_array_equal(
+            serial.extras["resil_logits"], sharded.extras["resil_logits"]
         )
-        serial = runner.test_rand_ImgClass_SBFs_inj(num_faults=1, inj_policy="per_epoch", num_runs=2)
-        assert serial.resil is not None
-        assert len(serial.resil_logits) == 2 * len(dataset)
-        sharded = TestErrorModels_ImgClass(
-            model=model, resil_model=hardened, model_name="epochresil",
-            dataset=dataset, scenario=scenario, workers=1, num_shards=3,
-        ).test_rand_ImgClass_SBFs_inj(num_faults=1, inj_policy="per_epoch", num_runs=2)
-        np.testing.assert_array_equal(serial.resil_logits, sharded.resil_logits)
 
     def test_custom_stochastic_error_model_is_shard_deterministic(
         self, fitted_model_and_dataset, tmp_path
@@ -317,11 +294,10 @@ class TestDetectionShardEquivalence:
 
         def run(sub: str, num_shards: int):
             writer = CampaignResultWriter(tmp_path / sub, campaign_name="rngdet")
-            runner = CampaignRunner(
-                model, dataset, scenario=scenario, writer=writer,
+            return run_streaming(
+                model, dataset, scenario, writer=writer,
                 error_model=DrawingErrorModel(-1, 1), workers=1, num_shards=num_shards,
             )
-            return runner.run()
 
         serial = run("serial", 1)
         sharded = run("sharded", 3)
@@ -332,19 +308,19 @@ class TestDetectionShardEquivalence:
             sharded.output_files["corrupted_csv"]
         )
 
-    def test_sharded_imgclass_facade_matches_serial(self, fitted_model_and_dataset):
+    def test_sharded_buffered_outputs_match_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=14)
-        serial = TestErrorModels_ImgClass(
-            model=model, model_name="f", dataset=dataset, scenario=scenario
-        ).test_rand_ImgClass_SBFs_inj(num_faults=1)
-        sharded = TestErrorModels_ImgClass(
-            model=model, model_name="f", dataset=dataset, scenario=scenario, workers=2, num_shards=3
-        ).test_rand_ImgClass_SBFs_inj(num_faults=1)
-        np.testing.assert_array_equal(serial.golden_logits, sharded.golden_logits)
-        np.testing.assert_array_equal(serial.corrupted_logits, sharded.corrupted_logits)
-        np.testing.assert_array_equal(serial.labels, sharded.labels)
-        assert serial.corrupted.as_dict() == sharded.corrupted.as_dict()
+        serial = run_campaign(
+            "classification", model, dataset, scenario, model_name="f", num_faults=1
+        )
+        sharded = run_campaign(
+            "classification", model, dataset, scenario,
+            model_name="f", workers=2, num_shards=3, num_faults=1,
+        )
+        for buffer in ("golden_logits", "corrupted_logits", "labels"):
+            np.testing.assert_array_equal(serial.extras[buffer], sharded.extras[buffer])
+        assert serial.summary["corrupted"] == sharded.summary["corrupted"]
 
 
 class TestShardScopedIterators:

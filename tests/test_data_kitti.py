@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.alficore import TestErrorModels_ObjDet, default_scenario
+from benchmarks.conftest import run_campaign
+from repro.alficore import default_scenario
 from repro.data import KITTI_CATEGORIES, AlfiDataLoaderWrapper, KittiLikeDetectionDataset
 from repro.models.detection import yolov3_tiny
-
-TestErrorModels_ObjDet.__test__ = False
 
 
 class TestKittiLikeDataset:
@@ -80,13 +79,9 @@ class TestKittiCampaign:
         dataset = KittiLikeDetectionDataset(num_samples=4, seed=2)
         model = yolov3_tiny(num_classes=3, seed=0, image_size=(48, 96)).eval()
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=5)
-        runner = TestErrorModels_ObjDet(
-            model=model,
-            model_name="yolo_kitti",
-            dataset=dataset,
-            scenario=scenario,
-            input_shape=(3, 48, 96),
-        )
-        output = runner.test_rand_ObjDet_SBFs_inj(num_faults=1)
-        assert output.corrupted.num_images == 4
-        assert 0.0 <= output.corrupted.ivmod.sde_rate <= 1.0
+        corrupted = run_campaign(
+            "detection", model, dataset, scenario,
+            model_name="yolo_kitti", input_shape=(3, 48, 96), num_faults=1,
+        ).results["corrupted"]
+        assert corrupted.num_images == 4
+        assert 0.0 <= corrupted.ivmod.sde_rate <= 1.0

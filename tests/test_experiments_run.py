@@ -2,18 +2,16 @@
 
 The acceptance bar of the redesign: a spec serialized to YAML, reloaded and
 re-run produces byte-identical campaign outputs (serial and ``workers>1``
-sharded) to the facades, the facades are deprecation shims over the same
-code path, and :class:`CampaignResult` merges ``step_range`` slices into a
-result identical to an unsliced run.
+sharded) to a run on in-memory :class:`Artifacts`, and
+:class:`CampaignResult` merges ``step_range`` slices into a result identical
+to an unsliced run.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.alficore import TestErrorModels_ImgClass, TestErrorModels_ObjDet
-from repro.alficore._deprecation import reset_warnings
-from repro.alficore.campaign import CampaignRunner
+from benchmarks.conftest import run_campaign
 from repro.alficore.scenario import default_scenario
 from repro.data import CocoLikeDetectionDataset, SyntheticClassificationDataset
 from repro.experiments import (
@@ -23,8 +21,10 @@ from repro.experiments import (
     ComponentSpec,
     Experiment,
     ExperimentSpec,
+    register_backend,
     run,
 )
+from repro.experiments.registry import BACKENDS
 from repro.models import build_model
 from repro.models.detection import build_detector
 from repro.models.pretrained import fit_classifier_head
@@ -74,7 +74,7 @@ def assert_files_identical(first: dict, second: dict, tags=None):
         assert a == b, f"output file {tag!r} differs"
 
 
-class TestSpecVsFacadeByteIdentity:
+class TestArtifactsVsRegistryByteIdentity:
     @pytest.mark.parametrize("backend_kwargs", [
         {"name": "serial", "workers": 1},
         {"name": "sharded", "workers": 2, "num_shards": 3},
@@ -83,22 +83,20 @@ class TestSpecVsFacadeByteIdentity:
         dataset = SyntheticClassificationDataset(
             num_samples=IMAGES, num_classes=CLASSES, noise=0.25, seed=1
         )
-        facade = TestErrorModels_ImgClass(
-            model=build_fitted_classifier(dataset),
-            model_name="lenet5",
-            dataset=dataset,
-            scenario=classification_scenario(),
-            output_dir=tmp_path / "facade",
+        in_memory = run_campaign(
+            "classification", build_fitted_classifier(dataset), dataset,
+            classification_scenario(),
+            output_dir=tmp_path / "in_memory",
             workers=backend_kwargs.get("workers", 1),
             num_shards=backend_kwargs.get("num_shards"),
+            num_faults=1,
         )
-        facade_out = facade.test_rand_ImgClass_SBFs_inj(num_faults=1)
 
         spec = classification_spec(tmp_path / "spec", **backend_kwargs)
         result = run(spec)
 
-        assert_files_identical(facade_out.output_files, result.output_files)
-        assert facade_out.corrupted.as_dict() == result.summary["corrupted"]
+        assert_files_identical(in_memory.output_files, result.output_files)
+        assert in_memory.summary["corrupted"] == result.summary["corrupted"]
 
     def test_classification_yaml_reload_rerun(self, tmp_path):
         spec = classification_spec(tmp_path / "direct")
@@ -117,19 +115,17 @@ class TestSpecVsFacadeByteIdentity:
     ], ids=["serial", "sharded"])
     def test_detection(self, tmp_path, backend_kwargs):
         dataset = CocoLikeDetectionDataset(num_samples=6, num_classes=5, seed=9)
-        facade = TestErrorModels_ObjDet(
-            model=build_detector("yolov3", num_classes=5, seed=1).eval(),
-            model_name="yolov3",
-            dataset=dataset,
-            scenario=default_scenario(
+        in_memory = run_campaign(
+            "detection", build_detector("yolov3", num_classes=5, seed=1), dataset,
+            default_scenario(
                 injection_target="weights", rnd_bit_range=(23, 30), random_seed=77,
                 model_name="yolov3", dataset_size=6,
             ),
-            output_dir=tmp_path / "facade",
+            output_dir=tmp_path / "in_memory",
             workers=backend_kwargs.get("workers", 1),
             num_shards=backend_kwargs.get("num_shards"),
+            num_faults=1,
         )
-        facade_out = facade.test_rand_ObjDet_SBFs_inj(num_faults=1)
 
         spec = (
             Experiment.builder()
@@ -147,35 +143,34 @@ class TestSpecVsFacadeByteIdentity:
         )
         result = run(spec)
 
-        assert_files_identical(facade_out.output_files, result.output_files)
-        assert facade_out.corrupted.as_dict() == result.summary["corrupted"]
+        assert_files_identical(in_memory.output_files, result.output_files)
+        assert in_memory.summary["corrupted"] == result.summary["corrupted"]
 
-    def test_campaign_runner_streams_match_spec_run(self, tmp_path):
+    def test_streaming_run_with_own_writer_matches_spec_run(self, tmp_path):
         from repro.alficore.results import CampaignResultWriter
 
         dataset = SyntheticClassificationDataset(
             num_samples=IMAGES, num_classes=CLASSES, noise=0.25, seed=1
         )
-        runner = CampaignRunner(
-            build_fitted_classifier(dataset),
-            dataset,
-            scenario=classification_scenario(),
-            writer=CampaignResultWriter(tmp_path / "runner", campaign_name="lenet5"),
+        streamed = run_campaign(
+            "classification", build_fitted_classifier(dataset), dataset,
+            classification_scenario(),
+            writer=CampaignResultWriter(tmp_path / "streamed", campaign_name="lenet5"),
+            collect_outputs=False,
         )
-        summary = runner.run()
 
         result = run(classification_spec(tmp_path / "spec"))
         assert_files_identical(
-            summary.output_files, result.output_files,
+            streamed.output_files, result.output_files,
             tags=["golden_csv", "corrupted_csv", "applied_faults", "faults", "meta"],
         )
-        assert summary.sde_rate == result.summary["corrupted"]["sde_rate"]
-        assert summary.num_inferences == result.summary["corrupted"]["num_inferences"]
+        for kpi in ("sde_rate", "num_inferences"):
+            assert streamed.summary["corrupted"][kpi] == result.summary["corrupted"][kpi]
 
 
-class TestFacadeFaultFileReplay:
+class TestFaultFileReplay:
     def test_scenario_declared_fault_file_survives_default_argument(self, tmp_path):
-        """A fault_file in the facade's base scenario keeps replaying."""
+        """A fault_file in the scenario keeps replaying when nothing overrides it."""
         from repro.alficore import load_fault_file, ptfiwrap
 
         dataset = SyntheticClassificationDataset(
@@ -185,56 +180,37 @@ class TestFacadeFaultFileReplay:
         stored = tmp_path / "stored_faults.npz"
         ptfiwrap(model, scenario=classification_scenario()).save_fault_matrix(stored)
 
-        facade = TestErrorModels_ImgClass(
-            model=model,
-            model_name="lenet5",
-            dataset=dataset,
-            scenario=classification_scenario(random_seed=999, fault_file=stored),
+        result = run_campaign(
+            "classification", model, dataset,
+            classification_scenario(random_seed=999, fault_file=stored),
+        )  # no fault_file argument
+        assert result.wrapper.get_fault_matrix() == load_fault_file(stored)
+
+
+class TestCustomBackend:
+    def test_registered_backend_receives_the_execution_section(self, tmp_path):
+        received = []
+
+        @register_backend("test-recording")
+        def recording(core, backend, execution):
+            received.append((backend, execution))
+            stream_paths = core.run()
+            return core.task.state, stream_paths
+
+        try:
+            spec = classification_spec(tmp_path / "custom")
+            spec.backend = BackendSpec("test-recording")
+            spec.execution.retries = 5
+            result = run(spec)
+        finally:
+            BACKENDS.unregister("test-recording")
+        assert received == [(spec.backend, spec.execution)]
+        assert received[0][1].retries == 5
+        reference = run(classification_spec(tmp_path / "serial"))
+        assert_files_identical(
+            reference.output_files, result.output_files,
+            tags=["golden_csv", "corrupted_csv", "applied_faults", "faults"],
         )
-        facade.test_rand_ImgClass_SBFs_inj()  # no fault_file argument
-        assert facade.wrapper.get_fault_matrix() == load_fault_file(stored)
-
-
-class TestFacadeEmptyModelName:
-    def test_campaign_runner_accepts_empty_model_name(self, tmp_path):
-        from repro.alficore.results import CampaignResultWriter
-
-        dataset = SyntheticClassificationDataset(num_samples=4, num_classes=CLASSES, seed=1)
-        runner = CampaignRunner(
-            build_fitted_classifier(dataset),
-            dataset,
-            scenario=classification_scenario(model_name=""),
-            writer=CampaignResultWriter(tmp_path, campaign_name=""),
-        )
-        summary = runner.run()  # pre-redesign behavior: runs, files "_*"
-        assert summary.num_inferences == 4
-        assert (tmp_path / "_corrupted_results.csv").exists()
-
-
-class TestFacadeDeprecation:
-    def test_each_shim_warns_exactly_once(self, tmp_path):
-        dataset = SyntheticClassificationDataset(num_samples=4, num_classes=CLASSES, seed=1)
-        model = build_fitted_classifier(dataset)
-        det_dataset = CocoLikeDetectionDataset(num_samples=2, num_classes=5, seed=9)
-        detector = build_detector("yolov3", num_classes=5, seed=1).eval()
-
-        reset_warnings()
-        with pytest.warns(DeprecationWarning, match="TestErrorModels_ImgClass"):
-            TestErrorModels_ImgClass(model=model, dataset=dataset)
-        with pytest.warns(DeprecationWarning, match="TestErrorModels_ObjDet"):
-            TestErrorModels_ObjDet(model=detector, dataset=det_dataset)
-        with pytest.warns(DeprecationWarning, match="CampaignRunner"):
-            CampaignRunner(model, dataset)
-
-        # Second construction is silent: a single warning per facade.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            TestErrorModels_ImgClass(model=model, dataset=dataset)
-            TestErrorModels_ObjDet(model=detector, dataset=det_dataset)
-            CampaignRunner(model, dataset)
-        reset_warnings()
 
 
 class TestCampaignResultHandle:
@@ -398,23 +374,6 @@ class TestArtifactsOverride:
         result = run(spec, artifacts=Artifacts(model=model, dataset=dataset))
         assert result.core.model is model
         assert result.core.dataset is dataset
-
-    def test_prebuilt_core_honors_spec_output_dir(self, tmp_path):
-        from repro.alficore.campaign import CampaignCore, ClassificationTask
-
-        dataset = SyntheticClassificationDataset(
-            num_samples=4, num_classes=CLASSES, noise=0.25, seed=1
-        )
-        core = CampaignCore(
-            build_fitted_classifier(dataset),
-            dataset,
-            ClassificationTask(collect_outputs=True),
-            scenario=classification_scenario(),
-        )
-        spec = classification_spec(tmp_path / "core_out")
-        result = run(spec, artifacts=Artifacts(core=core))
-        assert "corrupted_csv" in result.output_files
-        assert (tmp_path / "core_out" / "lenet5_corrupted_results.csv").exists()
 
     def test_registry_resolution_matches_prebuilt(self, tmp_path):
         dataset = SyntheticClassificationDataset(

@@ -9,6 +9,7 @@ sweep manager replaces.
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +240,30 @@ class TestRunSweep:
         assert (result.executed, result.cached) == (2, 0)
         for outcome in result.outcomes:
             assert outcome.load_result().summary["corrupted"]["num_inferences"] == IMAGES
+
+    def test_without_store_outcomes_keep_the_result_but_not_the_engine(self):
+        for outcome in run_sweep(layer_sweep_spec()).outcomes:
+            result = outcome.load_result()
+            assert result.core is None
+            assert result.state.inferences == IMAGES
+
+    def test_executed_point_reads_its_records_from_the_committed_directory(self, tmp_path):
+        # A point runs in <store>/<run_id>.wip/, which the commit renames
+        # away: a freshly executed outcome must hand out the same result a
+        # cached one does, not the run's stale .wip paths.
+        store = CampaignStore(tmp_path / "store")
+        spec = layer_sweep_spec()
+        first = run_sweep(spec, store=store)
+        assert (first.executed, first.cached) == (2, 0)
+        second = run_sweep(spec, store=store)
+        for executed, cached in zip(first.outcomes, second.outcomes):
+            result = executed.load_result()
+            point_dir = store.point_dir(executed.run_id)
+            for path in result.output_files.values():
+                assert Path(path).is_file() and Path(path).parent == point_dir
+            assert len(list(result.iter_records("corrupted_csv"))) == IMAGES
+            assert result.output_files == cached.load_result().output_files
+            assert result.core is None
 
     def test_store_skip_and_lazy_results(self, tmp_path):
         store = CampaignStore(tmp_path / "store")

@@ -31,7 +31,6 @@ RULE_FIXTURES = {
     "sessions": "session-context",
     "reductions": "float-reduction-order",
     "registries": "registry-mutation",
-    "facades": "deprecated-facade",
     "workers": "worker-purity",
     "dispatch": "supervised-dispatch",
 }
@@ -143,9 +142,9 @@ def test_baseline_matching_survives_line_drift(tmp_path):
 def test_baseline_does_not_hide_new_findings(tmp_path):
     baseline = lint_paths([FIXTURES / "rng" / "bad.py"]).findings
     report = lint_paths(
-        [FIXTURES / "rng" / "bad.py", FIXTURES / "facades" / "bad.py"], baseline=baseline
+        [FIXTURES / "rng" / "bad.py", FIXTURES / "registries" / "bad.py"], baseline=baseline
     )
-    assert {finding.rule for finding in report.findings} == {"deprecated-facade"}
+    assert {finding.rule for finding in report.findings} == {"registry-mutation"}
     assert report.exit_code == 1
 
 
@@ -224,10 +223,10 @@ def test_cli_list_rules(capsys):
 def test_pytorchalfi_lint_subcommand(capsys):
     from repro.cli import main as cli_main
 
-    code = cli_main(["lint", str(FIXTURES / "facades" / "bad.py"), "--no-baseline"])
+    code = cli_main(["lint", str(FIXTURES / "registries" / "bad.py"), "--no-baseline"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "[deprecated-facade]" in out
+    assert "[registry-mutation]" in out
 
 
 # --------------------------------------------------------------------------- #
