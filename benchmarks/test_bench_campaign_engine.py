@@ -277,7 +277,9 @@ def test_sharded_vs_serial_scaling(benchmark, vgg_model, tmp_path):
     construction) still verify the equivalence and report the measured
     ratio.
     """
-    images = 128
+    # Sized for a serial run of >= 1.5 s: a pool pays ~0.1 s of fork, fsync and
+    # poll cost per shard wave, which a 0.3 s campaign cannot win back.
+    images = 800
     workers = min(4, os.cpu_count() or 1)
     dataset = SyntheticClassificationDataset(num_samples=images, num_classes=10, noise=0.25, seed=8)
     scenario = default_scenario(
@@ -293,9 +295,10 @@ def test_sharded_vs_serial_scaling(benchmark, vgg_model, tmp_path):
         return time.perf_counter() - start, result
 
     def sharded_run():
-        # On a single-core machine the pool cannot win; still exercise the
-        # shard partition + merge machinery with in-process shards.
-        return run(f"sharded_{workers}", workers, max(workers, 3))
+        # One shard per worker, so no worker waits for a straggler wave.  On a
+        # single-core machine the pool cannot win; still exercise the shard
+        # partition + merge machinery with two in-process shards.
+        return run(f"sharded_{workers}", workers, max(workers, 2))
 
     sharded_seconds, sharded = benchmark.pedantic(sharded_run, rounds=1, iterations=1)
     serial_seconds, serial = run("serial", 1, 1)

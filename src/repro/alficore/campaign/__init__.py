@@ -12,10 +12,12 @@ The engine is three layers, one module each:
   Each step's golden pass is one
   :class:`~repro.alficore.goldencache.GoldenCacheEntry` (cached, or
   transient without a cache) that serves both ends of the faulty pass: the
-  boundary it resumes at, and — *tail reuse* — the first cached boundary
-  behind the group's last faulted segment that the faulty activation
-  reproduces byte for byte, where the pass ends with the golden output
-  object and inherits the golden monitor events of the skipped tail.
+  boundary it resumes at (the input batch for a fault in segment 0), and —
+  *tail reuse* — the first checkpointed boundary behind the group's last
+  faulted segment that the faulty activation reproduces byte for byte,
+  where the pass ends with the golden output object and inherits the golden
+  monitor events of the skipped tail.  A transient entry checkpoints
+  exactly those two.
 * :mod:`~repro.alficore.campaign.tasks` — :class:`CampaignTask` adapters
   interpret outputs per workload.  :class:`ClassificationTask` classifies
   each inference masked / SDE / DUE against its golden top-1 and streams CSV

@@ -2,13 +2,21 @@
 
 Dataset iteration, golden/faulty lock-step inference over the clone-free
 fault group sessions, the primary and the hardened ("resil") model lane,
-attach-once monitors, forward plans with prefix and tail reuse over the
-golden cache, and the stream lifecycle.  Outputs are interpreted by the
-:class:`~repro.alficore.campaign.tasks.CampaignTask` it is given.
+attach-once monitors, forward plans and the stream lifecycle.  Outputs are
+interpreted by the :class:`~repro.alficore.campaign.tasks.CampaignTask` it
+is given.
+
+Every faulty pass of a planned model runs ``[first, rejoin)``: from the
+group's first faulted segment — a golden checkpoint, or the input batch for
+segment 0 — to the first golden checkpoint behind its last faulted segment
+that it reproduces byte for byte (else to the end).  With a golden cache the
+checkpoints are the entry's; without one the golden pass of the same step
+records the two the faulty pass needs.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Callable, Iterator
 
@@ -85,9 +93,11 @@ class CampaignCore:
         resil_wrapper: optional pre-built wrapper for the hardened model.
         prefix_reuse: run the faulty (and resil-faulty) lane as a suffix-only
             forward from the first faulted layer, reusing the golden pass's
-            checkpointed prefix activations (bit-identical to a full faulty
-            forward).  Disabled automatically for models whose forward does
-            not linearise into a :class:`~repro.nn.forward_plan.ForwardPlan`.
+            checkpointed prefix activations, and end it at the first golden
+            checkpoint behind the last faulted layer that it reproduces
+            (bit-identical to a full faulty forward).  Disabled automatically
+            for models whose forward does not linearise into a
+            :class:`~repro.nn.forward_plan.ForwardPlan`.
         golden_cache: optional :class:`GoldenCache`; golden (and
             resil-golden) passes are computed once per batch of images
             instead of once per epoch, and their boundary checkpoints are
@@ -153,9 +163,14 @@ class CampaignCore:
         # change campaign results.
         self.executor = executor
         self.golden_cache = golden_cache
-        # Forward plans and recording arenas, lazily built per model object
-        # (``None`` marks a model whose forward could not be linearised).
+        #: faulty passes that ended at a golden boundary (tail reuse), with or
+        #: without a cache; a shared cache's ``rejoins`` counts them as well
+        self.rejoins = 0
+        # Forward plans, their resumable boundaries and recording arenas,
+        # lazily built per model object (``None`` marks a model whose forward
+        # could not be linearised).
         self._plans: dict[int, ForwardPlan | None] = {}
+        self._resumable: dict[int, tuple[int, ...]] = {}
         self._arenas: dict[int, ActivationArena] = {}
         self._fingerprints: dict[int, str] = {}
 
@@ -312,16 +327,22 @@ class CampaignCore:
             self._fingerprints[key] = fingerprint
         return fingerprint
 
-    @staticmethod
-    def _resumable_boundaries(plan: ForwardPlan, wrapper: ptfiwrap) -> frozenset[int]:
-        """Boundaries a fault group of ``wrapper`` can resume at.
+    def _resumable_boundaries(self, plan: ForwardPlan, wrapper: ptfiwrap) -> tuple[int, ...]:
+        """Boundaries a fault group of ``wrapper`` can resume at, ascending.
 
         A group resumes at the segment of its earliest faulted layer, so
         only segments holding an injectable layer are ever asked for — the
-        only ones a cached golden pass needs to checkpoint.
+        only ones a cached golden pass needs to checkpoint.  Boundary 0 is
+        the input batch and needs no checkpoint.  Computed once per golden
+        model (each has one plan and one wrapper).
         """
-        segments = (plan.segment_for(layer.name) for layer in wrapper.fault_injection.layers)
-        return frozenset(index for index in segments if index)
+        key = id(plan.model)
+        boundaries = self._resumable.get(key)
+        if boundaries is None:
+            segments = (plan.segment_for(layer.name) for layer in wrapper.fault_injection.layers)
+            boundaries = tuple(sorted({index for index in segments if index}))
+            self._resumable[key] = boundaries
+        return boundaries
 
     @staticmethod
     def _faulted_span(
@@ -332,16 +353,17 @@ class CampaignCore:
     ) -> tuple[int, int] | None:
         """Plan segments ``(first, last)`` that execute a faulted layer of the group.
 
-        The faulty lane resumes at ``first`` and may rejoin the golden pass
-        behind ``last``; ``None`` means a full forward.  The golden and the
-        faulty model (a bit-identical clone for neuron campaigns) must
-        segment identically, since the golden plan's checkpoints are fed
-        into the faulty plan's suffix.  Both ends are taken over the
-        *executed* segments of all of the group's faulted layers — layer
-        indices follow registration order, which may differ from execution
-        order, so mapping only ``first_faulted_layer`` could skip a patched
-        layer that runs earlier in the chain, and rejoining before ``last``
-        would skip a fault that has yet to fire.
+        The faulty lane resumes at ``first`` (0: from the input batch) and
+        may rejoin the golden pass behind ``last``; ``None`` means a plain
+        forward of the faulty model.  The golden and the faulty model (a
+        bit-identical clone for neuron campaigns) must segment identically,
+        since the golden plan's checkpoints are fed into the faulty plan's
+        suffix.  Both ends are taken over the *executed* segments of all of
+        the group's faulted layers — layer indices follow registration order,
+        which may differ from execution order, so mapping only
+        ``first_faulted_layer`` could skip a patched layer that runs earlier
+        in the chain, and rejoining before ``last`` would skip a fault that
+        has yet to fire.
         """
         if golden_plan is None or faulty_plan is None:
             return None
@@ -361,8 +383,6 @@ class CampaignCore:
                 return None
             first_segments.append(index)
             last_segments.append(faulty_plan.last_segment_for(name))
-        if min(first_segments) <= 0:
-            return None
         return min(first_segments), max(last_segments)
 
     def _golden_pass(
@@ -372,29 +392,36 @@ class CampaignCore:
         images: np.ndarray,
         batch: list[ImageRecord],
         cache_key: tuple,
-        resume_at: int | None,
+        span: tuple[int, int] | None,
         with_monitor: bool,
         wrapper: ptfiwrap,
     ) -> tuple[GoldenCacheEntry, object]:
         """Run (or fetch) one lane's golden pass.
 
-        ``wrapper`` is the lane's fault-injection wrapper: on a cache miss
-        its injectable layers decide which boundaries are checkpointed.
+        ``span`` is the step's :meth:`_faulted_span`; ``wrapper`` is the
+        lane's fault-injection wrapper, whose injectable layers decide which
+        boundaries are checkpointed.
 
         Returns ``(entry, boundary)``: the golden pass as a cache entry — the
-        cached one, or without a cache a transient one that holds nothing
-        but this step's boundary — and its checkpointed activation for
-        ``resume_at`` (``None`` when not available).  ``entry.marks`` /
+        cached one, or without a cache a transient one — and the activation
+        the faulty lane resumes from: ``images`` for a span that starts in
+        segment 0, the checkpoint of boundary ``span[0]`` otherwise
+        (``None`` when not available).  A transient entry holds that
+        checkpoint and the first resumable boundary behind ``span[1]``, the
+        first one a cached entry would be compared at.  ``entry.marks`` /
         ``entry.events`` carry the golden monitor state the faulty lane
         inherits for the segments it does not execute (``None`` without
         monitoring).
         """
         cache = self.golden_cache
+        resume_at = span[0] if span is not None else None
         if cache is not None:
             entry = cache.get(cache_key, batch_shape=images.shape)
             if entry is not None:
                 boundary = None
-                if resume_at is not None:
+                if resume_at == 0:
+                    boundary = images
+                elif resume_at is not None:
                     boundary = entry.boundaries.get(resume_at)
                     if boundary is None and plan is not None:
                         # Epoch-invariant output is cached but this epoch's
@@ -421,13 +448,18 @@ class CampaignCore:
         try:
             # With a cache every boundary a fault group can resume at is
             # checkpointed (owned copies), so later epochs and grid points
-            # need no prefix pass; the transient path records only this
-            # step's boundary into the reusable arena.
+            # need no prefix pass; the transient path records this step's two
+            # into the reusable arena (boundary 0 is ``images``, a resume
+            # point past the last resumable boundary has nothing behind it).
+            resumable = self._resumable_boundaries(plan, wrapper)
             if cache is not None:
-                wanted = self._resumable_boundaries(plan, wrapper)
+                wanted = resumable
                 arena = None
             else:
-                wanted = [resume_at] if resume_at is not None else []
+                wanted = []
+                if span is not None:
+                    behind = next((index for index in resumable if index > span[1]), None)
+                    wanted = [index for index in (resume_at, behind) if index]
                 arena = self._arena_for(model)
             output, checkpoints, marks = plan.run_recording(
                 images, wanted, arena=arena, monitor=monitor
@@ -442,7 +474,7 @@ class CampaignCore:
             )
         else:
             entry = GoldenCacheEntry(output, checkpoints, marks, events)
-        return entry, checkpoints.get(resume_at)
+        return entry, images if resume_at == 0 else checkpoints.get(resume_at)
 
     def _cache_lane_key(self, lane: str, model: Module, cache_key: tuple) -> tuple:
         """Full golden-cache key: lane and weight fingerprint before the
@@ -497,18 +529,25 @@ class CampaignCore:
 
         Returns ``(output, resumed_at, rejoined_at)``: with a boundary to
         start from only the segments from the group's first faulted one run,
-        and only up to the first cached boundary behind its last faulted one
-        where the activation equals the golden pass's — the output is then
-        ``entry.output`` itself.  (A transient entry holds no boundary behind
-        the fault, so without a cache the pass always runs to the end.)
+        and only up to the first golden checkpoint behind its last faulted
+        one where the activation equals the golden pass's — the output is
+        then ``entry.output`` itself.  A pass from segment 0 starts at the
+        input batch, so it is an inference like any other and the task runs
+        it (``infer`` is ``finish(model(images))``).
         """
         if span is None or boundary is None:
             return self.task.infer(group.model, images, batch), None, None
         resume_at, last_faulted = span
-        raw = plan.resume(resume_at, boundary, golden=entry, after=last_faulted)
-        if plan.rejoined_at is not None and self.golden_cache is not None:
-            self.golden_cache.rejoins += 1
-        return self.task.finish(raw), resume_at, plan.rejoined_at
+        resume = functools.partial(plan.resume, resume_at, golden=entry, after=last_faulted)
+        if resume_at == 0:
+            output = self.task.infer(resume, images, batch)
+        else:
+            output = self.task.finish(resume(boundary))
+        if plan.rejoined_at is not None:
+            self.rejoins += 1
+            if self.golden_cache is not None:
+                self.golden_cache.rejoins += 1
+        return output, resume_at, plan.rejoined_at
 
     def _run_step(
         self,
@@ -540,14 +579,15 @@ class CampaignCore:
 
         # Golden pass runs before the patch is applied.  The monitor scan on
         # the golden pass is only paid when something consumes its events: a
-        # suffix-only resume (prefix inheritance) or a cache recording.
+        # planned faulty pass (it inherits those of the prefix it skips and
+        # of the tail behind a rejoin) or a cache recording.
         entry, boundary = self._golden_pass(
             self.model,
             golden_plan,
             images,
             batch,
             self._cache_lane_key("golden", self.model, cache_key),
-            span[0] if span is not None else None,
+            span,
             with_monitor=golden_plan is not None
             and (self.golden_cache is not None or span is not None),
             wrapper=self.wrapper,
@@ -590,7 +630,7 @@ class CampaignCore:
                 images,
                 batch,
                 self._cache_lane_key("resil", self.resil_model, cache_key),
-                resil_span[0] if resil_span is not None else None,
+                resil_span,
                 with_monitor=False,
                 wrapper=self.resil_wrapper,
             )

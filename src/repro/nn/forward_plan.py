@@ -16,10 +16,12 @@ the two lanes, so recomputing it for the faulty lane is pure waste.  A
   copies for a cache) and, optionally, snapshotting monitor event counts at
   every boundary so NaN/Inf events can later be attributed to the prefix;
 * :meth:`resume` re-enters the pass at segment ``k`` from a cached boundary
-  activation and only executes the suffix — and, handed the golden pass it
-  resumed from, stops at the first later checkpoint its activation equals
-  byte for byte: from there on the pass would only recompute the golden
-  output, so it returns that object instead (*tail reuse*).
+  activation (``k == 0``: from the input itself) and only executes the
+  suffix — and, handed the golden pass it resumed from, stops at the first
+  later checkpoint its activation equals byte for byte: from there on the
+  pass would only recompute the golden output, so it returns that object
+  instead (*tail reuse*).  The golden pass need not be a cached one: one
+  checkpoint behind the fault, recorded by the same step, is enough.
 
 The flattening is *trace-based*: one instrumented forward pass records every
 module call with the identities of its first input and its output, and a
@@ -102,17 +104,28 @@ def _snapshot(value):
     return value
 
 
+# Unsigned words as wide as an element: comparing them compares bytes.
+_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def _bitwise_equal(a, b) -> bool:
     """Bit-exact structural comparison (NaN payloads and the sign of zero
     like any other pattern).
 
-    Arrays compare by bytes, lists/tuples recurse (covering detection-style
-    list-of-objects outputs via their box/score/label arrays).  Anything the
-    function cannot compare counts as *unequal*, so an unvalidatable output
-    type invalidates the plan instead of silently trusting it.
+    Arrays compare by bytes — as unsigned words of the element size where
+    there is one, without serialising either side — lists/tuples recurse
+    (covering detection-style list-of-objects outputs via their
+    box/score/label arrays).  Anything the function cannot compare counts as
+    *unequal*, so an unvalidatable output type invalidates the plan instead
+    of silently trusting it.
     """
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if a.shape != b.shape or a.dtype != b.dtype:
+            return False
+        word = _WORDS.get(a.dtype.itemsize)
+        if word is None or a.dtype.hasobject:
+            return a.tobytes() == b.tobytes()
+        return bool((a.view(word) == b.view(word)).all())
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return len(a) == len(b) and all(_bitwise_equal(x, y) for x, y in zip(a, b))
     if hasattr(a, "boxes") and hasattr(b, "boxes"):

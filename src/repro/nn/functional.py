@@ -10,7 +10,10 @@ arithmetic: ``conv2d`` is a tap-loop :func:`im2col` plus exactly one BLAS
 GEMM whose operand order, shapes and memory layouts are part of the
 contract; pooling and ``im2col`` loop over the ``kh * kw`` kernel taps
 (strided slices) instead of reducing or copying a 6-D window view; and the
-elementwise kernels run their ufuncs on one buffer.  The result bits are
+elementwise kernels run their ufuncs on one buffer.  Where a buffer is only
+staging for a copy, its layout is free: a batch's columns are written with
+rows an odd number of cache lines apart, because the transposed copy that
+builds the GEMM operand reads them column by column.  The result bits are
 pinned against the frozen previous generation in ``tests/oracles/`` (see
 "The bit-exactness contract" in ``docs/ir.md``); NaN *positions* are part of
 that contract, NaN payload bits are not.
@@ -80,11 +83,30 @@ def _window_taps(x, kh: int, kw: int, sh: int, sw: int, out_h: int, out_w: int) 
     ]
 
 
+_CACHE_LINE = 64  # bytes
+
+
+def _row_pitch(positions: int, itemsize: int) -> int:
+    """Elements between the starts of two rows of a *pitched* column buffer.
+
+    Rows are padded to an odd number of cache lines.  Reading such a buffer
+    down a column then walks through every L1 set; at the natural pitch of a
+    32x32, 16x16 or 8x8 map (a power of two) every read lands in the same few
+    sets and evicts the line the next column needs.  Rows shorter than two
+    lines stay as they are.
+    """
+    row_bytes = positions * itemsize
+    if row_bytes < 2 * _CACHE_LINE:
+        return positions
+    return (-(-row_bytes // _CACHE_LINE) | 1) * _CACHE_LINE // itemsize
+
+
 def im2col(
     images: np.ndarray,
     kernel_size: tuple[int, int],
     stride: tuple[int, int],
     padding: tuple[int, int],
+    pitched: bool = False,
 ) -> tuple[np.ndarray, int, int]:
     """Unfold image patches into columns for matmul-based convolution.
 
@@ -93,12 +115,17 @@ def im2col(
         kernel_size: ``(kh, kw)``.
         stride: ``(sh, sw)``.
         padding: ``(ph, pw)`` zero padding.
+        pitched: lay the rows of the result out :func:`_row_pitch` elements
+            apart, for a caller that goes on to read it column by column
+            (``conv2d`` copying the transposed columns of a batch).
 
     Returns:
-        A tuple ``(columns, out_h, out_w)`` where ``columns`` is C-contiguous
-        with shape ``(N, C * kh * kw, out_h * out_w)``.  For a pointwise
-        kernel (1x1, stride 1, no padding) over a contiguous input the
-        columns are a view of ``images``, not a copy.
+        A tuple ``(columns, out_h, out_w)`` where ``columns`` has shape
+        ``(N, C * kh * kw, out_h * out_w)`` and a contiguous last axis.  By
+        default it is C-contiguous, and for a pointwise kernel (1x1, stride
+        1, no padding) over a contiguous input a view of ``images``, not a
+        copy; ``pitched``, it is the ``[..., :out_h * out_w]`` view of a
+        buffer with longer rows, a copy for every kernel.
     """
     n, c, h, w = images.shape
     kh, kw = kernel_size
@@ -106,16 +133,23 @@ def im2col(
     ph, pw = padding
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
+    positions = out_h * out_w
+    pitch = _row_pitch(positions, images.dtype.itemsize) if pitched else positions
 
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+    pointwise = (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0)
+    if pointwise and pitch == positions:
         # A pointwise convolution's columns are the image itself.
-        return np.ascontiguousarray(images.reshape(n, c, h * w)), out_h, out_w
+        return np.ascontiguousarray(images.reshape(n, c, positions)), out_h, out_w
 
+    columns = np.empty((n, c * kh * kw, pitch), dtype=images.dtype)[:, :, :positions]
+    if pointwise:
+        columns[...] = images.reshape(n, c, positions)
+        return columns, out_h, out_w
     images = _pad_hw(images, ph, pw, 0.0)
-    columns = np.empty((n, c, kh * kw, out_h, out_w), dtype=images.dtype)
+    taps = columns.reshape(n, c, kh * kw, out_h, out_w)  # splits axes: a view at any pitch
     for index, tap in enumerate(_window_taps(images, kh, kw, sh, sw, out_h, out_w)):
-        columns[:, :, index] = tap
-    return columns.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+        taps[:, :, index] = tap
+    return columns, out_h, out_w
 
 
 def conv2d(
@@ -173,7 +207,10 @@ def conv2d(
 
     n = x.shape[0]
     out_channels, _, kh, kw = weight.shape
-    columns, out_h, out_w = im2col(x, (kh, kw), _pair(stride), _pair(padding))
+    # A batch copies its columns transposed (below), reading them column by
+    # column: those are laid out pitched.  For n == 1 the columns are
+    # themselves a GEMM operand and keep their C-contiguous layout.
+    columns, out_h, out_w = im2col(x, (kh, kw), _pair(stride), _pair(padding), pitched=n > 1)
     features, positions = columns.shape[1:]
     # Exactly one GEMM, and its operand order, shapes and memory layouts are
     # part of the bit-exactness contract (BLAS picks its blocking from them):

@@ -1,13 +1,16 @@
 """Tail reuse and the once-per-image golden half of the records.
 
-A faulty pass that reproduces a cached golden boundary byte for byte ends
-there and takes the golden output (and the golden monitor events of the
-segments it skipped).  The contract under test: every result file, the KPI
-file and the task state equal the ``caching.prefix_reuse: false`` reference
-run, while rejoined passes execute fewer segments.
+A faulty pass that reproduces a golden boundary byte for byte ends there and
+takes the golden output (and the golden monitor events of the segments it
+skipped) — at a cached boundary, or without a cache at the one boundary the
+golden pass of its own step checkpointed behind the fault.  The contract
+under test: every result file, the KPI file and the task state equal the
+``caching.prefix_reuse: false`` reference run, while rejoined passes execute
+fewer segments.
 """
 
 import dataclasses
+import functools
 from pathlib import Path
 from typing import NamedTuple
 
@@ -16,7 +19,7 @@ import pytest
 
 from repro import nn
 from repro.alficore import GoldenCache
-from repro.alficore.campaign import CampaignCore, ClassificationTask, StepContext
+from repro.alficore.campaign import CampaignCore, CampaignTask, ClassificationTask, StepContext
 from repro.alficore.goldencache import GoldenCacheEntry
 from repro.alficore.monitoring import MonitorResult, RangeMonitor
 from repro.data.wrapper import ImageRecord
@@ -116,10 +119,35 @@ def resumes(monkeypatch):
     return log
 
 
+@pytest.fixture
+def monitor_results(monkeypatch):
+    """The monitor result every step hands to the task."""
+    seen = []
+    consume = ClassificationTask.consume
+
+    def recording(self, ctx):
+        seen.append(ctx.monitor.as_dict())
+        return consume(self, ctx)
+
+    monkeypatch.setattr(ClassificationTask, "consume", recording)
+    return seen
+
+
 def _assert_segments_match_rejoins(resumes):
     for resume in resumes:
         stop = resume.plan.num_segments if resume.rejoined_at is None else resume.rejoined_at
         assert resume.executed == list(range(resume.start, stop))
+
+
+def _inherited_tail_events(resumes, monitor_results):
+    """Custom monitor events of segments a rejoined pass never executed."""
+    assert len(resumes) == len(monitor_results)  # one planned pass per step
+    return sum(
+        resume.plan.segment_for(event["layer"]) >= resume.rejoined_at
+        for resume, result in zip(resumes, monitor_results)
+        if resume.rejoined_at is not None
+        for event in result["custom_events"]
+    )
 
 
 class TestCampaignsEqualTheReferencePath:
@@ -170,33 +198,14 @@ class TestCampaignsEqualTheReferencePath:
         assert broken.core.golden_cache.rejoins > reused.core.golden_cache.rejoins
         assert _result_bytes(broken) != _result_bytes(reference)
 
-    def test_golden_tail_monitor_events_are_inherited(self, tmp_path, monkeypatch, resumes):
-        seen = []
-        consume = ClassificationTask.consume
-
-        def recording(self, ctx):
-            seen.append(ctx.monitor.as_dict())
-            return consume(self, ctx)
-
-        monkeypatch.setattr(ClassificationTask, "consume", recording)
+    def test_golden_tail_monitor_events_are_inherited(self, tmp_path, resumes, monitor_results):
         monitors = Artifacts(custom_monitors=[RangeMonitor(bound=0.5)])
         reference = run(_spec("lenet5", "weights", tmp_path / "ref", prefix_reuse=False), monitors)
-        expected, seen[:] = list(seen), []
+        expected, monitor_results[:] = list(monitor_results), []
         reused = run(_spec("lenet5", "weights", tmp_path / "tail", golden_cache_mb=64), monitors)
-        assert seen == expected
+        assert monitor_results == expected
         assert _result_bytes(reused) == _result_bytes(reference)
-
-        inherited = 0
-        assert len(resumes) == len(seen)  # lenet5 faults never sit in segment 0
-        for resume, result in zip(resumes, seen):
-            if resume.rejoined_at is None:
-                continue
-            tail = [
-                event for event in result["custom_events"]
-                if resume.plan.segment_for(event["layer"]) >= resume.rejoined_at
-            ]
-            inherited += len(tail)
-        assert inherited > 0, "the monitor never fired in a skipped golden tail"
+        assert _inherited_tail_events(resumes, monitor_results) > 0
 
     def test_resil_lane_with_a_hardened_model(self, tmp_path, resumes):
         reference = run(
@@ -214,6 +223,158 @@ class TestCampaignsEqualTheReferencePath:
         }
         assert lanes == {False, True}  # both lanes rejoined at least once
         _assert_segments_match_rejoins(resumes)
+
+
+ONE_EPOCH = {"num_runs": 1}
+BATCHED = {"num_runs": 1, "batch_size": 4, "inj_policy": "per_batch"}  # 6 images: 4 + 2
+FIRST_LAYER = {"layer_range": (0, 0)}
+
+
+class TestCacheLessCampaigns:
+    """One epoch, no store: no golden cache exists, and the golden pass of
+    each step checkpoints the one boundary its faulty pass may rejoin at."""
+
+    # Seeds picked so that every campaign masks at least one fault group.
+    @pytest.mark.parametrize("model, target, batch_size, first_layer, seed", [
+        ("lenet5", "weights", 1, False, 50),
+        ("lenet5", "weights", 4, False, 52),
+        ("lenet5", "neurons", 1, False, 50),
+        ("lenet5", "neurons", 4, False, 52),
+        ("lenet5", "neurons", 1, True, 53),
+        ("lenet5", "neurons", 4, True, 52),
+        ("alexnet", "weights", 1, False, 53),
+        ("alexnet", "weights", 4, False, 50),
+        ("alexnet", "neurons", 1, False, 51),
+        ("alexnet", "neurons", 4, False, 51),
+        ("alexnet", "neurons", 1, True, 52),
+        ("alexnet", "neurons", 4, True, 50),
+        ("resnet18", "weights", 1, False, 50),
+        ("resnet18", "weights", 4, False, 54),
+        ("resnet18", "neurons", 1, False, 53),
+        ("resnet18", "neurons", 4, False, 53),
+        ("resnet18", "neurons", 1, True, 52),
+        ("resnet18", "neurons", 4, True, 50),
+    ])
+    def test_single_epoch_campaign(
+        self, tmp_path, monkeypatch, resumes, model, target, batch_size, first_layer, seed
+    ):
+        scenario = {**(ONE_EPOCH if batch_size == 1 else BATCHED), "random_seed": seed}
+        if first_layer:
+            scenario.update(FIRST_LAYER)
+        reference = run(_spec(model, target, tmp_path / "ref", scenario, prefix_reuse=False))
+        assert resumes == []
+
+        inferred = []
+        infer = CampaignTask.infer
+
+        def recording(self, model, images, batch):
+            inferred.append(model)
+            return infer(self, model, images, batch)
+
+        monkeypatch.setattr(CampaignTask, "infer", recording)
+        reused = run(_spec(model, target, tmp_path / "tail", scenario))
+        assert reused.core.golden_cache is None
+        assert _result_bytes(reused) == _result_bytes(reference)
+
+        steps = -(-IMAGES // batch_size)
+        assert len(resumes) == steps  # every faulty pass went through the plan
+        rejoined = [resume for resume in resumes if resume.rejoined_at is not None]
+        assert rejoined and len(rejoined) == reused.core.rejoins
+        _assert_segments_match_rejoins(resumes)
+        # A pass from the input batch is the task's to run, once each; the
+        # golden passes and the mid-network resumes never reach ``infer``.
+        from_input = [resume for resume in resumes if resume.start == 0]
+        assert len(inferred) == len(from_input)
+        assert all(isinstance(resume, functools.partial) for resume in inferred)
+        if first_layer:
+            assert len(from_input) == steps
+            assert any(resume.rejoined_at is not None for resume in from_input)
+
+    @pytest.mark.parametrize("executor", ["module", "fused"])
+    def test_every_executor_rejoins_at_an_arena_checkpoint(self, tmp_path, executor):
+        scenario = {**BATCHED, **FIRST_LAYER}
+        reference = run(_spec("alexnet", "neurons", tmp_path / "ref", scenario, prefix_reuse=False))
+        reused = run(_spec("alexnet", "neurons", tmp_path / "tail", scenario, executor=executor))
+        assert reused.core._plans[id(reused.core.model)].executor_name == executor
+        assert _result_bytes(reused) == _result_bytes(reference)
+        assert reused.core.rejoins > 0
+
+    def test_first_layer_weight_fault_runs_from_the_input_to_the_end(self, tmp_path, resumes):
+        # An exponent flip in a first-layer kernel moves a whole channel:
+        # nothing to rejoin, and nothing lost by looking for it.
+        scenario = {**ONE_EPOCH, **FIRST_LAYER}
+        reference = run(_spec("lenet5", "weights", tmp_path / "ref", scenario, prefix_reuse=False))
+        reused = run(_spec("lenet5", "weights", tmp_path / "tail", scenario))
+        assert _result_bytes(reused) == _result_bytes(reference)
+        assert [(resume.start, resume.rejoined_at) for resume in resumes] == [(0, None)] * IMAGES
+        assert reused.core.rejoins == 0
+        _assert_segments_match_rejoins(resumes)
+
+    def test_golden_tail_monitor_events_of_a_first_layer_group(
+        self, tmp_path, resumes, monitor_results
+    ):
+        scenario = {**ONE_EPOCH, **FIRST_LAYER, "random_seed": 53}
+        monitors = Artifacts(custom_monitors=[RangeMonitor(bound=0.5)])
+        reference = run(
+            _spec("lenet5", "neurons", tmp_path / "ref", scenario, prefix_reuse=False), monitors
+        )
+        expected, monitor_results[:] = list(monitor_results), []
+        reused = run(_spec("lenet5", "neurons", tmp_path / "tail", scenario), monitors)
+        assert monitor_results == expected
+        assert _result_bytes(reused) == _result_bytes(reference)
+        assert [resume.start for resume in resumes] == [0] * IMAGES
+        assert _inherited_tail_events(resumes, monitor_results) > 0
+
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    def test_resil_lane_with_a_hardened_model(self, tmp_path, resumes, target):
+        reference = run(_spec(
+            "lenet5", target, tmp_path / "ref", ONE_EPOCH, protection="ranger", prefix_reuse=False
+        ))
+        reused = run(_spec("lenet5", target, tmp_path / "tail", ONE_EPOCH, protection="ranger"))
+        files = _result_bytes(reused)
+        assert "resil_csv" in files and files == _result_bytes(reference)
+        rejoined = [resume for resume in resumes if resume.rejoined_at is not None]
+        assert len(rejoined) == reused.core.rejoins
+        assert len({id(resume.plan) for resume in rejoined}) == 2  # both lanes
+        if target == "neurons":
+            assert len({id(resume.plan) for resume in rejoined if resume.start == 0}) == 2
+        _assert_segments_match_rejoins(resumes)
+
+    def test_shards_of_a_detection_campaign(self, tmp_path, resumes):
+        # Shards never see a cache.  One worker keeps them in this process,
+        # where the spy can see them.
+        from tests.test_alficore_prefix_reuse import _detection_spec, _file_bytes
+
+        serial = {"name": "serial", "workers": 1}
+        sharded = {"name": "sharded", "workers": 1, "num_shards": 2}
+        reference = run(_detection_spec(
+            "yolov3", "neurons", serial, tmp_path / "ref", ONE_EPOCH, prefix_reuse=False
+        ))
+        reused = run(_detection_spec("yolov3", "neurons", sharded, tmp_path / "tail", ONE_EPOCH))
+        assert _file_bytes(reused) == _file_bytes(reference)
+        assert len(resumes) == reused.state.inferences == 6
+        rejoined = [resume for resume in resumes if resume.rejoined_at is not None]
+        assert {resume.start == 0 for resume in rejoined} == {False, True}
+        _assert_segments_match_rejoins(resumes)
+
+    def test_rejoin_is_tested_behind_the_last_faulted_segment(self, tmp_path, monkeypatch):
+        scenario = {**ONE_EPOCH, "random_seed": 50}
+        reference = run(_spec("lenet5", "weights", tmp_path / "ref", scenario, prefix_reuse=False))
+        reused = run(_spec("lenet5", "weights", tmp_path / "tail", scenario))
+        assert _result_bytes(reused) == _result_bytes(reference)
+
+        # Teeth: the last faulted segment's *input* is a golden boundary too,
+        # and every pass equals it -- the fault has yet to fire.
+        original = CampaignCore._faulted_span
+
+        def early(*args):
+            span = original(*args)
+            return span and (span[0], span[1] - 1)
+
+        monkeypatch.setattr(CampaignCore, "_faulted_span", staticmethod(early))
+        broken = run(_spec("lenet5", "weights", tmp_path / "early", scenario))
+        assert broken.core.rejoins == IMAGES > reused.core.rejoins
+        assert _result_bytes(broken) != _result_bytes(reference)
 
 
 class TestCacheEntryStates:
@@ -343,6 +504,19 @@ class TestResumeAgainstAGoldenPass:
         assert not _bitwise_equal(nan, np.array([1.0, np.nan, -0.0], dtype=np.float32))
         assert not _bitwise_equal(nan, nan.astype(np.float64))
         assert not _bitwise_equal(nan, nan.reshape(1, 3))
+        payload = nan.copy()
+        payload.view(np.uint32)[1] ^= 1  # still a NaN, another one
+        assert np.isnan(payload[1]) and not _bitwise_equal(nan, payload)
+        # Memory layout is not content, and no element size is left out.
+        wide = np.arange(12, dtype=np.float32).reshape(3, 4)
+        assert _bitwise_equal(wide[:, ::2], wide[:, ::2].copy())
+        assert _bitwise_equal(wide.T, np.ascontiguousarray(wide.T))
+        for dtype in (np.bool_, np.float16, np.int64, np.complex128):
+            values = np.array([0, 1, 1], dtype=dtype)
+            assert _bitwise_equal(values, values.copy())
+            assert not _bitwise_equal(values, values[::-1])
+        assert _bitwise_equal(np.float32(-0.0)[...], np.float32(-0.0)[...])
+        assert not _bitwise_equal(np.float32(-0.0)[...], np.float32(0.0)[...])
 
         x = np.random.default_rng(2).standard_normal((1, 3, 32, 32)).astype(np.float32)
         plan, golden = self._recorded(lenet5(seed=0).eval(), x)

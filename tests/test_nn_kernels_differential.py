@@ -165,6 +165,46 @@ class TestKernelsMatchFrozenOracles:
                 F.conv2d(x, weight, bias, s, p), kernels_v0.conv2d(x, weight, bias, s, p), context
             )
 
+    # Output maps whose float32 rows are 1, 2 (124 and 128 bytes), 4, 15, 16
+    # and 64 cache lines long: below and at the two-line threshold of the
+    # pitched column buffer, odd and even line counts.
+    MAPS = [(4, 4), (1, 31), (4, 8), (8, 8), (15, 15), (16, 16), (32, 32)]
+
+    def test_conv2d_on_a_batch_at_every_row_pitch(self):
+        rng = np.random.default_rng(1309)
+        for n in (2, 16):
+            for h, w in self.MAPS:
+                for k, p in ((3, 1), (1, 0)):  # same-size 3x3, and pointwise
+                    x = _values(rng, (n, 5, h, w), special=False)
+                    weight = _values(rng, (7, 5, k, k), special=False)
+                    bias = _values(rng, (7,), special=False)
+                    context = f"x{x.shape} w{weight.shape} p{p}"
+                    actual = F.conv2d(x, weight, bias, 1, p)
+                    assert actual.shape == (n, 7, h, w) and actual.flags.c_contiguous, context
+                    assert_same_bits(actual, kernels_v0.conv2d(x, weight, bias, 1, p), context)
+
+    def test_im2col_pitched(self):
+        rng = np.random.default_rng(1310)
+        line = 64
+        for h, w in self.MAPS:
+            for k, p in ((3, 1), (1, 0)):
+                x = _values(rng, (2, 3, h, w), special=True)
+                context = f"x{x.shape} k{k}"
+                plain, out_h, out_w = F.im2col(x, (k, k), (1, 1), (p, p))
+                pitched, *out = F.im2col(x, (k, k), (1, 1), (p, p), pitched=True)
+                assert (out_h, out_w) == tuple(out) == (h, w), context
+                assert plain.flags.c_contiguous, context
+                assert pitched.shape == plain.shape, context
+                assert pitched.view(np.uint32).tobytes() == plain.view(np.uint32).tobytes(), context
+                batch, row, element = pitched.strides
+                assert element == 4 and batch == row * pitched.shape[1], context
+                if h * w * 4 < 2 * line:
+                    assert pitched.flags.c_contiguous, context
+                else:
+                    assert row >= h * w * 4 and row % line == 0 and (row // line) % 2 == 1, context
+                    assert row - h * w * 4 < 2 * line, context  # at most one line added
+                    assert not np.shares_memory(pitched, x), context
+
     @pytest.mark.parametrize("mode", ["max", "avg"])
     def test_pool2d(self, mode):
         rng = np.random.default_rng(1304)
