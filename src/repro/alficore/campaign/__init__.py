@@ -5,10 +5,13 @@ The engine is three layers, one module each:
 * :mod:`~repro.alficore.campaign.core` — :class:`CampaignCore` owns
   everything that is identical for every workload: the golden/faulty
   lock-step loop over the clone-free fault group sessions
-  (:meth:`~repro.alficore.wrapper.ptfiwrap.get_fault_group_iter`), session
-  handling for the primary and the optional hardened ("resil") model lane,
-  attach-once monitor caching (:class:`~repro.alficore.monitoring.MonitorCache`)
-  and the streamed-record plumbing.  The core never interprets model outputs.
+  (:meth:`~repro.alficore.wrapper.ptfiwrap.get_fault_group_iter`) and the
+  streamed-record plumbing.  It runs a list of *lanes* — the model under
+  test and, optionally, its hardened ("resil") variant — each of them one
+  model object with one wrapper, one forward plan and (the primary lane) one
+  :class:`~repro.alficore.monitoring.InferenceMonitor`, attached once per
+  run: golden and faulty pass of a lane run on that same object, patched or
+  hooked by the lane's fault groups.  The core never interprets model outputs.
   Each step's golden pass is one
   :class:`~repro.alficore.goldencache.GoldenCacheEntry` (cached, or
   transient without a cache) that serves both ends of the faulty pass: the

@@ -1,10 +1,13 @@
 """The task-agnostic campaign loop: :class:`CampaignCore`.
 
 Dataset iteration, golden/faulty lock-step inference over the clone-free
-fault group sessions, the primary and the hardened ("resil") model lane,
-attach-once monitors, forward plans and the stream lifecycle.  Outputs are
-interpreted by the :class:`~repro.alficore.campaign.tasks.CampaignTask` it
-is given.
+fault group sessions and the stream lifecycle.  A campaign is a list of
+*lanes* — the model under test and, optionally, its hardened ("resil")
+variant under the same faults.  A lane is one model object with one wrapper,
+one forward plan and (the primary lane) one monitor: its golden and its
+faulty pass run on that same object, which the lane's fault groups patch or
+hook while they are open.  Outputs are interpreted by the
+:class:`~repro.alficore.campaign.tasks.CampaignTask` the core is given.
 
 Every faulty pass of a planned model runs ``[first, rejoin)``: from the
 group's first faulted segment — a golden checkpoint, or the input batch for
@@ -16,8 +19,10 @@ records the two the faulty pass needs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import warnings
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -25,7 +30,7 @@ import numpy as np
 from repro.alficore.campaign.tasks import CampaignTask, StepContext
 from repro.alficore.digests import bytes_digest, model_fingerprint
 from repro.alficore.goldencache import GoldenCache, GoldenCacheEntry
-from repro.alficore.monitoring import MonitorCache, MonitorResult
+from repro.alficore.monitoring import InferenceMonitor, MonitorResult
 from repro.alficore.policies import InjectionPolicy
 from repro.alficore.results import CampaignResultWriter
 from repro.alficore.scenario import ScenarioConfig, default_scenario
@@ -62,18 +67,61 @@ def _epoch_segments(start: int, stop: int, num_batches: int) -> Iterator[tuple[i
         step = segment_stop
 
 
+@dataclass
+class _Lane:
+    """One model of a campaign and everything the campaign keeps per model."""
+
+    #: first element of the lane's golden-cache keys
+    name: str
+    model: Module
+    wrapper: ptfiwrap
+    #: NaN/Inf + custom monitor, attached on the lane's first step, enabled
+    #: only for passes whose events are consumed (the resil lane has none)
+    monitor: InferenceMonitor | None
+    #: forward plan, traced on the lane's first step (``None``: the forward
+    #: does not linearise, the lane runs full forwards)
+    plan: ForwardPlan | None = None
+    traced: bool = False
+    #: Boundaries a fault group of ``wrapper`` can resume at, ascending: the
+    #: segments holding an injectable layer, hence the only ones a cached
+    #: golden pass checkpoints (boundary 0 is the input batch and needs none).
+    resumable: tuple[int, ...] = ()
+    #: checkpoint buffers of cache-less golden passes, reused step after step
+    arena: ActivationArena = field(default_factory=ActivationArena)
+    #: Digest of the model's weights, with a cache the second element of the
+    #: lane's keys (spill directories outlive a campaign, so entries recorded
+    #: for other weights must never match); taken when a run starts.
+    fingerprint: str | None = None
+
+
+@contextlib.contextmanager
+def _scanning(monitor: InferenceMonitor | None) -> Iterator[None]:
+    """Collect ``monitor``'s events (if there is one) for the passes of the block only."""
+    if monitor is None:
+        yield
+        return
+    monitor.reset()
+    monitor.enabled = True
+    try:
+        yield
+    finally:
+        monitor.enabled = False
+
+
 class CampaignCore:
     """Task-agnostic campaign loop over the clone-free fault group sessions.
 
     The core owns the mechanics shared by every workload — dataset iteration,
-    golden/faulty lock-step inference, session handling for the primary and
-    the optional hardened model lane, attach-once monitor caching and stream
-    lifecycle — and delegates all output interpretation to a
-    :class:`CampaignTask`.
+    golden/faulty lock-step inference on each lane (``lanes[0]``: the model
+    under test, ``lanes[1]``: the optional hardened one), their fault group
+    sessions, plans and monitor, and the stream lifecycle — and delegates all
+    output interpretation to a :class:`CampaignTask`.
 
     Args:
-        model: the fault-free baseline model (restored bit-exactly after
-            every weight fault group).
+        model: the fault-free baseline model.  Fault groups patch its weights
+            or switch hooks on it while they are open; after every group it
+            is bit-exactly restored, after :meth:`run` it carries no hook of
+            the campaign.
         dataset: map-style dataset yielding ``(image, label_or_target)``.
         task: the workload adapter receiving every step's outputs.
         scenario: campaign configuration.  ``dataset_size`` is aligned with
@@ -91,17 +139,17 @@ class CampaignCore:
         wrapper: optional pre-built ``ptfiwrap`` (e.g. with a reloaded fault
             file); built from the scenario otherwise.
         resil_wrapper: optional pre-built wrapper for the hardened model.
-        prefix_reuse: run the faulty (and resil-faulty) lane as a suffix-only
+        prefix_reuse: run every lane's faulty pass as a suffix-only
             forward from the first faulted layer, reusing the golden pass's
             checkpointed prefix activations, and end it at the first golden
             checkpoint behind the last faulted layer that it reproduces
             (bit-identical to a full faulty forward).  Disabled automatically
             for models whose forward does not linearise into a
             :class:`~repro.nn.forward_plan.ForwardPlan`.
-        golden_cache: optional :class:`GoldenCache`; golden (and
-            resil-golden) passes are computed once per batch of images
+        golden_cache: optional :class:`GoldenCache`; the golden passes of
+            every lane are computed once per batch of images
             instead of once per epoch, and their boundary checkpoints are
-            reused by later suffix-only faulty lanes.  A cache handed in is
+            reused by later suffix-only faulty passes.  A cache handed in is
             always used: it may be shared with other campaigns (a sweep
             passes one cache to every grid point), so whether it can hit is
             the owner's call, not this campaign's.
@@ -155,7 +203,11 @@ class CampaignCore:
                 fault_matrix=self.wrapper.get_fault_matrix(),
             )
         self.resil_wrapper = resil_wrapper
-        self._monitors = MonitorCache(self.custom_monitors)
+        monitor = InferenceMonitor(self.model, custom_monitors=self.custom_monitors)
+        monitor.enabled = False
+        self.lanes = [_Lane("golden", self.model, self.wrapper, monitor)]
+        if self.resil_model is not None:
+            self.lanes.append(_Lane("resil", self.resil_model, self.resil_wrapper, None))
         self.prefix_reuse = prefix_reuse
         # Plan execution backend (repro.nn.ir registry).  Trace-time
         # validation falls back to the module path (with a RuntimeWarning)
@@ -166,13 +218,6 @@ class CampaignCore:
         #: faulty passes that ended at a golden boundary (tail reuse), with or
         #: without a cache; a shared cache's ``rejoins`` counts them as well
         self.rejoins = 0
-        # Forward plans, their resumable boundaries and recording arenas,
-        # lazily built per model object (``None`` marks a model whose forward
-        # could not be linearised).
-        self._plans: dict[int, ForwardPlan | None] = {}
-        self._resumable: dict[int, tuple[int, ...]] = {}
-        self._arenas: dict[int, ActivationArena] = {}
-        self._fingerprints: dict[int, str] = {}
 
     # ------------------------------------------------------------------ #
     # campaign geometry
@@ -215,53 +260,45 @@ class CampaignCore:
         """
         total = self.total_steps
         stop = total if stop is None else min(stop, total)
-        # Weights may have been mutated between runs of the same core; the
-        # cache fingerprint must reflect the state of this run.
-        self._fingerprints = {}
         if not 0 <= start <= total:
             raise ValueError(f"step range start {start} outside campaign of {total} steps")
         policy = InjectionPolicy.from_string(self.scenario.inj_policy)
+        per_epoch = policy is InjectionPolicy.PER_EPOCH
         loader = self.make_loader()
         group_start, group_stop = self._group_range(start, stop, policy)
-        groups = self.wrapper.get_fault_group_iter(
-            self._error_model, start=group_start, stop=group_stop
-        )
-        resil_groups = None
-        if self.resil_wrapper is not None:
-            resil_groups = self.resil_wrapper.get_fault_group_iter(
-                self._error_model, start=group_start, stop=group_stop
+        iterators = []
+        for lane in self.lanes:
+            # Weights may have been mutated between runs of the same core;
+            # the cache keys must reflect the state of this run.
+            if self.golden_cache is not None:
+                lane.fingerprint = model_fingerprint(lane.model)
+            iterators.append(
+                lane.wrapper.get_fault_group_iter(
+                    self._error_model, start=group_start, stop=group_stop
+                )
             )
         stream_paths = self.task.begin(self.writer, resil=self.resil_model is not None)
         try:
             for epoch, first_batch, stop_batch in _epoch_segments(start, stop, self.num_batches):
-                group = resil_group = None
-                group_index = -1
-                if policy is InjectionPolicy.PER_EPOCH:
-                    group = self._next_group(groups)
-                    if resil_groups is not None:
-                        resil_group = self._next_group(resil_groups)
-                    group_index = epoch
+                if per_epoch:
+                    groups = [self._next_group(iterator) for iterator in iterators]
                 for offset, batch in enumerate(loader.iter_batches(epoch, first_batch, stop_batch)):
                     step = epoch * self.num_batches + first_batch + offset
-                    if policy is not InjectionPolicy.PER_EPOCH:
-                        group = self._next_group(groups)
-                        if resil_groups is not None:
-                            resil_group = self._next_group(resil_groups)
-                        group_index = step
-                        collect_applied = True
-                    else:
-                        # The applied-fault log of an epoch group is collected
-                        # exactly once, on the epoch's first (global) batch.
-                        collect_applied = first_batch + offset == 0
+                    if not per_epoch:
+                        groups = [self._next_group(iterator) for iterator in iterators]
+                    # The applied-fault log of an epoch group is collected
+                    # exactly once, on the epoch's first (global) batch.
+                    collect_applied = not per_epoch or first_batch + offset == 0
                     self._run_step(
-                        batch, epoch, step, group, group_index, collect_applied, resil_group
+                        batch, epoch, step, groups, epoch if per_epoch else step, collect_applied
                     )
         finally:
             self.task.end()
-            groups.close()
-            if resil_groups is not None:
-                resil_groups.close()
-            self._monitors.detach_all()
+            for iterator in iterators:
+                iterator.close()
+            for lane in self.lanes:
+                if lane.monitor is not None:
+                    lane.monitor.detach()
         return stream_paths
 
     @staticmethod
@@ -277,8 +314,8 @@ class CampaignCore:
     # ------------------------------------------------------------------ #
     # prefix-reuse plumbing
     # ------------------------------------------------------------------ #
-    def _plan_for(self, model: Module, images: np.ndarray) -> ForwardPlan | None:
-        """Return the (lazily traced) forward plan of a model, or ``None``.
+    def _plan_for(self, lane: _Lane, images: np.ndarray) -> ForwardPlan | None:
+        """Return the (lazily traced) forward plan of a lane, or ``None``.
 
         The trace and its replay validation run on the first sample of
         ``images`` only: the segment chain, the containment map and the
@@ -290,84 +327,42 @@ class CampaignCore:
         """
         if not self.prefix_reuse or not getattr(self.task, "plan_compatible", False):
             return None
-        key = id(model)
-        if key not in self._plans:
+        if not lane.traced:
+            lane.traced = True
             try:
-                plan = ForwardPlan.trace(model, images[:1], executor=self.executor)
+                plan = ForwardPlan.trace(lane.model, images[:1], executor=self.executor)
             except Exception as error:
                 warnings.warn(
-                    f"{type(model).__name__}: no forward plan under executor "
+                    f"{type(lane.model).__name__}: no forward plan under executor "
                     f"{self.executor!r}, running full forwards ({error!r})",
                     RuntimeWarning,
                     stacklevel=2,
                 )
                 plan = None
-            self._plans[key] = plan if plan is not None and plan.valid else None
-        return self._plans[key]
-
-    def _arena_for(self, model: Module) -> ActivationArena:
-        key = id(model)
-        if key not in self._arenas:
-            self._arenas[key] = ActivationArena()
-        return self._arenas[key]
-
-    def _model_fingerprint(self, model: Module) -> str:
-        """Digest of the model's weights.
-
-        Part of every golden-cache key: spillover directories outlive one
-        campaign (shards of later runs reuse them), so entries recorded for
-        different weights must never match.  Computed while the model is
-        unpatched (outside any fault group).  Input-content mismatches are
-        covered separately by the per-batch image digest in the key.
-        """
-        key = id(model)
-        fingerprint = self._fingerprints.get(key)
-        if fingerprint is None:
-            fingerprint = model_fingerprint(model)
-            self._fingerprints[key] = fingerprint
-        return fingerprint
-
-    def _resumable_boundaries(self, plan: ForwardPlan, wrapper: ptfiwrap) -> tuple[int, ...]:
-        """Boundaries a fault group of ``wrapper`` can resume at, ascending.
-
-        A group resumes at the segment of its earliest faulted layer, so
-        only segments holding an injectable layer are ever asked for — the
-        only ones a cached golden pass needs to checkpoint.  Boundary 0 is
-        the input batch and needs no checkpoint.  Computed once per golden
-        model (each has one plan and one wrapper).
-        """
-        key = id(plan.model)
-        boundaries = self._resumable.get(key)
-        if boundaries is None:
-            segments = (plan.segment_for(layer.name) for layer in wrapper.fault_injection.layers)
-            boundaries = tuple(sorted({index for index in segments if index}))
-            self._resumable[key] = boundaries
-        return boundaries
+            if plan is not None and plan.valid:
+                lane.plan = plan
+                segments = (
+                    plan.segment_for(layer.name) for layer in lane.wrapper.fault_injection.layers
+                )
+                lane.resumable = tuple(sorted({index for index in segments if index}))
+        return lane.plan
 
     @staticmethod
     def _faulted_span(
-        golden_plan: ForwardPlan | None,
-        faulty_plan: ForwardPlan | None,
-        wrapper: ptfiwrap,
-        group,
+        plan: ForwardPlan | None, wrapper: ptfiwrap, group
     ) -> tuple[int, int] | None:
         """Plan segments ``(first, last)`` that execute a faulted layer of the group.
 
-        The faulty lane resumes at ``first`` (0: from the input batch) and
+        The faulty pass resumes at ``first`` (0: from the input batch) and
         may rejoin the golden pass behind ``last``; ``None`` means a plain
-        forward of the faulty model.  The golden and the faulty model (a
-        bit-identical clone for neuron campaigns) must segment identically,
-        since the golden plan's checkpoints are fed into the faulty plan's
-        suffix.  Both ends are taken over the *executed* segments of all of
-        the group's faulted layers — layer indices follow registration order,
-        which may differ from execution order, so mapping only
-        ``first_faulted_layer`` could skip a patched layer that runs earlier
-        in the chain, and rejoining before ``last`` would skip a fault that
-        has yet to fire.
+        forward of the faulty model.  Both ends are taken over the *executed*
+        segments of all of the group's faulted layers — layer indices follow
+        registration order, which may differ from execution order, so mapping
+        only ``first_faulted_layer`` could skip a patched layer that runs
+        earlier in the chain, and rejoining before ``last`` would skip a
+        fault that has yet to fire.
         """
-        if golden_plan is None or faulty_plan is None:
-            return None
-        if faulty_plan is not golden_plan and faulty_plan.segment_names != golden_plan.segment_names:
+        if plan is None:
             return None
         layers = getattr(group, "faulted_layers", None)
         if layers is None:
@@ -378,42 +373,38 @@ class CampaignCore:
         first_segments, last_segments = [], []
         for layer in layers:
             name = wrapper.fault_injection.layers[layer].name
-            index = faulty_plan.segment_for(name)
+            index = plan.segment_for(name)
             if index is None:
                 return None
             first_segments.append(index)
-            last_segments.append(faulty_plan.last_segment_for(name))
+            last_segments.append(plan.last_segment_for(name))
         return min(first_segments), max(last_segments)
 
     def _golden_pass(
         self,
-        model: Module,
-        plan: ForwardPlan | None,
+        lane: _Lane,
         images: np.ndarray,
         batch: list[ImageRecord],
         cache_key: tuple,
         span: tuple[int, int] | None,
-        with_monitor: bool,
-        wrapper: ptfiwrap,
     ) -> tuple[GoldenCacheEntry, object]:
         """Run (or fetch) one lane's golden pass.
 
-        ``span`` is the step's :meth:`_faulted_span`; ``wrapper`` is the
-        lane's fault-injection wrapper, whose injectable layers decide which
-        boundaries are checkpointed.
+        ``span`` is the step's :meth:`_faulted_span`.
 
         Returns ``(entry, boundary)``: the golden pass as a cache entry — the
         cached one, or without a cache a transient one — and the activation
-        the faulty lane resumes from: ``images`` for a span that starts in
+        the faulty pass resumes from: ``images`` for a span that starts in
         segment 0, the checkpoint of boundary ``span[0]`` otherwise
         (``None`` when not available).  A transient entry holds that
         checkpoint and the first resumable boundary behind ``span[1]``, the
         first one a cached entry would be compared at.  ``entry.marks`` /
-        ``entry.events`` carry the golden monitor state the faulty lane
+        ``entry.events`` carry the golden monitor state the faulty pass
         inherits for the segments it does not execute (``None`` without
         monitoring).
         """
         cache = self.golden_cache
+        plan = lane.plan
         resume_at = span[0] if span is not None else None
         if cache is not None:
             entry = cache.get(cache_key, batch_shape=images.shape)
@@ -436,37 +427,33 @@ class CampaignCore:
                         cache.add_boundary(cache_key, resume_at, stored)
                 return entry, boundary
         if plan is None:
-            output = self.task.infer(model, images, batch)
+            output = self.task.infer(lane.model, images, batch)
             if cache is not None:
                 return cache.put(cache_key, output, batch_shape=images.shape), None
             return GoldenCacheEntry(output), None
-        monitor = None
-        if with_monitor:
-            monitor = self._monitors.monitor_for(model)
-            monitor.reset()
-            monitor.enabled = True
-        try:
-            # With a cache every boundary a fault group can resume at is
-            # checkpointed (owned copies), so later epochs and grid points
-            # need no prefix pass; the transient path records this step's two
-            # into the reusable arena (boundary 0 is ``images``, a resume
-            # point past the last resumable boundary has nothing behind it).
-            resumable = self._resumable_boundaries(plan, wrapper)
-            if cache is not None:
-                wanted = resumable
-                arena = None
-            else:
-                wanted = []
-                if span is not None:
-                    behind = next((index for index in resumable if index > span[1]), None)
-                    wanted = [index for index in (resume_at, behind) if index]
-                arena = self._arena_for(model)
+        # The monitor scan on the golden pass is only paid when something
+        # consumes its events: a planned faulty pass (it inherits those of
+        # the prefix it skips and of the tail behind a rejoin) or a cache
+        # recording.
+        monitor = lane.monitor if cache is not None or span is not None else None
+        # With a cache every boundary a fault group can resume at is
+        # checkpointed (owned copies), so later epochs and grid points need
+        # no prefix pass; the transient path records this step's two into
+        # the reusable arena (boundary 0 is ``images``, a resume point past
+        # the last resumable boundary has nothing behind it).
+        if cache is not None:
+            wanted = lane.resumable
+            arena = None
+        else:
+            wanted = []
+            if span is not None:
+                behind = next((index for index in lane.resumable if index > span[1]), None)
+                wanted = [index for index in (resume_at, behind) if index]
+            arena = lane.arena
+        with _scanning(monitor):
             output, checkpoints, marks = plan.run_recording(
                 images, wanted, arena=arena, monitor=monitor
             )
-        finally:
-            if monitor is not None:
-                monitor.enabled = False
         events = monitor.collect() if monitor is not None else None
         if cache is not None:
             entry = cache.put(
@@ -475,13 +462,6 @@ class CampaignCore:
         else:
             entry = GoldenCacheEntry(output, checkpoints, marks, events)
         return entry, images if resume_at == 0 else checkpoints.get(resume_at)
-
-    def _cache_lane_key(self, lane: str, model: Module, cache_key: tuple) -> tuple:
-        """Full golden-cache key: lane and weight fingerprint before the
-        step's batch key (image ids + image digest, see :meth:`_run_step`)."""
-        if self.golden_cache is None:
-            return (lane,) + cache_key
-        return (lane, self._model_fingerprint(model)) + cache_key
 
     @staticmethod
     def _inherit_golden_events(
@@ -515,141 +495,98 @@ class CampaignCore:
             + events.custom_events[tail[2] :],
         )
 
-    def _faulty_pass(
+    def _run_lane(
         self,
-        plan: ForwardPlan | None,
+        lane: _Lane,
         group,
-        span: tuple[int, int] | None,
-        entry: GoldenCacheEntry,
-        boundary,
         images: np.ndarray,
         batch: list[ImageRecord],
-    ) -> tuple[object, int | None, int | None]:
-        """Run one lane's faulty pass inside its open fault group.
+        cache_key: tuple,
+    ) -> tuple[GoldenCacheEntry, object, MonitorResult | None]:
+        """One lane's share of a step: ``(golden entry, faulty output, events)``.
 
-        Returns ``(output, resumed_at, rejoined_at)``: with a boundary to
-        start from only the segments from the group's first faulted one run,
-        and only up to the first golden checkpoint behind its last faulted
-        one where the activation equals the golden pass's — the output is
-        then ``entry.output`` itself.  A pass from segment 0 starts at the
-        input batch, so it is an inference like any other and the task runs
-        it (``infer`` is ``finish(model(images))``).
+        The golden pass runs before the group opens, the faulty pass inside
+        it, both on ``lane.model``.  With a boundary to start from, the
+        faulty pass runs only the segments from the group's first faulted
+        one, and only up to the first golden checkpoint behind its last
+        faulted one where the activation equals the golden pass's — the
+        output is then ``entry.output`` itself.  ``events`` are those of a
+        full faulty forward (``None`` for a lane without monitor).
         """
-        if span is None or boundary is None:
-            return self.task.infer(group.model, images, batch), None, None
-        resume_at, last_faulted = span
-        resume = functools.partial(plan.resume, resume_at, golden=entry, after=last_faulted)
-        if resume_at == 0:
-            output = self.task.infer(resume, images, batch)
-        else:
-            output = self.task.finish(resume(boundary))
-        if plan.rejoined_at is not None:
+        task, monitor = self.task, lane.monitor
+        plan = self._plan_for(lane, images)
+        span = self._faulted_span(plan, lane.wrapper, group)
+        if monitor is not None:
+            # First step: the group iterator has registered the lane's
+            # injection hooks by now, so the monitor's fire behind them and
+            # scan the *corrupted* activation of a faulted layer.
+            monitor.attach()
+        head = (lane.name,) if lane.fingerprint is None else (lane.name, lane.fingerprint)
+        entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, span)
+        resumed_at = rejoined_at = None
+        with group, _scanning(monitor):
+            if span is None or boundary is None:
+                output = task.infer(group.model, images, batch)
+            else:
+                resumed_at, last = span
+                resume = functools.partial(plan.resume, resumed_at, golden=entry, after=last)
+                # A pass from segment 0 starts at the input batch, so it is an
+                # inference like any other and the task runs it (``infer`` is
+                # ``finish(model(images))``).
+                if resumed_at == 0:
+                    output = task.infer(resume, images, batch)
+                else:
+                    output = task.finish(resume(boundary))
+                rejoined_at = plan.rejoined_at
+        if rejoined_at is not None:
             self.rejoins += 1
             if self.golden_cache is not None:
                 self.golden_cache.rejoins += 1
-        return output, resume_at, plan.rejoined_at
+        if monitor is None:
+            return entry, output, None
+        executed = monitor.collect()
+        return entry, output, self._inherit_golden_events(entry, resumed_at, rejoined_at, executed)
 
     def _run_step(
         self,
         batch: list[ImageRecord],
         epoch: int,
         step: int,
-        group,
+        groups: list,
         group_index: int,
         collect_applied: bool,
-        resil_group,
     ) -> None:
+        """Run one batch through every lane under the lanes' fault groups."""
         task = self.task
         images = AlfiDataLoaderWrapper.stack_images(batch)
         cache_key = tuple(record.image_id for record in batch)
         if self.golden_cache is not None:
             # The content digest guards spillover reuse against a changed
             # dataset whose image ids collide with an earlier campaign's;
-            # hashed once per step, shared by the golden and resil lanes.
+            # hashed once per step, shared by the lanes.
             cache_key += (bytes_digest(np.ascontiguousarray(images).tobytes()),)
-
-        # Plans are traced before the patch session opens (the faulty model
-        # object exists, and is fault-free, outside the ``with group`` scope).
-        golden_plan = self._plan_for(self.model, images)
-        faulty_model = group.model
-        faulty_plan = (
-            golden_plan if faulty_model is self.model else self._plan_for(faulty_model, images)
-        )
-        span = self._faulted_span(golden_plan, faulty_plan, self.wrapper, group)
-
-        # Golden pass runs before the patch is applied.  The monitor scan on
-        # the golden pass is only paid when something consumes its events: a
-        # planned faulty pass (it inherits those of the prefix it skips and
-        # of the tail behind a rejoin) or a cache recording.
-        entry, boundary = self._golden_pass(
-            self.model,
-            golden_plan,
-            images,
-            batch,
-            self._cache_lane_key("golden", self.model, cache_key),
-            span,
-            with_monitor=golden_plan is not None
-            and (self.golden_cache is not None or span is not None),
-            wrapper=self.wrapper,
-        )
-        golden = task.finish(entry.output)
-
-        with group:
-            monitor = self._monitors.monitor_for(group.model)
-            monitor.reset()
-            monitor.enabled = True
-            try:
-                corrupted, resumed_at, rejoined_at = self._faulty_pass(
-                    faulty_plan, group, span, entry, boundary, images, batch
-                )
-            finally:
-                monitor.enabled = False
-            monitor_result = self._inherit_golden_events(
-                entry, resumed_at, rejoined_at, monitor.collect()
-            )
-        applied = [fault.as_dict() for fault in group.applied_faults]
+        results = [
+            self._run_lane(lane, group, images, batch, cache_key)
+            for lane, group in zip(self.lanes, groups)
+        ]
+        entry, corrupted, events = results[0]
         resil_golden = resil_out = None
-        if resil_group is not None:
+        if len(results) > 1:
             # The hardened model is judged against its *own* fault-free
             # baseline, so that range clamping of rare fault-free activations
-            # is not misattributed to the injected fault.  Its golden pass
-            # must run before the patch session opens.
-            resil_plan = self._plan_for(self.resil_model, images)
-            resil_faulty = resil_group.model
-            resil_faulty_plan = (
-                resil_plan
-                if resil_faulty is self.resil_model
-                else self._plan_for(resil_faulty, images)
-            )
-            resil_span = self._faulted_span(
-                resil_plan, resil_faulty_plan, self.resil_wrapper, resil_group
-            )
-            resil_entry, resil_boundary = self._golden_pass(
-                self.resil_model,
-                resil_plan,
-                images,
-                batch,
-                self._cache_lane_key("resil", self.resil_model, cache_key),
-                resil_span,
-                with_monitor=False,
-                wrapper=self.resil_wrapper,
-            )
+            # is not misattributed to the injected fault.
+            resil_entry, resil_out, _ = results[1]
             resil_golden = task.finish(resil_entry.output)
-            with resil_group:
-                resil_out, _, _ = self._faulty_pass(
-                    resil_faulty_plan, resil_group, resil_span,
-                    resil_entry, resil_boundary, images, batch,
-                )
         task.consume(
             StepContext(
                 batch=batch,
                 epoch=epoch,
                 step=step,
                 group_index=group_index,
-                golden=golden,
+                golden=task.finish(entry.output),
                 corrupted=corrupted,
-                applied=applied,
-                monitor=monitor_result,
+                applied=[fault.as_dict() for fault in groups[0].applied_faults],
+                monitor=events,
                 collect_applied=collect_applied,
                 resil_golden=resil_golden,
                 resil=resil_out,

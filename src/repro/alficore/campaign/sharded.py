@@ -56,6 +56,7 @@ class _ShardJob:
     cache_budget: int | None = None
     cache_spill_dir: str | None = None
     executor: str = "interpreter"
+    custom_monitors: list | None = None
 
 
 def _execute_shard(job: _ShardJob) -> tuple[int, object, dict[str, str]]:
@@ -89,6 +90,7 @@ def _execute_shard(job: _ShardJob) -> tuple[int, object, dict[str, str]]:
         writer=writer,
         error_model=job.error_model,
         input_shape=job.input_shape,
+        custom_monitors=job.custom_monitors,
         dl_shuffle=job.dl_shuffle,
         resil_model=job.resil_model,
         wrapper=wrapper,
@@ -249,6 +251,7 @@ class ShardedCampaignExecutor:
                     cache_budget=cache_budget,
                     cache_spill_dir=cache_spill_dir,
                     executor=core.executor,
+                    custom_monitors=core.custom_monitors,
                 )
             )
 

@@ -91,7 +91,7 @@ class CampaignTask:
         return output
 
     def infer(self, model: Module, images: np.ndarray, batch: list[ImageRecord]):
-        """Run one forward pass (identical for the golden and faulty lanes)."""
+        """Run one forward pass (identical for golden and faulty passes)."""
         return self.finish(model(images))
 
     def consume(self, ctx: StepContext) -> None:

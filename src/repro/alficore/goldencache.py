@@ -12,7 +12,7 @@ them once per epoch per image, and a sweep once per grid point.  The
   suffix-only faulty passes can inherit the prefix's NaN/Inf events without
   re-scanning;
 * checkpointed boundary activations of the golden forward plan — those a
-  fault group can resume at — so a later faulty lane can resume mid-network
+  fault group can resume at — so a later faulty pass can resume mid-network
   without re-running the prefix, and stop at the first later checkpoint it
   reproduces byte for byte (tail reuse, counted as ``rejoins``);
 * in memory only, whatever the campaign task derived from the golden output

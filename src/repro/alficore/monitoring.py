@@ -5,6 +5,11 @@ intermediate activations during a (fault-injected) inference run and allow
 custom monitoring functions to be attached to the same hook points.  Detected
 NaN/Inf events are what the evaluation later counts as DUE (Detected and
 Uncorrectable Errors) as opposed to silent data errors.
+
+Forward hooks fire in registration order, so a monitor attached *after* the
+fault-injection hooks of a neuron session scans the corrupted activation of
+a faulted layer; the campaign engine attaches its one monitor per lane in
+that order and gates it with :attr:`InferenceMonitor.enabled`.
 """
 
 from __future__ import annotations
@@ -78,10 +83,10 @@ class InferenceMonitor:
         self.custom_monitors = list(custom_monitors or [])
         self._handles: list[RemovableHandle] = []
         self._current = MonitorResult()
-        # Cheap gate for long-lived monitors: campaign loops keep the hooks
-        # attached for the whole run and flip this flag instead of paying the
-        # per-layer NaN/Inf scan on inferences they do not want monitored
-        # (e.g. the golden pass).
+        # Cheap gate for long-lived monitors: a campaign lane keeps its one
+        # monitor attached for the whole run — on the model both its golden
+        # and its faulty pass run on — and flips this flag instead of paying
+        # the per-layer NaN/Inf scan on passes whose events nobody consumes.
         self.enabled = True
 
     def add_custom_monitor(self, monitor: CustomMonitor) -> None:
@@ -167,42 +172,6 @@ class InferenceMonitor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.detach()
-
-
-class MonitorCache:
-    """Attach-once monitor registry for the stable models of clone-free sessions.
-
-    Clone-free campaign sessions reuse stable model objects — the original
-    model for weight faults, one hooked clone for neuron faults — so hooks
-    only need to be attached once per campaign instead of once per fault
-    group.  The cache keys monitors by model identity, hands them out with
-    the per-layer scan *disabled* (golden passes must not pay for it), and
-    detaches everything at campaign teardown.
-    """
-
-    def __init__(self, custom_monitors: list[CustomMonitor] | None = None):
-        self.custom_monitors = list(custom_monitors or [])
-        self._monitors: dict[int, InferenceMonitor] = {}
-
-    def monitor_for(self, model: Module) -> InferenceMonitor:
-        """Return the (lazily attached) monitor of a faulty model instance."""
-        key = id(model)
-        monitor = self._monitors.get(key)
-        if monitor is None:
-            monitor = InferenceMonitor(model, custom_monitors=self.custom_monitors)
-            monitor.attach()
-            # Disabled outside the faulty inference: for weight campaigns the
-            # monitored model is also the golden model, and the golden pass
-            # should not pay the per-layer NaN/Inf scan.
-            monitor.enabled = False
-            self._monitors[key] = monitor
-        return monitor
-
-    def detach_all(self) -> None:
-        """Remove the hooks of every cached monitor and empty the cache."""
-        for monitor in self._monitors.values():
-            monitor.detach()
-        self._monitors = {}
 
 
 class RangeMonitor:

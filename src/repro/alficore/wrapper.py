@@ -2,8 +2,8 @@
 
 This is the object the paper's Listing 1 revolves around.  The clone-free
 campaign flow drives golden and corrupted inference through *fault group
-sessions* — the original model is patched in place per group and restored
-bit-exactly afterwards, so no model copy is ever made::
+sessions* — the original model is patched or hooked in place per group and
+is bit-exactly itself again afterwards, so no model copy is ever made::
 
     from repro.alficore import ptfiwrap
 
@@ -16,9 +16,11 @@ bit-exactly afterwards, so no model copy is ever made::
                 corrupted = group.model(image)
             # net is bit-exactly restored; group.applied_faults has the log
 
-For weight faults ``group.model`` *is* the original model with the group's
-corruptions patched in place (restored on exit); for neuron faults it is one
-reusable hooked clone whose active fault group is swapped per step.  The
+``group.model`` *is* the original model: for weight faults with the group's
+corruptions patched in place (restored on exit), for neuron faults with one
+forward hook per injectable layer, registered once per iterator, whose active
+fault group is swapped per step (the hooks do nothing outside a group and are
+removed when the iterator is closed or exhausted).  The
 higher-level :class:`~repro.alficore.campaign.CampaignCore` wraps this
 loop, adds monitoring/outcome classification and streams result records to
 disk.  The legacy ``get_fimodel_iter()`` (a fresh corrupted *copy* of the
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -86,7 +88,9 @@ class ptfiwrap:
     """Wrap a trained model for large-scale fault injection.
 
     Args:
-        model: the fault-free baseline model (never modified in place).
+        model: the fault-free baseline model.  ``get_fimodel_iter`` corrupts
+            copies of it; the fault group sessions patch or hook it while a
+            group is open and restore it bit-exactly / unhook it afterwards.
         scenario: an explicit :class:`ScenarioConfig`.  If omitted, the
             wrapper looks for ``scenarios/default.yml`` below ``config_dir``
             (or the current working directory) and otherwise falls back to
@@ -281,8 +285,9 @@ class ptfiwrap:
         the faulty model while the context is entered, and
         ``group.applied_faults`` holds the group's :class:`AppliedFault`
         records afterwards.  For weight faults the original model is patched
-        in place and restored bit-exactly on exit; for neuron faults a single
-        hooked clone is reused and only the active fault group is swapped.
+        in place and restored bit-exactly on exit; for neuron faults it is
+        hooked once and only the active fault group is swapped (close the
+        iterator, or exhaust it, to remove the hooks).
 
         Args:
             error_model: overrides the error model derived from the scenario.
@@ -297,38 +302,31 @@ class ptfiwrap:
         """
         error_model = error_model if error_model is not None else _error_model_from_scenario(self._scenario)
         if start is None and stop is None:
-            return self._session_generator(error_model, cycle)
+            return self._session_generator(error_model, self._cursor_indices(cycle))
         if start is None or start < 0:
             raise ValueError(f"shard-scoped iteration needs a non-negative start, got {start}")
         if cycle:
             raise ValueError("cycle is not supported for shard-scoped fault group ranges")
         stop = self.num_fault_groups() if stop is None else min(stop, self.num_fault_groups())
-        return self._ranged_session_generator(error_model, start, stop)
+        return self._session_generator(error_model, range(start, stop))
+
+    def _cursor_indices(self, cycle: bool) -> Iterator[int]:
+        """Group indices off the wrapper's shared cursor, advancing it."""
+        while True:
+            if self._cursor >= self.num_fault_groups():
+                if not cycle:
+                    return
+                self._cursor = 0
+            group_index = self._cursor
+            self._cursor += 1
+            yield group_index
 
     def _session_generator(
-        self, error_model: ErrorModel, cycle: bool
+        self, error_model: ErrorModel, indices: Iterable[int]
     ) -> Iterator[WeightPatchSession | NeuronFaultGroup]:
         neuron_session: NeuronInjectionSession | None = None
         try:
-            while True:
-                if self._cursor >= self.num_fault_groups():
-                    if not cycle:
-                        return
-                    self._cursor = 0
-                group_index = self._cursor
-                self._cursor += 1
-                neuron_session, group = self._group_session(group_index, error_model, neuron_session)
-                yield group
-        finally:
-            if neuron_session is not None:
-                neuron_session.close()
-
-    def _ranged_session_generator(
-        self, error_model: ErrorModel, start: int, stop: int
-    ) -> Iterator[WeightPatchSession | NeuronFaultGroup]:
-        neuron_session: NeuronInjectionSession | None = None
-        try:
-            for group_index in range(start, stop):
+            for group_index in indices:
                 neuron_session, group = self._group_session(group_index, error_model, neuron_session)
                 yield group
         finally:
@@ -354,7 +352,7 @@ class ptfiwrap:
         error_model: ErrorModel,
         neuron_session: NeuronInjectionSession | None,
     ) -> tuple[NeuronInjectionSession | None, WeightPatchSession | NeuronFaultGroup]:
-        """Build the clone-free session of one group, reusing the neuron clone."""
+        """Build the clone-free session of one group, reusing the neuron session."""
         columns = self._group_columns(group_index)
         matrix = self.get_fault_matrix()
         if self._scenario.injection_target == "neurons":
@@ -380,28 +378,21 @@ class ptfiwrap:
 
         Like :meth:`corrupted_model_for_group` this does not advance the
         internal cursor, making it convenient for replaying one group (e.g.
-        against a hardened model).  For neuron faults a dedicated hooked
-        clone is created per call; sequential campaigns should prefer
-        :meth:`get_fault_group_iter`, which reuses one.
+        against a hardened model).  A neuron group gets a session of its own
+        and hooks the model only while it is open; sequential campaigns
+        should prefer :meth:`get_fault_group_iter`, which hooks it once.
         """
         total_groups = self.num_fault_groups()
         if not 0 <= group_index < total_groups:
             raise IndexError(f"group index {group_index} out of range (0..{total_groups - 1})")
         error_model = error_model if error_model is not None else _error_model_from_scenario(self._scenario)
-        columns = self._group_columns(group_index)
-        matrix = self.get_fault_matrix()
-        if self._scenario.injection_target == "neurons":
-            session = self.fault_injection.neuron_injection_session(
-                error_model=error_model, rng=self._rng
-            )
-            return session.activate(
-                matrix.to_neuron_faults(columns), rng=self._group_rng(group_index)
-            )
-        return self.fault_injection.weight_patch_session(
-            matrix.to_weight_faults(columns),
-            error_model=error_model,
-            rng=self._group_rng(group_index),
-        )
+        session, group = self._group_session(group_index, error_model, None)
+        if session is not None:
+            # Nobody else would close this session: the group re-attaches it
+            # on enter and closes it on exit.
+            session.close()
+            group.owns_session = True
+        return group
 
     def _corrupt_with_columns(self, columns: list[int], error_model: ErrorModel) -> Module:
         matrix = self.get_fault_matrix()

@@ -85,7 +85,7 @@ def _add_common_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-prefix-reuse", action="store_true",
-        help="escape hatch: run the faulty lane as a full forward instead of a "
+        help="escape hatch: run the faulty pass as a full forward instead of a "
         "suffix-only forward from the first faulted layer",
     )
     parser.add_argument(

@@ -1,12 +1,14 @@
 """Rule ``session-context`` — fault sessions must be restored.
 
-``WeightPatchSession`` patches corruptions into the *original* model's
-weights; ``NeuronInjectionSession``/``NeuronFaultGroup`` install forward
-hooks on a shared clone.  The bit-exact-restore guarantee — the property
-every byte-identity test in this repo leans on — holds only if ``__exit__``
-(or an explicit ``restore()``/``close()``) runs for every session that was
-entered.  A session created outside a ``with`` block and never restored
-leaves corrupted weights or stale hooks behind for every later fault group.
+Both kinds of session work on the *caller's own* model object:
+``WeightPatchSession`` patches corruptions into its weights,
+``NeuronInjectionSession``/``NeuronFaultGroup`` register forward hooks on its
+injectable layers.  The bit-exact-restore guarantee — the property every
+byte-identity test in this repo leans on — holds only if ``__exit__`` (or an
+explicit ``restore()``/``close()``) runs for every session that was entered.
+A session created outside a ``with`` block and never restored leaves
+corrupted weights, or a dropped neuron session its injection hooks, on the
+caller's model: for every later fault group, golden pass and campaign.
 
 The rule flags calls to session constructors/factories whose result is
 neither (a) used as a ``with`` context expression, (b) returned/yielded to a
@@ -130,7 +132,8 @@ def check(ctx: FileContext) -> Iterator[Finding]:
             node,
             RULE,
             f"session from '{callee}(...)' is neither with-managed nor "
-            "restored/closed: corrupted weights or stale hooks survive this "
-            "fault group, breaking the bit-exact-restore guarantee; wrap it in "
-            "'with ...:' (or return it to a caller that does)",
+            "restored/closed: corrupted weights or injection hooks stay on the "
+            "caller's model after this fault group, breaking the "
+            "bit-exact-restore guarantee; wrap it in 'with ...:' (or return it "
+            "to a caller that does)",
         )

@@ -3,7 +3,7 @@
 Fault-injection campaigns run the same input through a fault-free ("golden")
 and a faulty model whose weights differ only from the *first faulted layer*
 onwards.  Every activation upstream of that layer is bit-identical between
-the two lanes, so recomputing it for the faulty lane is pure waste.  A
+the two passes, so recomputing it for the faulty one is pure waste.  A
 :class:`ForwardPlan` makes the prefix reusable:
 
 * the module tree is flattened into an ordered list of *segments* whose
@@ -233,7 +233,7 @@ class ForwardPlan:
                 valid = _bitwise_equal(replayed, output)
         if not valid:
             # Degenerate single-segment plan: resume(0) is a full forward.
-            return cls(model, [model], [names.get(id(model), "")], valid=False)
+            return cls(model, [model], [""], valid=False)
         if executor != "module":
             try:
                 candidate = build(executor)

@@ -20,11 +20,12 @@ Two execution strategies are offered per injection target:
 * the legacy ``declare_*_fault_injection`` methods return a *corrupted clone*
   of the model (the original is never modified) — simple, but a full deep
   copy per fault group;
-* the clone-free *sessions* (:class:`WeightPatchSession`,
-  :class:`NeuronInjectionSession`) patch the original model in place and
-  restore the exact original bit patterns on exit, or keep one reusable
-  hooked clone whose active fault group is swapped per step.  These are what
-  the large-scale campaign engine uses.
+* the clone-free *sessions* work on the model they are given:
+  :class:`WeightPatchSession` patches its weights in place and restores the
+  exact original bit patterns on exit, :class:`NeuronInjectionSession` hooks
+  its injectable layers once, swaps the active fault group per step and
+  removes the hooks on ``close()``.  These are what the large-scale campaign
+  engine uses.
 """
 
 from __future__ import annotations
@@ -179,10 +180,12 @@ class AppliedFault:
 
 
 class FaultInjection:
-    """Profile a model and produce fault-corrupted copies of it.
+    """Profile a model and produce fault-corrupted copies of it, or sessions on it.
 
     Args:
-        model: the fault-free baseline model (never modified).
+        model: the fault-free baseline model.  The ``declare_*`` methods
+            corrupt a copy of it; the sessions patch or hook it while a fault
+            group is open and restore it bit-exactly / unhook it afterwards.
         batch_size: batch size used for profiling and neuron coordinate checks.
         input_shape: per-sample input shape, e.g. ``(3, 32, 32)``.
         layer_types: names of layer types eligible for injection.
@@ -482,11 +485,11 @@ class FaultInjection:
         error_model: ErrorModel | None = None,
         rng: np.random.Generator | None = None,
     ) -> "NeuronInjectionSession":
-        """Return a reusable hooked model for clone-free neuron injection.
+        """Return a session hooking this model for clone-free neuron injection.
 
-        The model is cloned and hooked exactly once; the active fault group is
+        The model is hooked exactly once, in place; the active fault group is
         swapped per inference step via :meth:`NeuronInjectionSession.activate`
-        instead of re-cloning and re-hooking for every group.
+        instead of cloning and hooking a copy for every group.
         """
         return NeuronInjectionSession(self, error_model, rng)
 
@@ -717,12 +720,14 @@ class WeightPatchSession:
 
 
 class NeuronInjectionSession:
-    """A reusable hooked model for clone-free neuron fault injection.
+    """Clone-free neuron fault injection: hooks on the model it was given.
 
-    The model is cloned and hooked exactly *once*; afterwards the active
-    fault group is swapped per inference step via :meth:`activate` instead of
-    re-cloning and re-hooking for every group (the per-step cost drops from a
-    full model deep copy to a dictionary update).
+    Every injectable layer of the *original* model gets one forward hook,
+    registered exactly *once*; afterwards the active fault group is swapped
+    per inference step via :meth:`activate` (the per-step cost of the legacy
+    path, a full model deep copy, becomes a dictionary update).  While no
+    group is open the hooks return ``None``, so the model computes exactly
+    what it did before; :meth:`close` removes them.
 
     Usage::
 
@@ -748,12 +753,17 @@ class NeuronInjectionSession:
         # Active-group rng; swapped by NeuronFaultGroup when a group carries
         # its own (per-group-derived) stream.
         self._active_rng = self._rng
-        self.model = fi.original_model.clone()
-        self.model.eval()
+        self.model = fi.original_model
         self._active: dict[int, list[NeuronFault]] = {}
         self._log: list[AppliedFault] = []
         self._handles: list[RemovableHandle] = []
-        for info in fi.layers:
+        self.attach()
+
+    def attach(self) -> None:
+        """Register the per-layer injection hooks (idempotent)."""
+        if self._handles:
+            return
+        for info in self._fi.layers:
             module = self.model.get_submodule(info.name)
             self._handles.append(module.register_forward_hook(self._make_hook(info)))
 
@@ -771,24 +781,17 @@ class NeuronInjectionSession:
 
         return hook
 
-    def set_faults(self, faults: Iterable[NeuronFault]) -> Module:
-        """Make ``faults`` the active group and return the hooked model."""
-        faults = list(faults)
+    def set_faults(self, faults: Iterable[NeuronFault]) -> None:
+        """Make ``faults`` the active group (validated first)."""
         active: dict[int, list[NeuronFault]] = {}
         for fault in faults:
             self._fi._validate_neuron_fault(fault)
             active.setdefault(fault.layer, []).append(fault)
         self._active = active
-        return self.model
 
     def clear_faults(self) -> None:
         """Deactivate the current fault group (the model runs fault-free)."""
         self._active = {}
-
-    def collect_applied(self) -> list[AppliedFault]:
-        """Return and clear the records accumulated since the last collect."""
-        log, self._log = self._log, []
-        return log
 
     def activate(
         self,
@@ -824,6 +827,10 @@ class NeuronFaultGroup:
     Mirrors the :class:`WeightPatchSession` protocol (``model`` /
     ``applied_faults`` / context manager) so campaign loops can treat both
     injection targets uniformly.
+
+    Attributes:
+        owns_session: set on a one-off group, whose session nobody else
+            closes: the model is hooked only while the group is open.
     """
 
     def __init__(
@@ -836,10 +843,11 @@ class NeuronFaultGroup:
         self._faults = faults
         self._rng = rng
         self.applied_faults: list[AppliedFault] = []
+        self.owns_session = False
 
     @property
     def model(self) -> Module:
-        """The session's reusable hooked model."""
+        """The session's model — the original one, hooked."""
         return self._session.model
 
     @property
@@ -859,6 +867,8 @@ class NeuronFaultGroup:
 
     def __enter__(self) -> "NeuronFaultGroup":
         self._session.set_faults(self._faults)
+        if self.owns_session:
+            self._session.attach()
         self._session._active_rng = self._rng if self._rng is not None else self._session._rng
         # Bind the session log to this group so hook records land here.
         self.applied_faults = self._session._log = []
@@ -866,3 +876,5 @@ class NeuronFaultGroup:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._session.clear_faults()
+        if self.owns_session:
+            self._session.close()

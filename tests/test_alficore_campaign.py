@@ -11,10 +11,12 @@ import repro.alficore.campaign as campaign_package
 from benchmarks.conftest import run_campaign, run_streaming
 from repro.alficore import CampaignCore, CampaignResultWriter, ClassificationTask, default_scenario
 from repro.alficore.campaign import ClassificationState, DetectionState, core, sharded, tasks
+from repro.alficore.monitoring import InferenceMonitor, RangeMonitor
+from repro.alficore.wrapper import ptfiwrap
 from repro.data import SyntheticClassificationDataset
 from repro.eval.sdc import FaultOutcome
 from repro.experiments import CampaignResult
-from repro.models import lenet5
+from repro.models import build_model, lenet5
 from repro.models.pretrained import fit_classifier_head
 from repro.tensor.bitops import float_to_bits
 
@@ -157,3 +159,163 @@ class TestPackageSplit:
             owners = [m for m in (tasks, core, sharded) if m.__name__ == exported.__module__]
             assert len(owners) == 1, name
             assert getattr(owners[0], name) is exported
+
+
+def _hooks(*models):
+    """Every forward hook and pre-hook registered anywhere on the models."""
+    return [
+        hook
+        for model in models
+        for module in model.modules()
+        for hook in (*module._forward_hooks.values(), *module._forward_pre_hooks.values())
+    ]
+
+
+class TestCampaignEqualsListingOne:
+    """The engine against the paper's Listing 1: a fresh corrupted *copy* of
+    the model per fault group (``get_fimodel_iter``), each run under a monitor
+    of its own — a path that shares no session, lane, plan or tail reuse with
+    the campaign engine."""
+
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    @pytest.mark.parametrize("name, images", [("lenet5", 24), ("resnet18", 8)])
+    def test_logits_and_due_flags_equal_a_loop_over_corrupted_copies(self, name, images, target):
+        epochs = 2
+        dataset = SyntheticClassificationDataset(
+            num_samples=images, num_classes=10, noise=0.2, seed=5
+        )
+        model = build_model(name, num_classes=10, seed=1).eval()
+        scenario = default_scenario(
+            injection_target=target, rnd_bit_range=(30, 30), random_seed=63,
+            num_runs=epochs, model_name=name,
+        )
+        result = run_campaign("classification", model, dataset, scenario)
+        assert result.core.rejoins > 0  # tail reuse took part in the left-hand side
+
+        logits, due = [], []
+        corrupted_copies = result.wrapper.get_fimodel_iter()
+        for _ in range(epochs):
+            for index in range(images):
+                corrupted = next(corrupted_copies)
+                assert corrupted is not model
+                with InferenceMonitor(corrupted) as monitor:
+                    output = corrupted(dataset[index][0][None])
+                logits.append(output[0])
+                due.append(monitor.collect().due_detected or not np.isfinite(output).all())
+        assert next(corrupted_copies, None) is None
+        assert result.extras["corrupted_logits"].tobytes() == np.stack(logits).tobytes()
+        assert result.extras["due_flags"].tolist() == due
+        # NaN/Inf producers on both sides, except that no bit-30 flip of one
+        # of lenet5's weights overflows anything.
+        assert not all(due) and any(due) == ((name, target) != ("lenet5", "weights"))
+
+    @pytest.mark.parametrize("prefix_reuse", [True, False])
+    def test_the_nan_layer_of_a_neuron_campaign_is_the_faulted_layer(
+        self, fitted_model_and_dataset, prefix_reuse
+    ):
+        # Hooks fire in registration order: the lane's monitor must sit behind
+        # the injection hooks, or it would scan the faulted layer's activation
+        # before the fault is in it and blame the next layer.
+        class ToNaN:
+            name = "to_nan"
+
+            def corrupt(self, original, rng):
+                return float("nan"), {"bit_position": None, "flip_direction": None}
+
+        class Recording(ClassificationTask):
+            def consume(self, ctx):
+                steps.append((ctx.monitor.nan_layers, [fault["layer_name"] for fault in ctx.applied]))
+                super().consume(ctx)
+
+        steps = []
+        model, dataset = fitted_model_and_dataset
+        scenario = default_scenario(injection_target="neurons", random_seed=61, num_runs=2)
+        CampaignCore(
+            model, dataset, Recording(), scenario=scenario, error_model=ToNaN(),
+            prefix_reuse=prefix_reuse,
+        ).run()
+        assert len(steps) == 2 * len(dataset)
+        for nan_layers, (faulted,) in steps:
+            assert nan_layers[0] == faulted
+        assert len({faulted for _, (faulted,) in steps}) > 1
+
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    def test_a_users_hook_sees_the_faulty_passes_and_survives_the_campaign(
+        self, fitted_model_and_dataset, target
+    ):
+        model, dataset = fitted_model_and_dataset
+        seen = set()
+
+        def users_hook(module, inputs, output):
+            seen.update(row.tobytes() for row in np.asarray(output))
+
+        head = model.get_submodule(ptfiwrap(model).fault_injection.layers[-1].name)
+        handle = head.register_forward_hook(users_hook)
+        try:
+            scenario = default_scenario(
+                injection_target=target, rnd_bit_range=(23, 30), random_seed=62, num_runs=2
+            )
+            result = run_campaign("classification", model, dataset, scenario)
+            golden, corrupted = result.extras["golden_logits"], result.extras["corrupted_logits"]
+            assert golden.tobytes() != corrupted.tobytes()
+            # The head's output is the model's: every faulty pass that did not
+            # rejoin its golden pass went through the user's hook.
+            assert {row.tobytes() for row in corrupted} <= seen
+            assert _hooks(model) == [users_hook]
+        finally:
+            handle.remove()
+
+
+def _serial(core):
+    core.run()
+
+
+def _two_shards_in_process(core):
+    sharded.ShardedCampaignExecutor(core, workers=1, num_shards=2).run()
+
+
+def _slice(core):
+    core.run(start=3, stop=7)
+
+
+def _task_raises_mid_run(core):
+    consume = core.task.consume
+
+    def failing(ctx):
+        if ctx.step == 4:
+            raise KeyError("the task gave up")
+        consume(ctx)
+
+    core.task.consume = failing
+    with pytest.raises(KeyError, match="the task gave up"):
+        core.run()
+
+
+class TestHookHygiene:
+    """A campaign patches and hooks the caller's own model object(s); however
+    it ends, they are handed back without a hook and computing the same bytes."""
+
+    @pytest.mark.parametrize("resil", [False, True], ids=["one-lane", "resil-lane"])
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    @pytest.mark.parametrize(
+        "drive", [_serial, _two_shards_in_process, _slice, _task_raises_mid_run]
+    )
+    def test_models_come_back_unhooked_and_byte_equal(
+        self, fitted_model_and_dataset, drive, target, resil
+    ):
+        model, dataset = fitted_model_and_dataset
+        models = [model, model.clone()] if resil else [model]
+        images = np.stack([dataset[index][0] for index in range(4)])
+        before = [net(images).tobytes() for net in models]
+        assert _hooks(*models) == []
+        scenario = default_scenario(
+            injection_target=target, rnd_bit_range=(23, 30), random_seed=63, num_runs=2
+        )
+        core = CampaignCore(
+            model, dataset, ClassificationTask(), scenario=scenario,
+            resil_model=models[1] if resil else None,
+            custom_monitors=[RangeMonitor(bound=0.5)],
+        )
+        drive(core)
+        assert _hooks(*models) == []
+        assert [net(images).tobytes() for net in models] == before

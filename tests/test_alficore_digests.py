@@ -99,8 +99,8 @@ class TestModelFingerprint:
         assert len(model_fingerprint(model)) == SHORT_DIGEST_LENGTH
 
     def test_matches_campaign_core_fingerprint(self, model):
-        # CampaignCore._model_fingerprint must be the same digest (golden
-        # cache spillover recorded by older runs must keep matching).
+        # The fingerprint in a campaign lane's golden-cache keys must be the
+        # same digest (spillover recorded by older runs must keep matching).
         reference = hashlib.sha1()
         for name, param in model.named_parameters():
             reference.update(name.encode("utf-8"))

@@ -147,7 +147,7 @@ class TestSuffixOnlyBitExactness:
         )
         core = CampaignCore(model, dataset, ClassificationTask(), scenario=scenario)
         images = np.stack([dataset[i][0] for i in range(2)])
-        plan = core._plan_for(model, images)
+        plan = core._plan_for(core.lanes[0], images)
         body_segment = plan.segment_for("body")
         head_segment = plan.segment_for("head")
         assert body_segment < head_segment  # execution order, not registration
@@ -156,7 +156,7 @@ class TestSuffixOnlyBitExactness:
             first_faulted_layer = 0  # the head, by registration index
             faulted_layers = [0, 1]  # head and body
 
-        span = core._faulted_span(plan, plan, core.wrapper, FakeGroup())
+        span = core._faulted_span(plan, core.wrapper, FakeGroup())
         assert span == (body_segment, head_segment)
 
         full = run_streaming(model, dataset, scenario, prefix_reuse=False)
@@ -184,7 +184,8 @@ class TestSuffixOnlyBitExactness:
 
 class TestDiscoveryFailuresAreLoud:
     """A plan that cannot be built, or an executor that cannot be trusted,
-    costs speed and never bytes — and says so once per model object."""
+    costs speed and never bytes — and says so once per lane (a lane is one
+    model object, for weights and for neurons)."""
 
     @staticmethod
     def _stream_files(model, dataset, out, target="weights", **core):
@@ -204,13 +205,14 @@ class TestDiscoveryFailuresAreLoud:
     def _runtime_warnings(caught):
         return [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.parametrize("target,model_objects", [("weights", 1), ("neurons", 2)])
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
     @pytest.mark.parametrize("defect,reason", [
         ("differs", "replay differs from traced output"),
         ("raises", "ZeroDivisionError"),
     ])
     def test_untrustworthy_executor_is_dropped_with_one_warning_per_model(
-        self, fitted_model_and_dataset, tmp_path, defect, reason, target, model_objects
+        self, fitted_model_and_dataset, tmp_path, defect, reason, target, lanes
     ):
         from repro.nn import ir
 
@@ -221,20 +223,22 @@ class TestDiscoveryFailuresAreLoud:
                 return super().run_segment(index, value) + np.float32(index == 0)
 
         model, dataset = fitted_model_and_dataset
+        # A second lane: any second model object will do as the "hardened" one.
+        resil = {"resil_model": model.clone()} if lanes == 2 else {}
         reference = self._stream_files(
-            model, dataset, tmp_path / "full", target, prefix_reuse=False
+            model, dataset, tmp_path / "full", target, prefix_reuse=False, **resil
         )
         ir.register_executor("test-bogus", Bogus)
         try:
             with pytest.warns(RuntimeWarning, match="dropped for 'module'") as caught:
                 files = self._stream_files(
-                    model, dataset, tmp_path / "bogus", target, executor="test-bogus"
+                    model, dataset, tmp_path / "bogus", target, executor="test-bogus", **resil
                 )
         finally:
             ir._EXECUTORS.pop("test-bogus")
         assert files and files == reference
         messages = self._runtime_warnings(caught)
-        assert len(messages) == model_objects  # not one per step
+        assert len(messages) == lanes  # not one per step, nor per injection target
         for message in messages:
             assert "LeNet5" in message and "'test-bogus'" in message and reason in message
 
@@ -281,13 +285,15 @@ class TestForwardBudget:
 
         batch_size = 8
         tracing = []  # non-empty while a ForwardPlan.trace is on the stack
-        traced, probing, passes = [], [], []
+        traced, probing, passes, roots = [], [], [], []
 
         def spy(owner, name, size_of):
             original = getattr(owner, name)
 
             def wrapped(self, *args, **kwargs):
                 (probing if tracing else passes).append(size_of(*args))
+                if owner is ResNet:
+                    roots.append(self)
                 return original(self, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapped)
@@ -320,20 +326,23 @@ class TestForwardBudget:
 
         full = run(spec("full", prefix_reuse=False))
         monkeypatch.setattr(ForwardPlan, "trace", classmethod(trace))
-        # Root calls of the golden model and the neuron clone, and the plan's
-        # own full-batch entry points: every way a whole batch gets forwarded.
+        # Root calls of the lane's one model object (golden and faulty pass,
+        # weights and neurons) and the plan's own full-batch entry points:
+        # every way a whole batch gets forwarded.
         spy(ResNet, "__call__", lambda x: x.shape[0])
         spy(ForwardPlan, "run_recording", lambda x, *rest: x.shape[0])
         spy(ForwardPlan, "resume", lambda start, activation: activation.shape[0])
         reused = run(spec("reuse"))
 
         assert _file_bytes(full) == _file_bytes(reused)
-        # One trace per model object (the neuron lane adds its clone), each a
-        # hooked forward plus the module and the interpreter replay.
-        assert traced == [1] * (2 if target == "neurons" else 1)
-        assert probing == [1] * (3 * len(traced))
+        # One trace for the one lane — a neuron campaign hooks the model it
+        # was given, so it has no second object to trace: a hooked forward
+        # plus the module and the interpreter replay.
+        assert traced == [1]
+        assert probing == [1] * 3
+        assert roots and all(model is reused.core.model for model in roots)
         steps = [min(batch_size, images - start) for start in range(0, images, batch_size)]
-        # The shape probe, then a golden and a faulty lane per step.
+        # The shape probe, then a golden and a faulty pass per step.
         assert passes == [batch_size] + [size for size in steps for _ in range(2)]
 
 
@@ -367,7 +376,7 @@ def _file_bytes(result):
 
 class TestDetectionCampaigns:
     """Detectors end in a post-processing module, so their plans are chains
-    and the faulty lane resumes at the faulted layer — with the same bytes."""
+    and the faulty pass resumes at the faulted layer — with the same bytes."""
 
     @pytest.mark.parametrize("backend", [
         {"name": "serial", "workers": 1},
@@ -667,7 +676,7 @@ class TestCachedBoundaries:
         cache = GoldenCache()
         core = self._core(model, dataset, cache, random_seed=40)
         core.run()
-        plan = core._plans[id(model)]
+        plan = core.lanes[0].plan
         expected = _injectable_segments(plan, core.wrapper)
         assert expected and expected < set(range(1, plan.num_segments))
         assert len(cache) == len(dataset)
@@ -684,7 +693,7 @@ class TestCachedBoundaries:
         # Entries recorded by a campaign over the linear layers only ...
         narrow = self._core(model, dataset, cache, random_seed=41, layer_types=["fcc"])
         narrow.run()
-        plan = narrow._plans[id(model)]
+        plan = narrow.lanes[0].plan
         recorded = _injectable_segments(plan, narrow.wrapper)
         assert all(set(entry.boundaries) == recorded for entry in cache._entries.values())
 
@@ -727,8 +736,8 @@ class TestCachedBoundaries:
             ),
         )
         core.run()
-        golden = _injectable_segments(core._plans[id(core.model)], core.wrapper)
-        resil = _injectable_segments(core._plans[id(core.resil_model)], core.resil_wrapper)
+        golden = _injectable_segments(core.lanes[0].plan, core.wrapper)
+        resil = _injectable_segments(core.lanes[1].plan, core.resil_wrapper)
         assert golden != resil  # protection layers shift the hardened model's segments
         lanes = {"golden": golden, "resil": resil}
         assert {key[0] for key in cache._entries} == set(lanes)

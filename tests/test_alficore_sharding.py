@@ -42,6 +42,15 @@ def _file_bytes(path: str | Path) -> bytes:
     return Path(path).read_bytes()
 
 
+class _CustomEventLog(ClassificationTask):
+    """Keeps every step's custom monitor events (module level: worker shards
+    pickle their task)."""
+
+    def consume(self, ctx):
+        super().consume(ctx)
+        self.state.applied_log.append(ctx.monitor.custom_events)
+
+
 class TestShardBounds:
     def test_bounds_are_contiguous_and_balanced(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
@@ -162,6 +171,26 @@ class TestClassificationShardEquivalence:
             model, dataset, scenario, dl_shuffle=True, workers=1, num_shards=3
         )
         assert streaming_kpis(serial) == streaming_kpis(sharded)
+
+    def test_custom_monitors_reach_every_shard(self, fitted_model_and_dataset):
+        # What StepContext.monitor holds must not depend on shard geometry.
+        from repro.alficore.monitoring import RangeMonitor
+
+        model, dataset = fitted_model_and_dataset
+        scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=12)
+
+        def events(workers, num_shards):
+            core = CampaignCore(
+                model, dataset, _CustomEventLog(), scenario=scenario,
+                custom_monitors=[RangeMonitor(bound=0.5)],
+            )
+            state, _ = ShardedCampaignExecutor(core, workers=workers, num_shards=num_shards).run()
+            return state.applied_log
+
+        serial = events(1, 1)
+        assert len(serial) == len(dataset) and sum(map(len, serial)) > len(dataset)
+        assert events(1, 2) == serial
+        assert events(2, 2) == serial
 
     def test_weights_restored_bit_exactly_after_sharded_campaign(
         self, fitted_model_and_dataset

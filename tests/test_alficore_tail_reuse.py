@@ -174,7 +174,7 @@ class TestCampaignsEqualTheReferencePath:
         reused = run(
             _spec("alexnet", "weights", tmp_path / "tail", executor=executor, golden_cache_mb=64)
         )
-        assert reused.core._plans[id(reused.core.model)].executor_name == executor
+        assert reused.core.lanes[0].plan.executor_name == executor
         assert _result_bytes(reused) == _result_bytes(reference)
         assert reused.core.golden_cache.rejoins > 0
 
@@ -295,7 +295,7 @@ class TestCacheLessCampaigns:
         scenario = {**BATCHED, **FIRST_LAYER}
         reference = run(_spec("alexnet", "neurons", tmp_path / "ref", scenario, prefix_reuse=False))
         reused = run(_spec("alexnet", "neurons", tmp_path / "tail", scenario, executor=executor))
-        assert reused.core._plans[id(reused.core.model)].executor_name == executor
+        assert reused.core.lanes[0].plan.executor_name == executor
         assert _result_bytes(reused) == _result_bytes(reference)
         assert reused.core.rejoins > 0
 

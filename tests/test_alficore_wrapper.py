@@ -218,6 +218,11 @@ class TestPartialFaultGroups:
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
+def _hooked(model) -> int:
+    """Forward hooks registered anywhere on the model."""
+    return sum(len(module._forward_hooks) for module in model.modules())
+
+
 class TestFaultGroupSessions:
     def test_fault_group_session_is_repeatable(self, lenet_model, weight_scenario):
         wrapper = ptfiwrap(lenet_model, scenario=weight_scenario)
@@ -242,3 +247,37 @@ class TestFaultGroupSessions:
             with next(sessions) as group:
                 actual = group.model(small_images)
             np.testing.assert_array_equal(expected, actual)
+
+    def test_one_off_neuron_group_hooks_the_model_only_while_open(
+        self, lenet_model, neuron_scenario
+    ):
+        wrapper = ptfiwrap(
+            lenet_model, scenario=neuron_scenario.copy(batch_size=2, rnd_bit_range=(30, 30))
+        )
+        images = np.random.default_rng(3).normal(size=(2, 3, 32, 32)).astype(np.float32)
+        golden = lenet_model(images)
+        expected = wrapper.corrupted_model_for_group(3)(images)
+        group = wrapper.fault_group_session(3)
+        assert _hooked(lenet_model) == 0  # a group nobody enters leaves nothing behind
+        for _ in range(2):  # re-entered: hooked again, the same faults again
+            with group:
+                assert group.model is lenet_model and _hooked(lenet_model) > 0
+                actual = group.model(images)
+            assert _hooked(lenet_model) == 0
+            assert actual.tobytes() == expected.tobytes() != golden.tobytes()
+            assert len(group.applied_faults) == 1
+        assert lenet_model(images).tobytes() == golden.tobytes()
+
+    def test_neuron_group_iterator_unhooks_the_model_when_closed_or_exhausted(
+        self, lenet_model, neuron_scenario
+    ):
+        wrapper = ptfiwrap(lenet_model, scenario=neuron_scenario)
+        groups = wrapper.get_fault_group_iter()
+        assert _hooked(lenet_model) == 0  # nothing happens before the first group is asked for
+        next(groups)
+        assert _hooked(lenet_model) == wrapper.fault_injection.num_layers
+        groups.close()
+        assert _hooked(lenet_model) == 0
+        for _ in wrapper.get_fault_group_iter(start=0, stop=3):
+            assert _hooked(lenet_model) == wrapper.fault_injection.num_layers
+        assert _hooked(lenet_model) == 0

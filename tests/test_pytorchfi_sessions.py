@@ -115,15 +115,23 @@ class TestNeuronInjectionSession:
             for i in range(n)
         ]
 
-    def test_model_cloned_once_and_reused(self, lenet_model, lenet_fi):
+    def test_session_hooks_the_given_model_and_leaves_it_clean(
+        self, lenet_model, lenet_fi, small_images
+    ):
+        golden = lenet_model(small_images)
         session = lenet_fi.neuron_injection_session()
-        assert session.model is not lenet_model
+        assert session.model is lenet_model
         with session.activate(self.neuron_faults()) as group_a:
-            model_a = group_a.model
+            corrupted = group_a.model(small_images)
         with session.activate(self.neuron_faults()) as group_b:
-            model_b = group_b.model
-        assert model_a is model_b is session.model
+            assert group_a.model is group_b.model is lenet_model
+        assert corrupted.tobytes() != golden.tobytes()
+        # Hooked but outside a group, and unhooked: the caller's model as it was.
+        assert lenet_model(small_images).tobytes() == golden.tobytes()
         session.close()
+        for module in lenet_model.modules():
+            assert not module._forward_hooks and not module._forward_pre_hooks
+        assert lenet_model(small_images).tobytes() == golden.tobytes()
 
     def test_outputs_match_legacy_clone_path(self, lenet_fi, small_images):
         faults = self.neuron_faults()
