@@ -36,6 +36,7 @@ from repro.alficore.results import CampaignResultWriter
 from repro.alficore.scenario import ScenarioConfig, default_scenario
 from repro.alficore.wrapper import ptfiwrap
 from repro.data.wrapper import AlfiDataLoaderWrapper, ImageRecord
+from repro.nn import functional as F
 from repro.nn.forward_plan import ActivationArena, ForwardPlan
 from repro.nn.module import Module
 from repro.pytorchfi.errormodels import ErrorModel
@@ -521,7 +522,9 @@ class CampaignCore:
             # injection hooks by now, so the monitor's fire behind them and
             # scan the *corrupted* activation of a faulted layer.
             monitor.attach()
-        head = (lane.name,) if lane.fingerprint is None else (lane.name, lane.fingerprint)
+        head = (lane.name,)
+        if lane.fingerprint is not None:
+            head += (lane.fingerprint, F.KERNEL_GENERATION)
         entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, span)
         resumed_at = rejoined_at = None
         with group, _scanning(monitor):

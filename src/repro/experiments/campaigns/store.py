@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.alficore.digests import SHORT_DIGEST_LENGTH, config_digest
 from repro.alficore.resilience import atomic_replace_json, atomic_write_pickle
+from repro.nn import functional as F
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.result import CampaignResult
@@ -81,9 +82,17 @@ def canonical_spec_document(spec: "ExperimentSpec") -> dict:
 
 
 def point_run_id(canonical_document: dict, weights_fingerprint: str) -> str:
-    """Content-addressed run ID of one grid point."""
+    """Content-addressed run ID of one grid point.
+
+    The kernel generation is part of the address: a point computed by other
+    ``repro.nn.functional`` kernels is another point.
+    """
     return config_digest(
-        {"spec": canonical_document, "weights": weights_fingerprint}
+        {
+            "spec": canonical_document,
+            "weights": weights_fingerprint,
+            "kernels": F.KERNEL_GENERATION,
+        }
     )[:SHORT_DIGEST_LENGTH]
 
 

@@ -22,6 +22,7 @@ from repro.eval.classification import evaluate_classification_campaign
 from repro.eval.detection import evaluate_detection_campaign
 from repro.experiments.registry import MODELS, PROTECTIONS
 from repro.experiments.spec import ExperimentSpec
+from repro.nn import functional as F
 
 
 class ExperimentTask:
@@ -106,7 +107,10 @@ class ExperimentTask:
         """Persist the workload's result-file set; returns ``{tag: path}``."""
         if writer is None:
             return dict(stream_paths)
-        meta_extra: dict = {"model_name": context["model_name"]}
+        meta_extra: dict = {
+            "model_name": context["model_name"],
+            "kernel_generation": F.KERNEL_GENERATION,
+        }
         if context.get("execution"):
             # Fault-tolerance knobs are run-time parameters, so they belong in
             # the meta file (resume is deliberately absent — see the runner).

@@ -6,22 +6,28 @@ inputs are ``(N, features)``.
 
 Every golden and faulty inference of a campaign ends in these kernels, so
 each one is written as the cheapest numpy formulation of a *fixed*
-arithmetic: ``conv2d`` is a tap-loop :func:`im2col` plus exactly one BLAS
-GEMM whose operand order, shapes and memory layouts are part of the
-contract; pooling and ``im2col`` loop over the ``kh * kw`` kernel taps
-(strided slices) instead of reducing or copying a 6-D window view; and the
-elementwise kernels run their ufuncs on one buffer.  Where a buffer is only
-staging for a copy, its layout is free: a batch's columns are written with
-rows an odd number of cache lines apart, because the transposed copy that
-builds the GEMM operand reads them column by column.  The result bits are
-pinned against the frozen previous generation in ``tests/oracles/`` (see
-"The bit-exactness contract" in ``docs/ir.md``); NaN *positions* are part of
-that contract, NaN payload bits are not.
+arithmetic: ``conv2d`` is one tap-loop :func:`im2col` of the whole batch plus
+one BLAS GEMM per sample and group, whose operand order, shapes and memory
+layouts are part of the contract; ``linear`` is one product per row; pooling
+and ``im2col`` loop over the ``kh * kw`` kernel taps (strided slices) instead
+of reducing or copying a 6-D window view; and the elementwise kernels run
+their ufuncs on one buffer.  No layer kernel mixes samples, so row ``i`` of a
+batched call is the call on ``x[i : i + 1]`` bit for bit
+(``tests/test_nn_batch_invariance.py``).  The result bits are pinned against
+the frozen previous generation in ``tests/oracles/`` (see "The bit-exactness
+contract" in ``docs/ir.md``); NaN *positions* are part of that contract, NaN
+payload bits are not.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Bumped by every change that may move a result bit of any kernel below.  The
+# weights fingerprint does not cover arithmetic, so the golden-cache keys, the
+# sweep store's run ids and the meta file carry this number: what other
+# kernels computed is a miss, never a hit.  2: one GEMM per sample (PR 21).
+KERNEL_GENERATION = 2
 
 
 # --------------------------------------------------------------------------- #
@@ -83,30 +89,11 @@ def _window_taps(x, kh: int, kw: int, sh: int, sw: int, out_h: int, out_w: int) 
     ]
 
 
-_CACHE_LINE = 64  # bytes
-
-
-def _row_pitch(positions: int, itemsize: int) -> int:
-    """Elements between the starts of two rows of a *pitched* column buffer.
-
-    Rows are padded to an odd number of cache lines.  Reading such a buffer
-    down a column then walks through every L1 set; at the natural pitch of a
-    32x32, 16x16 or 8x8 map (a power of two) every read lands in the same few
-    sets and evicts the line the next column needs.  Rows shorter than two
-    lines stay as they are.
-    """
-    row_bytes = positions * itemsize
-    if row_bytes < 2 * _CACHE_LINE:
-        return positions
-    return (-(-row_bytes // _CACHE_LINE) | 1) * _CACHE_LINE // itemsize
-
-
 def im2col(
     images: np.ndarray,
     kernel_size: tuple[int, int],
     stride: tuple[int, int],
     padding: tuple[int, int],
-    pitched: bool = False,
 ) -> tuple[np.ndarray, int, int]:
     """Unfold image patches into columns for matmul-based convolution.
 
@@ -115,17 +102,12 @@ def im2col(
         kernel_size: ``(kh, kw)``.
         stride: ``(sh, sw)``.
         padding: ``(ph, pw)`` zero padding.
-        pitched: lay the rows of the result out :func:`_row_pitch` elements
-            apart, for a caller that goes on to read it column by column
-            (``conv2d`` copying the transposed columns of a batch).
 
     Returns:
-        A tuple ``(columns, out_h, out_w)`` where ``columns`` has shape
-        ``(N, C * kh * kw, out_h * out_w)`` and a contiguous last axis.  By
-        default it is C-contiguous, and for a pointwise kernel (1x1, stride
-        1, no padding) over a contiguous input a view of ``images``, not a
-        copy; ``pitched``, it is the ``[..., :out_h * out_w]`` view of a
-        buffer with longer rows, a copy for every kernel.
+        A tuple ``(columns, out_h, out_w)`` where ``columns`` is C-contiguous
+        with shape ``(N, C * kh * kw, out_h * out_w)``.  For a pointwise
+        kernel (1x1, stride 1, no padding) over a contiguous input the
+        columns are a view of ``images``, not a copy.
     """
     n, c, h, w = images.shape
     kh, kw = kernel_size
@@ -133,23 +115,16 @@ def im2col(
     ph, pw = padding
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
-    positions = out_h * out_w
-    pitch = _row_pitch(positions, images.dtype.itemsize) if pitched else positions
 
-    pointwise = (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0)
-    if pointwise and pitch == positions:
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
         # A pointwise convolution's columns are the image itself.
-        return np.ascontiguousarray(images.reshape(n, c, positions)), out_h, out_w
+        return np.ascontiguousarray(images.reshape(n, c, h * w)), out_h, out_w
 
-    columns = np.empty((n, c * kh * kw, pitch), dtype=images.dtype)[:, :, :positions]
-    if pointwise:
-        columns[...] = images.reshape(n, c, positions)
-        return columns, out_h, out_w
     images = _pad_hw(images, ph, pw, 0.0)
-    taps = columns.reshape(n, c, kh * kw, out_h, out_w)  # splits axes: a view at any pitch
+    columns = np.empty((n, c, kh * kw, out_h, out_w), dtype=images.dtype)
     for index, tap in enumerate(_window_taps(images, kh, kw, sh, sw, out_h, out_w)):
-        taps[:, :, index] = tap
-    return columns, out_h, out_w
+        columns[:, :, index] = tap
+    return columns.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
 def conv2d(
@@ -175,7 +150,9 @@ def conv2d(
         Output of shape ``(N, C_out, H_out, W_out)``.
     """
     x = np.asarray(x, dtype=np.float32)
-    weight = np.asarray(weight, dtype=np.float32)
+    # Contiguous, so the reshape below is a view of dense rows whatever layout
+    # the caller's kernel has (a strided row would reach BLAS as an increment).
+    weight = np.ascontiguousarray(weight, dtype=np.float32)
     if x.ndim != 4:
         raise ValueError(f"conv2d expects 4D input (N, C, H, W), got shape {x.shape}")
     if weight.ndim != 4:
@@ -192,42 +169,34 @@ def conv2d(
             f"output channels ({weight.shape[0]}) must be divisible by groups ({groups})"
         )
 
-    if groups > 1:
-        in_per_group = x.shape[1] // groups
-        out_per_group = weight.shape[0] // groups
-        group_outputs = []
-        for group in range(groups):
-            group_input = x[:, group * in_per_group : (group + 1) * in_per_group]
-            group_weight = weight[group * out_per_group : (group + 1) * out_per_group]
-            group_outputs.append(conv2d(group_input, group_weight, None, stride, padding))
-        output = np.concatenate(group_outputs, axis=1)
-        if bias is not None:
-            output += np.asarray(bias, dtype=np.float32).reshape(1, -1, 1, 1)
-        return output
-
     n = x.shape[0]
-    out_channels, _, kh, kw = weight.shape
-    # A batch copies its columns transposed (below), reading them column by
-    # column: those are laid out pitched.  For n == 1 the columns are
-    # themselves a GEMM operand and keep their C-contiguous layout.
-    columns, out_h, out_w = im2col(x, (kh, kw), _pair(stride), _pair(padding), pitched=n > 1)
-    features, positions = columns.shape[1:]
-    # Exactly one GEMM, and its operand order, shapes and memory layouts are
-    # part of the bit-exactness contract (BLAS picks its blocking from them):
-    # left the (n*p, f) patch matrix -- a transposed view of the columns for
-    # n == 1, a C-contiguous copy otherwise -- right the transposed view of
-    # the (o, f) kernel matrix.
-    patches = columns.transpose(0, 2, 1).reshape(n * positions, features)
-    product = np.dot(patches, weight.reshape(out_channels, features).T)
-    product = product.reshape(n, positions, out_channels).transpose(0, 2, 1)
-    # One pass moves the (n, p, o) product into the C-contiguous NCHW output,
-    # with the bias add folded in.
+    out_channels, in_per_group, kh, kw = weight.shape
+    out_per_group, features = out_channels // groups, in_per_group * kh * kw
+    columns, out_h, out_w = im2col(x, (kh, kw), _pair(stride), _pair(padding))
+    positions = out_h * out_w
+    # A group's columns are a contiguous row block of the one unfold, its
+    # kernels a contiguous row block of the kernel matrix; both are indexed
+    # below as transposed views, (p, f) and (f, o).
+    columns = columns.reshape(n, groups, features, positions).transpose(0, 1, 3, 2)
+    kernels = weight.reshape(groups, out_per_group, features).transpose(0, 2, 1)
     output = np.empty((n, out_channels, out_h, out_w), dtype=np.float32)
-    flat = output.reshape(n, out_channels, positions)
-    if bias is None:
-        np.copyto(flat, product)
-    else:
-        np.add(product, np.asarray(bias, dtype=np.float32).reshape(1, -1, 1), out=flat)
+    flat = output.reshape(n, groups, out_per_group, positions)
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float32).reshape(groups, out_per_group, 1)
+    # One GEMM per sample and group, never one per batch: BLAS picks its
+    # blocking from the operand shapes, so a batch-wide GEMM would put the
+    # batch size into the result bits.  Operand order, shapes and memory
+    # layouts are part of the bit-exactness contract: left the transposed view
+    # of the (f, p) columns, right the transposed view of the (o, f) kernels.
+    # The (p, o) product goes straight into its (o, p) slice of the NCHW
+    # output, with the bias add folded in.
+    for sample in range(n):
+        for group in range(groups):
+            product = np.dot(columns[sample, group], kernels[group]).T
+            if bias is None:
+                np.copyto(flat[sample, group], product)
+            else:
+                np.add(product, bias[group], out=flat[sample, group])
     return output
 
 
@@ -291,7 +260,10 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
         raise ValueError(
             f"input features ({x.shape[1]}) do not match weight in_features ({weight.shape[1]})"
         )
-    output = x @ weight.T
+    output = np.empty((x.shape[0], weight.shape[0]), dtype=np.float32)
+    # One product per row, for the reason conv2d issues one GEMM per sample.
+    for row in range(x.shape[0]):
+        np.matmul(x[row : row + 1], weight.T, out=output[row : row + 1])
     if bias is not None:
         output += np.asarray(bias, dtype=np.float32)
     return output

@@ -26,12 +26,35 @@ from repro.nn.functional import _pair, conv_output_size
 # reach ``_pool2d`` through the module global, like ``conv2d`` reaches
 # ``im2col``).
 KERNELS = ("im2col", "conv2d", "linear", "leaky_relu", "_pool2d", "batch_norm2d")
+# The two that contract over a batch-wide GEMM are the bit oracle sample by
+# sample (see ``per_sample``); the rest never mixed samples.
+PER_SAMPLE = ("conv2d", "linear")
+
+
+def per_sample(kernel):
+    """``kernel`` applied to one sample at a time, the rows stacked back up.
+
+    The frozen ``conv2d`` / ``linear`` issue one contraction per *batch*, and
+    BLAS picks its blocking from the batch size; production issues one per
+    sample (PR 21), so what the frozen kernels pin is the batch-1 arithmetic,
+    row by row.  The kernel bodies below stay as they were.
+    """
+
+    def row_by_row(x, *args, **kwargs):
+        x = np.asarray(x)
+        return np.concatenate([kernel(x[i : i + 1], *args, **kwargs) for i in range(len(x))])
+
+    return row_by_row
 
 
 def install(monkeypatch) -> None:
-    """Swap every frozen kernel into ``repro.nn.functional`` for one test."""
+    """Swap every frozen kernel into ``repro.nn.functional`` for one test.
+
+    ``conv2d`` and ``linear`` go in as their ``per_sample`` form.
+    """
     for name in KERNELS:
-        monkeypatch.setattr(F, name, globals()[name])
+        kernel = globals()[name]
+        monkeypatch.setattr(F, name, per_sample(kernel) if name in PER_SAMPLE else kernel)
 
 
 def im2col(

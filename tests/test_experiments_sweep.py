@@ -29,6 +29,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments.spec import validate_sweep_axis
+from repro.nn import functional as F
 import repro.experiments.sweep as sweep_module
 
 IMAGES = 6
@@ -547,3 +548,27 @@ class TestGoldenSharing:
         assert extended.cached == self.POINTS
         assert sweep_bytes(extended) == naive["wide"]
         assert extended.golden_cache_stats["misses"] == IMAGES
+
+    def test_points_and_entries_of_other_kernels_are_misses(self, tmp_path, monkeypatch, naive):
+        # The weights fingerprint covers the parameters, not the arithmetic:
+        # what another generation of ``repro.nn.functional`` wrote into a store
+        # or a spill directory must never be served.
+        store = CampaignStore(tmp_path / "store")
+        first = run_sweep(grid_spec(), store=store)
+        committed, spilled = set(store.completed_run_ids()), golden_files(store)
+        assert (first.executed, len(committed)) == (self.POINTS, self.POINTS)
+        rerun = run_sweep(grid_spec(), store=store)
+        assert (rerun.executed, rerun.cached) == (0, self.POINTS)
+
+        monkeypatch.setattr(F, "KERNEL_GENERATION", F.KERNEL_GENERATION + 1)
+        assert store.completed_run_ids() == []
+        bumped = run_sweep(grid_spec(), store=store)
+        assert (bumped.executed, bumped.cached) == (self.POINTS, 0)
+        assert not committed & {outcome.run_id for outcome in bumped.outcomes}
+        stats = bumped.golden_cache_stats
+        assert (stats["misses"], stats["spill_loads"], stats["spill_writes"]) == (IMAGES, 0, IMAGES)
+        # The old entries are still there, untouched, under their own keys.
+        assert spilled.items() <= golden_files(store).items()
+        assert len(golden_files(store)) == 2 * IMAGES
+        meta = Path(bumped.outcomes[0].stored.output_files["meta"]).read_text()
+        assert f"kernel_generation: {F.KERNEL_GENERATION}" in meta
