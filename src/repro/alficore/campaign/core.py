@@ -220,6 +220,33 @@ class CampaignCore:
         #: without a cache; a shared cache's ``rejoins`` counts them as well
         self.rejoins = 0
 
+    #: constructor parameters a shard builds for itself (its own task state,
+    #: record files, wrappers over the shared fault matrix, cache handle)
+    #: instead of receiving them through :meth:`shard_arguments`
+    REBUILT_PER_SHARD = frozenset({"task", "writer", "wrapper", "resil_wrapper", "golden_cache"})
+
+    def shard_arguments(self) -> dict:
+        """The constructor arguments a shard's own core shares with this one.
+
+        Everything in ``__init__``'s signature outside
+        :attr:`REBUILT_PER_SHARD`, as picklable values: a parameter added to
+        the constructor is added here, or a sharded campaign silently drops
+        it (``tests/test_alficore_sharding.py`` holds the two against each
+        other).
+        """
+        return dict(
+            model=self.model,
+            dataset=self.dataset,
+            scenario=self.scenario,
+            error_model=self._error_model,
+            input_shape=self.input_shape,
+            custom_monitors=self.custom_monitors,
+            dl_shuffle=self.dl_shuffle,
+            resil_model=self.resil_model,
+            prefix_reuse=self.prefix_reuse,
+            executor=self.executor,
+        )
+
     # ------------------------------------------------------------------ #
     # campaign geometry
     # ------------------------------------------------------------------ #

@@ -28,10 +28,7 @@ from repro.alficore.results import (
     merge_csv_files,
     merge_json_array_files,
 )
-from repro.alficore.scenario import ScenarioConfig
 from repro.alficore.wrapper import ptfiwrap
-from repro.nn.module import Module
-from repro.pytorchfi.errormodels import ErrorModel
 
 
 @dataclass
@@ -41,26 +38,19 @@ class _ShardJob:
     index: int
     start: int
     stop: int
-    model: Module
-    resil_model: Module | None
-    dataset: object
+    #: :meth:`CampaignCore.shard_arguments` of the campaign being sharded
+    core_arguments: dict
     task: CampaignTask
-    scenario: ScenarioConfig
-    error_model: ErrorModel | None
-    input_shape: tuple[int, ...]
-    dl_shuffle: bool
     fault_matrix: object
     shard_dir: str | None
     campaign_name: str
-    prefix_reuse: bool = True
     cache_budget: int | None = None
     cache_spill_dir: str | None = None
-    executor: str = "interpreter"
-    custom_monitors: list | None = None
 
 
 def _execute_shard(job: _ShardJob) -> tuple[int, object, dict[str, str]]:
     """Run one shard (in a worker process or in-process) and return its state."""
+    arguments = job.core_arguments
     # A fresh, unstarted task copy per attempt: an in-process retry must not
     # inherit the partial state a failed attempt accumulated into job.task.
     task = job.task.fresh()
@@ -70,33 +60,20 @@ def _execute_shard(job: _ShardJob) -> tuple[int, object, dict[str, str]]:
         else None
     )
     wrapper = ptfiwrap(
-        job.model,
-        scenario=job.scenario,
-        input_shape=job.input_shape,
+        arguments["model"],
+        scenario=arguments["scenario"],
+        input_shape=arguments["input_shape"],
         fault_matrix=job.fault_matrix,
     )
     golden_cache = None
     if job.cache_budget is not None and (
-        job.cache_spill_dir is not None or job.scenario.num_runs > 1
+        job.cache_spill_dir is not None or arguments["scenario"].num_runs > 1
     ):
         # Without a spill directory the cache is private to this shard, and
         # a single-epoch shard visits every batch once: it could never hit.
         golden_cache = GoldenCache(job.cache_budget, spill_dir=job.cache_spill_dir)
     core = CampaignCore(
-        job.model,
-        job.dataset,
-        task,
-        scenario=job.scenario,
-        writer=writer,
-        error_model=job.error_model,
-        input_shape=job.input_shape,
-        custom_monitors=job.custom_monitors,
-        dl_shuffle=job.dl_shuffle,
-        resil_model=job.resil_model,
-        wrapper=wrapper,
-        prefix_reuse=job.prefix_reuse,
-        golden_cache=golden_cache,
-        executor=job.executor,
+        task=task, writer=writer, wrapper=wrapper, golden_cache=golden_cache, **arguments
     )
     stream_paths = core.run(start=job.start, stop=job.stop)
     return job.index, task.state, stream_paths
@@ -221,6 +198,7 @@ class ShardedCampaignExecutor:
                 cache_spill_dir = str(cache.spill_dir)
             elif core.writer is not None:
                 cache_spill_dir = str(core.writer.output_dir / "golden_cache")
+        core_arguments = core.shard_arguments()
         jobs = []
         for index, (start, stop) in enumerate(bounds):
             if index in completed:
@@ -236,22 +214,13 @@ class ShardedCampaignExecutor:
                     index=index,
                     start=start,
                     stop=stop,
-                    model=core.model,
-                    resil_model=core.resil_model,
-                    dataset=core.dataset,
+                    core_arguments=core_arguments,
                     task=core.task.fresh(),
-                    scenario=core.scenario,
-                    error_model=core._error_model,
-                    input_shape=core.input_shape,
-                    dl_shuffle=core.dl_shuffle,
                     fault_matrix=core.wrapper.get_fault_matrix(),
                     shard_dir=shard_dir,
                     campaign_name=core.writer.campaign_name if core.writer is not None else "campaign",
-                    prefix_reuse=core.prefix_reuse,
                     cache_budget=cache_budget,
                     cache_spill_dir=cache_spill_dir,
-                    executor=core.executor,
-                    custom_monitors=core.custom_monitors,
                 )
             )
 

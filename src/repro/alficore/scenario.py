@@ -73,6 +73,12 @@ def coerce_schema_version(value, supported: int, label: str) -> int:
     return value
 
 
+def _one_of(default: str, choices) -> str:
+    """A categorical field: ``choices()`` are its legal values (read by
+    :meth:`ScenarioConfig.validate` and by the CLI's flag declarations)."""
+    return dataclasses.field(default=default, metadata={"choices": choices})
+
+
 @dataclass
 class ScenarioConfig:
     """Complete description of a fault injection campaign.
@@ -97,18 +103,18 @@ class ScenarioConfig:
     # ---------------------------------------------------------------- #
     # fault target and model
     # ---------------------------------------------------------------- #
-    injection_target: str = "neurons"  # "neurons" | "weights"
-    inj_policy: str = "per_image"  # "per_image" | "per_batch" | "per_epoch"
-    fault_persistence: str = "transient"  # "transient" | "permanent"
+    injection_target: str = _one_of("neurons", lambda: INJECTION_TARGETS)
+    inj_policy: str = _one_of("per_image", lambda: INJECTION_POLICIES)
+    fault_persistence: str = _one_of("transient", lambda: FAULT_PERSISTENCE)
 
     # ---------------------------------------------------------------- #
     # value corruption
     # ---------------------------------------------------------------- #
-    rnd_value_type: str = "bitflip"  # "bitflip" | "number" | "stuck_at"
+    rnd_value_type: str = _one_of("bitflip", known_value_types)  # built-in + plug-ins
     rnd_bit_range: tuple[int, int] = (0, 31)
     rnd_value_min: float = -1.0
     rnd_value_max: float = 1.0
-    quantization: str = "float32"
+    quantization: str = _one_of("float32", lambda: SUPPORTED_QUANTIZATION)
     stuck_at_value: int = 1
 
     # ---------------------------------------------------------------- #
@@ -146,27 +152,14 @@ class ScenarioConfig:
             )
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.injection_target not in INJECTION_TARGETS:
-            raise ValueError(
-                f"injection_target must be one of {INJECTION_TARGETS}, got {self.injection_target!r}"
-            )
-        if self.inj_policy not in INJECTION_POLICIES:
-            raise ValueError(
-                f"inj_policy must be one of {INJECTION_POLICIES}, got {self.inj_policy!r}"
-            )
-        if self.fault_persistence not in FAULT_PERSISTENCE:
-            raise ValueError(
-                f"fault_persistence must be one of {FAULT_PERSISTENCE}, got {self.fault_persistence!r}"
-            )
-        if self.rnd_value_type not in VALUE_TYPES and self.rnd_value_type not in _EXTRA_VALUE_TYPES:
-            raise ValueError(
-                f"rnd_value_type must be one of {known_value_types()}, got {self.rnd_value_type!r}"
-            )
+        for declared in dataclasses.fields(self):
+            choices = declared.metadata.get("choices")
+            if choices is not None and getattr(self, declared.name) not in choices():
+                raise ValueError(
+                    f"{declared.name} must be one of {choices()}, "
+                    f"got {getattr(self, declared.name)!r}"
+                )
         self.fault_file = Path(self.fault_file) if self.fault_file else None
-        if self.quantization not in SUPPORTED_QUANTIZATION:
-            raise ValueError(
-                f"quantization must be one of {SUPPORTED_QUANTIZATION}, got {self.quantization!r}"
-            )
         self.rnd_bit_range = (int(self.rnd_bit_range[0]), int(self.rnd_bit_range[1]))
         low, high = self.rnd_bit_range
         max_bit = {"float32": 31, "float64": 63, "float16": 15, "int8": 7, "int16": 15, "int32": 31}[
@@ -192,6 +185,12 @@ class ScenarioConfig:
                 )
         if not self.layer_types:
             raise ValueError("layer_types must contain at least one entry")
+        if not isinstance(self.weighted_layer_selection, bool):
+            # Not bool(value): a quoted "false" would select by layer size.
+            raise ValueError(
+                "weighted_layer_selection must be true or false, "
+                f"got {self.weighted_layer_selection!r}"
+            )
         if self.layer_range is not None:
             self.layer_range = (int(self.layer_range[0]), int(self.layer_range[1]))
             if self.layer_range[0] > self.layer_range[1] or self.layer_range[0] < 0:

@@ -19,37 +19,56 @@ Exposes the declarative Experiment API as a console script (``pytorchalfi``):
 * ``pytorchalfi lint`` — run the repro-lint determinism/bit-exactness
   static analysis (same engine as ``python -m repro.lint``).
 
-All ``choices`` lists are derived from the central registries
-(``sorted(registry)``), so registering a new model/protection/value type
-automatically extends the CLI help text.
+Flags that set a spec field take their type, default and ``choices`` from
+the field's declaration in :mod:`repro.experiments.spec` (choices follow the
+registries, so registering a new model/protection/value type extends the
+CLI help text); see the flag tables below.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Any, Iterator, NamedTuple
 
-from repro.alficore import default_scenario, load_scenario
+import yaml
+
+from repro.alficore import load_scenario
 from repro.alficore.analysis import analyze_classification_campaign, analyze_detection_campaign
-from repro.alficore.scenario import INJECTION_POLICIES, INJECTION_TARGETS
 from repro.experiments import (
-    BackendSpec,
-    CachingSpec,
-    CampaignStore,
-    ComponentSpec,
-    ERROR_MODELS,
-    ExecutionSpec,
     ExperimentSpec,
     MODELS,
     PROTECTIONS,
     SpecError,
+    StoreError,
+    SweepError,
     TASKS,
+    expand,
     run,
+    run_sweep,
 )
-from repro.nn.ir import executor_names
+from repro.experiments.spec import field_kind, walk
+from repro.experiments.sweep import resolve_store
 from repro.visualization import comparison_table, sde_per_bit_chart, sde_per_layer_chart
+
+
+class CliError(Exception):
+    """A mistake in a spec or on the command line: ``error: ...``, exit code 1."""
+
+
+@contextlib.contextmanager
+def _spec_mistakes(*kinds: type[BaseException]) -> Iterator[None]:
+    """Report what a bad spec file or flag raises (or the named ``kinds``) as
+    :class:`CliError`.  Wraps spec loading and validation only: campaign-runtime
+    failures keep their traceback — they are bugs, not spec mistakes."""
+    try:
+        yield
+    except kinds or (ValueError, KeyError, FileNotFoundError, yaml.YAMLError) as error:
+        raise CliError(str(error)) from error
 
 
 def _optional_path(value: str) -> Path | None:
@@ -57,130 +76,171 @@ def _optional_path(value: str) -> Path | None:
     return Path(value) if value else None
 
 
-def _add_common_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--images", type=int, default=40, help="number of dataset images")
-    parser.add_argument("--num-faults", type=int, default=1, help="faults per image")
-    parser.add_argument("--num-runs", type=int, default=1, help="epochs over the dataset")
-    parser.add_argument(
-        "--batch-size", type=int, default=None,
-        help="images per batch (per_batch/per_epoch policies; per_image always uses 1)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for sharded campaign execution (1 = serial)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=2,
-        help="extra attempts per failed campaign shard before giving up",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard wall-clock deadline; a hung shard is killed and retried "
-        "(workers > 1 only)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted campaign from its run manifest, "
-        "re-running only the shards not yet completed",
-    )
-    parser.add_argument(
-        "--no-prefix-reuse", action="store_true",
-        help="escape hatch: run the faulty pass as a full forward instead of a "
-        "suffix-only forward from the first faulted layer",
-    )
-    parser.add_argument(
-        "--executor", choices=executor_names(), default="interpreter",
-        help="forward-plan execution backend; 'fused' collapses elementwise/conv+act "
-        "runs into single kernels with planned buffer reuse (always validated "
-        "bit-exactly against the module path at trace time)",
-    )
-    parser.add_argument(
-        "--golden-cache", type=int, default=256, metavar="MB",
-        help="in-memory budget (MB) of the epoch-invariant golden cache; 0 disables it",
-    )
-    parser.add_argument(
-        "--target", choices=INJECTION_TARGETS, default="weights", help="fault injection target"
-    )
-    parser.add_argument(
-        "--value-type", choices=sorted(ERROR_MODELS), default="bitflip",
-        help="how the targeted value is corrupted",
-    )
-    parser.add_argument(
-        "--bit-range", type=int, nargs=2, default=(23, 30), metavar=("LOW", "HIGH"),
-        help="inclusive bit range for bit flips",
-    )
-    parser.add_argument(
-        "--inj-policy", choices=INJECTION_POLICIES, default="per_image",
-        help="how long one fault set stays active",
-    )
-    parser.add_argument("--seed", type=int, default=1234, help="campaign random seed")
-    parser.add_argument("--scenario", type=Path, default=None, help="optional scenario yml file")
-    parser.add_argument(
-        "--fault-file", type=_optional_path, default=None, help="reuse a stored fault matrix"
-    )
-    parser.add_argument("--output-dir", type=Path, default=Path("campaign_output"))
-    parser.add_argument(
-        "--save-spec", type=Path, default=None, metavar="SPEC",
-        help="also write the equivalent experiment spec file (YAML/JSON by suffix)",
-    )
+# --------------------------------------------------------------------------- #
+# flags that set spec fields
+# --------------------------------------------------------------------------- #
+class Flag(NamedTuple):
+    """One flag and the dotted document ``paths`` its value is written to
+    (none: CLI-only).  The first path's declaration in
+    :mod:`repro.experiments.spec` supplies ``type``, ``choices``, ``nargs`` and
+    ``default``; ``cli`` holds the argparse keywords that differ on purpose."""
+
+    flag: str
+    dest: str  # the argparse.Namespace attribute
+    paths: tuple[str, ...]
+    help: str | None
+    cli: dict[str, Any]
 
 
-def _scenario_from_args(args: argparse.Namespace):
+def _flag(flag: str, paths: str = "", help: str | None = None, **cli: Any) -> Flag:
+    return Flag(flag, flag.lstrip("-").replace("-", "_"), tuple(paths.split()), help, cli)
+
+
+#: ``run-imgclass`` / ``run-objdet``: a spec built from flags.  ``--model``,
+#: ``--num-classes`` and ``--protection`` get their per-workload defaults and
+#: choices in :func:`build_parser`.
+_CAMPAIGN_FLAGS = (
+    _flag("--model", "model.name name scenario.model_name"),
+    _flag("--num-classes", "model.params.num_classes dataset.params.num_classes", type=int),
+    _flag("--protection", "protection.name"),
+    _flag("--model-seed", "model.params.seed", type=int, default=0),
+    _flag("--data-seed", "dataset.params.seed", type=int, default=0),
+    # 40, not the scenario's 10 (the paper's default.yml): a flag-built
+    # campaign should show non-trivial rates without further flags.
+    _flag("--images", "scenario.dataset_size dataset.params.num_samples",
+          "number of dataset images", default=40),
+    _flag("--num-faults", "scenario.max_faults_per_image", "faults per image"),
+    _flag("--num-runs", "scenario.num_runs", "epochs over the dataset"),
+    # None, not the scenario's 1: an unset flag keeps the --scenario file's value.
+    _flag("--batch-size", "scenario.batch_size",
+          "images per batch (per_batch/per_epoch policies; per_image always uses 1)",
+          default=None),
+    _flag("--workers", "backend.workers",
+          "worker processes for sharded campaign execution (1 = serial)"),
+    _flag("--retries", "execution.retries",
+          "extra attempts per failed campaign shard before giving up"),
+    _flag("--shard-timeout", "execution.shard_timeout",
+          "per-shard wall-clock deadline; a hung shard is killed and retried "
+          "(workers > 1 only)", metavar="SECONDS"),
+    _flag("--resume", "execution.resume",
+          "resume an interrupted campaign from its run manifest, "
+          "re-running only the shards not yet completed"),
+    _flag("--no-prefix-reuse", "caching.prefix_reuse",
+          "escape hatch: run the faulty pass as a full forward instead of a "
+          "suffix-only forward from the first faulted layer"),
+    _flag("--executor", "execution.executor",
+          "forward-plan execution backend; 'fused' collapses elementwise/conv+act "
+          "runs into single kernels with planned buffer reuse (always validated "
+          "bit-exactly against the module path at trace time)"),
+    # 256, not the schema's 0 (no cache): the command line is for interactive
+    # multi-epoch runs, where the cache pays for itself.
+    _flag("--golden-cache", "caching.golden_cache_mb",
+          "in-memory budget (MB) of the epoch-invariant golden cache; 0 disables it",
+          default=256, metavar="MB"),
+    # weights / exponent bits, not the scenario's neurons / all bits: the
+    # quickest campaign that shows silent data errors at all.
+    _flag("--target", "scenario.injection_target", "fault injection target", default="weights"),
+    _flag("--value-type", "scenario.rnd_value_type", "how the targeted value is corrupted"),
+    _flag("--bit-range", "scenario.rnd_bit_range", "inclusive bit range for bit flips",
+          default=(23, 30), metavar=("LOW", "HIGH")),
+    _flag("--inj-policy", "scenario.inj_policy", "how long one fault set stays active"),
+    _flag("--seed", "scenario.random_seed", "campaign random seed"),
+    _flag("--scenario", help="optional scenario yml file", type=Path),
+    _flag("--fault-file", "scenario.fault_file", "reuse a stored fault matrix",
+          type=_optional_path),
+    # The schema's null writes no files; a command-line run is for its files.
+    _flag("--output-dir", "output_dir", default=Path("campaign_output")),
+    _flag("--save-spec", type=Path, metavar="SPEC",
+          help="also write the equivalent experiment spec file (YAML/JSON by suffix)"),
+)
+
+#: ``run <spec>``: overrides of a loaded spec; unset flags keep the spec's value.
+_RUN_FLAGS = (
+    _flag("--output-dir", "output_dir", "override the spec's output directory"),
+    _flag("--workers", "backend.workers", "override the spec's backend workers"),
+    _flag("--retries", "execution.retries", "override the spec's per-shard retry budget"),
+    _flag("--shard-timeout", "execution.shard_timeout",
+          "override the spec's per-shard wall-clock deadline", metavar="SECONDS"),
+    _flag("--resume", "execution.resume", "resume an interrupted campaign from its run manifest"),
+    _flag("--executor", "execution.executor",
+          "override the spec's forward-plan execution backend"),
+)
+
+#: the two flag-built workloads: what the flags do not say
+_WORKLOADS = {
+    "run-imgclass": {
+        "task": "classification",
+        "dataset": {"name": "synthetic-classification", "params": {"noise": 0.25}},
+    },
+    "run-objdet": {"task": "detection", "dataset": {"name": "synthetic-coco"}},
+}
+
+
+def _schema_keywords(flag: Flag, override: bool) -> dict[str, Any]:
+    """The argparse keywords the flag's first document path declares."""
+    field, rest = walk(flag.paths[0]) if flag.paths else (None, [])
+    if field is None or rest:  # CLI-only, or a free-form params key
+        return {}
+    kind = field_kind(field)
+    default = None if field.default is dataclasses.MISSING else field.default
+    if kind == "bool":
+        return {"action": "store_true"}  # sets the field to the opposite of its default
+    keywords: dict[str, Any] = {"default": None if override else default}
+    if isinstance(default, tuple):
+        keywords.update(type=type(default[0]), nargs=len(default))
+    elif kind in ("int", "float", "path"):
+        keywords["type"] = {"int": int, "float": float, "path": Path}[kind]
+    if field.metadata.get("choices") is not None:
+        keywords["choices"] = list(field.metadata["choices"]())
+    return keywords
+
+
+def _add_flags(
+    parser: argparse.ArgumentParser, flags: tuple[Flag, ...], override: bool = False, **extra: Any
+) -> None:
+    """Add ``flags`` to ``parser``; ``extra`` maps a flag's dest to further
+    argparse keywords, or to ``None`` to leave the flag out."""
+    for flag in flags:
+        more = extra.get(flag.dest, {})
+        if more is not None:
+            keywords = {**_schema_keywords(flag, override), **flag.cli, **more}
+            parser.add_argument(flag.flag, help=flag.help, **keywords)
+
+
+def _with_flags(spec: ExperimentSpec, given: dict[str, Any], flags: tuple[Flag, ...]) -> ExperimentSpec:
+    """``spec`` with every given flag written to its document path(s)."""
+    assignments: dict[str, Any] = {}
+    for flag in flags:
+        value = given.get(flag.dest)
+        if flag.paths and value is not None and value is not False:
+            if value is True:
+                value = not walk(flag.paths[0])[0].default
+            assignments.update(dict.fromkeys(flag.paths, value))
+    workers = assignments.get("backend.workers", spec.backend.workers)
+    resume = assignments.get("execution.resume", spec.execution.resume)
+    if spec.backend.name == "serial" and (workers > 1 or resume):
+        # The run manifest lives in the sharded executor (with workers=1 the
+        # shards still run in-process).  Registered custom backends keep
+        # their name: they own their parallelism.
+        assignments["backend.name"] = "sharded"
+    return spec.updated(assignments)
+
+
+def _built_spec(args: argparse.Namespace) -> ExperimentSpec:
+    """The experiment spec a ``run-imgclass``/``run-objdet`` call describes."""
+    document = dict(_WORKLOADS[args.command])
     if args.scenario is not None:
-        scenario = load_scenario(args.scenario)
-    else:
-        scenario = default_scenario()
-    overrides = {
-        "injection_target": args.target,
-        "rnd_value_type": args.value_type,
-        "rnd_bit_range": tuple(args.bit_range),
-        "random_seed": args.seed,
-        "dataset_size": args.images,
-        "max_faults_per_image": args.num_faults,
-        "inj_policy": args.inj_policy,
-        "num_runs": args.num_runs,
-        "model_name": args.model,
-    }
-    if args.fault_file is not None:
-        # Only an explicit --fault-file overrides; a fault_file declared in
-        # the --scenario yml keeps replaying its stored matrix.
-        overrides["fault_file"] = args.fault_file
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    return scenario.copy(**overrides)
+        # The file is the base; every flag with a value overrides it.
+        document["scenario"] = load_scenario(args.scenario).as_dict()
+    given = dict(vars(args))
+    if given.get("protection") == "none":
+        del given["protection"]
+    return _with_flags(ExperimentSpec.from_dict(document), given, _CAMPAIGN_FLAGS)
 
 
-def _spec_from_args(args: argparse.Namespace, task: str, dataset: ComponentSpec) -> ExperimentSpec:
-    """Assemble the experiment spec a ``run-imgclass``/``run-objdet`` call describes."""
-    protection = getattr(args, "protection", "none")
-    return ExperimentSpec(
-        name=args.model,
-        task=task,
-        model=ComponentSpec(
-            args.model, {"num_classes": args.num_classes, "seed": args.model_seed}
-        ),
-        dataset=dataset,
-        scenario=_scenario_from_args(args),
-        protection=ComponentSpec(protection) if protection != "none" else None,
-        backend=BackendSpec(
-            # --resume needs the sharded backend (the run manifest tracks
-            # shard ranges); with workers=1 it runs the shards in-process.
-            name="sharded" if (args.workers > 1 or args.resume) else "serial",
-            workers=args.workers,
-        ),
-        caching=CachingSpec(
-            golden_cache_mb=args.golden_cache, prefix_reuse=not args.no_prefix_reuse
-        ),
-        execution=ExecutionSpec(
-            retries=args.retries,
-            shard_timeout=args.shard_timeout,
-            resume=args.resume,
-            executor=args.executor,
-        ),
-        output_dir=args.output_dir,
-    )
-
-
+# --------------------------------------------------------------------------- #
+# subcommands
+# --------------------------------------------------------------------------- #
 def _print_result_files(output_files: dict[str, str]) -> None:
     print("\nresult files:")
     for kind, path in output_files.items():
@@ -188,18 +248,13 @@ def _print_result_files(output_files: dict[str, str]) -> None:
 
 
 def _execute_spec(spec: ExperimentSpec, save_spec: Path | None = None) -> int:
-    try:
+    with _spec_mistakes():
         spec.validate(registries=True)
         if save_spec is not None:
             # Only validated specs are persisted — a saved spec must be
             # runnable by a later ``pytorchalfi run``.
             spec.save(save_spec)
             print(f"experiment spec written to {save_spec}")
-    except (ValueError, KeyError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    # Campaign-runtime failures propagate with their traceback — they are
-    # bugs or environment problems, not spec mistakes.
     result = run(spec)
     plugin = TASKS.get(spec.task)
     print(plugin.report(result, spec))
@@ -209,77 +264,32 @@ def _execute_spec(spec: ExperimentSpec, save_spec: Path | None = None) -> int:
 
 
 def _cmd_run_spec(args: argparse.Namespace) -> int:
-    import yaml
-
-    try:
+    with _spec_mistakes():
         spec = ExperimentSpec.load(args.spec)
-    except (ValueError, KeyError, FileNotFoundError, yaml.YAMLError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if spec.sweep is not None:
-        print(
-            f"error: {args.spec} declares a sweep: section; use `pytorchalfi sweep`",
-            file=sys.stderr,
-        )
-        return 1
-    if args.output_dir is not None:
-        spec.output_dir = args.output_dir
-    if args.workers is not None:
-        spec.backend.workers = args.workers
-        if spec.backend.name == "serial" and args.workers > 1:
-            # Built-in backends switch to sharded execution; registered
-            # custom backends keep their name (they own their parallelism).
-            spec.backend.name = "sharded"
-    if args.retries is not None:
-        spec.execution.retries = args.retries
-    if args.shard_timeout is not None:
-        spec.execution.shard_timeout = args.shard_timeout
-    if args.executor is not None:
-        spec.execution.executor = args.executor
-    if args.resume:
-        spec.execution.resume = True
-        if spec.backend.name == "serial":
-            # The run manifest lives in the sharded executor; with workers=1
-            # the shards still run in-process.
-            spec.backend.name = "sharded"
+        if spec.sweep is not None:
+            raise CliError(f"{args.spec} declares a sweep: section; use `pytorchalfi sweep`")
+        spec = _with_flags(spec, vars(args), _RUN_FLAGS)
     return _execute_spec(spec)
 
 
-def _load_sweep_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """Load a spec for ``pytorchalfi sweep`` and check it declares a grid."""
-    import yaml
-
-    try:
-        spec = ExperimentSpec.load(args.spec)
-    except (ValueError, KeyError, FileNotFoundError, yaml.YAMLError) as error:
-        raise SystemExit(f"error: {error}")
-    if spec.sweep is None:
-        raise SystemExit(
-            f"error: {args.spec} declares no sweep: section; use `pytorchalfi run`"
-        )
-    return spec
-
-
-def _sweep_store(args: argparse.Namespace, spec: ExperimentSpec) -> CampaignStore:
-    """Resolve the campaign-store directory (flag > spec > output_dir)."""
-    if args.store is not None:
-        return CampaignStore(args.store)
-    if spec.sweep is not None and spec.sweep.store is not None:
-        return CampaignStore(spec.sweep.store)
-    if spec.output_dir is not None:
-        return CampaignStore(Path(spec.output_dir) / "sweep_store")
-    raise SystemExit(
-        "error: no campaign store: pass --store, declare sweep.store in the "
-        "spec, or set output_dir"
-    )
+def _cmd_run_built(args: argparse.Namespace) -> int:
+    with _spec_mistakes():
+        spec = _built_spec(args)
+    return _execute_spec(spec, args.save_spec)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import StoreError, SweepError, expand, run_sweep
-
-    spec = _load_sweep_spec(args)
-    store = _sweep_store(args, spec)
-    try:
+    with _spec_mistakes():
+        spec = ExperimentSpec.load(args.spec)
+    if spec.sweep is None:
+        raise CliError(f"{args.spec} declares no sweep: section; use `pytorchalfi run`")
+    store = resolve_store(spec, args.store)
+    if store is None:
+        raise CliError(
+            "no campaign store: pass --store, declare sweep.store in the "
+            "spec, or set output_dir"
+        )
+    with _spec_mistakes(SweepError, StoreError, SpecError):
         if args.dry_run:
             plan = expand(spec)
             plan.resolve()
@@ -291,9 +301,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = run_sweep(
             spec, store=store, workers=args.workers, resume=args.resume, progress=print,
         )
-    except (SweepError, StoreError, SpecError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     print()
     print(result.format_table())
     print(
@@ -312,49 +319,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    import yaml
-
     failures = 0
     for path in args.specs:
         try:
-            spec = ExperimentSpec.load(path)
-            spec.validate(registries=True)
-        except (ValueError, KeyError, FileNotFoundError, yaml.YAMLError) as error:
+            with _spec_mistakes():
+                spec = ExperimentSpec.load(path)
+                spec.validate(registries=True)
+        except CliError as error:
             failures += 1
             print(f"FAIL  {path}: {error}")
         else:
             print(f"ok    {path}  ({spec.task}: {spec.model.name} on {spec.dataset.name})")
     return 1 if failures else 0
-
-
-def _cmd_run_imgclass(args: argparse.Namespace) -> int:
-    dataset = ComponentSpec(
-        "synthetic-classification",
-        {
-            "num_samples": args.images,
-            "num_classes": args.num_classes,
-            "noise": 0.25,
-            "seed": args.data_seed,
-        },
-    )
-    return _run_built_spec(args, "classification", dataset)
-
-
-def _cmd_run_objdet(args: argparse.Namespace) -> int:
-    dataset = ComponentSpec(
-        "synthetic-coco",
-        {"num_samples": args.images, "num_classes": args.num_classes, "seed": args.data_seed},
-    )
-    return _run_built_spec(args, "detection", dataset)
-
-
-def _run_built_spec(args: argparse.Namespace, task: str, dataset: ComponentSpec) -> int:
-    try:
-        spec = _spec_from_args(args, task, dataset)
-    except (ValueError, KeyError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    return _execute_spec(spec, args.save_spec)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -408,28 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_cmd = subparsers.add_parser("run", help="run an experiment spec file")
     run_cmd.add_argument("spec", type=Path, help="experiment spec (YAML or JSON)")
-    run_cmd.add_argument(
-        "--output-dir", type=Path, default=None, help="override the spec's output directory"
-    )
-    run_cmd.add_argument(
-        "--workers", type=int, default=None, help="override the spec's backend workers"
-    )
-    run_cmd.add_argument(
-        "--retries", type=int, default=None,
-        help="override the spec's per-shard retry budget",
-    )
-    run_cmd.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="override the spec's per-shard wall-clock deadline",
-    )
-    run_cmd.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted campaign from its run manifest",
-    )
-    run_cmd.add_argument(
-        "--executor", choices=executor_names(), default=None,
-        help="override the spec's forward-plan execution backend",
-    )
+    _add_flags(run_cmd, _RUN_FLAGS, override=True)
     run_cmd.set_defaults(handler=_cmd_run_spec)
 
     sweep = subparsers.add_parser(
@@ -463,25 +418,22 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(handler=_cmd_validate)
 
     imgclass = subparsers.add_parser("run-imgclass", help="run a classification campaign")
-    imgclass.add_argument(
-        "--model", choices=MODELS.names(kind="classifier"), default="lenet5"
+    _add_flags(
+        imgclass, _CAMPAIGN_FLAGS,
+        model={"choices": MODELS.names(kind="classifier"), "default": "lenet5"},
+        num_classes={"default": 10},
+        protection={"choices": ["none", *PROTECTIONS.names()], "default": "none"},
     )
-    imgclass.add_argument("--num-classes", type=int, default=10)
-    imgclass.add_argument(
-        "--protection", choices=["none", *PROTECTIONS.names()], default="none"
-    )
-    imgclass.add_argument("--model-seed", type=int, default=0)
-    imgclass.add_argument("--data-seed", type=int, default=0)
-    _add_common_campaign_arguments(imgclass)
-    imgclass.set_defaults(handler=_cmd_run_imgclass)
+    imgclass.set_defaults(handler=_cmd_run_built)
 
     objdet = subparsers.add_parser("run-objdet", help="run an object-detection campaign")
-    objdet.add_argument("--model", choices=MODELS.names(kind="detector"), default="yolov3")
-    objdet.add_argument("--num-classes", type=int, default=5)
-    objdet.add_argument("--model-seed", type=int, default=0)
-    objdet.add_argument("--data-seed", type=int, default=0)
-    _add_common_campaign_arguments(objdet)
-    objdet.set_defaults(handler=_cmd_run_objdet)
+    _add_flags(
+        objdet, _CAMPAIGN_FLAGS,
+        model={"choices": MODELS.names(kind="detector"), "default": "yolov3"},
+        num_classes={"default": 5},
+        protection=None,
+    )
+    objdet.set_defaults(handler=_cmd_run_built)
 
     analyze = subparsers.add_parser("analyze", help="post-process a stored campaign")
     analyze.add_argument("--output-dir", type=Path, required=True)
@@ -503,9 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except CliError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,29 +34,30 @@ from repro.experiments.spec import (
 
 
 class ExperimentBuilder:
-    """Accumulates spec fields; ``build()`` validates and returns the spec."""
+    """Accumulates spec fields as given; ``build()`` checks and coerces them
+    against the section declarations like a spec file's, and returns the spec."""
 
     def __init__(self) -> None:
         self._spec = ExperimentSpec()
 
     def name(self, name: str) -> "ExperimentBuilder":
         """Set the experiment name (used in result file names)."""
-        self._spec.name = str(name)
+        self._spec.name = name
         return self
 
     def task(self, name: str) -> "ExperimentBuilder":
         """Select the task plugin (``"classification"``, ``"detection"``, ...)."""
-        self._spec.task = str(name)
+        self._spec.task = name
         return self
 
     def model(self, name: str, **params: Any) -> "ExperimentBuilder":
         """Select the model component and its constructor params."""
-        self._spec.model = ComponentSpec(str(name), dict(params))
+        self._spec.model = ComponentSpec(name, params)
         return self
 
     def dataset(self, name: str, **params: Any) -> "ExperimentBuilder":
         """Select the dataset component and its constructor params."""
-        self._spec.dataset = ComponentSpec(str(name), dict(params))
+        self._spec.dataset = ComponentSpec(name, params)
         return self
 
     def scenario(
@@ -72,55 +73,31 @@ class ExperimentBuilder:
 
     def protection(self, name: str | None, **params: Any) -> "ExperimentBuilder":
         """Select a protection mechanism (``None`` removes it)."""
-        self._spec.protection = ComponentSpec(str(name), dict(params)) if name else None
+        self._spec.protection = ComponentSpec(name, params) if name else None
         return self
 
-    def backend(
-        self,
-        name: str = "serial",
-        workers: int = 1,
-        num_shards: int | None = None,
-        step_range: tuple[int, int] | None = None,
-    ) -> "ExperimentBuilder":
-        """Select the execution backend (``"serial"`` or ``"sharded"``)."""
-        self._spec.backend = BackendSpec(str(name), int(workers), num_shards, step_range)
+    def backend(self, *values: Any, **fields: Any) -> "ExperimentBuilder":
+        """Select the execution backend: the :class:`BackendSpec` fields
+        (``name`` — ``"serial"`` or ``"sharded"`` —, ``workers``, ...)."""
+        self._spec.backend = BackendSpec(*values, **fields)
         return self
 
-    def caching(self, golden_cache_mb: int = 0, prefix_reuse: bool = True) -> "ExperimentBuilder":
-        """Golden-cache budget (MiB) and prefix-reuse toggle."""
-        self._spec.caching = CachingSpec(int(golden_cache_mb), bool(prefix_reuse))
+    def caching(self, *values: Any, **fields: Any) -> "ExperimentBuilder":
+        """Golden-cache budget (MiB) and prefix-reuse toggle: the
+        :class:`CachingSpec` fields."""
+        self._spec.caching = CachingSpec(*values, **fields)
         return self
 
-    def execution(
-        self,
-        retries: int = 2,
-        shard_timeout: float | None = None,
-        backoff: float = 0.5,
-        resume: bool = False,
-        executor: str = "interpreter",
-    ) -> "ExperimentBuilder":
-        """Execution knobs: fault tolerance (retry/timeout/resume) + executor.
-
-        ``executor`` selects the forward-plan execution backend
-        (``"interpreter"`` by default; ``"fused"`` enables op fusion with
-        planned buffer reuse, see :mod:`repro.nn.fuse`).
-        """
-        self._spec.execution = ExecutionSpec(
-            int(retries),
-            float(shard_timeout) if shard_timeout is not None else None,
-            float(backoff),
-            bool(resume),
-            str(executor),
-        )
+    def execution(self, *values: Any, **fields: Any) -> "ExperimentBuilder":
+        """Execution knobs: the :class:`ExecutionSpec` fields — fault
+        tolerance (``retries`` / ``shard_timeout`` / ``backoff`` /
+        ``resume``) and the forward-plan ``executor`` (``"fused"`` enables op
+        fusion with planned buffer reuse, see :mod:`repro.nn.fuse`)."""
+        self._spec.execution = ExecutionSpec(*values, **fields)
         return self
 
-    def sweep(
-        self,
-        axes: dict[str, list] | None = None,
-        points: list[dict] | None = None,
-        store: str | Path | None = None,
-    ) -> "ExperimentBuilder":
-        """Declare a parameter grid (see :class:`SweepSpec`).
+    def sweep(self, *values: Any, **fields: Any) -> "ExperimentBuilder":
+        """Declare a parameter grid: the :class:`SweepSpec` fields.
 
         ``axes`` maps dotted axis paths (``scenario.layer_range``,
         ``model.params.seed``, ...) to value lists — their cartesian product
@@ -128,26 +105,22 @@ class ExperimentBuilder:
         points.  A spec with a sweep runs through
         :func:`repro.experiments.run_sweep` (``builder.run()`` refuses it).
         """
-        self._spec.sweep = SweepSpec(
-            axes={path: list(values) for path, values in (axes or {}).items()},
-            points=[dict(point) for point in (points or [])],
-            store=Path(store) if store is not None else None,
-        )
+        self._spec.sweep = SweepSpec(*values, **fields)
         return self
 
     def input_shape(self, *shape: int) -> "ExperimentBuilder":
         """Per-sample input shape (e.g. ``input_shape(3, 32, 32)``)."""
-        self._spec.input_shape = tuple(int(v) for v in shape) if shape else None
+        self._spec.input_shape = shape or None
         return self
 
     def shuffle(self, dl_shuffle: bool = True) -> "ExperimentBuilder":
         """Toggle dataloader shuffling."""
-        self._spec.dl_shuffle = bool(dl_shuffle)
+        self._spec.dl_shuffle = dl_shuffle
         return self
 
     def output_dir(self, path: str | Path | None) -> "ExperimentBuilder":
         """Directory for result files (``None`` keeps results in memory)."""
-        self._spec.output_dir = Path(path) if path is not None else None
+        self._spec.output_dir = path
         return self
 
     def options(self, **task_options: Any) -> "ExperimentBuilder":

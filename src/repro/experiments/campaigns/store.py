@@ -32,6 +32,7 @@ next run recomputes and atomically replaces it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -51,19 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 POINT_SCHEMA_VERSION = 1
 SWEEP_MANIFEST_SCHEMA_VERSION = 1
 
-#: spec fields that change *how* a campaign runs but not *what* it computes —
-#: excluded from the canonical document so e.g. ``--workers 4`` still reuses
-#: the points a serial run committed.
-_NON_CANONICAL_FIELDS = (
-    "schema_version",
-    "name",
-    "backend",
-    "caching",
-    "execution",
-    "output_dir",
-    "sweep",
-)
-
 
 class StoreError(RuntimeError):
     """Raised for unusable campaign-store directories or handles."""
@@ -73,12 +61,17 @@ def canonical_spec_document(spec: "ExperimentSpec") -> dict:
     """The result-determining subset of a spec, as a plain document.
 
     Two specs with equal canonical documents (and equal model weights)
-    produce bit-identical campaigns — execution-policy fields are dropped.
+    produce bit-identical campaigns.  Fields that change *how* a campaign
+    runs but not *what* it computes (name, backend, caching, execution,
+    output_dir, sweep — the ones not declared ``canonical``) are dropped, so
+    e.g. ``--workers 4`` still reuses the points a serial run committed.
     """
     document = spec.as_dict()
-    for fields_name in _NON_CANONICAL_FIELDS:
-        document.pop(fields_name, None)
-    return document
+    return {
+        declared.name: document[declared.name]
+        for declared in dataclasses.fields(spec)
+        if declared.metadata["canonical"]
+    }
 
 
 def point_run_id(canonical_document: dict, weights_fingerprint: str) -> str:

@@ -6,6 +6,14 @@ and round-trips to YAML/JSON with a ``schema_version`` and strict
 unknown-key validation.  It is the single input of
 :func:`repro.experiments.run`.
 
+Every section of the document is a dataclass whose fields are declared once
+with :func:`spec_field` — kind, default, range or choices, and whether the
+field determines results.  :class:`Section` derives parsing, unknown-key
+rejection, null-means-default, type and range errors, the plain-dict form
+and ``copy()`` from those declarations; the sweep-axis grammar
+(:func:`validate_sweep_axis`), the campaign store's canonical document and
+the CLI's flags read the same declarations through :func:`walk`.
+
 Schema (YAML)::
 
     schema_version: 1
@@ -30,11 +38,12 @@ Schema (YAML)::
     caching:
       golden_cache_mb: 0
       prefix_reuse: true
-    execution:                      # fault tolerance of the campaign run
+    execution:                      # how the campaign run is carried out
       retries: 2                    # extra attempts per failed shard
       shard_timeout: null           # per-shard wall-clock deadline (seconds)
       backoff: 0.5                  # base of the capped exponential re-queue delay
       resume: false                 # skip manifest-recorded completed shards
+      executor: interpreter         # forward-plan backend: module | interpreter | fused
     sweep: null                     # or a parameter grid (see SweepSpec):
     #   schema_version: 1
     #   axes:                       # cartesian product, declaration order
@@ -51,128 +60,264 @@ Schema (YAML)::
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import difflib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, ClassVar, Iterator, Mapping
 
 import yaml
 
-from repro.alficore.scenario import ScenarioConfig, coerce_schema_version, default_scenario
+# The result writer's converter, so numpy scalars/arrays and Paths in spec
+# params serialize the same way everywhere.
+from repro.alficore.results import _to_plain as _plain
+from repro.alficore.scenario import ScenarioConfig, coerce_schema_version
+from repro.nn.ir import executor_names
 
 SPEC_SCHEMA_VERSION = 1
+SWEEP_SCHEMA_VERSION = 1
 
 
 class SpecError(ValueError):
     """Raised for malformed experiment specifications."""
 
 
-def _reject_unknown(data: dict, known: set[str], where: str) -> None:
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SpecError(
-            f"unknown {where} keys: {unknown}; known keys: {sorted(known)}"
+# --------------------------------------------------------------------------- #
+# field declarations and the codec derived from them
+# --------------------------------------------------------------------------- #
+def spec_field(
+    kind: str | type,
+    default: Any = None,
+    *,
+    required: bool = False,
+    minimum: float | None = None,
+    positive: bool = False,
+    length: int | None = None,
+    choices: Callable[[], list] | None = None,
+    canonical: bool = False,
+) -> Any:
+    """Declare one field of a document section (a ``dataclasses.field``).
+
+    ``kind`` is ``"str"``, ``"int"``, ``"float"``, ``"bool"``, ``"path"``,
+    ``"ints"`` (a tuple of integers, of ``length`` if given), ``"mapping"``,
+    ``"list"``, or a nested section class, whose ``default`` is then a
+    document.  A ``None`` default makes the field nullable; ``required``
+    fields have none.  ``minimum`` (inclusive), ``positive`` and ``choices``
+    are the range; ``canonical`` marks a top-level field that determines the
+    campaign's results (the store's run ID and the legal sweep-axis roots).
+    """
+    metadata = dict(
+        kind=kind, required=required, minimum=minimum, positive=positive,
+        length=length, choices=choices, canonical=canonical,
+    )
+    if required:
+        return dataclasses.field(metadata=metadata)
+    if isinstance(kind, type) and default is not None:
+        return dataclasses.field(
+            default_factory=lambda: _parse_section(kind, default, kind.__name__),
+            metadata=metadata,
         )
+    if kind in _CONTAINERS:
+        return dataclasses.field(default_factory=_CONTAINERS[kind], metadata=metadata)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+def field_kind(field: dataclasses.Field) -> str | type:
+    """A field's declared kind; a plain dataclass field goes by its default."""
+    return field.metadata.get("kind") or type(field.default).__name__
 
 
 def _int_field(value: object, where: str) -> int:
-    if isinstance(value, bool):
-        raise SpecError(f"{where} must be an integer, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise SpecError(f"{where} must be an integer, got {value!r}")
 
 
+def _float_field(value: object, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _bool_field(value: object, where: str) -> bool:
+    # Not bool(value): a quoted "false" from a JSON spec or a templated YAML
+    # would load as True.
+    if not isinstance(value, bool):
+        raise SpecError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+_CONTAINERS = {"mapping": dict, "list": list}
+_SCALARS: dict[str, Callable[[Any, str], Any]] = {
+    "str": lambda value, where: str(value),
+    "int": _int_field,
+    "float": _float_field,
+    "bool": _bool_field,
+    "path": lambda value, where: Path(value),
+}
+
+
+def _parse_section(kind: type, value: Any, where: str) -> Any:
+    if isinstance(value, kind):  # built in code, not parsed
+        label = (where,) if isinstance(value, Section) else ()  # ScenarioConfig takes none
+        value.validate(*label)
+        return value
+    if issubclass(kind, Section):
+        return kind.from_dict(value, where)
+    if not isinstance(value, dict):
+        raise SpecError(f"{where} must be a mapping, got {type(value).__name__}")
+    try:
+        return kind.from_dict(value)
+    except KeyError as error:
+        raise SpecError(f"invalid {where} section: {error.args[0]}") from error
+
+
+def _parse_field(field: dataclasses.Field, value: Any, where: str) -> Any:
+    """Type-check ``value`` against ``field``, coerce it, and check its range."""
+    meta = field.metadata
+    kind = meta["kind"]
+    if isinstance(kind, type):
+        return _parse_section(kind, value, where)
+    if kind == "ints":
+        length = meta["length"]
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            shape = "a list" if length is None else f"a list of {length}"
+            raise SpecError(f"{where} must be {shape} integers, got {value!r}")
+        value = tuple(_int_field(item, f"{where}[{i}]") for i, item in enumerate(value))
+    elif kind in _CONTAINERS:
+        if not isinstance(value, _CONTAINERS[kind]):
+            raise SpecError(f"{where} must be a {kind}, got {type(value).__name__}")
+    else:
+        value = _SCALARS[kind](value, where)
+    numbers = value if kind == "ints" else (value,)
+    if meta["minimum"] is not None and any(n < meta["minimum"] for n in numbers):
+        raise SpecError(f"{where} must be >= {meta['minimum']}, got {value}")
+    if meta["positive"] and any(n <= 0 for n in numbers):
+        raise SpecError(f"{where} must be positive, got {value}")
+    if meta["choices"] is not None and value not in meta["choices"]():
+        raise SpecError(f"{where} must be one of {meta['choices']()}, got {value!r}")
+    return value
+
+
+class Section:
+    """The codec every document section shares.
+
+    A section is a dataclass whose fields are declared with
+    :func:`spec_field`; parsing, validation, the plain-dict form and
+    ``copy()`` are derived from those declarations.  Subclasses add only
+    what a table cannot say: ``_check_rules`` holds the cross-field rules.
+    """
+
+    #: how error messages name the section ("backend.workers must be ...")
+    LABEL: ClassVar[str]
+    #: the field a bare string stands for (``backend: sharded``), if any
+    SHORTHAND: ClassVar[str | None] = None
+    #: version written as ``schema_version`` into the section's document
+    SCHEMA_VERSION: ClassVar[int | None] = None
+
+    @classmethod
+    def from_dict(cls, data: Any, where: str | None = None):
+        """Parse a document: unknown keys, bad types and bad ranges are errors."""
+        where = where or cls.LABEL
+        if cls.SHORTHAND is not None and isinstance(data, str):
+            data = {cls.SHORTHAND: data}
+        if not isinstance(data, dict):
+            expected = "a name or a mapping" if cls.SHORTHAND else "a mapping"
+            raise SpecError(f"{where} must be {expected}, got {type(data).__name__}")
+        known = {field.name for field in dataclasses.fields(cls)}
+        if cls.SCHEMA_VERSION is not None:
+            known.add("schema_version")
+            try:
+                coerce_schema_version(data.get("schema_version"), cls.SCHEMA_VERSION, where)
+            except ValueError as error:
+                raise SpecError(str(error)) from None
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise SpecError(f"unknown {where} keys: {unknown}; known keys: {sorted(known)}")
+        # Copies: the spec shares nothing with the document it is parsed from.
+        section = cls(
+            **{f.name: copy.deepcopy(data.get(f.name)) for f in dataclasses.fields(cls)}
+        )
+        section.validate(where)
+        return section
+
+    def validate(self, where: str | None = None) -> None:
+        """Raise :class:`SpecError` on invalid field values or combinations.
+
+        An explicit null or empty string (an unset template variable) means
+        the field's default, and values are coerced to their declared kind
+        on the way (an integral float to ``int``, a string to ``Path``, a
+        nested document to its section), so a section built in code
+        validates like a parsed one.
+        """
+        where = where or self.LABEL
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value is None or (isinstance(value, str) and not value):
+                if field.metadata["required"]:
+                    raise SpecError(f"{where} requires a {field.name!r}")
+                missing = field.default is dataclasses.MISSING
+                value = field.default_factory() if missing else field.default
+            if value is not None:
+                path = field.name if isinstance(self, ExperimentSpec) else f"{where}.{field.name}"
+                value = _parse_field(field, value, path)
+            setattr(self, field.name, value)
+        self._check_rules()
+
+    def _check_rules(self) -> None:
+        """Cross-field rules of the section (none by default)."""
+
+    def as_dict(self) -> dict:
+        """Plain-python document (the YAML/JSON body; inverse of ``from_dict``)."""
+        document = {}
+        if self.SCHEMA_VERSION is not None:
+            document["schema_version"] = self.SCHEMA_VERSION
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            document[field.name] = value.as_dict() if hasattr(value, "as_dict") else _plain(value)
+        return document
+
+    def copy(self):
+        """A deep copy."""
+        return copy.deepcopy(self)
+
+
+# --------------------------------------------------------------------------- #
+# the sections
+# --------------------------------------------------------------------------- #
 @dataclass
-class ComponentSpec:
+class ComponentSpec(Section):
     """A registry reference: component ``name`` plus factory ``params``."""
 
-    name: str
-    params: dict = field(default_factory=dict)
+    LABEL = "component"
+    SHORTHAND = "name"
 
-    def as_dict(self) -> dict:
-        """Plain-dict form (inverse of :meth:`from_dict`)."""
-        return {"name": self.name, "params": _plain(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict | str, where: str) -> "ComponentSpec":
-        """Parse from a plain mapping, rejecting unknown keys and bad types."""
-        if isinstance(data, str):
-            return cls(name=data)
-        if not isinstance(data, dict):
-            raise SpecError(f"{where} must be a name or a mapping, got {type(data).__name__}")
-        _reject_unknown(data, {"name", "params"}, where)
-        if data.get("name") is None:
-            raise SpecError(f"{where} requires a 'name'")
-        params = data.get("params") or {}
-        if not isinstance(params, dict):
-            raise SpecError(f"{where}.params must be a mapping, got {type(params).__name__}")
-        return cls(name=str(data["name"]), params=dict(params))
+    name: str = spec_field("str", required=True)
+    params: dict = spec_field("mapping")
 
 
 @dataclass
-class BackendSpec:
+class BackendSpec(Section):
     """Execution backend selection (see ``BACKENDS`` registry)."""
 
-    name: str = "serial"
-    workers: int = 1
-    num_shards: int | None = None
-    step_range: tuple[int, int] | None = None
+    LABEL = "backend"
+    SHORTHAND = "name"
 
-    def as_dict(self) -> dict:
-        """Plain-dict form (inverse of :meth:`from_dict`)."""
-        return {
-            "name": self.name,
-            "workers": self.workers,
-            "num_shards": self.num_shards,
-            "step_range": list(self.step_range) if self.step_range is not None else None,
-        }
+    name: str = spec_field("str", "serial")
+    workers: int = spec_field("int", 1, minimum=1)
+    num_shards: int | None = spec_field("int", minimum=1)
+    step_range: tuple[int, int] | None = spec_field("ints", length=2, minimum=0)
 
-    @classmethod
-    def from_dict(cls, data: dict | str) -> "BackendSpec":
-        """Parse from a plain mapping, rejecting unknown keys and bad types."""
-        if isinstance(data, str):
-            return cls(name=data)
-        if not isinstance(data, dict):
-            raise SpecError(f"backend must be a name or a mapping, got {type(data).__name__}")
-        _reject_unknown(data, {"name", "workers", "num_shards", "step_range"}, "backend")
-        step_range = data.get("step_range")
-        if step_range is not None:
-            if not isinstance(step_range, (list, tuple)) or len(step_range) != 2:
-                raise SpecError(
-                    f"backend.step_range must be a [start, stop) pair, got {step_range!r}"
-                )
-            step_range = (
-                _int_field(step_range[0], "backend.step_range[0]"),
-                _int_field(step_range[1], "backend.step_range[1]"),
-            )
-        workers = data.get("workers")
-        return cls(
-            name=str(data.get("name") or "serial"),
-            workers=_int_field(workers if workers is not None else 1, "backend.workers"),
-            num_shards=(
-                _int_field(data["num_shards"], "backend.num_shards")
-                if data.get("num_shards") is not None
-                else None
-            ),
-            step_range=step_range,
-        )
-
-    def validate(self) -> None:
-        """Raise :class:`SpecError` on invalid field values or combinations."""
-        if self.workers < 1:
-            raise SpecError(f"backend.workers must be >= 1, got {self.workers}")
+    def _check_rules(self) -> None:
         if self.name == "serial" and self.workers != 1:
             raise SpecError(
                 f"backend 'serial' runs with workers=1 (got {self.workers}); "
                 "use backend 'sharded' for parallel execution"
             )
-        if self.num_shards is not None and self.num_shards < 1:
-            raise SpecError(f"backend.num_shards must be >= 1, got {self.num_shards}")
         if self.name == "serial" and self.num_shards not in (None, 1):
             raise SpecError(
                 f"backend 'serial' runs unsharded (got num_shards={self.num_shards}); "
@@ -183,55 +328,22 @@ class BackendSpec:
                 "backend 'sharded' does not support step_range; run 'serial' slices "
                 "and combine them with CampaignResult.merge"
             )
-        if self.step_range is not None:
-            start, stop = self.step_range
-            if start < 0 or stop < start:
-                raise SpecError(f"backend.step_range {self.step_range} is not a valid [start, stop)")
+        if self.step_range is not None and self.step_range[1] < self.step_range[0]:
+            raise SpecError(f"backend.step_range {self.step_range} is not a valid [start, stop)")
 
 
 @dataclass
-class CachingSpec:
+class CachingSpec(Section):
     """Golden-cache budget and prefix-reuse switch."""
 
-    golden_cache_mb: int = 0
-    prefix_reuse: bool = True
+    LABEL = "caching"
 
-    def as_dict(self) -> dict:
-        """Plain-dict form (inverse of :meth:`from_dict`)."""
-        return {"golden_cache_mb": self.golden_cache_mb, "prefix_reuse": self.prefix_reuse}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CachingSpec":
-        """Parse from a plain mapping, rejecting unknown keys and bad types."""
-        if not isinstance(data, dict):
-            raise SpecError(f"caching must be a mapping, got {type(data).__name__}")
-        _reject_unknown(data, {"golden_cache_mb", "prefix_reuse"}, "caching")
-        prefix_reuse = data.get("prefix_reuse")
-        golden_cache_mb = data.get("golden_cache_mb")
-        return cls(
-            # Explicit nulls (e.g. unset template variables) mean "default",
-            # like everywhere else in the schema.
-            golden_cache_mb=_int_field(
-                golden_cache_mb if golden_cache_mb is not None else 0,
-                "caching.golden_cache_mb",
-            ),
-            prefix_reuse=True if prefix_reuse is None else bool(prefix_reuse),
-        )
-
-    def validate(self) -> None:
-        """Raise :class:`SpecError` on invalid field values or combinations."""
-        if self.golden_cache_mb < 0:
-            raise SpecError(f"caching.golden_cache_mb must be >= 0, got {self.golden_cache_mb}")
-
-
-def _float_field(value: object, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    golden_cache_mb: int = spec_field("int", 0, minimum=0)
+    prefix_reuse: bool = spec_field("bool", True)
 
 
 @dataclass
-class ExecutionSpec:
+class ExecutionSpec(Section):
     """Fault-tolerance knobs of the supervised campaign executor.
 
     Maps onto :class:`repro.alficore.resilience.ExecutionPolicy`: ``retries``
@@ -245,150 +357,17 @@ class ExecutionSpec:
     can change speed but never results.
     """
 
-    retries: int = 2
-    shard_timeout: float | None = None
-    backoff: float = 0.5
-    resume: bool = False
-    executor: str = "interpreter"
+    LABEL = "execution"
 
-    def as_dict(self) -> dict:
-        """Plain-dict form (inverse of :meth:`from_dict`)."""
-        return {
-            "retries": self.retries,
-            "shard_timeout": self.shard_timeout,
-            "backoff": self.backoff,
-            "resume": self.resume,
-            "executor": self.executor,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecutionSpec":
-        """Parse from a plain mapping, rejecting unknown keys and bad types."""
-        if not isinstance(data, dict):
-            raise SpecError(f"execution must be a mapping, got {type(data).__name__}")
-        _reject_unknown(
-            data, {"retries", "shard_timeout", "backoff", "resume", "executor"}, "execution"
-        )
-        retries = data.get("retries")
-        backoff = data.get("backoff")
-        shard_timeout = data.get("shard_timeout")
-        executor = data.get("executor")
-        return cls(
-            # Explicit nulls mean "default", like everywhere else in the schema.
-            retries=_int_field(retries if retries is not None else 2, "execution.retries"),
-            shard_timeout=(
-                _float_field(shard_timeout, "execution.shard_timeout")
-                if shard_timeout is not None
-                else None
-            ),
-            backoff=_float_field(backoff if backoff is not None else 0.5, "execution.backoff"),
-            resume=bool(data.get("resume", False)),
-            executor=str(executor) if executor is not None else "interpreter",
-        )
-
-    def validate(self) -> None:
-        """Raise :class:`SpecError` on invalid field values or combinations."""
-        if self.retries < 0:
-            raise SpecError(f"execution.retries must be >= 0, got {self.retries}")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise SpecError(
-                f"execution.shard_timeout must be positive, got {self.shard_timeout}"
-            )
-        if self.backoff < 0:
-            raise SpecError(f"execution.backoff must be >= 0, got {self.backoff}")
-        from repro.nn.ir import executor_names
-
-        known = executor_names()
-        if self.executor not in known:
-            raise SpecError(
-                f"execution.executor must be one of {known}, got {self.executor!r}"
-            )
-
-
-SWEEP_SCHEMA_VERSION = 1
-
-#: sweep-axis grammar: dotted paths into the experiment spec.  ``<key>`` is
-#: free-form (params/task_options accept arbitrary keys); ``scenario.<field>``
-#: is validated against the ScenarioConfig fields.
-SWEEP_AXIS_FORMS = (
-    "task",
-    "model.name",
-    "model.params.<key>",
-    "dataset.name",
-    "dataset.params.<key>",
-    "protection",
-    "protection.name",
-    "protection.params.<key>",
-    "scenario.<field>",
-    "task_options.<key>",
-    "input_shape",
-    "dl_shuffle",
-)
-
-
-def _scenario_field_names() -> list[str]:
-    return [f.name for f in dataclasses.fields(ScenarioConfig)]
-
-
-def _axis_error(path: str, detail: str) -> SpecError:
-    """A sweep-axis error with a did-you-mean suggestion."""
-    candidates = (
-        ["task", "model.name", "dataset.name", "protection", "protection.name",
-         "input_shape", "dl_shuffle"]
-        + [f"scenario.{name}" for name in _scenario_field_names()]
-    )
-    suggestions = difflib.get_close_matches(path, candidates, n=3, cutoff=0.5)
-    message = f"invalid sweep axis {path!r}: {detail}"
-    if suggestions:
-        message += f"; did you mean {', '.join(repr(s) for s in suggestions)}?"
-    message += f" (axis forms: {', '.join(SWEEP_AXIS_FORMS)})"
-    return SpecError(message)
-
-
-def validate_sweep_axis(path: str) -> None:
-    """Check one sweep-axis path against the axis grammar.
-
-    Raises :class:`SpecError` with a did-you-mean suggestion for typos —
-    ``scenario.<field>`` names are validated against the actual
-    :class:`ScenarioConfig` fields, the component roots against the spec
-    structure.
-    """
-    if not isinstance(path, str) or not path:
-        raise SpecError(f"sweep axis must be a non-empty string, got {path!r}")
-    parts = path.split(".")
-    root, rest = parts[0], parts[1:]
-    if root in ("task", "input_shape", "dl_shuffle"):
-        if rest:
-            raise _axis_error(path, f"{root!r} takes no sub-path")
-        return
-    if root in ("model", "dataset", "protection"):
-        if not rest:
-            if root == "protection":
-                return  # whole-component axis: null / name / {name, params}
-            raise _axis_error(path, f"pick {root}.name or {root}.params.<key>")
-        if rest[0] == "name" and len(rest) == 1:
-            return
-        if rest[0] == "params" and len(rest) == 2:
-            return
-        raise _axis_error(path, f"pick {root}.name or {root}.params.<key>")
-    if root == "scenario":
-        known = _scenario_field_names()
-        if len(rest) == 1 and rest[0] in known:
-            return
-        detail = (
-            f"unknown scenario field {rest[0]!r}" if len(rest) == 1
-            else "pick exactly one scenario field"
-        )
-        raise _axis_error(path, detail)
-    if root == "task_options":
-        if len(rest) == 1 and rest[0]:
-            return
-        raise _axis_error(path, "pick task_options.<key>")
-    raise _axis_error(path, f"unknown axis root {root!r}")
+    retries: int = spec_field("int", 2, minimum=0)
+    shard_timeout: float | None = spec_field("float", positive=True)
+    backoff: float = spec_field("float", 0.5, minimum=0)
+    resume: bool = spec_field("bool", False)
+    executor: str = spec_field("str", "interpreter", choices=executor_names)
 
 
 @dataclass
-class SweepSpec:
+class SweepSpec(Section):
     """A declarative parameter grid over experiment-spec fields.
 
     ``axes`` maps dotted axis paths (see :data:`SWEEP_AXIS_FORMS`) to their
@@ -400,49 +379,14 @@ class SweepSpec:
     results (``<store>/<run_id>/``).
     """
 
-    axes: dict[str, list] = field(default_factory=dict)
-    points: list[dict] = field(default_factory=list)
-    store: Path | None = None
+    LABEL = "sweep"
+    SCHEMA_VERSION = SWEEP_SCHEMA_VERSION
 
-    def as_dict(self) -> dict:
-        """Plain-dict form (inverse of :meth:`from_dict`)."""
-        return {
-            "schema_version": SWEEP_SCHEMA_VERSION,
-            "axes": {path: _plain(list(values)) for path, values in self.axes.items()},
-            "points": [_plain(dict(point)) for point in self.points],
-            "store": str(self.store) if self.store is not None else None,
-        }
+    axes: dict[str, list] = spec_field("mapping")
+    points: list[dict] = spec_field("list")
+    store: Path | None = spec_field("path")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        """Parse from a plain mapping, rejecting unknown keys and bad types."""
-        if not isinstance(data, dict):
-            raise SpecError(f"sweep must be a mapping, got {type(data).__name__}")
-        try:
-            coerce_schema_version(data.get("schema_version"), SWEEP_SCHEMA_VERSION, "sweep")
-        except ValueError as error:
-            raise SpecError(str(error)) from None
-        _reject_unknown(data, {"schema_version", "axes", "points", "store"}, "sweep")
-        axes = data.get("axes") or {}
-        if not isinstance(axes, dict):
-            raise SpecError(f"sweep.axes must be a mapping, got {type(axes).__name__}")
-        points = data.get("points") or []
-        if not isinstance(points, list):
-            raise SpecError(f"sweep.points must be a list, got {type(points).__name__}")
-        for point in points:
-            if not isinstance(point, dict):
-                raise SpecError(
-                    f"sweep.points entries must be mappings, got {type(point).__name__}"
-                )
-        store = data.get("store")
-        return cls(
-            axes={str(path): list(values) for path, values in axes.items()},
-            points=[dict(point) for point in points],
-            store=Path(store) if store else None,
-        )
-
-    def validate(self) -> None:
-        """Raise :class:`SpecError` on invalid field values or combinations."""
+    def _check_rules(self) -> None:
         if not self.axes and not self.points:
             raise SpecError("sweep declares neither axes nor points")
         for path, values in self.axes.items():
@@ -452,71 +396,87 @@ class SweepSpec:
                     f"sweep axis {path!r} needs a non-empty list of values, got {values!r}"
                 )
         for point in self.points:
-            if not point:
-                raise SpecError("sweep.points entries must not be empty")
+            if not isinstance(point, dict) or not point:
+                raise SpecError(
+                    f"sweep.points entries must be non-empty mappings, got {point!r}"
+                )
             for path in point:
                 validate_sweep_axis(path)
 
-    def copy(self) -> "SweepSpec":
-        """Deep-enough copy: axes/points lists are duplicated."""
-        return SweepSpec(
-            axes={path: list(values) for path, values in self.axes.items()},
-            points=[dict(point) for point in self.points],
-            store=self.store,
-        )
-
-
-def _plain(value: Any) -> Any:
-    """Recursively convert to YAML/JSON-serialisable plain python.
-
-    Delegates to the result writer's converter so numpy scalars/arrays and
-    Paths in spec params serialize the same way everywhere.
-    """
-    from repro.alficore.results import _to_plain
-
-    return _to_plain(value)
-
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(Section):
     """Complete declarative description of one fault-injection experiment."""
 
-    name: str = "experiment"
-    task: str = "classification"
-    model: ComponentSpec = field(default_factory=lambda: ComponentSpec("lenet5"))
-    dataset: ComponentSpec = field(
-        default_factory=lambda: ComponentSpec("synthetic-classification")
-    )
-    scenario: ScenarioConfig = field(default_factory=default_scenario)
-    protection: ComponentSpec | None = None
-    backend: BackendSpec = field(default_factory=BackendSpec)
-    caching: CachingSpec = field(default_factory=CachingSpec)
-    execution: ExecutionSpec = field(default_factory=ExecutionSpec)
-    sweep: SweepSpec | None = None
-    input_shape: tuple[int, ...] | None = None
-    dl_shuffle: bool = False
-    output_dir: Path | None = None
-    task_options: dict = field(default_factory=dict)
+    LABEL = "experiment spec"
+    SCHEMA_VERSION = SPEC_SCHEMA_VERSION
 
-    @classmethod
-    def _known_fields(cls) -> set[str]:
-        return {f.name for f in dataclasses.fields(cls)} | {"schema_version"}
+    name: str = spec_field("str", "experiment")
+    task: str = spec_field("str", "classification", canonical=True)
+    model: ComponentSpec = spec_field(ComponentSpec, "lenet5", canonical=True)
+    dataset: ComponentSpec = spec_field(
+        ComponentSpec, "synthetic-classification", canonical=True
+    )
+    scenario: ScenarioConfig = spec_field(ScenarioConfig, {}, canonical=True)
+    protection: ComponentSpec | None = spec_field(ComponentSpec, canonical=True)
+    backend: BackendSpec = spec_field(BackendSpec, {})
+    caching: CachingSpec = spec_field(CachingSpec, {})
+    execution: ExecutionSpec = spec_field(ExecutionSpec, {})
+    sweep: SweepSpec | None = spec_field(SweepSpec)
+    input_shape: tuple[int, ...] | None = spec_field("ints", positive=True, canonical=True)
+    dl_shuffle: bool = spec_field("bool", False, canonical=True)
+    output_dir: Path | None = spec_field("path")
+    task_options: dict = spec_field("mapping", canonical=True)
 
     # ------------------------------------------------------------------ #
     # validation
     # ------------------------------------------------------------------ #
-    def validate(self, registries: bool = False) -> None:
+    def validate(self, where: str | None = None, registries: bool = False) -> None:
         """Check structural consistency; with ``registries=True`` also check
         that every referenced component name is registered (did-you-mean
         errors for typos)."""
-        if not self.name:
-            raise SpecError("experiment name must not be empty")
-        self.backend.validate()
-        self.caching.validate()
-        self.execution.validate()
-        self.scenario.validate()
-        if self.sweep is not None:
-            self.sweep.validate()
+        super().validate(where)
+        if not registries:
+            return
+        from repro.experiments.builtins import register_builtins
+        from repro.experiments.registry import (
+            BACKENDS,
+            DATASETS,
+            ERROR_MODELS,
+            MODELS,
+            PROTECTIONS,
+            TASKS,
+        )
+
+        # Pick up components added to the legacy model registries after
+        # repro.experiments was first imported (idempotent, cheap).
+        register_builtins()
+
+        plugin = TASKS.get(self.task)
+        MODELS.get(self.model.name)
+        model_kind = MODELS.metadata(self.model.name).get("kind")
+        expected_kind = getattr(plugin, "model_kind", None)
+        if model_kind is not None and expected_kind is not None and model_kind != expected_kind:
+            choices = ", ".join(MODELS.names(kind=expected_kind)) or "none registered"
+            raise SpecError(
+                f"model {self.model.name!r} is registered as a {model_kind!r} but task "
+                f"{self.task!r} expects a {expected_kind!r} model (choices: {choices})"
+            )
+        DATASETS.get(self.dataset.name)
+        dataset_task = DATASETS.metadata(self.dataset.name).get("task")
+        if dataset_task is not None and dataset_task != self.task:
+            choices = ", ".join(DATASETS.names(task=self.task)) or "none registered"
+            raise SpecError(
+                f"dataset {self.dataset.name!r} is registered for task "
+                f"{dataset_task!r} but the spec's task is {self.task!r} "
+                f"(choices: {choices})"
+            )
+        BACKENDS.get(self.backend.name)
+        ERROR_MODELS.get(self.scenario.rnd_value_type)
+        if self.protection is not None:
+            PROTECTIONS.get(self.protection.name)
+
+    def _check_rules(self) -> None:
         if self.execution.resume and self.backend.name == "serial":
             raise SpecError(
                 "execution.resume requires the 'sharded' backend: the run "
@@ -527,160 +487,39 @@ class ExperimentSpec:
                 "execution.resume requires output_dir: the run manifest and "
                 "the per-shard record files live there"
             )
-        if self.input_shape is not None:
-            self.input_shape = tuple(int(v) for v in self.input_shape)
-            if any(v <= 0 for v in self.input_shape):
-                raise SpecError(f"input_shape must be positive, got {self.input_shape}")
-        if registries:
-            from repro.experiments.builtins import register_builtins
-            from repro.experiments.registry import (
-                BACKENDS,
-                DATASETS,
-                ERROR_MODELS,
-                MODELS,
-                PROTECTIONS,
-                TASKS,
-            )
-
-            # Pick up components added to the legacy model registries after
-            # repro.experiments was first imported (idempotent, cheap).
-            register_builtins()
-
-            plugin = TASKS.get(self.task)
-            MODELS.get(self.model.name)
-            model_kind = MODELS.metadata(self.model.name).get("kind")
-            expected_kind = getattr(plugin, "model_kind", None)
-            if model_kind is not None and expected_kind is not None and model_kind != expected_kind:
-                choices = ", ".join(MODELS.names(kind=expected_kind)) or "none registered"
-                raise SpecError(
-                    f"model {self.model.name!r} is registered as a {model_kind!r} but task "
-                    f"{self.task!r} expects a {expected_kind!r} model (choices: {choices})"
-                )
-            DATASETS.get(self.dataset.name)
-            dataset_task = DATASETS.metadata(self.dataset.name).get("task")
-            if dataset_task is not None and dataset_task != self.task:
-                choices = ", ".join(DATASETS.names(task=self.task)) or "none registered"
-                raise SpecError(
-                    f"dataset {self.dataset.name!r} is registered for task "
-                    f"{dataset_task!r} but the spec's task is {self.task!r} "
-                    f"(choices: {choices})"
-                )
-            BACKENDS.get(self.backend.name)
-            ERROR_MODELS.get(self.scenario.rnd_value_type)
-            if self.protection is not None:
-                PROTECTIONS.get(self.protection.name)
 
     # ------------------------------------------------------------------ #
-    # serialization
+    # copies
     # ------------------------------------------------------------------ #
-    def as_dict(self) -> dict:
-        """Plain-python document (the YAML/JSON body)."""
-        return {
-            "schema_version": SPEC_SCHEMA_VERSION,
-            "name": self.name,
-            "task": self.task,
-            "model": self.model.as_dict(),
-            "dataset": self.dataset.as_dict(),
-            "scenario": self.scenario.as_dict(),
-            "protection": self.protection.as_dict() if self.protection is not None else None,
-            "backend": self.backend.as_dict(),
-            "caching": self.caching.as_dict(),
-            "execution": self.execution.as_dict(),
-            "sweep": self.sweep.as_dict() if self.sweep is not None else None,
-            "input_shape": list(self.input_shape) if self.input_shape is not None else None,
-            "dl_shuffle": self.dl_shuffle,
-            "output_dir": str(self.output_dir) if self.output_dir is not None else None,
-            "task_options": _plain(self.task_options),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Build a spec from a document; unknown keys and newer schema
-        versions are errors."""
-        if not isinstance(data, dict):
-            raise SpecError(f"experiment spec must be a mapping, got {type(data).__name__}")
-        try:
-            coerce_schema_version(data.get("schema_version"), SPEC_SCHEMA_VERSION, "spec")
-        except ValueError as error:
-            raise SpecError(str(error)) from None
-        _reject_unknown(data, cls._known_fields(), "experiment spec")
-        scenario_doc = data.get("scenario") or {}
-        if not isinstance(scenario_doc, dict):
-            raise SpecError(
-                f"scenario must be a mapping, got {type(scenario_doc).__name__}"
-            )
-        try:
-            scenario = ScenarioConfig.from_dict(scenario_doc)
-        except KeyError as error:
-            raise SpecError(f"invalid scenario section: {error.args[0]}") from error
-        protection = data.get("protection")
-        input_shape = data.get("input_shape")
-        if input_shape is not None:
-            if not isinstance(input_shape, (list, tuple)):
-                raise SpecError(
-                    f"input_shape must be a list of dimensions, got {input_shape!r}"
-                )
-            input_shape = tuple(_int_field(v, "input_shape entry") for v in input_shape)
-        output_dir = data.get("output_dir")
-        task_options = data.get("task_options") or {}
-        if not isinstance(task_options, dict):
-            raise SpecError(
-                f"task_options must be a mapping, got {type(task_options).__name__}"
-            )
-        spec = cls(
-            name=str(data.get("name") or "experiment"),
-            task=str(data.get("task") or "classification"),
-            model=ComponentSpec.from_dict(data.get("model", {"name": "lenet5"}), "model"),
-            dataset=ComponentSpec.from_dict(
-                data.get("dataset", {"name": "synthetic-classification"}), "dataset"
-            ),
-            scenario=scenario,
-            protection=(
-                ComponentSpec.from_dict(protection, "protection")
-                if protection is not None
-                else None
-            ),
-            backend=BackendSpec.from_dict(data.get("backend") or {}),
-            caching=CachingSpec.from_dict(data.get("caching") or {}),
-            execution=ExecutionSpec.from_dict(data.get("execution") or {}),
-            sweep=(
-                SweepSpec.from_dict(data["sweep"])
-                if data.get("sweep") is not None
-                else None
-            ),
-            input_shape=input_shape,
-            dl_shuffle=bool(data.get("dl_shuffle", False)),
-            output_dir=Path(output_dir) if output_dir else None,
-            task_options=dict(task_options),
-        )
-        spec.validate()
-        return spec
-
     def copy(self, **overrides: Any) -> "ExperimentSpec":
         """A deep copy with selected (top-level) fields replaced."""
-        clone = dataclasses.replace(
-            self,
-            model=dataclasses.replace(self.model, params=dict(self.model.params)),
-            dataset=dataclasses.replace(self.dataset, params=dict(self.dataset.params)),
-            scenario=self.scenario.copy(),
-            protection=(
-                dataclasses.replace(self.protection, params=dict(self.protection.params))
-                if self.protection is not None
-                else None
-            ),
-            backend=dataclasses.replace(self.backend),
-            caching=dataclasses.replace(self.caching),
-            execution=dataclasses.replace(self.execution),
-            sweep=self.sweep.copy() if self.sweep is not None else None,
-            task_options=dict(self.task_options),
-        )
-        field_names = {f.name for f in dataclasses.fields(self)}
+        clone = copy.deepcopy(self)
+        field_names = {field.name for field in dataclasses.fields(self)}
         for key, value in overrides.items():
             if key not in field_names:
                 raise SpecError(f"unknown spec field {key!r}")
             setattr(clone, key, value)
         clone.validate()
         return clone
+
+    def updated(self, assignments: Mapping[str, Any]) -> "ExperimentSpec":
+        """A new spec with each value set at its dotted document path.
+
+        The one way a sweep axis, a CLI flag or an override reaches a spec:
+        the value is written into the plain document (a null or missing
+        section on the way becomes a mapping) and the document is parsed
+        again, so every such value meets the same checks as a spec file.
+        """
+        document = self.as_dict()
+        for path, value in assignments.items():
+            *sections, leaf = path.split(".")
+            node = document
+            for key in sections:
+                if not isinstance(node.get(key), dict):
+                    node[key] = {}
+                node = node[key]
+            node[leaf] = _plain(value)
+        return ExperimentSpec.from_dict(document)
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -719,3 +558,69 @@ class ExperimentSpec:
 def load_spec(path: str | Path) -> ExperimentSpec:
     """Module-level alias of :meth:`ExperimentSpec.load`."""
     return ExperimentSpec.load(path)
+
+
+# --------------------------------------------------------------------------- #
+# dotted paths into the document
+# --------------------------------------------------------------------------- #
+def walk(path: str) -> tuple[dataclasses.Field | None, list[str]]:
+    """Follow a dotted document path through the section declarations.
+
+    Returns the last declared field reached and the path components left
+    over: none when the path names a field, the free-form key below a
+    ``mapping`` field, or the first name no section declares.
+    """
+    section, field, parts = ExperimentSpec, None, path.split(".")
+    while parts and section is not None:
+        found = next((f for f in dataclasses.fields(section) if f.name == parts[0]), None)
+        if found is None:
+            break
+        field, parts = found, parts[1:]
+        kind = field_kind(field)
+        section = kind if isinstance(kind, type) else None
+    return field, parts
+
+
+def _axis_forms(field: dataclasses.Field, prefix: str = "") -> Iterator[str]:
+    """The sweep-axis paths at and below one declared field: every value
+    field, ``<key>`` for the free-form keys of a mapping field, and a
+    nullable section also as a whole (it is switched on and off by value)."""
+    path, kind = prefix + field.name, field_kind(field)
+    if kind == "mapping":
+        yield f"{path}.<key>"
+    elif not isinstance(kind, type):
+        yield path
+    else:
+        if field.default is None:
+            yield path
+        for child in dataclasses.fields(kind):
+            yield from _axis_forms(child, f"{path}.")
+
+
+#: sweep-axis grammar: dotted paths into the fields that determine results
+SWEEP_AXIS_FORMS = tuple(
+    form
+    for root in dataclasses.fields(ExperimentSpec)
+    if root.metadata["canonical"]
+    for form in _axis_forms(root)
+)
+
+
+def validate_sweep_axis(path: str) -> None:
+    """Check one sweep-axis path against :data:`SWEEP_AXIS_FORMS`.
+
+    Raises :class:`SpecError` with a did-you-mean suggestion for typos.
+    """
+    if not isinstance(path, str) or not path:
+        raise SpecError(f"sweep axis must be a non-empty string, got {path!r}")
+    section, _, key = path.rpartition(".")
+    if path in SWEEP_AXIS_FORMS or (key and f"{section}.<key>" in SWEEP_AXIS_FORMS):
+        return
+    root = path.split(".")[0]
+    known_root = any(form.split(".")[0] == root for form in SWEEP_AXIS_FORMS)
+    message = f"invalid sweep axis {path!r}: "
+    message += "no such field" if known_root else f"unknown axis root {root!r}"
+    suggestions = difflib.get_close_matches(path, SWEEP_AXIS_FORMS, n=3, cutoff=0.5)
+    if suggestions:
+        message += f"; did you mean {', '.join(repr(s) for s in suggestions)}?"
+    raise SpecError(message + f" (axis forms: {', '.join(SWEEP_AXIS_FORMS)})")

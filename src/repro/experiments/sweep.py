@@ -43,7 +43,7 @@ from repro.experiments.campaigns.store import (
 )
 from repro.experiments.result import CampaignResult
 from repro.experiments.runner import Artifacts, run
-from repro.experiments.spec import ComponentSpec, ExperimentSpec, SpecError
+from repro.experiments.spec import ExperimentSpec
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -145,44 +145,6 @@ class SweepPlan:
             self.fingerprints[point.index] = fingerprint
 
 
-def _apply_axis(spec: ExperimentSpec, path: str, value: Any) -> None:
-    """Set one axis value on a child spec (path already grammar-validated)."""
-    parts = path.split(".")
-    root = parts[0]
-    if root == "task":
-        spec.task = str(value)
-    elif root == "input_shape":
-        spec.input_shape = tuple(int(v) for v in value) if value is not None else None
-    elif root == "dl_shuffle":
-        spec.dl_shuffle = bool(value)
-    elif root in ("model", "dataset") and parts[1] == "name":
-        getattr(spec, root).name = str(value)
-    elif root in ("model", "dataset"):  # <root>.params.<key>
-        getattr(spec, root).params[parts[2]] = value
-    elif root == "protection" and len(parts) == 1:
-        spec.protection = (
-            ComponentSpec.from_dict(value, "protection") if value is not None else None
-        )
-    elif root == "protection" and parts[1] == "name":
-        if spec.protection is None:
-            spec.protection = ComponentSpec(str(value))
-        else:
-            spec.protection.name = str(value)
-    elif root == "protection":  # protection.params.<key>
-        if spec.protection is None:
-            raise SweepError(
-                f"axis {path!r} needs a protection to parameterize: declare a "
-                "'protection.name' axis or a protection in the base spec"
-            )
-        spec.protection.params[parts[2]] = value
-    elif root == "scenario":
-        spec.scenario = spec.scenario.copy(**{parts[1]: value})
-    elif root == "task_options":
-        spec.task_options[parts[1]] = value
-    else:  # pragma: no cover - validate_sweep_axis precedes
-        raise SweepError(f"unsupported axis {path!r}")
-
-
 def expand(spec: ExperimentSpec) -> SweepPlan:
     """Materialize a sweep declaration into concrete child specs.
 
@@ -197,8 +159,7 @@ def expand(spec: ExperimentSpec) -> SweepPlan:
     if spec.sweep is None:
         raise SweepError("spec has no sweep: section; use repro.experiments.run()")
     sweep = spec.sweep
-    sweep.validate()
-    base = spec.copy()
+    base = spec.copy()  # validates, the sweep section included
     base.sweep = None
     assignments: list[dict[str, Any]] = []
     if sweep.axes:
@@ -213,18 +174,9 @@ def expand(spec: ExperimentSpec) -> SweepPlan:
                 axis_order.append(path)
     points = []
     for index, overrides in enumerate(assignments):
-        child = base.copy()
-        child.name = f"{base.name}-p{index:03d}"
-        for path, value in overrides.items():
-            try:
-                _apply_axis(child, path, value)
-            except (SpecError, ValueError, TypeError) as error:
-                raise SweepError(
-                    f"point {index}: cannot apply {path!r}={value!r}: {error}"
-                ) from error
         try:
-            child.validate()
-        except SpecError as error:
+            child = base.updated({**overrides, "name": f"{base.name}-p{index:03d}"})
+        except (ValueError, TypeError) as error:
             raise SweepError(f"point {index} ({overrides!r}) is invalid: {error}") from error
         points.append(SweepPoint(index=index, overrides=dict(overrides), spec=child))
     return SweepPlan(base=base, points=points, axis_order=axis_order)
@@ -490,7 +442,7 @@ def run_sweep(
     plan = expand(spec)
     plan.resolve(artifacts)
     emit = progress if progress is not None else (lambda line: None)
-    campaign_store = _resolve_store(spec, store)
+    campaign_store = resolve_store(spec, store)
     manifest = None
     if campaign_store is not None:
         campaign_store.root.mkdir(parents=True, exist_ok=True)
@@ -575,9 +527,11 @@ def run_sweep(
     return sweep_result
 
 
-def _resolve_store(
-    spec: ExperimentSpec, store: CampaignStore | str | Path | None
+def resolve_store(
+    spec: ExperimentSpec, store: CampaignStore | str | Path | None = None
 ) -> CampaignStore | None:
+    """The campaign store of a sweep: the argument, then the spec's
+    ``sweep.store``, then ``<output_dir>/sweep_store``, else none."""
     if isinstance(store, CampaignStore):
         return store
     if store is not None:

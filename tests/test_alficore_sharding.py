@@ -192,6 +192,23 @@ class TestClassificationShardEquivalence:
         assert events(1, 2) == serial
         assert events(2, 2) == serial
 
+    def test_a_shard_sees_every_campaign_parameter(self, fitted_model_and_dataset):
+        # The next parameter CampaignCore grows must be shipped to shards or
+        # declared rebuilt per shard — not dropped under --workers.
+        import inspect
+
+        model, dataset = fitted_model_and_dataset
+        core = CampaignCore(model, dataset, _CustomEventLog())
+        parameters = set(inspect.signature(CampaignCore.__init__).parameters) - {"self"}
+        shipped = set(core.shard_arguments())
+        assert CampaignCore.REBUILT_PER_SHARD == {
+            "task", "writer", "wrapper", "resil_wrapper", "golden_cache"
+        }
+        assert shipped | CampaignCore.REBUILT_PER_SHARD == parameters
+        assert not shipped & CampaignCore.REBUILT_PER_SHARD
+        # What is shipped builds a core: every key is a constructor keyword.
+        CampaignCore(task=_CustomEventLog(), **core.shard_arguments())
+
     def test_weights_restored_bit_exactly_after_sharded_campaign(
         self, fitted_model_and_dataset
     ):

@@ -57,16 +57,16 @@ class TestParser:
         from pathlib import Path
 
         from repro.alficore import default_scenario, save_scenario
-        from repro.cli import _scenario_from_args
+        from repro.cli import _built_spec
 
         scenario_path = tmp_path / "replay.yml"
         save_scenario(default_scenario(fault_file="stored_faults.npz"), scenario_path)
         args = build_parser().parse_args(["run-imgclass", "--scenario", str(scenario_path)])
-        assert _scenario_from_args(args).fault_file == Path("stored_faults.npz")
+        assert _built_spec(args).scenario.fault_file == Path("stored_faults.npz")
         args = build_parser().parse_args(
             ["run-imgclass", "--scenario", str(scenario_path), "--fault-file", "other.npz"]
         )
-        assert _scenario_from_args(args).fault_file == Path("other.npz")
+        assert _built_spec(args).scenario.fault_file == Path("other.npz")
 
 
 class TestSpecCommands:
@@ -129,6 +129,21 @@ class TestSpecCommands:
         assert main(["validate", str(good), str(bad)]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "warp_drive" in out
+
+    def test_malformed_yaml_reports_the_same_error_everywhere(self, tmp_path, capsys):
+        path = tmp_path / "torn.yml"
+        path.write_text("model: {name: lenet5\nscenario: [unclosed\n")
+        lines = {}
+        for command in ("run", "sweep"):
+            assert main([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines[command] = captured.err.strip()
+        assert main(["validate", str(path)]) == 1
+        lines["validate"] = capsys.readouterr().out.strip()
+        assert lines["run"].startswith("error: while parsing a flow mapping")
+        assert lines["sweep"] == lines["run"]
+        assert lines["validate"] == lines["run"].replace("error: ", f"FAIL  {path}: ", 1)
 
     def test_checked_in_example_specs_validate(self, capsys):
         from pathlib import Path
@@ -406,7 +421,7 @@ class TestSweepCommand:
         assert (tmp_path / "flag").is_dir()
         assert not (tmp_path / "declared").exists()
 
-    def test_sweep_without_section_fails_cleanly(self, tmp_path):
+    def test_sweep_without_section_fails_cleanly(self, tmp_path, capsys):
         from repro.experiments import Experiment
 
         spec = (
@@ -416,13 +431,13 @@ class TestSweepCommand:
             .build()
         )
         path = spec.save(tmp_path / "plain.yml")
-        with pytest.raises(SystemExit, match="no sweep: section"):
-            main(["sweep", str(path)])
+        assert main(["sweep", str(path)]) == 1
+        assert "error: " in (err := capsys.readouterr().err) and "no sweep: section" in err
 
-    def test_sweep_without_store_fails_cleanly(self, tmp_path):
+    def test_sweep_without_store_fails_cleanly(self, tmp_path, capsys):
         path = self._write_sweep_spec(tmp_path, store=None)
-        with pytest.raises(SystemExit, match="no campaign store"):
-            main(["sweep", str(path)])
+        assert main(["sweep", str(path)]) == 1
+        assert "error: no campaign store" in capsys.readouterr().err
 
     def test_run_redirects_sweep_specs(self, tmp_path, capsys):
         path = self._write_sweep_spec(tmp_path, store=tmp_path / "store")

@@ -217,6 +217,25 @@ class TestValidation:
         with pytest.raises(SpecError, match="model requires a 'name'"):
             ExperimentSpec.from_dict(data)
 
+    @pytest.mark.parametrize("section, field", [
+        (None, "dl_shuffle"), ("caching", "prefix_reuse"), ("execution", "resume"),
+    ])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, "true"])
+    def test_booleans_are_true_false_or_null_only(self, section, field, value):
+        # bool("false") is True: a quoted boolean from a JSON spec or a
+        # templated YAML must not silently switch the field on.
+        data = full_spec().as_dict()
+        (data[section] if section else data)[field] = value
+        where = f"{section}.{field}" if section else field
+        with pytest.raises(SpecError, match=f"{where} must be true or false"):
+            ExperimentSpec.from_dict(data)
+
+    def test_scenario_boolean_is_strict_too(self):
+        data = full_spec().as_dict()
+        data["scenario"]["weighted_layer_selection"] = "false"
+        with pytest.raises(ValueError, match="weighted_layer_selection must be true or false"):
+            ExperimentSpec.from_dict(data)
+
     @pytest.mark.parametrize("mutation", [
         {"backend": {"step_range": [5]}},
         {"backend": {"workers": {}}},
