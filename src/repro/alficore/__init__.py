@@ -49,7 +49,7 @@ from repro.alficore.layerweights import layer_weight_factors, weighted_layer_cho
 from repro.alficore.monitoring import InferenceMonitor, MonitorResult, RangeMonitor
 from repro.alficore.policies import InjectionPolicy, faults_required, fault_column_for_step
 from repro.alficore.protection import Clipper, Ranger, apply_protection, collect_activation_bounds
-from repro.alficore.resilience import ExecutionPolicy, RunManifest, ShardError, ShardSupervisor
+from repro.alficore.resilience import ExecutionPolicy, ShardError, ShardSupervisor
 from repro.alficore.results import CampaignResultWriter, load_fault_file
 from repro.alficore.scenario import ScenarioConfig, default_scenario, load_scenario, save_scenario
 from repro.alficore.wrapper import ptfiwrap
@@ -62,7 +62,6 @@ __all__ = [
     "ClassificationTask",
     "DetectionTask",
     "ExecutionPolicy",
-    "RunManifest",
     "ShardError",
     "ShardSupervisor",
     "ShardedCampaignExecutor",

@@ -37,8 +37,8 @@ The engine is three layers, one module each:
   :mod:`repro.alficore.resilience` (or sequentially in-process for
   ``workers=1``): failed, killed or hung shards are re-queued by their
   deterministic step range with capped exponential backoff, shard outputs
-  land via atomic directory renames, and a crash-safe run manifest makes
-  interrupted campaigns resumable.  Per-shard result files are merged
+  land via atomic directory renames, and a committed shard directory is the
+  record that makes interrupted campaigns resumable.  Per-shard result files are merged
   deterministically — the merged output is byte-identical to a
   single-process run of the same seed, because every fault corruption is
   pre-drawn in the fault matrix and the loader's epoch permutations depend

@@ -8,7 +8,6 @@ record files are merged byte-identically to a single-process run.
 
 from __future__ import annotations
 
-import os
 import pickle
 import shutil
 from dataclasses import dataclass
@@ -16,18 +15,15 @@ from pathlib import Path
 
 from repro.alficore.campaign.core import CampaignCore
 from repro.alficore.campaign.tasks import CampaignTask
+from repro.alficore.digests import config_digest
 from repro.alficore.goldencache import GoldenCache
 from repro.alficore.resilience import (
     ExecutionPolicy,
-    RunManifest,
     ShardSupervisor,
     atomic_write_pickle,
+    commit_directory,
 )
-from repro.alficore.results import (
-    CampaignResultWriter,
-    merge_csv_files,
-    merge_json_array_files,
-)
+from repro.alficore.results import CampaignResultWriter, merge_record_files
 from repro.alficore.wrapper import ptfiwrap
 
 
@@ -99,10 +95,13 @@ class ShardedCampaignExecutor:
     exhausted — at which point a structured
     :class:`~repro.alficore.resilience.ShardError` is raised.  When a writer
     is configured, each shard streams into a ``shard_XX.wip`` directory that
-    is atomically renamed to ``shard_XX`` on completion, and a crash-safe
-    run manifest (``<campaign>_manifest.json``) tracks completed shard
-    ranges; ``policy.resume=True`` skips the recorded shards and merges
-    byte-identically to an uninterrupted run.
+    is committed as ``shard_XX`` on completion, with its state payload
+    (``shard_state.pkl``: task state, record file names, step range and a
+    digest of the campaign configuration) written last.  A committed shard
+    directory is the record that the shard is done: ``policy.resume=True``
+    merges the ones committed for this campaign from disk and runs the rest,
+    byte-identically to an uninterrupted run; a run without it starts from
+    an empty ``shards/``.
 
     ``workers=1`` executes the shards sequentially in-process (no
     subprocesses, no pickling) with the same retry budget and
@@ -155,37 +154,25 @@ class ShardedCampaignExecutor:
         policy = self.policy
         if policy.resume and core.writer is None:
             raise ValueError(
-                "resume=True requires a result writer: the run manifest and the "
-                "per-shard record files live under the campaign output directory"
+                "resume=True requires a result writer: the committed shard "
+                "directories live under the campaign output directory"
             )
         if self.num_shards <= 1 and not policy.resume:
             stream_paths = core.run()
             return core.task.state, stream_paths
 
         bounds = self.shard_bounds()
-        manifest: RunManifest | None = None
+        digest = self._config_digest(bounds)
         shards_root: Path | None = None
         scratch_dir: Path | None = None
         completed: dict[int, tuple[int, object, dict[str, str]]] = {}
         if core.writer is not None:
             shards_root = core.writer.output_dir / "shards"
-            manifest_path = (
-                core.writer.output_dir / f"{core.writer.campaign_name}_manifest.json"
-            )
-            config = self._manifest_config(bounds)
-            existing = RunManifest.load(manifest_path) if policy.resume else None
-            if existing is not None:
-                if not existing.matches(config):
-                    raise ValueError(
-                        f"cannot resume from {manifest_path}: it records a different "
-                        "campaign configuration (model, scenario or shard geometry "
-                        "changed); delete the manifest or re-run without resume"
-                    )
-                manifest = existing
-                completed = self._load_completed(manifest, shards_root)
-            else:
-                manifest = RunManifest.fresh(manifest_path, config)
-            self._clean_stale_wip(shards_root)
+            if policy.resume:
+                completed = self._load_committed(shards_root, digest)
+            elif shards_root.exists():
+                # Another campaign's shards must never pass for this one's.
+                shutil.rmtree(shards_root)
             scratch_dir = core.writer.output_dir / ".supervisor"
 
         cache = core.golden_cache
@@ -233,7 +220,7 @@ class ShardedCampaignExecutor:
                 policy=policy,
                 scratch_dir=scratch_dir,
                 prepare=self._prepare_attempt,
-                finalize=self._make_finalizer(manifest, shards_root),
+                finalize=self._make_finalizer(shards_root, digest),
             )
             run_results = supervisor.run() if self.workers > 1 else supervisor.run_serial()
             self.attempt_log = supervisor.attempt_log
@@ -245,7 +232,9 @@ class ShardedCampaignExecutor:
         core.task.state = merged_state
         merged_paths: dict[str, str] = {}
         if core.writer is not None:
-            merged_paths = self._merge_stream_files([paths for _, _, paths in ordered])
+            merged_paths = merge_record_files(
+                [paths for _, _, paths in ordered], core.writer.output_dir
+            )
             if scratch_dir is not None:
                 shutil.rmtree(scratch_dir, ignore_errors=True)
         return merged_state, merged_paths
@@ -253,22 +242,24 @@ class ShardedCampaignExecutor:
     # ------------------------------------------------------------------ #
     # fault tolerance plumbing
     # ------------------------------------------------------------------ #
-    def _manifest_config(self, bounds: list[tuple[int, int]]) -> dict:
-        """Campaign configuration the manifest digest is derived from.
+    def _config_digest(self, bounds: list[tuple[int, int]]) -> str:
+        """Digest of the campaign configuration a committed shard records.
 
         Execution-policy knobs (retries, timeout, resume itself) are
         deliberately excluded: changing them between the interrupted run and
-        the resume is legitimate and must not invalidate the manifest.
+        the resume is legitimate and must not invalidate committed shards.
         """
         core = self.core
-        return {
-            "campaign_name": core.writer.campaign_name if core.writer is not None else "campaign",
-            "task": type(core.task).__name__,
-            "total_steps": core.total_steps,
-            "num_shards": self.num_shards,
-            "bounds": [[start, stop] for start, stop in bounds],
-            "scenario": core.scenario.as_dict(),
-        }
+        return config_digest(
+            {
+                "campaign_name": core.writer.campaign_name if core.writer is not None else "campaign",
+                "task": type(core.task).__name__,
+                "total_steps": core.total_steps,
+                "num_shards": self.num_shards,
+                "bounds": [[start, stop] for start, stop in bounds],
+                "scenario": core.scenario.as_dict(),
+            }
+        )
 
     @staticmethod
     def _prepare_attempt(job: _ShardJob, attempt: int) -> None:
@@ -280,8 +271,8 @@ class ShardedCampaignExecutor:
             shutil.rmtree(wip)
         wip.mkdir(parents=True, exist_ok=True)
 
-    def _make_finalizer(self, manifest: RunManifest | None, shards_root: Path | None):
-        """Parent-side success hook: commit the shard dir, update the manifest."""
+    def _make_finalizer(self, shards_root: Path | None, digest: str):
+        """Parent-side success hook: record the shard in its directory, commit it."""
 
         def finalize(
             job: _ShardJob, result: tuple[int, object, dict[str, str]]
@@ -292,68 +283,55 @@ class ShardedCampaignExecutor:
             wip = Path(job.shard_dir)
             final = shards_root / f"shard_{index:02d}"
             files = {tag: Path(path).name for tag, path in stream_paths.items()}
-            # The shard's merged-state payload travels with its record files
-            # so a resumed run can rebuild the full result without re-running
-            # the shard.
+            # Written last: a shard directory with a readable payload holds
+            # everything a resumed run needs to merge it without re-running.
             atomic_write_pickle(
-                wip / self.SHARD_STATE_FILENAME, {"state": state, "files": files}
+                wip / self.SHARD_STATE_FILENAME,
+                {
+                    "state": state,
+                    "files": files,
+                    "config_digest": digest,
+                    "start": job.start,
+                    "stop": job.stop,
+                },
             )
-            if final.exists():
-                shutil.rmtree(final)
-            os.replace(wip, final)
-            new_paths = {tag: str(final / name) for tag, name in files.items()}
-            if manifest is not None:
-                manifest.mark_completed(index, job.start, job.stop)
-            return index, state, new_paths
+            commit_directory(wip, final)
+            return index, state, {tag: str(final / name) for tag, name in files.items()}
 
         return finalize
 
-    def _load_completed(
-        self, manifest: RunManifest, shards_root: Path
+    def _load_committed(
+        self, shards_root: Path, digest: str
     ) -> dict[int, tuple[int, object, dict[str, str]]]:
-        """Rebuild results of manifest-recorded shards from their directories.
+        """Results of the shards a previous run committed for this campaign.
 
-        A recorded shard whose directory or state pickle is missing or
-        unreadable is demoted back to pending and simply re-run — resume
-        never trusts bytes it cannot load.
+        A shard directory whose payload is unreadable, names record files
+        that are missing, or predates payloads carrying a configuration
+        digest is deleted and its shard re-run — resume never trusts bytes it
+        cannot load.  A readable payload of another campaign configuration
+        is refused with ``ValueError``.
         """
         completed: dict[int, tuple[int, object, dict[str, str]]] = {}
-        for index in manifest.completed_indices():
+        for index in range(self.num_shards):
             final = shards_root / f"shard_{index:02d}"
+            if not final.is_dir():
+                continue
             try:
                 with open(final / self.SHARD_STATE_FILENAME, "rb") as handle:
                     payload = pickle.load(handle)
-                state = payload["state"]
-                files = dict(payload["files"])
+                recorded, state = payload["config_digest"], payload["state"]
+                paths = {tag: str(final / name) for tag, name in payload["files"].items()}
+                intact = all(Path(path).is_file() for path in paths.values())
             except Exception:
-                manifest.mark_pending(index)
+                intact = False
+            if not intact:
+                shutil.rmtree(final)
                 continue
-            paths = {tag: str(final / name) for tag, name in files.items()}
+            if recorded != digest:
+                raise ValueError(
+                    f"cannot resume from {final}: it records a different campaign "
+                    "configuration (model, scenario or shard geometry changed); "
+                    "re-run without resume"
+                )
             completed[index] = (index, state, paths)
         return completed
-
-    @staticmethod
-    def _clean_stale_wip(shards_root: Path) -> None:
-        """Remove .wip leftovers of attempts killed before completion."""
-        if not shards_root.exists():
-            return
-        for leftover in shards_root.glob("shard_*.wip"):
-            shutil.rmtree(leftover, ignore_errors=True)
-
-    def _merge_stream_files(self, shard_paths: list[dict[str, str]]) -> dict[str, str]:
-        """Concatenate the shards' record files into the campaign directory."""
-        merged: dict[str, str] = {}
-        tags: list[str] = []
-        for paths in shard_paths:
-            for tag in paths:
-                if tag not in tags:
-                    tags.append(tag)
-        for tag in tags:
-            parts = [Path(paths[tag]) for paths in shard_paths if tag in paths]
-            out_path = self.core.writer.output_dir / parts[0].name
-            if parts[0].suffix == ".csv":
-                merge_csv_files(parts, out_path)
-            else:
-                merge_json_array_files(parts, out_path)
-            merged[tag] = str(out_path)
-        return merged

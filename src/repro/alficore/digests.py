@@ -1,7 +1,7 @@
 """Shared content-digest helpers.
 
 Content addressing shows up in three load-bearing places of the campaign
-engine — the crash-safe run manifest's configuration guard, the golden
+engine — the configuration guard of committed shard directories, the golden
 cache's spillover file names and the weight fingerprint in every golden
 cache key — and is the foundation of the campaign store's run IDs.  All of
 them need the same two properties:
@@ -35,7 +35,7 @@ def config_digest(config: Any) -> str:
     Mappings are serialized with sorted keys, so two configurations with the
     same content but different insertion order digest identically.
     Non-JSON-serialisable leaves fall back to ``str()`` (paths, numpy
-    scalars) — same convention as the run manifest this helper grew out of.
+    scalars).
     """
     blob = json.dumps(config, sort_keys=True, default=str)
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()

@@ -20,15 +20,17 @@ layer below fixes that with two cooperating pieces:
   structured :class:`ShardError` carrying the shard index, step range,
   attempt count and the worker traceback.
 
-* :class:`RunManifest` — a crash-safe record of which shard ranges of a
-  campaign have completed.  Updates are fsync'd atomic-replace writes of a
-  small JSON document, so the manifest is never observed half-written even
-  across a power loss.  Combined with atomically-renamed per-shard output
-  directories this gives ``resume=True``: a re-run skips completed shards and
-  merges byte-identically to an uninterrupted run, which is sound because
-  every shard's work is a pure function of its step range (the fault matrix
-  is pre-drawn and the loader's epoch permutations depend only on
-  ``(seed, epoch)``).
+* Atomic commits — :func:`commit_directory` publishes a finished
+  work-in-progress directory by rename and fsyncs its parent, and
+  :func:`atomic_write_pickle` / :func:`atomic_replace_json` write single
+  files the same way, so a reader sees the old or the new complete version,
+  never a partial write, even across a power loss.  A committed shard
+  directory is therefore its own record of completion: ``resume=True``
+  merges the shards a previous run committed for the same campaign and
+  re-runs the rest, byte-identically to an uninterrupted run, which is sound
+  because every shard's work is a pure function of its step range (the
+  fault matrix is pre-drawn and the loader's epoch permutations depend only
+  on ``(seed, epoch)``).
 
 Retry correctness rests on the same determinism argument: a re-executed
 shard replays exactly the inferences of its step range, so a campaign that
@@ -49,10 +51,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 import multiprocessing
-
-from repro.alficore.digests import config_digest
-
-MANIFEST_SCHEMA_VERSION = 1
 
 #: failure taxonomy of one shard attempt
 KIND_RAISED = "raised"  # worker raised a Python exception (traceback known)
@@ -112,8 +110,9 @@ class ExecutionPolicy:
         backoff: base re-queue delay in seconds; attempt ``k`` waits
             ``min(backoff * 2**(k-1), backoff_cap)`` before re-running.
         backoff_cap: upper bound on the exponential backoff delay.
-        resume: skip shards recorded as completed in the run manifest and
-            merge them from their persisted on-disk outputs.
+        resume: merge the shards a previous run of the same campaign
+            committed (``shards/shard_XX``) from disk instead of re-running
+            them.
         in_process_fallback: after the retry budget is exhausted by *raised*
             failures, make one last in-process attempt (never applied to
             died/timed-out shards, which could take the parent down).
@@ -205,6 +204,22 @@ def atomic_write_pickle(path: str | Path, payload: Any) -> Path:
     return path
 
 
+def commit_directory(wip: str | Path, final: str | Path) -> Path:
+    """Publish the finished directory ``wip`` as ``final`` (crash-safe).
+
+    Whatever ``final`` held is replaced, ``wip`` is renamed into place and the
+    parent directory is fsync'd, so after a crash or power loss ``final``
+    either does not exist or is complete.  Shard and sweep-point commits
+    both go through here.
+    """
+    final = Path(final)
+    if final.exists():
+        shutil.rmtree(final)
+    os.replace(wip, final)
+    _fsync_directory(final.parent)
+    return final
+
+
 _LOAD_FAILED = object()
 
 
@@ -215,107 +230,6 @@ def _read_pickle(path: Path) -> Any:
             return pickle.load(handle)
     except Exception:
         return _LOAD_FAILED
-
-
-# --------------------------------------------------------------------------- #
-# run manifest
-# --------------------------------------------------------------------------- #
-def manifest_config_digest(config: dict) -> str:
-    """Stable digest of a campaign configuration (guards cross-run resume)."""
-    return config_digest(config)
-
-
-class RunManifest:
-    """Crash-safe record of completed/pending shard ranges of one campaign.
-
-    The manifest is a small JSON document under the campaign output
-    directory.  Every update is an fsync'd atomic replace
-    (:func:`atomic_replace_json`), so after a crash the manifest reflects a
-    consistent prefix of the completed shards and ``resume=True`` re-runs
-    exactly the pending ranges.  A digest of the campaign configuration
-    (scenario, shard geometry — *not* the execution policy) is stored so a
-    manifest is never silently reused for a different campaign.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        config: dict,
-        completed: dict[int, dict] | None = None,
-    ) -> None:
-        self.path = Path(path)
-        self.config = config
-        self.digest = manifest_config_digest(config)
-        self.completed: dict[int, dict] = dict(completed or {})
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def fresh(cls, path: str | Path, config: dict) -> "RunManifest":
-        """Create a new manifest (no completed shards) and persist it."""
-        manifest = cls(path, config)
-        manifest.save()
-        return manifest
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunManifest | None":
-        """Load a manifest from disk; ``None`` if missing or unreadable."""
-        path = Path(path)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                document = json.load(handle)
-            config = document["config"]
-            completed = {
-                int(index): dict(entry)
-                for index, entry in document.get("completed", {}).items()
-            }
-            manifest = cls(path, config, completed)
-            if document.get("config_digest") != manifest.digest:
-                return None  # tampered or torn write: not trustworthy
-            return manifest
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    # ------------------------------------------------------------------ #
-    # queries and updates
-    # ------------------------------------------------------------------ #
-    def matches(self, config: dict) -> bool:
-        """Whether this manifest was written for configuration ``config``."""
-        return self.digest == manifest_config_digest(config)
-
-    def completed_indices(self) -> list[int]:
-        """Sorted indices of the shards recorded as completed."""
-        return sorted(self.completed)
-
-    def is_completed(self, index: int) -> bool:
-        """True if ``shard_id`` is recorded as completed."""
-        return index in self.completed
-
-    def mark_completed(self, index: int, start: int, stop: int) -> None:
-        """Record shard ``index`` (steps ``[start, stop)``) as done; persist."""
-        self.completed[index] = {"start": start, "stop": stop}
-        self.save()
-
-    def mark_pending(self, index: int) -> None:
-        """Drop shard ``index`` from the completed set (re-run it); persist."""
-        if index in self.completed:
-            del self.completed[index]
-            self.save()
-
-    def save(self) -> None:
-        """Persist the manifest via an fsync'd atomic replace."""
-        atomic_replace_json(
-            self.path,
-            {
-                "schema_version": MANIFEST_SCHEMA_VERSION,
-                "config_digest": self.digest,
-                "config": self.config,
-                "completed": {
-                    str(index): entry for index, entry in sorted(self.completed.items())
-                },
-            },
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -400,8 +314,8 @@ class ShardSupervisor:
             partial output.
         finalize: optional parent-side hook ``finalize(job, result) ->
             result`` called once per shard on success — the place to commit
-            the shard's output atomically and update the run manifest.  Runs
-            in the parent, so closures over unpicklable state are fine.
+            the shard's output atomically.  Runs in the parent, so closures
+            over unpicklable state are fine.
     """
 
     def __init__(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -330,6 +331,33 @@ def merge_json_array_files(shard_paths: list[str | Path], out_path: str | Path) 
             wrote_any = True
         out.write(b"\n]" if wrote_any else b"[]")
     return out_path
+
+
+def merge_record_files(slices: list[dict[str, str]], out_dir: str | Path) -> dict[str, str]:
+    """Concatenate the record files of campaign slices, tag by tag, in slice order.
+
+    ``slices`` are the slices' ``{tag: path}`` maps in campaign (step) order;
+    every tag of the first slice that all slices have is merged into
+    ``out_dir`` under the first slice's file name (CSV by
+    :func:`merge_csv_files`, anything else by :func:`merge_json_array_files`),
+    and the merged map keeps the first slice's tag order.  Each file is
+    written as ``<name>.merging`` and then renamed over its target, so
+    ``out_dir`` may be one of the slices' own directories.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    merged: dict[str, str] = {}
+    for tag in slices[0]:
+        if not all(tag in paths for paths in slices):
+            continue
+        first = Path(slices[0][tag])
+        target = out / first.name
+        scratch = target.with_name(target.name + ".merging")
+        merge = merge_csv_files if first.suffix == ".csv" else merge_json_array_files
+        merge([paths[tag] for paths in slices], scratch)
+        os.replace(scratch, target)
+        merged[tag] = str(target)
+    return merged
 
 
 class CampaignResultWriter:

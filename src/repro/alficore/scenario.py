@@ -10,6 +10,7 @@ iterative experiments via ``ptfiwrap.get_scenario()`` /
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +80,36 @@ def _one_of(default: str, choices) -> str:
     return dataclasses.field(default=default, metadata={"choices": choices})
 
 
+def _typed(default, kind: str):
+    """A field of ``kind`` — ``"int"``, ``"float"`` (any real number) or
+    ``"ints"`` (an integer pair) — checked and coerced by
+    :meth:`ScenarioConfig.validate`; the experiment spec's field kinds."""
+    return dataclasses.field(default=default, metadata={"kind": kind})
+
+
+def _integer(value, name: str) -> int:
+    # Like the experiment spec's integer fields: an integral float is
+    # coerced, a bool or a string is refused.
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _checked(value, kind: str, name: str):
+    """``value`` of field ``name`` coerced to ``kind``; ``ValueError`` if it is not one."""
+    if kind == "int":
+        return _integer(value, name)
+    if kind == "float":
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        return value
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} must be a pair of integers, got {value!r}")
+    return tuple(_integer(item, f"{name}[{i}]") for i, item in enumerate(value))
+
+
 @dataclass
 class ScenarioConfig:
     """Complete description of a fault injection campaign.
@@ -95,10 +126,10 @@ class ScenarioConfig:
     # ---------------------------------------------------------------- #
     # campaign extent
     # ---------------------------------------------------------------- #
-    dataset_size: int = 10
-    num_runs: int = 1
-    max_faults_per_image: int = 1
-    batch_size: int = 1
+    dataset_size: int = _typed(10, "int")
+    num_runs: int = _typed(1, "int")
+    max_faults_per_image: int = _typed(1, "int")
+    batch_size: int = _typed(1, "int")
 
     # ---------------------------------------------------------------- #
     # fault target and model
@@ -111,17 +142,18 @@ class ScenarioConfig:
     # value corruption
     # ---------------------------------------------------------------- #
     rnd_value_type: str = _one_of("bitflip", known_value_types)  # built-in + plug-ins
-    rnd_bit_range: tuple[int, int] = (0, 31)
-    rnd_value_min: float = -1.0
-    rnd_value_max: float = 1.0
+    rnd_bit_range: tuple[int, int] = _typed((0, 31), "ints")
+    rnd_value_min: float = _typed(-1.0, "float")
+    rnd_value_max: float = _typed(1.0, "float")
     quantization: str = _one_of("float32", lambda: SUPPORTED_QUANTIZATION)
-    stuck_at_value: int = 1
+    stuck_at_value: int = _typed(1, "int")
 
     # ---------------------------------------------------------------- #
     # location selection
     # ---------------------------------------------------------------- #
     layer_types: tuple[str, ...] = ("conv2d", "conv3d", "fcc")
-    layer_range: tuple[int, int] | None = None  # inclusive (start, end); None = all layers
+    # inclusive (start, end); None = all layers
+    layer_range: tuple[int, int] | None = _typed(None, "ints")
     weighted_layer_selection: bool = True
 
     # ---------------------------------------------------------------- #
@@ -129,7 +161,7 @@ class ScenarioConfig:
     # ---------------------------------------------------------------- #
     model_name: str = "model"
     dataset_name: str = "dataset"
-    random_seed: int = 1234
+    random_seed: int = _typed(1234, "int")
     # Path of a pre-generated fault matrix to reuse; normalized to
     # ``Path | None`` by ``validate`` (strings are accepted on input).
     fault_file: str | Path | None = None
@@ -141,7 +173,21 @@ class ScenarioConfig:
     # validation
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Check all fields for consistency; raise ``ValueError`` on problems."""
+        """Check all fields for consistency; raise ``ValueError`` on problems.
+
+        Declared kinds are checked first, and coerced on the way (an
+        integral float to ``int``, a pair to a tuple), so every error below
+        names its field instead of surfacing as a ``TypeError``.
+        """
+        for declared in dataclasses.fields(self):
+            name, value = declared.name, getattr(self, declared.name)
+            kind = declared.metadata.get("kind")
+            if kind is not None and not (value is None and declared.default is None):
+                value = _checked(value, kind, name)
+                setattr(self, name, value)
+            choices = declared.metadata.get("choices")
+            if choices is not None and value not in choices():
+                raise ValueError(f"{name} must be one of {choices()}, got {value!r}")
         if self.dataset_size <= 0:
             raise ValueError(f"dataset_size must be positive, got {self.dataset_size}")
         if self.num_runs <= 0:
@@ -152,15 +198,7 @@ class ScenarioConfig:
             )
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        for declared in dataclasses.fields(self):
-            choices = declared.metadata.get("choices")
-            if choices is not None and getattr(self, declared.name) not in choices():
-                raise ValueError(
-                    f"{declared.name} must be one of {choices()}, "
-                    f"got {getattr(self, declared.name)!r}"
-                )
         self.fault_file = Path(self.fault_file) if self.fault_file else None
-        self.rnd_bit_range = (int(self.rnd_bit_range[0]), int(self.rnd_bit_range[1]))
         low, high = self.rnd_bit_range
         max_bit = {"float32": 31, "float64": 63, "float16": 15, "int8": 7, "int16": 15, "int32": 31}[
             self.quantization
@@ -191,10 +229,8 @@ class ScenarioConfig:
                 "weighted_layer_selection must be true or false, "
                 f"got {self.weighted_layer_selection!r}"
             )
-        if self.layer_range is not None:
-            self.layer_range = (int(self.layer_range[0]), int(self.layer_range[1]))
-            if self.layer_range[0] > self.layer_range[1] or self.layer_range[0] < 0:
-                raise ValueError(f"invalid layer_range {self.layer_range}")
+        if self.layer_range is not None and not 0 <= self.layer_range[0] <= self.layer_range[1]:
+            raise ValueError(f"invalid layer_range {self.layer_range}")
 
     # ------------------------------------------------------------------ #
     # derived quantities

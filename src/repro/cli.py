@@ -123,7 +123,7 @@ _CAMPAIGN_FLAGS = (
           "per-shard wall-clock deadline; a hung shard is killed and retried "
           "(workers > 1 only)", metavar="SECONDS"),
     _flag("--resume", "execution.resume",
-          "resume an interrupted campaign from its run manifest, "
+          "resume an interrupted campaign from its committed shard directories, "
           "re-running only the shards not yet completed"),
     _flag("--no-prefix-reuse", "caching.prefix_reuse",
           "escape hatch: run the faulty pass as a full forward instead of a "
@@ -161,7 +161,8 @@ _RUN_FLAGS = (
     _flag("--retries", "execution.retries", "override the spec's per-shard retry budget"),
     _flag("--shard-timeout", "execution.shard_timeout",
           "override the spec's per-shard wall-clock deadline", metavar="SECONDS"),
-    _flag("--resume", "execution.resume", "resume an interrupted campaign from its run manifest"),
+    _flag("--resume", "execution.resume",
+          "resume an interrupted campaign from its committed shard directories"),
     _flag("--executor", "execution.executor",
           "override the spec's forward-plan execution backend"),
 )
@@ -219,8 +220,8 @@ def _with_flags(spec: ExperimentSpec, given: dict[str, Any], flags: tuple[Flag, 
     workers = assignments.get("backend.workers", spec.backend.workers)
     resume = assignments.get("execution.resume", spec.execution.resume)
     if spec.backend.name == "serial" and (workers > 1 or resume):
-        # The run manifest lives in the sharded executor (with workers=1 the
-        # shards still run in-process).  Registered custom backends keep
+        # Resume lives in the sharded executor (with workers=1 the shards
+        # still run in-process).  Registered custom backends keep
         # their name: they own their parallelism.
         assignments["backend.name"] = "sharded"
     return spec.updated(assignments)
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--resume", action="store_true",
         help="resume an interrupted sweep: skip store-committed points and "
-        "continue the in-flight point from its shard manifest",
+        "continue the in-flight point from its committed shards",
     )
     sweep.add_argument(
         "--dry-run", action="store_true",

@@ -26,12 +26,7 @@ campaign into one versioned, serializable :class:`ExperimentSpec`:
 """
 
 from repro.experiments.builder import Experiment, ExperimentBuilder
-from repro.experiments.campaigns import (
-    CampaignStore,
-    StoredPoint,
-    StoreError,
-    SweepManifest,
-)
+from repro.experiments.campaigns import CampaignStore, StoredPoint, StoreError
 from repro.experiments.registry import (
     BACKENDS,
     DATASETS,
@@ -109,7 +104,6 @@ __all__ = [
     "StoreError",
     "StoredPoint",
     "SweepError",
-    "SweepManifest",
     "SweepPlan",
     "SweepPoint",
     "SweepPointOutcome",

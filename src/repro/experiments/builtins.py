@@ -126,8 +126,8 @@ def serial_backend(
         raise ValueError("the serial backend runs with workers=1; use backend 'sharded'")
     if execution.resume:
         raise ValueError(
-            "execution.resume requires the 'sharded' backend (the run manifest "
-            "tracks completed shard ranges)"
+            "execution.resume requires the 'sharded' backend (it resumes from "
+            "committed shard directories)"
         )
     if backend.step_range is not None:
         start, stop = backend.step_range

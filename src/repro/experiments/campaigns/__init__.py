@@ -4,16 +4,14 @@ A :class:`CampaignStore` keeps one directory per executed grid point,
 addressed by a *run ID* — a digest of the point's canonical spec document
 plus the model-weight fingerprint — so re-running a sweep skips every point
 whose inputs are bit-identical, across processes and machines sharing one
-store directory.  :class:`SweepManifest` records the completed points of one
-sweep at grid-point granularity with the same crash-safe atomic-replace
-idiom the shard-level :class:`~repro.alficore.resilience.RunManifest` uses.
+store directory.  A committed point directory is its own record of
+completion; nothing else tracks a sweep's progress.
 """
 
 from repro.experiments.campaigns.store import (
     CampaignStore,
     StoredPoint,
     StoreError,
-    SweepManifest,
     canonical_spec_document,
     point_run_id,
 )
@@ -22,7 +20,6 @@ __all__ = [
     "CampaignStore",
     "StoreError",
     "StoredPoint",
-    "SweepManifest",
     "canonical_spec_document",
     "point_run_id",
 ]

@@ -9,7 +9,6 @@ Layout of a store directory::
         <record files...>    # the campaign's streamed CSV/JSON outputs
       <run_id>.wip/          # a point currently executing (atomically renamed
                              # to <run_id>/ on commit; leftovers are harmless)
-      sweep_manifest.json    # per-sweep completion record (RunManifest idiom)
       golden/                # golden-pass spill files shared by every point of
                              # every sweep on this store; a pure cache, safe to
                              # delete at any time (entries are recomputed)
@@ -27,14 +26,16 @@ Crash safety follows the repo-wide idiom: all execution happens in a
 last via an fsync'd atomic replace before the directory itself is renamed
 into place.  A corrupt, truncated or digest-mismatched point directory is
 *demoted to pending* — :meth:`CampaignStore.lookup` returns ``None`` and the
-next run recomputes and atomically replaces it.
+next run recomputes and atomically replaces it.  The committed directories
+are the store's only record of progress: a sweep asks :meth:`lookup` for
+each of its points, so any sweep on the store reuses any point another one
+committed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pickle
 import shutil
 from dataclasses import dataclass, field
@@ -42,7 +43,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.alficore.digests import SHORT_DIGEST_LENGTH, config_digest
-from repro.alficore.resilience import atomic_replace_json, atomic_write_pickle
+from repro.alficore.resilience import (
+    atomic_replace_json,
+    atomic_write_pickle,
+    commit_directory,
+)
 from repro.nn import functional as F
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -50,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.spec import ExperimentSpec
 
 POINT_SCHEMA_VERSION = 1
-SWEEP_MANIFEST_SCHEMA_VERSION = 1
 
 
 class StoreError(RuntimeError):
@@ -175,10 +179,6 @@ class CampaignStore:
         """Scratch directory a point writes into before its atomic publish."""
         return self.root / f"{run_id}.wip"
 
-    def manifest_path(self) -> Path:
-        """Path of the sweep's crash-safe resume manifest."""
-        return self.root / "sweep_manifest.json"
-
     def golden_dir(self) -> Path:
         """Spill directory of the golden cache the store's sweeps share.
 
@@ -251,8 +251,8 @@ class CampaignStore:
 
         Without ``resume`` any leftover ``.wip`` directory from a crashed
         run is discarded so the campaign starts clean; with ``resume`` it is
-        kept so the shard-level run manifest inside it can skip completed
-        shard ranges.
+        kept so a sharded campaign merges the shard directories committed in
+        it instead of re-running them.
         """
         wip = self.wip_dir(run_id)
         if not resume and wip.exists():
@@ -311,11 +311,7 @@ class CampaignStore:
             "files": files,
         }
         atomic_replace_json(wip / "point.json", document)
-        final = self.point_dir(run_id)
-        if final.exists():
-            shutil.rmtree(final)
-        os.replace(wip, final)
-        _fsync_directory(self.root)
+        commit_directory(wip, self.point_dir(run_id))
         point = self.lookup(run_id)
         if point is None:  # pragma: no cover - defensive
             raise StoreError(f"point {run_id} failed post-commit verification")
@@ -326,87 +322,6 @@ class CampaignStore:
         wip = self.wip_dir(run_id)
         if wip.exists():
             shutil.rmtree(wip)
-
-
-class SweepManifest:
-    """Crash-safe record of the completed grid points of one sweep.
-
-    The shard-level :class:`~repro.alficore.resilience.RunManifest` idiom at
-    grid-point granularity: a small JSON document under the store root,
-    updated with fsync'd atomic replaces, guarded by a digest of the sweep
-    configuration so a manifest is never silently reused for a different
-    sweep.  Entries are keyed by point index and record the point's run ID.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        config: dict,
-        completed: dict[int, dict] | None = None,
-    ) -> None:
-        self.path = Path(path)
-        self.config = config
-        self.digest = config_digest(config)
-        self.completed: dict[int, dict] = dict(completed or {})
-
-    @classmethod
-    def fresh(cls, path: str | Path, config: dict) -> "SweepManifest":
-        """A new manifest for ``digest`` with no completed points."""
-        manifest = cls(path, config)
-        manifest.save()
-        return manifest
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SweepManifest | None":
-        """Load from disk; ``None`` if missing, unreadable or tampered."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                document = json.load(handle)
-            config = document["config"]
-            completed = {
-                int(index): dict(entry)
-                for index, entry in document.get("completed", {}).items()
-            }
-            manifest = cls(path, config, completed)
-            if document.get("config_digest") != manifest.digest:
-                return None
-            return manifest
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def matches(self, config: dict) -> bool:
-        """True if this manifest belongs to the sweep with ``digest``."""
-        return self.digest == config_digest(config)
-
-    def is_completed(self, index: int) -> bool:
-        """True if ``point_digest`` is recorded as completed."""
-        return index in self.completed
-
-    def mark_completed(self, index: int, run_id: str, *, cached: bool) -> None:
-        """Record ``point_digest`` as completed (idempotent)."""
-        self.completed[index] = {"run_id": run_id, "cached": cached}
-        self.save()
-
-    def mark_pending(self, index: int) -> None:
-        """Drop ``point_digest`` from the completed set (for re-execution)."""
-        if index in self.completed:
-            del self.completed[index]
-            self.save()
-
-    def save(self) -> None:
-        """Atomically persist the manifest (write + rename)."""
-        atomic_replace_json(
-            self.path,
-            {
-                "schema_version": SWEEP_MANIFEST_SCHEMA_VERSION,
-                "config_digest": self.digest,
-                "config": self.config,
-                "completed": {
-                    str(index): entry
-                    for index, entry in sorted(self.completed.items())
-                },
-            },
-        )
 
 
 def _json_plain(value: Any) -> Any:
@@ -420,15 +335,3 @@ def _coerce(value: Any) -> Any:
     if callable(item):
         return item()  # numpy scalar
     return str(value)
-
-
-def _fsync_directory(path: Path) -> None:
-    """Flush a directory entry (rename durability on POSIX filesystems)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - e.g. non-POSIX directory handles
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.alficore.results import merge_csv_files, merge_json_array_files
+from repro.alficore.results import merge_record_files
 
 _JSON_CHUNK = 1 << 20
 
@@ -203,26 +202,13 @@ class CampaignResult:
         evaluated, extras = plugin.evaluate(merged_state, context)
         output_files: dict[str, str] = {}
         if output_dir is not None:
-            out = Path(output_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            shared = [
-                tag
-                for tag in results[0].record_tags()
-                if all(tag in result.output_files for result in results)
-            ]
-            for tag in shared:
-                parts = [Path(result.output_files[tag]) for result in results]
-                merged_path = out / parts[0].name
-                # Merge via a temp file + atomic replace: ``output_dir`` may
-                # be one of the slices' own directories, and the writers
-                # truncate their target before reading the parts.
-                scratch = merged_path.with_name(merged_path.name + ".merging")
-                if parts[0].suffix == ".csv":
-                    merge_csv_files(parts, scratch)
-                else:
-                    merge_json_array_files(parts, scratch)
-                os.replace(scratch, merged_path)
-                output_files[tag] = str(merged_path)
+            output_files = merge_record_files(
+                [
+                    {tag: result.output_files[tag] for tag in result.record_tags()}
+                    for result in results
+                ],
+                output_dir,
+            )
         return cls(
             spec=results[0].spec,
             task=results[0].task,

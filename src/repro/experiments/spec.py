@@ -42,7 +42,7 @@ Schema (YAML)::
       retries: 2                    # extra attempts per failed shard
       shard_timeout: null           # per-shard wall-clock deadline (seconds)
       backoff: 0.5                  # base of the capped exponential re-queue delay
-      resume: false                 # skip manifest-recorded completed shards
+      resume: false                 # merge already committed shards from disk
       executor: interpreter         # forward-plan backend: module | interpreter | fused
     sweep: null                     # or a parameter grid (see SweepSpec):
     #   schema_version: 1
@@ -349,8 +349,9 @@ class ExecutionSpec(Section):
     Maps onto :class:`repro.alficore.resilience.ExecutionPolicy`: ``retries``
     extra attempts per failed shard, an optional per-shard wall-clock
     ``shard_timeout`` (seconds), the base ``backoff`` of the capped
-    exponential re-queue delay, and ``resume`` to skip shards the run
-    manifest records as completed.  ``executor`` selects the forward-plan
+    exponential re-queue delay, and ``resume`` to merge the shard
+    directories an interrupted run committed instead of re-running them.
+    ``executor`` selects the forward-plan
     execution backend (:func:`repro.nn.ir.register_executor` registry:
     ``"module"``, ``"interpreter"``, ``"fused"``); it is validated bit-exactly
     at plan-trace time with silent fallback to the module path, so the knob
@@ -479,13 +480,13 @@ class ExperimentSpec(Section):
     def _check_rules(self) -> None:
         if self.execution.resume and self.backend.name == "serial":
             raise SpecError(
-                "execution.resume requires the 'sharded' backend: the run "
-                "manifest tracks completed shard ranges"
+                "execution.resume requires the 'sharded' backend: it resumes "
+                "from committed shard directories"
             )
         if self.execution.resume and self.output_dir is None:
             raise SpecError(
-                "execution.resume requires output_dir: the run manifest and "
-                "the per-shard record files live there"
+                "execution.resume requires output_dir: the committed shard "
+                "directories live there"
             )
 
     # ------------------------------------------------------------------ #

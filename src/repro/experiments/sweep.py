@@ -36,8 +36,6 @@ from repro.alficore.goldencache import DEFAULT_BYTE_BUDGET, GoldenCache
 from repro.experiments.campaigns.store import (
     CampaignStore,
     StoredPoint,
-    StoreError,
-    SweepManifest,
     canonical_spec_document,
     point_run_id,
 )
@@ -429,10 +427,10 @@ def run_sweep(
             in-memory only).
         workers: override worker count for point execution (sharded backend
             when > 1); excluded from run IDs, so cached points still match.
-        resume: resume an interrupted sweep — completed points are skipped
-            via the store, the in-flight point resumes shard-by-shard from
-            its work-in-progress manifest, and the sweep manifest must match
-            the sweep configuration.
+        resume: resume an interrupted sweep — the in-flight point keeps its
+            work-in-progress directory and merges the shards committed there
+            instead of re-running them.  Committed points are skipped with
+            or without it, whichever sweep on the store committed them.
         progress: optional callback receiving one line per point.
 
     Returns:
@@ -443,29 +441,6 @@ def run_sweep(
     plan.resolve(artifacts)
     emit = progress if progress is not None else (lambda line: None)
     campaign_store = resolve_store(spec, store)
-    manifest = None
-    if campaign_store is not None:
-        campaign_store.root.mkdir(parents=True, exist_ok=True)
-        manifest_config = {
-            "sweep": {
-                key: value
-                for key, value in spec.sweep.as_dict().items()
-                if key != "store"
-            },
-            "base": canonical_spec_document(plan.base),
-            "run_ids": [point.run_id for point in plan.points],
-        }
-        manifest_path = campaign_store.manifest_path()
-        if resume:
-            manifest = SweepManifest.load(manifest_path)
-            if manifest is not None and not manifest.matches(manifest_config):
-                raise StoreError(
-                    f"sweep manifest {manifest_path} records a different sweep "
-                    "configuration; refusing to resume (point to a fresh store "
-                    "or drop --resume)"
-                )
-        if manifest is None:
-            manifest = SweepManifest.fresh(manifest_path, manifest_config)
     golden_cache = _shared_golden_cache(plan.base, campaign_store)
     outcomes = []
     for point in plan.points:
@@ -486,7 +461,8 @@ def run_sweep(
                 else None
             )
             # A failure here leaves the .wip directory in place: a later
-            # --resume picks up its shard manifest; a plain re-run discards it.
+            # --resume merges the shards committed in it; a plain re-run
+            # discards it.
             result = _execute_point(
                 point, model, dataset,
                 output_dir=output_dir, workers=workers, resume=resume,
@@ -515,8 +491,6 @@ def run_sweep(
                     summary=_json_value(result.summary), _result=result,
                 )
             emit(f"point {point.index:>3} {run_id}  executed  {point.overrides}")
-        if manifest is not None:
-            manifest.mark_completed(point.index, run_id, cached=outcome.cached)
         outcomes.append(outcome)
     sweep_result = SweepResult(
         plan, outcomes, campaign_store,

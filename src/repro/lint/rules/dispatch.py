@@ -6,7 +6,7 @@ runs used to die: one OOM-killed, crashed or hung worker aborted the whole
 resumable on disk.  :class:`repro.alficore.resilience.ShardSupervisor`
 exists precisely so shard work is dispatched *supervised*: per-shard
 wall-clock timeouts, dead-worker detection, deterministic re-queue with
-capped exponential backoff, and crash-safe manifest/resume semantics.
+capped exponential backoff, and crash-safe commit/resume semantics.
 
 Flagged: batch dispatch methods (``map``, ``map_async``, ``imap``,
 ``imap_unordered``, ``starmap``, ``starmap_async``) called on a pool-like

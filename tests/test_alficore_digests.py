@@ -1,9 +1,9 @@
 """Tests for the shared content-digest helpers (`repro.alficore.digests`).
 
-The module is the single implementation behind the run manifest's config
-guard, the golden cache's spillover names, the campaign core's weight
-fingerprints and the campaign store's run IDs — so its stability guarantees
-are load-bearing for skip/resume correctness everywhere.
+The module is the single implementation behind the committed shards'
+configuration guard, the golden cache's spillover names, the campaign core's
+weight fingerprints and the campaign store's run IDs — so its stability
+guarantees are load-bearing for skip/resume correctness everywhere.
 """
 
 import hashlib
@@ -18,7 +18,6 @@ from repro.alficore.digests import (
     key_digest,
     model_fingerprint,
 )
-from repro.alficore.resilience import manifest_config_digest
 from repro.models import lenet5
 
 
@@ -44,10 +43,6 @@ class TestConfigDigest:
 
     def test_full_sha1_length(self):
         assert len(config_digest({})) == 40
-
-    def test_manifest_config_digest_is_the_shared_helper(self):
-        config = {"scenario": {"seed": 3}, "bounds": [[0, 4]]}
-        assert manifest_config_digest(config) == config_digest(config)
 
 
 class TestKeyDigest:

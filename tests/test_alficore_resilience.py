@@ -3,8 +3,8 @@
 The contract under test: a shard worker that raises, hangs or is SIGKILL'd on
 its first attempt is retried by its deterministic ``(start, stop)`` step range
 and the finished campaign is *byte-identical* to an undisturbed serial run;
-a campaign interrupted mid-run resumes from its crash-safe manifest, re-runs
-only the pending shards and again merges byte-identically.
+a campaign interrupted mid-run resumes from its committed shard directories,
+re-runs only the pending shards and again merges byte-identically.
 
 Worker chaos is marker-armed: the worker drops a marker file *before*
 failing, so only the first attempt fails and every retry succeeds — exactly
@@ -14,6 +14,7 @@ the transient-fault scenario the supervisor exists for.
 import json
 import os
 import pickle
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,18 +25,22 @@ import numpy as np
 import pytest
 
 from repro.alficore import CampaignResultWriter, GoldenCache, default_scenario
-from repro.alficore.campaign import CampaignCore, ClassificationTask, ShardedCampaignExecutor
+from repro.alficore.campaign import (
+    CampaignCore,
+    ClassificationTask,
+    ShardedCampaignExecutor,
+    sharded,
+)
 from repro.alficore.resilience import (
     KIND_DIED,
     KIND_RAISED,
     KIND_TIMEOUT,
     ExecutionPolicy,
-    RunManifest,
     ShardError,
     ShardSupervisor,
     atomic_replace_json,
     atomic_write_pickle,
-    manifest_config_digest,
+    commit_directory,
 )
 from repro.data import SyntheticClassificationDataset
 from repro.models import lenet5
@@ -228,49 +233,9 @@ class TestExecutionPolicy:
 
 
 # --------------------------------------------------------------------------- #
-# the crash-safe run manifest
+# atomic writes and directory commits
 # --------------------------------------------------------------------------- #
-class TestRunManifest:
-    CONFIG = {"campaign_name": "m", "total_steps": 12, "bounds": [[0, 6], [6, 12]]}
-
-    def test_round_trip_and_progress_tracking(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        manifest = RunManifest.fresh(path, self.CONFIG)
-        assert path.exists()
-        manifest.mark_completed(1, 6, 12)
-        manifest.mark_completed(0, 0, 6)
-
-        loaded = RunManifest.load(path)
-        assert loaded is not None
-        assert loaded.matches(self.CONFIG)
-        assert loaded.completed_indices() == [0, 1]
-        assert loaded.is_completed(1)
-        assert loaded.completed[1] == {"start": 6, "stop": 12}
-
-        loaded.mark_pending(1)
-        assert RunManifest.load(path).completed_indices() == [0]
-        loaded.mark_pending(7)  # unknown index: no-op
-
-    def test_load_rejects_missing_corrupt_and_tampered_files(self, tmp_path):
-        assert RunManifest.load(tmp_path / "absent.json") is None
-
-        corrupt = tmp_path / "corrupt.json"
-        corrupt.write_text('{"schema_version": 1, "config": ')  # torn write
-        assert RunManifest.load(corrupt) is None
-
-        tampered = tmp_path / "tampered.json"
-        RunManifest.fresh(tampered, self.CONFIG)
-        document = json.loads(tampered.read_text())
-        document["config"]["total_steps"] = 99  # digest no longer matches
-        tampered.write_text(json.dumps(document))
-        assert RunManifest.load(tampered) is None
-
-    def test_matches_is_digest_based(self, tmp_path):
-        manifest = RunManifest(tmp_path / "m.json", self.CONFIG)
-        assert manifest.matches(dict(self.CONFIG))
-        assert not manifest.matches({**self.CONFIG, "total_steps": 13})
-        assert manifest_config_digest(self.CONFIG) == manifest_config_digest(dict(self.CONFIG))
-
+class TestAtomicWriters:
     def test_atomic_writers_leave_no_temp_files(self, tmp_path):
         target = tmp_path / "doc.json"
         atomic_replace_json(target, {"a": 1})
@@ -282,6 +247,17 @@ class TestRunManifest:
         with open(pickled, "rb") as handle:
             assert pickle.load(handle) == {"state": [1, 2, 3]}
         assert [p.name for p in tmp_path.glob("*.tmp")] == []
+
+    def test_commit_directory_replaces_the_target(self, tmp_path):
+        final = tmp_path / "shard_00"
+        final.mkdir()
+        (final / "stale.csv").write_text("old")
+        wip = tmp_path / "shard_00.wip"
+        wip.mkdir()
+        (wip / "records.csv").write_text("new")
+        assert commit_directory(wip, final) == final
+        assert not wip.exists()
+        assert sorted(p.name for p in final.iterdir()) == ["records.csv"]
 
 
 # --------------------------------------------------------------------------- #
@@ -434,7 +410,25 @@ class TestCampaignChaos:
 # --------------------------------------------------------------------------- #
 # crash + resume: only pending shards run, merge is byte-identical
 # --------------------------------------------------------------------------- #
+def _shard_entries(out: Path) -> list[str]:
+    """Names under ``<out>/shards``: committed shards and .wip leftovers."""
+    return sorted(p.name for p in (out / "shards").iterdir())
+
+
 class TestCrashResume:
+    @pytest.fixture()
+    def executed_shards(self, monkeypatch):
+        """Indices of the shards executed (not merged from disk), in order."""
+        executed = []
+
+        def recording(job):
+            executed.append(job.index)
+            return original(job)
+
+        original = sharded._execute_shard
+        monkeypatch.setattr(sharded, "_execute_shard", recording)
+        return executed
+
     @pytest.fixture()
     def scenario(self):
         return default_scenario(
@@ -472,11 +466,8 @@ class TestCrashResume:
         assert err.value.attempts == 1
         assert "chaos: step 5 failed" in err.value.cause
 
-        manifest = RunManifest.load(out / "chaos_manifest.json")
-        assert manifest is not None
-        assert manifest.completed_indices() == [0]
-        assert (out / "shards" / "shard_00").is_dir()
-        assert not (out / "shards" / "shard_01").exists()
+        # Shard 0 is committed, shard 1 left its work-in-progress directory.
+        assert _shard_entries(out) == ["shard_00", "shard_01.wip"]
         before = self._shard_snapshot(out / "shards" / "shard_00")
 
         # Resume: the same campaign configuration, fresh task object.  The
@@ -493,27 +484,94 @@ class TestCrashResume:
         # The completed shard was merged from disk, not re-run.
         assert self._shard_snapshot(out / "shards" / "shard_00") == before
         assert executor.attempt_log == {}
-        assert RunManifest.load(out / "chaos_manifest.json").completed_indices() == [0, 1, 2]
+        assert _shard_entries(out) == ["shard_00", "shard_01", "shard_02"]
 
     def test_resume_reruns_shard_with_corrupt_state(
-        self, fitted_model_and_dataset, scenario, tmp_path
+        self, fitted_model_and_dataset, scenario, tmp_path, executed_shards
     ):
         model, dataset = fitted_model_and_dataset
         out = tmp_path / "run"
         state, paths, _ = _run_campaign(
             out, model, dataset, scenario, ClassificationTask(), workers=1, num_shards=2
         )
-        # Corrupt one committed shard's state payload: resume must demote it
-        # to pending and re-run it rather than trust unreadable bytes.
+        # Corrupt one committed shard's state payload: resume must delete the
+        # shard and re-run it rather than trust unreadable bytes.
         (out / "shards" / "shard_01" / "shard_state.pkl").write_bytes(b"garbage")
+        executed_shards.clear()
         resumed_state, resumed_paths, executor = _run_campaign(
             out, model, dataset, scenario, ClassificationTask(),
             workers=1, num_shards=2, policy=ExecutionPolicy(resume=True),
         )
+        assert executed_shards == [1]
         assert resumed_state == state
         for tag in STREAM_TAGS:
             assert _file_bytes(paths[tag]) == _file_bytes(resumed_paths[tag]), tag
-        assert RunManifest.load(out / "chaos_manifest.json").completed_indices() == [0, 1]
+        assert _shard_entries(out) == ["shard_00", "shard_01"]
+
+    def test_resume_reruns_a_wip_leftover_and_a_deleted_shard_alone(
+        self, fitted_model_and_dataset, scenario, tmp_path, executed_shards
+    ):
+        model, dataset = fitted_model_and_dataset
+        out = tmp_path / "run"
+        state, paths, _ = _run_campaign(
+            out, model, dataset, scenario, ClassificationTask(), workers=1, num_shards=3
+        )
+        reference = {tag: _file_bytes(paths[tag]) for tag in STREAM_TAGS}
+        shards = out / "shards"
+        before = self._shard_snapshot(shards / "shard_00")
+        # Shard 1 is gone; shard 2 was killed before its commit rename.
+        shutil.rmtree(shards / "shard_01")
+        (shards / "shard_02").rename(shards / "shard_02.wip")
+        executed_shards.clear()
+        resumed_state, resumed_paths, _ = _run_campaign(
+            out, model, dataset, scenario, ClassificationTask(),
+            workers=1, num_shards=3, policy=ExecutionPolicy(resume=True),
+        )
+        assert executed_shards == [1, 2]
+        assert resumed_state == state
+        for tag in STREAM_TAGS:
+            assert _file_bytes(resumed_paths[tag]) == reference[tag], tag
+        assert self._shard_snapshot(shards / "shard_00") == before
+        assert _shard_entries(out) == ["shard_00", "shard_01", "shard_02"]
+
+    def test_resume_reruns_a_shard_committed_without_a_configuration_digest(
+        self, fitted_model_and_dataset, scenario, tmp_path, executed_shards
+    ):
+        model, dataset = fitted_model_and_dataset
+        out = tmp_path / "run"
+        state, paths, _ = _run_campaign(
+            out, model, dataset, scenario, ClassificationTask(), workers=1, num_shards=2
+        )
+        reference = {tag: _file_bytes(paths[tag]) for tag in STREAM_TAGS}
+        # The payload format of shards committed before payloads carried a
+        # digest: state and file names only.  Nothing proves which campaign
+        # wrote it, so it is re-run.
+        state_path = out / "shards" / "shard_01" / "shard_state.pkl"
+        with open(state_path, "rb") as handle:
+            payload = pickle.load(handle)
+        atomic_write_pickle(state_path, {"state": payload["state"], "files": payload["files"]})
+        executed_shards.clear()
+        resumed_state, resumed_paths, _ = _run_campaign(
+            out, model, dataset, scenario, ClassificationTask(),
+            workers=1, num_shards=2, policy=ExecutionPolicy(resume=True),
+        )
+        assert executed_shards == [1]
+        assert resumed_state == state
+        for tag in STREAM_TAGS:
+            assert _file_bytes(resumed_paths[tag]) == reference[tag], tag
+        with open(state_path, "rb") as handle:
+            rewritten = pickle.load(handle)
+        assert rewritten["config_digest"] == payload["config_digest"]
+        assert (rewritten["start"], rewritten["stop"]) == (6, 12)
+
+    def test_a_run_without_resume_starts_from_empty_shards(
+        self, fitted_model_and_dataset, scenario, tmp_path
+    ):
+        model, dataset = fitted_model_and_dataset
+        out = tmp_path / "run"
+        _run_campaign(out, model, dataset, scenario, ClassificationTask(), workers=1, num_shards=3)
+        _run_campaign(out, model, dataset, scenario, ClassificationTask(), workers=1, num_shards=2)
+        assert _shard_entries(out) == ["shard_00", "shard_01"]
 
     def test_resume_of_a_finished_campaign_runs_nothing(
         self, fitted_model_and_dataset, scenario, tmp_path

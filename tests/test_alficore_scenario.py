@@ -36,6 +36,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("num_runs", "2"),
+            ("num_runs", 2.5),
+            ("random_seed", "abc"),
+            ("batch_size", True),
+            ("rnd_bit_range", [23]),
+            ("layer_range", [1]),
+            ("rnd_value_min", "x"),
+        ],
+    )
+    def test_mistyped_values_raise_a_value_error_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ScenarioConfig.from_dict({field: value})
+
+    def test_integral_floats_are_coerced(self):
+        config = ScenarioConfig.from_dict({"num_runs": 2.0, "rnd_bit_range": [23.0, 30]})
+        assert config.num_runs == 2 and isinstance(config.num_runs, int)
+        assert config.rnd_bit_range == (23, 30)
+
     def test_bit_range_must_fit_dtype(self):
         with pytest.raises(ValueError):
             ScenarioConfig(quantization="float16", rnd_bit_range=(0, 31))

@@ -1,8 +1,8 @@
 """Unit tests for the content-addressed campaign store layer.
 
 Covers the commit/lookup lifecycle, the demote-to-pending semantics for
-every flavor of defective point directory, the read-only skip guarantee
-(bytes + mtimes untouched), and the sweep manifest's crash-safe idiom.
+every flavor of defective point directory and the read-only skip guarantee
+(bytes + mtimes untouched).
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.experiments import (
     CampaignStore,
     Experiment,
     StoreError,
-    SweepManifest,
     run_sweep,
 )
 from repro.experiments.campaigns.store import canonical_spec_document, point_run_id
@@ -198,31 +197,3 @@ class TestRunIdAddressing:
         assert len(run_id) == 16
         assert run_id != point_run_id(canonical_spec_document(spec), "0" * 16)
 
-
-class TestSweepManifest:
-    CONFIG = {"sweep": {"axes": {"scenario.layer_range": [[0, 0]]}}, "run_ids": ["ab"]}
-
-    def test_fresh_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "sweep_manifest.json"
-        manifest = SweepManifest.fresh(path, self.CONFIG)
-        manifest.mark_completed(0, "abcd", cached=False)
-        loaded = SweepManifest.load(path)
-        assert loaded is not None
-        assert loaded.is_completed(0)
-        assert loaded.completed[0] == {"run_id": "abcd", "cached": False}
-        assert loaded.matches(self.CONFIG)
-
-    def test_tampered_manifest_is_unreadable(self, tmp_path):
-        path = tmp_path / "sweep_manifest.json"
-        SweepManifest.fresh(path, self.CONFIG)
-        document = json.loads(path.read_text())
-        document["config"]["run_ids"] = ["cd"]
-        path.write_text(json.dumps(document))
-        assert SweepManifest.load(path) is None
-
-    def test_mark_pending_drops_entry(self, tmp_path):
-        path = tmp_path / "sweep_manifest.json"
-        manifest = SweepManifest.fresh(path, self.CONFIG)
-        manifest.mark_completed(0, "abcd", cached=True)
-        manifest.mark_pending(0)
-        assert not SweepManifest.load(path).is_completed(0)

@@ -110,6 +110,16 @@ class TestSpecCommands:
         assert main(["run", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_run_spec_with_a_mistyped_scenario_value_fails_cleanly(self, tmp_path, capsys):
+        import yaml
+
+        path = self._write_spec(tmp_path)
+        data = yaml.safe_load(path.read_text())
+        data["scenario"]["rnd_bit_range"] = [23]
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: rnd_bit_range must be")
+
     def test_run_spec_with_unknown_model_fails_with_suggestion(self, tmp_path, capsys):
         path = self._write_spec(tmp_path)
         import yaml

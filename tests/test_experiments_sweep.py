@@ -21,7 +21,6 @@ from repro.experiments import (
     ExperimentSpec,
     MODELS,
     SpecError,
-    StoreError,
     SweepError,
     SweepSpec,
     expand,
@@ -330,12 +329,19 @@ class TestRunSweep:
         assert (store.root / "sweep-test_sweep_table.csv").read_bytes() == baseline_csv
         assert (store.root / "sweep-test_sweep_table.json").read_bytes() == baseline_json
 
-    def test_resume_refuses_a_different_sweeps_manifest(self, tmp_path):
+    def test_resume_on_a_store_of_another_sweep_reuses_its_points(self, tmp_path):
+        superset = layer_sweep_spec(layers=((0, 0), (1, 1), (2, 2)))
+        fresh = CampaignStore(tmp_path / "fresh")
+        run_sweep(superset, store=fresh)
+
+        # The run ID is the guard: a point another sweep committed is the
+        # same campaign, so resume reuses it instead of refusing the store.
         store = CampaignStore(tmp_path / "store")
         run_sweep(layer_sweep_spec(), store=store)
-        other = layer_sweep_spec(layers=((0, 0), (2, 2)))
-        with pytest.raises(StoreError, match="different sweep configuration"):
-            run_sweep(other, store=store, resume=True)
+        resumed = run_sweep(superset, store=store, resume=True)
+        assert (resumed.executed, resumed.cached) == (1, 2)
+        for name in ("sweep-test_sweep_table.csv", "sweep-test_sweep_table.json"):
+            assert (store.root / name).read_bytes() == (fresh.root / name).read_bytes()
 
 
 class TestAggregation:
