@@ -14,7 +14,10 @@ group's first faulted segment — a golden checkpoint, or the input batch for
 segment 0 — to the first golden checkpoint behind its last faulted segment
 that it reproduces byte for byte (else to the end).  With a golden cache the
 checkpoints are the entry's; without one the golden pass of the same step
-records the two the faulty pass needs.
+records the two the faulty pass needs.  A neuron group's pass runs only the
+batch rows its faults name, when they are fewer than the batch: row *i* of a
+batched forward is the forward of sample *i* alone, so every other row of
+the faulty output is the golden row (*sample-sparse* passes).
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from repro.alficore.scenario import ScenarioConfig, default_scenario
 from repro.alficore.wrapper import ptfiwrap
 from repro.data.wrapper import AlfiDataLoaderWrapper, ImageRecord
 from repro.nn import functional as F
-from repro.nn.forward_plan import ActivationArena, ForwardPlan
+from repro.nn.forward_plan import ActivationArena, ForwardPlan, _bitwise_equal, take_rows
 from repro.nn.module import Module
+from repro.pytorchfi.core import NeuronFaultGroup
 from repro.pytorchfi.errormodels import ErrorModel
 
 
@@ -56,6 +60,18 @@ def normalize_campaign_scenario(scenario: ScenarioConfig | None, dataset) -> Sce
     if scenario.inj_policy == "per_image" and scenario.batch_size != 1:
         overrides["batch_size"] = 1
     return scenario.copy(**overrides) if overrides else scenario
+
+
+def _splice_rows(golden, rows: tuple[int, ...], output):
+    """The golden output with its rows ``rows`` replaced by those of ``output``."""
+    if isinstance(golden, np.ndarray):
+        spliced = golden.copy()
+        spliced[list(rows)] = output
+        return spliced
+    spliced = list(golden)
+    for row, value in zip(rows, output):
+        spliced[row] = value
+    return spliced
 
 
 def _epoch_segments(start: int, stop: int, num_batches: int) -> Iterator[tuple[int, int, int]]:
@@ -93,6 +109,10 @@ class _Lane:
     #: lane's keys (spill directories outlive a campaign, so entries recorded
     #: for other weights must never match); taken when a run starts.
     fingerprint: str | None = None
+    #: Whether a sample-sparse faulty pass reproduced the full-batch one
+    #: (``None``: not checked yet; ``False``: the model mixes samples, so the
+    #: lane runs full-batch passes).
+    rows_agree: bool | None = None
 
 
 @contextlib.contextmanager
@@ -219,6 +239,8 @@ class CampaignCore:
         #: faulty passes that ended at a golden boundary (tail reuse), with or
         #: without a cache; a shared cache's ``rejoins`` counts them as well
         self.rejoins = 0
+        #: batch rows that sample-sparse faulty passes did not execute
+        self.rows_skipped = 0
 
     #: constructor parameters a shard builds for itself (its own task state,
     #: record files, wrappers over the shared fault matrix, cache handle)
@@ -523,6 +545,74 @@ class CampaignCore:
             + events.custom_events[tail[2] :],
         )
 
+    @staticmethod
+    def _sparse_rows(
+        lane: _Lane, group, entry: GoldenCacheEntry, boundary, size: int
+    ) -> tuple[int, ...] | None:
+        """The batch rows a planned faulty pass needs to run (``None``: all).
+
+        A neuron group's faults name their images, so a pass over only those
+        rows gives the other rows' golden values when nothing else can tell
+        the difference: the lane's monitor has no custom monitor (it would
+        see a smaller array) and the golden pass raised no event (a skipped
+        row would not raise it again).  A lane whose model failed the
+        row-invariance check runs full-batch passes.
+        """
+        if (
+            not isinstance(group, NeuronFaultGroup)
+            or size == 1
+            or lane.rows_agree is False
+            or not isinstance(boundary, np.ndarray)
+        ):
+            return None
+        if lane.monitor is not None:
+            events = entry.events
+            if (
+                lane.monitor.custom_monitors
+                or events is None
+                or events.due_detected
+                or events.custom_events
+            ):
+                return None
+        rows = group.rows(size)
+        return rows if 0 < len(rows) < size else None
+
+    def _resume(
+        self,
+        plan: ForwardPlan,
+        span: tuple[int, int],
+        entry: GoldenCacheEntry,
+        boundary,
+        batch: list[ImageRecord],
+        group,
+        rows: tuple[int, ...] | None,
+    ):
+        """One planned faulty pass from ``boundary`` over the whole batch or ``rows``.
+
+        A sub-batch pass starts from those rows of ``boundary`` and its output
+        is spliced into the golden one, unless it rejoined: then it is
+        ``entry.output`` itself, like a full-batch pass that rejoined.
+        """
+        first, last = span
+        resume = functools.partial(plan.resume, first, golden=entry, after=last, rows=rows)
+        if rows is None:
+            scope = contextlib.nullcontext()
+        else:
+            scope = group.sub_batch(rows)
+            boundary = take_rows(boundary, rows)
+            batch = [batch[row] for row in rows]
+        with scope:
+            # A pass from segment 0 starts at the input batch, so it is an
+            # inference like any other and the task runs it (``infer`` is
+            # ``finish(model(images))``).
+            if first == 0:
+                output = self.task.infer(resume, boundary, batch)
+            else:
+                output = self.task.finish(resume(boundary))
+        if rows is None or plan.rejoined_at is not None:
+            return output
+        return _splice_rows(self.task.finish(entry.output), rows, output)
+
     def _run_lane(
         self,
         lane: _Lane,
@@ -538,8 +628,15 @@ class CampaignCore:
         faulty pass runs only the segments from the group's first faulted
         one, and only up to the first golden checkpoint behind its last
         faulted one where the activation equals the golden pass's — the
-        output is then ``entry.output`` itself.  ``events`` are those of a
-        full faulty forward (``None`` for a lane without monitor).
+        output is then ``entry.output`` itself.  A neuron group whose faults
+        name fewer rows than the batch runs those rows only (see
+        :meth:`_sparse_rows`).  The first time a lane would, it rehearses
+        a plain forward of those rows, then runs the full-batch pass and
+        compares the two outputs: a model whose rows differ between them
+        mixes the samples of a batch, so the lane warns once and keeps
+        full-batch passes.
+        ``events`` are those of a full faulty forward (``None`` for a lane
+        without monitor).
         """
         task, monitor = self.task, lane.monitor
         plan = self._plan_for(lane, images)
@@ -553,21 +650,40 @@ class CampaignCore:
         if lane.fingerprint is not None:
             head += (lane.fingerprint, F.KERNEL_GENERATION)
         entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, span)
+        rows = None
+        if span is not None and boundary is not None:
+            rows = self._sparse_rows(lane, group, entry, boundary, len(batch))
         resumed_at = rejoined_at = None
         with group, _scanning(monitor):
             if span is None or boundary is None:
                 output = task.infer(group.model, images, batch)
             else:
-                resumed_at, last = span
-                resume = functools.partial(plan.resume, resumed_at, golden=entry, after=last)
-                # A pass from segment 0 starts at the input batch, so it is an
-                # inference like any other and the task runs it (``infer`` is
-                # ``finish(model(images))``).
-                if resumed_at == 0:
-                    output = task.infer(resume, images, batch)
-                else:
-                    output = task.finish(resume(boundary))
+                sparse = None
+                if rows is not None and lane.rows_agree is None:
+                    # The lane's first sparse pass is rehearsed as a plain
+                    # forward of the faulted rows: the full-batch pass that
+                    # follows must match it.
+                    with group.rehearsal(), group.sub_batch(rows):
+                        sparse = task.finish(group.model(take_rows(images, rows)))
+                    sparse = _splice_rows(task.finish(entry.output), rows, sparse)
+                    if monitor is not None:
+                        monitor.reset()
+                    rows = None
+                resumed_at = span[0]
+                output = self._resume(plan, span, entry, boundary, batch, group, rows)
                 rejoined_at = plan.rejoined_at
+                if rows is not None:
+                    self.rows_skipped += len(batch) - len(rows)
+                if sparse is not None:
+                    lane.rows_agree = _bitwise_equal(sparse, output)
+                    if not lane.rows_agree:
+                        warnings.warn(
+                            f"{type(lane.model).__name__}: a faulty pass of the faulted rows "
+                            "alone differs from the full-batch one (the model "
+                            "mixes the samples of a batch), running full-batch passes",
+                            RuntimeWarning,
+                            stacklevel=2,
+                        )
         if rejoined_at is not None:
             self.rejoins += 1
             if self.golden_cache is not None:

@@ -104,6 +104,13 @@ def _snapshot(value):
     return value
 
 
+def take_rows(array: np.ndarray, rows) -> np.ndarray:
+    """The batch rows ``rows`` of ``array``, in that order (a view for one row)."""
+    if len(rows) == 1:
+        return array[rows[0] : rows[0] + 1]
+    return array[list(rows)]
+
+
 # Unsigned words as wide as an element: comparing them compares bytes.
 _WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
@@ -372,7 +379,9 @@ class ForwardPlan:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def resume(self, start: int, activation, golden=None, after: int | None = None):
+    def resume(
+        self, start: int, activation, golden=None, after: int | None = None, rows=None
+    ):
         """Execute the segments ``[start, ...)`` from a boundary activation.
 
         ``activation`` must be the (golden) boundary value ``a_start`` — the
@@ -392,6 +401,11 @@ class ForwardPlan:
             after: index of the last segment that differs from the golden
                 model (defaults to ``start``); only boundaries behind it are
                 compared, so every fault of the pass has fired by then.
+            rows: the batch rows of the golden pass that ``activation``
+                holds, when it is a sub-batch of them (see :func:`take_rows`):
+                boundaries are compared with those rows of the golden
+                checkpoints, and a rejoin still returns the whole
+                ``golden.output``, whose other rows the pass never touched.
         """
         stop = len(self.segments)
         if not 0 <= start <= stop:
@@ -404,9 +418,12 @@ class ForwardPlan:
                 start = boundary
                 # Arrays only: what else a boundary may hold (a detector's
                 # list of feature maps) is never taken for the golden value.
-                if isinstance(activation, np.ndarray) and _bitwise_equal(
-                    activation, golden.boundaries[boundary]
-                ):
+                if not isinstance(activation, np.ndarray):
+                    continue
+                expected = golden.boundaries[boundary]
+                if rows is not None:
+                    expected = take_rows(expected, rows)
+                if _bitwise_equal(activation, expected):
                     self.rejoined_at = boundary
                     return golden.output
         return self._executor.run_range(start, stop, activation)

@@ -30,8 +30,9 @@ Two execution strategies are offered per injection target:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -372,9 +373,16 @@ class FaultInjection:
         error_model: ErrorModel,
         rng: np.random.Generator,
         log: list[AppliedFault],
+        row: int | None = None,
     ) -> None:
-        """Corrupt one neuron of ``output`` in place and record it in ``log``."""
-        index = self._neuron_index(output.shape, fault)
+        """Corrupt one neuron of ``output`` in place and record it in ``log``.
+
+        ``row`` is the row of ``output`` that holds the fault's image
+        (``fault.batch`` by default; a sub-batch pass maps it, :data:`UNSET`
+        when the image is not in the sub-batch).  The record keeps the fault's
+        own coordinates either way.
+        """
+        index = self._neuron_index(output.shape, fault, row)
         if index is None:
             return
         original = float(output[index])
@@ -393,27 +401,31 @@ class FaultInjection:
             )
         )
 
-    def _neuron_index(self, output_shape: tuple[int, ...], fault: NeuronFault) -> tuple | None:
+    def _neuron_index(
+        self, output_shape: tuple[int, ...], fault: NeuronFault, row: int | None = None
+    ) -> tuple | None:
         """Map Table-I coordinates onto an index into the layer output tensor.
 
-        Returns ``None`` when the fault's batch index exceeds the actual batch
-        size of the current inference (e.g. a smaller final batch).
+        ``row`` replaces ``fault.batch`` as the batch index when given.
+        Returns ``None`` when that index is outside the actual batch of the
+        current inference (e.g. a smaller final batch).
         """
         ndim = len(output_shape)
-        if fault.batch >= output_shape[0]:
+        row = fault.batch if row is None else row
+        if not 0 <= row < output_shape[0]:
             return None
         if ndim == 2:  # (N, features) -- fully connected
-            return (fault.batch, fault.channel % output_shape[1])
+            return (row, fault.channel % output_shape[1])
         if ndim == 4:  # (N, C, H, W) -- conv2d
             return (
-                fault.batch,
+                row,
                 fault.channel % output_shape[1],
                 fault.height % output_shape[2],
                 fault.width % output_shape[3],
             )
         if ndim == 5:  # (N, C, D, H, W) -- conv3d
             return (
-                fault.batch,
+                row,
                 fault.channel % output_shape[1],
                 fault.depth % output_shape[2],
                 fault.height % output_shape[3],
@@ -755,6 +767,8 @@ class NeuronInjectionSession:
         self._active_rng = self._rng
         self.model = fi.original_model
         self._active: dict[int, list[NeuronFault]] = {}
+        # Batch row -> row of the sub-batch being run (``None``: the whole batch).
+        self._rows: dict[int, int] | None = None
         self._log: list[AppliedFault] = []
         self._handles: list[RemovableHandle] = []
         self.attach()
@@ -773,9 +787,11 @@ class NeuronInjectionSession:
             if not faults:
                 return None
             output = np.asarray(output)
+            rows = self._rows
             for fault in faults:
+                row = None if rows is None else rows.get(fault.batch, UNSET)
                 self._fi._corrupt_neuron_at(
-                    output, info, fault, self._error_model, self._active_rng, self._log
+                    output, info, fault, self._error_model, self._active_rng, self._log, row
                 )
             return output
 
@@ -864,6 +880,46 @@ class NeuronFaultGroup:
     def faulted_layers(self) -> list[int]:
         """Sorted injectable-layer indices this group corrupts."""
         return sorted({fault.layer for fault in self._faults})
+
+    def rows(self, size: int) -> tuple[int, ...]:
+        """Sorted distinct batch rows below ``size`` that the group's faults name.
+
+        Every other row of a batch of ``size`` images runs fault-free.
+        """
+        return tuple(sorted({fault.batch for fault in self._faults if fault.batch < size}))
+
+    @contextlib.contextmanager
+    def sub_batch(self, rows: Sequence[int]) -> Iterator[None]:
+        """Run the enclosed passes on the batch rows ``rows`` only.
+
+        The passes' input is the ``(len(rows), ...)`` sub-batch of those
+        rows, in that order: a fault of batch row ``rows[i]`` lands in row
+        ``i``, one of a row outside ``rows`` nowhere.  The injection hooks
+        make the same error-model calls in the same order as on the whole
+        batch, and the records keep each fault's own batch index.
+        """
+        self._session._rows = {row: position for position, row in enumerate(rows)}
+        try:
+            yield
+        finally:
+            self._session._rows = None
+
+    @contextlib.contextmanager
+    def rehearsal(self) -> Iterator[None]:
+        """Undo the rng draws and the records of the passes run inside the block.
+
+        The group's next pass then corrupts exactly as the rehearsed one did,
+        even under a stochastic error model, so two ways of running one open
+        group can be compared.
+        """
+        rng = self._session._active_rng
+        state = rng.bit_generator.state
+        recorded = len(self.applied_faults)
+        try:
+            yield
+        finally:
+            rng.bit_generator.state = state
+            del self.applied_faults[recorded:]
 
     def __enter__(self) -> "NeuronFaultGroup":
         self._session.set_faults(self._faults)

@@ -177,9 +177,21 @@ class TestCampaignEqualsListingOne:
     of its own — a path that shares no session, lane, plan or tail reuse with
     the campaign engine."""
 
-    @pytest.mark.parametrize("target", ["weights", "neurons"])
-    @pytest.mark.parametrize("name, images", [("lenet5", 24), ("resnet18", 8)])
-    def test_logits_and_due_flags_equal_a_loop_over_corrupted_copies(self, name, images, target):
+    @pytest.mark.parametrize(
+        "name, images, target, batch_size",
+        [
+            ("lenet5", 24, "weights", 1),
+            ("lenet5", 24, "neurons", 1),
+            ("resnet18", 8, "weights", 1),
+            ("resnet18", 8, "neurons", 1),
+            # One fault group per batch: the campaign runs the faulted row
+            # alone, each corrupted copy the whole batch.
+            ("lenet5", 24, "neurons", 4),
+        ],
+    )
+    def test_logits_and_due_flags_equal_a_loop_over_corrupted_copies(
+        self, name, images, target, batch_size
+    ):
         epochs = 2
         dataset = SyntheticClassificationDataset(
             num_samples=images, num_classes=10, noise=0.2, seed=5
@@ -187,21 +199,25 @@ class TestCampaignEqualsListingOne:
         model = build_model(name, num_classes=10, seed=1).eval()
         scenario = default_scenario(
             injection_target=target, rnd_bit_range=(30, 30), random_seed=63,
-            num_runs=epochs, model_name=name,
+            num_runs=epochs, model_name=name, batch_size=batch_size,
+            inj_policy="per_image" if batch_size == 1 else "per_batch",
         )
         result = run_campaign("classification", model, dataset, scenario)
         assert result.core.rejoins > 0  # tail reuse took part in the left-hand side
+        assert (result.core.rows_skipped > 0) == (batch_size > 1)
 
         logits, due = [], []
         corrupted_copies = result.wrapper.get_fimodel_iter()
         for _ in range(epochs):
-            for index in range(images):
+            for first in range(0, images, batch_size):
                 corrupted = next(corrupted_copies)
                 assert corrupted is not model
+                batch = np.stack([dataset[index][0] for index in range(first, first + batch_size)])
                 with InferenceMonitor(corrupted) as monitor:
-                    output = corrupted(dataset[index][0][None])
-                logits.append(output[0])
-                due.append(monitor.collect().due_detected or not np.isfinite(output).all())
+                    output = corrupted(batch)
+                batch_due = monitor.collect().due_detected
+                logits.extend(output)
+                due.extend(batch_due or not np.isfinite(row).all() for row in output)
         assert next(corrupted_copies, None) is None
         assert result.extras["corrupted_logits"].tobytes() == np.stack(logits).tobytes()
         assert result.extras["due_flags"].tolist() == due
