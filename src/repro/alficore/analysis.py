@@ -16,6 +16,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -69,6 +70,50 @@ def _row_due(row: dict) -> bool:
     return bool(int(row["nan_detected"])) or bool(int(row["inf_detected"]))
 
 
+def _tally(
+    campaign_name: str, rows: Iterable[tuple[int, bool, bool, list[dict]]]
+) -> CampaignAnalysis:
+    """Aggregate ``(image_id, due, changed, fault_positions)`` per inference.
+
+    A DUE outranks a changed output; every fault position of a non-masked
+    inference counts as corrupted for its bit and its layer.
+    """
+    outcomes = []  # per inference: "masked" | "sde" | "due"
+    per_bit: dict[int, list[bool]] = defaultdict(list)
+    per_layer: dict[int, list[bool]] = defaultdict(list)
+    flip_directions: dict[str, int] = defaultdict(int)
+    corrupted_ids: list[int] = []
+
+    for image_id, due, changed, positions in rows:
+        outcome = "due" if due else "sde" if changed else "masked"
+        outcomes.append(outcome)
+        is_corrupted = outcome != "masked"
+        if is_corrupted:
+            corrupted_ids.append(image_id)
+        for position in positions:
+            if position.get("bit_position") is not None:
+                per_bit[int(position["bit_position"])].append(is_corrupted)
+            if position.get("layer") is not None:
+                per_layer[int(position["layer"])].append(is_corrupted)
+            if position.get("flip_direction"):
+                flip_directions[position["flip_direction"]] += 1
+
+    total = len(outcomes)
+    if not total:
+        raise ValueError(f"campaign {campaign_name!r} contains no result rows")
+    return CampaignAnalysis(
+        campaign_name=campaign_name,
+        num_inferences=total,
+        sde_rate=outcomes.count("sde") / total,
+        due_rate=outcomes.count("due") / total,
+        masked_rate=outcomes.count("masked") / total,
+        sde_by_bit={bit: float(np.mean(flags)) for bit, flags in sorted(per_bit.items())},
+        sde_by_layer={layer: float(np.mean(flags)) for layer, flags in sorted(per_layer.items())},
+        flip_direction_counts=dict(flip_directions),
+        corrupted_image_ids=corrupted_ids,
+    )
+
+
 def analyze_classification_campaign(
     output_dir: str | Path,
     campaign_name: str,
@@ -95,54 +140,16 @@ def analyze_classification_campaign(
             f"campaign {campaign_name!r}: {len(corrupted_rows)} corrupted rows vs "
             f"{len(golden_rows)} golden rows"
         )
-    if not corrupted_rows:
-        raise ValueError(f"campaign {campaign_name!r} contains no result rows")
 
-    outcomes = []  # per inference: "masked" | "sde" | "due"
-    per_bit: dict[int, list[bool]] = defaultdict(list)
-    per_layer: dict[int, list[bool]] = defaultdict(list)
-    flip_directions: dict[str, int] = defaultdict(int)
-    corrupted_ids: list[int] = []
+    def rows() -> Iterator[tuple[int, bool, bool, list[dict]]]:
+        for golden_row, corrupted_row in zip(golden_rows, corrupted_rows):
+            if golden_row["image_id"] != corrupted_row["image_id"]:
+                raise ValueError("golden and corrupted rows are not aligned by image id")
+            changed = _row_top1(golden_row) != _row_top1(corrupted_row)
+            positions = json.loads(corrupted_row["fault_positions"])
+            yield int(corrupted_row["image_id"]), _row_due(corrupted_row), changed, positions
 
-    for golden_row, corrupted_row in zip(golden_rows, corrupted_rows):
-        if golden_row["image_id"] != corrupted_row["image_id"]:
-            raise ValueError("golden and corrupted rows are not aligned by image id")
-        due = _row_due(corrupted_row)
-        changed = _row_top1(golden_row) != _row_top1(corrupted_row)
-        if due:
-            outcome = "due"
-        elif changed:
-            outcome = "sde"
-        else:
-            outcome = "masked"
-        outcomes.append(outcome)
-        if outcome != "masked":
-            corrupted_ids.append(int(corrupted_row["image_id"]))
-
-        for position in json.loads(corrupted_row["fault_positions"]):
-            is_corrupted = outcome != "masked"
-            bit = position.get("bit_position")
-            if bit is not None:
-                per_bit[int(bit)].append(is_corrupted)
-            layer = position.get("layer")
-            if layer is not None:
-                per_layer[int(layer)].append(is_corrupted)
-            direction = position.get("flip_direction")
-            if direction:
-                flip_directions[direction] += 1
-
-    total = len(outcomes)
-    return CampaignAnalysis(
-        campaign_name=campaign_name,
-        num_inferences=total,
-        sde_rate=outcomes.count("sde") / total,
-        due_rate=outcomes.count("due") / total,
-        masked_rate=outcomes.count("masked") / total,
-        sde_by_bit={bit: float(np.mean(flags)) for bit, flags in sorted(per_bit.items())},
-        sde_by_layer={layer: float(np.mean(flags)) for layer, flags in sorted(per_layer.items())},
-        flip_direction_counts=dict(flip_directions),
-        corrupted_image_ids=corrupted_ids,
-    )
+    return _tally(campaign_name, rows())
 
 
 def analyze_detection_campaign(
@@ -172,51 +179,22 @@ def analyze_detection_campaign(
     if not (len(corrupted_rows) == len(golden_rows) == len(targets)):
         raise ValueError("corrupted / golden / ground-truth files are not aligned")
 
-    outcomes = []
-    per_bit: dict[int, list[bool]] = defaultdict(list)
-    per_layer: dict[int, list[bool]] = defaultdict(list)
-    flip_directions: dict[str, int] = defaultdict(int)
-    corrupted_ids: list[int] = []
+    def rows() -> Iterator[tuple[int, bool, bool, list[dict]]]:
+        for golden_row, corrupted_row, target in zip(golden_rows, corrupted_rows, targets):
+            due = bool(corrupted_row["nan_detected"]) or bool(corrupted_row["inf_detected"])
+            target_arrays = {
+                "boxes": np.asarray(target["boxes"], dtype=np.float32).reshape(-1, 4),
+                "labels": np.asarray(target["labels"], dtype=np.int64).reshape(-1),
+            }
+            golden_tp, golden_fp = _image_detection_state(golden_row, target_arrays, iou_threshold)
+            corrupted_tp, corrupted_fp = _image_detection_state(
+                corrupted_row, target_arrays, iou_threshold
+            )
+            changed = corrupted_tp < golden_tp or corrupted_fp > golden_fp
+            positions = corrupted_row.get("fault_positions", [])
+            yield int(corrupted_row["image_id"]), due, changed, positions
 
-    for golden_row, corrupted_row, target in zip(golden_rows, corrupted_rows, targets):
-        due = bool(corrupted_row["nan_detected"]) or bool(corrupted_row["inf_detected"])
-        target_arrays = {
-            "boxes": np.asarray(target["boxes"], dtype=np.float32).reshape(-1, 4),
-            "labels": np.asarray(target["labels"], dtype=np.int64).reshape(-1),
-        }
-        golden_tp, golden_fp = _image_detection_state(golden_row, target_arrays, iou_threshold)
-        corrupted_tp, corrupted_fp = _image_detection_state(corrupted_row, target_arrays, iou_threshold)
-        changed = corrupted_tp < golden_tp or corrupted_fp > golden_fp
-        if due:
-            outcome = "due"
-        elif changed:
-            outcome = "sde"
-        else:
-            outcome = "masked"
-        outcomes.append(outcome)
-        if outcome != "masked":
-            corrupted_ids.append(int(corrupted_row["image_id"]))
-        for position in corrupted_row.get("fault_positions", []):
-            is_corrupted = outcome != "masked"
-            if position.get("bit_position") is not None:
-                per_bit[int(position["bit_position"])].append(is_corrupted)
-            if position.get("layer") is not None:
-                per_layer[int(position["layer"])].append(is_corrupted)
-            if position.get("flip_direction"):
-                flip_directions[position["flip_direction"]] += 1
-
-    total = len(outcomes)
-    return CampaignAnalysis(
-        campaign_name=campaign_name,
-        num_inferences=total,
-        sde_rate=outcomes.count("sde") / total,
-        due_rate=outcomes.count("due") / total,
-        masked_rate=outcomes.count("masked") / total,
-        sde_by_bit={bit: float(np.mean(flags)) for bit, flags in sorted(per_bit.items())},
-        sde_by_layer={layer: float(np.mean(flags)) for layer, flags in sorted(per_layer.items())},
-        flip_direction_counts=dict(flip_directions),
-        corrupted_image_ids=corrupted_ids,
-    )
+    return _tally(campaign_name, rows())
 
 
 def compare_campaigns(analyses: list[CampaignAnalysis]) -> list[dict]:

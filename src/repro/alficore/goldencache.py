@@ -146,8 +146,9 @@ class GoldenCache:
             if entry is not None:
                 self._insert(key, entry, spill=False)
         if entry is not None and batch_shape is not None and entry.batch_shape is not None:
-            # Golden rows are only guaranteed bit-identical for identical
-            # batch geometry (BLAS blocking may differ across shapes).
+            # The key holds the image ids and a digest of the pixel bytes,
+            # not their shape: the same ids and bytes read under another
+            # per-sample shape are another input.
             if entry.batch_shape != tuple(batch_shape):
                 entry = None
         if entry is None:

@@ -36,6 +36,7 @@ from typing import IO, Any, Callable, Sequence
 import numpy as np
 import yaml
 
+from repro.alficore.codec import _to_plain
 from repro.alficore.faultmatrix import FaultMatrix
 from repro.alficore.scenario import ScenarioConfig
 
@@ -562,19 +563,3 @@ def _emit_indented(value: Any, newline: str, emit: Callable[[str], Any]) -> None
         # would ask its default= hook, which answers with plain Python.
         _emit_indented(_json_default(value), newline, emit)
 
-
-def _to_plain(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays and Paths into plain Python."""
-    if isinstance(value, dict):
-        return {key: _to_plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_plain(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, Path):
-        return str(value)
-    return value

@@ -9,12 +9,13 @@ iterative experiments via ``ptfiwrap.get_scenario()`` /
 
 from __future__ import annotations
 
-import dataclasses
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import yaml
+
+from repro.alficore.codec import Section, SpecError, spec_field
 
 # Version of the serialized scenario schema.  Bump when a field is added,
 # removed or changes meaning; ``from_dict`` refuses documents written by a
@@ -27,7 +28,9 @@ VALUE_TYPES = ("bitflip", "number", "stuck_at")
 INJECTION_POLICIES = ("per_image", "per_batch", "per_epoch")
 FAULT_PERSISTENCE = ("transient", "permanent")
 LAYER_TYPES = ("conv2d", "conv3d", "fcc")
-SUPPORTED_QUANTIZATION = ("float32", "float16", "float64", "int8", "int16", "int32")
+# The highest bit index of each supported quantization.
+_MAX_BIT = {"float32": 31, "float16": 15, "float64": 63, "int8": 7, "int16": 15, "int32": 31}
+SUPPORTED_QUANTIZATION = tuple(_MAX_BIT)
 
 # Value types contributed by plug-ins (``repro.experiments.register_error_model``)
 # on top of the built-in VALUE_TYPES.
@@ -51,67 +54,8 @@ def known_value_types() -> tuple[str, ...]:
     return VALUE_TYPES + tuple(sorted(_EXTRA_VALUE_TYPES))
 
 
-def coerce_schema_version(value, supported: int, label: str) -> int:
-    """Normalize a document's ``schema_version`` value.
-
-    Missing/``None`` means "current"; non-integers and versions newer than
-    ``supported`` raise ``ValueError``.  Shared by the scenario and the
-    experiment-spec loaders so the version policy has one implementation.
-    """
-    if value is None:
-        return supported
-    if isinstance(value, bool):
-        raise ValueError(f"{label} schema_version must be an integer, got {value!r}")
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{label} schema_version must be an integer, got {value!r}") from None
-    if value > supported:
-        raise ValueError(
-            f"{label} schema version {value} is newer than the supported "
-            f"version {supported}; upgrade the package to load it"
-        )
-    return value
-
-
-def _one_of(default: str, choices) -> str:
-    """A categorical field: ``choices()`` are its legal values (read by
-    :meth:`ScenarioConfig.validate` and by the CLI's flag declarations)."""
-    return dataclasses.field(default=default, metadata={"choices": choices})
-
-
-def _typed(default, kind: str):
-    """A field of ``kind`` — ``"int"``, ``"float"`` (any real number) or
-    ``"ints"`` (an integer pair) — checked and coerced by
-    :meth:`ScenarioConfig.validate`; the experiment spec's field kinds."""
-    return dataclasses.field(default=default, metadata={"kind": kind})
-
-
-def _integer(value, name: str) -> int:
-    # Like the experiment spec's integer fields: an integral float is
-    # coerced, a bool or a string is refused.
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _checked(value, kind: str, name: str):
-    """``value`` of field ``name`` coerced to ``kind``; ``ValueError`` if it is not one."""
-    if kind == "int":
-        return _integer(value, name)
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        return value
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{name} must be a pair of integers, got {value!r}")
-    return tuple(_integer(item, f"{name}[{i}]") for i, item in enumerate(value))
-
-
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(Section):
     """Complete description of a fault injection campaign.
 
     The field names follow the paper's ``default.yml``: the total number of
@@ -121,116 +65,77 @@ class ScenarioConfig:
     numbers in ``[rnd_value_min, rnd_value_max]``, and the fault locations can
     be restricted to layer types, explicit layer ranges and optionally
     weighted by relative layer size (Eq. 1).
+
+    The section's codec (:class:`~repro.alficore.codec.Section`) parses and
+    checks every field; a mistake raises
+    :class:`~repro.alficore.codec.SpecError` naming ``scenario.<field>``.
     """
+
+    LABEL = "scenario"
+    SCHEMA_VERSION = SCENARIO_SCHEMA_VERSION
 
     # ---------------------------------------------------------------- #
     # campaign extent
     # ---------------------------------------------------------------- #
-    dataset_size: int = _typed(10, "int")
-    num_runs: int = _typed(1, "int")
-    max_faults_per_image: int = _typed(1, "int")
-    batch_size: int = _typed(1, "int")
+    dataset_size: int = spec_field("int", 10, positive=True)
+    num_runs: int = spec_field("int", 1, positive=True)
+    max_faults_per_image: int = spec_field("int", 1, positive=True)
+    batch_size: int = spec_field("int", 1, positive=True)
 
     # ---------------------------------------------------------------- #
     # fault target and model
     # ---------------------------------------------------------------- #
-    injection_target: str = _one_of("neurons", lambda: INJECTION_TARGETS)
-    inj_policy: str = _one_of("per_image", lambda: INJECTION_POLICIES)
-    fault_persistence: str = _one_of("transient", lambda: FAULT_PERSISTENCE)
+    injection_target: str = spec_field("str", "neurons", choices=lambda: INJECTION_TARGETS)
+    inj_policy: str = spec_field("str", "per_image", choices=lambda: INJECTION_POLICIES)
+    fault_persistence: str = spec_field("str", "transient", choices=lambda: FAULT_PERSISTENCE)
 
     # ---------------------------------------------------------------- #
     # value corruption
     # ---------------------------------------------------------------- #
-    rnd_value_type: str = _one_of("bitflip", known_value_types)  # built-in + plug-ins
-    rnd_bit_range: tuple[int, int] = _typed((0, 31), "ints")
-    rnd_value_min: float = _typed(-1.0, "float")
-    rnd_value_max: float = _typed(1.0, "float")
-    quantization: str = _one_of("float32", lambda: SUPPORTED_QUANTIZATION)
-    stuck_at_value: int = _typed(1, "int")
+    rnd_value_type: str = spec_field("str", "bitflip", choices=known_value_types)
+    rnd_bit_range: tuple[int, int] = spec_field("ints", (0, 31), length=2, minimum=0)
+    rnd_value_min: float = spec_field("float", -1.0)
+    rnd_value_max: float = spec_field("float", 1.0)
+    quantization: str = spec_field("str", "float32", choices=lambda: SUPPORTED_QUANTIZATION)
+    stuck_at_value: int = spec_field("int", 1, choices=lambda: (0, 1))
 
     # ---------------------------------------------------------------- #
     # location selection
     # ---------------------------------------------------------------- #
-    layer_types: tuple[str, ...] = ("conv2d", "conv3d", "fcc")
+    layer_types: tuple[str, ...] = spec_field("names", LAYER_TYPES, choices=lambda: LAYER_TYPES)
     # inclusive (start, end); None = all layers
-    layer_range: tuple[int, int] | None = _typed(None, "ints")
-    weighted_layer_selection: bool = True
+    layer_range: tuple[int, int] | None = spec_field("ints", length=2, minimum=0)
+    weighted_layer_selection: bool = spec_field("bool", True)
 
     # ---------------------------------------------------------------- #
     # bookkeeping
     # ---------------------------------------------------------------- #
-    model_name: str = "model"
-    dataset_name: str = "dataset"
-    random_seed: int = _typed(1234, "int")
-    # Path of a pre-generated fault matrix to reuse; normalized to
-    # ``Path | None`` by ``validate`` (strings are accepted on input).
-    fault_file: str | Path | None = None
+    model_name: str = spec_field("str", "model")
+    dataset_name: str = spec_field("str", "dataset")
+    random_seed: int = spec_field("int", 1234)
+    # Path of a pre-generated fault matrix to reuse.
+    fault_file: Path | None = spec_field("path")
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         self.validate()
 
-    # ------------------------------------------------------------------ #
-    # validation
-    # ------------------------------------------------------------------ #
-    def validate(self) -> None:
-        """Check all fields for consistency; raise ``ValueError`` on problems.
-
-        Declared kinds are checked first, and coerced on the way (an
-        integral float to ``int``, a pair to a tuple), so every error below
-        names its field instead of surfacing as a ``TypeError``.
-        """
-        for declared in dataclasses.fields(self):
-            name, value = declared.name, getattr(self, declared.name)
-            kind = declared.metadata.get("kind")
-            if kind is not None and not (value is None and declared.default is None):
-                value = _checked(value, kind, name)
-                setattr(self, name, value)
-            choices = declared.metadata.get("choices")
-            if choices is not None and value not in choices():
-                raise ValueError(f"{name} must be one of {choices()}, got {value!r}")
-        if self.dataset_size <= 0:
-            raise ValueError(f"dataset_size must be positive, got {self.dataset_size}")
-        if self.num_runs <= 0:
-            raise ValueError(f"num_runs must be positive, got {self.num_runs}")
-        if self.max_faults_per_image <= 0:
-            raise ValueError(
-                f"max_faults_per_image must be positive, got {self.max_faults_per_image}"
-            )
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        self.fault_file = Path(self.fault_file) if self.fault_file else None
+    def _check_rules(self) -> None:
         low, high = self.rnd_bit_range
-        max_bit = {"float32": 31, "float64": 63, "float16": 15, "int8": 7, "int16": 15, "int32": 31}[
-            self.quantization
-        ]
-        if not (0 <= low <= high <= max_bit):
-            raise ValueError(
-                f"rnd_bit_range {self.rnd_bit_range} invalid for {self.quantization} "
-                f"(bits 0..{max_bit})"
+        max_bit = _MAX_BIT[self.quantization]
+        if not low <= high <= max_bit:
+            raise SpecError(
+                f"scenario.rnd_bit_range {self.rnd_bit_range} invalid for "
+                f"{self.quantization} (bits 0..{max_bit})"
             )
         if self.rnd_value_min > self.rnd_value_max:
-            raise ValueError(
-                f"rnd_value_min ({self.rnd_value_min}) must not exceed rnd_value_max "
-                f"({self.rnd_value_max})"
+            raise SpecError(
+                f"scenario.rnd_value_min ({self.rnd_value_min}) must not exceed "
+                f"rnd_value_max ({self.rnd_value_max})"
             )
-        if self.stuck_at_value not in (0, 1):
-            raise ValueError(f"stuck_at_value must be 0 or 1, got {self.stuck_at_value}")
-        self.layer_types = tuple(self.layer_types)
-        for layer_type in self.layer_types:
-            if layer_type not in LAYER_TYPES:
-                raise ValueError(
-                    f"layer type {layer_type!r} not supported; choose from {LAYER_TYPES}"
-                )
         if not self.layer_types:
-            raise ValueError("layer_types must contain at least one entry")
-        if not isinstance(self.weighted_layer_selection, bool):
-            # Not bool(value): a quoted "false" would select by layer size.
-            raise ValueError(
-                "weighted_layer_selection must be true or false, "
-                f"got {self.weighted_layer_selection!r}"
-            )
-        if self.layer_range is not None and not 0 <= self.layer_range[0] <= self.layer_range[1]:
-            raise ValueError(f"invalid layer_range {self.layer_range}")
+            raise SpecError("scenario.layer_types must contain at least one entry")
+        if self.layer_range is not None and self.layer_range[0] > self.layer_range[1]:
+            raise SpecError(f"scenario.layer_range {self.layer_range} is not in order")
 
     # ------------------------------------------------------------------ #
     # derived quantities
@@ -245,47 +150,8 @@ class ScenarioConfig:
         """Number of single-image inferences in the campaign."""
         return self.dataset_size * self.num_runs
 
-    # ------------------------------------------------------------------ #
-    # conversion / persistence
-    # ------------------------------------------------------------------ #
-    def as_dict(self) -> dict:
-        """Return the configuration as a plain (yml-serialisable) dictionary."""
-        raw = dataclasses.asdict(self)
-        raw["schema_version"] = SCENARIO_SCHEMA_VERSION
-        raw["rnd_bit_range"] = list(self.rnd_bit_range)
-        raw["layer_types"] = list(self.layer_types)
-        raw["layer_range"] = list(self.layer_range) if self.layer_range is not None else None
-        raw["fault_file"] = str(self.fault_file) if self.fault_file is not None else None
-        return raw
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Build a configuration from a dictionary; unknown keys are an error."""
-        data = dict(data)
-        coerce_schema_version(data.pop("schema_version", None), SCENARIO_SCHEMA_VERSION, "scenario")
-        known = {f.name for f in dataclasses.fields(cls)}
-        filtered = {key: value for key, value in data.items() if key in known}
-        unknown = set(data) - known
-        if unknown:
-            raise KeyError(
-                f"unknown scenario keys: {sorted(unknown)}; known keys: {sorted(known)}"
-            )
-        if "rnd_bit_range" in filtered and filtered["rnd_bit_range"] is not None:
-            filtered["rnd_bit_range"] = tuple(filtered["rnd_bit_range"])
-        if "layer_types" in filtered and filtered["layer_types"] is not None:
-            filtered["layer_types"] = tuple(filtered["layer_types"])
-        if "layer_range" in filtered and filtered["layer_range"] is not None:
-            filtered["layer_range"] = tuple(filtered["layer_range"])
-        return cls(**filtered)
-
-    def copy(self, **overrides) -> "ScenarioConfig":
-        """Return a copy with selected fields replaced (and re-validated)."""
-        data = self.as_dict()
-        data.update(overrides)
-        return ScenarioConfig.from_dict(data)
-
-
-def default_scenario(**overrides) -> ScenarioConfig:
+def default_scenario(**overrides: Any) -> ScenarioConfig:
     """Return the default scenario, optionally with overridden fields."""
     return ScenarioConfig().copy(**overrides) if overrides else ScenarioConfig()
 

@@ -37,6 +37,7 @@ API_MODULES: tuple[str, ...] = (
     "repro.nn.functional",
     "repro.alficore.campaign",
     "repro.alficore.wrapper",
+    "repro.alficore.codec",
     "repro.alficore.scenario",
     "repro.alficore.monitoring",
     "repro.alficore.resilience",
@@ -62,6 +63,8 @@ COVERAGE_MODULES: tuple[str, ...] = (
     "repro.nn.forward_plan",
     "repro.nn.ir",
     "repro.nn.fuse",
+    "repro.alficore.codec",
+    "repro.alficore.scenario",
     "repro.alficore.resilience",
     "repro.alficore.digests",
     "repro.alficore.goldencache",

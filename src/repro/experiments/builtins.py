@@ -19,7 +19,6 @@ from repro.alficore.wrapper import _error_model_from_scenario
 from repro.experiments.registry import (
     BACKENDS,
     DATASETS,
-    ERROR_MODELS,
     MODELS,
     PROTECTIONS,
     TASKS,
@@ -36,11 +35,9 @@ def _register_models() -> None:
     from repro.models.detection import DETECTOR_REGISTRY
 
     for name, factory in MODEL_REGISTRY.items():
-        if name not in MODELS:
-            MODELS.register(name, factory, kind="classifier")
+        MODELS.register(name, factory, kind="classifier")
     for name, factory in DETECTOR_REGISTRY.items():
-        if name not in MODELS:
-            MODELS.register(name, factory, kind="detector")
+        MODELS.register(name, factory, kind="detector")
 
 
 # --------------------------------------------------------------------------- #
@@ -49,12 +46,10 @@ def _register_models() -> None:
 def _register_datasets() -> None:
     from repro.data import CocoLikeDetectionDataset, SyntheticClassificationDataset
 
-    if "synthetic-classification" not in DATASETS:
-        DATASETS.register(
-            "synthetic-classification", SyntheticClassificationDataset, task="classification"
-        )
-    if "synthetic-coco" not in DATASETS:
-        DATASETS.register("synthetic-coco", CocoLikeDetectionDataset, task="detection")
+    DATASETS.register(
+        "synthetic-classification", SyntheticClassificationDataset, task="classification"
+    )
+    DATASETS.register("synthetic-coco", CocoLikeDetectionDataset, task="detection")
 
 
 # --------------------------------------------------------------------------- #
@@ -64,14 +59,13 @@ def _register_error_models() -> None:
     from repro.experiments.registry import register_error_model
 
     for value_type in ("bitflip", "number", "stuck_at"):
-        if value_type not in ERROR_MODELS:
-            # All built-in value types share the canonical scenario-driven
-            # derivation (including the permanent-fault stuck-at rule), so a
-            # registry-resolved error model is identical to the one the
-            # wrapper would derive itself.  Registered through the same
-            # funnel plug-ins use, so the registry and the scenario's legal
-            # value types have one source of truth.
-            register_error_model(value_type, _error_model_from_scenario)
+        # All built-in value types share the canonical scenario-driven
+        # derivation (including the permanent-fault stuck-at rule), so a
+        # registry-resolved error model is identical to the one the wrapper
+        # would derive itself.  Registered through the same funnel plug-ins
+        # use, so the registry and the scenario's legal value types have one
+        # source of truth.
+        register_error_model(value_type, _error_model_from_scenario)
 
 
 # --------------------------------------------------------------------------- #
@@ -91,18 +85,15 @@ def _make_protection_factory(protection_name: str) -> Callable:
 
 def _register_protections() -> None:
     for name in ("ranger", "clipper"):
-        if name not in PROTECTIONS:
-            PROTECTIONS.register(name, _make_protection_factory(name))
+        PROTECTIONS.register(name, _make_protection_factory(name))
 
 
 # --------------------------------------------------------------------------- #
 # tasks
 # --------------------------------------------------------------------------- #
 def _register_tasks() -> None:
-    if "classification" not in TASKS:
-        TASKS.register("classification", ClassificationExperimentTask())
-    if "detection" not in TASKS:
-        TASKS.register("detection", DetectionExperimentTask())
+    TASKS.register("classification", ClassificationExperimentTask())
+    TASKS.register("detection", DetectionExperimentTask())
 
 
 # --------------------------------------------------------------------------- #
@@ -153,14 +144,16 @@ def sharded_backend(
 
 
 def _register_backends() -> None:
-    if "serial" not in BACKENDS:
-        BACKENDS.register("serial", serial_backend)
-    if "sharded" not in BACKENDS:
-        BACKENDS.register("sharded", sharded_backend)
+    BACKENDS.register("serial", serial_backend)
+    BACKENDS.register("sharded", sharded_backend)
 
 
 def register_builtins() -> None:
-    """Idempotently register every built-in component."""
+    """Register every built-in component (once, at import of this module).
+
+    The legacy model dicts are read here only; a model added later goes
+    through :func:`repro.experiments.register_model`.
+    """
     _register_models()
     _register_datasets()
     _register_error_models()

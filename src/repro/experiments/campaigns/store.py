@@ -132,7 +132,6 @@ class StoredPoint:
         through the task plug-in, so the handle behaves exactly like the one
         :func:`repro.experiments.run` returned when the point first ran.
         """
-        from repro.experiments.builtins import register_builtins
         from repro.experiments.registry import TASKS
         from repro.experiments.result import CampaignResult
         from repro.experiments.spec import ExperimentSpec
@@ -147,7 +146,6 @@ class StoredPoint:
             raise StoreError(
                 f"point {self.run_id} has no readable state ({state_path}): {error}"
             ) from error
-        register_builtins()
         plugin = TASKS.get(self.document["task"])
         evaluated, extras = plugin.evaluate(state, context)
         return CampaignResult(

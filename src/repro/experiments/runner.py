@@ -100,18 +100,12 @@ def run(spec: ExperimentSpec, artifacts: Artifacts | None = None) -> CampaignRes
         A structured :class:`CampaignResult` (summary, output-file map,
         lazy record iterators, shard-mergeable state).
     """
-    from repro.experiments.builtins import register_builtins
-
     if spec.sweep is not None:
         raise SpecError(
             "spec declares a sweep: section — run it with "
             "repro.experiments.run_sweep(spec) or `pytorchalfi sweep <spec>`; "
             "run() executes exactly one campaign"
         )
-    # Idempotent re-sync: pick up components added to the legacy
-    # MODEL_REGISTRY/DETECTOR_REGISTRY dicts after repro.experiments was
-    # first imported.
-    register_builtins()
     artifacts = artifacts if artifacts is not None else Artifacts()
     plugin = TASKS.get(spec.task)
     spec.validate()

@@ -6,11 +6,12 @@ and round-trips to YAML/JSON with a ``schema_version`` and strict
 unknown-key validation.  It is the single input of
 :func:`repro.experiments.run`.
 
-Every section of the document is a dataclass whose fields are declared once
-with :func:`spec_field` — kind, default, range or choices, and whether the
-field determines results.  :class:`Section` derives parsing, unknown-key
-rejection, null-means-default, type and range errors, the plain-dict form
-and ``copy()`` from those declarations; the sweep-axis grammar
+Every section of the document — the scenario
+(:class:`~repro.alficore.scenario.ScenarioConfig`) included — is a
+:class:`~repro.alficore.codec.Section` whose fields are declared once with
+:func:`~repro.alficore.codec.spec_field`: kind, default, range or choices,
+and whether the field determines results.  Parsing and the error messages
+come from that one codec; the sweep-axis grammar
 (:func:`validate_sweep_axis`), the campaign store's canonical document and
 the CLI's flags read the same declarations through :func:`walk`.
 
@@ -26,10 +27,28 @@ Schema (YAML)::
       name: synthetic-classification  # registry: DATASETS
       params: {num_samples: 30, num_classes: 10, noise: 0.25, seed: 1}
     protection: null                # or {name: ranger, params: {...}}
-    scenario:                       # the ScenarioConfig document
+    scenario:                       # ScenarioConfig (the paper's default.yml)
       schema_version: 1
-      injection_target: weights
-      ...
+      dataset_size: 10              # > 0 images per epoch
+      num_runs: 1                   # > 0 epochs over the dataset
+      max_faults_per_image: 1       # > 0
+      batch_size: 1                 # > 0
+      injection_target: neurons     # neurons | weights
+      inj_policy: per_image         # per_image | per_batch | per_epoch
+      fault_persistence: transient  # transient | permanent
+      rnd_value_type: bitflip       # bitflip | number | stuck_at | a registered error model
+      rnd_bit_range: [0, 31]        # inclusive, 0 <= low <= high <= the quantization's top bit
+      rnd_value_min: -1.0           # a number <= rnd_value_max
+      rnd_value_max: 1.0            # a number
+      quantization: float32         # float32 | float16 | float64 | int8 | int16 | int32
+      stuck_at_value: 1             # 0 | 1
+      layer_types: [conv2d, conv3d, fcc]  # non-empty; each conv2d | conv3d | fcc
+      layer_range: null             # inclusive [start, end], 0 <= start <= end; null = all
+      weighted_layer_selection: true  # true | false (Eq. 1 layer weighting)
+      model_name: model             # names the result files
+      dataset_name: dataset
+      random_seed: 1234             # any integer
+      fault_file: null              # a stored fault matrix to reuse
     backend:
       name: serial                  # registry: BACKENDS ("serial" | "sharded")
       workers: 1
@@ -60,230 +79,21 @@ Schema (YAML)::
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import difflib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 import yaml
 
-# The result writer's converter, so numpy scalars/arrays and Paths in spec
-# params serialize the same way everywhere.
-from repro.alficore.results import _to_plain as _plain
-from repro.alficore.scenario import ScenarioConfig, coerce_schema_version
+from repro.alficore.codec import Section, SpecError, _to_plain, field_kind, spec_field
+from repro.alficore.scenario import ScenarioConfig
 from repro.nn.ir import executor_names
 
 SPEC_SCHEMA_VERSION = 1
 SWEEP_SCHEMA_VERSION = 1
-
-
-class SpecError(ValueError):
-    """Raised for malformed experiment specifications."""
-
-
-# --------------------------------------------------------------------------- #
-# field declarations and the codec derived from them
-# --------------------------------------------------------------------------- #
-def spec_field(
-    kind: str | type,
-    default: Any = None,
-    *,
-    required: bool = False,
-    minimum: float | None = None,
-    positive: bool = False,
-    length: int | None = None,
-    choices: Callable[[], list] | None = None,
-    canonical: bool = False,
-) -> Any:
-    """Declare one field of a document section (a ``dataclasses.field``).
-
-    ``kind`` is ``"str"``, ``"int"``, ``"float"``, ``"bool"``, ``"path"``,
-    ``"ints"`` (a tuple of integers, of ``length`` if given), ``"mapping"``,
-    ``"list"``, or a nested section class, whose ``default`` is then a
-    document.  A ``None`` default makes the field nullable; ``required``
-    fields have none.  ``minimum`` (inclusive), ``positive`` and ``choices``
-    are the range; ``canonical`` marks a top-level field that determines the
-    campaign's results (the store's run ID and the legal sweep-axis roots).
-    """
-    metadata = dict(
-        kind=kind, required=required, minimum=minimum, positive=positive,
-        length=length, choices=choices, canonical=canonical,
-    )
-    if required:
-        return dataclasses.field(metadata=metadata)
-    if isinstance(kind, type) and default is not None:
-        return dataclasses.field(
-            default_factory=lambda: _parse_section(kind, default, kind.__name__),
-            metadata=metadata,
-        )
-    if kind in _CONTAINERS:
-        return dataclasses.field(default_factory=_CONTAINERS[kind], metadata=metadata)
-    return dataclasses.field(default=default, metadata=metadata)
-
-
-def field_kind(field: dataclasses.Field) -> str | type:
-    """A field's declared kind; a plain dataclass field goes by its default."""
-    return field.metadata.get("kind") or type(field.default).__name__
-
-
-def _int_field(value: object, where: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise SpecError(f"{where} must be an integer, got {value!r}")
-
-
-def _float_field(value: object, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _bool_field(value: object, where: str) -> bool:
-    # Not bool(value): a quoted "false" from a JSON spec or a templated YAML
-    # would load as True.
-    if not isinstance(value, bool):
-        raise SpecError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-_CONTAINERS = {"mapping": dict, "list": list}
-_SCALARS: dict[str, Callable[[Any, str], Any]] = {
-    "str": lambda value, where: str(value),
-    "int": _int_field,
-    "float": _float_field,
-    "bool": _bool_field,
-    "path": lambda value, where: Path(value),
-}
-
-
-def _parse_section(kind: type, value: Any, where: str) -> Any:
-    if isinstance(value, kind):  # built in code, not parsed
-        label = (where,) if isinstance(value, Section) else ()  # ScenarioConfig takes none
-        value.validate(*label)
-        return value
-    if issubclass(kind, Section):
-        return kind.from_dict(value, where)
-    if not isinstance(value, dict):
-        raise SpecError(f"{where} must be a mapping, got {type(value).__name__}")
-    try:
-        return kind.from_dict(value)
-    except KeyError as error:
-        raise SpecError(f"invalid {where} section: {error.args[0]}") from error
-
-
-def _parse_field(field: dataclasses.Field, value: Any, where: str) -> Any:
-    """Type-check ``value`` against ``field``, coerce it, and check its range."""
-    meta = field.metadata
-    kind = meta["kind"]
-    if isinstance(kind, type):
-        return _parse_section(kind, value, where)
-    if kind == "ints":
-        length = meta["length"]
-        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-            shape = "a list" if length is None else f"a list of {length}"
-            raise SpecError(f"{where} must be {shape} integers, got {value!r}")
-        value = tuple(_int_field(item, f"{where}[{i}]") for i, item in enumerate(value))
-    elif kind in _CONTAINERS:
-        if not isinstance(value, _CONTAINERS[kind]):
-            raise SpecError(f"{where} must be a {kind}, got {type(value).__name__}")
-    else:
-        value = _SCALARS[kind](value, where)
-    numbers = value if kind == "ints" else (value,)
-    if meta["minimum"] is not None and any(n < meta["minimum"] for n in numbers):
-        raise SpecError(f"{where} must be >= {meta['minimum']}, got {value}")
-    if meta["positive"] and any(n <= 0 for n in numbers):
-        raise SpecError(f"{where} must be positive, got {value}")
-    if meta["choices"] is not None and value not in meta["choices"]():
-        raise SpecError(f"{where} must be one of {meta['choices']()}, got {value!r}")
-    return value
-
-
-class Section:
-    """The codec every document section shares.
-
-    A section is a dataclass whose fields are declared with
-    :func:`spec_field`; parsing, validation, the plain-dict form and
-    ``copy()`` are derived from those declarations.  Subclasses add only
-    what a table cannot say: ``_check_rules`` holds the cross-field rules.
-    """
-
-    #: how error messages name the section ("backend.workers must be ...")
-    LABEL: ClassVar[str]
-    #: the field a bare string stands for (``backend: sharded``), if any
-    SHORTHAND: ClassVar[str | None] = None
-    #: version written as ``schema_version`` into the section's document
-    SCHEMA_VERSION: ClassVar[int | None] = None
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str | None = None):
-        """Parse a document: unknown keys, bad types and bad ranges are errors."""
-        where = where or cls.LABEL
-        if cls.SHORTHAND is not None and isinstance(data, str):
-            data = {cls.SHORTHAND: data}
-        if not isinstance(data, dict):
-            expected = "a name or a mapping" if cls.SHORTHAND else "a mapping"
-            raise SpecError(f"{where} must be {expected}, got {type(data).__name__}")
-        known = {field.name for field in dataclasses.fields(cls)}
-        if cls.SCHEMA_VERSION is not None:
-            known.add("schema_version")
-            try:
-                coerce_schema_version(data.get("schema_version"), cls.SCHEMA_VERSION, where)
-            except ValueError as error:
-                raise SpecError(str(error)) from None
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise SpecError(f"unknown {where} keys: {unknown}; known keys: {sorted(known)}")
-        # Copies: the spec shares nothing with the document it is parsed from.
-        section = cls(
-            **{f.name: copy.deepcopy(data.get(f.name)) for f in dataclasses.fields(cls)}
-        )
-        section.validate(where)
-        return section
-
-    def validate(self, where: str | None = None) -> None:
-        """Raise :class:`SpecError` on invalid field values or combinations.
-
-        An explicit null or empty string (an unset template variable) means
-        the field's default, and values are coerced to their declared kind
-        on the way (an integral float to ``int``, a string to ``Path``, a
-        nested document to its section), so a section built in code
-        validates like a parsed one.
-        """
-        where = where or self.LABEL
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value is None or (isinstance(value, str) and not value):
-                if field.metadata["required"]:
-                    raise SpecError(f"{where} requires a {field.name!r}")
-                missing = field.default is dataclasses.MISSING
-                value = field.default_factory() if missing else field.default
-            if value is not None:
-                path = field.name if isinstance(self, ExperimentSpec) else f"{where}.{field.name}"
-                value = _parse_field(field, value, path)
-            setattr(self, field.name, value)
-        self._check_rules()
-
-    def _check_rules(self) -> None:
-        """Cross-field rules of the section (none by default)."""
-
-    def as_dict(self) -> dict:
-        """Plain-python document (the YAML/JSON body; inverse of ``from_dict``)."""
-        document = {}
-        if self.SCHEMA_VERSION is not None:
-            document["schema_version"] = self.SCHEMA_VERSION
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            document[field.name] = value.as_dict() if hasattr(value, "as_dict") else _plain(value)
-        return document
-
-    def copy(self):
-        """A deep copy."""
-        return copy.deepcopy(self)
 
 
 # --------------------------------------------------------------------------- #
@@ -411,6 +221,7 @@ class ExperimentSpec(Section):
 
     LABEL = "experiment spec"
     SCHEMA_VERSION = SPEC_SCHEMA_VERSION
+    ROOT = True
 
     name: str = spec_field("str", "experiment")
     task: str = spec_field("str", "classification", canonical=True)
@@ -439,7 +250,6 @@ class ExperimentSpec(Section):
         super().validate(where)
         if not registries:
             return
-        from repro.experiments.builtins import register_builtins
         from repro.experiments.registry import (
             BACKENDS,
             DATASETS,
@@ -448,10 +258,6 @@ class ExperimentSpec(Section):
             PROTECTIONS,
             TASKS,
         )
-
-        # Pick up components added to the legacy model registries after
-        # repro.experiments was first imported (idempotent, cheap).
-        register_builtins()
 
         plugin = TASKS.get(self.task)
         MODELS.get(self.model.name)
@@ -489,20 +295,6 @@ class ExperimentSpec(Section):
                 "directories live there"
             )
 
-    # ------------------------------------------------------------------ #
-    # copies
-    # ------------------------------------------------------------------ #
-    def copy(self, **overrides: Any) -> "ExperimentSpec":
-        """A deep copy with selected (top-level) fields replaced."""
-        clone = copy.deepcopy(self)
-        field_names = {field.name for field in dataclasses.fields(self)}
-        for key, value in overrides.items():
-            if key not in field_names:
-                raise SpecError(f"unknown spec field {key!r}")
-            setattr(clone, key, value)
-        clone.validate()
-        return clone
-
     def updated(self, assignments: Mapping[str, Any]) -> "ExperimentSpec":
         """A new spec with each value set at its dotted document path.
 
@@ -519,7 +311,7 @@ class ExperimentSpec(Section):
                 if not isinstance(node.get(key), dict):
                     node[key] = {}
                 node = node[key]
-            node[leaf] = _plain(value)
+            node[leaf] = _to_plain(value)
         return ExperimentSpec.from_dict(document)
 
     # ------------------------------------------------------------------ #

@@ -87,10 +87,8 @@ class SweepPlan:
         model/dataset are used for every point — only legal when no axis
         changes the model, dataset or task.
         """
-        from repro.experiments.builtins import register_builtins
         from repro.experiments.registry import DATASETS, TASKS
 
-        register_builtins()
         supplied = artifacts is not None and (
             artifacts.model is not None or artifacts.dataset is not None
         )

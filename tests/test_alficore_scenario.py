@@ -2,9 +2,11 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.alficore import ScenarioConfig, default_scenario, load_scenario, save_scenario
+from repro.experiments import ExperimentSpec, SpecError
 
 
 class TestValidation:
@@ -33,7 +35,7 @@ class TestValidation:
         ],
     )
     def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError, match=rf"^scenario\.{field} must be"):
             ScenarioConfig(**{field: value})
 
     @pytest.mark.parametrize(
@@ -49,8 +51,45 @@ class TestValidation:
         ],
     )
     def test_mistyped_values_raise_a_value_error_naming_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(SpecError, match=rf"^scenario\.{field} must be"):
             ScenarioConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("warp_drive", True),  # unknown key
+            ("num_runs", "2"),  # mistyped
+            ("rnd_value_max", [1.0]),
+            ("layer_types", "conv2d"),
+            ("dataset_size", 0),  # out of range
+            ("rnd_bit_range", [-1, 3]),
+            ("layer_range", [2, -1]),
+            ("quantization", "bfloat16"),  # bad choice
+            ("stuck_at_value", 2),
+            ("layer_types", ["conv2d", "attention"]),
+        ],
+    )
+    def test_every_scenario_mistake_names_its_dotted_path(self, field, value):
+        # The scenario shares the document codec: the same SpecError, named
+        # by the same dotted path, as a mistake in any other section, and the
+        # same message whether the section is parsed alone or in a spec.
+        with pytest.raises(SpecError, match=rf"^scenario\.{field}\b") as in_spec:
+            ExperimentSpec.from_dict({"scenario": {field: value}})
+        with pytest.raises(SpecError) as alone:
+            ScenarioConfig.from_dict({field: value})
+        assert str(alone.value) == str(in_spec.value)
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_null_or_empty_means_the_default(self, value):
+        spec = ExperimentSpec.from_dict({"scenario": {"dataset_size": value}})
+        assert spec.scenario.dataset_size == ScenarioConfig().dataset_size
+
+    def test_numpy_integers_are_integers_in_every_section(self):
+        spec = ExperimentSpec.from_dict(
+            {"scenario": {"batch_size": np.int64(4)}, "backend": {"workers": np.int64(1)}}
+        )
+        assert spec.scenario.batch_size == 4 and type(spec.scenario.batch_size) is int
+        assert spec.backend.workers == 1 and type(spec.backend.workers) is int
 
     def test_integral_floats_are_coerced(self):
         config = ScenarioConfig.from_dict({"num_runs": 2.0, "rnd_bit_range": [23.0, 30]})
@@ -96,7 +135,7 @@ class TestConversion:
         assert rebuilt == config
 
     def test_from_dict_unknown_key_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SpecError):
             ScenarioConfig.from_dict({"dataset_size": 5, "warp_drive": True})
 
     def test_copy_with_overrides(self):
@@ -175,7 +214,7 @@ class TestSchemaVersion:
         assert same_as_default == ["quantization"], same_as_default
 
     def test_unknown_keys_error_is_actionable(self):
-        with pytest.raises(KeyError, match="unknown scenario keys.*warp_drive"):
+        with pytest.raises(SpecError, match=r"^scenario\.warp_drive: unknown key; known scenario"):
             ScenarioConfig.from_dict({"dataset_size": 5, "warp_drive": True})
 
     def test_fault_file_normalized_to_path(self):

@@ -118,7 +118,7 @@ class TestSpecCommands:
         data["scenario"]["rnd_bit_range"] = [23]
         path.write_text(yaml.safe_dump(data))
         assert main(["run", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: rnd_bit_range must be")
+        assert capsys.readouterr().err.startswith("error: scenario.rnd_bit_range must be")
 
     def test_run_spec_with_unknown_model_fails_with_suggestion(self, tmp_path, capsys):
         path = self._write_spec(tmp_path)

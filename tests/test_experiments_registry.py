@@ -122,21 +122,6 @@ class TestCliChoicesStaySynced:
     def test_value_type_choices_match_registry(self):
         assert self._option_choices("run-imgclass", "--value-type") == sorted(ERROR_MODELS)
 
-    def test_late_legacy_registry_addition_is_absorbed(self):
-        from repro.models import MODEL_REGISTRY, lenet5
-
-        MODEL_REGISTRY["unit-test-legacy"] = lenet5
-        try:
-            from repro.experiments import ExperimentSpec
-
-            spec = ExperimentSpec()
-            spec.model.name = "unit-test-legacy"
-            spec.validate(registries=True)  # re-syncs the legacy snapshot
-            assert "unit-test-legacy" in MODELS
-        finally:
-            MODEL_REGISTRY.pop("unit-test-legacy", None)
-            MODELS.unregister("unit-test-legacy")
-
     def test_newly_registered_model_appears_in_choices(self):
         from repro.models import lenet5
 

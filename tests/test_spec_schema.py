@@ -3,7 +3,10 @@
 The fixtures under ``tests/fixtures/`` were captured at the commit before
 the section declarations (``spec_field``) replaced the hand-written codecs:
 spec file bytes, store run IDs, the argparse surface and the flag → spec
-mapping of the flag-built subcommands.  The last test holds the two prose
+mapping of the flag-built subcommands.  ``scenario_pins.json`` was captured
+at the commit before the scenario section joined those declarations: the
+canonical document and run ID of a scenario that writes integral numbers,
+and the metadata a campaign embeds in its fault file.  The last test holds the two prose
 copies of the schema (``spec.py``'s docstring, ``docs/index.md``) against
 the declarations.
 """
@@ -12,11 +15,12 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.experiments.spec as spec_module
 from repro.cli import _built_spec, build_parser
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, run
 from repro.experiments.campaigns.store import canonical_spec_document, point_run_id
 from repro.experiments.spec import Section
 
@@ -44,6 +48,25 @@ def test_run_ids_are_unchanged(monkeypatch):
         "dataset", "dl_shuffle", "input_shape", "model", "protection", "scenario",
         "task", "task_options",
     ]
+
+
+SCENARIO_PINS = json.loads((FIXTURES / "scenario_pins.json").read_text())
+
+
+def test_integral_scenario_values_keep_their_bytes(monkeypatch):
+    # rnd_value_min: -2 stays an integer in the document, num_runs: 2.0 becomes one.
+    monkeypatch.setattr("repro.nn.functional.KERNEL_GENERATION", 2)
+    canonical = canonical_spec_document(ExperimentSpec.from_dict(SCENARIO_PINS["spec"]))
+    pinned = SCENARIO_PINS["canonical_document"]
+    assert json.dumps(canonical, sort_keys=True) == json.dumps(pinned, sort_keys=True)
+    assert point_run_id(canonical, "0" * 16) == SCENARIO_PINS["run_id"]
+
+
+def test_fault_file_metadata_bytes_are_unchanged(tmp_path):
+    spec = ExperimentSpec.from_dict(SCENARIO_PINS["spec"]).copy(output_dir=tmp_path)
+    run(spec)
+    with np.load(tmp_path / "lenet5_faults.npz", allow_pickle=False) as archive:
+        assert str(archive["metadata"]) == SCENARIO_PINS["faults_metadata"]
 
 
 def _surface(parser):
