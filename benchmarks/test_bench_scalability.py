@@ -30,12 +30,12 @@ def profiled_vgg():
 
 
 def test_scale_fault_pregeneration_throughput(benchmark, profiled_vgg):
-    """The vectorized generator must produce >200k faults/s on VGG-16.
+    """The batched bit-flip draw must produce >200k faults/s on VGG-16.
 
-    (The seed's per-column generator, still available via
-    ``generate(method="percolumn")``, recorded ~80k faults/s on this
-    benchmark; the batched draw path is bit-identical per seed and targets
-    >=20x that.)
+    (The seed's per-column generator, frozen as the test oracle
+    ``tests/oracles/faultmatrix_v0.py``, recorded ~80k faults/s on this
+    benchmark; the one batched ``rng.integers`` call is bit-identical to it
+    per seed and targets >=20x that.)
     """
     _, fi = profiled_vgg
     scenario = default_scenario(

@@ -50,7 +50,7 @@ from repro.alficore.monitoring import InferenceMonitor, MonitorResult, RangeMoni
 from repro.alficore.policies import InjectionPolicy, faults_required, fault_column_for_step
 from repro.alficore.protection import Clipper, Ranger, apply_protection, collect_activation_bounds
 from repro.alficore.resilience import ExecutionPolicy, ShardError, ShardSupervisor
-from repro.alficore.results import CampaignResultWriter, load_fault_file
+from repro.alficore.results import CampaignResultWriter
 from repro.alficore.scenario import ScenarioConfig, default_scenario, load_scenario, save_scenario
 from repro.alficore.wrapper import ptfiwrap
 
@@ -91,7 +91,6 @@ __all__ = [
     "fault_column_for_step",
     "faults_required",
     "layer_weight_factors",
-    "load_fault_file",
     "load_scenario",
     "ptfiwrap",
     "save_scenario",

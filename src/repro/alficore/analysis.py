@@ -7,7 +7,9 @@ extracted from the stored outputs, flip directions are tallied, and runs of
 different models or protection variants are compared.  This module provides
 that post-processing stage for result directories written by
 :class:`~repro.alficore.results.CampaignResultWriter` (and therefore by
-:func:`repro.experiments.run`).
+:func:`repro.experiments.run`).  The files are read one record at a time
+(:func:`~repro.alficore.results.iter_record_file`), so analysing a campaign
+takes memory for its tallies, not for its records.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.alficore.results import CampaignResultWriter
+from repro.alficore.results import iter_record_file
 
 
 @dataclass
@@ -68,6 +71,20 @@ def _row_top1(row: dict) -> int:
 
 def _row_due(row: dict) -> bool:
     return bool(int(row["nan_detected"])) or bool(int(row["inf_detected"]))
+
+
+_MISSING = object()
+
+
+def _aligned(paths: list[Path], mismatch: str) -> Iterator[tuple]:
+    """The records of ``paths`` side by side, one tuple per inference.
+
+    Raises ``ValueError(mismatch)`` when one file ends before the others.
+    """
+    for records in zip_longest(*map(iter_record_file, paths), fillvalue=_MISSING):
+        if any(record is _MISSING for record in records):
+            raise ValueError(mismatch)
+        yield records
 
 
 def _tally(
@@ -132,17 +149,14 @@ def analyze_classification_campaign(
         A :class:`CampaignAnalysis` with overall rates and per-bit / per-layer
         breakdowns extracted from the stored fault positions.
     """
-    reader = CampaignResultWriter(output_dir, campaign_name=campaign_name)
-    corrupted_rows = reader.read_classification_csv(corrupted_tag)
-    golden_rows = reader.read_classification_csv(golden_tag)
-    if len(corrupted_rows) != len(golden_rows):
-        raise ValueError(
-            f"campaign {campaign_name!r}: {len(corrupted_rows)} corrupted rows vs "
-            f"{len(golden_rows)} golden rows"
-        )
+    directory = Path(output_dir)
+    files = [
+        directory / f"{campaign_name}_{tag}_results.csv" for tag in (golden_tag, corrupted_tag)
+    ]
+    mismatch = f"campaign {campaign_name!r}: golden and corrupted files hold different row counts"
 
     def rows() -> Iterator[tuple[int, bool, bool, list[dict]]]:
-        for golden_row, corrupted_row in zip(golden_rows, corrupted_rows):
+        for golden_row, corrupted_row in _aligned(files, mismatch):
             if golden_row["image_id"] != corrupted_row["image_id"]:
                 raise ValueError("golden and corrupted rows are not aligned by image id")
             changed = _row_top1(golden_row) != _row_top1(corrupted_row)
@@ -169,18 +183,16 @@ def analyze_detection_campaign(
     """
     from repro.eval.detection import _image_detection_state
 
-    reader = CampaignResultWriter(output_dir, campaign_name=campaign_name)
-    corrupted_rows = reader.read_detection_json(corrupted_tag)
-    golden_rows = reader.read_detection_json(golden_tag)
-    ground_truth_path = Path(output_dir) / f"{campaign_name}_ground_truth.json"
-    if not ground_truth_path.exists():
-        raise FileNotFoundError(f"missing ground truth file {ground_truth_path}")
-    targets = json.loads(ground_truth_path.read_text())
-    if not (len(corrupted_rows) == len(golden_rows) == len(targets)):
-        raise ValueError("corrupted / golden / ground-truth files are not aligned")
+    directory = Path(output_dir)
+    files = [
+        directory / f"{campaign_name}_{golden_tag}_results.json",
+        directory / f"{campaign_name}_{corrupted_tag}_results.json",
+        directory / f"{campaign_name}_ground_truth.json",
+    ]
+    mismatch = "corrupted / golden / ground-truth files are not aligned"
 
     def rows() -> Iterator[tuple[int, bool, bool, list[dict]]]:
-        for golden_row, corrupted_row, target in zip(golden_rows, corrupted_rows, targets):
+        for golden_row, corrupted_row, target in _aligned(files, mismatch):
             due = bool(corrupted_row["nan_detected"]) or bool(corrupted_row["inf_detected"])
             target_arrays = {
                 "boxes": np.asarray(target["boxes"], dtype=np.float32).reshape(-1, 4),

@@ -457,7 +457,7 @@ class CampaignCore:
         plan = lane.plan
         resume_at = span[0] if span is not None else None
         if cache is not None:
-            entry = cache.get(cache_key, batch_shape=images.shape)
+            entry = cache.get(cache_key)
             if entry is not None:
                 boundary = None
                 if resume_at == 0:
@@ -479,7 +479,7 @@ class CampaignCore:
         if plan is None:
             output = self.task.infer(lane.model, images, batch)
             if cache is not None:
-                return cache.put(cache_key, output, batch_shape=images.shape), None
+                return cache.put(cache_key, output), None
             return GoldenCacheEntry(output), None
         # The monitor scan on the golden pass is only paid when something
         # consumes its events: a planned faulty pass (it inherits those of
@@ -506,9 +506,7 @@ class CampaignCore:
             )
         events = monitor.collect() if monitor is not None else None
         if cache is not None:
-            entry = cache.put(
-                cache_key, output, checkpoints, marks, events, batch_shape=images.shape
-            )
+            entry = cache.put(cache_key, output, checkpoints, marks, events)
         else:
             entry = GoldenCacheEntry(output, checkpoints, marks, events)
         return entry, images if resume_at == 0 else checkpoints.get(resume_at)
@@ -709,8 +707,9 @@ class CampaignCore:
         if self.golden_cache is not None:
             # The content digest guards spillover reuse against a changed
             # dataset whose image ids collide with an earlier campaign's;
-            # hashed once per step, shared by the lanes.
-            cache_key += (bytes_digest(np.ascontiguousarray(images).tobytes()),)
+            # hashed once per step, shared by the lanes.  The same ids and
+            # bytes read under another per-sample shape are another input.
+            cache_key += (bytes_digest(np.ascontiguousarray(images).tobytes()), images.shape)
         results = [
             self._run_lane(lane, group, images, batch, cache_key)
             for lane, group in zip(self.lanes, groups)

@@ -17,6 +17,10 @@ row 1 is the layer index and rows 2/3 are the weight's output and input
 channel.  The matrix is persisted as a binary file so the identical set of
 faults can be reused across experiments (e.g. to compare a hardened model
 against the unprotected baseline under exactly the same faults).
+
+:class:`FaultMatrixGenerator` is the one producer of a matrix: every column
+is drawn from one per-layer draw plan.  :meth:`FaultMatrix.save` writes the
+fault file and :meth:`FaultMatrix.load` is its one reader.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class FaultMatrix:
     injection_target: str
     metadata: dict
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != NUM_ROWS:
             raise ValueError(
@@ -152,13 +156,12 @@ class FaultMatrix:
             metadata = _decode_metadata(str(archive["metadata"]))
         return cls(matrix=matrix, injection_target=target, metadata=metadata)
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other: object) -> bool:
+        """Same target and the same matrix, bit for bit (NaN equals NaN)."""
         if not isinstance(other, FaultMatrix):
             return NotImplemented
-        return (
-            self.injection_target == other.injection_target
-            and self.matrix.shape == other.matrix.shape
-            and np.allclose(self.matrix, other.matrix, equal_nan=True)
+        return self.injection_target == other.injection_target and bool(
+            np.array_equal(self.matrix, other.matrix, equal_nan=True)
         )
 
 
@@ -189,7 +192,7 @@ class FaultMatrixGenerator:
         fi: FaultInjection,
         scenario: ScenarioConfig,
         rng: np.random.Generator | None = None,
-    ):
+    ) -> None:
         self.fi = fi
         self.scenario = scenario
         self.rng = rng if rng is not None else np.random.default_rng(scenario.random_seed)
@@ -208,46 +211,56 @@ class FaultMatrixGenerator:
     # ------------------------------------------------------------------ #
     # generation
     # ------------------------------------------------------------------ #
-    def generate(self, num_faults: int | None = None, method: str = "vectorized") -> FaultMatrix:
+    def generate(self, num_faults: int | None = None) -> FaultMatrix:
         """Generate the full fault matrix for the campaign.
 
-        The default ``"vectorized"`` method batches every random draw of the
-        campaign into a single ``rng.integers`` call with per-draw bounds and
-        assembles the ``(7, n)`` matrix with array operations.  Because numpy
-        consumes the underlying bit stream identically for batched and
-        sequential bounded draws, the result is **bit-identical** to the
-        ``"percolumn"`` reference path (one Python iteration per fault) for
-        the same seed — at orders of magnitude higher throughput.
-
-        Scenarios with ``rnd_value_type="number"`` interleave a uniform draw
-        into the integer stream for every column; they always take the
-        per-column path so the stream stays reproducible.
+        After the layer row, every column draws, in order: the batch position
+        (neurons under the ``per_batch`` / ``per_epoch`` policies), the
+        coordinate rows of its layer, then the value row — the draw plan of
+        :meth:`_layer_draw_plan`.  Bit-flip and stuck-at values are bounded
+        integers too, so the whole campaign is one ``rng.integers`` call with
+        per-draw bounds; numpy consumes the bit stream identically for batched
+        and sequential bounded draws, so the matrix equals the one a loop of
+        scalar draws would give for the same seed.  Value types that draw a
+        uniform number (``number`` and plug-ins) interleave ``rng.uniform``
+        into that stream, so they walk the same plan column by column.
 
         Args:
             num_faults: number of faults; defaults to the scenario's
                 ``total_faults`` (= dataset_size * num_runs * max_faults_per_image).
-            method: ``"vectorized"`` (default) or ``"percolumn"``.
         """
-        if method not in ("vectorized", "percolumn"):
-            raise ValueError(f"unknown generation method {method!r}")
-        count = num_faults if num_faults is not None else self.scenario.total_faults
+        scenario = self.scenario
+        count = num_faults if num_faults is not None else scenario.total_faults
         if count <= 0:
             raise ValueError(f"number of faults must be positive, got {count}")
         layers = np.asarray(
             weighted_layer_choice(
                 self.fi,
-                self.scenario.injection_target,
+                scenario.injection_target,
                 self.rng,
                 size=count,
-                layer_range=self.scenario.layer_range,
-                weighted=self.scenario.weighted_layer_selection,
+                layer_range=scenario.layer_range,
+                weighted=scenario.weighted_layer_selection,
             ),
             dtype=np.int64,
         )
-        if method == "vectorized" and self.scenario.rnd_value_type in ("bitflip", "stuck_at"):
-            matrix = self._assemble_vectorized(count, layers)
+        # Rows no column draws: the layer, the coordinates the layer's rank
+        # leaves unused and, under ``per_image``, the image's batch position.
+        matrix = np.zeros((NUM_ROWS, count), dtype=np.float64)
+        if scenario.injection_target == "neurons":
+            matrix[1, :] = layers
+            matrix[2:6, :] = UNSET
+            if scenario.inj_policy == "per_image":
+                image_index = np.arange(count) // scenario.max_faults_per_image
+                matrix[0, :] = image_index % scenario.batch_size
         else:
-            matrix = self._assemble_percolumn(count, layers)
+            matrix[0, :] = layers
+            matrix[3:6, :] = UNSET
+        plans = {int(layer): self._layer_draw_plan(int(layer)) for layer in np.unique(layers)}
+        if scenario.rnd_value_type in ("bitflip", "stuck_at"):
+            self._draw_integers(matrix, layers, plans)
+        else:
+            self._draw_columns(matrix, layers, plans)
         metadata = {
             "scenario": self.scenario.as_dict(),
             "model_name": self.scenario.model_name,
@@ -261,184 +274,73 @@ class FaultMatrixGenerator:
             metadata=metadata,
         )
 
-    def _assemble_percolumn(self, count: int, layers: np.ndarray) -> np.ndarray:
-        """Reference path: draw and assemble one fault column at a time."""
-        matrix = np.zeros((NUM_ROWS, count), dtype=np.float64)
-        for column in range(count):
-            layer_index = int(layers[column])
-            if self.scenario.injection_target == "neurons":
-                matrix[:, column] = self._neuron_column(column, layer_index)
-            else:
-                matrix[:, column] = self._weight_column(layer_index)
-        return matrix
+    def _layer_draw_plan(self, layer_index: int) -> np.ndarray:
+        """The draws of one column of ``layer_index``, in draw order.
 
-    def _assemble_vectorized(self, count: int, layers: np.ndarray) -> np.ndarray:
-        """Batch all bounded draws into one call and scatter them into rows.
-
-        The flat draw sequence replays exactly what the per-column path would
-        draw: for each column in order — the batch position (neurons, drawn
-        policies only), the coordinate rows of the column's layer, then the
-        bit-position value row.
+        A ``(3, k)`` array: the matrix row, the lower and the (exclusive)
+        upper bound of each draw — the batch position (neurons under a drawn
+        policy), the coordinates the layer's rank has, then the value row
+        with the bit range as bounds, the one entry a uniform value type
+        draws differently.
         """
         scenario = self.scenario
-        neurons = scenario.injection_target == "neurons"
-        draw_batch = neurons and scenario.inj_policy != "per_image"
-        low_bit, high_bit = scenario.rnd_bit_range
-
-        # Per-layer draw plans: matrix rows and integer bounds in draw order.
-        plans: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        counts = np.zeros(self.fi.num_layers, dtype=np.int64)
-        for layer_index in np.unique(layers):
-            rows, lows, highs = self._layer_draw_plan(int(layer_index), draw_batch, low_bit, high_bit)
-            plans[int(layer_index)] = (rows, lows, highs)
-            counts[layer_index] = len(rows)
-
-        col_counts = counts[layers]
-        offsets = np.concatenate(([0], np.cumsum(col_counts)))
-        total = int(offsets[-1])
-        draw_rows = np.empty(total, dtype=np.int64)
-        draw_lows = np.empty(total, dtype=np.int64)
-        draw_highs = np.empty(total, dtype=np.int64)
-        for layer_index, (rows, lows, highs) in plans.items():
-            columns = np.nonzero(layers == layer_index)[0]
-            slots = offsets[columns][:, None] + np.arange(len(rows))[None, :]
-            draw_rows[slots] = rows[None, :]
-            draw_lows[slots] = lows[None, :]
-            draw_highs[slots] = highs[None, :]
-
-        draws = self.rng.integers(draw_lows, draw_highs)
-
-        matrix = np.zeros((NUM_ROWS, count), dtype=np.float64)
-        if neurons:
-            matrix[1, :] = layers
-            matrix[2:6, :] = UNSET
-            if scenario.inj_policy == "per_image":
-                image_index = np.arange(count) // scenario.max_faults_per_image
-                matrix[0, :] = image_index % scenario.batch_size
-        else:
-            matrix[0, :] = layers
-            matrix[3:6, :] = UNSET
-        draw_columns = np.repeat(np.arange(count), col_counts)
-        matrix[draw_rows, draw_columns] = draws
-        return matrix
-
-    def _layer_draw_plan(
-        self, layer_index: int, draw_batch: bool, low_bit: int, high_bit: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows and integer bounds drawn per column of ``layer_index``.
-
-        Returns ``(rows, lows, highs)`` aligned with the per-column draw
-        order of the reference path.
-        """
         info = self.fi.get_layer_info(layer_index)
-        rows: list[int] = []
-        lows: list[int] = []
-        highs: list[int] = []
-        if draw_batch:
-            rows.append(0)
-            lows.append(0)
-            highs.append(self.scenario.batch_size)
-        if self.scenario.injection_target == "neurons":
-            shape = info.output_shape
-            if shape is None:
+        draws: list[tuple[int, int, int]] = []
+        rows_by_rank: dict[int, tuple[int, ...]]
+        if scenario.injection_target == "neurons":
+            if info.output_shape is None:
                 raise RuntimeError(
                     f"layer {info.name} has no recorded output shape; neuron faults need profiling"
                 )
-            if len(shape) == 2:  # (N, features): feature index in the channel row
-                coord_rows = (2,)
-            elif len(shape) == 4:  # (N, C, H, W)
-                coord_rows = (2, 4, 5)
-            elif len(shape) == 5:  # (N, C, D, H, W)
-                coord_rows = (2, 3, 4, 5)
-            else:
-                raise ValueError(f"unsupported output rank {len(shape)} for layer {info.name}")
+            if scenario.inj_policy != "per_image":
+                draws.append((0, 0, scenario.batch_size))
+            kind, shape = "output", info.output_shape
+            dims = shape[1:]
+            rows_by_rank = {
+                2: (2,),  # (N, features): the feature index in the channel row
+                4: (2, 4, 5),  # (N, C, H, W)
+                5: (2, 3, 4, 5),  # (N, C, D, H, W)
+            }
         else:
-            shape = info.weight_shape
-            if len(shape) == 2:  # Linear (out_features, in_features)
-                coord_rows = (1, 2)
-            elif len(shape) == 4:  # Conv2d (out, in, kh, kw)
-                coord_rows = (1, 2, 4, 5)
-            elif len(shape) == 5:  # Conv3d (out, in, kd, kh, kw)
-                coord_rows = (1, 2, 3, 4, 5)
-            else:
-                raise ValueError(f"unsupported weight rank {len(shape)} for layer {info.name}")
-        for row, dim in zip(coord_rows, shape[1:] if self.scenario.injection_target == "neurons" else shape):
-            rows.append(row)
-            lows.append(0)
-            highs.append(int(dim))
-        rows.append(6)
-        lows.append(low_bit)
-        highs.append(high_bit + 1)
-        return np.asarray(rows), np.asarray(lows), np.asarray(highs)
+            kind, shape = "weight", info.weight_shape
+            dims = shape
+            rows_by_rank = {
+                2: (1, 2),  # Linear (out_features, in_features)
+                4: (1, 2, 4, 5),  # Conv2d (out, in, kh, kw)
+                5: (1, 2, 3, 4, 5),  # Conv3d (out, in, kd, kh, kw)
+            }
+        if len(shape) not in rows_by_rank:
+            raise ValueError(f"unsupported {kind} rank {len(shape)} for layer {info.name}")
+        draws += [(row, 0, int(dim)) for row, dim in zip(rows_by_rank[len(shape)], dims)]
+        low_bit, high_bit = scenario.rnd_bit_range
+        draws.append((6, low_bit, high_bit + 1))
+        return np.asarray(draws, dtype=np.int64).T
 
-    def _neuron_column(self, column: int, layer_index: int) -> np.ndarray:
-        info = self.fi.get_layer_info(layer_index)
-        if info.output_shape is None:
-            raise RuntimeError(
-                f"layer {info.name} has no recorded output shape; neuron faults need profiling"
-            )
-        batch_position = self._batch_position(column)
-        shape = info.output_shape
-        channel, depth, height, width = UNSET, UNSET, UNSET, UNSET
-        if len(shape) == 2:  # (N, features): store the feature index in the channel row
-            channel = int(self.rng.integers(0, shape[1]))
-        elif len(shape) == 4:  # (N, C, H, W)
-            channel = int(self.rng.integers(0, shape[1]))
-            height = int(self.rng.integers(0, shape[2]))
-            width = int(self.rng.integers(0, shape[3]))
-        elif len(shape) == 5:  # (N, C, D, H, W)
-            channel = int(self.rng.integers(0, shape[1]))
-            depth = int(self.rng.integers(0, shape[2]))
-            height = int(self.rng.integers(0, shape[3]))
-            width = int(self.rng.integers(0, shape[4]))
-        else:
-            raise ValueError(f"unsupported output rank {len(shape)} for layer {info.name}")
-        return np.asarray(
-            [batch_position, layer_index, channel, depth, height, width, self._value()],
-            dtype=np.float64,
-        )
+    def _draw_integers(
+        self, matrix: np.ndarray, layers: np.ndarray, plans: dict[int, np.ndarray]
+    ) -> None:
+        """Draw every planned row of every column in one ``rng.integers`` call."""
+        counts = np.zeros(self.fi.num_layers, dtype=np.int64)
+        for layer, plan in plans.items():
+            counts[layer] = plan.shape[1]
+        col_counts = counts[layers]
+        offsets = np.concatenate(([0], np.cumsum(col_counts)))
+        table = np.empty((3, int(offsets[-1])), dtype=np.int64)
+        for layer, plan in plans.items():
+            columns = np.nonzero(layers == layer)[0]
+            slots = offsets[columns][:, None] + np.arange(plan.shape[1])[None, :]
+            table[:, slots] = plan[:, None, :]
+        rows, lows, highs = table
+        draw_columns = np.repeat(np.arange(len(layers)), col_counts)
+        matrix[rows, draw_columns] = self.rng.integers(lows, highs)
 
-    def _weight_column(self, layer_index: int) -> np.ndarray:
-        info = self.fi.get_layer_info(layer_index)
-        shape = info.weight_shape
-        out_channel, in_channel = 0, 0
-        depth, height, width = UNSET, UNSET, UNSET
-        if len(shape) == 2:  # Linear (out_features, in_features)
-            out_channel = int(self.rng.integers(0, shape[0]))
-            in_channel = int(self.rng.integers(0, shape[1]))
-        elif len(shape) == 4:  # Conv2d (out, in, kh, kw)
-            out_channel = int(self.rng.integers(0, shape[0]))
-            in_channel = int(self.rng.integers(0, shape[1]))
-            height = int(self.rng.integers(0, shape[2]))
-            width = int(self.rng.integers(0, shape[3]))
-        elif len(shape) == 5:  # Conv3d (out, in, kd, kh, kw)
-            out_channel = int(self.rng.integers(0, shape[0]))
-            in_channel = int(self.rng.integers(0, shape[1]))
-            depth = int(self.rng.integers(0, shape[2]))
-            height = int(self.rng.integers(0, shape[3]))
-            width = int(self.rng.integers(0, shape[4]))
-        else:
-            raise ValueError(f"unsupported weight rank {len(shape)} for layer {info.name}")
-        return np.asarray(
-            [layer_index, out_channel, in_channel, depth, height, width, self._value()],
-            dtype=np.float64,
-        )
-
-    def _batch_position(self, column: int) -> int:
-        """Position of the targeted image within its batch.
-
-        For the ``per_image`` policy every group of ``max_faults_per_image``
-        columns belongs to one image, so the batch position follows from the
-        image index; for the coarser policies the position is drawn randomly.
-        """
-        if self.scenario.inj_policy == "per_image":
-            image_index = column // self.scenario.max_faults_per_image
-            return image_index % self.scenario.batch_size
-        return int(self.rng.integers(0, self.scenario.batch_size))
-
-    def _value(self) -> float:
-        """Draw the value row according to the configured value corruption."""
-        if self.scenario.rnd_value_type in ("bitflip", "stuck_at"):
-            low, high = self.scenario.rnd_bit_range
-            return float(self.rng.integers(low, high + 1))
-        return float(self.rng.uniform(self.scenario.rnd_value_min, self.scenario.rnd_value_max))
+    def _draw_columns(
+        self, matrix: np.ndarray, layers: np.ndarray, plans: dict[int, np.ndarray]
+    ) -> None:
+        """Walk the plan column by column, drawing the value row as a uniform."""
+        value_min, value_max = self.scenario.rnd_value_min, self.scenario.rnd_value_max
+        coordinates = {layer: plan[:, :-1].T.tolist() for layer, plan in plans.items()}
+        for column, layer in enumerate(layers.tolist()):
+            for row, low, high in coordinates[layer]:
+                matrix[row, column] = self.rng.integers(low, high)
+            matrix[6, column] = self.rng.uniform(value_min, value_max)

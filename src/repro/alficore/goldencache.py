@@ -19,9 +19,10 @@ them once per epoch per image, and a sweep once per grid point.  The
   (``derived``: top-k and formatted record cells), so the golden half of a
   record is built once per image and goes when the entry goes.
 
-Entries are keyed by ``(lane, weight fingerprint, dataset image ids, batch
-digest)`` — neither epoch nor scenario enters the key, so one cache serves
-every epoch of a campaign and every grid point of a sweep
+Entries are keyed by ``(lane, weight fingerprint, kernel generation, dataset
+image ids, batch digest, batch shape)`` — the digest covers the pixel bytes,
+the shape how they are read.  Neither epoch nor scenario enters the key, so
+one cache serves every epoch of a campaign and every grid point of a sweep
 (:func:`repro.experiments.run_sweep` hands all points the same instance).
 Memory is bounded by a configurable byte budget with LRU eviction; an
 optional *spillover directory* persists entries as pickle files so separate
@@ -72,14 +73,13 @@ class GoldenCacheEntry:
     part of :meth:`as_state`, so it is never spilled.
     """
 
-    __slots__ = ("output", "boundaries", "marks", "events", "batch_shape", "derived")
+    __slots__ = ("output", "boundaries", "marks", "events", "derived")
 
-    def __init__(self, output, boundaries=None, marks=None, events=None, batch_shape=None):
+    def __init__(self, output, boundaries=None, marks=None, events=None):
         self.output = output
         self.boundaries = dict(boundaries or {})
         self.marks = marks
         self.events = events
-        self.batch_shape = tuple(batch_shape) if batch_shape is not None else None
         self.derived: dict = {}
 
     @property
@@ -94,16 +94,12 @@ class GoldenCacheEntry:
             "boundaries": self.boundaries,
             "marks": self.marks,
             "events": self.events,
-            "batch_shape": self.batch_shape,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "GoldenCacheEntry":
         """Rebuild an entry from :meth:`as_state` output."""
-        return cls(
-            state["output"], state["boundaries"], state["marks"],
-            state["events"], state["batch_shape"],
-        )
+        return cls(state["output"], state["boundaries"], state["marks"], state["events"])
 
 
 class GoldenCache:
@@ -138,19 +134,13 @@ class GoldenCache:
     # ------------------------------------------------------------------ #
     # lookup / insert
     # ------------------------------------------------------------------ #
-    def get(self, key: tuple, batch_shape=None) -> GoldenCacheEntry | None:
+    def get(self, key: tuple) -> GoldenCacheEntry | None:
         """Return the entry for ``key`` (memory first, then spillover)."""
         entry = self._entries.get(key)
         if entry is None and self.spill_dir is not None:
             entry = self._load_spilled(key)
             if entry is not None:
                 self._insert(key, entry, spill=False)
-        if entry is not None and batch_shape is not None and entry.batch_shape is not None:
-            # The key holds the image ids and a digest of the pixel bytes,
-            # not their shape: the same ids and bytes read under another
-            # per-sample shape are another input.
-            if entry.batch_shape != tuple(batch_shape):
-                entry = None
         if entry is None:
             self.misses += 1
             return None
@@ -158,9 +148,9 @@ class GoldenCache:
         self._entries.move_to_end(key)
         return entry
 
-    def put(self, key: tuple, output, boundaries=None, marks=None, events=None, batch_shape=None) -> GoldenCacheEntry:
+    def put(self, key: tuple, output, boundaries=None, marks=None, events=None) -> GoldenCacheEntry:
         """Insert (or replace) the golden pass for ``key``."""
-        entry = GoldenCacheEntry(output, boundaries, marks, events, batch_shape)
+        entry = GoldenCacheEntry(output, boundaries, marks, events)
         self._insert(key, entry, spill=True)
         return entry
 

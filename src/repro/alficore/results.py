@@ -15,12 +15,13 @@ c) **model outputs** — CSV files for classification models (top-5 classes
 :class:`CampaignResultWriter` bundles these writers behind one object so the
 high-level test classes only have to hand over records.
 
-Two modes are offered: the ``write_*`` methods persist a complete list of
-records at once, while the ``stream_*`` methods return incremental writers
-(:class:`CsvRecordStream` / :class:`JsonArrayStream`) that append one record
-at a time.  The campaign engine streams per-inference records as they are
-produced, so campaign memory stays bounded by the batch size instead of the
-dataset size; both modes produce byte-compatible files for the readers.
+Each record file has one producer and one reader.  The ``stream_*`` methods
+return incremental writers (:class:`CsvRecordStream` /
+:class:`JsonArrayStream`) that append one record at a time as the campaign
+produces it, so campaign memory stays bounded by the batch size instead of
+the dataset size; :func:`merge_record_files` concatenates the streams of
+campaign slices byte for byte.  :func:`iter_record_file` reads any record
+file back, one record at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any, Callable, Sequence
+from typing import IO, Any, Callable, Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -39,41 +40,6 @@ import yaml
 from repro.alficore.codec import _to_plain
 from repro.alficore.faultmatrix import FaultMatrix
 from repro.alficore.scenario import ScenarioConfig
-
-
-def load_fault_file(path: str | Path) -> FaultMatrix:
-    """Load a binary fault file written by a previous campaign."""
-    return FaultMatrix.load(path)
-
-
-@dataclass
-class ClassificationRecord:
-    """One row of the classification result CSV."""
-
-    image_id: int
-    file_name: str
-    ground_truth: int
-    top5_classes: list[int]
-    top5_probabilities: list[float]
-    fault_positions: list[dict] = field(default_factory=list)
-    nan_detected: bool = False
-    inf_detected: bool = False
-    model_tag: str = "corrupted"
-
-    def as_row(self) -> dict:
-        """Flatten into a CSV-writable dictionary."""
-        cells = classification_cells(
-            self.image_id,
-            self.file_name,
-            self.ground_truth,
-            self.model_tag,
-            self.nan_detected,
-            self.inf_detected,
-            self.top5_classes,
-            self.top5_probabilities,
-            fault_positions_cell(self.fault_positions),
-        )
-        return dict(zip(classification_fieldnames(len(cells)), cells))
 
 
 def classification_fieldnames(num_cells: int) -> list[str]:
@@ -103,8 +69,8 @@ def classification_cells(
 ) -> list:
     """Cells of one classification CSV row, in :func:`classification_fieldnames` order.
 
-    The one place a row is laid out: :meth:`ClassificationRecord.as_row` (the
-    batch writer) and the campaign's streamed rows both come from here.
+    The one place a row is laid out: the campaign tasks stream these lists
+    through :meth:`CampaignResultWriter.stream_classification`.
     ``classes`` / ``probabilities`` are the top-k pair of the image (equal
     length, any int / float sequence), ``fault_positions`` the finished cell
     (:func:`fault_positions_cell`).
@@ -158,58 +124,31 @@ def _json_default(value: Any) -> Any:
 class CsvRecordStream:
     """Incrementally write CSV rows (one record at a time).
 
-    The header is derived from the first record; closing without having
-    written any record produces an empty file, matching
-    :meth:`CampaignResultWriter.write_classification_csv` with no records.
+    The header is written with the first row; closing without having written
+    any row produces an empty file.
 
     Args:
         path: the CSV file.
-        fieldnames: for streams fed finished cell lists, the function naming
-            the columns of a row from its cell count (keyed records — dicts,
-            ``as_row()`` objects — name their own).
+        fieldnames: the function naming the columns of a row from its cell
+            count (e.g. :func:`classification_fieldnames`).
     """
 
-    def __init__(
-        self, path: str | Path, fieldnames: Callable[[int], list[str]] | None = None
-    ) -> None:
+    def __init__(self, path: str | Path, fieldnames: Callable[[int], list[str]]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: IO[str] | None = None
         self._writer: Any = None
-        self._fieldnames_for = fieldnames
-        self._fieldnames: list[str] = []
+        self._fieldnames = fieldnames
         self.num_records = 0
 
-    def write(self, record: Any) -> None:
-        """Append one record.
-
-        A list is a finished row (cells in column order, what the campaign
-        tasks stream); anything with ``as_row()`` and plain dicts are laid
-        out by the first record's keys (a missing key leaves its cell empty,
-        an unknown one raises ``ValueError``).
-        """
-        if isinstance(record, list):
-            if self._writer is None:
-                if self._fieldnames_for is None:
-                    raise ValueError(f"{self.path}: a cell-list row needs a stream with fieldnames")
-                self._open(self._fieldnames_for(len(record)))
-            cells = record
-        else:
-            row = record.as_row() if hasattr(record, "as_row") else record
-            if self._writer is None:
-                self._open(list(row))
-            unknown = row.keys() - set(self._fieldnames)
-            if unknown:
-                raise ValueError(f"{self.path}: record has fields not in the header: {sorted(unknown)}")
-            cells = [row.get(name, "") for name in self._fieldnames]
+    def write(self, cells: list) -> None:
+        """Append one finished row: its cells in column order."""
+        if self._writer is None:
+            self._handle = open(self.path, "w", newline="", encoding="utf-8")
+            self._writer = csv.writer(self._handle)
+            self._writer.writerow(self._fieldnames(len(cells)))
         self._writer.writerow(cells)
         self.num_records += 1
-
-    def _open(self, fieldnames: list[str]) -> None:
-        self._fieldnames = fieldnames
-        self._handle = open(self.path, "w", newline="", encoding="utf-8")
-        self._writer = csv.writer(self._handle)
-        self._writer.writerow(fieldnames)
 
     def close(self) -> None:
         """Flush and close the file (writes an empty file if no records)."""
@@ -361,6 +300,104 @@ def merge_record_files(slices: list[dict[str, str]], out_dir: str | Path) -> dic
     return merged
 
 
+def iter_record_file(path: str | Path) -> Iterator[Any]:
+    """Lazily yield the records of a record file, one at a time.
+
+    A ``.csv`` file (:class:`CsvRecordStream`) yields one dict per row, its
+    values the stored strings; any other file is a JSON array
+    (:class:`JsonArrayStream`, the ground-truth file) parsed incrementally,
+    one element per record.  Memory stays bounded by one record plus a read
+    chunk either way; an empty file yields nothing.
+    """
+    path = Path(path)
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield from csv.DictReader(handle)
+    else:
+        yield from _iter_json_array(path)
+
+
+_JSON_CHUNK = 1 << 20
+
+
+def _iter_json_array(path: Path) -> Iterator[Any]:
+    """Incrementally yield the elements of a JSON array file.
+
+    Parses with :meth:`json.JSONDecoder.raw_decode` over a sliding buffer, so
+    memory stays bounded by the chunk size plus one element — a multi-GB
+    detection record stream never has to fit in memory.  An empty file yields
+    nothing; anything that is not a JSON array is an error.
+    """
+    decoder = json.JSONDecoder()
+    with open(path, "r", encoding="utf-8") as handle:
+        buffer = ""
+        eof = False
+
+        def ensure(position: int) -> int:
+            """Grow the buffer until ``position`` is readable (or EOF)."""
+            nonlocal buffer, eof
+            while not eof and position >= len(buffer):
+                chunk = handle.read(_JSON_CHUNK)
+                if chunk:
+                    buffer += chunk
+                else:
+                    eof = True
+            return len(buffer)
+
+        def skip_ws(position: int) -> int:
+            while ensure(position) > position and buffer[position] in " \t\r\n":
+                position += 1
+            return position
+
+        pos = skip_ws(0)
+        if ensure(pos) <= pos:
+            return  # empty file: no records
+        if buffer[pos] != "[":
+            raise ValueError(f"{path} is not a record array")
+        pos += 1
+        while True:
+            pos = skip_ws(pos)
+            if ensure(pos) <= pos:
+                raise ValueError(f"{path}: unterminated record array")
+            if buffer[pos] == "]":
+                return
+            if buffer[pos] == ",":
+                pos += 1
+                continue
+            while True:
+                try:
+                    element, end = decoder.raw_decode(buffer, pos)
+                except ValueError:
+                    # An element that fails to parse may simply extend past the
+                    # buffered chunk; read more and retry.  (On corrupt — not
+                    # truncated — content this keeps buffering until EOF before
+                    # erroring: incomplete and malformed input are
+                    # indistinguishable until the file ends.)
+                    if eof:
+                        raise ValueError(
+                            f"{path}: truncated or malformed record array"
+                        ) from None
+                    ensure(len(buffer) + 1)
+                    continue
+                if not eof and buffer.find(",", end) == -1 and buffer.find("]", end) == -1:
+                    # A complete array element is always followed by "," or
+                    # "]".  Neither is buffered yet, so the parse may have
+                    # stopped mid-number at the chunk boundary (e.g. the "3"
+                    # of "3.5"); extend the buffer and re-parse to be sure.
+                    before = len(buffer)
+                    ensure(before + 1)
+                    if len(buffer) > before:
+                        continue
+                break
+            yield element
+            pos = end
+            if pos >= _JSON_CHUNK:
+                # Trim the consumed prefix once per chunk (not per element)
+                # so the buffer stays chunk-sized without quadratic copying.
+                buffer = buffer[pos:]
+                pos = 0
+
+
 class CampaignResultWriter:
     """Write the meta / fault / output files of one fault injection campaign.
 
@@ -399,45 +436,9 @@ class CampaignResultWriter:
         path = self.output_dir / f"{self.campaign_name}_faults.npz"
         return matrix.save(path)
 
-    def write_applied_faults(self, applied: list[dict]) -> Path:
-        """Persist the applied-fault log (original/corrupted values, directions)."""
-        path = self.output_dir / f"{self.campaign_name}_applied_faults.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(applied, handle, indent=2, default=_json_default)
-        return path
-
     # ------------------------------------------------------------------ #
     # c) model outputs
     # ------------------------------------------------------------------ #
-    def write_classification_csv(
-        self,
-        records: list[ClassificationRecord],
-        tag: str = "corrupted",
-    ) -> Path:
-        """Write classification outputs (top-5 + fault positions) as CSV."""
-        path = self.output_dir / f"{self.campaign_name}_{tag}_results.csv"
-        if not records:
-            path.write_text("")
-            return path
-        rows = [record.as_row() for record in records]
-        fieldnames = list(rows[0].keys())
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        return path
-
-    def write_detection_json(
-        self,
-        records: list[DetectionRecord],
-        tag: str = "corrupted",
-    ) -> Path:
-        """Write per-image detection outputs as a JSON file."""
-        path = self.output_dir / f"{self.campaign_name}_{tag}_results.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump([record.as_dict() for record in records], handle, indent=2, default=_json_default)
-        return path
-
     def write_ground_truth_json(self, targets: list[dict]) -> Path:
         """Write the detection ground-truth annotations (CoCo-style)."""
         path = self.output_dir / f"{self.campaign_name}_ground_truth.json"
@@ -469,25 +470,6 @@ class CampaignResultWriter:
     def stream_applied_faults(self) -> JsonArrayStream:
         """Return an incremental writer for the applied-fault log."""
         return JsonArrayStream(self.output_dir / f"{self.campaign_name}_applied_faults.json")
-
-    # ------------------------------------------------------------------ #
-    # readers (for analysis / tests)
-    # ------------------------------------------------------------------ #
-    def read_classification_csv(self, tag: str = "corrupted") -> list[dict]:
-        """Read back a classification result CSV as a list of dictionaries."""
-        path = self.output_dir / f"{self.campaign_name}_{tag}_results.csv"
-        if not path.exists():
-            raise FileNotFoundError(f"no classification results for tag {tag!r} at {path}")
-        with open(path, newline="", encoding="utf-8") as handle:
-            return list(csv.DictReader(handle))
-
-    def read_detection_json(self, tag: str = "corrupted") -> list[dict]:
-        """Read back a detection result JSON file."""
-        path = self.output_dir / f"{self.campaign_name}_{tag}_results.json"
-        if not path.exists():
-            raise FileNotFoundError(f"no detection results for tag {tag!r} at {path}")
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
 
 
 class _UnsupportedKey(Exception):

@@ -10,93 +10,11 @@ different machines) into one campaign-level result.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.alficore.results import merge_record_files
-
-_JSON_CHUNK = 1 << 20
-
-
-def _iter_json_array(path: Path) -> Iterator:
-    """Incrementally yield the elements of a JSON array file.
-
-    Parses with :meth:`json.JSONDecoder.raw_decode` over a sliding buffer, so
-    memory stays bounded by the chunk size plus one element — a multi-GB
-    detection record stream never has to fit in memory.  An empty file yields
-    nothing; anything that is not a JSON array is an error.
-    """
-    decoder = json.JSONDecoder()
-    with open(path, "r", encoding="utf-8") as handle:
-        buffer = ""
-        eof = False
-
-        def ensure(position: int) -> int:
-            """Grow the buffer until ``position`` is readable (or EOF)."""
-            nonlocal buffer, eof
-            while not eof and position >= len(buffer):
-                chunk = handle.read(_JSON_CHUNK)
-                if chunk:
-                    buffer += chunk
-                else:
-                    eof = True
-            return len(buffer)
-
-        def skip_ws(position: int) -> int:
-            while ensure(position) > position and buffer[position] in " \t\r\n":
-                position += 1
-            return position
-
-        pos = skip_ws(0)
-        if ensure(pos) <= pos:
-            return  # empty file: no records
-        if buffer[pos] != "[":
-            raise ValueError(f"{path} is not a record array")
-        pos += 1
-        while True:
-            pos = skip_ws(pos)
-            if ensure(pos) <= pos:
-                raise ValueError(f"{path}: unterminated record array")
-            if buffer[pos] == "]":
-                return
-            if buffer[pos] == ",":
-                pos += 1
-                continue
-            while True:
-                try:
-                    element, end = decoder.raw_decode(buffer, pos)
-                except ValueError:
-                    # An element that fails to parse may simply extend past the
-                    # buffered chunk; read more and retry.  (On corrupt — not
-                    # truncated — content this keeps buffering until EOF before
-                    # erroring: incomplete and malformed input are
-                    # indistinguishable until the file ends.)
-                    if eof:
-                        raise ValueError(
-                            f"{path}: truncated or malformed record array"
-                        ) from None
-                    ensure(len(buffer) + 1)
-                    continue
-                if not eof and buffer.find(",", end) == -1 and buffer.find("]", end) == -1:
-                    # A complete array element is always followed by "," or
-                    # "]".  Neither is buffered yet, so the parse may have
-                    # stopped mid-number at the chunk boundary (e.g. the "3"
-                    # of "3.5"); extend the buffer and re-parse to be sure.
-                    before = len(buffer)
-                    ensure(before + 1)
-                    if len(buffer) > before:
-                        continue
-                break
-            yield element
-            pos = end
-            if pos >= _JSON_CHUNK:
-                # Trim the consumed prefix once per chunk (not per element)
-                # so the buffer stays chunk-sized without quadratic copying.
-                buffer = buffer[pos:]
-                pos = 0
+from repro.alficore.results import iter_record_file, merge_record_files
 
 
 @dataclass
@@ -142,23 +60,18 @@ class CampaignResult:
             if Path(path).suffix in (".csv", ".json") and tag != "kpis"
         )
 
-    def iter_records(self, tag: str) -> Iterator[dict]:
+    def iter_records(self, tag: str) -> Iterator[Any]:
         """Lazily iterate the records of one streamed output file.
 
-        CSV files yield one dict per row (string values, as stored); JSON
-        array files are parsed incrementally and yield one object per entry.
-        Memory stays bounded by one record (plus a read chunk) either way.
+        See :func:`~repro.alficore.results.iter_record_file`: CSV rows come
+        as dicts of the stored strings, JSON array entries as parsed objects,
+        one record in memory at a time.
         """
         if tag not in self.output_files:
             raise KeyError(
                 f"no output file tagged {tag!r}; available: {sorted(self.output_files)}"
             )
-        path = Path(self.output_files[tag])
-        if path.suffix == ".csv":
-            with open(path, "r", newline="", encoding="utf-8") as handle:
-                yield from csv.DictReader(handle)
-            return
-        yield from _iter_json_array(path)
+        return iter_record_file(self.output_files[tag])
 
     def as_dict(self) -> dict:
         """JSON-friendly view (summary + file map)."""

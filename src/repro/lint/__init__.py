@@ -18,9 +18,6 @@ campaign runs:
 ``float-reduction-order``
     float accumulation over ``set`` iteration (hash order is
     run-dependent; breaks byte-identical merges).
-``registry-mutation``
-    direct mutation of legacy ``*_REGISTRY`` dicts instead of
-    ``register_*`` calls.
 ``worker-purity``
     functions dispatched to worker pools that capture unpicklable objects
     or read mutable module-level state.

@@ -13,7 +13,6 @@ Importing this package registers every built-in rule on
 from repro.lint.rules import (  # noqa: F401  (imported for registration side effect)
     dispatch,
     reductions,
-    registries,
     rng,
     sessions,
     workers,

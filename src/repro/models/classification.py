@@ -11,7 +11,8 @@ analyses of the paper exercise.
 
 from __future__ import annotations
 
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -335,8 +336,10 @@ def resnet50(num_classes: int = 10, width: float = 0.125, seed: int = 0) -> ResN
 
 # The compact architectures (mobilenet/squeezenet) live in their own module;
 # listing them here keeps build_model() the single entry point for every
-# classifier family.
-MODEL_REGISTRY: dict[str, Callable[..., Module]] = {
+# classifier family.  Read-only: new models are registered through
+# ``repro.experiments.register_model``, which is what the Experiment API,
+# the CLI and the spec validator consult.
+MODEL_REGISTRY: Mapping[str, Callable[..., Module]] = MappingProxyType({
     "mlp": mlp,
     "lenet5": lenet5,
     "alexnet": alexnet,
@@ -347,7 +350,7 @@ MODEL_REGISTRY: dict[str, Callable[..., Module]] = {
     "mobilenet": mobilenet_lite,
     "squeezenet": squeezenet_lite,
     "elemnet": elemnet,
-}
+})
 
 
 def build_model(name: str, **kwargs) -> Module:

@@ -31,7 +31,8 @@ version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -393,11 +394,13 @@ def faster_rcnn_lite(num_classes: int = 5, seed: int = 0, **kwargs) -> FasterRCN
     return FasterRCNNLite(num_classes=num_classes, seed=seed, **kwargs)
 
 
-DETECTOR_REGISTRY: dict[str, Callable[..., Module]] = {
+# Read-only, like ``MODEL_REGISTRY``: register through
+# ``repro.experiments.register_model``.
+DETECTOR_REGISTRY: Mapping[str, Callable[..., Module]] = MappingProxyType({
     "yolov3": yolov3_tiny,
     "retinanet": retinanet_lite,
     "faster_rcnn": faster_rcnn_lite,
-}
+})
 
 
 def build_detector(name: str, **kwargs) -> Module:

@@ -11,7 +11,12 @@ from repro.alficore import (
     compare_campaigns,
     default_scenario,
 )
-from repro.alficore.results import CampaignResultWriter, ClassificationRecord, DetectionRecord
+from repro.alficore.results import (
+    CampaignResultWriter,
+    DetectionRecord,
+    classification_cells,
+    fault_positions_cell,
+)
 from repro.data import SyntheticClassificationDataset
 from repro.models import lenet5
 from repro.models.pretrained import fit_classifier_head
@@ -22,17 +27,13 @@ def _write_synthetic_classification_campaign(tmp_path, name="camp"):
     writer = CampaignResultWriter(tmp_path, campaign_name=name)
 
     def record(image_id, top1, fault_bit, fault_layer, nan=False, tag="corrupted"):
-        return ClassificationRecord(
-            image_id=image_id,
-            file_name=f"img_{image_id}.png",
-            ground_truth=0,
-            top5_classes=[top1, (top1 + 1) % 5, (top1 + 2) % 5, (top1 + 3) % 5, (top1 + 4) % 5],
-            top5_probabilities=[0.6, 0.2, 0.1, 0.05, 0.05],
-            fault_positions=[
-                {"layer": fault_layer, "bit_position": fault_bit, "flip_direction": "0->1"}
-            ],
-            nan_detected=nan,
-            model_tag=tag,
+        return classification_cells(
+            image_id, f"img_{image_id}.png", 0, tag, nan, False,
+            [top1, (top1 + 1) % 5, (top1 + 2) % 5, (top1 + 3) % 5, (top1 + 4) % 5],
+            [0.6, 0.2, 0.1, 0.05, 0.05],
+            fault_positions_cell(
+                [{"layer": fault_layer, "bit_position": fault_bit, "flip_direction": "0->1"}]
+            ),
         )
 
     golden = [record(i, top1=0, fault_bit=0, fault_layer=0, tag="golden") for i in range(4)]
@@ -42,9 +43,15 @@ def _write_synthetic_classification_campaign(tmp_path, name="camp"):
         record(2, top1=0, fault_bit=30, fault_layer=1, nan=True),  # DUE
         record(3, top1=0, fault_bit=10, fault_layer=0),          # masked
     ]
-    writer.write_classification_csv(golden, tag="golden")
-    writer.write_classification_csv(corrupted, tag="corrupted")
+    _stream(writer.stream_classification("golden"), golden)
+    _stream(writer.stream_classification("corrupted"), corrupted)
     return writer
+
+
+def _stream(stream, records):
+    with stream:
+        for record in records:
+            stream.write(record)
 
 
 class TestClassificationAnalysis:
@@ -79,6 +86,12 @@ class TestClassificationAnalysis:
     def test_missing_campaign_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             analyze_classification_campaign(tmp_path, "nothing")
+
+    def test_files_of_different_lengths_raise(self, tmp_path):
+        writer = _write_synthetic_classification_campaign(tmp_path)
+        _stream(writer.stream_classification("golden"), [])
+        with pytest.raises(ValueError, match="different row counts"):
+            analyze_classification_campaign(tmp_path, "camp")
 
     def test_analysis_of_real_campaign_matches_kpis(self, tmp_path):
         """Post-processing a real campaign must match the on-line KPIs."""
@@ -126,8 +139,8 @@ class TestDetectionAnalysis:
             # image 1: unchanged -> masked
             det_record(1, [[5, 5, 20, 20]], [0.9], [2], positions=[{"layer": 0, "bit_position": 5, "flip_direction": "1->0"}]),
         ]
-        writer.write_detection_json(golden, tag="golden")
-        writer.write_detection_json(corrupted, tag="corrupted")
+        _stream(writer.stream_detection("golden"), golden)
+        _stream(writer.stream_detection("corrupted"), corrupted)
         return writer
 
     def test_detection_rates(self, tmp_path):
@@ -142,10 +155,16 @@ class TestDetectionAnalysis:
 
     def test_missing_ground_truth_raises(self, tmp_path):
         writer = CampaignResultWriter(tmp_path, campaign_name="nogt")
-        writer.write_detection_json([], tag="golden")
-        writer.write_detection_json([], tag="corrupted")
+        _stream(writer.stream_detection("golden"), [])
+        _stream(writer.stream_detection("corrupted"), [])
         with pytest.raises(FileNotFoundError):
             analyze_detection_campaign(tmp_path, "nogt")
+
+    def test_files_of_different_lengths_raise(self, tmp_path):
+        writer = self._write_detection_campaign(tmp_path)
+        _stream(writer.stream_detection("golden"), [])
+        with pytest.raises(ValueError, match="not aligned"):
+            analyze_detection_campaign(tmp_path, "det")
 
 
 class TestCompareCampaigns:

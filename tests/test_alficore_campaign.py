@@ -66,8 +66,8 @@ class TestStreamingCampaign:
         for key in ("meta", "faults", "applied_faults", "golden_csv", "corrupted_csv", "kpis"):
             assert key in result.output_files
 
-        corrupted_rows = writer.read_classification_csv("corrupted")
-        golden_rows = writer.read_classification_csv("golden")
+        corrupted_rows = list(result.iter_records("corrupted_csv"))
+        golden_rows = list(result.iter_records("golden_csv"))
         assert len(corrupted_rows) == len(golden_rows) == len(dataset)
         positions = json.loads(corrupted_rows[0]["fault_positions"])
         assert len(positions) == 2

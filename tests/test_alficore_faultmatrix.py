@@ -1,11 +1,19 @@
 """Unit tests for fault matrix generation and persistence (Table I)."""
 
+import functools
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.alficore import FaultMatrix, FaultMatrixGenerator, NEURON_ROWS, WEIGHT_ROWS, default_scenario
+from repro.models import MODEL_REGISTRY
 from repro.pytorchfi import FaultInjection
 from repro.pytorchfi.core import UNSET
+from tests.oracles.faultmatrix_v0 import PerColumnGenerator
 
 
 @pytest.fixture
@@ -178,43 +186,135 @@ class TestPersistence:
             np.testing.assert_array_equal(param_a.data, param_b.data)
 
 
-class TestVectorizedGeneration:
-    """Satellite: vectorized generator vs the per-column reference path."""
+class Volume(nn.Module):
+    """A rank-5 ``Conv3d`` layer in front of a ``Linear`` head."""
 
-    @pytest.mark.parametrize("target", ["neurons", "weights"])
-    def test_vectorized_bit_identical_to_percolumn(self, lenet_fi, target):
-        scenario = default_scenario(
-            dataset_size=40, max_faults_per_image=3, injection_target=target, random_seed=31
-        )
-        vectorized = FaultMatrixGenerator(lenet_fi, scenario).generate()
-        percolumn = FaultMatrixGenerator(lenet_fi, scenario).generate(method="percolumn")
-        np.testing.assert_array_equal(vectorized.matrix, percolumn.matrix)
+    def __init__(self, num_classes: int = 10, seed: int = 0):
+        super().__init__()
+        rng = np.random.default_rng(seed)
+        self.conv = nn.Conv3d(1, 2, (1, 3, 3), padding=(0, 1, 1), rng=rng)
+        self.flatten = nn.Flatten()
+        self.fc = nn.Linear(2 * 2 * 8 * 8, num_classes, rng=rng)
 
-    @pytest.mark.parametrize("policy", ["per_image", "per_batch", "per_epoch"])
-    def test_identity_holds_across_policies_and_batches(self, lenet_fi, policy):
-        scenario = default_scenario(
-            dataset_size=20,
-            injection_target="neurons",
-            inj_policy=policy,
-            batch_size=4,
-            random_seed=5,
-        )
-        vectorized = FaultMatrixGenerator(lenet_fi, scenario).generate(60)
-        percolumn = FaultMatrixGenerator(lenet_fi, scenario).generate(60, method="percolumn")
-        np.testing.assert_array_equal(vectorized.matrix, percolumn.matrix)
+    def forward(self, x):
+        return self.fc(self.flatten(self.conv(x)))
 
-    def test_number_value_type_uses_reference_path(self, lenet_fi):
-        scenario = default_scenario(
-            dataset_size=10, injection_target="weights", rnd_value_type="number", random_seed=9
-        )
-        vectorized = FaultMatrixGenerator(lenet_fi, scenario).generate()
-        percolumn = FaultMatrixGenerator(lenet_fi, scenario).generate(method="percolumn")
-        np.testing.assert_array_equal(vectorized.matrix, percolumn.matrix)
 
-    def test_unknown_method_rejected(self, lenet_fi):
-        with pytest.raises(ValueError):
-            FaultMatrixGenerator(lenet_fi, default_scenario(dataset_size=2)).generate(method="magic")
+INPUT_SHAPES = {
+    "lenet5": (3, 32, 32),
+    "alexnet": (3, 32, 32),
+    "resnet50": (3, 32, 32),
+    "mlp": (3, 32, 32),
+    "volume": (1, 2, 8, 8),
+}
+#: the differential grid: model x target x policy x value type x layer range
+CASES = [
+    (model, target, policy, value_type, layers)
+    for model in INPUT_SHAPES
+    for target in ("neurons", "weights")
+    for policy in ("per_image", "per_batch", "per_epoch")
+    for value_type in ("bitflip", "stuck_at", "number")
+    for layers in ("all", "1-2")
+]
+PINS_PATH = Path(__file__).parent / "fixtures" / "faultmatrix_pins.json"
 
+
+def case_id(case) -> str:
+    return "-".join(case)
+
+
+@functools.lru_cache(maxsize=None)
+def fault_injection(model_name: str) -> FaultInjection:
+    """The profiled injector of one grid model (profiled once per session)."""
+    factory = Volume if model_name == "volume" else MODEL_REGISTRY[model_name]
+    return FaultInjection(factory(num_classes=10, seed=0).eval(), input_shape=INPUT_SHAPES[model_name])
+
+
+def case_scenario(case):
+    """The scenario of one grid case: 24 faults, 4 images per batch."""
+    model_name, target, policy, value_type, layers = case
+    fi = fault_injection(model_name)
+    return default_scenario(
+        dataset_size=6, num_runs=2, max_faults_per_image=2, batch_size=4,
+        injection_target=target, inj_policy=policy, rnd_value_type=value_type,
+        rnd_bit_range=(3, 30), rnd_value_min=-3.5, rnd_value_max=2.0,
+        layer_range=None if layers == "all" else (1, min(2, fi.num_layers - 1)),
+        random_seed=29,
+    )
+
+
+def matrix_digest(matrix: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(matrix, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestFrozenReference:
+    """The generator against the frozen per-column path it replaced
+    (``tests/oracles/faultmatrix_v0.py``) and against matrix digests
+    captured before the replacement: same seed, same bytes."""
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        return json.loads(PINS_PATH.read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_matrix_equals_the_frozen_per_column_oracle(self, case, pins):
+        fi, scenario = fault_injection(case[0]), case_scenario(case)
+        matrix = FaultMatrixGenerator(fi, scenario).generate().matrix
+        assert matrix.tobytes() == PerColumnGenerator(fi, scenario).generate().tobytes()
+        assert matrix_digest(matrix) == pins["matrices"][case_id(case)]
+
+    def test_explicit_fault_count_and_injected_generator(self):
+        fi = fault_injection("lenet5")
+        scenario = case_scenario(("lenet5", "neurons", "per_batch", "number", "all"))
+        drawn = FaultMatrixGenerator(fi, scenario, rng=np.random.default_rng(3)).generate(37)
+        frozen = PerColumnGenerator(fi, scenario, rng=np.random.default_rng(3)).generate(37)
+        assert drawn.matrix.tobytes() == frozen.tobytes()
+
+    def test_plug_in_value_types_draw_a_uniform_like_number(self):
+        from repro.alficore.scenario import register_value_type, unregister_value_type
+
+        register_value_type("plugin-uniform")
+        try:
+            fi = fault_injection("volume")
+            for target in ("neurons", "weights"):
+                scenario = case_scenario(("volume", target, "per_image", "number", "all"))
+                plugin = scenario.copy(rnd_value_type="plugin-uniform")
+                drawn = FaultMatrixGenerator(fi, plugin).generate().matrix
+                assert drawn.tobytes() == PerColumnGenerator(fi, plugin).generate().tobytes()
+                assert drawn.tobytes() == FaultMatrixGenerator(fi, scenario).generate().matrix.tobytes()
+        finally:
+            unregister_value_type("plugin-uniform")
+
+    def test_campaign_fault_file_bytes_are_unchanged(self, tmp_path, pins):
+        from repro.experiments import ExperimentSpec, run
+
+        spec = ExperimentSpec.from_dict(pins["campaign"]["spec"]).copy(output_dir=tmp_path)
+        run(spec)
+        written = (tmp_path / "lenet5_faults.npz").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == pins["campaign"]["faults_npz_sha256"]
+
+
+class TestMatrixEquality:
+    def test_one_ulp_in_the_value_row_compares_unequal(self):
+        values = np.full((7, 3), 0.25)
+        nudged = values.copy()
+        nudged[6, 1] = np.nextafter(nudged[6, 1], np.inf)
+        assert FaultMatrix(values, "neurons", {}) != FaultMatrix(nudged, "neurons", {})
+
+    def test_large_coordinates_compare_exactly(self):
+        first = np.zeros((7, 1))
+        second = first.copy()
+        first[2, 0], second[2, 0] = 100000, 100001
+        assert FaultMatrix(first, "weights", {}) != FaultMatrix(second, "weights", {})
+
+    def test_nan_values_and_shapes(self):
+        values = np.full((7, 2), np.nan)
+        assert FaultMatrix(values, "neurons", {}) == FaultMatrix(values.copy(), "neurons", {})
+        assert FaultMatrix(values, "neurons", {}) != FaultMatrix(values, "weights", {})
+        assert FaultMatrix(values, "neurons", {}) != FaultMatrix(values[:, :1], "neurons", {})
+
+
+class TestReloadedMatrices:
     @pytest.mark.parametrize("target", ["neurons", "weights"])
     def test_save_load_round_trip_per_target(self, lenet_fi, tmp_path, target):
         scenario = default_scenario(dataset_size=15, injection_target=target, random_seed=13)

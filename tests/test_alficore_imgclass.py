@@ -68,9 +68,9 @@ class TestClassificationCampaign:
             "classification", model, dataset, scenario,
             model_name="csvcheck", output_dir=tmp_path, num_faults=2,
         )
-        from repro.alficore.results import CampaignResultWriter
+        from repro.alficore.results import iter_record_file
 
-        rows = CampaignResultWriter(tmp_path, "csvcheck").read_classification_csv("corrupted")
+        rows = list(iter_record_file(tmp_path / "csvcheck_corrupted_results.csv"))
         assert len(rows) == len(dataset)
         positions = json.loads(rows[0]["fault_positions"])
         assert len(positions) == 2

@@ -625,6 +625,29 @@ class TestGoldenCache:
             core.run()
         assert (shared.misses, shared.hits) == (len(dataset), len(dataset))
 
+    def test_same_ids_and_bytes_under_another_shape_miss(self, tmp_path):
+        # The key holds the batch's ids, a digest of its pixel bytes and its
+        # shape: the same ids and bytes read as (3, 16, 64) images are
+        # another input, in memory and in the spill directory.
+        from repro.alficore.campaign import CampaignCore, ClassificationTask
+        from repro.models import mlp
+
+        class Reshaped(SyntheticClassificationDataset):
+            def __getitem__(self, index):
+                image, label = super().__getitem__(index)
+                return image.reshape(3, 16, 64), label
+
+        model = mlp(num_classes=10, seed=0).eval()
+        scenario = default_scenario(injection_target="weights", random_seed=38, dataset_size=4)
+        shared = GoldenCache(spill_dir=tmp_path / "spill")
+        for dataset_cls in (SyntheticClassificationDataset, Reshaped):
+            dataset = dataset_cls(num_samples=4, num_classes=10, noise=0.2, seed=5)
+            CampaignCore(
+                model, dataset, ClassificationTask(), scenario=scenario, golden_cache=shared
+            ).run()
+        assert (shared.misses, shared.hits, len(shared)) == (8, 0, 8)
+        assert len(list((tmp_path / "spill").glob("golden_*.pkl"))) == 8
+
     @pytest.mark.parametrize("num_runs,built", [(1, False), (2, True)])
     def test_spec_run_builds_no_private_cache_for_a_single_epoch(self, num_runs, built):
         # A cache run(spec) builds is private to that campaign: with one
@@ -654,7 +677,7 @@ class TestGoldenCache:
             scores = np.zeros(7, dtype=np.float32)
             labels = np.zeros(7, dtype=np.int64)
 
-        entry = GoldenCacheEntry([Detections(), Detections()], None, None, None, None)
+        entry = GoldenCacheEntry([Detections(), Detections()], None, None, None)
         assert entry.nbytes == 2 * (7 * 4 * 4 + 7 * 4 + 7 * 8)
 
 

@@ -267,7 +267,7 @@ class TestGoldenCacheCorruptSpill:
     def test_corrupt_spill_file_is_a_miss_and_is_unlinked(self, tmp_path):
         key = ("golden", (0, 1, 2))
         writer_cache = GoldenCache(spill_dir=tmp_path)
-        writer_cache.put(key, np.arange(4.0), batch_shape=(3, 1))
+        writer_cache.put(key, np.arange(4.0))
         spill_files = list(tmp_path.glob("golden_*.pkl"))
         assert len(spill_files) == 1
         spill_files[0].write_bytes(b"\x80\x04 truncated garbage")
@@ -280,7 +280,7 @@ class TestGoldenCacheCorruptSpill:
 
     def test_intact_spill_round_trips_and_no_temp_files_remain(self, tmp_path):
         key = ("golden", (3, 4))
-        GoldenCache(spill_dir=tmp_path).put(key, np.arange(2.0), batch_shape=(2, 1))
+        GoldenCache(spill_dir=tmp_path).put(key, np.arange(2.0))
         entry = GoldenCache(spill_dir=tmp_path).get(key)
         assert entry is not None
         np.testing.assert_array_equal(entry.output, np.arange(2.0))

@@ -1,14 +1,28 @@
-"""Unit tests for the result persistence layer (meta / fault / output files)."""
+"""Unit tests for the result persistence layer (meta / fault / output files).
+
+Every record file has one producer — a stream of
+:class:`~repro.alficore.results.CampaignResultWriter` — and one reader,
+:func:`~repro.alficore.results.iter_record_file`.  The stdlib
+``csv.DictWriter`` and ``json.dumps`` are the byte references the streams are
+checked against here.
+"""
 
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from repro.alficore import CampaignResultWriter, FaultMatrix, default_scenario, load_fault_file
-from repro.alficore.results import ClassificationRecord, DetectionRecord
+from repro.alficore import CampaignResultWriter, FaultMatrix, default_scenario
+from repro.alficore.results import (
+    DetectionRecord,
+    classification_cells,
+    classification_fieldnames,
+    fault_positions_cell,
+    iter_record_file,
+)
 
 
 @pytest.fixture
@@ -16,20 +30,41 @@ def writer(tmp_path):
     return CampaignResultWriter(tmp_path, campaign_name="unit")
 
 
+def _row(image_id, classes, probabilities, positions=(), nan=False, inf=False, tag="corrupted",
+         file_name=None):
+    """One classification row as the campaign tasks stream it."""
+    return classification_cells(
+        image_id, file_name or f"img_{image_id}.png", image_id % 3, tag, nan, inf,
+        np.array(classes), np.array(probabilities), fault_positions_cell(list(positions)),
+    )
+
+
 @pytest.fixture
-def sample_classification_records():
+def sample_rows():
     return [
-        ClassificationRecord(
-            image_id=i,
-            file_name=f"img_{i}.png",
-            ground_truth=i % 3,
-            top5_classes=[0, 1, 2, 3, 4],
-            top5_probabilities=[0.5, 0.2, 0.15, 0.1, 0.05],
-            fault_positions=[{"layer": 1, "bit_position": 30}],
-            nan_detected=(i == 2),
-        )
+        _row(i, [0, 1, 2, 3, 4], [0.5, 0.2, 0.15, 0.1, 0.05],
+             positions=[{"layer": 1, "bit_position": 30}], nan=(i == 2))
         for i in range(3)
     ]
+
+
+def _dictwriter_bytes(rows):
+    """The reference: the rows keyed by their header, through ``csv.DictWriter``."""
+    if not rows:
+        return b""
+    fieldnames = classification_fieldnames(len(rows[0]))
+    handle = io.StringIO(newline="")
+    writer = csv.DictWriter(handle, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(dict(zip(fieldnames, row)) for row in rows)
+    return handle.getvalue().encode("utf-8")
+
+
+def _stream_rows(writer, tag, rows):
+    with writer.stream_classification(tag=tag) as stream:
+        for row in rows:
+            stream.write(row)
+    return stream
 
 
 class TestMetaFiles:
@@ -48,19 +83,19 @@ class TestFaultFiles:
     def test_fault_matrix_written_and_reloadable(self, writer):
         matrix = FaultMatrix(np.arange(14).reshape(7, 2).astype(float), "neurons", {"x": 1})
         path = writer.write_fault_matrix(matrix)
-        assert load_fault_file(path) == matrix
+        assert FaultMatrix.load(path) == matrix
 
     def test_applied_faults_json(self, writer):
-        applied = [{"layer": 0, "original_value": np.float32(1.5), "bit_position": 30}]
-        path = writer.write_applied_faults(applied)
-        data = json.loads(path.read_text())
+        with writer.stream_applied_faults() as stream:
+            stream.write({"layer": 0, "original_value": np.float32(1.5), "bit_position": 30})
+        data = list(iter_record_file(stream.path))
         assert data[0]["original_value"] == pytest.approx(1.5)
 
 
 class TestClassificationCsv:
-    def test_csv_columns(self, writer, sample_classification_records):
-        path = writer.write_classification_csv(sample_classification_records, tag="corrupted")
-        with open(path, newline="") as handle:
+    def test_csv_columns(self, writer, sample_rows):
+        stream = _stream_rows(writer, "corrupted", sample_rows)
+        with open(stream.path, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 3
         expected_columns = {
@@ -74,36 +109,36 @@ class TestClassificationCsv:
         } | {f"top{i}_class" for i in range(1, 6)} | {f"top{i}_prob" for i in range(1, 6)}
         assert expected_columns <= set(rows[0])
 
-    def test_fault_positions_embedded_as_json(self, writer, sample_classification_records):
-        writer.write_classification_csv(sample_classification_records)
-        rows = writer.read_classification_csv()
+    def test_fault_positions_embedded_as_json(self, writer, sample_rows):
+        stream = _stream_rows(writer, "corrupted", sample_rows)
+        rows = list(iter_record_file(stream.path))
         positions = json.loads(rows[0]["fault_positions"])
         assert positions[0]["bit_position"] == 30
 
-    def test_empty_records_produce_empty_file(self, writer, tmp_path):
-        path = writer.write_classification_csv([], tag="golden")
-        assert path.exists()
-        assert path.read_text() == ""
+    def test_empty_records_produce_empty_file(self, writer):
+        stream = _stream_rows(writer, "golden", [])
+        assert stream.path.exists()
+        assert stream.path.read_text() == ""
+        assert list(iter_record_file(stream.path)) == []
 
     def test_read_missing_tag_raises(self, writer):
         with pytest.raises(FileNotFoundError):
-            writer.read_classification_csv(tag="nothing")
+            next(iter_record_file(writer.output_dir / "unit_nothing_results.csv"))
 
 
 class TestDetectionJson:
     def test_detection_json_round_trip(self, writer):
-        records = [
-            DetectionRecord(
-                image_id=0,
-                file_name="img.png",
-                boxes=[[0.0, 0.0, 5.0, 5.0]],
-                scores=[0.9],
-                labels=[2],
-                nan_detected=False,
-            )
-        ]
-        writer.write_detection_json(records, tag="corrupted")
-        loaded = writer.read_detection_json(tag="corrupted")
+        record = DetectionRecord(
+            image_id=0,
+            file_name="img.png",
+            boxes=[[0.0, 0.0, 5.0, 5.0]],
+            scores=[0.9],
+            labels=[2],
+            nan_detected=False,
+        )
+        with writer.stream_detection(tag="corrupted") as stream:
+            stream.write(record)
+        loaded = list(iter_record_file(stream.path))
         assert loaded[0]["labels"] == [2]
         assert loaded[0]["model_tag"] == "corrupted"
 
@@ -112,6 +147,7 @@ class TestDetectionJson:
         path = writer.write_ground_truth_json(targets)
         data = json.loads(path.read_text())
         assert data[0]["labels"] == [1]
+        assert list(iter_record_file(path)) == data
 
     def test_kpi_summary_json(self, writer):
         path = writer.write_kpi_summary({"sde": np.float64(0.12), "nested": {"due": 0.01}})
@@ -121,21 +157,14 @@ class TestDetectionJson:
 
     def test_read_missing_detection_tag(self, writer):
         with pytest.raises(FileNotFoundError):
-            writer.read_detection_json(tag="missing")
+            next(iter_record_file(writer.output_dir / "unit_missing_results.json"))
 
 
 class TestStreamingWriters:
-    def test_streamed_csv_matches_batch_writer(self, writer, sample_classification_records, tmp_path):
-        batch_path = writer.write_classification_csv(sample_classification_records, tag="batch")
-        with writer.stream_classification(tag="streamed") as stream:
-            for record in sample_classification_records:
-                stream.write(record)
-        assert stream.num_records == len(sample_classification_records)
-        streamed_rows = writer.read_classification_csv("streamed")
-        batch_rows = writer.read_classification_csv("batch")
-        assert streamed_rows == batch_rows
-        assert batch_path.read_text().splitlines()[0] == \
-            (writer.output_dir / "unit_streamed_results.csv").read_text().splitlines()[0]
+    def test_streamed_csv_matches_the_dictwriter(self, writer, sample_rows):
+        stream = _stream_rows(writer, "streamed", sample_rows)
+        assert stream.num_records == len(sample_rows)
+        assert stream.path.read_bytes() == _dictwriter_bytes(sample_rows)
 
     def test_streamed_csv_empty_produces_empty_file(self, writer):
         with writer.stream_classification(tag="nothing"):
@@ -158,9 +187,10 @@ class TestStreamingWriters:
         with writer.stream_detection(tag="streamed") as stream:
             for record in records:
                 stream.write(record)
-        loaded = writer.read_detection_json("streamed")
+        loaded = list(iter_record_file(stream.path))
         assert len(loaded) == 3
         assert loaded[0]["image_id"] == 0
+        assert loaded == json.loads(stream.path.read_text())
 
     def test_streamed_empty_json_is_valid(self, writer):
         with writer.stream_applied_faults():
@@ -262,47 +292,29 @@ class _Opaque:
 
 
 class TestCellListRows:
-    """Campaign tasks stream finished cell lists; ``ClassificationRecord`` ->
-    ``DictWriter`` (the batch writer) is the reference for their bytes."""
+    """Campaign tasks stream finished cell lists; the same rows keyed by their
+    header through ``csv.DictWriter`` are the reference for their bytes."""
 
     @staticmethod
-    def _records():
+    def _rows():
         awkward = [{"layer_name": "a,b", "note": "say \"hi\"", "value": np.float32(0.5)}]
         return [
-            ClassificationRecord(
-                image_id=i, file_name=f"dir,with/comma_{i}.png", ground_truth=i % 3,
-                top5_classes=[4, 3, 2], top5_probabilities=[0.5, 0.25 + i / 7, 1e-12],
-                fault_positions=awkward if i else [], nan_detected=bool(i % 2),
-                inf_detected=(i == 2), model_tag="resil",
+            _row(
+                i, [4, 3, 2], [0.5, 0.25 + i / 7, 1e-12], positions=awkward if i else [],
+                nan=bool(i % 2), inf=(i == 2), tag="resil",
+                file_name=f"dir,with/comma_{i}.png",
             )
             for i in range(4)
         ]
 
-    @staticmethod
-    def _cells(record):
-        from repro.alficore.results import classification_cells, fault_positions_cell
-
-        return classification_cells(
-            record.image_id, record.file_name, record.ground_truth, record.model_tag,
-            record.nan_detected, record.inf_detected,
-            np.array(record.top5_classes), np.array(record.top5_probabilities),
-            fault_positions_cell(record.fault_positions),
-        )
-
     def test_streamed_cell_lists_match_the_dictwriter_bytes(self, writer):
-        records = self._records()  # three classes: fewer than five rank columns
-        batch = writer.write_classification_csv(records, tag="batch")
-        header = batch.read_text().splitlines()[0]
+        rows = self._rows()  # three classes: fewer than five rank columns
+        cells = _stream_rows(writer, "cells", rows)
+        header = cells.path.read_text().splitlines()[0]
         assert "top3_prob" in header and "top4_class" not in header
-        with writer.stream_classification(tag="cells") as cells:
-            for record in records:
-                cells.write(self._cells(record))
-        with writer.stream_classification(tag="records") as keyed:
-            for record in records:
-                keyed.write(record)
-        assert cells.num_records == len(records)
-        assert cells.path.read_bytes() == keyed.path.read_bytes() == batch.read_bytes()
-        assert writer.read_classification_csv("cells")[1]["fault_positions"] == json.dumps(
+        assert cells.num_records == len(rows)
+        assert cells.path.read_bytes() == _dictwriter_bytes(rows)
+        assert list(iter_record_file(cells.path))[1]["fault_positions"] == json.dumps(
             [{"layer_name": "a,b", "note": "say \"hi\"", "value": 0.5}]
         )
 
@@ -310,41 +322,41 @@ class TestCellListRows:
         with writer.stream_classification(tag="none") as stream:
             pass
         assert stream.path.read_bytes() == b""
-        assert writer.write_classification_csv([], tag="batch_none").read_bytes() == b""
 
-    def test_keyed_records_keep_the_dictwriter_rules(self, tmp_path):
+    def test_the_header_is_named_from_the_first_row(self, tmp_path):
         from repro.alficore.results import CsvRecordStream
 
-        with CsvRecordStream(tmp_path / "rows.csv") as stream:
-            stream.write({"a": 1, "b": "x"})
-            stream.write({"b": "only b"})  # a missing key leaves its cell empty
-            with pytest.raises(ValueError, match="not in the header"):
-                stream.write({"a": 2, "c": 3})
-            with pytest.raises(ValueError, match="fieldnames"):
-                CsvRecordStream(tmp_path / "bare.csv").write([1, 2])
-        assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n1,x\r\n,only b\r\n"
+        named = []
+
+        def header(num_cells):
+            named.append(num_cells)
+            return [f"c{index}" for index in range(num_cells)]
+
+        with CsvRecordStream(tmp_path / "rows.csv", header) as stream:
+            stream.write([1, "x"])
+            stream.write([2, "y"])
+        assert named == [2]
+        assert (tmp_path / "rows.csv").read_bytes() == b"c0,c1\r\n1,x\r\n2,y\r\n"
 
     def test_shard_merge_of_streamed_files_equals_one_stream(self, writer, tmp_path):
         from repro.alficore.results import merge_csv_files, merge_json_array_files
 
-        records = self._records()
-        faults = [record.fault_positions for record in records] + [{"x": (1, np.int64(2))}]
+        rows = self._rows()
+        faults = [json.loads(row[-1]) for row in rows] + [{"x": (1, np.int64(2))}]
 
         def stream(directory, rows, elements):
             shard = CampaignResultWriter(directory, campaign_name="unit")
-            with shard.stream_classification(tag="m") as csv_stream:
-                for record in rows:
-                    csv_stream.write(self._cells(record))
+            csv_stream = _stream_rows(shard, "m", rows)
             with shard.stream_applied_faults() as json_stream:
                 for element in elements:
                     json_stream.write(element)
             return csv_stream.path, json_stream.path
 
-        single_csv, single_json = stream(tmp_path / "single", records, faults)
+        single_csv, single_json = stream(tmp_path / "single", rows, faults)
         parts = [
-            stream(tmp_path / f"shard_{index}", rows, elements)
-            for index, (rows, elements) in enumerate(
-                [(records[:1], faults[:2]), ([], []), (records[1:], faults[2:])]
+            stream(tmp_path / f"shard_{index}", part_rows, elements)
+            for index, (part_rows, elements) in enumerate(
+                [(rows[:1], faults[:2]), ([], []), (rows[1:], faults[2:])]
             )
         ]
         merged_csv = merge_csv_files([part[0] for part in parts], tmp_path / "merged.csv")

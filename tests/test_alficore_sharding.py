@@ -412,15 +412,18 @@ class TestMergeHelpers:
     def test_csv_merge_skips_empty_shards_and_extra_headers(self, tmp_path):
         from repro.alficore.results import CsvRecordStream
 
-        rows = [{"a": i, "b": f"x{i}"} for i in range(5)]
+        def header(num_cells):
+            return ["a", "b"]
+
+        rows = [[i, f"x{i}"] for i in range(5)]
         single = tmp_path / "single.csv"
-        with CsvRecordStream(single) as stream:
+        with CsvRecordStream(single, header) as stream:
             for row in rows:
                 stream.write(row)
         shard_paths = []
         for index, chunk in enumerate(([rows[0], rows[1]], [], rows[2:])):
             path = tmp_path / f"shard_{index}.csv"
-            with CsvRecordStream(path) as stream:
+            with CsvRecordStream(path, header) as stream:
                 for row in chunk:
                     stream.write(row)
             shard_paths.append(path)

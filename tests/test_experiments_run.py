@@ -171,7 +171,7 @@ class TestArtifactsVsRegistryByteIdentity:
 class TestFaultFileReplay:
     def test_scenario_declared_fault_file_survives_default_argument(self, tmp_path):
         """A fault_file in the scenario keeps replaying when nothing overrides it."""
-        from repro.alficore import load_fault_file, ptfiwrap
+        from repro.alficore import FaultMatrix, ptfiwrap
 
         dataset = SyntheticClassificationDataset(
             num_samples=IMAGES, num_classes=CLASSES, noise=0.25, seed=1
@@ -184,7 +184,7 @@ class TestFaultFileReplay:
             "classification", model, dataset,
             classification_scenario(random_seed=999, fault_file=stored),
         )  # no fault_file argument
-        assert result.wrapper.get_fault_matrix() == load_fault_file(stored)
+        assert result.wrapper.get_fault_matrix() == FaultMatrix.load(stored)
 
 
 class TestCustomBackend:
@@ -227,7 +227,7 @@ class TestCampaignResultHandle:
     def test_json_iteration_is_incremental_and_matches_json_load(self, tmp_path, monkeypatch):
         import json
 
-        import repro.experiments.result as result_mod
+        import repro.alficore.results as results_mod
 
         spec = (
             Experiment.builder()
@@ -243,7 +243,7 @@ class TestCampaignResultHandle:
         result = run(spec)
         # A tiny chunk size forces every buffer-boundary path in the
         # incremental parser.
-        monkeypatch.setattr(result_mod, "_JSON_CHUNK", 7)
+        monkeypatch.setattr(results_mod, "_JSON_CHUNK", 7)
         for tag in ("corrupted_json", "applied_faults", "ground_truth"):
             expected = json.loads(Path(result.output_files[tag]).read_text())
             assert list(result.iter_records(tag)) == expected
@@ -251,8 +251,8 @@ class TestCampaignResultHandle:
     def test_json_iteration_survives_numbers_on_chunk_boundaries(self, tmp_path, monkeypatch):
         import json
 
-        import repro.experiments.result as result_mod
-        from repro.experiments.result import _iter_json_array
+        import repro.alficore.results as results_mod
+        from repro.alficore.results import iter_record_file
 
         records = ["s", 3.5, True, 12345, -1e5, {"x": 2.25}, None, [1.5, "a,b"]]
         path = tmp_path / "scalars.json"
@@ -260,26 +260,26 @@ class TestCampaignResultHandle:
         # Every chunk size must parse identically — including sizes that cut
         # a float right after its integer part or exponent marker.
         for chunk in range(1, 12):
-            monkeypatch.setattr(result_mod, "_JSON_CHUNK", chunk)
-            assert list(_iter_json_array(path)) == records, f"chunk={chunk}"
+            monkeypatch.setattr(results_mod, "_JSON_CHUNK", chunk)
+            assert list(iter_record_file(path)) == records, f"chunk={chunk}"
 
     def test_json_iteration_handles_empty_and_rejects_non_arrays(self, tmp_path):
-        from repro.experiments.result import _iter_json_array
+        from repro.alficore.results import iter_record_file
 
         empty = tmp_path / "empty.json"
         empty.write_text("")
-        assert list(_iter_json_array(empty)) == []
+        assert list(iter_record_file(empty)) == []
         no_records = tmp_path / "no_records.json"
         no_records.write_text("[]")
-        assert list(_iter_json_array(no_records)) == []
+        assert list(iter_record_file(no_records)) == []
         mapping = tmp_path / "mapping.json"
         mapping.write_text('{"a": 1}')
         with pytest.raises(ValueError, match="not a record array"):
-            list(_iter_json_array(mapping))
+            list(iter_record_file(mapping))
         truncated = tmp_path / "truncated.json"
         truncated.write_text('[\n{"a": 1},\n{"b": ')
         with pytest.raises(ValueError, match="truncated|unterminated"):
-            list(_iter_json_array(truncated))
+            list(iter_record_file(truncated))
 
     def test_step_range_slices_merge_to_full_run(self, tmp_path):
         full = run(classification_spec(tmp_path / "full"))

@@ -17,7 +17,15 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.registry import UnknownComponentError
-from repro.lint import Finding, RULES, lint_paths, load_baseline, register_rule, write_baseline
+from repro.lint import (
+    Finding,
+    RULES,
+    lint_paths,
+    load_baseline,
+    register_rule,
+    rule_names,
+    write_baseline,
+)
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import scan_suppressions
 from repro.lint.reporters import render_json, render_text
@@ -30,7 +38,6 @@ RULE_FIXTURES = {
     "rng": "rng-discipline",
     "sessions": "session-context",
     "reductions": "float-reduction-order",
-    "registries": "registry-mutation",
     "workers": "worker-purity",
     "dispatch": "supervised-dispatch",
 }
@@ -142,9 +149,9 @@ def test_baseline_matching_survives_line_drift(tmp_path):
 def test_baseline_does_not_hide_new_findings(tmp_path):
     baseline = lint_paths([FIXTURES / "rng" / "bad.py"]).findings
     report = lint_paths(
-        [FIXTURES / "rng" / "bad.py", FIXTURES / "registries" / "bad.py"], baseline=baseline
+        [FIXTURES / "rng" / "bad.py", FIXTURES / "sessions" / "bad.py"], baseline=baseline
     )
-    assert {finding.rule for finding in report.findings} == {"registry-mutation"}
+    assert {finding.rule for finding in report.findings} == {"session-context"}
     assert report.exit_code == 1
 
 
@@ -188,18 +195,18 @@ def test_parse_error_is_reported_as_finding(tmp_path):
 # reporters and CLI
 # --------------------------------------------------------------------------- #
 def test_json_reporter_round_trips(capsys):
-    report = lint_paths([FIXTURES / "registries" / "bad.py"])
+    report = lint_paths([FIXTURES / "sessions" / "bad.py"])
     import io
 
     stream = io.StringIO()
     render_json(report, stream)
     payload = json.loads(stream.getvalue())
     assert payload["summary"]["findings"] == len(report.findings)
-    assert payload["findings"][0]["rule"] == "registry-mutation"
+    assert payload["findings"][0]["rule"] == "session-context"
 
     stream = io.StringIO()
     render_text(report, stream)
-    assert "[registry-mutation]" in stream.getvalue()
+    assert "[session-context]" in stream.getvalue()
 
 
 def test_cli_exit_codes_and_baseline_flow(tmp_path, capsys):
@@ -223,10 +230,10 @@ def test_cli_list_rules(capsys):
 def test_pytorchalfi_lint_subcommand(capsys):
     from repro.cli import main as cli_main
 
-    code = cli_main(["lint", str(FIXTURES / "registries" / "bad.py"), "--no-baseline"])
+    code = cli_main(["lint", str(FIXTURES / "sessions" / "bad.py"), "--no-baseline"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "[registry-mutation]" in out
+    assert "[session-context]" in out
 
 
 # --------------------------------------------------------------------------- #
@@ -240,6 +247,13 @@ def test_repository_lints_clean():
         text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_cli_lists_five_rules(capsys):
+    assert lint_main(["--list-rules"]) == 0
+    out = capsys.readouterr().out
+    assert sorted(RULE_FIXTURES.values()) == sorted(rule_names(default_only=True))
+    assert "registry-mutation" not in out
 
 
 def test_checked_in_baseline_is_empty():

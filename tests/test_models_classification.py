@@ -51,6 +51,19 @@ class TestFactoryFunctions:
     def test_registry_contains_paper_models(self):
         assert {"alexnet", "vgg16", "resnet50"} <= set(MODEL_REGISTRY)
 
+    def test_legacy_registries_are_read_only(self):
+        # New models go through repro.experiments.register_model.
+        from repro.models.detection import DETECTOR_REGISTRY
+
+        for registry in (MODEL_REGISTRY, DETECTOR_REGISTRY):
+            with pytest.raises(TypeError):
+                registry["custom"] = lenet5
+            with pytest.raises(TypeError):
+                del registry["lenet5"]
+            with pytest.raises(AttributeError):
+                registry.update({"custom": lenet5})
+        assert "custom" not in MODEL_REGISTRY and "custom" not in DETECTOR_REGISTRY
+
     def test_build_model_by_name(self, batch):
         model = build_model("lenet5", num_classes=4).eval()
         assert model(batch).shape == (2, 4)
