@@ -18,6 +18,15 @@ records the two the faulty pass needs.  A neuron group's pass runs only the
 batch rows its faults name, when they are fewer than the batch: row *i* of a
 batched forward is the forward of sample *i* alone, so every other row of
 the faulty output is the golden row (*sample-sparse* passes).
+
+The same row identity lets a cache-less golden pass skip most of the
+backbone of a fitted classifier (*seeded* golden passes):
+:func:`~repro.models.pretrained.fit_classifier_head` already ran it over
+every calibration image and kept what its final ``Linear`` received.  While
+the model still has the state the fit left it in, the golden pass runs only
+up to the last checkpoint its faulty pass needs and resumes at the head from
+those features.  Each run checks its first seeded pass against a full one
+and falls back for good, with one warning, if they differ.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import numpy as np
 
 from repro.alficore.campaign.tasks import CampaignTask, StepContext
 from repro.alficore.digests import bytes_digest, model_fingerprint
-from repro.alficore.goldencache import GoldenCache, GoldenCacheEntry
+from repro.alficore.goldencache import GoldenCache, GoldenCacheEntry, HeadFeatures, head_features
 from repro.alficore.monitoring import InferenceMonitor, MonitorResult
 from repro.alficore.policies import InjectionPolicy
 from repro.alficore.results import CampaignResultWriter
@@ -113,6 +122,13 @@ class _Lane:
     #: (``None``: not checked yet; ``False``: the model mixes samples, so the
     #: lane runs full-batch passes).
     rows_agree: bool | None = None
+    #: the head fit's features of ``model``, while they may seed this run's
+    #: golden passes (see :meth:`CampaignCore._head_features`)
+    features: HeadFeatures | None = None
+    #: Whether this run's first seeded golden pass reproduced the full one
+    #: (``None``: not checked yet this run; ``False``: it differed, so the
+    #: lane runs full golden passes from then on).
+    seeds_agree: bool | None = None
 
 
 @contextlib.contextmanager
@@ -241,6 +257,10 @@ class CampaignCore:
         self.rejoins = 0
         #: batch rows that sample-sparse faulty passes did not execute
         self.rows_skipped = 0
+        #: golden passes that ran the checkpointed prefix and the head only,
+        #: from the head fit's features (a run's first one, which is checked
+        #: against a full pass, is not counted)
+        self.golden_seeded = 0
 
     #: constructor parameters a shard builds for itself (its own task state,
     #: record files, wrappers over the shared fault matrix, cache handle)
@@ -322,6 +342,9 @@ class CampaignCore:
             # the cache keys must reflect the state of this run.
             if self.golden_cache is not None:
                 lane.fingerprint = model_fingerprint(lane.model)
+            if lane.seeds_agree:
+                lane.seeds_agree = None
+            lane.features = self._head_features(lane)
             iterators.append(
                 lane.wrapper.get_fault_group_iter(
                     self._error_model, start=group_start, stop=group_stop
@@ -397,6 +420,73 @@ class CampaignCore:
                 lane.resumable = tuple(sorted({index for index in segments if index}))
         return lane.plan
 
+    def _head_features(self, lane: _Lane) -> HeadFeatures | None:
+        """The head fit's features of ``lane.model``, if this run may seed with them.
+
+        Only a cache-less planned golden pass is seeded, on a lane without
+        custom monitors (they would see no activation of the skipped
+        segments) whose seeded pass has not differed from a full one, and
+        only while the model is in the state the fit left it in: a weight or
+        buffer changed since (a BN running mean edited in place) changes the
+        fingerprint.  Copies of the fitted model (a resil lane, an unpickled
+        shard model) have no features.
+        """
+        if self.golden_cache is not None or not self.prefix_reuse or lane.seeds_agree is False:
+            return None
+        record = head_features(lane.model)
+        if record is None or (lane.monitor is not None and lane.monitor.custom_monitors):
+            return None
+        return record if model_fingerprint(lane.model) == record.fingerprint else None
+
+    @staticmethod
+    def _seed(lane: _Lane, plan: ForwardPlan, images: np.ndarray) -> tuple[int, np.ndarray] | None:
+        """``(head segment, stacked features)`` to seed a golden pass of ``images`` with.
+
+        ``None`` unless the head fit's features hold for this run, a plan
+        segment is the fitted head, and every image of the batch was a
+        calibration image whose every leaf row was finite.
+        """
+        if lane.features is None:
+            return None
+        head_at = next(
+            (index for index, segment in enumerate(plan.segments) if segment is lane.features.head),
+            None,
+        )
+        if not head_at:
+            return None
+        features = lane.features.stacked(images)
+        return None if features is None else (head_at, features)
+
+    @staticmethod
+    def _rehearse_seed(
+        lane: _Lane, images: np.ndarray, wanted, monitor: InferenceMonitor | None, seeded: tuple
+    ) -> tuple:
+        """Run the full golden pass a seeded one stands for; warn once if they differ.
+
+        ``seeded`` and the result are ``(output, checkpoints, marks,
+        events)``; the full pass is returned either way, so the step that
+        checks is a step of the plain path.
+        """
+        with _scanning(monitor):
+            output, checkpoints, marks = lane.plan.run_recording(images, wanted, monitor=monitor)
+        full = (output, checkpoints, marks, monitor.collect() if monitor is not None else None)
+        lane.seeds_agree = (
+            _bitwise_equal(seeded[0], output)
+            and seeded[1].keys() == checkpoints.keys()
+            and all(_bitwise_equal(seeded[1][index], checkpoints[index]) for index in checkpoints)
+            and seeded[2:] == full[2:]
+        )
+        if not lane.seeds_agree:
+            lane.features = None
+            warnings.warn(
+                f"{type(lane.model).__name__}: a golden pass seeded with the head fit's "
+                "features differs from the full one (the model changed since the fit), "
+                "running full golden passes",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return full
+
     @staticmethod
     def _faulted_span(
         plan: ForwardPlan | None, wrapper: ptfiwrap, group
@@ -451,7 +541,8 @@ class CampaignCore:
         first one a cached entry would be compared at.  ``entry.marks`` /
         ``entry.events`` carry the golden monitor state the faulty pass
         inherits for the segments it does not execute (``None`` without
-        monitoring).
+        monitoring).  A seeded pass (see :meth:`_seed`) gives the same entry
+        without running the segments between those checkpoints and the head.
         """
         cache = self.golden_cache
         plan = lane.plan
@@ -500,11 +591,21 @@ class CampaignCore:
                 behind = next((index for index in lane.resumable if index > span[1]), None)
                 wanted = [index for index in (resume_at, behind) if index]
             arena = lane.arena
+        # A fitted classifier's cache-less golden pass may resume at its
+        # head from the features the fit kept: only the checkpoints above
+        # need the prefix.
+        seed = self._seed(lane, plan, images)
         with _scanning(monitor):
             output, checkpoints, marks = plan.run_recording(
-                images, wanted, arena=arena, monitor=monitor
+                images, wanted, arena=arena, monitor=monitor, seed=seed
             )
         events = monitor.collect() if monitor is not None else None
+        if seed is not None and lane.seeds_agree is None:
+            output, checkpoints, marks, events = self._rehearse_seed(
+                lane, images, wanted, monitor, (output, checkpoints, marks, events)
+            )
+        elif seed is not None:
+            self.golden_seeded += 1
         if cache is not None:
             entry = cache.put(cache_key, output, checkpoints, marks, events)
         else:

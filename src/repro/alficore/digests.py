@@ -57,20 +57,26 @@ def bytes_digest(data: bytes, length: int = SHORT_DIGEST_LENGTH) -> str:
 
 
 def model_fingerprint(model: Any, length: int = SHORT_DIGEST_LENGTH) -> str:
-    """Short digest of a model's weights (names + raw parameter bytes).
+    """Short digest of a model's state (names + raw parameter, then buffer bytes).
 
     The fingerprint distinguishes *states*, not just architectures: two
-    equal-shaped models with different weights (or one model before/after
-    head fitting) fingerprint differently, while a reconstruction with
-    identical weights fingerprints identically.  Compute it while the model
-    is unpatched — an active fault group would leak into the digest.
+    equal-shaped models with different weights or batch-norm running
+    statistics (or one model before/after head fitting) fingerprint
+    differently, while a reconstruction with identical state fingerprints
+    identically.  A model without buffers digests its parameters alone.
+    Compute it while the model is unpatched — an active fault group would
+    leak into the digest.
 
     ``model`` must provide ``named_parameters()`` yielding ``(name, param)``
-    pairs whose ``param.data`` exposes ``tobytes()`` (the ``repro.nn``
+    pairs whose ``param.data`` exposes ``tobytes()``, and may provide
+    ``named_buffers()`` yielding ``(name, array)`` pairs (the ``repro.nn``
     module protocol).
     """
     digest = hashlib.sha1()
     for name, param in model.named_parameters():
         digest.update(name.encode("utf-8"))
         digest.update(param.data.tobytes())
+    for name, buffer in getattr(model, "named_buffers", tuple)():
+        digest.update(name.encode("utf-8"))
+        digest.update(buffer.tobytes())
     return digest.hexdigest()[:length]

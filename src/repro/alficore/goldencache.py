@@ -28,6 +28,12 @@ Memory is bounded by a configurable byte budget with LRU eviction; an
 optional *spillover directory* persists entries as pickle files so separate
 processes (the shards of a ``ShardedCampaignExecutor``, a resumed or extended
 sweep) can reuse each other's golden passes.
+
+One more piece of golden state lives here without being a cache entry:
+:class:`HeadFeatures`, the final-layer inputs a head fit computed for its
+calibration images (:func:`repro.models.pretrained.fit_classifier_head`
+keeps one per fitted model object; a cache-less campaign seeds its golden
+passes with them).
 """
 
 from __future__ import annotations
@@ -35,12 +41,15 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+import weakref
 from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.alficore.digests import key_digest
+from repro.alficore.digests import bytes_digest, key_digest
+from repro.nn.module import Module
 
 DEFAULT_BYTE_BUDGET = 256 * 2**20
 
@@ -258,3 +267,52 @@ class GoldenCache:
             "byte_budget": self.byte_budget,
             "spill_dir": str(self.spill_dir) if self.spill_dir is not None else None,
         }
+
+
+# ---------------------------------------------------------------------- #
+# the head fit's features
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class HeadFeatures:
+    """What fitting a classifier's head learned about its calibration images.
+
+    ``features`` maps :func:`image_key` to the input the final ``Linear``
+    (``head``) received for that image, for the images whose every leaf
+    output row was finite during the fit — so a golden pass of them raises
+    no NaN/Inf event before the head.  ``fingerprint`` is the model's
+    :func:`~repro.alficore.digests.model_fingerprint` once the head was
+    written: the features hold only while the model still has that state.
+    """
+
+    head: Module
+    features: dict[tuple, np.ndarray]
+    fingerprint: str
+
+    def stacked(self, images: np.ndarray) -> np.ndarray | None:
+        """The features of the batch ``images``, stacked (``None``: one is unknown)."""
+        try:
+            return np.stack([self.features[image_key(image)] for image in images])
+        except KeyError:
+            return None
+
+
+# Keyed by the model object itself, weakly: the record goes with the model,
+# and a deep copy or an unpickled model (a resil lane, a shard worker's) has
+# none, since nothing vouches that its features equal the fitted object's.
+_HEAD_FEATURES: "weakref.WeakKeyDictionary[Module, HeadFeatures]" = weakref.WeakKeyDictionary()
+
+
+def image_key(image: np.ndarray) -> tuple:
+    """Content key of one image: digest of its bytes, its shape and dtype."""
+    image = np.ascontiguousarray(image)
+    return bytes_digest(image.tobytes()), image.shape, image.dtype.str
+
+
+def remember_head_features(model: Module, record: HeadFeatures) -> None:
+    """Keep ``record`` for this model object (not for copies of it)."""
+    _HEAD_FEATURES[model] = record
+
+
+def head_features(model: Module) -> HeadFeatures | None:
+    """The record the last head fit of this model object kept, if any."""
+    return _HEAD_FEATURES.get(model)

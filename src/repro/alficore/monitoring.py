@@ -15,7 +15,7 @@ that order and gates it with :attr:`InferenceMonitor.enabled`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -97,13 +97,8 @@ class InferenceMonitor:
         """Attach monitoring hooks to the selected layers (idempotent)."""
         if self._handles:
             return
-        for name, module in self.model.named_modules():
-            if not name:
-                continue
+        for name, module in leaf_modules(self.model):
             if self.layer_names is not None and name not in self.layer_names:
-                continue
-            if len(module._modules) > 0:
-                # Only monitor leaf modules; containers just forward tensors.
                 continue
             self._handles.append(module.register_forward_hook(self._make_hook(name)))
 
@@ -195,6 +190,33 @@ class RangeMonitor:
         if peak > self.bound:
             return {"monitor": "range", "layer": layer_name, "peak": peak, "bound": self.bound}
         return None
+
+
+def leaf_modules(model: Module) -> Iterator[tuple[str, Module]]:
+    """The ``(name, module)`` pairs a monitor scans: every named leaf module.
+
+    Only leaves are monitored; containers just forward tensors.
+    """
+    for name, module in model.named_modules():
+        if name and not module._modules:
+            yield name, module
+
+
+def finite_rows(output, size: int) -> np.ndarray:
+    """Per batch row of ``output``: whether a monitor scan would find no NaN/Inf in it.
+
+    A float array with ``size`` rows is judged row by row; anything else (a
+    list of detections, an array without a batch axis) as a whole.
+    Non-float outputs are never scanned, so all their rows count as finite.
+    """
+    if isinstance(output, (list, tuple)):
+        return np.full(size, not any(output_has_nan_or_inf(output)))
+    values = np.asarray(output)
+    if values.dtype.kind != "f":
+        return np.ones(size, dtype=bool)
+    if values.ndim == 0 or values.shape[0] != size:
+        return np.full(size, bool(np.isfinite(values).all()))
+    return np.isfinite(values.reshape(size, -1)).all(axis=1)
 
 
 def _nan_inf(values: np.ndarray) -> tuple[bool, bool]:

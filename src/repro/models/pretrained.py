@@ -10,12 +10,25 @@ convolutional features are a well-known strong baseline on synthetic,
 prototype-based data, so the fitted models reach high fault-free accuracy —
 which is what makes SDE rates meaningful (a fault must flip a *correct*
 decision for the campaign to resemble the paper's setting).
+
+The fit runs the whole backbone over the calibration split, which is every
+image a campaign on the same dataset will see.  It keeps what that pass
+computed (:class:`~repro.alficore.goldencache.HeadFeatures`, one per fitted
+model object): the final layer's input per image, keyed by the image's
+content, for the images whose every leaf output row was finite, and the
+model's fingerprint once the head is written.  A cache-less campaign on that
+same object (:class:`~repro.alficore.campaign.core.CampaignCore`) then runs
+its golden passes as the checkpointed prefix its faulty passes need plus the
+head, from those features, instead of the whole backbone again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.alficore.digests import model_fingerprint
+from repro.alficore.goldencache import HeadFeatures, image_key, remember_head_features
+from repro.alficore.monitoring import finite_rows, leaf_modules
 from repro.nn import Linear
 from repro.nn.module import Module
 
@@ -72,7 +85,13 @@ def fit_classifier_head(
         batch_size: feature-extraction batch size.
 
     Returns:
-        The same model instance with a fitted final layer.
+        The same model instance with a fitted final layer.  The features
+        of the calibration images are kept for this model object (see the
+        module docstring); a copy of the model does not share them.
+
+    Raises:
+        ValueError: when some calibration image's features hold a NaN or an
+            Inf (the closed-form fit would write a NaN head).
     """
     size = len(dataset) if calibration_size is None else min(calibration_size, len(dataset))
     if size <= 0:
@@ -91,11 +110,14 @@ def fit_classifier_head(
         image, label = dataset[index]
         images.append(np.asarray(image, dtype=np.float32))
         labels.append(int(label))
-    features_list = []
-    for start in range(0, size, batch_size):
-        batch = np.stack(images[start : start + batch_size])
-        features_list.append(extract_penultimate_features(model, batch))
-    features = np.concatenate(features_list, axis=0).astype(np.float64)
+    received, finite = _calibration_features(model, images, batch_size)
+    non_finite = int((~np.isfinite(received.reshape(size, -1)).all(axis=1)).sum())
+    if non_finite:
+        raise ValueError(
+            f"{non_finite} of {size} calibration images have non-finite features "
+            "(NaN/Inf before the final Linear layer); the head cannot be fitted"
+        )
+    features = received.astype(np.float64)
     targets = np.zeros((size, num_classes), dtype=np.float64)
     targets[np.arange(size), labels] = 1.0
 
@@ -124,7 +146,42 @@ def fit_classifier_head(
     if final_linear.bias is not None:
         final_linear.bias.copy_((bias * scale).astype(np.float32))
     del parent, child_name
+    remember_head_features(
+        model,
+        HeadFeatures(
+            head=final_linear,
+            features={
+                image_key(image): row for image, row, ok in zip(images, received, finite) if ok
+            },
+            fingerprint=model_fingerprint(model),
+        ),
+    )
     return model
+
+
+def _calibration_features(
+    model: Module, images: list[np.ndarray], batch_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The final Linear's input for every image, and per image whether every
+    leaf's output row was finite (what the campaign monitor would find)."""
+    flags = np.ones(0, dtype=bool)
+
+    def scan(module, inputs, output):
+        np.logical_and(flags, finite_rows(output, len(flags)), out=flags)
+        return None
+
+    handles = [module.register_forward_hook(scan) for _, module in leaf_modules(model)]
+    features, finite = [], []
+    try:
+        for start in range(0, len(images), batch_size):
+            batch = np.stack(images[start : start + batch_size])
+            flags = np.ones(len(batch), dtype=bool)
+            features.append(extract_penultimate_features(model, batch))
+            finite.append(flags)
+    finally:
+        for handle in handles:
+            handle.remove()
+    return np.concatenate(features, axis=0), np.concatenate(finite)
 
 
 def pretrained_classifier(

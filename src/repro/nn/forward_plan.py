@@ -14,7 +14,10 @@ the two passes, so recomputing it for the faulty one is pure waste.  A
 * :meth:`run_recording` executes a full pass while checkpointing selected
   boundary activations (into a reusable :class:`ActivationArena` or as owned
   copies for a cache) and, optionally, snapshotting monitor event counts at
-  every boundary so NaN/Inf events can later be attributed to the prefix;
+  every boundary so NaN/Inf events can later be attributed to the prefix.
+  Handed a boundary value known beforehand (``seed``), it runs only the
+  segments up to the last checkpoint it records below that boundary and
+  resumes there;
 * :meth:`resume` re-enters the pass at segment ``k`` from a cached boundary
   activation (``k == 0``: from the input itself) and only executes the
   suffix — and, handed the golden pass it resumed from, stops at the first
@@ -440,6 +443,7 @@ class ForwardPlan:
         boundaries="all",
         arena: ActivationArena | None = None,
         monitor=None,
+        seed: tuple[int, object] | None = None,
     ):
         """Run a full pass while checkpointing boundary activations.
 
@@ -454,6 +458,12 @@ class ForwardPlan:
                 whose event counts are snapshotted before every segment, so a
                 later suffix-only pass can inherit the prefix events.  The
                 caller owns reset/enable/collect of the monitor.
+            seed: ``(index, value)``, the boundary value ``a_index`` known
+                beforehand.  The pass then runs only the segments up to the
+                last wanted boundary below ``index`` and resumes at ``index``
+                from ``value``; the segments in between are not run, so their
+                marks repeat the counts before them (the caller vouches that
+                they raise no event).
 
         Returns:
             Tuple ``(output, checkpoints, marks)`` where ``checkpoints`` maps
@@ -464,14 +474,24 @@ class ForwardPlan:
         wanted = None if boundaries == "all" else set(boundaries)
         checkpoints: dict[int, object] = {}
         marks: list[tuple[int, int, int]] | None = [] if monitor is not None else None
+        skipped = range(0)
+        if seed is not None:
+            seed_at, seed_value = seed
+            if wanted is not None:
+                last = max((index for index in wanted if index < seed_at), default=0)
+                skipped = range(last, seed_at)
         value = x
         for index in range(len(self.segments)):
+            if seed is not None and index == seed_at:
+                value = seed_value
             if index > 0 and (wanted is None or index in wanted):
                 checkpoints[index] = (
                     arena.store(index, value) if arena is not None else _snapshot(value)
                 )
             if marks is not None:
                 marks.append(monitor.event_counts())
+            if index in skipped:
+                continue
             value = self._executor.run_segment(index, value)
         if marks is not None:
             marks.append(monitor.event_counts())

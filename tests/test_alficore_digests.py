@@ -18,7 +18,7 @@ from repro.alficore.digests import (
     key_digest,
     model_fingerprint,
 )
-from repro.models import lenet5
+from repro.models import build_model, lenet5
 
 
 class TestConfigDigest:
@@ -90,12 +90,20 @@ class TestModelFingerprint:
             param.data.ravel()[0] = original
         assert model_fingerprint(model) == before
 
+    def test_sensitive_to_bn_running_statistics(self):
+        model = build_model("resnet18", num_classes=10, seed=0)
+        before = model_fingerprint(model)
+        model.stem[1].running_var[0] *= 2.0
+        assert model_fingerprint(model) != before
+
     def test_short_form_length(self, model):
         assert len(model_fingerprint(model)) == SHORT_DIGEST_LENGTH
 
     def test_matches_campaign_core_fingerprint(self, model):
         # The fingerprint in a campaign lane's golden-cache keys must be the
-        # same digest (spillover recorded by older runs must keep matching).
+        # same digest (spillover recorded by older runs must keep matching);
+        # buffers are digested after the parameters, and lenet5 has none.
+        assert list(model.named_buffers()) == []
         reference = hashlib.sha1()
         for name, param in model.named_parameters():
             reference.update(name.encode("utf-8"))
