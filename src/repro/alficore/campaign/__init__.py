@@ -18,9 +18,10 @@ The engine is three layers, one module each:
   boundary it resumes at (the input batch for a fault in segment 0), and —
   *tail reuse* — the first checkpointed boundary behind the group's last
   faulted segment that the faulty activation reproduces byte for byte,
-  where the pass ends with the golden output object and inherits the golden
-  monitor events of the skipped tail.  A transient entry checkpoints
-  exactly those two.
+  where the pass ends with the golden output object.  Both shortcuts run
+  only behind a golden pass that raised no monitor event (the entry's
+  ``clean``), so a skipped segment never hides one.  A transient entry
+  checkpoints exactly those two.
 * :mod:`~repro.alficore.campaign.tasks` — :class:`CampaignTask` adapters
   interpret outputs per workload.  :class:`ClassificationTask` classifies
   each inference masked / SDE / DUE against its golden top-1 and streams CSV

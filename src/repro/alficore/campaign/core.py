@@ -19,6 +19,12 @@ batch rows its faults name, when they are fewer than the batch: row *i* of a
 batched forward is the forward of sample *i* alone, so every other row of
 the faulty output is the golden row (*sample-sparse* passes).
 
+A faulty pass skips segments or rows only behind a *clean* golden pass, one
+in which the lane's monitor saw no NaN, Inf or custom event: what it skips
+is golden and raises no event either, so the events of what it runs are
+those of a full forward.  Behind any other golden pass the lane runs the
+plain full forward, the ``prefix_reuse=False`` path.
+
 The same row identity lets a cache-less golden pass skip most of the
 backbone of a fitted classifier (*seeded* golden passes):
 :func:`~repro.models.pretrained.fit_classifier_head` already ran it over
@@ -143,6 +149,11 @@ def _scanning(monitor: InferenceMonitor | None) -> Iterator[None]:
         yield
     finally:
         monitor.enabled = False
+
+
+def _clean(monitor: InferenceMonitor | None) -> bool | None:
+    """Whether ``monitor`` saw no event since it was reset (``None``: no monitor)."""
+    return monitor.collect().clean if monitor is not None else None
 
 
 class CampaignCore:
@@ -463,18 +474,18 @@ class CampaignCore:
     ) -> tuple:
         """Run the full golden pass a seeded one stands for; warn once if they differ.
 
-        ``seeded`` and the result are ``(output, checkpoints, marks,
-        events)``; the full pass is returned either way, so the step that
-        checks is a step of the plain path.
+        ``seeded`` and the result are ``(output, checkpoints, clean)``; the
+        full pass is returned either way, so the step that checks is a step
+        of the plain path.
         """
         with _scanning(monitor):
-            output, checkpoints, marks = lane.plan.run_recording(images, wanted, monitor=monitor)
-        full = (output, checkpoints, marks, monitor.collect() if monitor is not None else None)
+            output, checkpoints = lane.plan.run_recording(images, wanted)
+        clean = _clean(monitor)
         lane.seeds_agree = (
             _bitwise_equal(seeded[0], output)
             and seeded[1].keys() == checkpoints.keys()
             and all(_bitwise_equal(seeded[1][index], checkpoints[index]) for index in checkpoints)
-            and seeded[2:] == full[2:]
+            and seeded[2] == clean
         )
         if not lane.seeds_agree:
             lane.features = None
@@ -485,7 +496,7 @@ class CampaignCore:
                 RuntimeWarning,
                 stacklevel=3,
             )
-        return full
+        return output, checkpoints, clean
 
     @staticmethod
     def _faulted_span(
@@ -498,20 +509,14 @@ class CampaignCore:
         forward of the faulty model.  Both ends are taken over the *executed*
         segments of all of the group's faulted layers — layer indices follow
         registration order, which may differ from execution order, so mapping
-        only ``first_faulted_layer`` could skip a patched layer that runs
+        only the lowest-indexed layer could skip a patched layer that runs
         earlier in the chain, and rejoining before ``last`` would skip a
         fault that has yet to fire.
         """
-        if plan is None:
-            return None
-        layers = getattr(group, "faulted_layers", None)
-        if layers is None:
-            first = getattr(group, "first_faulted_layer", None)
-            layers = [] if first is None else [first]
-        if not layers:
+        if plan is None or not group.faulted_layers:
             return None
         first_segments, last_segments = [], []
-        for layer in layers:
+        for layer in group.faulted_layers:
             name = wrapper.fault_injection.layers[layer].name
             index = plan.segment_for(name)
             if index is None:
@@ -538,11 +543,11 @@ class CampaignCore:
         segment 0, the checkpoint of boundary ``span[0]`` otherwise
         (``None`` when not available).  A transient entry holds that
         checkpoint and the first resumable boundary behind ``span[1]``, the
-        first one a cached entry would be compared at.  ``entry.marks`` /
-        ``entry.events`` carry the golden monitor state the faulty pass
-        inherits for the segments it does not execute (``None`` without
-        monitoring).  A seeded pass (see :meth:`_seed`) gives the same entry
-        without running the segments between those checkpoints and the head.
+        first one a cached entry would be compared at.  ``entry.clean`` says
+        whether the lane's monitor saw an event (``None``: no monitor
+        scanned the pass).  A seeded pass (see :meth:`_seed`) gives the same
+        entry without running the segments between those checkpoints and the
+        head.
         """
         cache = self.golden_cache
         plan = lane.plan
@@ -573,9 +578,8 @@ class CampaignCore:
                 return cache.put(cache_key, output), None
             return GoldenCacheEntry(output), None
         # The monitor scan on the golden pass is only paid when something
-        # consumes its events: a planned faulty pass (it inherits those of
-        # the prefix it skips and of the tail behind a rejoin) or a cache
-        # recording.
+        # reads ``clean``: a planned faulty pass (it may skip segments only
+        # behind a clean golden pass) or a cache recording.
         monitor = lane.monitor if cache is not None or span is not None else None
         # With a cache every boundary a fault group can resume at is
         # checkpointed (owned copies), so later epochs and grid points need
@@ -596,83 +600,38 @@ class CampaignCore:
         # need the prefix.
         seed = self._seed(lane, plan, images)
         with _scanning(monitor):
-            output, checkpoints, marks = plan.run_recording(
-                images, wanted, arena=arena, monitor=monitor, seed=seed
-            )
-        events = monitor.collect() if monitor is not None else None
+            output, checkpoints = plan.run_recording(images, wanted, arena=arena, seed=seed)
+        clean = _clean(monitor)
         if seed is not None and lane.seeds_agree is None:
-            output, checkpoints, marks, events = self._rehearse_seed(
-                lane, images, wanted, monitor, (output, checkpoints, marks, events)
+            output, checkpoints, clean = self._rehearse_seed(
+                lane, images, wanted, monitor, (output, checkpoints, clean)
             )
         elif seed is not None:
             self.golden_seeded += 1
         if cache is not None:
-            entry = cache.put(cache_key, output, checkpoints, marks, events)
+            entry = cache.put(cache_key, output, checkpoints, clean)
         else:
-            entry = GoldenCacheEntry(output, checkpoints, marks, events)
+            entry = GoldenCacheEntry(output, checkpoints, clean)
         return entry, images if resume_at == 0 else checkpoints.get(resume_at)
 
     @staticmethod
-    def _inherit_golden_events(
-        entry: GoldenCacheEntry,
-        resumed_at: int | None,
-        rejoined_at: int | None,
-        executed: MonitorResult,
-    ) -> MonitorResult:
-        """Add the golden monitor events of the segments a faulty pass skipped.
-
-        A pass that resumed at ``resumed_at`` never executed the prefix, one
-        that rejoined the golden pass at ``rejoined_at`` never executed the
-        tail; the activations of both (hence their NaN/Inf/custom events) are
-        bit-identical to the golden pass's, so inheriting its events for
-        exactly those segments reproduces the full-forward monitor result.
-        """
-        events, marks = entry.events, entry.marks
-        if resumed_at is None or events is None or marks is None:
-            return executed
-        head = marks[resumed_at]
-        tail = marks[-1] if rejoined_at is None else marks[rejoined_at]
-        return MonitorResult(
-            nan_layers=events.nan_layers[: head[0]]
-            + executed.nan_layers
-            + events.nan_layers[tail[0] :],
-            inf_layers=events.inf_layers[: head[1]]
-            + executed.inf_layers
-            + events.inf_layers[tail[1] :],
-            custom_events=events.custom_events[: head[2]]
-            + executed.custom_events
-            + events.custom_events[tail[2] :],
-        )
-
-    @staticmethod
-    def _sparse_rows(
-        lane: _Lane, group, entry: GoldenCacheEntry, boundary, size: int
-    ) -> tuple[int, ...] | None:
+    def _sparse_rows(lane: _Lane, group, boundary, size: int) -> tuple[int, ...] | None:
         """The batch rows a planned faulty pass needs to run (``None``: all).
 
         A neuron group's faults name their images, so a pass over only those
         rows gives the other rows' golden values when nothing else can tell
         the difference: the lane's monitor has no custom monitor (it would
-        see a smaller array) and the golden pass raised no event (a skipped
-        row would not raise it again).  A lane whose model failed the
-        row-invariance check runs full-batch passes.
+        see a smaller array).  A lane whose model failed the row-invariance
+        check runs full-batch passes.
         """
         if (
             not isinstance(group, NeuronFaultGroup)
             or size == 1
             or lane.rows_agree is False
             or not isinstance(boundary, np.ndarray)
+            or (lane.monitor is not None and lane.monitor.custom_monitors)
         ):
             return None
-        if lane.monitor is not None:
-            events = entry.events
-            if (
-                lane.monitor.custom_monitors
-                or events is None
-                or events.due_detected
-                or events.custom_events
-            ):
-                return None
         rows = group.rows(size)
         return rows if 0 < len(rows) < size else None
 
@@ -723,19 +682,21 @@ class CampaignCore:
         """One lane's share of a step: ``(golden entry, faulty output, events)``.
 
         The golden pass runs before the group opens, the faulty pass inside
-        it, both on ``lane.model``.  With a boundary to start from, the
-        faulty pass runs only the segments from the group's first faulted
-        one, and only up to the first golden checkpoint behind its last
-        faulted one where the activation equals the golden pass's — the
-        output is then ``entry.output`` itself.  A neuron group whose faults
-        name fewer rows than the batch runs those rows only (see
+        it, both on ``lane.model``.  With a boundary to start from and a
+        clean golden pass (``entry.clean``; any pass on a lane without
+        monitor), the faulty pass runs only the segments from the group's
+        first faulted one, and only up to the first golden checkpoint behind
+        its last faulted one where the activation equals the golden pass's —
+        the output is then ``entry.output`` itself.  A neuron group whose
+        faults name fewer rows than the batch runs those rows only (see
         :meth:`_sparse_rows`).  The first time a lane would, it rehearses
         a plain forward of those rows, then runs the full-batch pass and
         compares the two outputs: a model whose rows differ between them
         mixes the samples of a batch, so the lane warns once and keeps
         full-batch passes.
         ``events`` are those of a full faulty forward (``None`` for a lane
-        without monitor).
+        without monitor): what a planned pass skips is golden, and behind a
+        clean golden pass raises none.
         """
         task, monitor = self.task, lane.monitor
         plan = self._plan_for(lane, images)
@@ -749,12 +710,10 @@ class CampaignCore:
         if lane.fingerprint is not None:
             head += (lane.fingerprint, F.KERNEL_GENERATION)
         entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, span)
-        rows = None
-        if span is not None and boundary is not None:
-            rows = self._sparse_rows(lane, group, entry, boundary, len(batch))
-        resumed_at = rejoined_at = None
+        planned = span is not None and boundary is not None and (entry.clean or monitor is None)
+        rows = self._sparse_rows(lane, group, boundary, len(batch)) if planned else None
         with group, _scanning(monitor):
-            if span is None or boundary is None:
+            if not planned:
                 output = task.infer(group.model, images, batch)
             else:
                 sparse = None
@@ -768,9 +727,11 @@ class CampaignCore:
                     if monitor is not None:
                         monitor.reset()
                     rows = None
-                resumed_at = span[0]
                 output = self._resume(plan, span, entry, boundary, batch, group, rows)
-                rejoined_at = plan.rejoined_at
+                if plan.rejoined_at is not None:
+                    self.rejoins += 1
+                    if self.golden_cache is not None:
+                        self.golden_cache.rejoins += 1
                 if rows is not None:
                     self.rows_skipped += len(batch) - len(rows)
                 if sparse is not None:
@@ -783,14 +744,7 @@ class CampaignCore:
                             RuntimeWarning,
                             stacklevel=2,
                         )
-        if rejoined_at is not None:
-            self.rejoins += 1
-            if self.golden_cache is not None:
-                self.golden_cache.rejoins += 1
-        if monitor is None:
-            return entry, output, None
-        executed = monitor.collect()
-        return entry, output, self._inherit_golden_events(entry, resumed_at, rejoined_at, executed)
+        return entry, output, monitor.collect() if monitor is not None else None
 
     def _run_step(
         self,

@@ -8,9 +8,9 @@ them once per epoch per image, and a sweep once per grid point.  The
 
 * the raw golden model output (and, in a separate lane, the hardened
   "resil" model's golden output);
-* the golden monitor events together with per-boundary event-count marks, so
-  suffix-only faulty passes can inherit the prefix's NaN/Inf events without
-  re-scanning;
+* whether the golden pass was *clean* — its monitor saw no NaN, Inf or
+  custom event — the one condition under which a faulty pass may skip
+  segments behind it;
 * checkpointed boundary activations of the golden forward plan — those a
   fault group can resume at — so a later faulty pass can resume mid-network
   without re-running the prefix, and stop at the first later checkpoint it
@@ -75,20 +75,21 @@ def _value_nbytes(value) -> int:
 
 
 class GoldenCacheEntry:
-    """One golden pass (output, monitor events, boundary checkpoints).
+    """One golden pass (output, boundary checkpoints, whether it was clean).
 
-    ``derived`` is scratch space for the campaign task: values it computed
-    from ``output`` alone, keyed by whatever else they depend on.  It is not
-    part of :meth:`as_state`, so it is never spilled.
+    ``clean`` is ``True`` when the lane's monitor saw no NaN, Inf or custom
+    event during the pass, ``False`` when it saw one, and ``None`` for a pass
+    no monitor scanned.  ``derived`` is scratch space for the campaign task:
+    values it computed from ``output`` alone, keyed by whatever else they
+    depend on.  It is not part of :meth:`as_state`, so it is never spilled.
     """
 
-    __slots__ = ("output", "boundaries", "marks", "events", "derived")
+    __slots__ = ("output", "boundaries", "clean", "derived")
 
-    def __init__(self, output, boundaries=None, marks=None, events=None):
+    def __init__(self, output, boundaries=None, clean=None):
         self.output = output
         self.boundaries = dict(boundaries or {})
-        self.marks = marks
-        self.events = events
+        self.clean = clean
         self.derived: dict = {}
 
     @property
@@ -98,17 +99,20 @@ class GoldenCacheEntry:
 
     def as_state(self) -> dict:
         """Picklable plain-dict form (inverse of :meth:`from_state`)."""
-        return {
-            "output": self.output,
-            "boundaries": self.boundaries,
-            "marks": self.marks,
-            "events": self.events,
-        }
+        return {"output": self.output, "boundaries": self.boundaries, "clean": self.clean}
 
     @classmethod
     def from_state(cls, state: dict) -> "GoldenCacheEntry":
-        """Rebuild an entry from :meth:`as_state` output."""
-        return cls(state["output"], state["boundaries"], state["marks"], state["events"])
+        """Rebuild an entry from :meth:`as_state` output.
+
+        A spill file written before entries had ``clean`` holds the golden
+        pass's monitor result (``events``, ``None`` when unscanned) instead.
+        """
+        if "clean" in state:
+            clean = state["clean"]
+        else:
+            clean = None if state["events"] is None else state["events"].clean
+        return cls(state["output"], state["boundaries"], clean)
 
 
 class GoldenCache:
@@ -157,9 +161,9 @@ class GoldenCache:
         self._entries.move_to_end(key)
         return entry
 
-    def put(self, key: tuple, output, boundaries=None, marks=None, events=None) -> GoldenCacheEntry:
+    def put(self, key: tuple, output, boundaries=None, clean=None) -> GoldenCacheEntry:
         """Insert (or replace) the golden pass for ``key``."""
-        entry = GoldenCacheEntry(output, boundaries, marks, events)
+        entry = GoldenCacheEntry(output, boundaries, clean)
         self._insert(key, entry, spill=True)
         return entry
 

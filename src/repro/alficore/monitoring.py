@@ -45,6 +45,11 @@ class MonitorResult:
         """True if the inference would be flagged as a DUE (NaN or Inf seen)."""
         return self.nan_detected or self.inf_detected
 
+    @property
+    def clean(self) -> bool:
+        """True if no monitor raised an event: no NaN, no Inf, no custom event."""
+        return not (self.due_detected or self.custom_events)
+
     def as_dict(self) -> dict:
         """Return a JSON-friendly summary."""
         return {
@@ -117,15 +122,6 @@ class InferenceMonitor:
         result = self._current
         self._current = MonitorResult()
         return result
-
-    def event_counts(self) -> tuple[int, int, int]:
-        """Current ``(nan, inf, custom)`` event counts without resetting.
-
-        Forward plans snapshot these at every segment boundary so a
-        suffix-only faulty pass can inherit exactly the prefix's events.
-        """
-        current = self._current
-        return (len(current.nan_layers), len(current.inf_layers), len(current.custom_events))
 
     def _make_hook(self, layer_name: str):
         def hook(module, inputs, output):

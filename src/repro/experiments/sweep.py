@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -85,10 +85,20 @@ class SweepPlan:
         the weights, and derives ``run_id`` from the canonical spec document
         plus the fingerprint.  With pre-built ``artifacts`` the supplied
         model/dataset are used for every point — only legal when no axis
-        changes the model, dataset or task.
+        changes the model, dataset or task.  A point runs with nothing else
+        of them, so any other artifact is refused rather than dropped.
         """
         from repro.experiments.registry import DATASETS, TASKS
 
+        unsupported = [
+            name
+            for name in (item.name for item in fields(Artifacts))
+            if name not in ("model", "dataset") and getattr(artifacts, name, None) is not None
+        ]
+        if unsupported:
+            raise SweepError(
+                f"sweep artifacts are model and dataset only; got {', '.join(unsupported)}"
+            )
         supplied = artifacts is not None and (
             artifacts.model is not None or artifacts.dataset is not None
         )
@@ -417,7 +427,8 @@ def run_sweep(
     Args:
         spec: an :class:`ExperimentSpec` with a ``sweep:`` section.
         artifacts: optional pre-built model/dataset shared by every point
-            (only legal when no axis varies model, dataset or task).
+            (only legal when no axis varies model, dataset or task); any
+            other :class:`Artifacts` field raises :class:`SweepError`.
         store: campaign-store directory (or instance).  Defaults to the
             sweep's declared ``store``, then ``<output_dir>/sweep_store``;
             with neither, the sweep runs without persistence (every point

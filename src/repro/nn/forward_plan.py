@@ -13,11 +13,9 @@ the two passes, so recomputing it for the faulty one is pure waste.  A
   case it degenerates to a single segment and prefix reuse is simply a no-op;
 * :meth:`run_recording` executes a full pass while checkpointing selected
   boundary activations (into a reusable :class:`ActivationArena` or as owned
-  copies for a cache) and, optionally, snapshotting monitor event counts at
-  every boundary so NaN/Inf events can later be attributed to the prefix.
-  Handed a boundary value known beforehand (``seed``), it runs only the
-  segments up to the last checkpoint it records below that boundary and
-  resumes there;
+  copies for a cache).  Handed a boundary value known beforehand (``seed``),
+  it runs only the segments up to the last checkpoint it records below that
+  boundary and resumes there;
 * :meth:`resume` re-enters the pass at segment ``k`` from a cached boundary
   activation (``k == 0``: from the input itself) and only executes the
   suffix — and, handed the golden pass it resumed from, stops at the first
@@ -442,7 +440,6 @@ class ForwardPlan:
         x,
         boundaries="all",
         arena: ActivationArena | None = None,
-        monitor=None,
         seed: tuple[int, object] | None = None,
     ):
         """Run a full pass while checkpointing boundary activations.
@@ -454,26 +451,18 @@ class ForwardPlan:
             arena: reuse buffers of this arena for the checkpoints; without
                 an arena each checkpoint is an owned copy (safe to cache
                 beyond the current step).
-            monitor: optional :class:`~repro.alficore.monitoring.InferenceMonitor`
-                whose event counts are snapshotted before every segment, so a
-                later suffix-only pass can inherit the prefix events.  The
-                caller owns reset/enable/collect of the monitor.
             seed: ``(index, value)``, the boundary value ``a_index`` known
                 beforehand.  The pass then runs only the segments up to the
                 last wanted boundary below ``index`` and resumes at ``index``
-                from ``value``; the segments in between are not run, so their
-                marks repeat the counts before them (the caller vouches that
-                they raise no event).
+                from ``value``; the segments in between are not run, so a
+                monitor sees none of their activations.
 
         Returns:
-            Tuple ``(output, checkpoints, marks)`` where ``checkpoints`` maps
-            boundary index to activation and ``marks`` (or ``None`` without a
-            monitor) is a list of ``num_segments + 1`` event-count tuples:
-            ``marks[k]`` are the counts accumulated before segment ``k`` ran.
+            Tuple ``(output, checkpoints)`` where ``checkpoints`` maps
+            boundary index to activation.
         """
         wanted = None if boundaries == "all" else set(boundaries)
         checkpoints: dict[int, object] = {}
-        marks: list[tuple[int, int, int]] | None = [] if monitor is not None else None
         skipped = range(0)
         if seed is not None:
             seed_at, seed_value = seed
@@ -488,11 +477,7 @@ class ForwardPlan:
                 checkpoints[index] = (
                     arena.store(index, value) if arena is not None else _snapshot(value)
                 )
-            if marks is not None:
-                marks.append(monitor.event_counts())
             if index in skipped:
                 continue
             value = self._executor.run_segment(index, value)
-        if marks is not None:
-            marks.append(monitor.event_counts())
-        return value, checkpoints, marks
+        return value, checkpoints

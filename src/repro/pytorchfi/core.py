@@ -679,18 +679,13 @@ class WeightPatchSession:
         return bool(self._saved)
 
     @property
-    def first_faulted_layer(self) -> int | None:
-        """Lowest injectable-layer index this group corrupts (None if empty).
+    def faulted_layers(self) -> list[int]:
+        """Sorted injectable-layer indices this group corrupts.
 
         Layer indices follow registration (profiling) order, which is not
         necessarily execution order — suffix-only campaign forwards therefore
-        resume from the earliest *executed* segment over :attr:`faulted_layers`.
+        resume from the earliest *executed* segment over all of them.
         """
-        return min((fault.layer for fault in self._faults), default=None)
-
-    @property
-    def faulted_layers(self) -> list[int]:
-        """Sorted injectable-layer indices this group corrupts."""
         return sorted({fault.layer for fault in self._faults})
 
     def __enter__(self) -> "WeightPatchSession":
@@ -865,16 +860,6 @@ class NeuronFaultGroup:
     def model(self) -> Module:
         """The session's model — the original one, hooked."""
         return self._session.model
-
-    @property
-    def first_faulted_layer(self) -> int | None:
-        """Lowest injectable-layer index this group corrupts (None if empty).
-
-        Layer indices follow registration (profiling) order; campaign
-        forwards resume from the earliest executed segment over
-        :attr:`faulted_layers` so every injection hook still fires.
-        """
-        return min((fault.layer for fault in self._faults), default=None)
 
     @property
     def faulted_layers(self) -> list[int]:

@@ -153,7 +153,6 @@ class TestSuffixOnlyBitExactness:
         assert body_segment < head_segment  # execution order, not registration
 
         class FakeGroup:
-            first_faulted_layer = 0  # the head, by registration index
             faulted_layers = [0, 1]  # head and body
 
         span = core._faulted_span(plan, core.wrapper, FakeGroup())
@@ -677,7 +676,7 @@ class TestGoldenCache:
             scores = np.zeros(7, dtype=np.float32)
             labels = np.zeros(7, dtype=np.int64)
 
-        entry = GoldenCacheEntry([Detections(), Detections()], None, None, None)
+        entry = GoldenCacheEntry([Detections(), Detections()])
         assert entry.nbytes == 2 * (7 * 4 * 4 + 7 * 4 + 7 * 8)
 
 

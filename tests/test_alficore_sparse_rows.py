@@ -214,7 +214,7 @@ class TestFullBatchFallbacks:
 
     def test_a_golden_pass_that_holds_an_inf(self, fitted_lenet, tmp_path):
         class WithInf:
-            """Every batch of 4 starts with an image holding an Inf pixel."""
+            """Batches 0, 2 and 4 of 4 images start with an image holding an Inf pixel."""
 
             def __init__(self, dataset):
                 self.dataset = dataset
@@ -224,13 +224,17 @@ class TestFullBatchFallbacks:
 
             def __getitem__(self, index):
                 image, label = self.dataset[index]
-                if index % 4 == 0:
+                if index % 8 == 0:
                     image = image.copy()
                     image[0, 0, 0] = np.inf
                 return image, label
 
-        sparse = _core_both(fitted_lenet, WithInf(_dataset()), _scenario(), tmp_path)
-        assert sparse.rows_skipped == 0
+        scenario = _scenario(dataset_size=IMAGES)
+        matrix = _matrix_with_rows(fitted_lenet, scenario, lambda group: 2)
+        sparse = _core_both(fitted_lenet, WithInf(_dataset()), scenario, tmp_path, matrix=matrix)
+        # Only batches 1 and 3 of either epoch skip rows; the first of them
+        # checks row invariance at full width.
+        assert sparse.rows_skipped == 3 * 3
 
     def test_weight_faults(self, fitted_lenet, tmp_path):
         sparse = _both("classification", fitted_lenet, _dataset(), _scenario("weights"), tmp_path)

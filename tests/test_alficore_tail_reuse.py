@@ -1,9 +1,10 @@
 """Tail reuse and the once-per-image golden half of the records.
 
 A faulty pass that reproduces a golden boundary byte for byte ends there and
-takes the golden output (and the golden monitor events of the segments it
-skipped) — at a cached boundary, or without a cache at the one boundary the
-golden pass of its own step checkpointed behind the fault.  The contract
+takes the golden output — at a cached boundary, or without a cache at the one
+boundary the golden pass of its own step checkpointed behind the fault — as
+long as the golden pass raised no monitor event; behind one that did, the
+lane runs the plain full forward.  The contract
 under test: every result file, the KPI file and the task state equal the
 ``caching.prefix_reuse: false`` reference run, while rejoined passes execute
 fewer segments.
@@ -11,6 +12,7 @@ fewer segments.
 
 import dataclasses
 import functools
+import pickle
 from pathlib import Path
 from typing import NamedTuple
 
@@ -139,15 +141,34 @@ def _assert_segments_match_rejoins(resumes):
         assert resume.executed == list(range(resume.start, stop))
 
 
-def _inherited_tail_events(resumes, monitor_results):
-    """Custom monitor events of segments a rejoined pass never executed."""
-    assert len(resumes) == len(monitor_results)  # one planned pass per step
-    return sum(
-        resume.plan.segment_for(event["layer"]) >= resume.rejoined_at
-        for resume, result in zip(resumes, monitor_results)
-        if resume.rejoined_at is not None
-        for event in result["custom_events"]
-    )
+@pytest.fixture
+def lane_steps(monkeypatch, resumes):
+    """Per step of the model under test: ``(golden entry's clean, planned passes)``."""
+    steps = []
+    run_lane = CampaignCore._run_lane
+
+    def recording(self, lane, *args):
+        before = len(resumes)
+        result = run_lane(self, lane, *args)
+        if lane is self.lanes[0]:
+            steps.append((result[0].clean, len(resumes) - before))
+        return result
+
+    monkeypatch.setattr(CampaignCore, "_run_lane", recording)
+    return steps
+
+
+# Some fault-free lenet5 activations exceed 10 and some do not, so a campaign
+# under this monitor mixes clean and non-clean golden passes.
+MIXED = Artifacts(custom_monitors=[RangeMonitor(bound=10.0)])
+
+
+def _assert_planned_exactly_behind_clean_golden_passes(lane_steps, resumes):
+    cleans = [clean for clean, _ in lane_steps]
+    assert True in cleans and False in cleans
+    assert [planned for _, planned in lane_steps] == [int(clean) for clean in cleans]
+    assert any(resume.rejoined_at is not None for resume in resumes)
+    _assert_segments_match_rejoins(resumes)
 
 
 class TestCampaignsEqualTheReferencePath:
@@ -198,14 +219,15 @@ class TestCampaignsEqualTheReferencePath:
         assert broken.core.golden_cache.rejoins > reused.core.golden_cache.rejoins
         assert _result_bytes(broken) != _result_bytes(reference)
 
-    def test_golden_tail_monitor_events_are_inherited(self, tmp_path, resumes, monitor_results):
-        monitors = Artifacts(custom_monitors=[RangeMonitor(bound=0.5)])
-        reference = run(_spec("lenet5", "weights", tmp_path / "ref", prefix_reuse=False), monitors)
-        expected, monitor_results[:] = list(monitor_results), []
-        reused = run(_spec("lenet5", "weights", tmp_path / "tail", golden_cache_mb=64), monitors)
+    def test_only_clean_golden_passes_are_skipped_behind(
+        self, tmp_path, resumes, monitor_results, lane_steps
+    ):
+        reference = run(_spec("lenet5", "weights", tmp_path / "ref", prefix_reuse=False), MIXED)
+        expected, monitor_results[:], lane_steps[:] = list(monitor_results), [], []
+        reused = run(_spec("lenet5", "weights", tmp_path / "tail", golden_cache_mb=64), MIXED)
         assert monitor_results == expected
         assert _result_bytes(reused) == _result_bytes(reference)
-        assert _inherited_tail_events(resumes, monitor_results) > 0
+        _assert_planned_exactly_behind_clean_golden_passes(lane_steps, resumes)
 
     def test_resil_lane_with_a_hardened_model(self, tmp_path, resumes):
         reference = run(
@@ -310,20 +332,19 @@ class TestCacheLessCampaigns:
         assert reused.core.rejoins == 0
         _assert_segments_match_rejoins(resumes)
 
-    def test_golden_tail_monitor_events_of_a_first_layer_group(
-        self, tmp_path, resumes, monitor_results
+    def test_only_clean_golden_passes_of_first_layer_groups_are_skipped_behind(
+        self, tmp_path, resumes, monitor_results, lane_steps
     ):
         scenario = {**ONE_EPOCH, **FIRST_LAYER, "random_seed": 53}
-        monitors = Artifacts(custom_monitors=[RangeMonitor(bound=0.5)])
         reference = run(
-            _spec("lenet5", "neurons", tmp_path / "ref", scenario, prefix_reuse=False), monitors
+            _spec("lenet5", "neurons", tmp_path / "ref", scenario, prefix_reuse=False), MIXED
         )
-        expected, monitor_results[:] = list(monitor_results), []
-        reused = run(_spec("lenet5", "neurons", tmp_path / "tail", scenario), monitors)
+        expected, monitor_results[:], lane_steps[:] = list(monitor_results), [], []
+        reused = run(_spec("lenet5", "neurons", tmp_path / "tail", scenario), MIXED)
         assert monitor_results == expected
         assert _result_bytes(reused) == _result_bytes(reference)
-        assert [resume.start for resume in resumes] == [0] * IMAGES
-        assert _inherited_tail_events(resumes, monitor_results) > 0
+        assert [resume.start for resume in resumes] == [0] * len(resumes)
+        _assert_planned_exactly_behind_clean_golden_passes(lane_steps, resumes)
 
     @pytest.mark.parametrize("target", ["weights", "neurons"])
     def test_resil_lane_with_a_hardened_model(self, tmp_path, resumes, target):
@@ -412,6 +433,28 @@ class TestCacheEntryStates:
         assert reloaded.rejoins == conv_rejoins
         assert "derived" not in next(iter(cache._entries.values())).as_state()
 
+    @pytest.mark.parametrize("events, clean", [
+        (MonitorResult(), True),
+        (MonitorResult(inf_layers=["features.0"]), False),
+        (MonitorResult(custom_events=[{"monitor": "range"}]), False),
+        (None, None),
+    ])
+    def test_a_spill_file_from_before_the_clean_flag_is_a_hit(self, tmp_path, events, clean):
+        # Such a file holds the golden monitor result and per-boundary event
+        # counts ("marks") instead of ``clean``.
+        output = np.arange(10, dtype=np.float32)[None]
+        boundaries = {3: np.ones((1, 4), dtype=np.float32)}
+        key = ("golden", "fingerprint", 2, (7,), "digest", (1, 3, 32, 32))
+        path = GoldenCache(spill_dir=tmp_path)._spill_path(key)
+        state = {"output": output, "boundaries": boundaries, "marks": None, "events": events}
+        path.write_bytes(pickle.dumps(state))
+        cache = GoldenCache(spill_dir=tmp_path)
+        entry = cache.get(key)
+        assert entry is not None and cache.hits == 1 and cache.corrupt_dropped == 0
+        assert path.exists()
+        assert entry.clean is clean
+        assert entry.output.tobytes() == output.tobytes() and list(entry.boundaries) == [3]
+
     def test_evicted_entry_takes_its_memo_with_it(self):
         cache = GoldenCache(byte_budget=1)
         output = np.zeros((1, 10), dtype=np.float32)
@@ -483,7 +526,7 @@ class TestResumeAgainstAGoldenPass:
     def _recorded(model, x):
         plan = ForwardPlan.trace(model, x[:1])
         assert plan.valid
-        output, boundaries, _ = plan.run_recording(x, "all")
+        output, boundaries = plan.run_recording(x, "all")
         return plan, GoldenCacheEntry(output, boundaries)
 
     def test_boundaries_that_are_not_arrays_never_rejoin(self):

@@ -233,6 +233,16 @@ class TestResolve:
         with pytest.raises(SweepError, match="pre-built"):
             plan.resolve(Artifacts(model=model))
 
+    def test_artifacts_a_point_would_drop_are_refused(self, monkeypatch):
+        from repro.alficore.monitoring import RangeMonitor
+
+        executed = []
+        monkeypatch.setattr(sweep_module, "_execute_point", lambda *a, **k: executed.append(a))
+        artifacts = Artifacts(custom_monitors=[RangeMonitor(10.0)], num_classes=10)
+        with pytest.raises(SweepError, match="model and dataset only; got custom_monitors, num_classes"):
+            run_sweep(layer_sweep_spec(), artifacts)
+        assert executed == []
+
 
 class TestRunSweep:
     def test_without_store_every_point_executes_in_memory(self):

@@ -179,7 +179,7 @@ class TestOneSampleTrace:
             assert probe.segment_names == whole.segment_names
             assert probe._executed_in == whole._executed_in
             for batch, full in expected.items():
-                output, checkpoints, _ = probe.run_recording(x[:batch], "all")
+                output, checkpoints = probe.run_recording(x[:batch], "all")
                 assert _bitwise_equal(output, full), (executor, batch)
                 assert _bitwise_equal(probe.resume(0, x[:batch]), full), (executor, batch)
                 assert sorted(checkpoints) == list(range(1, probe.num_segments))
@@ -333,8 +333,7 @@ class TestRecording:
         model = lenet5(seed=0).eval()
         x = _input(seed=4)
         plan = ForwardPlan.trace(model, x)
-        output, checkpoints, marks = plan.run_recording(x, "all")
-        assert marks is None
+        output, checkpoints = plan.run_recording(x, "all")
         assert set(checkpoints) == set(range(1, plan.num_segments))
         np.testing.assert_array_equal(np.asarray(output), np.asarray(model(x)))
         for k, value in checkpoints.items():
@@ -344,7 +343,7 @@ class TestRecording:
         model = lenet5(seed=0).eval()
         x = _input(seed=5)
         plan = ForwardPlan.trace(model, x)
-        _, checkpoints, _ = plan.run_recording(x, [3])
+        _, checkpoints = plan.run_recording(x, [3])
         assert list(checkpoints) == [3]
 
     def test_arena_buffers_are_reused_across_recordings(self):
@@ -352,9 +351,9 @@ class TestRecording:
         x = _input(seed=6)
         plan = ForwardPlan.trace(model, x)
         arena = ActivationArena()
-        _, first, _ = plan.run_recording(x, "all", arena=arena)
+        _, first = plan.run_recording(x, "all", arena=arena)
         nbytes = arena.nbytes
-        _, second, _ = plan.run_recording(x + 1.0, "all", arena=arena)
+        _, second = plan.run_recording(x + 1.0, "all", arena=arena)
         assert arena.nbytes == nbytes  # same buffers, no growth
         for k in first:
             assert first[k] is second[k]
@@ -363,38 +362,8 @@ class TestRecording:
         model = mlp(seed=0).eval()
         x = _input(seed=7)
         plan = ForwardPlan.trace(model, x)
-        _, first, _ = plan.run_recording(x, "all")
+        _, first = plan.run_recording(x, "all")
         snapshot = {k: v.copy() for k, v in first.items()}
         plan.run_recording(x * -2.0, "all")
         for k in first:
             np.testing.assert_array_equal(first[k], snapshot[k])
-
-    def test_monitor_marks_cover_every_boundary(self):
-        from repro.alficore.monitoring import InferenceMonitor
-
-        model = lenet5(seed=0).eval()
-        x = _input(seed=8)
-        plan = ForwardPlan.trace(model, x)
-        # Poison a mid-network weight so NaN events exist to attribute.
-        conv2 = model.get_submodule("features.3")
-        original = conv2.weight.data[0, 0, 0, 0]
-        conv2.weight.data[0, 0, 0, 0] = np.nan
-        monitor = InferenceMonitor(model)
-        monitor.attach()
-        try:
-            monitor.reset()
-            _, _, marks = plan.run_recording(x, [], monitor=monitor)
-            result = monitor.collect()
-        finally:
-            monitor.detach()
-            conv2.weight.data[0, 0, 0, 0] = original
-        assert len(marks) == plan.num_segments + 1
-        assert marks[0] == (0, 0, 0)
-        assert marks[-1] == (len(result.nan_layers), len(result.inf_layers), 0)
-        # Counts are monotone and the poisoned layer's events appear only
-        # from its segment boundary onwards.
-        poisoned = plan.segment_for("features.3")
-        assert marks[poisoned][0] == 0
-        assert marks[poisoned + 1][0] >= 1
-        for before, after in zip(marks, marks[1:]):
-            assert all(b <= a for b, a in zip(before, after))
