@@ -151,9 +151,9 @@ def _scanning(monitor: InferenceMonitor | None) -> Iterator[None]:
         monitor.enabled = False
 
 
-def _clean(monitor: InferenceMonitor | None) -> bool | None:
-    """Whether ``monitor`` saw no event since it was reset (``None``: no monitor)."""
-    return monitor.collect().clean if monitor is not None else None
+def _clean(monitor: InferenceMonitor | None) -> bool:
+    """Whether ``monitor`` saw no event since it was reset (no monitor: none to see)."""
+    return monitor is None or monitor.collect().clean
 
 
 class CampaignCore:
@@ -544,10 +544,9 @@ class CampaignCore:
         (``None`` when not available).  A transient entry holds that
         checkpoint and the first resumable boundary behind ``span[1]``, the
         first one a cached entry would be compared at.  ``entry.clean`` says
-        whether the lane's monitor saw an event (``None``: no monitor
-        scanned the pass).  A seeded pass (see :meth:`_seed`) gives the same
-        entry without running the segments between those checkpoints and the
-        head.
+        whether the lane's monitor saw no event.  A seeded pass (see
+        :meth:`_seed`) gives the same entry without running the segments
+        between those checkpoints and the head.
         """
         cache = self.golden_cache
         plan = lane.plan
@@ -683,8 +682,8 @@ class CampaignCore:
 
         The golden pass runs before the group opens, the faulty pass inside
         it, both on ``lane.model``.  With a boundary to start from and a
-        clean golden pass (``entry.clean``; any pass on a lane without
-        monitor), the faulty pass runs only the segments from the group's
+        clean golden pass (``entry.clean``), the faulty pass runs only the
+        segments from the group's
         first faulted one, and only up to the first golden checkpoint behind
         its last faulted one where the activation equals the golden pass's —
         the output is then ``entry.output`` itself.  A neuron group whose
@@ -710,7 +709,7 @@ class CampaignCore:
         if lane.fingerprint is not None:
             head += (lane.fingerprint, F.KERNEL_GENERATION)
         entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, span)
-        planned = span is not None and boundary is not None and (entry.clean or monitor is None)
+        planned = span is not None and boundary is not None and entry.clean
         rows = self._sparse_rows(lane, group, boundary, len(batch)) if planned else None
         with group, _scanning(monitor):
             if not planned:

@@ -78,15 +78,16 @@ class GoldenCacheEntry:
     """One golden pass (output, boundary checkpoints, whether it was clean).
 
     ``clean`` is ``True`` when the lane's monitor saw no NaN, Inf or custom
-    event during the pass, ``False`` when it saw one, and ``None`` for a pass
-    no monitor scanned.  ``derived`` is scratch space for the campaign task:
-    values it computed from ``output`` alone, keyed by whatever else they
-    depend on.  It is not part of :meth:`as_state`, so it is never spilled.
+    event during the pass (always, on a lane without monitor) and ``False``
+    when it saw one or did not scan the pass.  ``derived`` is scratch space
+    for the campaign task: values it computed from ``output`` alone, keyed
+    by whatever else they depend on.  It is not part of :meth:`as_state`, so
+    it is never spilled.
     """
 
     __slots__ = ("output", "boundaries", "clean", "derived")
 
-    def __init__(self, output, boundaries=None, clean=None):
+    def __init__(self, output, boundaries=None, clean=False):
         self.output = output
         self.boundaries = dict(boundaries or {})
         self.clean = clean
@@ -103,16 +104,8 @@ class GoldenCacheEntry:
 
     @classmethod
     def from_state(cls, state: dict) -> "GoldenCacheEntry":
-        """Rebuild an entry from :meth:`as_state` output.
-
-        A spill file written before entries had ``clean`` holds the golden
-        pass's monitor result (``events``, ``None`` when unscanned) instead.
-        """
-        if "clean" in state:
-            clean = state["clean"]
-        else:
-            clean = None if state["events"] is None else state["events"].clean
-        return cls(state["output"], state["boundaries"], clean)
+        """Rebuild an entry from :meth:`as_state` output."""
+        return cls(state["output"], state["boundaries"], state["clean"])
 
 
 class GoldenCache:
@@ -161,7 +154,7 @@ class GoldenCache:
         self._entries.move_to_end(key)
         return entry
 
-    def put(self, key: tuple, output, boundaries=None, clean=None) -> GoldenCacheEntry:
+    def put(self, key: tuple, output, boundaries=None, clean=False) -> GoldenCacheEntry:
         """Insert (or replace) the golden pass for ``key``."""
         entry = GoldenCacheEntry(output, boundaries, clean)
         self._insert(key, entry, spill=True)

@@ -107,6 +107,14 @@ def run(spec: ExperimentSpec, artifacts: Artifacts | None = None) -> CampaignRes
             "run() executes exactly one campaign"
         )
     artifacts = artifacts if artifacts is not None else Artifacts()
+    if artifacts.golden_cache is not None and artifacts.custom_monitors:
+        # A cache handed in may have been filled by other campaigns, and its
+        # entries say whether *their* monitors saw an event on a golden pass.
+        raise ValueError(
+            "Artifacts.golden_cache cannot be combined with custom_monitors: a "
+            "shared cache records whether each golden pass was clean under the "
+            "monitors of the campaign that filled it"
+        )
     plugin = TASKS.get(spec.task)
     spec.validate()
     core = _build_core(spec, plugin, artifacts)

@@ -12,7 +12,6 @@ fewer segments.
 
 import dataclasses
 import functools
-import pickle
 from pathlib import Path
 from typing import NamedTuple
 
@@ -433,27 +432,17 @@ class TestCacheEntryStates:
         assert reloaded.rejoins == conv_rejoins
         assert "derived" not in next(iter(cache._entries.values())).as_state()
 
-    @pytest.mark.parametrize("events, clean", [
-        (MonitorResult(), True),
-        (MonitorResult(inf_layers=["features.0"]), False),
-        (MonitorResult(custom_events=[{"monitor": "range"}]), False),
-        (None, None),
-    ])
-    def test_a_spill_file_from_before_the_clean_flag_is_a_hit(self, tmp_path, events, clean):
-        # Such a file holds the golden monitor result and per-boundary event
-        # counts ("marks") instead of ``clean``.
-        output = np.arange(10, dtype=np.float32)[None]
-        boundaries = {3: np.ones((1, 4), dtype=np.float32)}
-        key = ("golden", "fingerprint", 2, (7,), "digest", (1, 3, 32, 32))
-        path = GoldenCache(spill_dir=tmp_path)._spill_path(key)
-        state = {"output": output, "boundaries": boundaries, "marks": None, "events": events}
-        path.write_bytes(pickle.dumps(state))
-        cache = GoldenCache(spill_dir=tmp_path)
-        entry = cache.get(key)
-        assert entry is not None and cache.hits == 1 and cache.corrupt_dropped == 0
-        assert path.exists()
-        assert entry.clean is clean
-        assert entry.output.tobytes() == output.tobytes() and list(entry.boundaries) == [3]
+    def test_a_handed_in_cache_is_refused_with_custom_monitors(self, tmp_path):
+        # Filled without custom monitors, every entry reads clean; under
+        # RangeMonitor(10.0) some of those golden passes would not be.
+        cache = GoldenCache()
+        run(_spec("lenet5", "weights", tmp_path / "plain"), Artifacts(golden_cache=cache))
+        before = cache.stats()
+        assert before["entries"] == IMAGES
+        monitored = Artifacts(golden_cache=cache, custom_monitors=MIXED.custom_monitors)
+        with pytest.raises(ValueError, match="golden_cache cannot be combined with custom_monitors"):
+            run(_spec("lenet5", "weights", tmp_path / "monitored"), monitored)
+        assert cache.stats() == before
 
     def test_evicted_entry_takes_its_memo_with_it(self):
         cache = GoldenCache(byte_budget=1)
