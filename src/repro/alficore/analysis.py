@@ -181,7 +181,7 @@ def analyze_detection_campaign(
     read from the stored ground-truth JSON), and as DUE when NaN/Inf was
     recorded.
     """
-    from repro.eval.detection import _image_detection_state
+    from repro.eval.detection import _image_rows, _tp_fp
 
     directory = Path(output_dir)
     files = [
@@ -190,18 +190,13 @@ def analyze_detection_campaign(
         directory / f"{campaign_name}_ground_truth.json",
     ]
     mismatch = "corrupted / golden / ground-truth files are not aligned"
+    thresholds = (iou_threshold,)
 
     def rows() -> Iterator[tuple[int, bool, bool, list[dict]]]:
         for golden_row, corrupted_row, target in _aligned(files, mismatch):
             due = bool(corrupted_row["nan_detected"]) or bool(corrupted_row["inf_detected"])
-            target_arrays = {
-                "boxes": np.asarray(target["boxes"], dtype=np.float32).reshape(-1, 4),
-                "labels": np.asarray(target["labels"], dtype=np.int64).reshape(-1),
-            }
-            golden_tp, golden_fp = _image_detection_state(golden_row, target_arrays, iou_threshold)
-            corrupted_tp, corrupted_fp = _image_detection_state(
-                corrupted_row, target_arrays, iou_threshold
-            )
+            golden_tp, golden_fp = _tp_fp(_image_rows(golden_row, target, thresholds))
+            corrupted_tp, corrupted_fp = _tp_fp(_image_rows(corrupted_row, target, thresholds))
             changed = corrupted_tp < golden_tp or corrupted_fp > golden_fp
             positions = corrupted_row.get("fault_positions", [])
             yield int(corrupted_row["image_id"]), due, changed, positions

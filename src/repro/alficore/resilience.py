@@ -124,7 +124,6 @@ class ExecutionPolicy:
     backoff_cap: float = 30.0
     resume: bool = False
     in_process_fallback: bool = True
-    poll_interval: float = 0.02
 
     def validate(self) -> None:
         """Raise ``ValueError`` for out-of-range settings."""
@@ -403,7 +402,7 @@ class ShardSupervisor:
                 self._launch_ready(pending, running, scratch)
                 progressed = self._poll(pending, running, results)
                 if not progressed and (pending or running):
-                    time.sleep(self.policy.poll_interval)
+                    self._wait(pending, running)
         finally:
             for record in running.values():
                 _kill_process(record.process)
@@ -447,6 +446,20 @@ class ShardSupervisor:
                 else None
             )
             running[job.index] = _Running(process, att, deadline, result_path, error_path)
+
+    def _wait(self, pending: list[_Attempt], running: dict[int, _Running]) -> None:
+        """Block until a worker exits, a shard deadline passes or a retry falls due."""
+        from multiprocessing.connection import wait  # imported by supervised runs only
+
+        wakeups = [record.deadline for record in running.values() if record.deadline is not None]
+        if len(running) < self.workers:  # a free slot: the next retry's backoff ends a wait
+            wakeups += [att.ready_at for att in pending]
+        timeout = max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
+        sentinels = [record.process.sentinel for record in running.values()]
+        if sentinels:
+            wait(sentinels, timeout)
+        else:
+            time.sleep(timeout)
 
     def _poll(
         self,

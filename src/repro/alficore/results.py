@@ -442,15 +442,13 @@ class CampaignResultWriter:
     def write_ground_truth_json(self, targets: list[dict]) -> Path:
         """Write the detection ground-truth annotations (CoCo-style)."""
         path = self.output_dir / f"{self.campaign_name}_ground_truth.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(_to_plain(targets), handle, indent=2, default=_json_default)
+        path.write_text(dumps_indented(targets), encoding="utf-8")
         return path
 
     def write_kpi_summary(self, kpis: dict, tag: str = "summary") -> Path:
         """Write the computed KPIs (SDE/DUE rates, accuracy, mAP...) as JSON."""
         path = self.output_dir / f"{self.campaign_name}_{tag}_kpis.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(_to_plain(kpis), handle, indent=2, default=_json_default)
+        path.write_text(dumps_indented(kpis), encoding="utf-8")
         return path
 
     # ------------------------------------------------------------------ #

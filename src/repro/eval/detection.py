@@ -13,6 +13,14 @@ labels).  Two complementary KPI families are computed:
   positives, lost true positives, or NaN/Inf outputs.  ``IVMOD_SDE`` is the
   fraction of images with such silent corruptions, ``IVMOD_DUE`` the fraction
   with NaN/Inf outputs.
+
+Both are reductions over one match per image: ``_image_rows`` converts a
+prediction/target pair once and keeps, per class label present in either,
+the scores sorted stably by decreasing value, their TP flags at each IoU
+threshold (one IoU matrix per image and class) and the ground-truth count.
+mAP concatenates a class's rows in dataset order and re-sorts them stably by
+score; IVMOD sums each image's TP/FP flags.  :func:`evaluate_detection_campaign`
+builds each lane's rows once, so the golden rows serve golden mAP and IVMOD.
 """
 
 from __future__ import annotations
@@ -22,6 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.detection.boxes import box_iou
+
+#: One image's matches: label -> (scores by decreasing value, TP flags of
+#: shape ``(thresholds, predictions)``, ground-truth count).
+ImageRows = dict[int, tuple[np.ndarray, np.ndarray, int]]
+_NO_SCORES = np.zeros(0, dtype=np.float32)
 
 
 # --------------------------------------------------------------------------- #
@@ -46,21 +59,72 @@ def match_detections(
     pred_scores = np.asarray(pred_scores, dtype=np.float32).reshape(-1)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float32).reshape(-1, 4)
     order = np.argsort(-pred_scores, kind="stable")
-    tp_flags = np.zeros(len(pred_boxes), dtype=bool)
-    matched_gt: set[int] = set()
-    if len(gt_boxes) and len(pred_boxes):
-        ious = box_iou(pred_boxes, gt_boxes)
-        for rank, pred_index in enumerate(order):
-            candidates = np.argsort(-ious[pred_index])
-            for gt_index in candidates:
-                if ious[pred_index, gt_index] < iou_threshold:
+    return _match(pred_boxes, order, gt_boxes, (iou_threshold,))[0], len(gt_boxes)
+
+
+def _match(
+    pred_boxes: np.ndarray, order: np.ndarray, gt_boxes: np.ndarray, thresholds: tuple
+) -> np.ndarray:
+    """TP flags of shape ``(thresholds, predictions)``, predictions in ``order``.
+
+    Each prediction tries its ground-truth candidates by decreasing IoU, ties
+    in index order on every CPU, until one is below the threshold.
+    """
+    tp_flags = np.zeros((len(thresholds), len(order)), dtype=bool)
+    if not (len(order) and len(gt_boxes)):
+        return tp_flags
+    ious = box_iou(pred_boxes, gt_boxes)
+    candidates = np.argsort(-ious, axis=1, kind="stable").tolist()
+    rows = ious.tolist()
+    for flags, threshold in zip(tp_flags, thresholds):
+        # The float32 IoUs meet a Python float threshold in float32.
+        limit = float(np.float32(threshold))
+        matched: set[int] = set()
+        for rank, pred_index in enumerate(order.tolist()):
+            row = rows[pred_index]
+            for gt_index in candidates[pred_index]:
+                if row[gt_index] < limit:
                     break
-                if int(gt_index) in matched_gt:
+                if gt_index in matched:
                     continue
-                matched_gt.add(int(gt_index))
-                tp_flags[rank] = True
+                matched.add(gt_index)
+                flags[rank] = True
                 break
-    return tp_flags, len(gt_boxes)
+    return tp_flags
+
+
+def _image_rows(prediction: dict, target: dict, thresholds: tuple) -> ImageRows:
+    """Match one image once: its rows for every label in the prediction or target."""
+    pred_labels = np.asarray(prediction["labels"], dtype=np.int64).reshape(-1)
+    gt_labels = np.asarray(target["labels"], dtype=np.int64).reshape(-1)
+    present, gt_list = pred_labels.tolist(), gt_labels.tolist()
+    if present:
+        pred_boxes = np.asarray(prediction["boxes"], dtype=np.float32).reshape(-1, 4)
+        pred_scores = np.asarray(prediction["scores"], dtype=np.float32).reshape(-1)
+        gt_boxes = np.asarray(target["boxes"], dtype=np.float32).reshape(-1, 4)
+    rows: ImageRows = {}
+    for label in sorted({*present, *gt_list}):
+        if label not in present:  # nothing to match: the GT count alone
+            rows[label] = (_NO_SCORES, np.zeros((len(thresholds), 0), bool), gt_list.count(label))
+            continue
+        keep = pred_labels == label
+        scores = pred_scores[keep]
+        order = np.argsort(-scores, kind="stable")
+        gt = gt_boxes[gt_labels == label]
+        rows[label] = (scores[order], _match(pred_boxes[keep], order, gt, thresholds), len(gt))
+    return rows
+
+
+def _dataset_rows(predictions: list[dict], targets: list[dict], thresholds: tuple) -> list:
+    if len(predictions) != len(targets):
+        raise ValueError(f"got {len(predictions)} prediction entries for {len(targets)} targets")
+    return [_image_rows(p, t, thresholds) for p, t in zip(predictions, targets)]
+
+
+def _tp_fp(rows: ImageRows) -> tuple[int, int]:
+    """``(true_positives, false_positives)`` of one image at its first threshold."""
+    hits = sum(int(np.count_nonzero(tp_flags[0])) for _, tp_flags, _ in rows.values())
+    return hits, sum(tp_flags.shape[1] for _, tp_flags, _ in rows.values()) - hits
 
 
 def average_precision(tp_flags: np.ndarray, num_gt: int) -> float:
@@ -85,27 +149,6 @@ def average_precision(tp_flags: np.ndarray, num_gt: int) -> float:
     return float(np.sum(np.diff(recall) * precision[1:]))
 
 
-def _per_class_detections(predictions: list[dict], targets: list[dict], class_id: int):
-    """Collect, per image, this class's predictions and ground truths."""
-    rows = []
-    for prediction, target in zip(predictions, targets):
-        pred_boxes = np.asarray(prediction["boxes"], dtype=np.float32).reshape(-1, 4)
-        pred_scores = np.asarray(prediction["scores"], dtype=np.float32).reshape(-1)
-        pred_labels = np.asarray(prediction["labels"], dtype=np.int64).reshape(-1)
-        gt_boxes = np.asarray(target["boxes"], dtype=np.float32).reshape(-1, 4)
-        gt_labels = np.asarray(target["labels"], dtype=np.int64).reshape(-1)
-        keep_pred = pred_labels == class_id
-        keep_gt = gt_labels == class_id
-        rows.append(
-            (
-                pred_boxes[keep_pred],
-                pred_scores[keep_pred],
-                gt_boxes[keep_gt],
-            )
-        )
-    return rows
-
-
 def coco_map(
     predictions: list[dict],
     targets: list[dict],
@@ -125,48 +168,32 @@ def coco_map(
         Dictionary with ``mAP``, ``AP50`` (if 0.5 is among the thresholds) and
         mean average recall ``AR``.
     """
-    if len(predictions) != len(targets):
-        raise ValueError(
-            f"got {len(predictions)} prediction entries for {len(targets)} targets"
-        )
-    ap_per_threshold = []
-    recall_per_threshold = []
-    ap50 = None
-    for threshold in iou_thresholds:
-        per_class_ap = []
-        per_class_recall = []
-        for class_id in range(num_classes):
-            rows = _per_class_detections(predictions, targets, class_id)
-            all_scores = []
-            all_tp = []
-            total_gt = 0
-            for pred_boxes, pred_scores, gt_boxes in rows:
-                tp_flags, num_gt = match_detections(pred_boxes, pred_scores, gt_boxes, threshold)
-                order = np.argsort(-pred_scores, kind="stable")
-                all_scores.extend(pred_scores[order].tolist())
-                all_tp.extend(tp_flags.tolist())
-                total_gt += num_gt
-            if total_gt == 0:
-                continue
-            if all_scores:
-                merge_order = np.argsort(-np.asarray(all_scores), kind="stable")
-                merged_tp = np.asarray(all_tp, dtype=bool)[merge_order]
-            else:
-                merged_tp = np.zeros((0,), dtype=bool)
-            per_class_ap.append(average_precision(merged_tp, total_gt))
-            per_class_recall.append(float(merged_tp.sum()) / total_gt if total_gt else 0.0)
-        threshold_ap = float(np.mean(per_class_ap)) if per_class_ap else 0.0
-        threshold_recall = float(np.mean(per_class_recall)) if per_class_recall else 0.0
-        ap_per_threshold.append(threshold_ap)
-        recall_per_threshold.append(threshold_recall)
-        if abs(threshold - 0.5) < 1e-9:
-            ap50 = threshold_ap
+    rows = _dataset_rows(predictions, targets, iou_thresholds)
+    return _map_from_rows(rows, num_classes, iou_thresholds)
+
+
+def _map_from_rows(image_rows: list, num_classes: int, thresholds: tuple) -> dict[str, float]:
+    per_class_ap: list[list[float]] = [[] for _ in thresholds]
+    per_class_recall: list[list[float]] = [[] for _ in thresholds]
+    for class_id in range(num_classes):
+        rows = [image[class_id] for image in image_rows if class_id in image]
+        total_gt = sum(num_gt for _, _, num_gt in rows)
+        if total_gt == 0:
+            continue
+        merge_order = np.argsort(-np.concatenate([scores for scores, _, _ in rows]), kind="stable")
+        merged = np.concatenate([tp_flags for _, tp_flags, _ in rows], axis=1)[:, merge_order]
+        for index, merged_tp in enumerate(merged):
+            per_class_ap[index].append(average_precision(merged_tp, total_gt))
+            per_class_recall[index].append(float(merged_tp.sum()) / total_gt)
+    ap_per_threshold = [float(np.mean(ap)) if ap else 0.0 for ap in per_class_ap]
+    recall_per_threshold = [float(np.mean(rec)) if rec else 0.0 for rec in per_class_recall]
     result = {
         "mAP": float(np.mean(ap_per_threshold)) if ap_per_threshold else 0.0,
         "AR": float(np.mean(recall_per_threshold)) if recall_per_threshold else 0.0,
     }
-    if ap50 is not None:
-        result["AP50"] = ap50
+    for threshold, threshold_ap in zip(thresholds, ap_per_threshold):
+        if abs(threshold - 0.5) < 1e-9:
+            result["AP50"] = threshold_ap
     return result
 
 
@@ -198,33 +225,10 @@ class IvmodResult:
         }
 
 
-def _image_detection_state(prediction: dict, target: dict, iou_threshold: float) -> tuple[int, int]:
-    """Return ``(true_positives, false_positives)`` of one image's predictions."""
-    pred_boxes = np.asarray(prediction["boxes"], dtype=np.float32).reshape(-1, 4)
-    pred_scores = np.asarray(prediction["scores"], dtype=np.float32).reshape(-1)
-    pred_labels = np.asarray(prediction["labels"], dtype=np.int64).reshape(-1)
-    gt_boxes = np.asarray(target["boxes"], dtype=np.float32).reshape(-1, 4)
-    gt_labels = np.asarray(target["labels"], dtype=np.int64).reshape(-1)
-    true_positives = 0
-    false_positives = 0
-    for class_id in np.unique(np.concatenate([pred_labels, gt_labels])) if len(pred_labels) + len(gt_labels) else []:
-        keep_pred = pred_labels == class_id
-        keep_gt = gt_labels == class_id
-        tp_flags, _ = match_detections(
-            pred_boxes[keep_pred], pred_scores[keep_pred], gt_boxes[keep_gt], iou_threshold
-        )
-        true_positives += int(tp_flags.sum())
-        false_positives += int((~tp_flags).sum())
-    return true_positives, false_positives
-
-
 def _prediction_has_nan_inf(prediction: dict) -> bool:
-    boxes = np.asarray(prediction["boxes"], dtype=np.float64).reshape(-1)
-    scores = np.asarray(prediction["scores"], dtype=np.float64).reshape(-1)
-    values = np.concatenate([boxes, scores]) if boxes.size + scores.size else np.zeros(0)
-    if values.size == 0:
-        return False
-    return not np.isfinite(values).all()
+    boxes = np.asarray(prediction["boxes"], dtype=np.float64)
+    scores = np.asarray(prediction["scores"], dtype=np.float64)
+    return not (np.isfinite(boxes).all() and np.isfinite(scores).all())
 
 
 def ivmod_metric(
@@ -251,28 +255,25 @@ def ivmod_metric(
     """
     if not (len(golden_predictions) == len(corrupted_predictions) == len(targets)):
         raise ValueError("golden, corrupted and target lists must have equal length")
-    total = len(targets)
-    corrupted_images = 0
-    due_images = 0
-    fp_added_images = 0
-    tp_lost_images = 0
-    for index, (golden, corrupted, target) in enumerate(
-        zip(golden_predictions, corrupted_predictions, targets)
-    ):
-        externally_flagged = bool(due_flags[index]) if due_flags is not None else False
-        if externally_flagged or _prediction_has_nan_inf(corrupted):
+    thresholds = (iou_threshold,)
+    golden_rows = _dataset_rows(golden_predictions, targets, thresholds)
+    corrupted_rows = _dataset_rows(corrupted_predictions, targets, thresholds)
+    return _ivmod_from_rows(golden_rows, corrupted_rows, corrupted_predictions, due_flags)
+
+
+def _ivmod_from_rows(golden_rows, corrupted_rows, corrupted_predictions, due_flags) -> IvmodResult:
+    total = len(corrupted_rows)
+    corrupted_images = due_images = fp_added_images = tp_lost_images = 0
+    for index, (golden, corrupted) in enumerate(zip(golden_rows, corrupted_rows)):
+        flagged = due_flags is not None and bool(due_flags[index])
+        if flagged or _prediction_has_nan_inf(corrupted_predictions[index]):
             due_images += 1
             continue
-        golden_tp, golden_fp = _image_detection_state(golden, target, iou_threshold)
-        corrupted_tp, corrupted_fp = _image_detection_state(corrupted, target, iou_threshold)
-        lost_tp = corrupted_tp < golden_tp
-        added_fp = corrupted_fp > golden_fp
-        if lost_tp:
-            tp_lost_images += 1
-        if added_fp:
-            fp_added_images += 1
-        if lost_tp or added_fp:
-            corrupted_images += 1
+        (golden_tp, golden_fp), (corrupted_tp, corrupted_fp) = _tp_fp(golden), _tp_fp(corrupted)
+        lost_tp, added_fp = corrupted_tp < golden_tp, corrupted_fp > golden_fp
+        tp_lost_images += lost_tp
+        fp_added_images += added_fp
+        corrupted_images += lost_tp or added_fp
     return IvmodResult(
         sde_rate=corrupted_images / total if total else 0.0,
         due_rate=due_images / total if total else 0.0,
@@ -317,15 +318,13 @@ def evaluate_detection_campaign(
     due_flags: list[bool] | None = None,
 ) -> DetectionCampaignResult:
     """Compute mAP (golden and corrupted) plus IVMOD for a detection campaign."""
-    golden_map = coco_map(golden_predictions, targets, num_classes, (iou_threshold,))
-    corrupted_map = coco_map(corrupted_predictions, targets, num_classes, (iou_threshold,))
-    ivmod = ivmod_metric(
-        golden_predictions, corrupted_predictions, targets, iou_threshold, due_flags
-    )
+    thresholds = (iou_threshold,)
+    golden_rows = _dataset_rows(golden_predictions, targets, thresholds)
+    corrupted_rows = _dataset_rows(corrupted_predictions, targets, thresholds)
     return DetectionCampaignResult(
         model_name=model_name,
         num_images=len(targets),
-        golden_map=golden_map,
-        corrupted_map=corrupted_map,
-        ivmod=ivmod,
+        golden_map=_map_from_rows(golden_rows, num_classes, thresholds),
+        corrupted_map=_map_from_rows(corrupted_rows, num_classes, thresholds),
+        ivmod=_ivmod_from_rows(golden_rows, corrupted_rows, corrupted_predictions, due_flags),
     )

@@ -339,7 +339,9 @@ class FasterRCNNTail(_PostProcessing):
             offsets = per_image[:, 1:5] * 0.1
             proposals = decode_offsets(anchors, offsets)
             proposals = clip_boxes(proposals, detector.image_size)
-            order = np.argsort(-np.nan_to_num(objectness, nan=-1.0))[: detector.top_proposals]
+            # Stable: saturated objectness ties, and ties keep anchor order on every CPU.
+            ranked = np.argsort(-np.nan_to_num(objectness, nan=-1.0), kind="stable")
+            order = ranked[: detector.top_proposals]
             detections.append(
                 self._second_stage(features[index], proposals[order], objectness[order])
             )
