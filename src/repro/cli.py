@@ -16,8 +16,6 @@ Exposes the declarative Experiment API as a console script (``pytorchalfi``):
   equivalent spec file for later ``run`` invocations.
 * ``pytorchalfi analyze`` — post-process a stored campaign directory
   (bit-wise / layer-wise vulnerability breakdown).
-* ``pytorchalfi lint`` — run the repro-lint determinism/bit-exactness
-  static analysis (same engine as ``python -m repro.lint``).
 
 Flags that set a spec field take their type, default and ``choices`` from
 the field's declaration in :mod:`repro.experiments.spec` (choices follow the
@@ -369,12 +367,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import run_from_args
-
-    return run_from_args(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -442,14 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--kind", choices=("imgclass", "objdet"), default="imgclass")
     analyze.add_argument("--json-out", type=Path, default=None, help="write the analysis as JSON")
     analyze.set_defaults(handler=_cmd_analyze)
-
-    from repro.lint.cli import add_lint_arguments
-
-    lint = subparsers.add_parser(
-        "lint", help="run the determinism/bit-exactness static analysis"
-    )
-    add_lint_arguments(lint)
-    lint.set_defaults(handler=_cmd_lint)
 
     return parser
 

@@ -14,8 +14,9 @@ Command line (see ``python -m repro.docs --help``)::
 
     python -m repro.docs build            # regenerate docs/api/
     python -m repro.docs build --check    # CI: fail if checked-in files drift
-    python -m repro.docs coverage         # docstring coverage report
-    python -m repro.docs coverage --fail-under 100
+
+Docstring coverage (:func:`docstring_coverage`) is audited by
+``tests/test_docs_build.py``.
 
 Generation is deterministic (stable member ordering, no timestamps), so
 ``build --check`` doubles as a reproducibility test of the docs themselves.

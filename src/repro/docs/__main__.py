@@ -1,4 +1,4 @@
-"""``python -m repro.docs`` — build/check the API reference, audit docstrings."""
+"""``python -m repro.docs`` — build or check the API reference."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.docs.apigen import build_api_reference, check_api_reference, docstring_coverage
+from repro.docs.apigen import build_api_reference, check_api_reference
 
 DEFAULT_OUT = Path(__file__).resolve().parents[3] / "docs" / "api"
 
@@ -22,41 +22,20 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="do not write; fail if the checked-in pages drifted from the source tree",
     )
-    coverage = sub.add_parser("coverage", help="docstring coverage of the documented modules")
-    coverage.add_argument(
-        "--fail-under",
-        type=float,
-        default=100.0,
-        help="minimum per-module documented percentage (default: 100)",
-    )
     args = parser.parse_args(argv)
 
-    if args.command == "build":
-        if args.check:
-            stale = check_api_reference(args.out)
-            if stale:
-                print("API reference is stale — run `python -m repro.docs build`:")
-                for name in stale:
-                    print(f"  docs/api/{name}")
-                return 1
-            print(f"API reference up to date ({args.out})")
-            return 0
-        written = build_api_reference(args.out)
-        print(f"wrote {len(written)} pages to {args.out}")
+    if args.check:
+        stale = check_api_reference(args.out)
+        if stale:
+            print("API reference is stale — run `python -m repro.docs build`:")
+            for name in stale:
+                print(f"  docs/api/{name}")
+            return 1
+        print(f"API reference up to date ({args.out})")
         return 0
-
-    failed = False
-    for report in docstring_coverage():
-        status = "ok" if report.percent >= args.fail_under else "FAIL"
-        print(
-            f"{status:4} {report.module:40} "
-            f"{report.documented}/{report.total} ({report.percent:.1f}%)"
-        )
-        if report.percent < args.fail_under:
-            failed = True
-            for label in report.missing:
-                print(f"     missing: {label}")
-    return 1 if failed else 0
+    written = build_api_reference(args.out)
+    print(f"wrote {len(written)} pages to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

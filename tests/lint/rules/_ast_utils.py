@@ -1,4 +1,4 @@
-"""Shared AST helpers for the built-in rules."""
+"""Shared AST helpers for the rules."""
 
 from __future__ import annotations
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import FileContext, Finding
-from repro.lint.registry import register_rule
-from repro.lint.rules._ast_utils import pool_dispatch_method
+from tests.lint import FileContext, Finding
+from tests.lint.rules._ast_utils import pool_dispatch_method
 
 RULE = "supervised-dispatch"
 
@@ -40,7 +39,6 @@ _BATCH_DISPATCH = {
 _SUPERVISOR_MODULE = "alficore/resilience.py"
 
 
-@register_rule(RULE, description="pool batch dispatch outside the shard supervisor")
 def check(ctx: FileContext) -> Iterator[Finding]:
     if ctx.display_path.endswith(_SUPERVISOR_MODULE):
         return

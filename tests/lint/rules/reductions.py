@@ -26,9 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import FileContext, Finding
-from repro.lint.registry import register_rule
-from repro.lint.rules._ast_utils import dotted_name, is_set_expression, walk_scope
+from tests.lint import FileContext, Finding
+from tests.lint.rules._ast_utils import dotted_name, is_set_expression, walk_scope
 
 RULE = "float-reduction-order"
 
@@ -46,7 +45,6 @@ def _reducer_attr(call: ast.Call) -> str | None:
     return attr if attr in _ORDER_SENSITIVE_REDUCERS else None
 
 
-@register_rule(RULE, description="no order-sensitive float reductions over set iteration")
 def check(ctx: FileContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):

@@ -9,9 +9,9 @@ byte-identical to its predecessor.  Two patterns silently break this:
   ``np.random.seed()``, ...): draws consume one hidden process-global
   stream, so results depend on call *order* across the whole process —
   different shard geometry, different numbers.
-* **unseeded generators** (``np.random.default_rng()`` with no seed or an
-  explicit ``None``): fresh OS entropy per construction, never
-  reproducible.
+* **unseeded generators** (``np.random.default_rng()``, ``RandomState()``,
+  a bit generator or ``SeedSequence()`` with no seed or an explicit
+  ``None``): fresh OS entropy per construction, never reproducible.
 
 The fix is always the same: construct ``np.random.default_rng(seed)`` from
 a scenario- or argument-derived seed and pass the generator down.
@@ -22,41 +22,43 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import FileContext, Finding
-from repro.lint.registry import register_rule
-from repro.lint.rules._ast_utils import dotted_name
+from tests.lint import FileContext, Finding
+from tests.lint.rules._ast_utils import dotted_name
 
 RULE = "rng-discipline"
 
-#: numpy.random module attributes that are *not* global-state draws.
-_ALLOWED_RANDOM_ATTRS = {
+#: Constructors that draw fresh OS entropy when given no seed (or ``None``).
+_SEEDABLE = {
     "default_rng",
-    "Generator",
-    "BitGenerator",
+    "RandomState",
     "SeedSequence",
     "PCG64",
     "PCG64DXSM",
     "MT19937",
     "Philox",
     "SFC64",
-    "RandomState",  # constructing an explicit (seedable) legacy stream
 }
+
+#: numpy.random module attributes that are *not* global-state draws.
+_ALLOWED_RANDOM_ATTRS = _SEEDABLE | {"Generator", "BitGenerator"}
 
 
 def _is_unseeded(call: ast.Call) -> bool:
-    """True when ``default_rng`` is called with no seed or a literal None."""
-    if not call.args and not call.keywords:
-        return True
-    if call.keywords:
-        return False
-    first = call.args[0]
-    return isinstance(first, ast.Constant) and first.value is None
+    """True when a seedable constructor gets no seed or a literal None.
+
+    The seed is the first positional argument or the ``seed`` / ``entropy``
+    keyword.
+    """
+    if call.args:
+        seed: ast.expr | None = call.args[0]
+    else:
+        seed = next((kw.value for kw in call.keywords if kw.arg in ("seed", "entropy")), None)
+    return seed is None or (isinstance(seed, ast.Constant) and seed.value is None)
 
 
-@register_rule(RULE, description="seeded, local RNG only: no legacy np.random.* globals, no unseeded default_rng()")
 def check(ctx: FileContext) -> Iterator[Finding]:
-    numpy_names, random_names, rng_names = ctx.numpy_aliases()
-    if not (numpy_names or random_names or rng_names):
+    numpy_names, random_names, imported = ctx.numpy_aliases()
+    if not (numpy_names or random_names or imported):
         return
 
     for node in ast.walk(ctx.tree):
@@ -84,12 +86,12 @@ def check(ctx: FileContext) -> Iterator[Finding]:
             )
             continue
 
-        is_default_rng = (attr == "default_rng") or (len(parts) == 1 and parts[0] in rng_names)
-        if is_default_rng and _is_unseeded(node):
+        constructor = attr if attr is not None else imported.get(name)
+        if constructor in _SEEDABLE and _is_unseeded(node):
             yield ctx.finding(
                 node,
                 RULE,
-                "unseeded default_rng(): draws fresh OS entropy on every run, so the "
+                f"unseeded {constructor}(): draws fresh OS entropy on every run, so the "
                 "fault campaign is not reproducible; derive the seed from the "
                 "scenario (e.g. default_rng(scenario.random_seed))",
             )

@@ -22,9 +22,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import FileContext, Finding
-from repro.lint.registry import register_rule
-from repro.lint.rules._ast_utils import terminal_name, walk_scope
+from tests.lint import FileContext, Finding
+from tests.lint.rules._ast_utils import terminal_name, walk_scope
 
 RULE = "session-context"
 
@@ -98,7 +97,6 @@ def _name_is_released(scope: ast.AST, name: str) -> bool:
     return False
 
 
-@register_rule(RULE, description="fault sessions must be with-managed or explicitly restored/closed")
 def check(ctx: FileContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call) or not _is_session_producer(node):

@@ -26,9 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import FileContext, Finding
-from repro.lint.registry import register_rule
-from repro.lint.rules._ast_utils import (
+from tests.lint import FileContext, Finding
+from tests.lint.rules._ast_utils import (
     assigned_names,
     dotted_name,
     function_parameters,
@@ -122,7 +121,6 @@ def _impure_reads(
             yield node, f"reads mutable module-level '{node.id}'"
 
 
-@register_rule(RULE, description="pool-dispatched workers: picklable, no mutable module state")
 def check(ctx: FileContext) -> Iterator[Finding]:
     module_functions = {
         stmt.name: stmt

@@ -10,3 +10,13 @@ values = np.random.rand(4)  # draws from the shared global stream
 rng = default_rng()  # unseeded: every run draws differently
 
 other = np.random.default_rng(None)  # literal None seed is still unseeded
+
+keyword_none = np.random.default_rng(seed=None)  # an explicit None keyword is unseeded too
+
+bare_keyword_none = default_rng(seed=None)
+
+legacy_stream = np.random.RandomState()  # seedable, but no seed given
+
+wrapped = np.random.Generator(np.random.PCG64())  # the bit generator is unseeded
+
+sequence = np.random.SeedSequence()  # entropy drawn from the OS

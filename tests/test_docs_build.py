@@ -40,15 +40,11 @@ def test_docstring_coverage_is_complete():
     assert gaps == {}, f"public members missing docstrings: {gaps}"
 
 
-def test_cli_build_check_and_coverage_exit_codes(tmp_path, capsys):
+def test_cli_build_and_check_exit_codes(tmp_path):
     assert main(["build", "--out", str(tmp_path / "api")]) == 0
     assert main(["build", "--out", str(tmp_path / "api"), "--check"]) == 0
     (tmp_path / "api" / "index.md").write_text("stale\n")
     assert main(["build", "--out", str(tmp_path / "api"), "--check"]) == 1
-    capsys.readouterr()
-    assert main(["coverage", "--fail-under", "100"]) == 0
-    out = capsys.readouterr().out
-    assert "repro.nn.fuse" in out
 
 
 def test_guides_cross_link_and_exist():
