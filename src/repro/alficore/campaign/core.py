@@ -31,8 +31,14 @@ backbone of a fitted classifier (*seeded* golden passes):
 every calibration image and kept what its final ``Linear`` received.  While
 the model still has the state the fit left it in, the golden pass runs only
 up to the last checkpoint its faulty pass needs and resumes at the head from
-those features.  Each run checks its first seeded pass against a full one
-and falls back for good, with one warning, if they differ.
+those features.
+
+Which of these shortcuts a step takes is a :class:`StepPlan`, decided before
+it runs by :meth:`CampaignCore._step_plan` alone.  Sample-sparse rows and
+seeded golden passes share one first-use rule: each run checks a lane's
+first use of either against the plain pass it stands for, keeps the plain
+result, and, with one warning, turns the shortcut off for the lane if the
+two differ.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from repro.alficore.scenario import ScenarioConfig, default_scenario
 from repro.alficore.wrapper import ptfiwrap
 from repro.data.wrapper import AlfiDataLoaderWrapper, ImageRecord
 from repro.nn import functional as F
-from repro.nn.forward_plan import ActivationArena, ForwardPlan, _bitwise_equal, take_rows
+from repro.nn.forward_plan import ForwardPlan, _bitwise_equal, take_rows
 from repro.nn.module import Module
 from repro.pytorchfi.core import NeuronFaultGroup
 from repro.pytorchfi.errormodels import ErrorModel
@@ -118,23 +124,41 @@ class _Lane:
     #: segments holding an injectable layer, hence the only ones a cached
     #: golden pass checkpoints (boundary 0 is the input batch and needs none).
     resumable: tuple[int, ...] = ()
-    #: checkpoint buffers of cache-less golden passes, reused step after step
-    arena: ActivationArena = field(default_factory=ActivationArena)
     #: Digest of the model's weights, with a cache the second element of the
     #: lane's keys (spill directories outlive a campaign, so entries recorded
     #: for other weights must never match); taken when a run starts.
     fingerprint: str | None = None
-    #: Whether a sample-sparse faulty pass reproduced the full-batch one
-    #: (``None``: not checked yet; ``False``: the model mixes samples, so the
-    #: lane runs full-batch passes).
-    rows_agree: bool | None = None
-    #: the head fit's features of ``model``, while they may seed this run's
-    #: golden passes (see :meth:`CampaignCore._head_features`)
+    #: the head fit's features of ``model``, while they hold for this run
+    #: (see :meth:`CampaignCore._head_features`)
     features: HeadFeatures | None = None
-    #: Whether this run's first seeded golden pass reproduced the full one
-    #: (``None``: not checked yet this run; ``False``: it differed, so the
-    #: lane runs full golden passes from then on).
-    seeds_agree: bool | None = None
+    #: Whether a shortcut (``"rows"``, ``"seed"``) reproduced the plain pass
+    #: it stands for on its first use (absent: not checked yet this run;
+    #: ``False``: it differed, so the lane no longer takes it).
+    verdicts: dict[str, bool] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """The shortcuts one lane's step may take (see :meth:`CampaignCore._step_plan`)."""
+
+    #: plan segments ``(first, last)`` that execute a faulted layer of the
+    #: group (see :meth:`CampaignCore._faulted_span`); ``None``: plain faulty
+    #: forward
+    span: tuple[int, int] | None
+    #: the only batch rows the faulty pass runs (``None``: all)
+    rows: tuple[int, ...] | None
+    #: ``(head segment, stacked features)`` the golden pass resumes at
+    #: (``None``: it runs every segment)
+    seed: tuple[int, np.ndarray] | None
+
+
+#: What a shortcut's first use showed when it differed from the plain pass.
+_MISMATCH = {
+    "rows": "a faulty pass of the faulted rows alone differs from the full-batch one "
+    "(the model mixes the samples of a batch), running full-batch passes",
+    "seed": "a golden pass seeded with the head fit's features differs from the full one "
+    "(the model changed since the fit), running full golden passes",
+}
 
 
 @contextlib.contextmanager
@@ -353,8 +377,9 @@ class CampaignCore:
             # the cache keys must reflect the state of this run.
             if self.golden_cache is not None:
                 lane.fingerprint = model_fingerprint(lane.model)
-            if lane.seeds_agree:
-                lane.seeds_agree = None
+            # Every run checks a shortcut's first use again (the model may
+            # have changed in between); one that failed stays off.
+            lane.verdicts = {kind: agreed for kind, agreed in lane.verdicts.items() if not agreed}
             lane.features = self._head_features(lane)
             iterators.append(
                 lane.wrapper.get_fault_group_iter(
@@ -431,72 +456,61 @@ class CampaignCore:
                 lane.resumable = tuple(sorted({index for index in segments if index}))
         return lane.plan
 
-    def _head_features(self, lane: _Lane) -> HeadFeatures | None:
-        """The head fit's features of ``lane.model``, if this run may seed with them.
+    @staticmethod
+    def _head_features(lane: _Lane) -> HeadFeatures | None:
+        """The head fit's record of ``lane.model``, while its fingerprint still matches.
 
-        Only a cache-less planned golden pass is seeded, on a lane without
-        custom monitors (they would see no activation of the skipped
-        segments) whose seeded pass has not differed from a full one, and
-        only while the model is in the state the fit left it in: a weight or
-        buffer changed since (a BN running mean edited in place) changes the
-        fingerprint.  Copies of the fitted model (a resil lane, an unpickled
-        shard model) have no features.
+        A weight or buffer changed since the fit (a BN running mean edited in
+        place) changes the fingerprint.  Copies of the fitted model (a resil
+        lane, an unpickled shard model) have no record.
         """
-        if self.golden_cache is not None or not self.prefix_reuse or lane.seeds_agree is False:
-            return None
         record = head_features(lane.model)
-        if record is None or (lane.monitor is not None and lane.monitor.custom_monitors):
+        if record is None:
             return None
-        return record if model_fingerprint(lane.model) == record.fingerprint else None
+        fingerprint = lane.fingerprint or model_fingerprint(lane.model)
+        return record if fingerprint == record.fingerprint else None
 
-    @staticmethod
-    def _seed(lane: _Lane, plan: ForwardPlan, images: np.ndarray) -> tuple[int, np.ndarray] | None:
-        """``(head segment, stacked features)`` to seed a golden pass of ``images`` with.
+    def _step_plan(self, lane: _Lane, group, images: np.ndarray) -> StepPlan:
+        """Decide which shortcuts the lane's step of ``group`` over ``images`` may take.
 
-        ``None`` unless the head fit's features hold for this run, a plan
-        segment is the fitted head, and every image of the batch was a
-        calibration image whose every leaf row was finite.
+        The only place a shortcut is allowed or refused.  ``span`` is the
+        group's :meth:`_faulted_span`.  ``rows`` are the rows a neuron
+        group's faults name, when they are fewer than the batch.  ``seed``
+        holds the head fit's features of every image (see
+        :meth:`_head_features`) and the plan segment that is the fitted head,
+        on a cache-less campaign (an entry holds every resumable checkpoint
+        anyway).  Both need a lane without custom monitors (they would see a
+        smaller array, or miss the skipped activations) on which the
+        shortcut has not differed from the plain pass.  Whether the faulty
+        pass may skip anything is known only once the golden pass has run:
+        behind a clean one (see :meth:`_run_lane`).
         """
-        if lane.features is None:
-            return None
-        head_at = next(
-            (index for index, segment in enumerate(plan.segments) if segment is lane.features.head),
-            None,
-        )
-        if not head_at:
-            return None
-        features = lane.features.stacked(images)
-        return None if features is None else (head_at, features)
-
-    @staticmethod
-    def _rehearse_seed(
-        lane: _Lane, images: np.ndarray, wanted, monitor: InferenceMonitor | None, seeded: tuple
-    ) -> tuple:
-        """Run the full golden pass a seeded one stands for; warn once if they differ.
-
-        ``seeded`` and the result are ``(output, checkpoints, clean)``; the
-        full pass is returned either way, so the step that checks is a step
-        of the plain path.
-        """
-        with _scanning(monitor):
-            output, checkpoints = lane.plan.run_recording(images, wanted)
-        clean = _clean(monitor)
-        lane.seeds_agree = (
-            _bitwise_equal(seeded[0], output)
-            and seeded[1].keys() == checkpoints.keys()
-            and all(_bitwise_equal(seeded[1][index], checkpoints[index]) for index in checkpoints)
-            and seeded[2] == clean
-        )
-        if not lane.seeds_agree:
-            lane.features = None
-            warnings.warn(
-                f"{type(lane.model).__name__}: a golden pass seeded with the head fit's "
-                "features differs from the full one (the model changed since the fit), "
-                "running full golden passes",
-                RuntimeWarning,
-                stacklevel=3,
+        plan = self._plan_for(lane, images)
+        span = self._faulted_span(plan, lane.wrapper, group)
+        custom = lane.monitor is not None and bool(lane.monitor.custom_monitors)
+        allowed = {kind: not custom and lane.verdicts.get(kind) is not False for kind in _MISMATCH}
+        rows = seed = None
+        if span is not None and isinstance(group, NeuronFaultGroup) and allowed["rows"]:
+            named = group.rows(len(images))
+            rows = named if 0 < len(named) < len(images) else None
+        features = lane.features
+        if plan is not None and features is not None and self.golden_cache is None:
+            head_at = next(
+                (index for index, segment in enumerate(plan.segments) if segment is features.head),
+                None,
             )
-        return output, checkpoints, clean
+            stacked = features.stacked(images) if head_at and allowed["seed"] else None
+            seed = None if stacked is None else (head_at, stacked)
+        return StepPlan(span, rows, seed)
+
+    @staticmethod
+    def _verdict(lane: _Lane, kind: str, agreed: bool) -> None:
+        """Record whether shortcut ``kind`` reproduced the plain pass; warn once if not."""
+        lane.verdicts[kind] = agreed
+        if not agreed:
+            warnings.warn(
+                f"{type(lane.model).__name__}: {_MISMATCH[kind]}", RuntimeWarning, stacklevel=3
+            )
 
     @staticmethod
     def _faulted_span(
@@ -531,25 +545,25 @@ class CampaignCore:
         images: np.ndarray,
         batch: list[ImageRecord],
         cache_key: tuple,
-        span: tuple[int, int] | None,
+        step: StepPlan,
     ) -> tuple[GoldenCacheEntry, object]:
-        """Run (or fetch) one lane's golden pass.
-
-        ``span`` is the step's :meth:`_faulted_span`.
+        """Run (or fetch) one lane's golden pass, as ``step`` says.
 
         Returns ``(entry, boundary)``: the golden pass as a cache entry — the
         cached one, or without a cache a transient one — and the activation
-        the faulty pass resumes from: ``images`` for a span that starts in
-        segment 0, the checkpoint of boundary ``span[0]`` otherwise
-        (``None`` when not available).  A transient entry holds that
-        checkpoint and the first resumable boundary behind ``span[1]``, the
-        first one a cached entry would be compared at.  ``entry.clean`` says
-        whether the lane's monitor saw no event.  A seeded pass (see
-        :meth:`_seed`) gives the same entry without running the segments
-        between those checkpoints and the head.
+        the faulty pass resumes from: ``images`` for a ``step.span`` that
+        starts in segment 0, the checkpoint of boundary ``span[0]``
+        otherwise (``None``: the step has no span).  A transient entry holds
+        that checkpoint and the first resumable boundary behind ``span[1]``,
+        the first one a cached entry would be compared at.  ``entry.clean``
+        says whether the lane's monitor saw no event.  A seeded pass
+        (``step.seed``) gives the same entry without running the segments
+        between those checkpoints and the head; the lane's first one in a run
+        is checked against the full pass, whose result the step keeps.
         """
         cache = self.golden_cache
         plan = lane.plan
+        span = step.span
         resume_at = span[0] if span is not None else None
         if cache is not None:
             entry = cache.get(cache_key)
@@ -581,58 +595,35 @@ class CampaignCore:
         # behind a clean golden pass) or a cache recording.
         monitor = lane.monitor if cache is not None or span is not None else None
         # With a cache every boundary a fault group can resume at is
-        # checkpointed (owned copies), so later epochs and grid points need
-        # no prefix pass; the transient path records this step's two into
-        # the reusable arena (boundary 0 is ``images``, a resume point past
-        # the last resumable boundary has nothing behind it).
+        # checkpointed, so later epochs and grid points need no prefix pass;
+        # the transient path records this step's two (boundary 0 is
+        # ``images``, a resume point past the last resumable boundary has
+        # nothing behind it).
         if cache is not None:
             wanted = lane.resumable
-            arena = None
         else:
             wanted = []
             if span is not None:
                 behind = next((index for index in lane.resumable if index > span[1]), None)
                 wanted = [index for index in (resume_at, behind) if index]
-            arena = lane.arena
-        # A fitted classifier's cache-less golden pass may resume at its
-        # head from the features the fit kept: only the checkpoints above
-        # need the prefix.
-        seed = self._seed(lane, plan, images)
         with _scanning(monitor):
-            output, checkpoints = plan.run_recording(images, wanted, arena=arena, seed=seed)
+            output, checkpoints = plan.run_recording(images, wanted, seed=step.seed)
         clean = _clean(monitor)
-        if seed is not None and lane.seeds_agree is None:
-            output, checkpoints, clean = self._rehearse_seed(
-                lane, images, wanted, monitor, (output, checkpoints, clean)
-            )
-        elif seed is not None:
+        if step.seed is not None and "seed" not in lane.verdicts:
+            # The lane's first seeded pass of a run must match the full one.
+            seeded = (output, list(checkpoints.items()), clean)
+            with _scanning(monitor):
+                output, checkpoints = plan.run_recording(images, wanted)
+            clean = _clean(monitor)
+            full = (output, list(checkpoints.items()), clean)
+            self._verdict(lane, "seed", _bitwise_equal(seeded, full))
+        elif step.seed is not None:
             self.golden_seeded += 1
         if cache is not None:
             entry = cache.put(cache_key, output, checkpoints, clean)
         else:
             entry = GoldenCacheEntry(output, checkpoints, clean)
         return entry, images if resume_at == 0 else checkpoints.get(resume_at)
-
-    @staticmethod
-    def _sparse_rows(lane: _Lane, group, boundary, size: int) -> tuple[int, ...] | None:
-        """The batch rows a planned faulty pass needs to run (``None``: all).
-
-        A neuron group's faults name their images, so a pass over only those
-        rows gives the other rows' golden values when nothing else can tell
-        the difference: the lane's monitor has no custom monitor (it would
-        see a smaller array).  A lane whose model failed the row-invariance
-        check runs full-batch passes.
-        """
-        if (
-            not isinstance(group, NeuronFaultGroup)
-            or size == 1
-            or lane.rows_agree is False
-            or not isinstance(boundary, np.ndarray)
-            or (lane.monitor is not None and lane.monitor.custom_monitors)
-        ):
-            return None
-        rows = group.rows(size)
-        return rows if 0 < len(rows) < size else None
 
     def _resume(
         self,
@@ -680,26 +671,22 @@ class CampaignCore:
     ) -> tuple[GoldenCacheEntry, object, MonitorResult | None]:
         """One lane's share of a step: ``(golden entry, faulty output, events)``.
 
-        The golden pass runs before the group opens, the faulty pass inside
-        it, both on ``lane.model``.  With a boundary to start from and a
-        clean golden pass (``entry.clean``), the faulty pass runs only the
-        segments from the group's
-        first faulted one, and only up to the first golden checkpoint behind
-        its last faulted one where the activation equals the golden pass's —
-        the output is then ``entry.output`` itself.  A neuron group whose
-        faults name fewer rows than the batch runs those rows only (see
-        :meth:`_sparse_rows`).  The first time a lane would, it rehearses
-        a plain forward of those rows, then runs the full-batch pass and
-        compares the two outputs: a model whose rows differ between them
-        mixes the samples of a batch, so the lane warns once and keeps
-        full-batch passes.
-        ``events`` are those of a full faulty forward (``None`` for a lane
-        without monitor): what a planned pass skips is golden, and behind a
-        clean golden pass raises none.
+        Executes the lane's :meth:`_step_plan`.  The golden pass runs before
+        the group opens, the faulty pass inside it, both on ``lane.model``.
+        Behind a clean golden pass (``entry.clean``), a step with a span runs
+        only the segments from the group's first faulted one, and only up to
+        the first golden checkpoint behind its last faulted one where the
+        activation equals the golden pass's — the output is then
+        ``entry.output`` itself; a step with ``rows`` and an array boundary
+        runs those batch rows only.  The lane's first sparse pass of a run is
+        checked: a plain forward of those rows is rehearsed, and the
+        full-batch pass that follows, whose result the step keeps, must
+        match it.  ``events`` are those of a full faulty forward (``None``
+        for a lane without monitor): what a planned pass skips is golden, and
+        behind a clean golden pass raises none.
         """
         task, monitor = self.task, lane.monitor
-        plan = self._plan_for(lane, images)
-        span = self._faulted_span(plan, lane.wrapper, group)
+        step = self._step_plan(lane, group, images)
         if monitor is not None:
             # First step: the group iterator has registered the lane's
             # injection hooks by now, so the monitor's fire behind them and
@@ -708,18 +695,19 @@ class CampaignCore:
         head = (lane.name,)
         if lane.fingerprint is not None:
             head += (lane.fingerprint, F.KERNEL_GENERATION)
-        entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, span)
-        planned = span is not None and boundary is not None and entry.clean
-        rows = self._sparse_rows(lane, group, boundary, len(batch)) if planned else None
+        entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, step)
+        span = step.span if entry.clean else None
+        rows = step.rows if span is not None and isinstance(boundary, np.ndarray) else None
         with group, _scanning(monitor):
-            if not planned:
+            if span is None:
                 output = task.infer(group.model, images, batch)
             else:
+                plan = lane.plan
                 sparse = None
-                if rows is not None and lane.rows_agree is None:
-                    # The lane's first sparse pass is rehearsed as a plain
-                    # forward of the faulted rows: the full-batch pass that
-                    # follows must match it.
+                if rows is not None and "rows" not in lane.verdicts:
+                    # The lane's first sparse pass of a run is rehearsed as a
+                    # plain forward of the faulted rows: the full-batch pass
+                    # that follows must match it.
                     with group.rehearsal(), group.sub_batch(rows):
                         sparse = task.finish(group.model(take_rows(images, rows)))
                     sparse = _splice_rows(task.finish(entry.output), rows, sparse)
@@ -734,15 +722,7 @@ class CampaignCore:
                 if rows is not None:
                     self.rows_skipped += len(batch) - len(rows)
                 if sparse is not None:
-                    lane.rows_agree = _bitwise_equal(sparse, output)
-                    if not lane.rows_agree:
-                        warnings.warn(
-                            f"{type(lane.model).__name__}: a faulty pass of the faulted rows "
-                            "alone differs from the full-batch one (the model "
-                            "mixes the samples of a batch), running full-batch passes",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+                    self._verdict(lane, "rows", _bitwise_equal(sparse, output))
         return entry, output, monitor.collect() if monitor is not None else None
 
     def _run_step(

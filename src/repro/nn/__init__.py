@@ -34,12 +34,11 @@ from repro.nn.layers import (
     Tanh,
     Upsample,
 )
-from repro.nn.forward_plan import ActivationArena, ForwardPlan
+from repro.nn.forward_plan import ForwardPlan
 from repro.nn.ir import executor_names, make_executor, register_executor
 from repro.nn.module import Module, Parameter, RemovableHandle
 
 __all__ = [
-    "ActivationArena",
     "AdaptiveAvgPool2d",
     "AvgPool2d",
     "ForwardPlan",

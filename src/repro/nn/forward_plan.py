@@ -12,10 +12,10 @@ the two passes, so recomputing it for the faulty one is pure waste.  A
   atomic segment, so the plan is exact for any architecture — in the worst
   case it degenerates to a single segment and prefix reuse is simply a no-op;
 * :meth:`run_recording` executes a full pass while checkpointing selected
-  boundary activations (into a reusable :class:`ActivationArena` or as owned
-  copies for a cache).  Handed a boundary value known beforehand (``seed``),
-  it runs only the segments up to the last checkpoint it records below that
-  boundary and resumes there;
+  boundary activations as owned copies (a cache may keep them beyond the
+  step).  Handed a boundary value known beforehand (``seed``), it runs only
+  the segments up to the last checkpoint it records below that boundary and
+  resumes there;
 * :meth:`resume` re-enters the pass at segment ``k`` from a cached boundary
   activation (``k == 0``: from the input itself) and only executes the
   suffix — and, handed the golden pass it resumed from, stops at the first
@@ -61,41 +61,6 @@ class _TraceCall:
     in_id: int | None
     out_id: int | None = None
     children: list["_TraceCall"] = field(default_factory=list)
-
-
-class ActivationArena:
-    """Reusable per-boundary activation buffers for recording forward passes.
-
-    Recording the same plan step after step would otherwise allocate a fresh
-    checkpoint array per boundary per step; the arena keeps one buffer per
-    boundary index and copies into it when shape and dtype match.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[int, np.ndarray] = {}
-
-    def store(self, index: int, value):
-        """Store a snapshot of ``value`` for boundary ``index`` and return it."""
-        if not isinstance(value, np.ndarray):
-            # Non-array boundaries (a detector's list of detections) are
-            # kept by reference: only its last segment produces one, so no
-            # later pass overwrites it.
-            return value
-        buffer = self._buffers.get(index)
-        if buffer is None or buffer.shape != value.shape or buffer.dtype != value.dtype:
-            buffer = np.empty_like(value)
-            self._buffers[index] = buffer
-        np.copyto(buffer, value)
-        return buffer
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held by the arena buffers."""
-        return sum(buffer.nbytes for buffer in self._buffers.values())
-
-    def clear(self) -> None:
-        """Drop all buffers."""
-        self._buffers = {}
 
 
 def _snapshot(value):
@@ -435,22 +400,14 @@ class ForwardPlan:
             raise IndexError(f"prefix stop {stop} outside plan of {len(self.segments)} segments")
         return self._executor.run_range(0, stop, x)
 
-    def run_recording(
-        self,
-        x,
-        boundaries="all",
-        arena: ActivationArena | None = None,
-        seed: tuple[int, object] | None = None,
-    ):
+    def run_recording(self, x, boundaries="all", seed: tuple[int, object] | None = None):
         """Run a full pass while checkpointing boundary activations.
 
         Args:
             x: the model input (boundary 0; never recorded).
             boundaries: ``"all"`` or an iterable of boundary indices in
-                ``[1, num_segments)`` to checkpoint.
-            arena: reuse buffers of this arena for the checkpoints; without
-                an arena each checkpoint is an owned copy (safe to cache
-                beyond the current step).
+                ``[1, num_segments)`` to checkpoint, each as an owned copy
+                (safe to cache beyond the current step).
             seed: ``(index, value)``, the boundary value ``a_index`` known
                 beforehand.  The pass then runs only the segments up to the
                 last wanted boundary below ``index`` and resumes at ``index``
@@ -474,9 +431,7 @@ class ForwardPlan:
             if seed is not None and index == seed_at:
                 value = seed_value
             if index > 0 and (wanted is None or index in wanted):
-                checkpoints[index] = (
-                    arena.store(index, value) if arena is not None else _snapshot(value)
-                )
+                checkpoints[index] = _snapshot(value)
             if index in skipped:
                 continue
             value = self._executor.run_segment(index, value)

@@ -227,7 +227,7 @@ class TestFullGoldenFallbacks:
         differs = [w for w in caught if "seeded with the head fit" in str(w.message)]
         assert len(differs) == 1 and differs[0].category is RuntimeWarning
         assert seeded.core.golden_seeded == 0
-        assert seeded.core.lanes[0].seeds_agree is False
+        assert seeded.core.lanes[0].verdicts["seed"] is False
 
     def test_the_resil_lane(self, tmp_path):
         dataset = _dataset()

@@ -242,18 +242,22 @@ class TestFullBatchFallbacks:
 
 
 class _BatchCentered(nn.Module):
-    """Subtracts the batch mean: a cross-sample op."""
+    """Subtracts the batch mean, a cross-sample op, while ``mix`` is set."""
+
+    def __init__(self, mix: bool):
+        super().__init__()
+        self.mix = mix
 
     def forward(self, x):
-        return x - x.mean(axis=0, keepdims=True)
+        return x - x.mean(axis=0, keepdims=True) if self.mix else x
 
 
 class _MixingNet(nn.Module):
-    def __init__(self):
+    def __init__(self, mix: bool = True):
         super().__init__()
         rng = np.random.default_rng(0)
         self.conv = nn.Conv2d(3, 4, 3, rng=rng)
-        self.center = _BatchCentered()
+        self.center = _BatchCentered(mix)
         self.flatten = nn.Flatten()
         self.fc = nn.Linear(4 * 30 * 30, 10, rng=rng)
 
@@ -271,4 +275,33 @@ def test_a_model_that_mixes_rows_warns_once_and_keeps_its_bytes(tmp_path):
     assert len(mixing) == 1 and mixing[0].category is RuntimeWarning
     assert "_MixingNet" in str(mixing[0].message)
     assert sparse.rows_skipped == 0
-    assert sparse.lanes[0].rows_agree is False
+    assert sparse.lanes[0].verdicts["rows"] is False
+
+
+def test_a_model_that_starts_mixing_rows_between_runs_is_checked_again(tmp_path):
+    # Each run checks its first sparse pass: a model changed between two
+    # runs of one core must not keep the row shortcut the first run proved.
+    scenario = _scenario(layer_range=[0, 0])
+    files, cores = {}, {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for reuse in (True, False):
+            model = _MixingNet(mix=False).eval()
+            writer = CampaignResultWriter(tmp_path / str(reuse), campaign_name="sparse")
+            core = CampaignCore(
+                model, _dataset(), ClassificationTask(), scenario=scenario, writer=writer,
+                prefix_reuse=reuse,
+            )
+            runs = []
+            for start, stop in ((0, 5), (5, 10)):
+                paths = core.run(start, stop)
+                runs.append({tag: Path(path).read_bytes() for tag, path in paths.items()})
+                model.center.mix = True
+            files[reuse], cores[reuse] = runs, core
+    assert files[True] == files[False]
+    mixing = [w for w in caught if "mixes the samples" in str(w.message)]
+    assert len(mixing) == 1 and mixing[0].category is RuntimeWarning
+    sparse = cores[True]
+    # The first run skipped rows; the second one's check failed at its first step.
+    assert sparse.rows_skipped == 4 * 3
+    assert sparse.lanes[0].verdicts == {"rows": False}

@@ -8,7 +8,7 @@ from repro.experiments.registry import MODELS
 from repro.experiments.spec import ExecutionSpec
 from repro.models import alexnet, lenet5, mlp, resnet18, vgg16
 from repro.models.detection import build_detector
-from repro.nn import ActivationArena, ForwardPlan
+from repro.nn import ForwardPlan
 from repro.nn.forward_plan import _bitwise_equal
 
 # Segment count of every registered model's plan (batch 1, default sizes).
@@ -346,19 +346,7 @@ class TestRecording:
         _, checkpoints = plan.run_recording(x, [3])
         assert list(checkpoints) == [3]
 
-    def test_arena_buffers_are_reused_across_recordings(self):
-        model = lenet5(seed=0).eval()
-        x = _input(seed=6)
-        plan = ForwardPlan.trace(model, x)
-        arena = ActivationArena()
-        _, first = plan.run_recording(x, "all", arena=arena)
-        nbytes = arena.nbytes
-        _, second = plan.run_recording(x + 1.0, "all", arena=arena)
-        assert arena.nbytes == nbytes  # same buffers, no growth
-        for k in first:
-            assert first[k] is second[k]
-
-    def test_recorded_checkpoints_without_arena_are_owned_copies(self):
+    def test_recorded_checkpoints_are_owned_copies(self):
         model = mlp(seed=0).eval()
         x = _input(seed=7)
         plan = ForwardPlan.trace(model, x)
