@@ -53,7 +53,13 @@ import numpy as np
 
 from repro.alficore.campaign.tasks import CampaignTask, StepContext
 from repro.alficore.digests import bytes_digest, model_fingerprint
-from repro.alficore.goldencache import GoldenCache, GoldenCacheEntry, HeadFeatures, head_features
+from repro.alficore.goldencache import (
+    GoldenCache,
+    GoldenCacheEntry,
+    HeadFeatures,
+    head_features,
+    image_key,
+)
 from repro.alficore.monitoring import InferenceMonitor, MonitorResult
 from repro.alficore.policies import InjectionPolicy
 from repro.alficore.results import CampaignResultWriter
@@ -62,7 +68,9 @@ from repro.alficore.wrapper import ptfiwrap
 from repro.data.wrapper import AlfiDataLoaderWrapper, ImageRecord
 from repro.nn import functional as F
 from repro.nn.forward_plan import ForwardPlan, _bitwise_equal, take_rows
+from repro.nn.ir import executor_factory
 from repro.nn.module import Module
+from repro.nn.record import model_record, structure
 from repro.pytorchfi.core import NeuronFaultGroup
 from repro.pytorchfi.errormodels import ErrorModel
 
@@ -116,17 +124,18 @@ class _Lane:
     #: NaN/Inf + custom monitor, attached on the lane's first step, enabled
     #: only for passes whose events are consumed (the resil lane has none)
     monitor: InferenceMonitor | None
-    #: forward plan, traced on the lane's first step (``None``: the forward
-    #: does not linearise, the lane runs full forwards)
+    #: forward plan, looked up or traced on the lane's first step (``None``:
+    #: the forward does not linearise, the lane runs full forwards)
     plan: ForwardPlan | None = None
     traced: bool = False
     #: Boundaries a fault group of ``wrapper`` can resume at, ascending: the
     #: segments holding an injectable layer, hence the only ones a cached
     #: golden pass checkpoints (boundary 0 is the input batch and needs none).
     resumable: tuple[int, ...] = ()
-    #: Digest of the model's weights, with a cache the second element of the
-    #: lane's keys (spill directories outlive a campaign, so entries recorded
-    #: for other weights must never match); taken when a run starts.
+    #: Digest of the model's weights, taken when a run starts: the second
+    #: element of the lane's cache keys (spill directories outlive a campaign,
+    #: so entries recorded for other weights must never match), and what the
+    #: head fit's features and the model's recorded plan are checked against.
     fingerprint: str | None = None
     #: the head fit's features of ``model``, while they hold for this run
     #: (see :meth:`CampaignCore._head_features`)
@@ -375,8 +384,7 @@ class CampaignCore:
         for lane in self.lanes:
             # Weights may have been mutated between runs of the same core;
             # the cache keys must reflect the state of this run.
-            if self.golden_cache is not None:
-                lane.fingerprint = model_fingerprint(lane.model)
+            lane.fingerprint = model_fingerprint(lane.model)
             # Every run checks a shortcut's first use again (the model may
             # have changed in between); one that failed stays off.
             lane.verdicts = {kind: agreed for kind, agreed in lane.verdicts.items() if not agreed}
@@ -424,11 +432,20 @@ class CampaignCore:
     # prefix-reuse plumbing
     # ------------------------------------------------------------------ #
     def _plan_for(self, lane: _Lane, images: np.ndarray) -> ForwardPlan | None:
-        """Return the (lazily traced) forward plan of a lane, or ``None``.
+        """Return the lane's forward plan, learned on its first step, or ``None``.
 
-        The trace and its replay validation run on the first sample of
-        ``images`` only: the segment chain, the containment map and the
-        executor choice are properties of the topology, not of the batch.
+        The plan is looked up in the model object's record
+        (:mod:`repro.nn.record`), under a key of everything it depends on:
+        the executor factory registered under :attr:`executor`, every module
+        of the model (qualified name, object and type), the lane's weights
+        fingerprint, and the digest, shape and dtype of ``images[:1]``.  So
+        every grid point of a sweep, and every ``run()`` on one model object,
+        traces once between them.  On a miss the model is traced and the plan
+        replay-validated on the first sample of ``images`` only: the segment
+        chain, the containment map and the executor choice are properties of
+        the topology, not of the batch.  Only a plan that is valid under the
+        requested executor is kept, so a fallback or a failed trace warns
+        again in every campaign.
 
         Must be called outside any active fault group: the trace pass runs
         the model once, and active faults would corrupt it (and pollute the
@@ -438,23 +455,43 @@ class CampaignCore:
             return None
         if not lane.traced:
             lane.traced = True
-            try:
-                plan = ForwardPlan.trace(lane.model, images[:1], executor=self.executor)
-            except Exception as error:
-                warnings.warn(
-                    f"{type(lane.model).__name__}: no forward plan under executor "
-                    f"{self.executor!r}, running full forwards ({error!r})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                plan = None
-            if plan is not None and plan.valid:
-                lane.plan = plan
+            lane.plan = self._learned_plan(lane, images)
+            if lane.plan is not None:
                 segments = (
-                    plan.segment_for(layer.name) for layer in lane.wrapper.fault_injection.layers
+                    lane.plan.segment_for(layer.name)
+                    for layer in lane.wrapper.fault_injection.layers
                 )
                 lane.resumable = tuple(sorted({index for index in segments if index}))
         return lane.plan
+
+    def _learned_plan(self, lane: _Lane, images: np.ndarray) -> ForwardPlan | None:
+        """The valid plan of ``lane.model`` from its record, else from a new trace."""
+        if lane.fingerprint is None:
+            lane.fingerprint = model_fingerprint(lane.model)
+        key = (
+            executor_factory(self.executor),
+            structure(lane.model),
+            lane.fingerprint,
+            image_key(images[:1]),
+        )
+        record = model_record(lane.model)
+        if record.plan is not None and record.plan[0] == key:
+            return record.plan[1]
+        try:
+            plan = ForwardPlan.trace(lane.model, images[:1], executor=self.executor)
+        except Exception as error:
+            warnings.warn(
+                f"{type(lane.model).__name__}: no forward plan under executor "
+                f"{self.executor!r}, running full forwards ({error!r})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
+        if not plan.valid:
+            return None
+        if plan.executor_name == self.executor:
+            record.plan = (key, plan)
+        return plan
 
     @staticmethod
     def _head_features(lane: _Lane) -> HeadFeatures | None:
@@ -465,10 +502,7 @@ class CampaignCore:
         lane, an unpickled shard model) have no record.
         """
         record = head_features(lane.model)
-        if record is None:
-            return None
-        fingerprint = lane.fingerprint or model_fingerprint(lane.model)
-        return record if fingerprint == record.fingerprint else None
+        return record if record is not None and lane.fingerprint == record.fingerprint else None
 
     def _step_plan(self, lane: _Lane, group, images: np.ndarray) -> StepPlan:
         """Decide which shortcuts the lane's step of ``group`` over ``images`` may take.
@@ -692,9 +726,7 @@ class CampaignCore:
             # injection hooks by now, so the monitor's fire behind them and
             # scan the *corrupted* activation of a faulted layer.
             monitor.attach()
-        head = (lane.name,)
-        if lane.fingerprint is not None:
-            head += (lane.fingerprint, F.KERNEL_GENERATION)
+        head = (lane.name, lane.fingerprint, F.KERNEL_GENERATION)
         entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, step)
         span = step.span if entry.clean else None
         rows = step.rows if span is not None and isinstance(boundary, np.ndarray) else None

@@ -32,8 +32,8 @@ sweep) can reuse each other's golden passes.
 One more piece of golden state lives here without being a cache entry:
 :class:`HeadFeatures`, the final-layer inputs a head fit computed for its
 calibration images (:func:`repro.models.pretrained.fit_classifier_head`
-keeps one per fitted model object; a cache-less campaign seeds its golden
-passes with them).
+keeps one in the fitted model object's :mod:`repro.nn.record`; a cache-less
+campaign seeds its golden passes with them).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +49,7 @@ import numpy as np
 
 from repro.alficore.digests import bytes_digest, key_digest
 from repro.nn.module import Module
+from repro.nn.record import model_record
 
 DEFAULT_BYTE_BUDGET = 256 * 2**20
 
@@ -293,23 +293,17 @@ class HeadFeatures:
             return None
 
 
-# Keyed by the model object itself, weakly: the record goes with the model,
-# and a deep copy or an unpickled model (a resil lane, a shard worker's) has
-# none, since nothing vouches that its features equal the fitted object's.
-_HEAD_FEATURES: "weakref.WeakKeyDictionary[Module, HeadFeatures]" = weakref.WeakKeyDictionary()
-
-
 def image_key(image: np.ndarray) -> tuple:
     """Content key of one image: digest of its bytes, its shape and dtype."""
     image = np.ascontiguousarray(image)
     return bytes_digest(image.tobytes()), image.shape, image.dtype.str
 
 
-def remember_head_features(model: Module, record: HeadFeatures) -> None:
-    """Keep ``record`` for this model object (not for copies of it)."""
-    _HEAD_FEATURES[model] = record
-
-
 def head_features(model: Module) -> HeadFeatures | None:
-    """The record the last head fit of this model object kept, if any."""
-    return _HEAD_FEATURES.get(model)
+    """The features the last head fit of this model object kept, if any.
+
+    They live in the object's :func:`~repro.nn.record.model_record`: a deep
+    copy or an unpickled model (a resil lane, a shard worker's) has none,
+    since nothing vouches that its features equal the fitted object's.
+    """
+    return model_record(model).head_features

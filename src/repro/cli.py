@@ -313,6 +313,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"entries={stats['entries']} mib={stats['nbytes'] / 2**20:.1f} "
             f"rejoined={stats['rejoins']}"
         )
+    elif spec.caching.prefix_reuse:
+        print(
+            f"golden cache: shared by the shard workers through {store.golden_dir()}; "
+            "their counts are not collected"
+        )
     _print_result_files(result.table_files)
     return 0
 

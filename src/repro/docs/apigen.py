@@ -32,6 +32,7 @@ API_MODULES: tuple[str, ...] = (
     "repro.experiments.campaigns.store",
     "repro.nn",
     "repro.nn.forward_plan",
+    "repro.nn.record",
     "repro.nn.ir",
     "repro.nn.fuse",
     "repro.nn.functional",
@@ -61,6 +62,7 @@ COVERAGE_MODULES: tuple[str, ...] = (
     "repro.experiments.sweep",
     "repro.experiments.campaigns.store",
     "repro.nn.forward_plan",
+    "repro.nn.record",
     "repro.nn.ir",
     "repro.nn.fuse",
     "repro.alficore.codec",

@@ -246,8 +246,10 @@ class SweepResult:
     :meth:`SweepPointOutcome.load_result` unpickles a stored point's task
     state only on demand.  ``golden_cache_stats`` is
     :meth:`GoldenCache.stats() <repro.alficore.goldencache.GoldenCache.stats>`
-    of the cache the points shared (``None`` when the sweep ran without one);
-    it describes this invocation only and is written to no file.
+    of the cache the points shared; it describes this invocation only and is
+    written to no file.  It is ``None`` when the sweep ran without one, and
+    when points ran as shards: each shard opens its own handle on the spill
+    directory, and their counts are not collected.
     """
 
     def __init__(
@@ -378,6 +380,14 @@ def _execute_point(
     the supervised sharded backend with ``execution.resume``, composing
     shard-level crash recovery with point-level skip.
     """
+    child = _point_spec(point, output_dir, workers, resume)
+    return run(child, Artifacts(model=model, dataset=dataset, golden_cache=golden_cache))
+
+
+def _point_spec(
+    point: SweepPoint, output_dir: Path | None, workers: int | None, resume: bool
+) -> ExperimentSpec:
+    """The spec one grid point runs under, with the worker/resume overrides applied."""
     child = point.spec.copy()
     if output_dir is not None:
         child.output_dir = output_dir
@@ -390,7 +400,15 @@ def _execute_point(
         if child.backend.name == "serial":
             child.backend.name = "sharded"
     child.validate()
-    return run(child, Artifacts(model=model, dataset=dataset, golden_cache=golden_cache))
+    return child
+
+
+def _runs_as_shards(spec: ExperimentSpec) -> bool:
+    """Whether a campaign of ``spec`` runs as shards, each with its own golden-cache handle."""
+    backend = spec.backend
+    return backend.name == "sharded" and (
+        spec.execution.resume or (backend.num_shards or backend.workers) > 1
+    )
 
 
 def _shared_golden_cache(base: ExperimentSpec, store: CampaignStore | None) -> GoldenCache | None:
@@ -452,6 +470,7 @@ def run_sweep(
     campaign_store = resolve_store(spec, store)
     golden_cache = _shared_golden_cache(plan.base, campaign_store)
     outcomes = []
+    sharded = False
     for point in plan.points:
         run_id = point.run_id
         assert run_id is not None  # plan.resolve() filled it
@@ -469,6 +488,7 @@ def run_sweep(
                 if campaign_store is not None
                 else None
             )
+            sharded |= _runs_as_shards(_point_spec(point, output_dir, workers, resume))
             # A failure here leaves the .wip directory in place: a later
             # --resume merges the shards committed in it; a plain re-run
             # discards it.
@@ -492,8 +512,8 @@ def run_sweep(
                     stored=stored,
                 )
             else:
-                # Keep the records, not the engine: a core pins its plans,
-                # arenas and the neuron lane's model clone for every point.
+                # Keep the records, not the engine: a core pins its wrappers,
+                # their fault matrix and its lanes' monitors for every point.
                 result.core = None
                 outcome = SweepPointOutcome(
                     point=point, run_id=run_id, cached=False,
@@ -501,10 +521,10 @@ def run_sweep(
                 )
             emit(f"point {point.index:>3} {run_id}  executed  {point.overrides}")
         outcomes.append(outcome)
-    sweep_result = SweepResult(
-        plan, outcomes, campaign_store,
-        golden_cache_stats=golden_cache.stats() if golden_cache is not None else None,
-    )
+    # Shards open their own handles on the spill directory; their counts are
+    # not this cache's.
+    stats = golden_cache.stats() if golden_cache is not None and not sharded else None
+    sweep_result = SweepResult(plan, outcomes, campaign_store, golden_cache_stats=stats)
     if campaign_store is not None:
         sweep_result.write_table(campaign_store.root)
     return sweep_result

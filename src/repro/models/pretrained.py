@@ -27,10 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.alficore.digests import model_fingerprint
-from repro.alficore.goldencache import HeadFeatures, image_key, remember_head_features
+from repro.alficore.goldencache import HeadFeatures, image_key
 from repro.alficore.monitoring import finite_rows, leaf_modules
 from repro.nn import Linear
 from repro.nn.module import Module
+from repro.nn.record import model_record, output_shapes
 
 
 def _find_final_linear(model: Module) -> tuple[Module, str, Linear]:
@@ -146,15 +147,10 @@ def fit_classifier_head(
     if final_linear.bias is not None:
         final_linear.bias.copy_((bias * scale).astype(np.float32))
     del parent, child_name
-    remember_head_features(
-        model,
-        HeadFeatures(
-            head=final_linear,
-            features={
-                image_key(image): row for image, row, ok in zip(images, received, finite) if ok
-            },
-            fingerprint=model_fingerprint(model),
-        ),
+    model_record(model).head_features = HeadFeatures(
+        head=final_linear,
+        features={image_key(image): row for image, row, ok in zip(images, received, finite) if ok},
+        fingerprint=model_fingerprint(model),
     )
     return model
 
@@ -163,19 +159,31 @@ def _calibration_features(
     model: Module, images: list[np.ndarray], batch_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The final Linear's input for every image, and per image whether every
-    leaf's output row was finite (what the campaign monitor would find)."""
+    leaf's output row was finite (what the campaign monitor would find).
+
+    The same leaf hooks note every leaf's output shape in the model's
+    record, per full batch, so a fault injector profiling the model at this
+    batch size needs no probe pass of its own.
+    """
     flags = np.ones(0, dtype=bool)
 
-    def scan(module, inputs, output):
-        np.logical_and(flags, finite_rows(output, len(flags)), out=flags)
-        return None
+    def scanner(name: str):
+        def scan(module, inputs, output):
+            np.logical_and(flags, finite_rows(output, len(flags)), out=flags)
+            if isinstance(output, np.ndarray):
+                shapes[name] = output.shape
+            return None
 
-    handles = [module.register_forward_hook(scan) for _, module in leaf_modules(model)]
+        return scan
+
+    learned = output_shapes(model, batch_size, images[0].shape)
+    handles = [module.register_forward_hook(scanner(name)) for name, module in leaf_modules(model)]
     features, finite = [], []
     try:
         for start in range(0, len(images), batch_size):
             batch = np.stack(images[start : start + batch_size])
             flags = np.ones(len(batch), dtype=bool)
+            shapes = learned if len(batch) == batch_size else {}
             features.append(extract_penultimate_features(model, batch))
             finite.append(flags)
     finally:

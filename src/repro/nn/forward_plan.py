@@ -38,12 +38,17 @@ traced full-model output.
 Chain, containment and executor choice are properties of the topology, not
 of the batch size, so campaigns trace with the first sample of their first
 batch (three one-sample forwards per model object instead of three
-campaign-sized ones) and run the plan at any batch size afterwards.
+campaign-sized ones) and run the plan at any batch size afterwards.  A
+campaign keeps the plan it accepted in the model's record
+(:mod:`repro.nn.record`), so the next campaign on the same object does not
+trace again; a plan holds its model only weakly, so the record never keeps
+the model alive.  :meth:`ForwardPlan.trace` itself always traces.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +135,8 @@ class ForwardPlan:
         executor: str = "module",
         executed_in: dict[str, tuple[int, int]] | None = None,
     ):
-        self.model = model
+        # Weakly: a plan kept in its model's record must not keep the model alive.
+        self._model = weakref.ref(model)
         self.segments = segments
         self.segment_names = segment_names
         self.valid = valid
@@ -315,6 +321,11 @@ class ForwardPlan:
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
+    @property
+    def model(self) -> Module | None:
+        """The traced model (``None`` once it is gone: a plan does not keep it alive)."""
+        return self._model()
+
     @property
     def num_segments(self) -> int:
         """Number of chain segments (1 for a degenerate plan)."""

@@ -46,6 +46,7 @@ __all__ = [
     "InterpreterExecutor",
     "register_executor",
     "make_executor",
+    "executor_factory",
     "executor_names",
 ]
 
@@ -280,10 +281,19 @@ def executor_names() -> list:
     return sorted(_EXECUTORS)
 
 
+def executor_factory(name: str):
+    """The factory registered under ``name`` (``None``: nothing is).
+
+    Re-registering a name (``override=True``) gives another factory, so a
+    plan validated under the old one is told apart by it, not by the name.
+    """
+    _ensure_builtin_executors()
+    return _EXECUTORS.get(name)
+
+
 def make_executor(name: str, plan) -> PlanExecutor:
     """Instantiate the executor registered under ``name`` for ``plan``."""
-    _ensure_builtin_executors()
-    factory = _EXECUTORS.get(name)
+    factory = executor_factory(name)
     if factory is None:
         raise KeyError(f"unknown executor {name!r}; registered: {sorted(_EXECUTORS)}")
     return factory(plan)

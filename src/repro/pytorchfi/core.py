@@ -38,6 +38,7 @@ import numpy as np
 
 from repro import nn
 from repro.nn.module import Module, RemovableHandle
+from repro.nn.record import output_shapes
 from repro.pytorchfi.errormodels import BitFlipErrorModel, ErrorModel, StuckAtErrorModel
 
 # Registry of injectable layer types.  The paper's extensibility section
@@ -243,7 +244,22 @@ class FaultInjection:
             self._record_output_shapes()
 
     def _record_output_shapes(self) -> None:
-        """Run a dummy forward pass to capture each layer's output shape.
+        """Capture each layer's output shape, probing the model only if need be.
+
+        The shapes come from the model object's record
+        (:func:`repro.nn.record.output_shapes`) at this batch size and
+        per-sample input shape, where an earlier injector's probe or a head
+        fit's calibration pass left them.  Only when a layer has no entry
+        there does :meth:`_probe` run.
+        """
+        shapes = output_shapes(self.original_model, self.batch_size, self.input_shape)
+        if any(info.name not in shapes for info in self.layers):
+            self._probe(shapes)
+        for info in self.layers:
+            info.output_shape = shapes[info.name]
+
+    def _probe(self, shapes: dict[str, tuple[int, ...] | None]) -> None:
+        """Run a zero batch through the model and note every layer's output shape.
 
         The probe hooks are attached to the original model and removed again
         afterwards; shape recording never mutates weights, so no clone is
@@ -258,11 +274,11 @@ class FaultInjection:
             stashed.append((module, module._forward_hooks, module._forward_pre_hooks))
             module._forward_hooks = type(module._forward_hooks)()
             module._forward_pre_hooks = type(module._forward_pre_hooks)()
-        shapes: dict[str, tuple[int, ...]] = {}
+        seen: dict[str, tuple[int, ...]] = {}
 
         def make_hook(layer_name: str):
             def hook(module, inputs, output):
-                shapes[layer_name] = tuple(np.asarray(output).shape)
+                seen[layer_name] = tuple(np.asarray(output).shape)
                 return None
 
             return hook
@@ -279,7 +295,7 @@ class FaultInjection:
                 module._forward_pre_hooks = pre_hooks
             self.original_model.train(was_training)
         for info in self.layers:
-            info.output_shape = shapes.get(info.name)
+            shapes[info.name] = seen.get(info.name)
 
     # ------------------------------------------------------------------ #
     # introspection helpers

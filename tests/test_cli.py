@@ -424,6 +424,19 @@ class TestSweepCommand:
         assert "executed=0" in out and "cached=2" in out
         assert "golden cache: hits=0 misses=0 entries=0 mib=0.0 rejoined=0" in out
 
+    def test_shard_workers_report_where_they_shared_the_cache(self, tmp_path, capsys):
+        path = self._write_sweep_spec(tmp_path, store=tmp_path / "store")
+        assert main(["sweep", str(path), "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "executed=2" in out
+        golden = tmp_path / "store" / "golden"
+        assert (
+            f"golden cache: shared by the shard workers through {golden}; "
+            "their counts are not collected" in out
+        )
+        assert "hits=" not in out  # the invoking process's cache saw none of it
+        assert len(list(golden.iterdir())) == 6  # one spilled golden pass per image
+
     def test_store_flag_overrides_spec(self, tmp_path, capsys):
         path = self._write_sweep_spec(tmp_path, store=tmp_path / "declared")
         assert main(["sweep", str(path), "--store", str(tmp_path / "flag")]) == 0

@@ -500,9 +500,9 @@ class TestGoldenSharing:
             progress=lambda line: after_each_point.append(golden_files(store)),
         )
         assert sweep_bytes(result) == naive["base"]
-        # The shards rejoined through entries loaded from spill files; the
-        # invoking process only ever counts its own lookups.
-        assert result.golden_cache_stats["rejoins"] == 0
+        # The shards looked entries up through their own handles on the
+        # spill directory, so the invoking process reports no counts.
+        assert result.golden_cache_stats is None
         # Point 0's shards wrote one entry per image; no later shard, in any
         # process, computed (and hence re-spilled) a golden pass again.
         assert len(after_each_point[0]) == IMAGES
@@ -588,3 +588,39 @@ class TestGoldenSharing:
         assert len(golden_files(store)) == 2 * IMAGES
         meta = Path(bumped.outcomes[0].stored.output_files["meta"]).read_text()
         assert f"kernel_generation: {F.KERNEL_GENERATION}" in meta
+
+
+def test_a_sweep_learns_its_model_once(tmp_path, monkeypatch):
+    """Every point runs on the sweep's one model object: one trace, one probe.
+
+    The points' files are those of ``run()`` calls that build a fresh model
+    each, which trace and probe for themselves.
+    """
+    from repro.nn.forward_plan import ForwardPlan
+    from repro.pytorchfi.core import FaultInjection
+
+    calls = {"trace": 0, "probe": 0}
+    trace, probe = ForwardPlan.trace.__func__, FaultInjection._probe
+
+    def counted(kind, function):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ForwardPlan, "trace", classmethod(counted("trace", trace)))
+    monkeypatch.setattr(FaultInjection, "_probe", counted("probe", probe))
+    result = run_sweep(grid_spec(), store=CampaignStore(tmp_path / "store"))
+    assert result.executed == 4
+    assert calls == {"trace": 1, "probe": 1}
+    for outcome in result.outcomes:
+        spec = outcome.point.spec.copy()
+        spec.output_dir = tmp_path / outcome.run_id
+        fresh = run(spec)
+        assert fresh.core.model is not result.plan.artifacts[outcome.point.index][0]
+        stored = outcome.stored.output_files
+        assert sorted(fresh.output_files) == sorted(stored)
+        for tag, path in fresh.output_files.items():
+            assert open(path, "rb").read() == open(stored[tag], "rb").read(), tag
+    assert calls["trace"] == 1 + len(result.outcomes)
