@@ -9,15 +9,28 @@ faulty pass run on that same object, which the lane's fault groups patch or
 hook while they are open.  Outputs are interpreted by the
 :class:`~repro.alficore.campaign.tasks.CampaignTask` the core is given.
 
+The unit of execution is a *block*: up to :data:`_BLOCK_ROWS` rows of
+consecutive steps of one lane, within one epoch and one ``run(start, stop)``
+range (``per_image``: 16 steps).  Row *i* of a batched forward is the forward
+of sample *i* alone, so the block's golden passes run as one stacked pass,
+cut back into one entry per step, and its faulty passes share one stacked
+suffix.  A lane that may not stack runs blocks of one step, through the same
+code.
+
 Every faulty pass of a planned model runs ``[first, rejoin)``: from the
 group's first faulted segment — a golden checkpoint, or the input batch for
 segment 0 — to the first golden checkpoint behind its last faulted segment
-that it reproduces byte for byte (else to the end).  With a golden cache the
-checkpoints are the entry's; without one the golden pass of the same step
-records the two the faulty pass needs.  A neuron group's pass runs only the
-batch rows its faults name, when they are fewer than the batch: row *i* of a
-batched forward is the forward of sample *i* alone, so every other row of
-the faulty output is the golden row (*sample-sparse* passes).
+that it reproduces byte for byte (else to the end).  The segments
+``[first, last]`` run for the step alone, inside its group; behind ``last``
+no faulted module runs, so the step's rows join the block's stack there,
+every group closed, and leave it at the checkpoint they reproduce (*tail
+reuse*).  A pass from the input batch is an inference like any other: the
+task runs it whole, alone.  With a golden cache the checkpoints are the entry's; without one
+the golden pass of the same step records the two the faulty pass needs.  A
+neuron group's pass runs only the batch rows its faults name, when they are
+fewer than the batch: every other row of the faulty output is the golden row
+(*sample-sparse* passes).  The lane's monitor attributes what a stacked pass
+raises to the rows that raised it.
 
 A faulty pass skips segments or rows only behind a *clean* golden pass, one
 in which the lane's monitor saw no NaN, Inf or custom event: what it skips
@@ -34,16 +47,18 @@ up to the last checkpoint its faulty pass needs and resumes at the head from
 those features.
 
 Which of these shortcuts a step takes is a :class:`StepPlan`, decided before
-it runs by :meth:`CampaignCore._step_plan` alone.  Sample-sparse rows and
-seeded golden passes share one first-use rule: each run checks a lane's
-first use of either against the plain pass it stands for, keeps the plain
-result, and, with one warning, turns the shortcut off for the lane if the
-two differ.
+it runs by :meth:`CampaignCore._step_plan` alone; whether a lane stacks
+steps, by :meth:`CampaignCore._stacks`.  Sample-sparse rows, seeded golden
+passes and stacks share one first-use rule: each run checks a lane's first
+use of one against the plain pass it stands for (for a stack, one of its
+steps run alone), keeps the plain result, and, with one warning, turns the
+shortcut off for the lane if the two differ.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import warnings
 from dataclasses import dataclass, field
@@ -67,7 +82,7 @@ from repro.alficore.scenario import ScenarioConfig, default_scenario
 from repro.alficore.wrapper import ptfiwrap
 from repro.data.wrapper import AlfiDataLoaderWrapper, ImageRecord
 from repro.nn import functional as F
-from repro.nn.forward_plan import ForwardPlan, _bitwise_equal, take_rows
+from repro.nn.forward_plan import ForwardPlan, StackedPass, _bitwise_equal, take_rows
 from repro.nn.ir import executor_factory
 from repro.nn.module import Module
 from repro.nn.record import model_record, structure
@@ -140,19 +155,24 @@ class _Lane:
     #: the head fit's features of ``model``, while they hold for this run
     #: (see :meth:`CampaignCore._head_features`)
     features: HeadFeatures | None = None
-    #: Whether a shortcut (``"rows"``, ``"seed"``) reproduced the plain pass
-    #: it stands for on its first use (absent: not checked yet this run;
-    #: ``False``: it differed, so the lane no longer takes it).
+    #: Whether a shortcut (``"rows"``, ``"seed"``, ``"stack"``) reproduced
+    #: the plain pass it stands for on its first use (absent: not checked yet
+    #: this run; ``False``: it differed, so the lane no longer takes it).
     verdicts: dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class StepPlan:
-    """The shortcuts one lane's step may take (see :meth:`CampaignCore._step_plan`)."""
+    """The shortcuts one lane's step may take (see :meth:`CampaignCore._step_plan`).
+
+    A step that takes a shortcut still to be checked this run (``rows`` or
+    ``seed``, see :meth:`CampaignCore._unchecked`) runs as a block of one.
+    """
 
     #: plan segments ``(first, last)`` that execute a faulted layer of the
-    #: group (see :meth:`CampaignCore._faulted_span`); ``None``: plain faulty
-    #: forward
+    #: group (see :meth:`CampaignCore._faulted_span`): the step runs them
+    #: alone, and its rows join the block's stack behind ``last``; ``None``:
+    #: plain faulty forward
     span: tuple[int, int] | None
     #: the only batch rows the faulty pass runs (``None``: all)
     rows: tuple[int, ...] | None
@@ -161,12 +181,59 @@ class StepPlan:
     seed: tuple[int, np.ndarray] | None
 
 
+@dataclass
+class _Step:
+    """One batch step of a campaign, as a block holds it."""
+
+    batch: list[ImageRecord]
+    epoch: int
+    #: global step index
+    index: int
+    #: the step's fault group of every lane
+    groups: list
+    group_index: int
+    collect_applied: bool
+    #: the stacked images of ``batch``
+    images: np.ndarray
+    #: the step's golden-cache key, behind the lane's key head
+    cache_key: tuple
+
+
+@dataclass
+class _LaneStep:
+    """One lane's share of a step while its block runs."""
+
+    step: _Step
+    group: object
+    plan: StepPlan
+    #: the golden pass (cached or transient) and the activation the faulty
+    #: pass resumes from (``None``: the step has no span)
+    entry: GoldenCacheEntry | None = None
+    boundary: object = None
+    #: the golden pass's cache key, and the ``(index, checkpoint)`` its
+    #: cached entry lacked (see :meth:`CampaignCore._settle`)
+    key: tuple | None = None
+    added: tuple[int, object] | None = None
+    #: the rehearsed plain pass of a first sparse pass (see ``_faulty_block``)
+    sparse: object = None
+    #: the faulty output, its monitor events and the group's applied faults
+    output: object = None
+    events: MonitorResult | None = None
+    applied: list = field(default_factory=list)
+
+
+#: Rows of one block: up to this many images of consecutive steps of a lane
+#: share one stacked golden pass and one stacked faulty suffix.
+_BLOCK_ROWS = 16
+
 #: What a shortcut's first use showed when it differed from the plain pass.
 _MISMATCH = {
     "rows": "a faulty pass of the faulted rows alone differs from the full-batch one "
     "(the model mixes the samples of a batch), running full-batch passes",
     "seed": "a golden pass seeded with the head fit's features differs from the full one "
     "(the model changed since the fit), running full golden passes",
+    "stack": "a step run in a stack of steps differs from the step run alone "
+    "(the rows of a batch are not independent), running one step per block",
 }
 
 
@@ -182,11 +249,7 @@ def _scanning(monitor: InferenceMonitor | None) -> Iterator[None]:
         yield
     finally:
         monitor.enabled = False
-
-
-def _clean(monitor: InferenceMonitor | None) -> bool:
-    """Whether ``monitor`` saw no event since it was reset (no monitor: none to see)."""
-    return monitor is None or monitor.collect().clean
+        monitor.split(None)
 
 
 class CampaignCore:
@@ -399,6 +462,7 @@ class CampaignCore:
             for epoch, first_batch, stop_batch in _epoch_segments(start, stop, self.num_batches):
                 if per_epoch:
                     groups = [self._next_group(iterator) for iterator in iterators]
+                block: list[_Step] = []
                 for offset, batch in enumerate(loader.iter_batches(epoch, first_batch, stop_batch)):
                     step = epoch * self.num_batches + first_batch + offset
                     if not per_epoch:
@@ -406,9 +470,15 @@ class CampaignCore:
                     # The applied-fault log of an epoch group is collected
                     # exactly once, on the epoch's first (global) batch.
                     collect_applied = not per_epoch or first_batch + offset == 0
-                    self._run_step(
-                        batch, epoch, step, groups, epoch if per_epoch else step, collect_applied
+                    group_index = epoch if per_epoch else step
+                    block.append(
+                        self._step(batch, epoch, step, groups, group_index, collect_applied)
                     )
+                    if len(block) >= self._block_steps():
+                        self._run_block(block)
+                        block = []
+                if block:
+                    self._run_block(block)
         finally:
             self.task.end()
             for iterator in iterators:
@@ -457,11 +527,12 @@ class CampaignCore:
             lane.traced = True
             lane.plan = self._learned_plan(lane, images)
             if lane.plan is not None:
-                segments = (
-                    lane.plan.segment_for(layer.name)
+                neurons = self.scenario.injection_target == "neurons"
+                spans = (
+                    self._layer_span(lane.plan, layer.name, neurons)
                     for layer in lane.wrapper.fault_injection.layers
                 )
-                lane.resumable = tuple(sorted({index for index in segments if index}))
+                lane.resumable = tuple(sorted({span[0] for span in spans if span and span[0]}))
         return lane.plan
 
     def _learned_plan(self, lane: _Lane, images: np.ndarray) -> ForwardPlan | None:
@@ -517,7 +588,7 @@ class CampaignCore:
         smaller array, or miss the skipped activations) on which the
         shortcut has not differed from the plain pass.  Whether the faulty
         pass may skip anything is known only once the golden pass has run:
-        behind a clean one (see :meth:`_run_lane`).
+        behind a clean one (see :meth:`_faulty_block`).
         """
         plan = self._plan_for(lane, images)
         span = self._faulted_span(plan, lane.wrapper, group)
@@ -559,215 +630,457 @@ class CampaignCore:
         registration order, which may differ from execution order, so mapping
         only the lowest-indexed layer could skip a patched layer that runs
         earlier in the chain, and rejoining before ``last`` would skip a
-        fault that has yet to fire.
+        fault that has yet to fire (see :meth:`_layer_span`).
         """
         if plan is None or not group.faulted_layers:
             return None
-        first_segments, last_segments = [], []
-        for layer in group.faulted_layers:
-            name = wrapper.fault_injection.layers[layer].name
-            index = plan.segment_for(name)
-            if index is None:
-                return None
-            first_segments.append(index)
-            last_segments.append(plan.last_segment_for(name))
-        return min(first_segments), max(last_segments)
+        neurons = isinstance(group, NeuronFaultGroup)
+        spans = [
+            CampaignCore._layer_span(plan, wrapper.fault_injection.layers[layer].name, neurons)
+            for layer in group.faulted_layers
+        ]
+        if None in spans:
+            return None
+        return min(first for first, _ in spans), max(last for _, last in spans)
 
-    def _golden_pass(
-        self,
-        lane: _Lane,
-        images: np.ndarray,
-        batch: list[ImageRecord],
-        cache_key: tuple,
-        step: StepPlan,
-    ) -> tuple[GoldenCacheEntry, object]:
-        """Run (or fetch) one lane's golden pass, as ``step`` says.
+    @staticmethod
+    def _layer_span(plan: ForwardPlan, name: str, neurons: bool) -> tuple[int, int] | None:
+        """Plan segments ``(first, last)`` that a fault of layer ``name`` acts in.
 
-        Returns ``(entry, boundary)``: the golden pass as a cache entry — the
-        cached one, or without a cache a transient one — and the activation
-        the faulty pass resumes from: ``images`` for a ``step.span`` that
-        starts in segment 0, the checkpoint of boundary ``span[0]``
-        otherwise (``None``: the step has no span).  A transient entry holds
-        that checkpoint and the first resumable boundary behind ``span[1]``,
-        the first one a cached entry would be compared at.  ``entry.clean``
-        says whether the lane's monitor saw no event.  A seeded pass
-        (``step.seed``) gives the same entry without running the segments
-        between those checkpoints and the head; the lane's first one in a run
-        is checked against the full pass, whose result the step keeps.
+        A neuron fault fires where the layer's module runs; a weight fault
+        wherever a module holding the corrupted array runs
+        (:meth:`ForwardPlan.weight_span`: tied weights).  ``None``: the trace
+        never saw the layer called.
+        """
+        if not neurons:
+            return plan.weight_span(name)
+        first = plan.segment_for(name)
+        return None if first is None else (first, plan.last_segment_for(name))
+
+    @staticmethod
+    def _unchecked(lane: _Lane, step: StepPlan) -> bool:
+        """Whether ``step`` takes a shortcut whose first use this run is still to be checked."""
+        return (step.rows is not None and "rows" not in lane.verdicts) or (
+            step.seed is not None and "seed" not in lane.verdicts
+        )
+
+    @staticmethod
+    def _stacks(lane: _Lane) -> bool:
+        """Whether the lane may run several steps as one block.
+
+        It needs a plan whose every boundary is an array with the batch on
+        its first axis, no custom monitor (it would see stacked arrays), and
+        a stack that has not differed from a step run alone.
+        """
+        custom = lane.monitor is not None and bool(lane.monitor.custom_monitors)
+        return (
+            lane.plan is not None
+            and lane.plan.stackable
+            and not custom
+            and lane.verdicts.get("stack") is not False
+        )
+
+    def _run_lane(
+        self, lane: _Lane, groups: list, steps: list[_Step]
+    ) -> list[_LaneStep]:
+        """One lane's share of a block of steps: per step, its golden entry and faulty pass.
+
+        The steps run in order, as blocks of as many of them as the lane may
+        stack (:meth:`_stacks`; one while a step's :class:`StepPlan` takes a
+        shortcut still to be checked, see :meth:`_unchecked`), each through
+        :meth:`_run_stack`.  A lane that may not stack runs blocks of one
+        step, through the same code.
+        """
+        done: list[_LaneStep] = []
+        while len(done) < len(steps):
+            todo: list[_LaneStep] = []
+            for step, group in zip(steps[len(done) :], groups[len(done) :]):
+                item = _LaneStep(step, group, self._step_plan(lane, group, step.images))
+                if todo and self._unchecked(lane, item.plan):
+                    break
+                todo.append(item)
+                if lane.monitor is not None:
+                    # First step: the group iterator has registered the lane's
+                    # injection hooks by now, so the monitor's fire behind
+                    # them and scan the *corrupted* activation of a faulted
+                    # layer.
+                    lane.monitor.attach()
+                if not self._stacks(lane) or self._unchecked(lane, item.plan):
+                    break
+            self._run_stack(lane, todo)
+            done += todo
+        return done
+
+    def _run_stack(self, lane: _Lane, todo: list[_LaneStep]) -> None:
+        """Run the steps ``todo`` of the lane as one block: golden side, then faulty side.
+
+        The lane's first block of several steps in a run is checked: one of
+        its steps is run alone as well (on each side that stacked something),
+        the block keeps the plain result if the two differ, and the lane
+        then runs one step per block (with one warning).
+        """
+        check = len(todo) > 1 and "stack" not in lane.verdicts
+        golden = self._golden_block(lane, todo, check)
+        faulty = self._faulty_block(lane, todo, check and golden is not False, golden is not False)
+        outcomes = [agreed for agreed in (golden, faulty) if agreed is not None]
+        if outcomes:
+            self._verdict(lane, "stack", all(outcomes))
+
+    # ------------------------------------------------------------------ #
+    # golden side
+    # ------------------------------------------------------------------ #
+    def _golden_block(self, lane: _Lane, todo: list[_LaneStep], check: bool) -> bool | None:
+        """Fetch or run the golden passes of ``todo``; fill in ``entry`` and ``boundary``.
+
+        Every step looks its entry up in the cache, without counting the
+        lookup: the block's counted lookups and insertions follow once every
+        lane has run it (:meth:`_settle`).  The misses (without a cache:
+        every step) run as one stacked :meth:`_golden_passes` (two: the
+        seeded ones and the others, see :meth:`_golden_stack`), which records
+        the union of the checkpoints they need and is cut back into one owned
+        entry per step.  ``boundary`` is the activation the step's
+        faulty pass resumes from: ``images`` for a ``span`` that starts in
+        segment 0, the checkpoint of boundary ``span[0]`` otherwise
+        (``None``: the step has no span).  A seeded pass gives the same
+        entries without running the segments between those checkpoints and
+        the head.
+
+        Returns whether a stack checked against one of its steps run alone
+        agreed (``None``: nothing was checked).
         """
         cache = self.golden_cache
-        plan = lane.plan
-        span = step.span
-        resume_at = span[0] if span is not None else None
-        if cache is not None:
-            entry = cache.get(cache_key)
-            if entry is not None:
-                boundary = None
-                if resume_at == 0:
-                    boundary = images
-                elif resume_at is not None:
-                    boundary = entry.boundaries.get(resume_at)
-                    if boundary is None and plan is not None:
-                        # Epoch-invariant output is cached but this epoch's
-                        # fault group needs a boundary no one recorded yet:
-                        # recompute the prefix only (still no full pass).
-                        boundary = plan.run_prefix(images, resume_at)
-                        stored = (
-                            np.array(boundary, copy=True)
-                            if isinstance(boundary, np.ndarray)
-                            else boundary
-                        )
-                        cache.add_boundary(cache_key, resume_at, stored)
-                return entry, boundary
-        if plan is None:
-            output = self.task.infer(lane.model, images, batch)
+        head = (lane.name, lane.fingerprint, F.KERNEL_GENERATION)
+        items: list[_LaneStep] = []
+        for item in todo:
+            entry = None
             if cache is not None:
-                return cache.put(cache_key, output), None
-            return GoldenCacheEntry(output), None
+                item.key = head + item.step.cache_key
+                entry = cache.peek(item.key)
+            if entry is None:
+                items.append(item)
+            else:
+                item.entry = entry
+                item.boundary = self._cached_boundary(lane, item)
+        if not items:
+            return None
+        if lane.plan is None:
+            for item in items:
+                item.entry = GoldenCacheEntry(
+                    self.task.infer(lane.model, item.step.images, item.step.batch)
+                )
+            return None
+        wanted = [self._wanted(lane, item) for item in items]
         # The monitor scan on the golden pass is only paid when something
         # reads ``clean``: a planned faulty pass (it may skip segments only
         # behind a clean golden pass) or a cache recording.
-        monitor = lane.monitor if cache is not None or span is not None else None
-        # With a cache every boundary a fault group can resume at is
-        # checkpointed, so later epochs and grid points need no prefix pass;
-        # the transient path records this step's two (boundary 0 is
-        # ``images``, a resume point past the last resumable boundary has
-        # nothing behind it).
-        if cache is not None:
-            wanted = lane.resumable
-        else:
-            wanted = []
+        scanned = cache is not None or any(item.plan.span is not None for item in items)
+        monitor = lane.monitor if scanned else None
+        # Seeded and full golden passes run as one stack each.
+        passes: dict[int, tuple] = {}
+        agreed = None
+        for seeded in (True, False):
+            part = [
+                index for index, item in enumerate(items) if (item.plan.seed is not None) is seeded
+            ]
+            if part:
+                stacked, outcome = self._golden_stack(
+                    lane,
+                    [items[index] for index in part],
+                    [wanted[index] for index in part],
+                    monitor,
+                    check and agreed is None,
+                    agreed is not False,
+                )
+                passes.update(zip(part, stacked))
+                agreed = agreed if outcome is None else outcome
+        for index, item in enumerate(items):
+            output, checkpoints, clean = passes[index]
+            item.entry = GoldenCacheEntry(output, checkpoints, clean)
+            span = item.plan.span
             if span is not None:
-                behind = next((index for index in lane.resumable if index > span[1]), None)
-                wanted = [index for index in (resume_at, behind) if index]
-        with _scanning(monitor):
-            output, checkpoints = plan.run_recording(images, wanted, seed=step.seed)
-        clean = _clean(monitor)
-        if step.seed is not None and "seed" not in lane.verdicts:
-            # The lane's first seeded pass of a run must match the full one.
-            seeded = (output, list(checkpoints.items()), clean)
-            with _scanning(monitor):
-                output, checkpoints = plan.run_recording(images, wanted)
-            clean = _clean(monitor)
-            full = (output, list(checkpoints.items()), clean)
-            self._verdict(lane, "seed", _bitwise_equal(seeded, full))
-        elif step.seed is not None:
-            self.golden_seeded += 1
-        if cache is not None:
-            entry = cache.put(cache_key, output, checkpoints, clean)
-        else:
-            entry = GoldenCacheEntry(output, checkpoints, clean)
-        return entry, images if resume_at == 0 else checkpoints.get(resume_at)
+                item.boundary = item.step.images if span[0] == 0 else checkpoints.get(span[0])
+        return agreed
 
-    def _resume(
-        self,
-        plan: ForwardPlan,
-        span: tuple[int, int],
-        entry: GoldenCacheEntry,
-        boundary,
-        batch: list[ImageRecord],
-        group,
-        rows: tuple[int, ...] | None,
-    ):
-        """One planned faulty pass from ``boundary`` over the whole batch or ``rows``.
-
-        A sub-batch pass starts from those rows of ``boundary`` and its output
-        is spliced into the golden one, unless it rejoined: then it is
-        ``entry.output`` itself, like a full-batch pass that rejoined.
-        """
-        first, last = span
-        resume = functools.partial(plan.resume, first, golden=entry, after=last, rows=rows)
-        if rows is None:
-            scope = contextlib.nullcontext()
-        else:
-            scope = group.sub_batch(rows)
-            boundary = take_rows(boundary, rows)
-            batch = [batch[row] for row in rows]
-        with scope:
-            # A pass from segment 0 starts at the input batch, so it is an
-            # inference like any other and the task runs it (``infer`` is
-            # ``finish(model(images))``).
-            if first == 0:
-                output = self.task.infer(resume, boundary, batch)
-            else:
-                output = self.task.finish(resume(boundary))
-        if rows is None or plan.rejoined_at is not None:
-            return output
-        return _splice_rows(self.task.finish(entry.output), rows, output)
-
-    def _run_lane(
+    def _golden_stack(
         self,
         lane: _Lane,
-        group,
-        images: np.ndarray,
-        batch: list[ImageRecord],
-        cache_key: tuple,
-    ) -> tuple[GoldenCacheEntry, object, MonitorResult | None]:
-        """One lane's share of a step: ``(golden entry, faulty output, events)``.
+        items: list[_LaneStep],
+        wanted: list[tuple[int, ...]],
+        monitor: InferenceMonitor | None,
+        check: bool,
+        stack: bool,
+    ) -> tuple[list[tuple[object, dict, bool]], bool | None]:
+        """The golden passes of ``items`` (all seeded or none): one stack, or one each.
 
-        Executes the lane's :meth:`_step_plan`.  The golden pass runs before
-        the group opens, the faulty pass inside it, both on ``lane.model``.
-        Behind a clean golden pass (``entry.clean``), a step with a span runs
-        only the segments from the group's first faulted one, and only up to
-        the first golden checkpoint behind its last faulted one where the
-        activation equals the golden pass's — the output is then
-        ``entry.output`` itself; a step with ``rows`` and an array boundary
-        runs those batch rows only.  The lane's first sparse pass of a run is
-        checked: a plain forward of those rows is rehearsed, and the
-        full-batch pass that follows, whose result the step keeps, must
-        match it.  ``events`` are those of a full faulty forward (``None``
-        for a lane without monitor): what a planned pass skips is golden, and
-        behind a clean golden pass raises none.
+        With ``check``, the first of several stacked items runs alone as
+        well, and if the two differ every item runs alone.  The lane's first
+        seeded pass of a run (a block of one) is checked against the full
+        pass, whose result it keeps.
+
+        Returns ``(output, checkpoints, clean)`` per item and whether the
+        stack agreed with the item run alone (``None``: not checked).
+        """
+        if stack or len(items) == 1:
+            passes = self._golden_passes(lane, items, wanted, monitor, _stacked_seed(items))
+        else:
+            passes = [
+                self._golden_passes(lane, [item], [want], monitor, _stacked_seed([item]))[0]
+                for item, want in zip(items, wanted)
+            ]
+        agreed = None
+        if check and stack and len(items) > 1:
+            alone = self._golden_passes(
+                lane, items[:1], wanted[:1], monitor, _stacked_seed(items[:1])
+            )
+            agreed = _same_passes(alone, passes[:1])
+            if not agreed:
+                return self._golden_stack(lane, items, wanted, monitor, False, False)[0], False
+        seeded = items[0].plan.seed is not None
+        if seeded and "seed" not in lane.verdicts:
+            # The lane's first seeded pass of a run must match the full one.
+            full = self._golden_passes(lane, items, wanted, monitor, None)
+            self._verdict(lane, "seed", _same_passes(passes, full))
+            passes = full
+        elif seeded:
+            self.golden_seeded += len(items)
+        return passes, agreed
+
+    def _wanted(self, lane: _Lane, item: _LaneStep) -> tuple[int, ...]:
+        """The boundaries the golden pass of ``item`` checkpoints.
+
+        With a cache every boundary a fault group can resume at, so later
+        epochs and grid points need no prefix pass; the transient path
+        records this step's two (boundary 0 is ``images``, a resume point
+        past the last resumable boundary has nothing behind it).
+        """
+        if self.golden_cache is not None:
+            return lane.resumable
+        span = item.plan.span
+        if span is None:
+            return ()
+        behind = next((index for index in lane.resumable if index > span[1]), None)
+        return tuple(index for index in (span[0], behind) if index)
+
+    def _golden_passes(
+        self,
+        lane: _Lane,
+        items: list[_LaneStep],
+        wanted: list[tuple[int, ...]],
+        monitor: InferenceMonitor | None,
+        seed: tuple[int, np.ndarray] | None,
+    ) -> list[tuple[object, dict, bool]]:
+        """The golden passes of ``items`` as one stacked pass, cut back into one per step.
+
+        Returns ``(output, checkpoints, clean)`` per step: its rows of the
+        output and of its ``wanted`` checkpoints, as owned copies, and
+        whether ``monitor`` saw no event in its rows.  Only a
+        :attr:`~ForwardPlan.stackable` plan's pass can be cut into rows; any
+        other lane runs blocks of one step (see :meth:`_stacks`).
+        """
+        plan = lane.plan
+        sizes = [len(item.step.images) for item in items]
+        events = [MonitorResult() for _ in items]
+        with _scanning(monitor):
+            if monitor is not None:
+                monitor.split(events, sizes)
+            if plan.stackable:
+                images = [item.step.images for item in items]
+                outputs, checkpoints = plan.run_recording(
+                    images[0] if len(images) == 1 else np.concatenate(images),
+                    wanted,
+                    seed=seed,
+                    sizes=sizes,
+                )
+            else:
+                (item,) = items
+                output, recorded = plan.run_recording(item.step.images, wanted[0], seed=seed)
+                outputs, checkpoints = [output], [recorded]
+        clean = [monitor is None or result.clean for result in events]
+        return list(zip(outputs, checkpoints, clean))
+
+    def _cached_boundary(self, lane: _Lane, item: _LaneStep):
+        """The activation the faulty pass of ``item`` resumes from, behind a cache hit.
+
+        A checkpoint the entry lacks is computed and kept in ``item.added``
+        for :meth:`_settle` to attach to the entry.
+        """
+        span = item.plan.span
+        if span is None:
+            return None
+        if span[0] == 0:
+            return item.step.images
+        boundary = item.entry.boundaries.get(span[0])
+        if boundary is None and lane.plan is not None:
+            # Epoch-invariant output is cached but this epoch's fault group
+            # needs a boundary no one recorded yet: recompute the prefix only
+            # (still no full pass).
+            boundary = lane.plan.run_prefix(item.step.images, span[0])
+            stored = np.array(boundary, copy=True) if isinstance(boundary, np.ndarray) else boundary
+            item.added = (span[0], stored)
+        return boundary
+
+    # ------------------------------------------------------------------ #
+    # faulty side
+    # ------------------------------------------------------------------ #
+    def _faulty_block(
+        self, lane: _Lane, todo: list[_LaneStep], check: bool, stack: bool
+    ) -> bool | None:
+        """Run the faulty passes of ``todo``; fill in ``output``, ``events`` and ``applied``.
+
+        Every step runs inside its own group, in step order, on
+        ``lane.model``.  Behind a clean golden pass (``entry.clean``), a step
+        with a span runs only its faulted segments ``[first, last]``, from
+        ``boundary``; a step with ``rows`` and an array boundary runs those
+        batch rows only.  The lane's first sparse pass of a run is checked: a
+        plain forward of those rows is rehearsed, and the full-batch pass
+        that follows, whose result the step keeps, must match it.  Behind
+        ``last`` no faulted module runs, so the steps' suffixes run with
+        every group closed, stacked unless ``stack`` is false (see
+        :meth:`_suffixes`).  A pass from the input batch (``first == 0``)
+        is an inference like any other: the task runs it whole, suffix
+        included, inside its group (see :func:`_from_input`).  ``events`` are
+        those of a full faulty forward (``None`` for a lane without monitor):
+        what a planned pass skips is golden, and behind a clean golden pass
+        raises none.
+
+        Returns whether the stacked suffixes agreed with one run alone
+        (``None``: not checked).
         """
         task, monitor = self.task, lane.monitor
-        step = self._step_plan(lane, group, images)
-        if monitor is not None:
-            # First step: the group iterator has registered the lane's
-            # injection hooks by now, so the monitor's fire behind them and
-            # scan the *corrupted* activation of a faulted layer.
-            monitor.attach()
-        head = (lane.name, lane.fingerprint, F.KERNEL_GENERATION)
-        entry, boundary = self._golden_pass(lane, images, batch, head + cache_key, step)
-        span = step.span if entry.clean else None
-        rows = step.rows if span is not None and isinstance(boundary, np.ndarray) else None
-        with group, _scanning(monitor):
-            if span is None:
-                output = task.infer(group.model, images, batch)
-            else:
-                plan = lane.plan
-                sparse = None
-                if rows is not None and "rows" not in lane.verdicts:
-                    # The lane's first sparse pass of a run is rehearsed as a
-                    # plain forward of the faulted rows: the full-batch pass
-                    # that follows must match it.
-                    with group.rehearsal(), group.sub_batch(rows):
-                        sparse = task.finish(group.model(take_rows(images, rows)))
-                    sparse = _splice_rows(task.finish(entry.output), rows, sparse)
-                    if monitor is not None:
-                        monitor.reset()
-                    rows = None
-                output = self._resume(plan, span, entry, boundary, batch, group, rows)
-                if plan.rejoined_at is not None:
-                    self.rejoins += 1
-                    if self.golden_cache is not None:
-                        self.golden_cache.rejoins += 1
-                if rows is not None:
-                    self.rows_skipped += len(batch) - len(rows)
-                if sparse is not None:
-                    self._verdict(lane, "rows", _bitwise_equal(sparse, output))
-        return entry, output, monitor.collect() if monitor is not None else None
+        # Per planned pass: its suffix and the suffix's (output, rejoined_at),
+        # once run; the passes of ``stacked`` run theirs as one stack.
+        passes: list[tuple[_LaneStep, StackedPass, tuple | None]] = []
+        stacked: list[tuple[_LaneStep, StackedPass]] = []
+        for item in todo:
+            step, group, entry = item.step, item.group, item.entry
+            span = item.plan.span if entry.clean else None
+            rows = None
+            if span is not None and isinstance(item.boundary, np.ndarray):
+                rows = item.plan.rows
+            with group, _scanning(monitor):
+                if span is None:
+                    item.output = task.infer(group.model, step.images, step.batch)
+                else:
+                    if rows is not None and "rows" not in lane.verdicts:
+                        # The lane's first sparse pass of a run is rehearsed
+                        # as a plain forward of the faulted rows: the
+                        # full-batch pass that follows must match it.
+                        with group.rehearsal(), group.sub_batch(rows):
+                            sparse = task.finish(group.model(take_rows(step.images, rows)))
+                        item.sparse = _splice_rows(task.finish(entry.output), rows, sparse)
+                        if monitor is not None:
+                            monitor.reset()
+                        rows = None
+                    first, last = span
+                    boundary, batch = item.boundary, step.batch
+                    scope = contextlib.nullcontext()
+                    if rows is not None:
+                        boundary, scope = take_rows(boundary, rows), group.sub_batch(rows)
+                        batch = [batch[row] for row in rows]
+                    with scope:
+                        if first == 0:
+                            # A pass from the input batch is an inference
+                            # like any other: the task runs it, whole
+                            # (``infer`` is ``finish(model(images))``).
+                            joined: list = []
+                            whole = functools.partial(
+                                _from_input, lane.plan, last, entry, rows, joined
+                            )
+                            output = task.infer(whole, boundary, batch)
+                            ((suffix, rejoined_at),) = joined
+                            passes.append((item, suffix, (output, rejoined_at)))
+                        else:
+                            activation = lane.plan.run_range(first, last + 1, boundary)
+                            suffix = StackedPass(last + 1, activation, entry, rows)
+                            passes.append((item, suffix, None))
+                            stacked.append((item, suffix))
+                item.events = monitor.collect() if monitor is not None else None
+            item.applied = group.applied_faults
+        results, agreed = self._suffixes(lane, stacked, check, stack)
+        results = iter(results)
+        for item, suffix, result in passes:
+            value, rejoined_at = next(results) if result is None else result
+            output = task.finish(value)
+            if rejoined_at is not None:
+                self.rejoins += 1
+                if self.golden_cache is not None:
+                    self.golden_cache.rejoins += 1
+            elif suffix.rows is not None:
+                output = _splice_rows(task.finish(item.entry.output), suffix.rows, output)
+            if suffix.rows is not None:
+                self.rows_skipped += len(item.step.batch) - len(suffix.rows)
+            if item.sparse is not None:
+                self._verdict(lane, "rows", _bitwise_equal(item.sparse, output))
+            item.output = output
+        return agreed
 
-    def _run_step(
+    def _suffixes(
+        self,
+        lane: _Lane,
+        passes: list[tuple[_LaneStep, StackedPass]],
+        check: bool,
+        stack: bool,
+    ) -> tuple[list[tuple[object, int | None]], bool | None]:
+        """Run the suffixes of ``passes`` to the end or to their rejoin, as one stack.
+
+        Each pass's monitor events are appended to its step's ``events``.
+        With ``stack`` false every pass runs alone.  With ``check`` one pass
+        of a stack runs alone as well (one that did not rejoin, if any): if
+        the two differ, every pass runs alone again.
+
+        Returns :meth:`ForwardPlan.resume_stack`'s results and whether the
+        check agreed (``None``: not checked).
+        """
+        items = [item for item, _ in passes]
+        stacked = [suffix for _, suffix in passes]
+        if not stack or len(passes) < 2:
+            return [self._suffix(lane, [suffix], [item.events])[0] for item, suffix in passes], None
+        spans = [copy.deepcopy(item.events) for item in items] if check else []
+        results = self._suffix(lane, stacked, [item.events for item in items])
+        if not check:
+            return results, None
+        chosen = next((index for index, (_, at) in enumerate(results) if at is None), 0)
+        events = copy.deepcopy(spans[chosen])
+        output, rejoined_at = self._suffix(lane, [stacked[chosen]], [events])[0]
+        agreed = (
+            _bitwise_equal(output, results[chosen][0])
+            and rejoined_at == results[chosen][1]
+            and events == items[chosen].events
+        )
+        if not agreed:
+            for item, events in zip(items, spans):
+                item.events = events
+            results = [self._suffix(lane, [suffix], [item.events])[0] for item, suffix in passes]
+        return results, agreed
+
+    @staticmethod
+    def _suffix(
+        lane: _Lane, passes: list[StackedPass], events: list[MonitorResult | None]
+    ) -> list[tuple[object, int | None]]:
+        """:meth:`ForwardPlan.resume_stack` of ``passes``; pass *i*'s events go to ``events[i]``."""
+        monitor = lane.monitor
+        regroup = None
+        if monitor is not None:
+
+            def regroup(order: list[int], sizes: list[int]) -> None:
+                monitor.split([events[index] for index in order], sizes)
+
+        with _scanning(monitor):
+            return lane.plan.resume_stack(passes, regroup)
+
+    # ------------------------------------------------------------------ #
+    # blocks
+    # ------------------------------------------------------------------ #
+    def _step(
         self,
         batch: list[ImageRecord],
         epoch: int,
-        step: int,
+        index: int,
         groups: list,
         group_index: int,
         collect_applied: bool,
-    ) -> None:
-        """Run one batch through every lane under the lanes' fault groups."""
-        task = self.task
+    ) -> _Step:
+        """One batch step: its images, its cache key and the lanes' groups."""
         images = AlfiDataLoaderWrapper.stack_images(batch)
         cache_key = tuple(record.image_id for record in batch)
         if self.golden_cache is not None:
@@ -776,31 +1089,112 @@ class CampaignCore:
             # hashed once per step, shared by the lanes.  The same ids and
             # bytes read under another per-sample shape are another input.
             cache_key += (bytes_digest(np.ascontiguousarray(images).tobytes()), images.shape)
-        results = [
-            self._run_lane(lane, group, images, batch, cache_key)
-            for lane, group in zip(self.lanes, groups)
-        ]
-        entry, corrupted, events = results[0]
-        resil_golden = resil_out = None
-        if len(results) > 1:
-            # The hardened model is judged against its *own* fault-free
-            # baseline, so that range clamping of rare fault-free activations
-            # is not misattributed to the injected fault.
-            resil_entry, resil_out, _ = results[1]
-            resil_golden = task.finish(resil_entry.output)
-        task.consume(
-            StepContext(
-                batch=batch,
-                epoch=epoch,
-                step=step,
-                group_index=group_index,
-                golden=task.finish(entry.output),
-                corrupted=corrupted,
-                applied=[fault.as_dict() for fault in groups[0].applied_faults],
-                monitor=events,
-                collect_applied=collect_applied,
-                resil_golden=resil_golden,
-                resil=resil_out,
-                golden_derived=entry.derived,
-            )
+        return _Step(
+            batch, epoch, index, list(groups), group_index, collect_applied, images, cache_key
         )
+
+    def _settle(self, item: _LaneStep) -> None:
+        """Make the cache lookup and insertion of ``item``'s golden pass.
+
+        :meth:`_golden_block` only peeks, and the block's lookups and
+        insertions are made here, step by step and lane by lane: the order
+        in which steps run one at a time would make them.  So the cache's
+        counters and its LRU order do not depend on how steps are blocked.
+        A miss inserts the entry the step used (cached ones are evicted by
+        the insertions before, recorded ones are the block's own), a hit
+        receives the checkpoint the step computed, if any.  The task is
+        handed the cached entry, whose ``derived`` values later hits share.
+        """
+        cache = self.golden_cache
+        entry = cache.get(item.key)
+        if entry is None:
+            boundaries = dict(item.entry.boundaries)
+            if item.added is not None:
+                boundaries.update([item.added])
+            entry = cache.put(item.key, item.entry.output, boundaries, item.entry.clean)
+        elif item.added is not None:
+            cache.add_boundary(item.key, *item.added)
+        item.entry = entry
+
+    def _block_steps(self) -> int:
+        """Steps per block: enough for :data:`_BLOCK_ROWS` rows while a lane may stack them.
+
+        Otherwise one, so that no step is held before it runs.  A lane's
+        first step decides its plan, so a campaign's first block is one step.
+        """
+        if not any(self._stacks(lane) for lane in self.lanes):
+            return 1
+        return max(1, _BLOCK_ROWS // self.scenario.batch_size)
+
+    def _run_block(self, block: list[_Step]) -> None:
+        """Run a block of steps through every lane, then hand the task each step in order.
+
+        With a golden cache, the block's lookups and insertions are made in
+        between (:meth:`_settle`).
+        """
+        task = self.task
+        lanes = [
+            self._run_lane(lane, [step.groups[index] for step in block], block)
+            for index, lane in enumerate(self.lanes)
+        ]
+        if self.golden_cache is not None:
+            for position in range(len(block)):
+                for steps in lanes:
+                    self._settle(steps[position])
+        for position, step in enumerate(block):
+            primary = lanes[0][position]
+            resil_golden = resil_out = None
+            if len(lanes) > 1:
+                # The hardened model is judged against its *own* fault-free
+                # baseline, so that range clamping of rare fault-free
+                # activations is not misattributed to the injected fault.
+                resil = lanes[1][position]
+                resil_golden, resil_out = task.finish(resil.entry.output), resil.output
+            task.consume(
+                StepContext(
+                    batch=step.batch,
+                    epoch=step.epoch,
+                    step=step.index,
+                    group_index=step.group_index,
+                    golden=task.finish(primary.entry.output),
+                    corrupted=primary.output,
+                    applied=[fault.as_dict() for fault in primary.applied],
+                    monitor=primary.events,
+                    collect_applied=step.collect_applied,
+                    resil_golden=resil_golden,
+                    resil=resil_out,
+                    golden_derived=primary.entry.derived,
+                )
+            )
+
+
+def _from_input(plan: ForwardPlan, last: int, golden, rows, joined: list, images):
+    """The faulty pass of one step from its input batch: segments ``[0, last]``, then its suffix.
+
+    The suffix rejoins ``golden`` like a stacked one; it runs alone, so a
+    task's ``infer`` can run the pass as its model and ``finish`` the
+    output.  Appends the suffix and where it rejoined to ``joined``.
+    """
+    suffix = StackedPass(last + 1, plan.run_range(0, last + 1, images), golden, rows)
+    ((output, rejoined_at),) = plan.resume_stack([suffix])
+    joined.append((suffix, rejoined_at))
+    return output
+
+
+def _stacked_seed(items: list[_LaneStep]) -> tuple[int, np.ndarray] | None:
+    """The seed of a golden pass over ``items``: theirs, stacked, if every one has one."""
+    seeds = [item.plan.seed for item in items]
+    if any(seed is None for seed in seeds):
+        return None
+    if len(seeds) == 1:
+        return seeds[0]
+    return seeds[0][0], np.concatenate([features for _, features in seeds])
+
+
+def _same_passes(a: list, b: list) -> bool:
+    """Whether two lists of ``(output, checkpoints, clean)`` are bit for bit equal."""
+
+    def flat(passes):
+        return [(output, list(checkpoints.items()), clean) for output, checkpoints, clean in passes]
+
+    return _bitwise_equal(flat(a), flat(b))

@@ -68,7 +68,7 @@ class CampaignTask:
     # Tasks whose ``infer`` is exactly ``finish(model(images))`` may be run
     # through a :class:`~repro.nn.forward_plan.ForwardPlan` (prefix-reuse
     # suffix-only forwards; a faulty pass from the input batch then reaches
-    # ``infer`` with the plan's ``resume`` in place of the model).  Override
+    # ``infer`` with the planned pass in place of the model).  Override
     # with ``False`` when ``infer`` does anything beyond that contract.
     plan_compatible = True
 

@@ -154,6 +154,17 @@ class GoldenCache:
         self._entries.move_to_end(key)
         return entry
 
+    def peek(self, key: tuple) -> GoldenCacheEntry | None:
+        """Return the entry for ``key`` without counting the lookup or touching the LRU order.
+
+        A spilled entry is loaded but not kept in memory: the lookup that
+        counts, and inserts, is a later :meth:`get`.
+        """
+        entry = self._entries.get(key)
+        if entry is None and self.spill_dir is not None:
+            entry = self._load_spilled(key, count=False)
+        return entry
+
     def put(self, key: tuple, output, boundaries=None, clean=False) -> GoldenCacheEntry:
         """Insert (or replace) the golden pass for ``key``."""
         entry = GoldenCacheEntry(output, boundaries, clean)
@@ -210,14 +221,14 @@ class GoldenCache:
             raise
         self.spill_writes += 1
 
-    def _load_spilled(self, key: tuple) -> GoldenCacheEntry | None:
+    def _load_spilled(self, key: tuple, count: bool = True) -> GoldenCacheEntry | None:
         path = self._spill_path(key)
         if not path.exists():
             return None
         try:
             with open(path, "rb") as handle:
                 entry = GoldenCacheEntry.from_state(pickle.load(handle))
-            self.spill_loads += 1
+            self.spill_loads += count
             return entry
         except FileNotFoundError:
             return None  # lost a race with a concurrent re-spill

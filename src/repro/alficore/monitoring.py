@@ -10,12 +10,18 @@ Forward hooks fire in registration order, so a monitor attached *after* the
 fault-injection hooks of a neuron session scans the corrupted activation of
 a faulted layer; the campaign engine attaches its one monitor per lane in
 that order and gates it with :attr:`InferenceMonitor.enabled`.
+
+A pass may stack the inputs of several inferences as rows of one batch (see
+:meth:`repro.nn.forward_plan.ForwardPlan.resume_stack`).
+:meth:`InferenceMonitor.split` then attributes every event to the rows that
+raised it, so each inference gets the :class:`MonitorResult` a pass of its
+rows alone would have given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,6 +94,8 @@ class InferenceMonitor:
         self.custom_monitors = list(custom_monitors or [])
         self._handles: list[RemovableHandle] = []
         self._current = MonitorResult()
+        # (results, row offsets) while the passes are stacked (see split)
+        self._split: tuple[list[MonitorResult], np.ndarray] | None = None
         # Cheap gate for long-lived monitors: a campaign lane keeps its one
         # monitor attached for the whole run — on the model both its golden
         # and its faulty pass run on — and flips this flag instead of paying
@@ -123,31 +131,28 @@ class InferenceMonitor:
         self._current = MonitorResult()
         return result
 
+    def split(self, results: Sequence[MonitorResult] | None, sizes: Sequence[int] = ()) -> None:
+        """Attribute the events of the following passes to the inferences stacked in them.
+
+        The passes' batch holds the rows of ``len(results)`` inferences, in
+        order: ``results[i]`` collects what the next ``sizes[i]`` rows raise,
+        in layer order, as a pass of those rows alone would report it.  An
+        output without that batch axis is judged as a whole, for every
+        inference.  ``None`` ends the split: events go to :meth:`collect`
+        again.
+        """
+        self._split = None if results is None else (list(results), np.cumsum((0, *sizes)))
+
     def _make_hook(self, layer_name: str):
         def hook(module, inputs, output):
             if not self.enabled:
                 return None
-            if isinstance(output, (list, tuple)):
-                # Detection heads return lists of Detections (boxes/scores);
-                # route them through the structured NaN/Inf check so DUEs in
-                # object-detection campaigns are not undercounted.
-                has_nan, has_inf = output_has_nan_or_inf(output)
-                if has_nan:
-                    self._current.nan_layers.append(layer_name)
-                if has_inf:
-                    self._current.inf_layers.append(layer_name)
-                return None
-            values = np.asarray(output)
-            if values.dtype.kind == "f":
-                has_nan, has_inf = _nan_inf(values)
-                if has_nan:
-                    self._current.nan_layers.append(layer_name)
-                if has_inf:
-                    self._current.inf_layers.append(layer_name)
-                for monitor in self.custom_monitors:
-                    event = monitor(layer_name, values)
-                    if event is not None:
-                        self._current.custom_events.append(dict(event))
+            if self._split is None:
+                self._scan(self._current, layer_name, output)
+            elif len(self._split[0]) == 1:
+                self._scan(self._split[0][0], layer_name, output)
+            else:
+                self._scan_rows(*self._split, layer_name, output)
             return None
 
         # Plan executors (repro.nn.ir.module_blocked) may bypass a module
@@ -156,6 +161,49 @@ class InferenceMonitor:
         # execution stays legal outside monitored passes.
         hook.plan_transparent = lambda: not self.enabled
         return hook
+
+    def _scan(self, result: MonitorResult, layer_name: str, output) -> None:
+        """Record the events ``output`` of layer ``layer_name`` raises in ``result``."""
+        if isinstance(output, (list, tuple)):
+            # Detection heads return lists of Detections (boxes/scores);
+            # route them through the structured NaN/Inf check so DUEs in
+            # object-detection campaigns are not undercounted.
+            has_nan, has_inf = output_has_nan_or_inf(output)
+            if has_nan:
+                result.nan_layers.append(layer_name)
+            if has_inf:
+                result.inf_layers.append(layer_name)
+            return
+        values = np.asarray(output)
+        if values.dtype.kind == "f":
+            has_nan, has_inf = _nan_inf(values)
+            if has_nan:
+                result.nan_layers.append(layer_name)
+            if has_inf:
+                result.inf_layers.append(layer_name)
+            for monitor in self.custom_monitors:
+                event = monitor(layer_name, values)
+                if event is not None:
+                    result.custom_events.append(dict(event))
+
+    def _scan_rows(
+        self, results: list[MonitorResult], offsets: np.ndarray, layer_name: str, output
+    ) -> None:
+        """:meth:`_scan` per stacked inference: ``results[i]`` gets rows ``offsets[i:i + 2]``."""
+        rows = int(offsets[-1])
+        batched = isinstance(output, np.ndarray) and output.ndim > 0 and len(output) == rows
+        if not batched or self.custom_monitors:
+            for result, start, stop in zip(results, offsets, offsets[1:]):
+                self._scan(result, layer_name, output[start:stop] if batched else output)
+            return
+        if output.dtype.kind != "f":
+            return
+        finite = finite_rows(output, rows)
+        if finite.all():
+            return
+        for result, start, stop in zip(results, offsets, offsets[1:]):
+            if not finite[start:stop].all():
+                self._scan(result, layer_name, output[start:stop])
 
     def __enter__(self) -> "InferenceMonitor":
         self.attach()

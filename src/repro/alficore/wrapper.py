@@ -333,7 +333,7 @@ class ptfiwrap:
             if neuron_session is not None:
                 neuron_session.close()
 
-    def _group_rng(self, group_index: int) -> np.random.Generator:
+    def _group_rng(self, group_index: int, error_model: ErrorModel) -> np.random.Generator | None:
         """Per-group injection rng, derived from ``(random_seed, group_index)``.
 
         The built-in error models replay values pre-drawn in the fault
@@ -342,8 +342,12 @@ class ptfiwrap:
         shared stream in iteration order) makes every group's corruption
         independent of which groups ran before it — which is what lets a
         sharded campaign reproduce a serial run bit-exactly for any error
-        model.
+        model.  ``None`` for an error model that never draws
+        (:attr:`~repro.pytorchfi.errormodels.ErrorModel.draws`): a campaign
+        of built-in error models builds no generator per group.
         """
+        if not getattr(error_model, "draws", True):
+            return None
         return np.random.default_rng((abs(int(self._scenario.random_seed)), group_index))
 
     def _group_session(
@@ -361,12 +365,12 @@ class ptfiwrap:
                     error_model=error_model, rng=self._rng
                 )
             return neuron_session, neuron_session.activate(
-                matrix.to_neuron_faults(columns), rng=self._group_rng(group_index)
+                matrix.to_neuron_faults(columns), rng=self._group_rng(group_index, error_model)
             )
         return neuron_session, self.fault_injection.weight_patch_session(
             matrix.to_weight_faults(columns),
             error_model=error_model,
-            rng=self._group_rng(group_index),
+            rng=self._group_rng(group_index, error_model),
         )
 
     def fault_group_session(

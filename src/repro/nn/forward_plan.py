@@ -16,13 +16,18 @@ the two passes, so recomputing it for the faulty one is pure waste.  A
   step).  Handed a boundary value known beforehand (``seed``), it runs only
   the segments up to the last checkpoint it records below that boundary and
   resumes there;
-* :meth:`resume` re-enters the pass at segment ``k`` from a cached boundary
+* :meth:`resume` re-enters the pass at segment ``k`` from a boundary
   activation (``k == 0``: from the input itself) and only executes the
-  suffix — and, handed the golden pass it resumed from, stops at the first
-  later checkpoint its activation equals byte for byte: from there on the
-  pass would only recompute the golden output, so it returns that object
-  instead (*tail reuse*).  The golden pass need not be a cached one: one
-  checkpoint behind the fault, recorded by the same step, is enough.
+  suffix;
+* :meth:`resume_stack` runs the suffixes of several passes as one stacked
+  batch, each pass joining the stack at its own boundary.  Handed the golden
+  pass each one resumed from, a pass leaves the stack at the first later
+  checkpoint its rows equal byte for byte: from there on it would only
+  recompute the golden output, so it takes that object instead (*tail
+  reuse*).  The golden pass need not be a cached one: one checkpoint behind
+  the fault, recorded by the same step, is enough.  Stacking is exact
+  because every kernel is row-invariant: row *i* of a batched forward is the
+  forward of row *i* alone.
 
 The flattening is *trace-based*: one instrumented forward pass records every
 module call with the identities of its first input and its output, and a
@@ -50,6 +55,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,6 +72,8 @@ class _TraceCall:
     in_id: int | None
     out_id: int | None = None
     children: list["_TraceCall"] = field(default_factory=list)
+    #: whether the output is an array with the input batch's rows on its first axis
+    batched: bool = False
 
 
 def _snapshot(value):
@@ -80,6 +88,21 @@ def take_rows(array: np.ndarray, rows) -> np.ndarray:
     if len(rows) == 1:
         return array[rows[0] : rows[0] + 1]
     return array[list(rows)]
+
+
+class StackedPass(NamedTuple):
+    """One pass of :meth:`ForwardPlan.resume_stack`."""
+
+    #: the boundary the pass joins the stack at
+    start: int
+    #: its activation there, the boundary value ``a_start``
+    activation: object
+    #: the recorded golden pass it may rejoin (anything with ``boundaries``
+    #: and ``output``, e.g. a golden cache entry; ``None``: it runs to the end)
+    golden: object
+    #: the rows of the golden pass ``activation`` holds, when it is a
+    #: sub-batch of them (see :func:`take_rows`; ``None``: all)
+    rows: tuple[int, ...] | None = None
 
 
 # Unsigned words as wide as an element: comparing them compares bytes.
@@ -134,6 +157,7 @@ class ForwardPlan:
         valid: bool,
         executor: str = "module",
         executed_in: dict[str, tuple[int, int]] | None = None,
+        stackable: bool = False,
     ):
         # Weakly: a plan kept in its model's record must not keep the model alive.
         self._model = weakref.ref(model)
@@ -153,9 +177,12 @@ class ForwardPlan:
         # against the traced output before handing out the plan.
         self.executor_name = executor
         self._executor = make_executor(executor, self)
-        #: boundary at which the last :meth:`resume` rejoined its golden pass
-        #: (``None``: it ran to the end)
-        self.rejoined_at: int | None = None
+        #: Whether every boundary and the output of the traced pass were
+        #: arrays with the batch on their first axis, so that passes of
+        #: several inputs may share one stacked forward (:meth:`resume_stack`).
+        self.stackable = stackable
+        # Module name -> weight_span, filled on first use.
+        self._weight_spans: dict[str, tuple[int, int] | None] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -191,7 +218,7 @@ class ForwardPlan:
         segment_names = [names.get(id(module), "") for module in segments]
         executed_in = cls._containment(model, calls)
 
-        def build(executor_name: str) -> "ForwardPlan":
+        def build(executor_name: str, stackable: bool = False) -> "ForwardPlan":
             return cls(
                 model,
                 segments,
@@ -199,11 +226,12 @@ class ForwardPlan:
                 valid=True,
                 executor=executor_name,
                 executed_in=executed_in,
+                stackable=stackable,
             )
 
         valid = len(segments) > 1
         if valid:
-            plan = build("module")
+            plan = build("module", all(call.batched for call in calls))
             try:
                 replayed = plan.resume(0, example_input)
             except Exception:
@@ -215,7 +243,7 @@ class ForwardPlan:
             return cls(model, [model], [""], valid=False)
         if executor != "module":
             try:
-                candidate = build(executor)
+                candidate = build(executor, plan.stackable)
                 if _bitwise_equal(candidate.resume(0, example_input), output):
                     return candidate
                 reason = "replay differs from traced output"
@@ -251,9 +279,14 @@ class ForwardPlan:
             stack.append(call)
             return None
 
+        rows = len(example_input) if isinstance(example_input, np.ndarray) else None
+
         def post_hook(module, inputs, output):
             call = stack.pop()
             call.out_id = id(output)
+            call.batched = (
+                isinstance(output, np.ndarray) and output.ndim > 0 and len(output) == rows
+            )
             pinned.append(output)
             return None
 
@@ -348,70 +381,185 @@ class ForwardPlan:
         """Index of the latest segment that executes module ``module_name``.
 
         Behind this segment a pass no longer calls the module, which is what
-        lets :meth:`resume` compare a faulty pass with its golden one there.
-        Equal to :meth:`segment_for` unless atomic segments share the module.
+        lets :meth:`resume_stack` compare a faulty pass with its golden one
+        there.  Equal to :meth:`segment_for` unless atomic segments share the
+        module.
         """
         return self._executed_in.get(module_name, (None, None))[1]
+
+    def weight_span(self, module_name: str) -> tuple[int, int] | None:
+        """Segments ``(first, last)`` that run a module holding ``module_name``'s parameters.
+
+        A weight fault corrupts the parameter array in place, so it acts
+        wherever a module registering a parameter that shares memory with it
+        runs: ``module_name`` itself and every module whose weights are tied
+        to its own.  Without ties, :meth:`segment_for` and
+        :meth:`last_segment_for`.  ``None`` for a module the trace never saw
+        called.  Read off the model's parameters on first use per name.
+        """
+        if module_name not in self._weight_spans:
+            self._weight_spans[module_name] = self._tied_span(module_name)
+        return self._weight_spans[module_name]
+
+    def _tied_span(self, module_name: str) -> tuple[int, int] | None:
+        span = self._executed_in.get(module_name)
+        model = self._model()
+        if span is None or model is None:
+            return span
+        owned = [param.data for param in model.get_submodule(module_name).parameters()]
+        first, last = span
+        for name, param in model.named_parameters():
+            holder = self._executed_in.get(name.rpartition(".")[0])
+            if holder is None:
+                continue
+            if any(np.may_share_memory(param.data, array) for array in owned):
+                first, last = min(first, holder[0]), max(last, holder[1])
+        return first, last
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def resume(
-        self, start: int, activation, golden=None, after: int | None = None, rows=None
-    ):
+    def resume(self, start: int, activation):
         """Execute the segments ``[start, ...)`` from a boundary activation.
 
         ``activation`` must be the (golden) boundary value ``a_start`` — the
         input of segment ``start``.  ``resume(0, x)`` is a full pass.
+        """
+        return self.run_range(start, len(self.segments), activation)
+
+    def run_range(self, start: int, stop: int, activation):
+        """Execute the segments ``[start, stop)`` and return the boundary value ``a_stop``."""
+        if not 0 <= start <= stop <= len(self.segments):
+            raise IndexError(
+                f"segment range [{start}, {stop}) outside plan of {len(self.segments)} segments"
+            )
+        return self._executor.run_range(start, stop, activation)
+
+    def resume_stack(
+        self,
+        passes: list[StackedPass],
+        regroup: Callable[[list[int], list[int]], None] | None = None,
+    ) -> list[tuple[object, int | None]]:
+        """Run the suffixes of ``passes`` to the end, as one stacked batch.
+
+        Pass *i* joins the stack at its boundary ``passes[i].start`` with its
+        activation there, and its rows run every later segment stacked with
+        those of the other passes.  At every boundary its golden pass holds a
+        checkpoint of, its rows are compared with the checkpoint's (those of
+        ``rows``, when the pass holds a sub-batch): rows that reproduce it
+        byte for byte leave the stack, and the pass returns
+        ``golden.output`` itself, since every later segment would see the
+        golden input under the same weights.  A pass without golden pass
+        runs to the end.  Boundaries before ``start`` are never compared, so
+        a pass joins behind every segment that differs from the golden model.
+
+        Row *i* of a batched forward is the forward of row *i* alone, so
+        each pass gets the bytes it would get run on its own; with more than
+        one pass the plan must be :attr:`stackable`.  A lone pass may hold
+        anything: boundaries that are not arrays are not compared.
 
         Args:
-            start: first segment to execute.
-            activation: the boundary value ``a_start``.
-            golden: the recorded golden pass ``activation`` came from (anything
-                with ``boundaries`` and ``output``, e.g. a
-                :class:`~repro.alficore.goldencache.GoldenCacheEntry`).  The
-                pass then stops at the first checkpointed boundary whose
-                ndarray it reproduces byte for byte and returns
-                ``golden.output`` itself: every later segment would see the
-                golden input under the same weights.  :attr:`rejoined_at`
-                says where (``None``: the pass ran to the end).
-            after: index of the last segment that differs from the golden
-                model (defaults to ``start``); only boundaries behind it are
-                compared, so every fault of the pass has fired by then.
-            rows: the batch rows of the golden pass that ``activation``
-                holds, when it is a sub-batch of them (see :func:`take_rows`):
-                boundaries are compared with those rows of the golden
-                checkpoints, and a rejoin still returns the whole
-                ``golden.output``, whose other rows the pass never touched.
+            passes: the passes to run.
+            regroup: called before the stack runs a segment range with the
+                indices of the passes in the stack, in row order, and how
+                many rows each holds (to attribute what the rows raise).
+
+        Returns:
+            Per pass, ``(output, rejoined_at)``: ``golden.output`` and the
+            boundary it rejoined at, or its rows of the stack's output and
+            ``None``.
         """
         stop = len(self.segments)
-        if not 0 <= start <= stop:
-            raise IndexError(f"resume index {start} outside plan of {stop} segments")
-        self.rejoined_at = None
-        if golden is not None:
-            after = start if after is None else after
-            for boundary in sorted(index for index in golden.boundaries if after < index < stop):
-                activation = self._executor.run_range(start, boundary, activation)
-                start = boundary
-                # Arrays only: what else a boundary may hold (a detector's
-                # list of feature maps) is never taken for the golden value.
-                if not isinstance(activation, np.ndarray):
+        results: list = [None] * len(passes)
+        pending = sorted(range(len(passes)), key=lambda index: passes[index].start, reverse=True)
+        live: list[int] = []
+        sizes: list[int] = []
+        stack = None
+        at = passes[pending[-1]].start if pending else stop
+        while True:
+            while pending and passes[pending[-1]].start == at:
+                index = pending.pop()
+                activation = passes[index].activation
+                stack = activation if stack is None else np.concatenate((stack, activation))
+                live.append(index)
+                sizes.append(len(activation) if isinstance(activation, np.ndarray) else 0)
+            # Arrays only: what else a boundary may hold (a detector's list of
+            # feature maps) is never taken for the golden value.
+            if at < stop and isinstance(stack, np.ndarray):
+                stack = self._rejoin(passes, at, stack, live, sizes, results)
+            if at == stop or not (live or pending):
+                break
+            following = passes[pending[-1]].start if pending else stop
+            if live:
+                following = min(
+                    (
+                        following,
+                        *(
+                            index
+                            for member in live
+                            if passes[member].golden is not None
+                            for index in passes[member].golden.boundaries
+                            if at < index < following
+                        ),
+                    )
+                )
+                if regroup is not None:
+                    regroup(list(live), list(sizes))
+                # The stack's tail is a suffix-only pass like any other.
+                if following == stop:
+                    stack = self.resume(at, stack)
+                else:
+                    stack = self.run_range(at, following, stack)
+            at = following
+        if len(live) == 1:
+            results[live[0]] = (stack, None)
+        elif live:
+            offsets = np.cumsum((0, *sizes))
+            for member, first, end in zip(live, offsets, offsets[1:]):
+                results[member] = (stack[first:end], None)
+        return results
+
+    @staticmethod
+    def _rejoin(passes, at: int, stack: np.ndarray, live: list, sizes: list, results: list):
+        """Take the passes whose rows equal their golden checkpoint ``at`` out of the stack.
+
+        ``live`` and ``sizes`` are updated in place; returns the rows left
+        (``None``: none).
+        """
+        kept: list[np.ndarray] = []
+        offset = 0
+        members = list(zip(live, sizes))
+        live.clear()
+        sizes.clear()
+        for member, size in members:
+            rows = stack[offset : offset + size] if len(members) > 1 else stack
+            offset += size
+            golden = passes[member].golden
+            expected = None if golden is None else golden.boundaries.get(at)
+            if expected is not None:
+                if passes[member].rows is not None:
+                    expected = take_rows(expected, passes[member].rows)
+                if _bitwise_equal(rows, expected):
+                    results[member] = (golden.output, at)
                     continue
-                expected = golden.boundaries[boundary]
-                if rows is not None:
-                    expected = take_rows(expected, rows)
-                if _bitwise_equal(activation, expected):
-                    self.rejoined_at = boundary
-                    return golden.output
-        return self._executor.run_range(start, stop, activation)
+            live.append(member)
+            sizes.append(size)
+            kept.append(np.arange(offset - size, offset))
+        if len(live) == len(members):
+            return stack
+        return stack[np.concatenate(kept)] if kept else None
 
     def run_prefix(self, x, stop: int):
         """Execute segments ``[0, stop)`` and return the boundary value ``a_stop``."""
-        if not 0 <= stop <= len(self.segments):
-            raise IndexError(f"prefix stop {stop} outside plan of {len(self.segments)} segments")
-        return self._executor.run_range(0, stop, x)
+        return self.run_range(0, stop, x)
 
-    def run_recording(self, x, boundaries="all", seed: tuple[int, object] | None = None):
+    def run_recording(
+        self,
+        x,
+        boundaries="all",
+        seed: tuple[int, object] | None = None,
+        sizes: list[int] | None = None,
+    ):
         """Run a full pass while checkpointing boundary activations.
 
         Args:
@@ -424,13 +572,36 @@ class ForwardPlan:
                 last wanted boundary below ``index`` and resumes at ``index``
                 from ``value``; the segments in between are not run, so a
                 monitor sees none of their activations.
+            sizes: ``x`` stacks several inputs, of these many rows each.
+                ``boundaries`` then holds one iterable per input, and each
+                input's rows of a checkpoint are copied out when the pass
+                reaches it, so the stacked checkpoint is never held.
 
         Returns:
             Tuple ``(output, checkpoints)`` where ``checkpoints`` maps
-            boundary index to activation.
+            boundary index to activation.  With ``sizes``, both are lists
+            with one element per input: its rows of the output and its
+            checkpoints, as owned copies.
         """
-        wanted = None if boundaries == "all" else set(boundaries)
-        checkpoints: dict[int, object] = {}
+        if sizes is None:
+            wanted = None if boundaries == "all" else set(boundaries)
+            checkpoints: dict[int, object] = {}
+
+            def record(index, value):
+                checkpoints[index] = _snapshot(value)
+
+        else:
+            boundaries = [set(indices) for indices in boundaries]
+            wanted = set().union(*boundaries)
+            offsets = np.cumsum((0, *sizes))
+            checkpoints = [{} for _ in sizes]
+            rows = list(zip(offsets, offsets[1:], boundaries, checkpoints))
+
+            def record(index, value):
+                for start, stop, indices, taken in rows:
+                    if index in indices:
+                        taken[index] = np.array(value[start:stop], copy=True)
+
         skipped = range(0)
         if seed is not None:
             seed_at, seed_value = seed
@@ -442,8 +613,10 @@ class ForwardPlan:
             if seed is not None and index == seed_at:
                 value = seed_value
             if index > 0 and (wanted is None or index in wanted):
-                checkpoints[index] = _snapshot(value)
+                record(index, value)
             if index in skipped:
                 continue
             value = self._executor.run_segment(index, value)
+        if sizes is not None:
+            value = [np.array(value[start:stop], copy=True) for start, stop, _, _ in rows]
         return value, checkpoints

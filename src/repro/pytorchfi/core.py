@@ -679,7 +679,10 @@ class WeightPatchSession:
         self._fi = fi
         self._faults = list(faults)
         self._error_model = error_model if error_model is not None else BitFlipErrorModel()
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        if rng is None and getattr(self._error_model, "draws", True):
+            rng = np.random.default_rng(0)
+        # ``None`` only for an error model that never draws from it.
+        self._rng = rng
         self.model = fi.original_model
         self.applied_faults: list[AppliedFault] = []
         self._saved: list[tuple[np.ndarray, tuple, np.generic]] = []

@@ -20,6 +20,11 @@ class ErrorModel:
     """Base class: maps an original scalar value to a corrupted scalar value."""
 
     name = "base"
+    #: Whether corrupting a fault of a fault matrix draws from the rng.  The
+    #: built-in models replay the value the matrix drew (see
+    #: :meth:`repro.pytorchfi.core.FaultInjection._corrupt_value`) and are
+    #: handed no rng; a custom model may draw.
+    draws = True
 
     def corrupt(self, value: float, rng: np.random.Generator) -> tuple[float, dict]:
         """Return ``(corrupted_value, info_dict)`` for one original value."""
@@ -43,6 +48,7 @@ class BitFlipErrorModel(ErrorModel):
     bit_position: int | None = None
 
     name = "bitflip"
+    draws = False
 
     def __post_init__(self):
         low, high = self.bit_range
@@ -81,6 +87,7 @@ class StuckAtErrorModel(ErrorModel):
     dtype: str = "float32"
 
     name = "stuck_at"
+    draws = False
 
     def __post_init__(self):
         if self.stuck_value not in (0, 1):
@@ -120,6 +127,12 @@ class RandomValueErrorModel(ErrorModel):
             raise ValueError(
                 f"min_value ({self.min_value}) must not exceed max_value ({self.max_value})"
             )
+
+    @property
+    def draws(self) -> bool:
+        # Replayed under its own name only: a subclass named otherwise runs
+        # its own ``corrupt``, which draws.
+        return self.name != "random_value"
 
     def corrupt(self, value: float, rng: np.random.Generator) -> tuple[float, dict]:
         corrupted = float(rng.uniform(self.min_value, self.max_value))

@@ -10,6 +10,7 @@ NaN / Inf outcomes for exponent-field flips).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +132,13 @@ def flip_bit_scalar(
         A :class:`BitFlipRecord` with original value, corrupted value and the
         flip direction (``"0->1"`` or ``"1->0"``).
     """
-    original_bit = int(get_bit(value, bit_position, dtype))
-    corrupted = flip_bit(value, bit_position, dtype)
-    corrupted_value = float(np.asarray(corrupted).reshape(()))
+    packing = _PACKING.get(_check_position(bit_position, dtype).name)
+    flipped = None if packing is None else _flip_packed(value, bit_position, *packing)
+    if flipped is None:
+        original_bit = int(get_bit(value, bit_position, dtype))
+        corrupted_value = float(np.asarray(flip_bit(value, bit_position, dtype)).reshape(()))
+    else:
+        original_bit, corrupted_value = flipped
     direction = "0->1" if original_bit == 0 else "1->0"
     return BitFlipRecord(
         bit_position=bit_position,
@@ -141,6 +146,36 @@ def flip_bit_scalar(
         corrupted_value=corrupted_value,
         flip_direction=direction,
     )
+
+
+# ``struct`` formats of a float dtype and of the unsigned integer as wide, and
+# whether ``struct`` converts its NaNs as numpy does (it drops a float16 NaN's
+# sign and payload).
+_PACKING = {
+    "float16": ("<e", "<H", False),
+    "float32": ("<f", "<I", True),
+    "float64": ("<d", "<Q", True),
+}
+
+
+def _flip_packed(
+    value: float, bit_position: int, value_format: str, bits_format: str, keeps_nan: bool
+) -> tuple[int, float] | None:
+    """``(original bit, corrupted value)`` of one flip by ``struct``.
+
+    Two packs and unpacks instead of :func:`flip_bit_scalar`'s three numpy
+    round trips.  ``None`` where only numpy's conversion gives the exact
+    bits: a value the format rounds to an Inf (``struct`` refuses it), or a
+    NaN in or out of a format whose NaNs ``struct`` does not keep.
+    """
+    try:
+        bits = struct.unpack(bits_format, struct.pack(value_format, value))[0]
+    except OverflowError:
+        return None
+    corrupted = struct.unpack(value_format, struct.pack(bits_format, bits ^ 1 << bit_position))[0]
+    if not keeps_nan and (value != value or corrupted != corrupted):
+        return None
+    return bits >> bit_position & 1, corrupted
 
 
 def format_bits(value: float, dtype: str = "float32") -> str:

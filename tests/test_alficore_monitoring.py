@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.alficore import InferenceMonitor, RangeMonitor
-from repro.alficore.monitoring import output_has_nan_or_inf
+from repro.alficore.monitoring import MonitorResult, output_has_nan_or_inf
 from repro.models.detection.detectors import Detection
 
 
@@ -240,3 +240,59 @@ class TestMonitorEnableGate:
         simple_model(np.array([[np.nan, 1.0, 1.0, 1.0]], dtype=np.float32))
         assert monitor.collect().nan_detected
         monitor.detach()
+
+
+class TestStackedRows:
+    """``split``: the passes' batch stacks several inferences, and each one
+    gets the events a pass of its own rows alone would have raised."""
+
+    @staticmethod
+    def _alone(model, rows):
+        monitor = InferenceMonitor(model)
+        with monitor, np.errstate(over="ignore", invalid="ignore"):
+            model(rows)
+            return monitor.collect()
+
+    def test_events_go_to_the_rows_that_raised_them_in_layer_order(self, simple_model):
+        rows = np.ones((5, 4), dtype=np.float32)
+        rows[1, 0] = np.nan
+        rows[3, 2] = np.finfo(np.float32).max  # Inf behind the first Linear
+        rows[4, 1] = -np.inf
+        sizes = [1, 2, 2]  # inferences of 1, 2 and 2 rows
+        results = [MonitorResult() for _ in sizes]
+        monitor = InferenceMonitor(simple_model)
+        with monitor, np.errstate(over="ignore", invalid="ignore"):
+            monitor.split(results, sizes)
+            simple_model(rows)
+            monitor.split(None)
+            assert not monitor.collect().due_detected  # nothing left for the unsplit pass
+        offsets = np.cumsum([0, *sizes])
+        for result, start, stop in zip(results, offsets, offsets[1:]):
+            assert result == self._alone(simple_model, rows[start:stop])
+        assert not results[0].due_detected
+        assert results[1].nan_layers == ["0", "1", "2"] and results[1].inf_layers == []
+        assert results[2].inf_layers[0] == "0" and results[2].due_detected
+
+    def test_a_leaf_relu_turns_an_inf_row_into_zeros(self):
+        model = nn.Sequential(nn.Identity(), nn.ReLU()).eval()
+        rows = np.ones((3, 4), dtype=np.float32)
+        rows[1] = -np.inf
+        results = [MonitorResult(), MonitorResult(), MonitorResult()]
+        monitor = InferenceMonitor(model)
+        with monitor:
+            monitor.split(results, [1, 1, 1])
+            output = model(rows)
+        assert (output[1] == 0).all()
+        # Only a leaf hook sees the Inf: the ReLU's output has none.
+        assert [result.inf_layers for result in results] == [[], ["0"], []]
+        assert all(result.nan_layers == [] for result in results)
+
+    def test_an_output_without_the_batch_axis_is_judged_whole(self):
+        payload = np.array([1.0, np.inf], dtype=np.float32)
+        model = nn.Sequential(TestListOutputMonitoring._DetectionHead(payload)).eval()
+        results = [MonitorResult(), MonitorResult()]
+        monitor = InferenceMonitor(model)
+        with monitor:
+            monitor.split(results, [2, 3])
+            model(np.ones((5, 4), dtype=np.float32))
+        assert [result.inf_layers for result in results] == [["0"], ["0"]]

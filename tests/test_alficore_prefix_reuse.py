@@ -271,7 +271,7 @@ class TestDiscoveryFailuresAreLoud:
 class TestForwardBudget:
     """Plan discovery probes with one sample: the only campaign-sized
     forwards are the ones that produce a record (and the wrapper's shape
-    probe)."""
+    probe), stacked into blocks of up to 16 rows."""
 
     @pytest.mark.parametrize("images", [16, 17, 19])  # last batch: full, 1, 3
     @pytest.mark.parametrize("target", ["weights", "neurons"])
@@ -285,12 +285,13 @@ class TestForwardBudget:
         batch_size = 8
         tracing = []  # non-empty while a ForwardPlan.trace is on the stack
         traced, probing, passes, roots = [], [], [], []
+        rejoins = []  # per resume_stack call: where each of its passes rejoined
 
         def spy(owner, name, size_of):
             original = getattr(owner, name)
 
             def wrapped(self, *args, **kwargs):
-                (probing if tracing else passes).append(size_of(*args))
+                (probing if tracing else passes).append((name, size_of(*args)))
                 if owner is ResNet:
                     roots.append(self)
                 return original(self, *args, **kwargs)
@@ -331,6 +332,15 @@ class TestForwardBudget:
         spy(ResNet, "__call__", lambda x: x.shape[0])
         spy(ForwardPlan, "run_recording", lambda x, *rest: x.shape[0])
         spy(ForwardPlan, "resume", lambda start, activation: activation.shape[0])
+        resume_stack = ForwardPlan.resume_stack
+
+        def stacked(self, stacked_passes, regroup=None):
+            passes.append(("resume_stack", sum(len(p.activation) for p in stacked_passes)))
+            results = resume_stack(self, stacked_passes, regroup)
+            rejoins.append([at for _, at in results])
+            return results
+
+        monkeypatch.setattr(ForwardPlan, "resume_stack", stacked)
         reused = run(spec("reuse"))
 
         assert _file_bytes(full) == _file_bytes(reused)
@@ -338,23 +348,50 @@ class TestForwardBudget:
         # was given, so it has no second object to trace: a hooked forward
         # plus the module and the interpreter replay.
         assert traced == [1]
-        assert probing == [1] * 3
+        assert probing == [("__call__", 1), ("resume", 1), ("resume", 1)]
         assert roots and all(model is reused.core.model for model in roots)
         steps = [min(batch_size, images - start) for start in range(0, images, batch_size)]
-        # The shape probe, then a golden and a faulty pass per step.  A neuron
-        # group's faulty pass runs only its faulted row when the batch has it;
-        # the lane's first such pass is rehearsed on that row, then run whole.
-        expected = [batch_size]
+        # The first step learns the plan and runs alone; behind it, blocks of
+        # 16 rows: two steps.
+        blocks = [[0]] + [
+            list(range(first, min(first + 2, len(steps)))) for first in range(1, len(steps), 2)
+        ]
         fault_rows = reused.wrapper.get_fault_matrix().matrix[0]
-        for step, size in enumerate(steps):
-            expected.append(size)
-            if target == "weights" or not fault_rows[step] < size:
-                expected.append(size)
-            elif step == 0:
-                expected += [1, size]
-            else:
-                expected.append(1)
-        assert passes == expected
+
+        def faulty_rows(step):
+            # A neuron group's faulty pass runs only its faulted row when the
+            # batch has it and others.
+            sparse = target == "neurons" and fault_rows[step] < steps[step] and steps[step] > 1
+            return 1 if sparse else steps[step]
+
+        # The shape probe, then per block: one golden pass over its rows and
+        # one stack of its faulty suffixes (the segments of the faults ran per
+        # step and are not spied).  The lane's first block of several steps
+        # also runs its first step's golden pass and one faulty pass alone:
+        # the first one that did not rejoin.  The lane's first sparse pass is
+        # rehearsed on its row, then run whole.
+        expected = [("__call__", batch_size)]
+        checked = False
+        stacks = iter(rejoins)
+        for block in blocks:
+            expected.append(("run_recording", sum(steps[step] for step in block)))
+            check = len(block) > 1 and not checked
+            checked |= check
+            if check:
+                expected.append(("run_recording", steps[block[0]]))
+            faulty = [faulty_rows(step) for step in block]
+            if block == [0] and faulty[0] < steps[0]:
+                expected.append(("__call__", faulty[0]))
+                faulty = [steps[0]]
+            expected.append(("resume_stack", sum(faulty)))
+            at = next(stacks)
+            if check:
+                chosen = next((index for index, where in enumerate(at) if where is None), 0)
+                expected.append(("resume_stack", faulty[chosen]))
+                next(stacks)
+        assert next(stacks, None) is None
+        # ``resume`` runs a stack's tail inside ``resume_stack`` only.
+        assert [pass_ for pass_ in passes if pass_[0] != "resume"] == expected
 
 
 def _detection_spec(detector, target, backend, output_dir, scenario=None, **caching):
@@ -512,6 +549,22 @@ class TestGoldenCache:
         assert cache.hits > 0
         stats = cache.stats()
         assert stats["entries"] > 0 and stats["nbytes"] > 0
+
+    def test_peek_neither_counts_nor_reorders(self, tmp_path):
+        spill = tmp_path / "spill"
+        writer = GoldenCache(spill_dir=spill)
+        for key in ("a", "b"):
+            writer.put((key,), np.full(4, ord(key), dtype=np.float32))
+        cache = GoldenCache(byte_budget=16, spill_dir=spill)  # holds one entry
+        cache.put(("a",), writer.peek(("a",)).output)
+        before = cache.stats()
+        assert cache.peek(("a",)) is cache._entries[("a",)]
+        # A spilled entry is read, not kept: the counted get loads it.
+        assert cache.peek(("b",)).output.tobytes() == writer.peek(("b",)).output.tobytes()
+        assert cache.peek(("c",)) is None
+        assert cache.stats() == before and list(cache._entries) == [("a",)]
+        assert cache.get(("b",)) is not None and list(cache._entries) == [("b",)]
+        assert (cache.hits, cache.spill_loads) == (1, 1)
 
     def test_cache_reuse_across_campaigns_via_spillover(
         self, fitted_model_and_dataset, tmp_path

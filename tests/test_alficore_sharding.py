@@ -354,6 +354,63 @@ class TestDetectionShardEquivalence:
             sharded.output_files["corrupted_csv"]
         )
 
+    def test_custom_stochastic_neuron_error_model_is_shard_deterministic(
+        self, fitted_model_and_dataset, tmp_path
+    ):
+        # A custom error model draws from a real per-group Generator, in a
+        # shard as in a serial run, at batch 4 with the rows shortcut
+        # rehearsing a pass.
+        from repro.pytorchfi.errormodels import RandomValueErrorModel
+
+        model, dataset = fitted_model_and_dataset
+
+        class DrawingErrorModel(RandomValueErrorModel):
+            name = "custom_random"
+
+            def corrupt(self, value, rng):
+                assert self.draws and isinstance(rng, np.random.Generator)
+                return super().corrupt(value, rng)
+
+        scenario = default_scenario(
+            injection_target="neurons", inj_policy="per_batch", batch_size=4,
+            random_seed=20, model_name="rngneurons",
+        )
+        files = []
+        for sub, num_shards in (("serial", 1), ("sharded", 3)):
+            writer = CampaignResultWriter(tmp_path / sub, campaign_name="rngneurons")
+            result = run_streaming(
+                model, dataset, scenario, writer=writer,
+                error_model=DrawingErrorModel(-1, 1), workers=1, num_shards=num_shards,
+            )
+            files.append({
+                tag: _file_bytes(path)
+                for tag, path in result.output_files.items()
+                if tag in ("applied_faults", "corrupted_csv")
+            })
+        assert files[0] == files[1] and len(files[0]) == 2
+
+    @pytest.mark.parametrize("target, policy", [
+        ("weights", "per_image"), ("neurons", "per_batch"), ("neurons", "per_epoch"),
+    ])
+    def test_builtin_error_models_build_no_group_generator(
+        self, fitted_model_and_dataset, monkeypatch, target, policy
+    ):
+        model, dataset = fitted_model_and_dataset
+        scenario = default_scenario(
+            injection_target=target, inj_policy=policy, batch_size=4, num_runs=2,
+            rnd_bit_range=(23, 30), random_seed=21, model_name="lazy",
+        )
+        # Materialised first: the synthetic dataset builds a generator per image.
+        images = [dataset[index] for index in range(len(dataset))]
+        core = CampaignCore(model, images, ClassificationTask(), scenario=scenario)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a campaign of built-in error models built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        core.run()
+        assert core.task.state.inferences == 2 * len(dataset)
+
     def test_sharded_buffered_outputs_match_serial(self, fitted_model_and_dataset):
         model, dataset = fitted_model_and_dataset
         scenario = default_scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=14)

@@ -302,6 +302,7 @@ def test_a_model_that_starts_mixing_rows_between_runs_is_checked_again(tmp_path)
     mixing = [w for w in caught if "mixes the samples" in str(w.message)]
     assert len(mixing) == 1 and mixing[0].category is RuntimeWarning
     sparse = cores[True]
-    # The first run skipped rows; the second one's check failed at its first step.
+    # The first run skipped rows; the second one's check failed at its first
+    # step, and the stack of the steps behind it failed its own check.
     assert sparse.rows_skipped == 4 * 3
-    assert sparse.lanes[0].verdicts == {"rows": False}
+    assert sparse.lanes[0].verdicts == {"rows": False, "stack": False}

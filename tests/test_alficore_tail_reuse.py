@@ -26,7 +26,7 @@ from repro.alficore.monitoring import MonitorResult, RangeMonitor
 from repro.data.wrapper import ImageRecord
 from repro.experiments import Experiment, run
 from repro.experiments.runner import Artifacts
-from repro.nn.forward_plan import ForwardPlan
+from repro.nn.forward_plan import ForwardPlan, StackedPass
 
 IMAGES = 6
 
@@ -86,21 +86,35 @@ def _result_bytes(result):
 
 class Resume(NamedTuple):
     plan: ForwardPlan
+    #: the first faulted segment of the step's group (0: the pass started at
+    #: the input batch)
+    first: int
     start: int
     rejoined_at: int | None
     executed: list
+    golden: object
 
 
 @pytest.fixture
 def resumes(monkeypatch):
-    """Every campaign ``resume`` (the trace's own replays carry no golden pass)
-    with the segments it really executed."""
+    """Every pass of a campaign's ``resume_stack`` calls: where its faulted
+    segments started, where it joined the stack, where it rejoined, and the
+    segments its stack executed while it was in it.  The rerun of one pass of
+    a lane's first stack alone (its first-use check) is not a pass of the
+    campaign and is left out."""
     log = []
-    original = ForwardPlan.resume
+    original = ForwardPlan.resume_stack
+    stacked_before: list = []
+    # The span of the step each golden pass of the running block belongs to.
+    spans: dict[int, tuple[int, int]] = {}
+    faulty_block = CampaignCore._faulty_block
 
-    def spy(self, start, activation, **golden):
-        if not golden:
-            return original(self, start, activation)
+    def block(self, lane, todo, *args):
+        spans.clear()
+        spans.update((id(item.entry), item.plan.span) for item in todo)
+        return faulty_block(self, lane, todo, *args)
+
+    def spy(self, passes, regroup=None):
         executed = []
         run_segment = self._executor.run_segment
 
@@ -110,13 +124,27 @@ def resumes(monkeypatch):
 
         self._executor.run_segment = counting
         try:
-            output = original(self, start, activation, **golden)
+            results = original(self, passes, regroup)
         finally:
             del self._executor.run_segment
-        log.append(Resume(self, start, self.rejoined_at, executed))
-        return output
+        stops = [self.num_segments if at is None else at for _, at in results]
+        # The stack runs a segment once, and only while a pass is in it.
+        assert executed == [
+            index
+            for index in range(min(stacked.start for stacked in passes), max(stops))
+            if any(stacked.start <= index < stop for stacked, stop in zip(passes, stops))
+        ]
+        check = len(passes) == 1 and any(passes[0].golden is golden for golden in stacked_before)
+        stacked_before[:] = [stacked.golden for stacked in passes] if len(passes) > 1 else []
+        for stacked, (_, at), stop in zip(passes, results, stops):
+            ran = [index for index in executed if stacked.start <= index < stop]
+            if not check:
+                first = spans[id(stacked.golden)][0]
+                log.append(Resume(self, first, stacked.start, at, ran, stacked.golden))
+        return results
 
-    monkeypatch.setattr(ForwardPlan, "resume", spy)
+    monkeypatch.setattr(CampaignCore, "_faulty_block", block)
+    monkeypatch.setattr(ForwardPlan, "resume_stack", spy)
     return log
 
 
@@ -144,22 +172,32 @@ def _assert_segments_match_rejoins(resumes):
 def lane_steps(monkeypatch, resumes):
     """Per step of the model under test: ``(golden entry's clean, planned passes)``."""
     steps = []
-    run_lane = CampaignCore._run_lane
+    faulty_block = CampaignCore._faulty_block
 
-    def recording(self, lane, *args):
+    def recording(self, lane, todo, *args):
         before = len(resumes)
-        result = run_lane(self, lane, *args)
+        result = faulty_block(self, lane, todo, *args)
         if lane is self.lanes[0]:
-            steps.append((result[0].clean, len(resumes) - before))
+            block = resumes[before:]
+            steps.extend(
+                (item.entry.clean, sum(resume.golden is item.entry for resume in block))
+                for item in todo
+            )
         return result
 
-    monkeypatch.setattr(CampaignCore, "_run_lane", recording)
+    monkeypatch.setattr(CampaignCore, "_faulty_block", recording)
     return steps
 
 
 # Some fault-free lenet5 activations exceed 10 and some do not, so a campaign
 # under this monitor mixes clean and non-clean golden passes.
 MIXED = Artifacts(custom_monitors=[RangeMonitor(bound=10.0)])
+
+
+def _behind_first_layer(result) -> int:
+    """The boundary a pass of a first-layer fault group joins its stack at."""
+    plan = result.core.lanes[0].plan
+    return plan.last_segment_for(result.core.wrapper.fault_injection.layers[0].name) + 1
 
 
 def _assert_planned_exactly_behind_clean_golden_passes(lane_steps, resumes):
@@ -304,7 +342,7 @@ class TestCacheLessCampaigns:
         _assert_segments_match_rejoins(resumes)
         # A pass from the input batch is the task's to run, once each; the
         # golden passes and the mid-network resumes never reach ``infer``.
-        from_input = [resume for resume in resumes if resume.start == 0]
+        from_input = [resume for resume in resumes if resume.first == 0]
         assert len(inferred) == len(from_input)
         assert all(isinstance(resume, functools.partial) for resume in inferred)
         if first_layer:
@@ -327,7 +365,8 @@ class TestCacheLessCampaigns:
         reference = run(_spec("lenet5", "weights", tmp_path / "ref", scenario, prefix_reuse=False))
         reused = run(_spec("lenet5", "weights", tmp_path / "tail", scenario))
         assert _result_bytes(reused) == _result_bytes(reference)
-        assert [(resume.start, resume.rejoined_at) for resume in resumes] == [(0, None)] * IMAGES
+        assert [(resume.first, resume.rejoined_at) for resume in resumes] == [(0, None)] * IMAGES
+        assert {resume.start for resume in resumes} == {_behind_first_layer(reused)}
         assert reused.core.rejoins == 0
         _assert_segments_match_rejoins(resumes)
 
@@ -342,7 +381,8 @@ class TestCacheLessCampaigns:
         reused = run(_spec("lenet5", "neurons", tmp_path / "tail", scenario), MIXED)
         assert monitor_results == expected
         assert _result_bytes(reused) == _result_bytes(reference)
-        assert [resume.start for resume in resumes] == [0] * len(resumes)
+        assert [resume.first for resume in resumes] == [0] * len(resumes)
+        assert {resume.start for resume in resumes} == {_behind_first_layer(reused)}
         _assert_planned_exactly_behind_clean_golden_passes(lane_steps, resumes)
 
     @pytest.mark.parametrize("target", ["weights", "neurons"])
@@ -357,7 +397,7 @@ class TestCacheLessCampaigns:
         assert len(rejoined) == reused.core.rejoins
         assert len({id(resume.plan) for resume in rejoined}) == 2  # both lanes
         if target == "neurons":
-            assert len({id(resume.plan) for resume in rejoined if resume.start == 0}) == 2
+            assert len({id(resume.plan) for resume in rejoined if resume.first == 0}) == 2
         _assert_segments_match_rejoins(resumes)
 
     def test_shards_of_a_detection_campaign(self, tmp_path, resumes):
@@ -374,7 +414,7 @@ class TestCacheLessCampaigns:
         assert _file_bytes(reused) == _file_bytes(reference)
         assert len(resumes) == reused.state.inferences == 6
         rejoined = [resume for resume in resumes if resume.rejoined_at is not None]
-        assert {resume.start == 0 for resume in rejoined} == {False, True}
+        assert {resume.first == 0 for resume in rejoined} == {False, True}
         _assert_segments_match_rejoins(resumes)
 
     def test_rejoin_is_tested_behind_the_last_faulted_segment(self, tmp_path, monkeypatch):
@@ -523,8 +563,9 @@ class TestResumeAgainstAGoldenPass:
         plan, golden = self._recorded(_ListNet().eval(), x)
         assert plan.segment_names == ["body", "neck", "head"]
         assert isinstance(golden.boundaries[2], list)  # the head's input
-        output = plan.resume(1, golden.boundaries[1], golden=golden, after=1)
-        assert plan.rejoined_at is None
+        assert not plan.stackable
+        ((output, rejoined_at),) = plan.resume_stack([StackedPass(2, golden.boundaries[2], golden)])
+        assert rejoined_at is None
         assert output is not golden.output and output.tobytes() == golden.output.tobytes()
 
     def test_byte_comparison_is_nan_and_signed_zero_exact(self):
@@ -554,8 +595,10 @@ class TestResumeAgainstAGoldenPass:
         plan, golden = self._recorded(lenet5(seed=0).eval(), x)
         start, later = sorted(golden.boundaries)[:2]
         # An unfaulted suffix reproduces the very next checkpoint ...
-        assert plan.resume(start, golden.boundaries[start], golden=golden) is golden.output
-        assert plan.rejoined_at == later
+        behind = plan.run_range(start, start + 1, golden.boundaries[start])
+        unfaulted = StackedPass(start + 1, behind, golden)
+        ((output, rejoined_at),) = plan.resume_stack([unfaulted])
+        assert output is golden.output and rejoined_at == later
         # ... but not one that equals it only numerically.
         signed = golden.boundaries[later].copy()
         zeros = np.flatnonzero(signed == 0)
@@ -563,11 +606,13 @@ class TestResumeAgainstAGoldenPass:
         signed.reshape(-1)[zeros[0]] = -0.0
         assert np.array_equal(signed, golden.boundaries[later])
         golden.boundaries[later] = signed
-        plan.resume(start, golden.boundaries[start], golden=golden)
-        assert plan.rejoined_at is not None and plan.rejoined_at > later
-        # Boundaries up to ``after`` are not compared at all.
-        plan.resume(start, golden.boundaries[start], golden=golden, after=plan.num_segments)
-        assert plan.rejoined_at is None
+        ((_, rejoined_at),) = plan.resume_stack([unfaulted])
+        assert rejoined_at is not None and rejoined_at > later
+        # Boundaries before the one a pass joins at are not compared at all.
+        output = plan.resume(start, golden.boundaries[start])
+        joined = StackedPass(plan.num_segments, output, golden)
+        ((_, rejoined_at),) = plan.resume_stack([joined])
+        assert rejoined_at is None
 
     def test_a_module_shared_by_two_segments_counts_until_its_last_call(self):
         class Block(nn.Module):

@@ -1,9 +1,12 @@
 """Unit tests for the IEEE-754 bit manipulation primitives."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tensor import (
     BitFlipRecord,
@@ -128,6 +131,72 @@ class TestFlipBitScalar:
         for position in range(23, 31):
             value = float(set_bit(value, position, 1))
         assert math.isnan(value)
+
+
+# (dtype, width, exponent bits) of the formats flip_bit_scalar packs directly,
+# and one that takes the numpy path.
+FLIP_FORMATS = [("float16", 16, 5), ("float32", 32, 8), ("float64", 64, 11), ("int16", 16, 0)]
+
+
+def _special_patterns(width: int, exponent_bits: int) -> list[int]:
+    """±0, the smallest and largest subnormals, ±Inf and NaNs with payloads."""
+    sign = 1 << (width - 1)
+    mantissa = width - 1 - exponent_bits
+    if not exponent_bits:
+        return [0, 1, sign, sign - 1, (1 << width) - 1]
+    inf = ((1 << exponent_bits) - 1) << mantissa
+    quiet = 1 << (mantissa - 1)
+    patterns = [0, sign, 1, (1 << mantissa) - 1, sign | 1, inf, sign | inf]
+    patterns += [inf | 1, inf | quiet, inf | quiet | 5, sign | inf | quiet | 3, inf | (quiet - 1)]
+    return patterns
+
+
+@st.composite
+def _flip_inputs(draw):
+    dtype, width, exponent_bits = draw(st.sampled_from(FLIP_FORMATS))
+    pattern = draw(
+        st.one_of(
+            st.sampled_from(_special_patterns(width, exponent_bits)),
+            st.integers(0, (1 << width) - 1),
+        )
+    )
+    bits = np.array(pattern, dtype=np.dtype(f"uint{width}"))
+    view = np.dtype(dtype) if exponent_bits else np.dtype(f"int{width}")
+    return dtype, width, float(bits.view(view))
+
+
+class TestFlipBitScalarAgreesWithTheArrayPath:
+    """The ``struct`` fast path of :func:`flip_bit_scalar` against
+    :func:`flip_bit` + :func:`get_bit`, NaN payloads and signed zeros bit
+    for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_flip_inputs())
+    def test_every_bit_of_generated_patterns(self, inputs):
+        dtype, width, value = inputs
+        for position in range(width):
+            record = flip_bit_scalar(value, position, dtype)
+            original_bit = int(get_bit(value, position, dtype))
+            corrupted = float(np.asarray(flip_bit(value, position, dtype)).reshape(()))
+            expected = BitFlipRecord(
+                bit_position=position,
+                original_value=float(value),
+                corrupted_value=corrupted,
+                flip_direction="0->1" if original_bit == 0 else "1->0",
+            )
+            assert (record.bit_position, record.flip_direction) == (
+                expected.bit_position,
+                expected.flip_direction,
+            )
+            for field in ("original_value", "corrupted_value"):
+                assert struct.pack("<d", getattr(record, field)) == struct.pack(
+                    "<d", getattr(expected, field)
+                ), (dtype, value, position, field)
+
+    def test_a_value_that_rounds_to_inf_takes_the_numpy_path(self):
+        with np.errstate(over="ignore"):
+            record = flip_bit_scalar(1e300, 31, "float32")
+        assert record.original_value == 1e300 and record.corrupted_value == -math.inf
 
 
 class TestFormatting:
