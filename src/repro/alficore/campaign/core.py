@@ -83,7 +83,6 @@ from repro.alficore.wrapper import ptfiwrap
 from repro.data.wrapper import AlfiDataLoaderWrapper, ImageRecord
 from repro.nn import functional as F
 from repro.nn.forward_plan import ForwardPlan, StackedPass, _bitwise_equal, take_rows
-from repro.nn.ir import executor_factory
 from repro.nn.module import Module
 from repro.nn.record import model_record, structure
 from repro.pytorchfi.core import NeuronFaultGroup
@@ -139,10 +138,11 @@ class _Lane:
     #: NaN/Inf + custom monitor, attached on the lane's first step, enabled
     #: only for passes whose events are consumed (the resil lane has none)
     monitor: InferenceMonitor | None
-    #: forward plan, looked up or traced on the lane's first step (``None``:
-    #: the forward does not linearise, the lane runs full forwards)
+    #: forward plan, looked up or traced on the lane's first step of a run
+    #: (``None``: the forward does not linearise, the lane runs full forwards)
     plan: ForwardPlan | None = None
-    traced: bool = False
+    #: whether :attr:`plan` was looked up in this run
+    planned: bool = False
     #: Boundaries a fault group of ``wrapper`` can resume at, ascending: the
     #: segments holding an injectable layer, hence the only ones a cached
     #: golden pass checkpoints (boundary 0 is the input batch and needs none).
@@ -297,11 +297,6 @@ class CampaignCore:
             always used: it may be shared with other campaigns (a sweep
             passes one cache to every grid point), so whether it can hit is
             the owner's call, not this campaign's.
-        executor: forward-plan execution backend (``"module"``,
-            ``"interpreter"``, ``"fused"``, or any name registered via
-            :func:`repro.nn.ir.register_executor`).  Validated bit-exactly at
-            trace time, on one sample, with a warned fallback to the module
-            path.
     """
 
     def __init__(
@@ -320,7 +315,6 @@ class CampaignCore:
         resil_wrapper: ptfiwrap | None = None,
         prefix_reuse: bool = True,
         golden_cache: GoldenCache | None = None,
-        executor: str = "interpreter",
     ):
         if dataset is None or len(dataset) == 0:
             raise ValueError("a non-empty dataset is required to run a campaign")
@@ -353,11 +347,6 @@ class CampaignCore:
         if self.resil_model is not None:
             self.lanes.append(_Lane("resil", self.resil_model, self.resil_wrapper, None))
         self.prefix_reuse = prefix_reuse
-        # Plan execution backend (repro.nn.ir registry).  Trace-time
-        # validation falls back to the module path (with a RuntimeWarning)
-        # on any bitwise mismatch, so an exotic executor name can never
-        # change campaign results.
-        self.executor = executor
         self.golden_cache = golden_cache
         #: faulty passes that ended at a golden boundary (tail reuse), with or
         #: without a cache; a shared cache's ``rejoins`` counts them as well
@@ -393,7 +382,6 @@ class CampaignCore:
             dl_shuffle=self.dl_shuffle,
             resil_model=self.resil_model,
             prefix_reuse=self.prefix_reuse,
-            executor=self.executor,
         )
 
     # ------------------------------------------------------------------ #
@@ -448,6 +436,9 @@ class CampaignCore:
             # Weights may have been mutated between runs of the same core;
             # the cache keys must reflect the state of this run.
             lane.fingerprint = model_fingerprint(lane.model)
+            # ... and so must the plan: the run's first step looks it up in
+            # the model's record again (the model may have been rebuilt).
+            lane.planned = False
             # Every run checks a shortcut's first use again (the model may
             # have changed in between); one that failed stays off.
             lane.verdicts = {kind: agreed for kind, agreed in lane.verdicts.items() if not agreed}
@@ -502,20 +493,18 @@ class CampaignCore:
     # prefix-reuse plumbing
     # ------------------------------------------------------------------ #
     def _plan_for(self, lane: _Lane, images: np.ndarray) -> ForwardPlan | None:
-        """Return the lane's forward plan, learned on its first step, or ``None``.
+        """Return the lane's forward plan, learned on its first step of a run, or ``None``.
 
         The plan is looked up in the model object's record
         (:mod:`repro.nn.record`), under a key of everything it depends on:
-        the executor factory registered under :attr:`executor`, every module
-        of the model (qualified name, object and type), the lane's weights
-        fingerprint, and the digest, shape and dtype of ``images[:1]``.  So
-        every grid point of a sweep, and every ``run()`` on one model object,
-        traces once between them.  On a miss the model is traced and the plan
-        replay-validated on the first sample of ``images`` only: the segment
-        chain, the containment map and the executor choice are properties of
-        the topology, not of the batch.  Only a plan that is valid under the
-        requested executor is kept, so a fallback or a failed trace warns
-        again in every campaign.
+        every module of the model (qualified name, object and type), the
+        lane's weights fingerprint, and the digest, shape and dtype of
+        ``images[:1]``.  So every grid point of a sweep, and every ``run()``
+        on one model object, traces once between them, and a model changed
+        between two runs of one core is traced again.  On a miss the model is
+        traced and the plan replay-validated on the first sample of
+        ``images`` only: the segment chain and the containment map are
+        properties of the topology, not of the batch.
 
         Must be called outside any active fault group: the trace pass runs
         the model once, and active faults would corrupt it (and pollute the
@@ -523,9 +512,10 @@ class CampaignCore:
         """
         if not self.prefix_reuse or not getattr(self.task, "plan_compatible", False):
             return None
-        if not lane.traced:
-            lane.traced = True
+        if not lane.planned:
+            lane.planned = True
             lane.plan = self._learned_plan(lane, images)
+            lane.resumable = ()
             if lane.plan is not None:
                 neurons = self.scenario.injection_target == "neurons"
                 spans = (
@@ -539,29 +529,23 @@ class CampaignCore:
         """The valid plan of ``lane.model`` from its record, else from a new trace."""
         if lane.fingerprint is None:
             lane.fingerprint = model_fingerprint(lane.model)
-        key = (
-            executor_factory(self.executor),
-            structure(lane.model),
-            lane.fingerprint,
-            image_key(images[:1]),
-        )
+        key = (structure(lane.model), lane.fingerprint, image_key(images[:1]))
         record = model_record(lane.model)
         if record.plan is not None and record.plan[0] == key:
             return record.plan[1]
         try:
-            plan = ForwardPlan.trace(lane.model, images[:1], executor=self.executor)
+            plan = ForwardPlan.trace(lane.model, images[:1])
         except Exception as error:
             warnings.warn(
-                f"{type(lane.model).__name__}: no forward plan under executor "
-                f"{self.executor!r}, running full forwards ({error!r})",
+                f"{type(lane.model).__name__}: no forward plan, running full forwards "
+                f"({error!r})",
                 RuntimeWarning,
                 stacklevel=3,
             )
             return None
         if not plan.valid:
             return None
-        if plan.executor_name == self.executor:
-            record.plan = (key, plan)
+        record.plan = (key, plan)
         return plan
 
     @staticmethod

@@ -155,11 +155,6 @@ class InferenceMonitor:
                 self._scan_rows(*self._split, layer_name, output)
             return None
 
-        # Plan executors (repro.nn.ir.module_blocked) may bypass a module
-        # call only while every forward hook is transparent.  A disabled
-        # monitor hook reads nothing and never alters the output, so fused
-        # execution stays legal outside monitored passes.
-        hook.plan_transparent = lambda: not self.enabled
         return hook
 
     def _scan(self, result: MonitorResult, layer_name: str, output) -> None:

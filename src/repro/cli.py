@@ -126,10 +126,6 @@ _CAMPAIGN_FLAGS = (
     _flag("--no-prefix-reuse", "caching.prefix_reuse",
           "escape hatch: run the faulty pass as a full forward instead of a "
           "suffix-only forward from the first faulted layer"),
-    _flag("--executor", "execution.executor",
-          "forward-plan execution backend; 'fused' collapses elementwise/conv+act "
-          "runs into single kernels with planned buffer reuse (always validated "
-          "bit-exactly against the module path at trace time)"),
     # 256, not the schema's 0 (no cache): the command line is for interactive
     # multi-epoch runs, where the cache pays for itself.
     _flag("--golden-cache", "caching.golden_cache_mb",
@@ -161,8 +157,6 @@ _RUN_FLAGS = (
           "override the spec's per-shard wall-clock deadline", metavar="SECONDS"),
     _flag("--resume", "execution.resume",
           "resume an interrupted campaign from its committed shard directories"),
-    _flag("--executor", "execution.executor",
-          "override the spec's forward-plan execution backend"),
 )
 
 #: the two flag-built workloads: what the flags do not say

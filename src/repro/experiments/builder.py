@@ -91,8 +91,7 @@ class ExperimentBuilder:
     def execution(self, *values: Any, **fields: Any) -> "ExperimentBuilder":
         """Execution knobs: the :class:`ExecutionSpec` fields — fault
         tolerance (``retries`` / ``shard_timeout`` / ``backoff`` /
-        ``resume``) and the forward-plan ``executor`` (``"fused"`` enables op
-        fusion with planned buffer reuse, see :mod:`repro.nn.fuse`)."""
+        ``resume``; ``executor`` is ignored, see :class:`ExecutionSpec`)."""
         self._spec.execution = ExecutionSpec(*values, **fields)
         return self
 

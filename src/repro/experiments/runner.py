@@ -13,6 +13,7 @@ path — and byte-identical outputs.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -84,7 +85,6 @@ def _build_core(spec: ExperimentSpec, plugin: Any, artifacts: Artifacts) -> Camp
         wrapper=wrapper,
         prefix_reuse=spec.caching.prefix_reuse,
         golden_cache=golden_cache,
-        executor=spec.execution.executor,
     )
 
 
@@ -117,14 +117,21 @@ def run(spec: ExperimentSpec, artifacts: Artifacts | None = None) -> CampaignRes
         )
     plugin = TASKS.get(spec.task)
     spec.validate()
-    core = _build_core(spec, plugin, artifacts)
-    backend = BACKENDS.get(spec.backend.name)
-    state, stream_paths = backend(core, spec.backend, spec.execution)
     execution_info = spec.execution.as_dict()
     # resume is a property of *this invocation*, not of the campaign: keeping
     # it out of the context (and hence the meta file) is what makes a resumed
-    # run's outputs byte-identical to an uninterrupted one.
-    execution_info.pop("resume", None)
+    # run's outputs byte-identical to an uninterrupted one.  The ignored
+    # executor goes too, so an old spec file writes the same meta.
+    execution_info.pop("resume")
+    if execution_info.pop("executor") != "module":
+        warnings.warn(
+            "execution.executor is ignored: campaigns always run the module path",
+            FutureWarning,
+            stacklevel=2,
+        )
+    core = _build_core(spec, plugin, artifacts)
+    backend = BACKENDS.get(spec.backend.name)
+    state, stream_paths = backend(core, spec.backend, spec.execution)
     context = {
         "model_name": core.scenario.model_name,
         "execution": execution_info,

@@ -62,7 +62,7 @@ Schema (YAML)::
       shard_timeout: null           # per-shard wall-clock deadline (seconds)
       backoff: 0.5                  # base of the capped exponential re-queue delay
       resume: false                 # merge already committed shards from disk
-      executor: interpreter         # forward-plan backend: module | interpreter | fused
+      executor: module              # ignored; kept so old spec files load
     sweep: null                     # or a parameter grid (see SweepSpec):
     #   schema_version: 1
     #   axes:                       # cartesian product, declaration order
@@ -90,10 +90,12 @@ import yaml
 
 from repro.alficore.codec import Section, SpecError, _to_plain, field_kind, spec_field
 from repro.alficore.scenario import ScenarioConfig
-from repro.nn.ir import executor_names
 
 SPEC_SCHEMA_VERSION = 1
 SWEEP_SCHEMA_VERSION = 1
+
+#: the values ``execution.executor`` accepts (see :class:`ExecutionSpec`)
+LEGACY_EXECUTORS = ("module", "interpreter", "fused")
 
 
 # --------------------------------------------------------------------------- #
@@ -161,11 +163,10 @@ class ExecutionSpec(Section):
     ``shard_timeout`` (seconds), the base ``backoff`` of the capped
     exponential re-queue delay, and ``resume`` to merge the shard
     directories an interrupted run committed instead of re-running them.
-    ``executor`` selects the forward-plan
-    execution backend (:func:`repro.nn.ir.register_executor` registry:
-    ``"module"``, ``"interpreter"``, ``"fused"``); it is validated bit-exactly
-    at plan-trace time with silent fallback to the module path, so the knob
-    can change speed but never results.
+    ``executor`` is ignored: campaigns always run plan segments as module
+    calls.  It is still accepted (and validated against the three names it
+    once took) so that old spec files load; :func:`repro.experiments.run`
+    warns once about a value other than ``"module"``.
     """
 
     LABEL = "execution"
@@ -174,7 +175,7 @@ class ExecutionSpec(Section):
     shard_timeout: float | None = spec_field("float", positive=True)
     backoff: float = spec_field("float", 0.5, minimum=0)
     resume: bool = spec_field("bool", False)
-    executor: str = spec_field("str", "interpreter", choices=executor_names)
+    executor: str = spec_field("str", "module", choices=lambda: LEGACY_EXECUTORS)
 
 
 @dataclass

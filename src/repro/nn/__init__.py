@@ -35,7 +35,7 @@ from repro.nn.layers import (
     Upsample,
 )
 from repro.nn.forward_plan import ForwardPlan
-from repro.nn.ir import executor_names, make_executor, register_executor
+from repro.nn.ir import make_executor
 from repro.nn.module import Module, Parameter, RemovableHandle
 
 __all__ = [
@@ -61,11 +61,9 @@ __all__ = [
     "Softmax",
     "Tanh",
     "Upsample",
-    "executor_names",
     "functional",
     "fuse",
     "init",
     "ir",
     "make_executor",
-    "register_executor",
 ]

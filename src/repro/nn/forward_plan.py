@@ -40,10 +40,10 @@ registered under.  The resulting plan is validated by replaying the traced
 input segment-by-segment and comparing the output bit-exactly against the
 traced full-model output.
 
-Chain, containment and executor choice are properties of the topology, not
-of the batch size, so campaigns trace with the first sample of their first
-batch (three one-sample forwards per model object instead of three
-campaign-sized ones) and run the plan at any batch size afterwards.  A
+Chain and containment are properties of the topology, not of the batch
+size, so campaigns trace with the first sample of their first batch (two
+one-sample forwards per model object, the trace and its replay, instead of
+two campaign-sized ones) and run the plan at any batch size afterwards.  A
 campaign keeps the plan it accepted in the model's record
 (:mod:`repro.nn.record`), so the next campaign on the same object does not
 trace again; a plan holds its model only weakly, so the record never keeps
@@ -172,7 +172,7 @@ class ForwardPlan:
             if executed_in is not None
             else {name: (index, index) for index, name in enumerate(segment_names)}
         )
-        # Pluggable execution backend (see repro.nn.ir).  The constructor
+        # Execution backend (see repro.nn.ir.make_executor).  The constructor
         # trusts the name; trace() validates non-default executors bitwise
         # against the traced output before handing out the plan.
         self.executor_name = executor
@@ -204,7 +204,8 @@ class ForwardPlan:
                 one sample (``images[:1]``), since the trace pins every
                 activation it sees until the pass ends.
             executor: execution backend name (see
-                :func:`repro.nn.ir.register_executor`).  A non-default
+                :func:`repro.nn.ir.make_executor`; campaigns use the
+                default, the module path).  A non-default
                 executor is validated by replaying the traced input and
                 comparing the output bit-exactly; on any mismatch or error
                 the plan falls back to the ``"module"`` executor with a

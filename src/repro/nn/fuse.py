@@ -44,7 +44,6 @@ from repro.nn.ir import (
     PlanExecutor,
     lower_segment,
     module_blocked,
-    register_executor,
 )
 
 __all__ = [
@@ -395,6 +394,3 @@ class FusedExecutor(PlanExecutor):
 
     def run_range(self, start: int, stop: int, value):
         return self._execute(self.program(start, stop), value)
-
-
-register_executor("fused", FusedExecutor)

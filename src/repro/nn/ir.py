@@ -1,4 +1,4 @@
-"""Per-segment op IR and pluggable executors for :class:`~repro.nn.forward_plan.ForwardPlan`.
+"""Per-segment op IR and the three executors of :class:`~repro.nn.forward_plan.ForwardPlan`.
 
 A traced forward plan chains *segments* (single modules) linearly.  This
 module lowers each segment into a small list of :class:`IROp` nodes — conv,
@@ -10,22 +10,19 @@ granularity instead of treating every module call as opaque:
 * :class:`InterpreterExecutor` runs the lowered ops one by one through the
   same :mod:`repro.nn.functional` kernels the modules themselves call, so
   its output is bit-identical to the module path by construction;
-* :class:`ModuleExecutor` is the legacy direct-module-call path;
-* ``repro.nn.fuse`` registers a third executor (``"fused"``) that collapses
-  op runs into single in-place kernels with planned buffer reuse.
+* :class:`ModuleExecutor` is the direct-module-call path;
+* :class:`repro.nn.fuse.FusedExecutor` (``"fused"``) collapses op runs into
+  single in-place kernels with planned buffer reuse.
 
-Executors are pluggable via :func:`register_executor`; campaign code selects
-one by name (spec knob ``execution.executor`` / CLI ``--executor``) and the
-plan trace validates the chosen executor bit-exactly against the traced
-model output before trusting it.
+:func:`make_executor` resolves these three fixed names.  Campaigns always
+run the module path; the other two are reachable only through
+``ForwardPlan.trace(executor=...)``, which validates them bit-exactly
+against the traced model output before trusting them (see ``docs/ir.md``).
 
-**Hook transparency.**  Fault-injection hooks must keep firing: an executor
-may only bypass a module's ``__call__`` when the module has no pre-hooks and
-every forward hook declares itself transparent for the current pass by
-exposing ``hook.plan_transparent()`` returning ``True`` (disabled monitors
-do this).  :func:`module_blocked` implements that check; blocked modules are
-executed through the ordinary module call so hooks observe exactly what they
-would in an unplanned forward.
+**Hooks keep firing.**  An executor may only bypass a module's ``__call__``
+when the module has no hooks at all: :func:`module_blocked` implements that
+check, and blocked modules are executed through the ordinary module call so
+hooks observe exactly what they would in an unplanned forward.
 """
 
 from __future__ import annotations
@@ -44,10 +41,7 @@ __all__ = [
     "PlanExecutor",
     "ModuleExecutor",
     "InterpreterExecutor",
-    "register_executor",
     "make_executor",
-    "executor_factory",
-    "executor_names",
 ]
 
 
@@ -159,18 +153,10 @@ def lower_segment(module: Module, name: str):
 def module_blocked(module: Module) -> bool:
     """True if hooks force this module through the ordinary call path.
 
-    Any pre-hook blocks (it may rewrite the input).  A forward hook blocks
-    unless it declares itself transparent for the current pass via a
-    ``plan_transparent()`` attribute returning ``True`` — disabled inference
-    monitors do this so an idle monitor does not forbid fused execution.
+    Any hook blocks: a pre-hook may rewrite the input, a forward hook may
+    read or rewrite the output.
     """
-    if module._forward_pre_hooks:
-        return True
-    for hook in module._forward_hooks.values():
-        transparent = getattr(hook, "plan_transparent", None)
-        if transparent is None or not transparent():
-            return True
-    return False
+    return bool(module._forward_pre_hooks or module._forward_hooks)
 
 
 # --------------------------------------------------------------------------- #
@@ -181,8 +167,8 @@ class PlanExecutor:
 
     Subclasses implement :meth:`run_segment`; :meth:`run_range` may be
     overridden to exploit cross-segment structure (the fused executor does).
-    Executors must be bit-identical to the module call path whenever
-    non-transparent hooks are present (see :func:`module_blocked`).
+    Executors must be bit-identical to the module call path, and call a
+    module whose hooks block it (see :func:`module_blocked`).
     """
 
     name = "abstract"
@@ -202,7 +188,7 @@ class PlanExecutor:
 
 
 class ModuleExecutor(PlanExecutor):
-    """Legacy executor: one ordinary module call per segment."""
+    """The campaign executor: one ordinary module call per segment."""
 
     name = "module"
 
@@ -250,54 +236,16 @@ class InterpreterExecutor(PlanExecutor):
         return value
 
 
-# --------------------------------------------------------------------------- #
-# executor registry
-# --------------------------------------------------------------------------- #
-_EXECUTORS: dict = {}
-
-
-def register_executor(name: str, factory, override: bool = False) -> None:
-    """Register an executor factory ``factory(plan) -> PlanExecutor``.
-
-    Args:
-        name: registry key (``"module"``, ``"interpreter"``, ``"fused"``, ...).
-        factory: callable building an executor bound to one plan.
-        override: allow replacing an existing registration.
-    """
-    if name in _EXECUTORS and not override:
-        raise ValueError(f"executor {name!r} is already registered")
-    _EXECUTORS[name] = factory
-
-
-def _ensure_builtin_executors() -> None:
-    # The fused executor lives in repro.nn.fuse which imports this module;
-    # import it lazily so merely importing repro.nn.ir has no cycle.
-    from repro.nn import fuse  # noqa: F401
-
-
-def executor_names() -> list:
-    """Sorted names of all registered executors."""
-    _ensure_builtin_executors()
-    return sorted(_EXECUTORS)
-
-
-def executor_factory(name: str):
-    """The factory registered under ``name`` (``None``: nothing is).
-
-    Re-registering a name (``override=True``) gives another factory, so a
-    plan validated under the old one is told apart by it, not by the name.
-    """
-    _ensure_builtin_executors()
-    return _EXECUTORS.get(name)
-
-
 def make_executor(name: str, plan) -> PlanExecutor:
-    """Instantiate the executor registered under ``name`` for ``plan``."""
-    factory = executor_factory(name)
-    if factory is None:
-        raise KeyError(f"unknown executor {name!r}; registered: {sorted(_EXECUTORS)}")
-    return factory(plan)
+    """Build the executor ``name`` (``"module"``, ``"interpreter"`` or ``"fused"``) for ``plan``."""
+    if name == "module":
+        return ModuleExecutor(plan)
+    if name == "interpreter":
+        return InterpreterExecutor(plan)
+    if name == "fused":
+        # repro.nn.fuse imports this module; import it lazily so merely
+        # importing repro.nn.ir has no cycle.
+        from repro.nn.fuse import FusedExecutor
 
-
-register_executor("module", ModuleExecutor)
-register_executor("interpreter", InterpreterExecutor)
+        return FusedExecutor(plan)
+    raise KeyError(f"unknown executor {name!r}; known: 'fused', 'interpreter', 'module'")

@@ -2,7 +2,7 @@
 
 Two facts about a model cost a forward pass to learn and depend on nothing a
 campaign varies: its :class:`~repro.nn.forward_plan.ForwardPlan` (a trace and
-up to two replays) and the output shape of every layer (a probe pass).  A
+one replay) and the output shape of every layer (a probe pass).  A
 sweep runs one campaign per grid point on one model object, and each would
 learn them again.  The record keeps them per model object, so the first
 campaign on a model pays for them and the next ones look them up:

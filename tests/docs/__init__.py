@@ -5,15 +5,16 @@ The repository's documentation lives in ``docs/``:
 * hand-written guides (``docs/architecture.md``, ``docs/ir.md``);
 * a generated, checked-in API reference (``docs/api/*.md``).
 
-This package is the generator.  It is dependency-free (pure stdlib
-introspection) so the docs build runs anywhere the library itself runs —
-no pdoc/mkdocs install required — while ``mkdocs.yml`` is still checked in
-for rendering the same tree to HTML where mkdocs is available.
+This package is the generator; it is developer tooling, not part of the
+``repro`` library.  It is dependency-free (pure stdlib introspection) so the
+docs build runs anywhere the library itself runs — no pdoc/mkdocs install
+required — while ``mkdocs.yml`` is still checked in for rendering the same
+tree to HTML where mkdocs is available.
 
-Command line (see ``python -m repro.docs --help``)::
+Command line, from the repository root (see ``python -m tests.docs --help``)::
 
-    python -m repro.docs build            # regenerate docs/api/
-    python -m repro.docs build --check    # CI: fail if checked-in files drift
+    PYTHONPATH=src python -m tests.docs build            # regenerate docs/api/
+    PYTHONPATH=src python -m tests.docs build --check    # CI: fail if checked-in files drift
 
 Docstring coverage (:func:`docstring_coverage`) is audited by
 ``tests/test_docs_build.py``.
@@ -22,7 +23,7 @@ Generation is deterministic (stable member ordering, no timestamps), so
 ``build --check`` doubles as a reproducibility test of the docs themselves.
 """
 
-from repro.docs.apigen import (
+from tests.docs.apigen import (
     API_MODULES,
     COVERAGE_MODULES,
     ModuleCoverage,

@@ -1,4 +1,4 @@
-"""``python -m repro.docs`` — build or check the API reference."""
+"""``python -m tests.docs`` — build or check the API reference."""
 
 from __future__ import annotations
 
@@ -6,14 +6,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.docs.apigen import build_api_reference, check_api_reference
+from tests.docs.apigen import build_api_reference, check_api_reference
 
-DEFAULT_OUT = Path(__file__).resolve().parents[3] / "docs" / "api"
+DEFAULT_OUT = Path(__file__).resolve().parents[2] / "docs" / "api"
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(prog="python -m repro.docs", description=__doc__)
+    parser = argparse.ArgumentParser(prog="python -m tests.docs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     build = sub.add_parser("build", help="regenerate docs/api/ (or verify with --check)")
     build.add_argument("--out", type=Path, default=DEFAULT_OUT, help="output directory")
@@ -27,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         stale = check_api_reference(args.out)
         if stale:
-            print("API reference is stale — run `python -m repro.docs build`:")
+            print("API reference is stale — run `python -m tests.docs build`:")
             for name in stale:
                 print(f"  docs/api/{name}")
             return 1

@@ -47,7 +47,6 @@ API_MODULES: tuple[str, ...] = (
     "repro.alficore.results",
     "repro.models",
     "repro.data",
-    "repro.docs",
 )
 
 # Modules held to a 100% public-docstring bar: the mypy strict subset plus
@@ -70,7 +69,6 @@ COVERAGE_MODULES: tuple[str, ...] = (
     "repro.alficore.resilience",
     "repro.alficore.digests",
     "repro.alficore.goldencache",
-    "repro.docs",
 )
 
 
@@ -180,7 +178,7 @@ def _render_index() -> str:
     lines = [
         "# API reference",
         "",
-        "Generated by `python -m repro.docs build` — do not edit by hand;",
+        "Generated by `python -m tests.docs build` — do not edit by hand;",
         "CI checks these pages against the source tree (`build --check`).",
         "",
     ]

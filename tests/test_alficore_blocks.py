@@ -7,7 +7,7 @@ row leaves at the first golden checkpoint it reproduces.  Row *i* of a
 batched forward is the forward of row *i* alone, so the contract under test
 is the naive path's bytes: every result file, the task state and every
 step's monitor result equal those of ``prefix_reuse: false, golden_cache_mb:
-0, executor: module``, for every kind of row a block can hold.  A model
+0``, for every kind of row a block can hold.  A model
 whose rows are not independent fails the lane's first-use check once and
 runs one step per block from there on.
 """
@@ -54,7 +54,7 @@ def _spec(model, target, out, scenario=None, naive=False, protection=None, backe
         .output_dir(out)
     )
     if naive:
-        builder.caching(prefix_reuse=False, golden_cache_mb=0).execution(executor="module")
+        builder.caching(prefix_reuse=False, golden_cache_mb=0)
     elif caching:
         builder.caching(**caching)
     if protection is not None:

@@ -3,8 +3,8 @@
 Every result file of a campaign run by the default engine (plans, stacked
 blocks, tail reuse, sample-sparse rows, seeded golden passes and, over
 several epochs, a golden cache) must equal, byte for byte, the files of the
-same campaign run with ``prefix_reuse: false, golden_cache_mb: 0, executor:
-module``: one full golden and one full faulty forward per step.  The grid
+same campaign run with ``prefix_reuse: false, golden_cache_mb: 0``: one
+full golden and one full faulty forward per step.  The grid
 covers the injection target, the policy and batch size, one or three
 epochs, and a shuffled dataset, on two models; the ``(model, dl_shuffle)``
 pairs rotate over the grid so that each pair meets every other axis value
@@ -53,7 +53,7 @@ def _spec(model, target, policy, batch_size, num_runs, shuffle, out, naive):
         .output_dir(out)
     )
     if naive:
-        builder.caching(prefix_reuse=False, golden_cache_mb=0).execution(executor="module")
+        builder.caching(prefix_reuse=False, golden_cache_mb=0)
     elif num_runs > 1:
         builder.caching(golden_cache_mb=64)
     return builder.build()

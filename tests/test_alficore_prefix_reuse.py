@@ -182,9 +182,8 @@ class TestSuffixOnlyBitExactness:
 
 
 class TestDiscoveryFailuresAreLoud:
-    """A plan that cannot be built, or an executor that cannot be trusted,
-    costs speed and never bytes — and says so once per lane (a lane is one
-    model object, for weights and for neurons)."""
+    """A plan that cannot be built costs speed and never bytes — and says so
+    once per lane (a lane is one model object)."""
 
     @staticmethod
     def _stream_files(model, dataset, out, target="weights", **core):
@@ -203,43 +202,6 @@ class TestDiscoveryFailuresAreLoud:
     @staticmethod
     def _runtime_warnings(caught):
         return [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    @pytest.mark.parametrize("lanes", [1, 2])
-    @pytest.mark.parametrize("target", ["weights", "neurons"])
-    @pytest.mark.parametrize("defect,reason", [
-        ("differs", "replay differs from traced output"),
-        ("raises", "ZeroDivisionError"),
-    ])
-    def test_untrustworthy_executor_is_dropped_with_one_warning_per_model(
-        self, fitted_model_and_dataset, tmp_path, defect, reason, target, lanes
-    ):
-        from repro.nn import ir
-
-        class Bogus(ir.ModuleExecutor):
-            def run_segment(self, index, value):
-                if defect == "raises":
-                    return 1 // 0
-                return super().run_segment(index, value) + np.float32(index == 0)
-
-        model, dataset = fitted_model_and_dataset
-        # A second lane: any second model object will do as the "hardened" one.
-        resil = {"resil_model": model.clone()} if lanes == 2 else {}
-        reference = self._stream_files(
-            model, dataset, tmp_path / "full", target, prefix_reuse=False, **resil
-        )
-        ir.register_executor("test-bogus", Bogus)
-        try:
-            with pytest.warns(RuntimeWarning, match="dropped for 'module'") as caught:
-                files = self._stream_files(
-                    model, dataset, tmp_path / "bogus", target, executor="test-bogus", **resil
-                )
-        finally:
-            ir._EXECUTORS.pop("test-bogus")
-        assert files and files == reference
-        messages = self._runtime_warnings(caught)
-        assert len(messages) == lanes  # not one per step, nor per injection target
-        for message in messages:
-            assert "LeNet5" in message and "'test-bogus'" in message and reason in message
 
     def test_model_that_rejects_one_sample_runs_full_forwards_with_a_warning(
         self, fitted_model_and_dataset, tmp_path
@@ -264,8 +226,43 @@ class TestDiscoveryFailuresAreLoud:
             files = self._stream_files(model, dataset, tmp_path / "reuse")
         assert files and files == reference
         (message,) = self._runtime_warnings(caught)
-        assert "NoSingles" in message and "'interpreter'" in message
+        assert "NoSingles" in message
         assert "cannot run a batch of one" in message
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("target", ["weights", "neurons"])
+    @pytest.mark.parametrize("defect", ["differs", "raises"])
+    def test_untrustworthy_replay_is_dropped_once_per_model(
+        self, fitted_model_and_dataset, tmp_path, monkeypatch, defect, target, lanes
+    ):
+        """A plan whose replay of the traced sample does not give the traced
+        output is never used or recorded: the lane runs full forwards, and the
+        replay is tried once per model, not once per step."""
+        from repro.nn import ir
+        from repro.nn.record import model_record
+
+        fitted, dataset = fitted_model_and_dataset
+        # Fresh objects: a model with a recorded plan would not be traced again.
+        models = [fitted.clone() for _ in range(lanes)]
+        resil = {"resil_model": models[1]} if lanes == 2 else {}
+        reference = self._stream_files(
+            models[0], dataset, tmp_path / "full", target, prefix_reuse=False, **resil
+        )
+        module_segment = ir.ModuleExecutor.run_segment
+        replays = []
+
+        def untrustworthy(executor, index, value):
+            if index == 0:
+                replays.append(executor.plan.model)
+            if defect == "raises":
+                return 1 // 0
+            return module_segment(executor, index, value) + np.float32(index == 0)
+
+        monkeypatch.setattr(ir.ModuleExecutor, "run_segment", untrustworthy)
+        files = self._stream_files(models[0], dataset, tmp_path / "reuse", target, **resil)
+        assert files and files == reference
+        assert len(replays) == lanes and {id(m) for m in replays} == {id(m) for m in models}
+        assert all(model_record(model).plan is None for model in models)
 
 
 class TestForwardBudget:
@@ -346,9 +343,9 @@ class TestForwardBudget:
         assert _file_bytes(full) == _file_bytes(reused)
         # One trace for the one lane — a neuron campaign hooks the model it
         # was given, so it has no second object to trace: a hooked forward
-        # plus the module and the interpreter replay.
+        # and its replay.
         assert traced == [1]
-        assert probing == [("__call__", 1), ("resume", 1), ("resume", 1)]
+        assert probing == [("__call__", 1), ("resume", 1)]
         assert roots and all(model is reused.core.model for model in roots)
         steps = [min(batch_size, images - start) for start in range(0, images, batch_size)]
         # The first step learns the plan and runs alone; behind it, blocks of

@@ -31,7 +31,7 @@ from repro.nn.forward_plan import ForwardPlan, StackedPass
 IMAGES = 6
 
 
-def _spec(model, target, output_dir, scenario=None, protection=None, executor=None, **caching):
+def _spec(model, target, output_dir, scenario=None, protection=None, **caching):
     builder = (
         Experiment.builder()
         .name(model)
@@ -51,8 +51,6 @@ def _spec(model, target, output_dir, scenario=None, protection=None, executor=No
     )
     if protection is not None:
         builder.protection(protection)
-    if executor is not None:
-        builder.execution(executor=executor)
     return builder.build()
 
 
@@ -224,15 +222,10 @@ class TestCampaignsEqualTheReferencePath:
         for resume in rejoined:
             assert len(resume.executed) < resume.plan.num_segments - resume.start
 
-    @pytest.mark.parametrize("executor", ["module", "fused"])
-    def test_every_executor_rejoins_to_the_bitwise_equal(self, tmp_path, executor):
-        # The fused executor compiles one program per (start, boundary) hop
-        # and must hand each hop an activation that outlives the next one.
+    def test_alexnet_rejoins_to_the_bitwise_equal(self, tmp_path):
         reference = run(_spec("alexnet", "weights", tmp_path / "ref", prefix_reuse=False))
-        reused = run(
-            _spec("alexnet", "weights", tmp_path / "tail", executor=executor, golden_cache_mb=64)
-        )
-        assert reused.core.lanes[0].plan.executor_name == executor
+        reused = run(_spec("alexnet", "weights", tmp_path / "tail", golden_cache_mb=64))
+        assert reused.core.lanes[0].plan.executor_name == "module"
         assert _result_bytes(reused) == _result_bytes(reference)
         assert reused.core.golden_cache.rejoins > 0
 
@@ -349,12 +342,11 @@ class TestCacheLessCampaigns:
             assert len(from_input) == steps
             assert any(resume.rejoined_at is not None for resume in from_input)
 
-    @pytest.mark.parametrize("executor", ["module", "fused"])
-    def test_every_executor_rejoins_at_an_arena_checkpoint(self, tmp_path, executor):
+    def test_alexnet_neuron_passes_rejoin_at_a_checkpoint(self, tmp_path):
         scenario = {**BATCHED, **FIRST_LAYER}
         reference = run(_spec("alexnet", "neurons", tmp_path / "ref", scenario, prefix_reuse=False))
-        reused = run(_spec("alexnet", "neurons", tmp_path / "tail", scenario, executor=executor))
-        assert reused.core.lanes[0].plan.executor_name == executor
+        reused = run(_spec("alexnet", "neurons", tmp_path / "tail", scenario))
+        assert reused.core.lanes[0].plan.executor_name == "module"
         assert _result_bytes(reused) == _result_bytes(reference)
         assert reused.core.rejoins > 0
 

@@ -210,51 +210,6 @@ class TestSpecCommands:
         assert first == second
 
 
-class TestExecutorFlag:
-    def test_executor_flag_parses_with_registry_choices(self):
-        for command in ("run-imgclass", "run-objdet"):
-            args = build_parser().parse_args([command])
-            assert args.executor == "interpreter"
-            args = build_parser().parse_args([command, "--executor", "fused"])
-            assert args.executor == "fused"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-imgclass", "--executor", "turbo"])
-        # run <spec> defaults to None: the spec's own knob wins unless given.
-        assert build_parser().parse_args(["run", "spec.yml"]).executor is None
-        assert (
-            build_parser().parse_args(["run", "spec.yml", "--executor", "fused"]).executor
-            == "fused"
-        )
-
-    def _run(self, tmp_path, tag, *extra):
-        output_dir = tmp_path / tag
-        exit_code = main(
-            [
-                "run-imgclass", "--model", "lenet5", "--images", "6",
-                "--target", "weights", "--output-dir", str(output_dir), *extra,
-            ]
-        )
-        assert exit_code == 0
-        return output_dir
-
-    def test_campaign_outputs_byte_identical_across_executors(self, tmp_path, capsys):
-        """The executor knob may change speed, never results (serial + sharded)."""
-        baseline = self._run(tmp_path, "module", "--executor", "module")
-        fused = self._run(tmp_path, "fused", "--executor", "fused")
-        sharded = self._run(tmp_path, "fused-sharded", "--executor", "fused", "--workers", "2")
-        capsys.readouterr()
-        for name in (
-            "lenet5_corrupted_results.csv",
-            "lenet5_golden_results.csv",
-            "lenet5_applied_faults.json",
-            "lenet5_faults.npz",
-            "lenet5_summary_kpis.json",
-        ):
-            want = (baseline / name).read_bytes()
-            assert (fused / name).read_bytes() == want, f"{name}: fused != module"
-            assert (sharded / name).read_bytes() == want, f"{name}: sharded fused != module"
-
-
 class TestImgClassCommand:
     def test_end_to_end_run_and_analyze(self, tmp_path, capsys):
         output_dir = tmp_path / "campaign"

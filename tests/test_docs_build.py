@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.docs import (
+from tests.docs import (
     API_MODULES,
     COVERAGE_MODULES,
     build_api_reference,
@@ -10,13 +10,13 @@ from repro.docs import (
     docstring_coverage,
     render_module,
 )
-from repro.docs.__main__ import main
+from tests.docs.__main__ import main
 
 DOCS_API = Path(__file__).resolve().parents[1] / "docs" / "api"
 
 
 def test_checked_in_api_reference_matches_source_tree():
-    # The CI docs job runs `python -m repro.docs build --check`; keep the
+    # The CI docs job runs `python -m tests.docs build --check`; keep the
     # same guarantee in tier-1 so drift is caught before push.
     assert check_api_reference(DOCS_API) == []
 

@@ -144,20 +144,19 @@ class TestValidation:
         with pytest.raises(SpecError, match="execution.backoff"):
             ExperimentSpec(execution=ExecutionSpec(backoff=-0.5)).validate()
 
-    def test_executor_validated_against_registry(self):
+    def test_legacy_executor_is_still_validated(self):
         with pytest.raises(SpecError, match="execution.executor"):
             ExperimentSpec(execution=ExecutionSpec(executor="turbo")).validate()
         for name in ("module", "interpreter", "fused"):
             ExperimentSpec(execution=ExecutionSpec(executor=name)).validate()
 
-    def test_executor_round_trips_and_defaults(self):
+    def test_legacy_executor_defaults_to_module(self):
         data = full_spec().as_dict()
-        assert data["execution"]["executor"] == "fused"
         assert ExperimentSpec.from_dict(data).execution.executor == "fused"
         del data["execution"]["executor"]
-        assert ExperimentSpec.from_dict(data).execution.executor == "interpreter"
+        assert ExperimentSpec.from_dict(data).execution.executor == "module"
         data["execution"]["executor"] = None
-        assert ExperimentSpec.from_dict(data).execution.executor == "interpreter"
+        assert ExperimentSpec.from_dict(data).execution.executor == "module"
 
     def test_resume_requires_sharded_backend_and_output_dir(self):
         with pytest.raises(SpecError, match="resume requires the 'sharded' backend"):
@@ -270,6 +269,64 @@ class TestValidation:
         assert spec.model.params["seed"] == 3
         with pytest.raises(SpecError):
             spec.copy(warp=1)
+
+
+class TestLegacyExecutorField:
+    """``execution.executor`` is ignored: an old spec file that sets it loads,
+    warns once unless it names the module path, and writes what the same
+    spec without the field writes, meta file included."""
+
+    @staticmethod
+    def _files(tmp_path, sub, execution):
+        import warnings
+
+        import yaml
+
+        from repro.experiments import run
+
+        document = {
+            "name": "legacy",
+            "model": {"name": "lenet5", "params": {"num_classes": 10, "seed": 0}},
+            "dataset": {
+                "name": "synthetic-classification",
+                "params": {"num_samples": 4, "num_classes": 10, "seed": 1},
+            },
+            "scenario": {
+                "injection_target": "weights", "rnd_bit_range": [23, 30], "random_seed": 7,
+                "num_runs": 2, "model_name": "legacy",
+            },
+            "caching": {"golden_cache_mb": 16},
+            "output_dir": str(tmp_path / sub / "out"),
+        }
+        if execution is not None:
+            document["execution"] = execution
+        path = tmp_path / sub / "spec.yml"
+        path.parent.mkdir()
+        path.write_text(yaml.safe_dump(document))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(ExperimentSpec.load(path))
+        ignored = [w for w in caught if "execution.executor" in str(w.message)]
+        files = {
+            file.name: file.read_bytes() for file in sorted((tmp_path / sub / "out").iterdir())
+        }
+        return ignored, files
+
+    @pytest.mark.parametrize("executor", ["module", "interpreter", "fused"])
+    def test_old_spec_files_mean_what_they_always_meant(self, tmp_path, executor):
+        _, reference = self._files(tmp_path, "plain", None)
+        ignored, files = self._files(tmp_path, executor, {"executor": executor})
+        assert len(ignored) == (executor != "module")
+        assert all(w.category is FutureWarning for w in ignored)
+        assert any(name.endswith(".yml") for name in files)  # the meta file
+        assert files == reference
+
+    def test_fixture_specs_load(self):
+        fixtures = Path(__file__).parent / "fixtures" / "specs"
+        paths = sorted(fixtures.glob("*.yml")) + sorted(fixtures.glob("*.json"))
+        assert paths
+        for path in paths:
+            ExperimentSpec.load(path).validate()
 
 
 class TestBuilder:

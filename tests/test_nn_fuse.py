@@ -202,6 +202,37 @@ class TestZooByteEquality:
         assert fused.resume(0, sub).tobytes() == module_plan.resume(0, sub).tobytes()
 
 
+class TestRangeHops:
+    """A suffix that rejoins the golden pass runs the plan in hops
+    ``[start, boundary)``: the fused executor compiles one program per hop,
+    and every hop's output must outlive the hops run after it."""
+
+    @pytest.mark.parametrize("executor", ["module", "interpreter", "fused"])
+    @pytest.mark.parametrize("name", ["lenet5", "alexnet"])
+    def test_hop_outputs_outlive_later_hops(self, name, executor):
+        model = MODEL_REGISTRY[name](num_classes=10, seed=0).eval()
+        x = _input(seed=12)
+        module_plan = ForwardPlan.trace(model, x)
+        plan = ForwardPlan.trace(model, x, executor=executor)
+        assert plan.valid and plan.executor_name == executor
+        stop = plan.num_segments
+        golden = [module_plan.run_prefix(x, k) for k in range(stop + 1)]
+        want = [a.tobytes() for a in golden]
+        for width in (1, 2):
+            kept = []
+            value = x
+            for start in range(0, stop, width):
+                end = min(start + width, stop)
+                value = plan.run_range(start, end, value)
+                kept.append((end, value))
+            for end, value in kept:
+                assert value.tobytes() == want[end], f"{name} {executor} hop to {end}"
+        # Entering at a golden checkpoint leaves the checkpoint as it was.
+        for start in range(stop):
+            assert plan.resume(start, golden[start]).tobytes() == want[stop]
+        assert [a.tobytes() for a in golden] == want
+
+
 class TestBufferPlan:
     def test_fused_footprint_is_peak_not_sum(self):
         from repro.models import elemnet

@@ -3,10 +3,11 @@
 A campaign looks its forward plan up in the record of the model object it
 runs on (:mod:`repro.nn.record`) before tracing, and a fault injector looks
 its layers' output shapes up before probing.  These tests pin when an entry
-is reused (a second campaign on the same object, unchanged), when it is not
-(any of the four things the plan key covers changed, or the executor fell
-back), that a record never keeps its model alive, that copies start empty,
-and that the shapes a head fit notes are the ones a probe would find.
+is reused (a second campaign on the same object, or a second run of one
+core, unchanged), when it is not (any of the things the plan key covers
+changed, also between two runs of one core), that a record never keeps its
+model alive, that copies start empty, and that the shapes a head fit notes
+are the ones a probe would find.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.data import SyntheticClassificationDataset
 from repro.experiments.registry import MODELS
 from repro.models import lenet5
 from repro.models.pretrained import fit_classifier_head
-from repro.nn import ir
 from repro.nn.forward_plan import ForwardPlan
 from repro.nn.record import model_record, output_shapes
 from repro.pytorchfi.core import FaultInjection
@@ -49,14 +49,14 @@ def _net(seed: int = 0) -> nn.Sequential:
     ).eval()
 
 
-def _campaign(model, dataset=None, executor="interpreter", target="weights") -> CampaignCore:
+def _campaign(model, dataset=None, target="weights") -> CampaignCore:
     scenario = default_scenario(
         injection_target=target, rnd_bit_range=(23, 30), random_seed=5, num_runs=1,
         model_name="record",
     )
     core = CampaignCore(
-        model, dataset if dataset is not None else _dataset(), ClassificationTask(),
-        scenario=scenario, input_shape=SHAPE, executor=executor,
+        model, dataset if dataset is not None else _dataset(),
+        ClassificationTask(collect_outputs=True), scenario=scenario, input_shape=SHAPE,
     )
     core.run()
     return core
@@ -88,13 +88,6 @@ def probes(monkeypatch):
 
     monkeypatch.setattr(FaultInjection, "_probe", counting)
     return calls
-
-
-@pytest.fixture
-def executor_name():
-    """A scratch executor registration, removed afterwards."""
-    yield "test-record"
-    ir._EXECUTORS.pop("test-record", None)
 
 
 class TestPlanEntry:
@@ -136,37 +129,42 @@ class TestPlanEntry:
         assert second.lanes[0].plan is not first.lanes[0].plan
         assert model_record(model).plan[1] is second.lanes[0].plan
 
-    def test_a_re_registered_executor_name_traces_again(self, traces, executor_name):
-        class Twin(ir.InterpreterExecutor):
-            pass
-
-        class OtherTwin(ir.InterpreterExecutor):
-            pass
-
+    def test_a_model_changed_between_runs_of_one_core_is_planned_again(self, traces):
         model = _net()
-        ir.register_executor(executor_name, Twin)
-        _campaign(model, executor=executor_name)
-        _campaign(model, executor=executor_name)
-        assert len(traces) == 1
-        ir.register_executor(executor_name, OtherTwin, override=True)
-        core = _campaign(model, executor=executor_name)
+        core = _campaign(model)
+        model._modules["0"] = nn.Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(7))
+        core.task.reset()
+        core.run()
         assert len(traces) == 2
-        assert core.lanes[0].plan.executor_name == executor_name
-        assert isinstance(core.lanes[0].plan._executor, OtherTwin)
+        assert core.lanes[0].plan.segments[0] is model[0]
+        fresh = _campaign(model).task.state
+        for name in ("golden_logits", "corrupted_logits"):
+            assert [row.tobytes() for row in getattr(core.task.state, name)] == [
+                row.tobytes() for row in getattr(fresh, name)
+            ], name
 
-    def test_a_fallback_executor_warns_in_each_campaign(self, traces, executor_name):
-        class Bogus(ir.ModuleExecutor):
-            def run_segment(self, index, value):
-                return super().run_segment(index, value) + np.float32(index == 0)
+    def test_a_campaign_traces_once_and_replays_once(self, monkeypatch):
+        traces, replays, tracing = [], [], []
+        trace, resume = ForwardPlan.trace.__func__, ForwardPlan.resume
 
-        model = _net()
-        ir.register_executor(executor_name, Bogus)
-        for campaigns in (1, 2):
-            with pytest.warns(RuntimeWarning, match="dropped for 'module'"):
-                core = _campaign(model, executor=executor_name)
-            assert core.lanes[0].plan.executor_name == "module"
-            assert len(traces) == campaigns
-        assert model_record(model).plan is None
+        def spy_trace(cls, *args, **kwargs):
+            traces.append(kwargs)
+            tracing.append(True)
+            try:
+                return trace(cls, *args, **kwargs)
+            finally:
+                tracing.pop()
+
+        def spy_resume(self, start, *args, **kwargs):
+            if tracing:
+                replays.append(start)
+            return resume(self, start, *args, **kwargs)
+
+        monkeypatch.setattr(ForwardPlan, "trace", classmethod(spy_trace))
+        monkeypatch.setattr(ForwardPlan, "resume", spy_resume)
+        core = _campaign(_net())
+        assert traces == [{}] and replays == [0]
+        assert core.lanes[0].plan.executor_name == "module"
 
 
 class TestLifetime:
