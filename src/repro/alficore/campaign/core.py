@@ -49,19 +49,20 @@ those features.
 Which of these shortcuts a step takes is a :class:`StepPlan`, decided before
 it runs by :meth:`CampaignCore._step_plan` alone; whether a lane stacks
 steps, by :meth:`CampaignCore._stacks`.  Sample-sparse rows, seeded golden
-passes and stacks share one first-use rule: each run checks a lane's first
-use of one against the plain pass it stands for (for a stack, one of its
-steps run alone), keeps the plain result, and, with one warning, turns the
-shortcut off for the lane if the two differ.
+passes and stacks share one first-use check, in
+:meth:`CampaignCore._run_stack`: a lane's first block of a run that takes
+one runs one of its steps again without it, alone
+(:meth:`CampaignCore._alone`, the plain step), keeps that plain result and,
+with one warning, turns the shortcut off for the lane if the two differ; a
+stack that differs runs each of its steps alone.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -152,6 +153,11 @@ class _Lane:
     #: so entries recorded for other weights must never match), and what the
     #: head fit's features and the model's recorded plan are checked against.
     fingerprint: str | None = None
+    #: Digest of the model's ``repr`` (every module's type and settings),
+    #: taken when a run starts: the third element of the lane's cache keys,
+    #: for what the fingerprint does not see (a ``ReLU`` swapped for a
+    #: ``Tanh`` changes no weight).
+    modules: str | None = None
     #: the head fit's features of ``model``, while they hold for this run
     #: (see :meth:`CampaignCore._head_features`)
     features: HeadFeatures | None = None
@@ -166,7 +172,9 @@ class StepPlan:
     """The shortcuts one lane's step may take (see :meth:`CampaignCore._step_plan`).
 
     A step that takes a shortcut still to be checked this run (``rows`` or
-    ``seed``, see :meth:`CampaignCore._unchecked`) runs as a block of one.
+    ``seed``, see :meth:`CampaignCore._unchecked`) runs as a block of one,
+    and its check runs it again with those fields cleared
+    (:meth:`CampaignCore._alone`).
     """
 
     #: plan segments ``(first, last)`` that execute a faulted layer of the
@@ -199,7 +207,7 @@ class _Step:
     cache_key: tuple
 
 
-@dataclass
+@dataclass(eq=False)
 class _LaneStep:
     """One lane's share of a step while its block runs."""
 
@@ -214,12 +222,15 @@ class _LaneStep:
     #: cached entry lacked (see :meth:`CampaignCore._settle`)
     key: tuple | None = None
     added: tuple[int, object] | None = None
-    #: the rehearsed plain pass of a first sparse pass (see ``_faulty_block``)
-    sparse: object = None
-    #: the faulty output, its monitor events and the group's applied faults
+    #: a neuron group's generator state as the step entered the group (see
+    #: :meth:`CampaignCore._alone`)
+    entered: dict | None = None
+    #: the faulty output, its monitor events, the group's applied faults, and
+    #: whether the pass ended at a golden checkpoint (tail reuse)
     output: object = None
     events: MonitorResult | None = None
     applied: list = field(default_factory=list)
+    rejoined: bool = False
 
 
 #: Rows of one block: up to this many images of consecutive steps of a lane
@@ -436,6 +447,7 @@ class CampaignCore:
             # Weights may have been mutated between runs of the same core;
             # the cache keys must reflect the state of this run.
             lane.fingerprint = model_fingerprint(lane.model)
+            lane.modules = bytes_digest(repr(lane.model).encode())
             # ... and so must the plan: the run's first step looks it up in
             # the model's record again (the model may have been rebuilt).
             lane.planned = False
@@ -670,10 +682,11 @@ class CampaignCore:
         """One lane's share of a block of steps: per step, its golden entry and faulty pass.
 
         The steps run in order, as blocks of as many of them as the lane may
-        stack (:meth:`_stacks`; one while a step's :class:`StepPlan` takes a
-        shortcut still to be checked, see :meth:`_unchecked`), each through
-        :meth:`_run_stack`.  A lane that may not stack runs blocks of one
-        step, through the same code.
+        stack (:meth:`_stacks`), each through :meth:`_run_stack`, which
+        checks a shortcut's first use.  A step whose :class:`StepPlan` takes
+        a ``rows`` or ``seed`` shortcut still to be checked (see
+        :meth:`_unchecked`) runs as a block of one, and so does every step of
+        a lane that may not stack: through the same code.
         """
         done: list[_LaneStep] = []
         while len(done) < len(steps):
@@ -696,138 +709,163 @@ class CampaignCore:
         return done
 
     def _run_stack(self, lane: _Lane, todo: list[_LaneStep]) -> None:
-        """Run the steps ``todo`` of the lane as one block: golden side, then faulty side.
+        """Run the steps ``todo`` of the lane as one block, check it, and count what it skipped.
 
-        The lane's first block of several steps in a run is checked: one of
-        its steps is run alone as well (on each side that stacked something),
-        the block keeps the plain result if the two differ, and the lane
-        then runs one step per block (with one warning).
+        The block runs as planned: golden side, then faulty side.  If it took
+        a shortcut whose first use this run is still to be checked (``rows``,
+        ``seed``, or a stack of several steps on either side), one of its
+        steps runs again without it (:meth:`_alone`) and keeps that plain
+        result: the step of a ``rows`` or ``seed`` shortcut (a block of one),
+        for a stack its first step whose suffix stayed in the stack to the
+        end.  ``seed`` holds if the two golden passes are equal, ``rows`` if
+        the faulty passes are as well (behind unequal golden passes it stays
+        unchecked), a stack if both are.  A stack that differs runs every
+        step again alone.
         """
-        check = len(todo) > 1 and "stack" not in lane.verdicts
-        golden = self._golden_block(lane, todo, check)
-        faulty = self._faulty_block(lane, todo, check and golden is not False, golden is not False)
-        outcomes = [agreed for agreed in (golden, faulty) if agreed is not None]
-        if outcomes:
-            self._verdict(lane, "stack", all(outcomes))
+        computed = self._golden_block(lane, todo)
+        stacked = self._faulty_block(lane, todo)
+        taken = {
+            "rows": any(item.plan.rows is not None for item in todo),
+            "seed": any(item.plan.seed is not None for item in computed),
+            "stack": len(computed) > 1 or len(stacked) > 1,
+        }
+        kinds = {kind for kind, took in taken.items() if took and kind not in lane.verdicts}
+        if kinds:
+
+            def golden(item: _LaneStep) -> bool:
+                """Whether the plain run of ``item`` runs its golden pass again."""
+                return item in computed and ("seed" in kinds or len(computed) > 1)
+
+            item = min(
+                todo,
+                key=lambda step: (
+                    len(computed) > 1 and step not in computed,
+                    len(stacked) > 1 and step not in stacked,
+                    step.rejoined,
+                ),
+            )
+            twin, same_golden = self._alone(lane, item, kinds, golden(item))
+            same = (
+                same_golden
+                and item.events == twin.events
+                and _bitwise_equal(item.output, twin.output)
+            )
+            for kind in _MISMATCH:
+                if kind in kinds and (same_golden or kind != "rows"):
+                    self._verdict(lane, kind, same_golden if kind == "seed" else same)
+            todo[todo.index(item)] = twin
+            if "stack" in kinds and not same:
+                todo[:] = [
+                    step if step is twin else self._alone(lane, step, {"stack"}, golden(step))[0]
+                    for step in todo
+                ]
+        for item in todo:
+            self.golden_seeded += item.plan.seed is not None
+            if item.plan.rows is not None:
+                self.rows_skipped += len(item.step.batch) - len(item.plan.rows)
+            if item.rejoined:
+                self.rejoins += 1
+                if self.golden_cache is not None:
+                    self.golden_cache.rejoins += 1
+
+    def _alone(
+        self, lane: _Lane, item: _LaneStep, kinds: set[str], golden: bool
+    ) -> tuple[_LaneStep, bool]:
+        """Run the step of ``item`` again, as a block of one and without the shortcuts ``kinds``.
+
+        The plain pass a shortcut stands for, which replaces ``item``.  Its
+        golden pass runs again if ``golden``; otherwise the run shares
+        ``item``'s (a cache hit is not looked up again).  ``item`` lets go of
+        its golden pass before the faulty pass runs, so the two golden passes
+        are not held at once through it.  The group is entered again as the
+        step entered it: a weight group replays its patch, and a neuron
+        group's generator is put back to the state the step found, then to
+        the one it had before.
+
+        Returns the new :class:`_LaneStep` and whether its golden pass equals
+        ``item``'s.
+        """
+        plan = replace(
+            item.plan,
+            rows=None if "rows" in kinds else item.plan.rows,
+            seed=None if "seed" in kinds else item.plan.seed,
+        )
+        twin = _LaneStep(item.step, item.group, plan)
+        if not golden:
+            twin.entry, twin.boundary = item.entry, item.boundary
+            twin.key, twin.added = item.key, item.added
+        self._golden_block(lane, [twin])
+        same_golden = _same_golden(item.entry, twin.entry)
+        item.entry = item.boundary = None
+        if item.entered is None:
+            self._faulty_block(lane, [twin])
+            return twin, same_golden
+        rng = item.group.rng
+        before = rng.bit_generator.state
+        rng.bit_generator.state = item.entered
+        self._faulty_block(lane, [twin])
+        rng.bit_generator.state = before
+        return twin, same_golden
 
     # ------------------------------------------------------------------ #
     # golden side
     # ------------------------------------------------------------------ #
-    def _golden_block(self, lane: _Lane, todo: list[_LaneStep], check: bool) -> bool | None:
+    def _golden_block(self, lane: _Lane, todo: list[_LaneStep]) -> list[_LaneStep]:
         """Fetch or run the golden passes of ``todo``; fill in ``entry`` and ``boundary``.
 
-        Every step looks its entry up in the cache, without counting the
-        lookup: the block's counted lookups and insertions follow once every
-        lane has run it (:meth:`_settle`).  The misses (without a cache:
-        every step) run as one stacked :meth:`_golden_passes` (two: the
-        seeded ones and the others, see :meth:`_golden_stack`), which records
-        the union of the checkpoints they need and is cut back into one owned
-        entry per step.  ``boundary`` is the activation the step's
-        faulty pass resumes from: ``images`` for a ``span`` that starts in
-        segment 0, the checkpoint of boundary ``span[0]`` otherwise
-        (``None``: the step has no span).  A seeded pass gives the same
-        entries without running the segments between those checkpoints and
-        the head.
+        A step that holds an entry already (the plain run of a step, sharing
+        its golden pass, see :meth:`_alone`) keeps it.  Every other step
+        looks its entry up in the cache, without counting the lookup: the
+        block's counted lookups and insertions follow once every lane has run
+        it (:meth:`_settle`).  The misses (without a cache: every step) run
+        as one stacked :meth:`_golden_passes` (two: the seeded ones and the
+        others), which records the union of the checkpoints they need and is
+        cut back into one owned entry per step.  ``boundary`` is the
+        activation the step's faulty pass resumes from: ``images`` for a
+        ``span`` that starts in segment 0, the checkpoint of boundary
+        ``span[0]`` otherwise (``None``: the step has no span).  A seeded
+        pass gives the same entries without running the segments between
+        those checkpoints and the head.
 
-        Returns whether a stack checked against one of its steps run alone
-        agreed (``None``: nothing was checked).
+        Returns the steps whose golden pass ran.
         """
         cache = self.golden_cache
-        head = (lane.name, lane.fingerprint, F.KERNEL_GENERATION)
+        head = (lane.name, lane.fingerprint, lane.modules, F.KERNEL_GENERATION)
         items: list[_LaneStep] = []
         for item in todo:
-            entry = None
+            if item.entry is not None:
+                continue
             if cache is not None:
                 item.key = head + item.step.cache_key
-                entry = cache.peek(item.key)
-            if entry is None:
+                item.entry = cache.peek(item.key)
+            if item.entry is None:
                 items.append(item)
             else:
-                item.entry = entry
                 item.boundary = self._cached_boundary(lane, item)
-        if not items:
-            return None
         if lane.plan is None:
             for item in items:
                 item.entry = GoldenCacheEntry(
                     self.task.infer(lane.model, item.step.images, item.step.batch)
                 )
-            return None
-        wanted = [self._wanted(lane, item) for item in items]
+            return items
         # The monitor scan on the golden pass is only paid when something
         # reads ``clean``: a planned faulty pass (it may skip segments only
         # behind a clean golden pass) or a cache recording.
         scanned = cache is not None or any(item.plan.span is not None for item in items)
         monitor = lane.monitor if scanned else None
         # Seeded and full golden passes run as one stack each.
-        passes: dict[int, tuple] = {}
-        agreed = None
         for seeded in (True, False):
-            part = [
-                index for index, item in enumerate(items) if (item.plan.seed is not None) is seeded
-            ]
-            if part:
-                stacked, outcome = self._golden_stack(
-                    lane,
-                    [items[index] for index in part],
-                    [wanted[index] for index in part],
-                    monitor,
-                    check and agreed is None,
-                    agreed is not False,
-                )
-                passes.update(zip(part, stacked))
-                agreed = agreed if outcome is None else outcome
-        for index, item in enumerate(items):
-            output, checkpoints, clean = passes[index]
-            item.entry = GoldenCacheEntry(output, checkpoints, clean)
-            span = item.plan.span
-            if span is not None:
-                item.boundary = item.step.images if span[0] == 0 else checkpoints.get(span[0])
-        return agreed
-
-    def _golden_stack(
-        self,
-        lane: _Lane,
-        items: list[_LaneStep],
-        wanted: list[tuple[int, ...]],
-        monitor: InferenceMonitor | None,
-        check: bool,
-        stack: bool,
-    ) -> tuple[list[tuple[object, dict, bool]], bool | None]:
-        """The golden passes of ``items`` (all seeded or none): one stack, or one each.
-
-        With ``check``, the first of several stacked items runs alone as
-        well, and if the two differ every item runs alone.  The lane's first
-        seeded pass of a run (a block of one) is checked against the full
-        pass, whose result it keeps.
-
-        Returns ``(output, checkpoints, clean)`` per item and whether the
-        stack agreed with the item run alone (``None``: not checked).
-        """
-        if stack or len(items) == 1:
-            passes = self._golden_passes(lane, items, wanted, monitor, _stacked_seed(items))
-        else:
-            passes = [
-                self._golden_passes(lane, [item], [want], monitor, _stacked_seed([item]))[0]
-                for item, want in zip(items, wanted)
-            ]
-        agreed = None
-        if check and stack and len(items) > 1:
-            alone = self._golden_passes(
-                lane, items[:1], wanted[:1], monitor, _stacked_seed(items[:1])
-            )
-            agreed = _same_passes(alone, passes[:1])
-            if not agreed:
-                return self._golden_stack(lane, items, wanted, monitor, False, False)[0], False
-        seeded = items[0].plan.seed is not None
-        if seeded and "seed" not in lane.verdicts:
-            # The lane's first seeded pass of a run must match the full one.
-            full = self._golden_passes(lane, items, wanted, monitor, None)
-            self._verdict(lane, "seed", _same_passes(passes, full))
-            passes = full
-        elif seeded:
-            self.golden_seeded += len(items)
-        return passes, agreed
+            part = [item for item in items if (item.plan.seed is not None) is seeded]
+            if not part:
+                continue
+            for item, (output, checkpoints, clean) in zip(
+                part, self._golden_passes(lane, part, monitor)
+            ):
+                item.entry = GoldenCacheEntry(output, checkpoints, clean)
+                span = item.plan.span
+                if span is not None:
+                    item.boundary = item.step.images if span[0] == 0 else checkpoints.get(span[0])
+        return items
 
     def _wanted(self, lane: _Lane, item: _LaneStep) -> tuple[int, ...]:
         """The boundaries the golden pass of ``item`` checkpoints.
@@ -846,22 +884,20 @@ class CampaignCore:
         return tuple(index for index in (span[0], behind) if index)
 
     def _golden_passes(
-        self,
-        lane: _Lane,
-        items: list[_LaneStep],
-        wanted: list[tuple[int, ...]],
-        monitor: InferenceMonitor | None,
-        seed: tuple[int, np.ndarray] | None,
+        self, lane: _Lane, items: list[_LaneStep], monitor: InferenceMonitor | None
     ) -> list[tuple[object, dict, bool]]:
         """The golden passes of ``items`` as one stacked pass, cut back into one per step.
 
-        Returns ``(output, checkpoints, clean)`` per step: its rows of the
-        output and of its ``wanted`` checkpoints, as owned copies, and
-        whether ``monitor`` saw no event in its rows.  Only a
-        :attr:`~ForwardPlan.stackable` plan's pass can be cut into rows; any
-        other lane runs blocks of one step (see :meth:`_stacks`).
+        The pass resumes at the head from the steps' stacked features if
+        every step is seeded.  Returns ``(output, checkpoints, clean)`` per
+        step: its rows of the output and of its :meth:`_wanted` checkpoints,
+        as owned copies, and whether ``monitor`` saw no event in its rows.
+        Only a :attr:`~ForwardPlan.stackable` plan's pass can be cut into
+        rows; any other lane runs blocks of one step (see :meth:`_stacks`).
         """
         plan = lane.plan
+        wanted = [self._wanted(lane, item) for item in items]
+        seed = _stacked_seed(items)
         sizes = [len(item.step.images) for item in items]
         events = [MonitorResult() for _ in items]
         with _scanning(monitor):
@@ -906,29 +942,24 @@ class CampaignCore:
     # ------------------------------------------------------------------ #
     # faulty side
     # ------------------------------------------------------------------ #
-    def _faulty_block(
-        self, lane: _Lane, todo: list[_LaneStep], check: bool, stack: bool
-    ) -> bool | None:
-        """Run the faulty passes of ``todo``; fill in ``output``, ``events`` and ``applied``.
+    def _faulty_block(self, lane: _Lane, todo: list[_LaneStep]) -> list[_LaneStep]:
+        """Run the faulty passes of ``todo``; fill in their outputs, events, faults and rejoins.
 
         Every step runs inside its own group, in step order, on
         ``lane.model``.  Behind a clean golden pass (``entry.clean``), a step
         with a span runs only its faulted segments ``[first, last]``, from
         ``boundary``; a step with ``rows`` and an array boundary runs those
-        batch rows only.  The lane's first sparse pass of a run is checked: a
-        plain forward of those rows is rehearsed, and the full-batch pass
-        that follows, whose result the step keeps, must match it.  Behind
-        ``last`` no faulted module runs, so the steps' suffixes run with
-        every group closed, stacked unless ``stack`` is false (see
-        :meth:`_suffixes`).  A pass from the input batch (``first == 0``)
-        is an inference like any other: the task runs it whole, suffix
-        included, inside its group (see :func:`_from_input`).  ``events`` are
-        those of a full faulty forward (``None`` for a lane without monitor):
-        what a planned pass skips is golden, and behind a clean golden pass
-        raises none.
+        batch rows only (any other step's plan loses its ``rows``: it ran the
+        whole batch).  Behind ``last`` no faulted module runs, so the steps'
+        suffixes run with every group closed, as one stack (see
+        :meth:`_suffix`).  A pass from the input batch (``first == 0``) is an
+        inference like any other: the task runs it whole, suffix included,
+        inside its group (see :func:`_from_input`).  ``events`` are those of
+        a full faulty forward (``None`` for a lane without monitor): what a
+        planned pass skips is golden, and behind a clean golden pass raises
+        none.
 
-        Returns whether the stacked suffixes agreed with one run alone
-        (``None``: not checked).
+        Returns the steps whose suffixes ran in the stack.
         """
         task, monitor = self.task, lane.monitor
         # Per planned pass: its suffix and the suffix's (output, rejoined_at),
@@ -941,20 +972,15 @@ class CampaignCore:
             rows = None
             if span is not None and isinstance(item.boundary, np.ndarray):
                 rows = item.plan.rows
+            if rows != item.plan.rows:
+                # The plan keeps the rows the pass ran: they are counted and checked.
+                item.plan = replace(item.plan, rows=rows)
+            if isinstance(group, NeuronFaultGroup):
+                item.entered = group.rng.bit_generator.state
             with group, _scanning(monitor):
                 if span is None:
                     item.output = task.infer(group.model, step.images, step.batch)
                 else:
-                    if rows is not None and "rows" not in lane.verdicts:
-                        # The lane's first sparse pass of a run is rehearsed
-                        # as a plain forward of the faulted rows: the
-                        # full-batch pass that follows must match it.
-                        with group.rehearsal(), group.sub_batch(rows):
-                            sparse = task.finish(group.model(take_rows(step.images, rows)))
-                        item.sparse = _splice_rows(task.finish(entry.output), rows, sparse)
-                        if monitor is not None:
-                            monitor.reset()
-                        rows = None
                     first, last = span
                     boundary, batch = item.boundary, step.batch
                     scope = contextlib.nullcontext()
@@ -980,62 +1006,18 @@ class CampaignCore:
                             stacked.append((item, suffix))
                 item.events = monitor.collect() if monitor is not None else None
             item.applied = group.applied_faults
-        results, agreed = self._suffixes(lane, stacked, check, stack)
-        results = iter(results)
+        results: Iterator = iter(())
+        if stacked:
+            events = [item.events for item, _ in stacked]
+            results = iter(self._suffix(lane, [suffix for _, suffix in stacked], events))
         for item, suffix, result in passes:
             value, rejoined_at = next(results) if result is None else result
             output = task.finish(value)
-            if rejoined_at is not None:
-                self.rejoins += 1
-                if self.golden_cache is not None:
-                    self.golden_cache.rejoins += 1
-            elif suffix.rows is not None:
+            item.rejoined = rejoined_at is not None
+            if not item.rejoined and suffix.rows is not None:
                 output = _splice_rows(task.finish(item.entry.output), suffix.rows, output)
-            if suffix.rows is not None:
-                self.rows_skipped += len(item.step.batch) - len(suffix.rows)
-            if item.sparse is not None:
-                self._verdict(lane, "rows", _bitwise_equal(item.sparse, output))
             item.output = output
-        return agreed
-
-    def _suffixes(
-        self,
-        lane: _Lane,
-        passes: list[tuple[_LaneStep, StackedPass]],
-        check: bool,
-        stack: bool,
-    ) -> tuple[list[tuple[object, int | None]], bool | None]:
-        """Run the suffixes of ``passes`` to the end or to their rejoin, as one stack.
-
-        Each pass's monitor events are appended to its step's ``events``.
-        With ``stack`` false every pass runs alone.  With ``check`` one pass
-        of a stack runs alone as well (one that did not rejoin, if any): if
-        the two differ, every pass runs alone again.
-
-        Returns :meth:`ForwardPlan.resume_stack`'s results and whether the
-        check agreed (``None``: not checked).
-        """
-        items = [item for item, _ in passes]
-        stacked = [suffix for _, suffix in passes]
-        if not stack or len(passes) < 2:
-            return [self._suffix(lane, [suffix], [item.events])[0] for item, suffix in passes], None
-        spans = [copy.deepcopy(item.events) for item in items] if check else []
-        results = self._suffix(lane, stacked, [item.events for item in items])
-        if not check:
-            return results, None
-        chosen = next((index for index, (_, at) in enumerate(results) if at is None), 0)
-        events = copy.deepcopy(spans[chosen])
-        output, rejoined_at = self._suffix(lane, [stacked[chosen]], [events])[0]
-        agreed = (
-            _bitwise_equal(output, results[chosen][0])
-            and rejoined_at == results[chosen][1]
-            and events == items[chosen].events
-        )
-        if not agreed:
-            for item, events in zip(items, spans):
-                item.events = events
-            results = [self._suffix(lane, [suffix], [item.events])[0] for item, suffix in passes]
-        return results, agreed
+        return [item for item, _ in stacked]
 
     @staticmethod
     def _suffix(
@@ -1175,10 +1157,9 @@ def _stacked_seed(items: list[_LaneStep]) -> tuple[int, np.ndarray] | None:
     return seeds[0][0], np.concatenate([features for _, features in seeds])
 
 
-def _same_passes(a: list, b: list) -> bool:
-    """Whether two lists of ``(output, checkpoints, clean)`` are bit for bit equal."""
-
-    def flat(passes):
-        return [(output, list(checkpoints.items()), clean) for output, checkpoints, clean in passes]
-
-    return _bitwise_equal(flat(a), flat(b))
+def _same_golden(a: GoldenCacheEntry, b: GoldenCacheEntry) -> bool:
+    """Whether two golden passes are bit for bit equal: output, checkpoints and ``clean``."""
+    return a is b or _bitwise_equal(
+        [a.output, list(a.boundaries.items()), a.clean],
+        [b.output, list(b.boundaries.items()), b.clean],
+    )

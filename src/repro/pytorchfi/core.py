@@ -908,28 +908,21 @@ class NeuronFaultGroup:
         finally:
             self._session._rows = None
 
-    @contextlib.contextmanager
-    def rehearsal(self) -> Iterator[None]:
-        """Undo the rng draws and the records of the passes run inside the block.
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator a stochastic error model draws from while the group is open.
 
-        The group's next pass then corrupts exactly as the rehearsed one did,
-        even under a stochastic error model, so two ways of running one open
-        group can be compared.
+        Its ``bit_generator.state`` as a pass entered the group, put back,
+        makes the group corrupt the next pass as it did that one (a step of
+        a group shared by several steps can be replayed).
         """
-        rng = self._session._active_rng
-        state = rng.bit_generator.state
-        recorded = len(self.applied_faults)
-        try:
-            yield
-        finally:
-            rng.bit_generator.state = state
-            del self.applied_faults[recorded:]
+        return self._rng if self._rng is not None else self._session._rng
 
     def __enter__(self) -> "NeuronFaultGroup":
         self._session.set_faults(self._faults)
         if self.owns_session:
             self._session.attach()
-        self._session._active_rng = self._rng if self._rng is not None else self._session._rng
+        self._session._active_rng = self.rng
         # Bind the session log to this group so hook records land here.
         self.applied_faults = self._session._log = []
         return self

@@ -364,26 +364,24 @@ class TestForwardBudget:
         # The shape probe, then per block: one golden pass over its rows and
         # one stack of its faulty suffixes (the segments of the faults ran per
         # step and are not spied).  The lane's first block of several steps
-        # also runs its first step's golden pass and one faulty pass alone:
-        # the first one that did not rejoin.  The lane's first sparse pass is
-        # rehearsed on its row, then run whole.
+        # runs one step again alone, golden pass and faulty pass: the first
+        # one that did not rejoin.  So does the lane's first sparse step: its
+        # second pass runs the whole batch and shares its golden pass.
         expected = [("__call__", batch_size)]
         checked = False
         stacks = iter(rejoins)
         for block in blocks:
             expected.append(("run_recording", sum(steps[step] for step in block)))
-            check = len(block) > 1 and not checked
-            checked |= check
-            if check:
-                expected.append(("run_recording", steps[block[0]]))
             faulty = [faulty_rows(step) for step in block]
-            if block == [0] and faulty[0] < steps[0]:
-                expected.append(("__call__", faulty[0]))
-                faulty = [steps[0]]
             expected.append(("resume_stack", sum(faulty)))
             at = next(stacks)
-            if check:
+            if block == [0] and faulty[0] < steps[0]:
+                expected.append(("resume_stack", steps[0]))
+                next(stacks)
+            if len(block) > 1 and not checked:
+                checked = True
                 chosen = next((index for index, where in enumerate(at) if where is None), 0)
+                expected.append(("run_recording", steps[block[chosen]]))
                 expected.append(("resume_stack", faulty[chosen]))
                 next(stacks)
         assert next(stacks, None) is None
@@ -546,6 +544,43 @@ class TestGoldenCache:
         assert cache.hits > 0
         stats = cache.stats()
         assert stats["entries"] > 0 and stats["nbytes"] > 0
+
+    def test_a_module_swapped_between_runs_misses_the_cache(self):
+        # A parameter-free module changes no weight or buffer: the entry keys
+        # also hold a digest of the model's repr (module types and settings).
+        from repro import nn
+        from repro.alficore.campaign import CampaignCore, ClassificationTask
+
+        rng = np.random.default_rng(0)
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 3, rng=rng), nn.BatchNorm2d(4), nn.ReLU(), nn.Flatten(),
+            nn.Linear(4 * 6 * 6, 10, rng=rng),
+        ).eval()
+        dataset = SyntheticClassificationDataset(
+            num_samples=4, num_classes=10, image_size=(3, 8, 8), seed=4
+        )
+        scenario = default_scenario(
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=28, num_runs=2,
+            model_name="swap",
+        )
+
+        def core(cache):
+            return CampaignCore(
+                model, dataset, ClassificationTask(collect_outputs=True), scenario=scenario,
+                input_shape=(3, 8, 8), golden_cache=cache,
+            )
+
+        cached = core(GoldenCache())
+        cached.run()
+        model._modules["2"] = nn.Tanh()
+        cached.task.reset()
+        cached.run()
+        fresh = core(None)
+        fresh.run()
+        for side in ("golden_logits", "corrupted_logits"):
+            logits = [getattr(campaign.task.state, side) for campaign in (cached, fresh)]
+            assert len(logits[0]) == 2 * len(dataset)
+            assert [row.tobytes() for row in logits[0]] == [row.tobytes() for row in logits[1]]
 
     def test_peek_neither_counts_nor_reorders(self, tmp_path):
         spill = tmp_path / "spill"
@@ -748,7 +783,8 @@ class TestCachedBoundaries:
             injection_target="weights", rnd_bit_range=(23, 30), **scenario
         )
         return CampaignCore(
-            model, dataset, ClassificationTask(), scenario=scenario, golden_cache=cache
+            model, dataset, ClassificationTask(collect_outputs=True), scenario=scenario,
+            golden_cache=cache,
         )
 
     @pytest.mark.parametrize("name", ["lenet5", "alexnet", "vgg16"])

@@ -358,8 +358,8 @@ class TestDetectionShardEquivalence:
         self, fitted_model_and_dataset, tmp_path
     ):
         # A custom error model draws from a real per-group Generator, in a
-        # shard as in a serial run, at batch 4 with the rows shortcut
-        # rehearsing a pass.
+        # shard as in a serial run, at batch 4 with the rows check replaying
+        # a pass.
         from repro.pytorchfi.errormodels import RandomValueErrorModel
 
         model, dataset = fitted_model_and_dataset

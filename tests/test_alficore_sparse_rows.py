@@ -114,6 +114,15 @@ def fitted_lenet():
     return fit_classifier_head(lenet5(num_classes=10, seed=1), _dataset(), 10)
 
 
+class _Noise:
+    """Draws the corrupted value at apply time, from the group's rng."""
+
+    name = "noise"
+
+    def corrupt(self, original, rng):
+        return original + float(rng.normal()) * 1e3, {"bit_position": None, "flip_direction": None}
+
+
 class TestSparsePassesKeepTheBytes:
     @pytest.mark.parametrize("batch_size", [1, 4, 16])
     @pytest.mark.parametrize("name", ["lenet5", "resnet18"])
@@ -177,17 +186,7 @@ class TestSparsePassesKeepTheBytes:
         assert sparse.core.rows_skipped == 2 * 9 * 3
 
     def test_a_stochastic_error_model_draws_the_same_values(self, fitted_lenet, tmp_path):
-        class Noise:
-            """Draws the corrupted value at apply time, from the group's rng."""
-
-            name = "noise"
-
-            def corrupt(self, original, rng):
-                return original + float(rng.normal()) * 1e3, {
-                    "bit_position": None, "flip_direction": None,
-                }
-
-        sparse = _core_both(fitted_lenet, _dataset(), _scenario(), tmp_path, error_model=Noise())
+        sparse = _core_both(fitted_lenet, _dataset(), _scenario(), tmp_path, error_model=_Noise())
         assert sparse.rows_skipped > 0
 
     def test_yolov3_splices_lists_of_detections(self, tmp_path):
@@ -306,3 +305,24 @@ def test_a_model_that_starts_mixing_rows_between_runs_is_checked_again(tmp_path)
     # step, and the stack of the steps behind it failed its own check.
     assert sparse.rows_skipped == 4 * 3
     assert sparse.lanes[0].verdicts == {"rows": False, "stack": False}
+
+
+@pytest.mark.parametrize("mix", [True, False])
+def test_a_shared_stochastic_group_is_replayed_from_each_steps_state(tmp_path, mix):
+    # A per-epoch neuron group is entered by every step of its epoch and draws
+    # its corruptions from one generator.  A step run again alone (the row
+    # check of the first step, the stack check of the block behind it and,
+    # on a model that mixes rows, every step of that block) must draw what
+    # the step drew, and leave the generator as the block left it.
+    scenario = _scenario(layer_range=[0, 0], inj_policy="per_epoch", batch_size=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sparse = _core_both(
+            _MixingNet(mix).eval(), _dataset(), scenario, tmp_path, error_model=_Noise()
+        )
+    assert sparse.lanes[0].verdicts == {"rows": not mix, "stack": not mix}
+    for reason in ("mixes the samples", "not independent"):
+        warned = [w for w in caught if reason in str(w.message)]
+        assert len(warned) == int(mix)
+        assert all(w.category is RuntimeWarning for w in warned)
+    assert (sparse.rows_skipped > 0) is not mix

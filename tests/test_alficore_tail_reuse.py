@@ -93,19 +93,36 @@ class Resume(NamedTuple):
     golden: object
 
 
+def _while_alone(monkeypatch) -> list:
+    """A list that is non-empty while :meth:`CampaignCore._alone` runs: a step
+    run again alone, without a shortcut, to check the shortcut's first use."""
+    running = []
+    alone = CampaignCore._alone
+
+    def spy(self, *args):
+        running.append(None)
+        try:
+            return alone(self, *args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(CampaignCore, "_alone", spy)
+    return running
+
+
 @pytest.fixture
 def resumes(monkeypatch):
     """Every pass of a campaign's ``resume_stack`` calls: where its faulted
     segments started, where it joined the stack, where it rejoined, and the
-    segments its stack executed while it was in it.  The rerun of one pass of
-    a lane's first stack alone (its first-use check) is not a pass of the
-    campaign and is left out."""
+    segments its stack executed while it was in it.  The passes of a step run
+    again alone to check a shortcut's first use are left out: the step's
+    pass in its block is logged."""
     log = []
     original = ForwardPlan.resume_stack
-    stacked_before: list = []
     # The span of the step each golden pass of the running block belongs to.
     spans: dict[int, tuple[int, int]] = {}
     faulty_block = CampaignCore._faulty_block
+    checking = _while_alone(monkeypatch)
 
     def block(self, lane, todo, *args):
         spans.clear()
@@ -132,11 +149,9 @@ def resumes(monkeypatch):
             for index in range(min(stacked.start for stacked in passes), max(stops))
             if any(stacked.start <= index < stop for stacked, stop in zip(passes, stops))
         ]
-        check = len(passes) == 1 and any(passes[0].golden is golden for golden in stacked_before)
-        stacked_before[:] = [stacked.golden for stacked in passes] if len(passes) > 1 else []
         for stacked, (_, at), stop in zip(passes, results, stops):
             ran = [index for index in executed if stacked.start <= index < stop]
-            if not check:
+            if not checking:
                 first = spans[id(stacked.golden)][0]
                 log.append(Resume(self, first, stacked.start, at, ran, stacked.golden))
         return results
@@ -318,9 +333,11 @@ class TestCacheLessCampaigns:
 
         inferred = []
         infer = CampaignTask.infer
+        checking = _while_alone(monkeypatch)
 
         def recording(self, model, images, batch):
-            inferred.append(model)
+            if not checking:
+                inferred.append(model)
             return infer(self, model, images, batch)
 
         monkeypatch.setattr(CampaignTask, "infer", recording)
