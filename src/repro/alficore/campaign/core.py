@@ -60,6 +60,7 @@ stack that differs runs each of its steps alone.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import warnings
 from dataclasses import dataclass, field, replace
@@ -270,7 +271,9 @@ class CampaignCore:
     golden/faulty lock-step inference on each lane (``lanes[0]``: the model
     under test, ``lanes[1]``: the optional hardened one), their fault group
     sessions, plans and monitor, and the stream lifecycle — and delegates all
-    output interpretation to a :class:`CampaignTask`.
+    output interpretation to a :class:`CampaignTask`.  A sharded campaign runs
+    copies of it (:meth:`for_shard`), each on its own step range
+    (``run(start, stop)``).
 
     Args:
         model: the fault-free baseline model.  Fault groups patch its weights
@@ -292,8 +295,9 @@ class CampaignCore:
         resil_model: optional hardened variant evaluated under the same
             faults (its own fault-free pass is the resil baseline).
         wrapper: optional pre-built ``ptfiwrap`` (e.g. with a reloaded fault
-            file); built from the scenario otherwise.
-        resil_wrapper: optional pre-built wrapper for the hardened model.
+            file); built from the scenario otherwise.  The hardened model's
+            wrapper is profiled with its scenario and input shape, over its
+            fault matrix, so both lanes read the matrix's layer indices alike.
         prefix_reuse: run every lane's faulty pass as a suffix-only
             forward from the first faulted layer, reusing the golden pass's
             checkpointed prefix activations, and end it at the first golden
@@ -323,7 +327,6 @@ class CampaignCore:
         dl_shuffle: bool = False,
         resil_model: Module | None = None,
         wrapper: ptfiwrap | None = None,
-        resil_wrapper: ptfiwrap | None = None,
         prefix_reuse: bool = True,
         golden_cache: GoldenCache | None = None,
     ):
@@ -344,14 +347,14 @@ class CampaignCore:
             else ptfiwrap(model, scenario=self.scenario, input_shape=self.input_shape)
         )
         self.resil_model = resil_model.eval() if resil_model is not None else None
-        if self.resil_model is not None and resil_wrapper is None:
-            resil_wrapper = ptfiwrap(
+        self.resil_wrapper = None
+        if self.resil_model is not None:
+            self.resil_wrapper = ptfiwrap(
                 self.resil_model,
-                scenario=self.scenario,
-                input_shape=self.input_shape,
+                scenario=self.wrapper.get_scenario(),
+                input_shape=self.wrapper.input_shape,
                 fault_matrix=self.wrapper.get_fault_matrix(),
             )
-        self.resil_wrapper = resil_wrapper
         monitor = InferenceMonitor(self.model, custom_monitors=self.custom_monitors)
         monitor.enabled = False
         self.lanes = [_Lane("golden", self.model, self.wrapper, monitor)]
@@ -369,31 +372,29 @@ class CampaignCore:
         #: against a full pass, is not counted)
         self.golden_seeded = 0
 
-    #: constructor parameters a shard builds for itself (its own task state,
-    #: record files, wrappers over the shared fault matrix, cache handle)
-    #: instead of receiving them through :meth:`shard_arguments`
-    REBUILT_PER_SHARD = frozenset({"task", "writer", "wrapper", "resil_wrapper", "golden_cache"})
+    def for_shard(
+        self,
+        task: CampaignTask,
+        writer: CampaignResultWriter | None,
+        golden_cache: GoldenCache | None,
+    ) -> "CampaignCore":
+        """A copy of this core that runs a shard of the campaign.
 
-    def shard_arguments(self) -> dict:
-        """The constructor arguments a shard's own core shares with this one.
-
-        Everything in ``__init__``'s signature outside
-        :attr:`REBUILT_PER_SHARD`, as picklable values: a parameter added to
-        the constructor is added here, or a sharded campaign silently drops
-        it (``tests/test_alficore_sharding.py`` holds the two against each
-        other).
+        The copy shares every object of this core (model, dataset, scenario,
+        wrappers, resil model, custom monitors, options), so the wrapper that
+        drew the fault matrix is the one that reads it, in every shard.  It
+        has its own ``task``, ``writer`` and ``golden_cache``, zero counters,
+        and lanes that have learned nothing yet (no plan, verdicts or
+        features): a plan holds its model by weak reference, so the copy
+        pickles for a worker process.
         """
-        return dict(
-            model=self.model,
-            dataset=self.dataset,
-            scenario=self.scenario,
-            error_model=self._error_model,
-            input_shape=self.input_shape,
-            custom_monitors=self.custom_monitors,
-            dl_shuffle=self.dl_shuffle,
-            resil_model=self.resil_model,
-            prefix_reuse=self.prefix_reuse,
-        )
+        shard = copy.copy(self)
+        shard.task, shard.writer, shard.golden_cache = task, writer, golden_cache
+        shard.lanes = [
+            _Lane(lane.name, lane.model, lane.wrapper, lane.monitor) for lane in self.lanes
+        ]
+        shard.rejoins = shard.rows_skipped = shard.golden_seeded = 0
+        return shard
 
     # ------------------------------------------------------------------ #
     # campaign geometry

@@ -1,9 +1,10 @@
 """Sharded campaign execution: :class:`ShardedCampaignExecutor`.
 
-A campaign is cut into contiguous step ranges, each run through its own
-:class:`~repro.alficore.campaign.core.CampaignCore` under the supervised
-scheduler of :mod:`repro.alficore.resilience`, and the shard states and
-record files are merged byte-identically to a single-process run.
+A campaign is cut into contiguous step ranges, each run by a copy of the
+campaign's own :class:`~repro.alficore.campaign.core.CampaignCore`
+(:meth:`~repro.alficore.campaign.core.CampaignCore.for_shard`) under the
+supervised scheduler of :mod:`repro.alficore.resilience`, and the shard
+states and record files are merged byte-identically to a single-process run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.alficore.campaign.core import CampaignCore
-from repro.alficore.campaign.tasks import CampaignTask
 from repro.alficore.digests import config_digest
 from repro.alficore.goldencache import GoldenCache
 from repro.alficore.resilience import (
@@ -24,7 +24,6 @@ from repro.alficore.resilience import (
     commit_directory,
 )
 from repro.alficore.results import CampaignResultWriter, merge_record_files
-from repro.alficore.wrapper import ptfiwrap
 
 
 @dataclass
@@ -34,10 +33,9 @@ class _ShardJob:
     index: int
     start: int
     stop: int
-    #: :meth:`CampaignCore.shard_arguments` of the campaign being sharded
-    core_arguments: dict
-    task: CampaignTask
-    fault_matrix: object
+    #: the campaign's core as every shard starts from it
+    #: (:meth:`CampaignCore.for_shard`: a fresh task, no writer, no cache)
+    core: CampaignCore
     shard_dir: str | None
     campaign_name: str
     cache_budget: int | None = None
@@ -46,43 +44,36 @@ class _ShardJob:
 
 def _execute_shard(job: _ShardJob) -> tuple[int, object, dict[str, str]]:
     """Run one shard (in a worker process or in-process) and return its state."""
-    arguments = job.core_arguments
-    # A fresh, unstarted task copy per attempt: an in-process retry must not
-    # inherit the partial state a failed attempt accumulated into job.task.
-    task = job.task.fresh()
+    template = job.core
     writer = (
         CampaignResultWriter(job.shard_dir, campaign_name=job.campaign_name)
         if job.shard_dir is not None
         else None
     )
-    wrapper = ptfiwrap(
-        arguments["model"],
-        scenario=arguments["scenario"],
-        input_shape=arguments["input_shape"],
-        fault_matrix=job.fault_matrix,
-    )
     golden_cache = None
     if job.cache_budget is not None and (
-        job.cache_spill_dir is not None or arguments["scenario"].num_runs > 1
+        job.cache_spill_dir is not None or template.scenario.num_runs > 1
     ):
         # Without a spill directory the cache is private to this shard, and
         # a single-epoch shard visits every batch once: it could never hit.
         golden_cache = GoldenCache(job.cache_budget, spill_dir=job.cache_spill_dir)
-    core = CampaignCore(
-        task=task, writer=writer, wrapper=wrapper, golden_cache=golden_cache, **arguments
-    )
+    # A fresh, unstarted task copy per attempt: an in-process retry must not
+    # inherit the partial state a failed attempt accumulated.
+    core = template.for_shard(template.task.fresh(), writer, golden_cache)
     stream_paths = core.run(start=job.start, stop=job.stop)
-    return job.index, task.state, stream_paths
+    return job.index, core.task.state, stream_paths
 
 
 class ShardedCampaignExecutor:
     """Partition a campaign into contiguous shards and run them in parallel.
 
     The campaign's global step sequence is split into ``num_shards``
-    contiguous, balanced ranges.  Each shard re-derives its exact slice of
-    the work deterministically — the seeded epoch permutations, the shared
-    pre-generated fault matrix and the shard's fault-group range — runs it
-    through its own :class:`CampaignCore`, and streams records into a
+    contiguous, balanced ranges.  A shard is the campaign's core on a step
+    range: a copy of it (:meth:`CampaignCore.for_shard`) that shares its
+    model, dataset, wrappers and options and has its own task, writer and
+    golden cache, runs ``run(start, stop)`` — the seeded epoch permutations
+    and the shard's fault-group range of the campaign's one fault matrix,
+    read by the wrapper that drew it — and streams records into a
     per-shard directory (``<output>/shards/shard_XX``).  Afterwards the shard
     states are merged in shard order and the per-shard record files are
     concatenated byte-identically to a single-process run.
@@ -109,7 +100,8 @@ class ShardedCampaignExecutor:
     processes.
 
     Args:
-        core: the configured campaign (model, dataset, task, scenario...).
+        core: the configured campaign (model, dataset, task, scenario...);
+            every shard runs a copy of it.
         workers: number of worker processes (1 = in-process execution).
         num_shards: number of shards (defaults to ``workers``).
         policy: retry/timeout/backoff/resume configuration (defaults to
@@ -185,7 +177,7 @@ class ShardedCampaignExecutor:
                 cache_spill_dir = str(cache.spill_dir)
             elif core.writer is not None:
                 cache_spill_dir = str(core.writer.output_dir / "golden_cache")
-        core_arguments = core.shard_arguments()
+        template = core.for_shard(core.task.fresh(), None, None)
         jobs = []
         for index, (start, stop) in enumerate(bounds):
             if index in completed:
@@ -201,9 +193,7 @@ class ShardedCampaignExecutor:
                     index=index,
                     start=start,
                     stop=stop,
-                    core_arguments=core_arguments,
-                    task=core.task.fresh(),
-                    fault_matrix=core.wrapper.get_fault_matrix(),
+                    core=template,
                     shard_dir=shard_dir,
                     campaign_name=core.writer.campaign_name if core.writer is not None else "campaign",
                     cache_budget=cache_budget,

@@ -140,8 +140,9 @@ class ptfiwrap:
             layer_types=self._scenario.layer_types,
         )
         if self._initial_matrix is not None:
-            # A pre-built matrix (e.g. handed to a shard worker) replaces the
-            # generation step exactly once; scenario changes regenerate.
+            # A pre-built matrix (e.g. the primary wrapper's, for a hardened
+            # model) replaces the generation step exactly once; scenario
+            # changes regenerate.
             matrix, self._initial_matrix = self._initial_matrix, None
             self._fault_matrix = None
             self.set_fault_matrix(matrix)

@@ -363,16 +363,16 @@ def _csv_cell(value: Any) -> str:
 
 
 def _execute_point(
-    point: SweepPoint,
-    model: Any,
-    dataset: Any,
-    *,
-    output_dir: Path | None,
-    workers: int | None,
-    resume: bool,
-    golden_cache: GoldenCache | None,
+    spec: ExperimentSpec, model: Any, dataset: Any, golden_cache: GoldenCache | None
 ) -> CampaignResult:
-    """Run one grid point through the ordinary experiment path.
+    """Run one grid point, under its :func:`_point_spec`, through the ordinary experiment path."""
+    return run(spec, Artifacts(model=model, dataset=dataset, golden_cache=golden_cache))
+
+
+def _point_spec(
+    point: SweepPoint, output_dir: Path | None, workers: int | None, resume: bool
+) -> ExperimentSpec:
+    """The spec one grid point runs under, with the worker/resume overrides applied.
 
     Worker/resume overrides touch only execution policy — never the
     canonical (run-ID-addressed) content — so a ``--workers 4`` re-run still
@@ -380,14 +380,6 @@ def _execute_point(
     the supervised sharded backend with ``execution.resume``, composing
     shard-level crash recovery with point-level skip.
     """
-    child = _point_spec(point, output_dir, workers, resume)
-    return run(child, Artifacts(model=model, dataset=dataset, golden_cache=golden_cache))
-
-
-def _point_spec(
-    point: SweepPoint, output_dir: Path | None, workers: int | None, resume: bool
-) -> ExperimentSpec:
-    """The spec one grid point runs under, with the worker/resume overrides applied."""
     child = point.spec.copy()
     if output_dir is not None:
         child.output_dir = output_dir
@@ -488,15 +480,12 @@ def run_sweep(
                 if campaign_store is not None
                 else None
             )
-            sharded |= _runs_as_shards(_point_spec(point, output_dir, workers, resume))
+            child = _point_spec(point, output_dir, workers, resume)
+            sharded |= _runs_as_shards(child)
             # A failure here leaves the .wip directory in place: a later
             # --resume merges the shards committed in it; a plain re-run
             # discards it.
-            result = _execute_point(
-                point, model, dataset,
-                output_dir=output_dir, workers=workers, resume=resume,
-                golden_cache=golden_cache,
-            )
+            result = _execute_point(child, model, dataset, golden_cache)
             if campaign_store is not None:
                 # The result's paths point into the .wip directory the commit
                 # renames away; the committed point is the one way back to it.

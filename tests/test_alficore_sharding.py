@@ -6,15 +6,23 @@ record files and equal KPI summaries compared to a single-process run, and
 weight campaigns restore the model bit-exactly regardless of sharding.
 """
 
+import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import run_campaign, run_streaming, streaming_kpis
+from repro import experiments
 from repro.alficore import CampaignResultWriter, GoldenCache, default_scenario
-from repro.alficore.campaign import CampaignCore, ClassificationTask, ShardedCampaignExecutor
+from repro.alficore.campaign import (
+    CampaignCore,
+    ClassificationTask,
+    ShardedCampaignExecutor,
+    normalize_campaign_scenario,
+)
 from repro.alficore.results import merge_csv_files, merge_json_array_files
 from repro.alficore.wrapper import ptfiwrap
 from repro.data import CocoLikeDetectionDataset, SyntheticClassificationDataset
@@ -192,22 +200,74 @@ class TestClassificationShardEquivalence:
         assert events(1, 2) == serial
         assert events(2, 2) == serial
 
-    def test_a_shard_sees_every_campaign_parameter(self, fitted_model_and_dataset):
-        # The next parameter CampaignCore grows must be shipped to shards or
-        # declared rebuilt per shard — not dropped under --workers.
-        import inspect
+    def test_a_shard_is_a_copy_of_the_campaigns_core(self, fitted_model_and_dataset, tmp_path):
+        # The next attribute CampaignCore grows reaches every shard as it is:
+        # a shard is the campaign's core, with its own task, writer, cache
+        # and counts, on lanes that have learned nothing yet.
+        from repro.alficore.campaign.core import _Lane
+        from repro.alficore.monitoring import RangeMonitor
 
         model, dataset = fitted_model_and_dataset
-        core = CampaignCore(model, dataset, _CustomEventLog())
-        parameters = set(inspect.signature(CampaignCore.__init__).parameters) - {"self"}
-        shipped = set(core.shard_arguments())
-        assert CampaignCore.REBUILT_PER_SHARD == {
-            "task", "writer", "wrapper", "resil_wrapper", "golden_cache"
-        }
-        assert shipped | CampaignCore.REBUILT_PER_SHARD == parameters
-        assert not shipped & CampaignCore.REBUILT_PER_SHARD
-        # What is shipped builds a core: every key is a constructor keyword.
-        CampaignCore(task=_CustomEventLog(), **core.shard_arguments())
+        core = CampaignCore(
+            model, dataset, _CustomEventLog(), resil_model=model.clone(),
+            custom_monitors=[RangeMonitor(bound=0.5)], dl_shuffle=True,
+            golden_cache=GoldenCache(2**20),
+        )
+        core.run()
+        assert all(lane.plan is not None and lane.fingerprint for lane in core.lanes)
+        with pytest.raises(TypeError):
+            # A learned plan holds its model by weak reference.
+            pickle.dumps(core)
+
+        task, writer, cache = _CustomEventLog(), CampaignResultWriter(tmp_path), GoldenCache(2**20)
+        shard = core.for_shard(task, writer, cache)
+        assert shard.task is task and shard.writer is writer and shard.golden_cache is cache
+        counters = {"rejoins", "rows_skipped", "golden_seeded"}
+        assert set(vars(shard)) == set(vars(core))
+        for name, value in vars(core).items():
+            if name in {"task", "writer", "golden_cache", "lanes"} | counters:
+                continue
+            assert getattr(shard, name) is value, name
+        assert {name: getattr(shard, name) for name in counters} == dict.fromkeys(counters, 0)
+
+        shared = {"name", "model", "wrapper", "monitor"}
+        blank = _Lane("lane", model, core.wrapper, None)
+        assert len(shard.lanes) == len(core.lanes) == 2
+        for lane, copied in zip(core.lanes, shard.lanes):
+            assert copied is not lane
+            for item in dataclasses.fields(_Lane):
+                if item.name in shared:
+                    assert getattr(copied, item.name) is getattr(lane, item.name), item.name
+                else:
+                    assert getattr(copied, item.name) == getattr(blank, item.name), item.name
+        pickle.loads(pickle.dumps(shard))
+
+    def test_options_reach_every_shard(self, fitted_model_and_dataset, tmp_path):
+        # prefix_reuse, dl_shuffle and a custom monitor travel with the core.
+        from repro.alficore.monitoring import RangeMonitor
+
+        model, dataset = fitted_model_and_dataset
+        scenario = default_scenario(
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=14, num_runs=2,
+            model_name="options",
+        )
+
+        def run(workers, num_shards):
+            out = tmp_path / f"{workers}x{num_shards}"
+            core = CampaignCore(
+                model, dataset, _CustomEventLog(), scenario=scenario,
+                writer=CampaignResultWriter(out, campaign_name="options"),
+                custom_monitors=[RangeMonitor(bound=0.5)], dl_shuffle=True, prefix_reuse=False,
+            )
+            state, paths = ShardedCampaignExecutor(
+                core, workers=workers, num_shards=num_shards
+            ).run()
+            return state.applied_log, {tag: _file_bytes(path) for tag, path in paths.items()}
+
+        serial = run(1, 1)
+        assert sum(map(len, serial[0])) > 0
+        assert run(1, 3) == serial
+        assert run(2, 2) == serial
 
     def test_weights_restored_bit_exactly_after_sharded_campaign(
         self, fitted_model_and_dataset
@@ -513,3 +573,113 @@ class TestMergeHelpers:
             pass
         merged = merge_json_array_files([path], tmp_path / "merged.json")
         assert merged.read_text() == "[]"
+
+
+def _wrapper_spec(out, layer_types=None, protection=None, workers=1, num_shards=None):
+    scenario = {
+        "injection_target": "weights", "rnd_bit_range": (23, 30), "random_seed": 21,
+        "model_name": "handed",
+    }
+    if layer_types is not None:
+        scenario["layer_types"] = layer_types
+    builder = (
+        experiments.Experiment.builder()
+        .name("handed")
+        .task("classification")
+        .model("handed")
+        .dataset("in-memory")
+        .scenario(**scenario)
+        .output_dir(out)
+    )
+    if num_shards is not None:
+        builder.backend("sharded", workers, num_shards)
+    if protection is not None:
+        builder.protection(protection)
+    return builder.build()
+
+
+def _handed_in_wrapper(spec, model, dataset, layer_types):
+    """A wrapper of the spec's own scenario with other ``layer_types``."""
+    scenario = normalize_campaign_scenario(spec.scenario, dataset)
+    scenario = scenario.copy(layer_types=layer_types)
+    return ptfiwrap(model, scenario=scenario, input_shape=(3, 32, 32))
+
+
+class TestHandedInWrapper:
+    """``Artifacts.wrapper`` drew the fault matrix: it alone reads its layer indices."""
+
+    FILES = ("golden_csv", "corrupted_csv", "applied_faults", "faults")
+
+    def test_sharded_runs_read_the_faults_against_the_handed_in_wrapper(
+        self, fitted_model_and_dataset, tmp_path
+    ):
+        model, dataset = fitted_model_and_dataset
+
+        def run(sub, workers=1, num_shards=None):
+            spec = _wrapper_spec(tmp_path / sub, workers=workers, num_shards=num_shards)
+            wrapper = _handed_in_wrapper(spec, model, dataset, ("fcc",))
+            artifacts = experiments.Artifacts(model=model, dataset=dataset, wrapper=wrapper)
+            result = experiments.run(spec, artifacts)
+            return {tag: _file_bytes(result.output_files[tag]) for tag in self.FILES}
+
+        serial = run("serial")
+        assert run("1x2", 1, 2) == serial
+        assert run("2x2", 2, 2) == serial
+
+    def test_the_resil_lane_uses_the_handed_in_wrappers_layers(
+        self, fitted_model_and_dataset, tmp_path
+    ):
+        model, dataset = fitted_model_and_dataset
+        handed_spec = _wrapper_spec(tmp_path / "handed", protection="ranger")
+        wrapper = _handed_in_wrapper(handed_spec, model, dataset, ("fcc",))
+        handed = experiments.run(
+            handed_spec, experiments.Artifacts(model=model, dataset=dataset, wrapper=wrapper)
+        )
+        declared = experiments.run(
+            _wrapper_spec(tmp_path / "declared", layer_types=["fcc"], protection="ranger"),
+            experiments.Artifacts(model=model, dataset=dataset),
+        )
+        for tag in (*self.FILES, "resil_csv"):
+            assert _file_bytes(handed.output_files[tag]) == _file_bytes(
+                declared.output_files[tag]
+            ), tag
+
+
+class TestSpawnStartMethod:
+    @pytest.mark.parametrize("ran_before", [False, True])
+    def test_spawned_shards_write_the_serial_bytes(
+        self, fitted_model_and_dataset, tmp_path, monkeypatch, ran_before
+    ):
+        # A shard ships the campaign's core to a spawned worker by pickle; a
+        # core that already ran holds learned plans, which do not pickle.
+        from repro.alficore import resilience
+        from repro.alficore.monitoring import RangeMonitor
+
+        model, dataset = fitted_model_and_dataset
+        scenario = default_scenario(
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=15, model_name="spawn"
+        )
+
+        def core(out):
+            return CampaignCore(
+                model, dataset, ClassificationTask(), scenario=scenario,
+                writer=CampaignResultWriter(tmp_path / out, campaign_name="spawn"),
+                resil_model=model.clone(), custom_monitors=[RangeMonitor(bound=0.5)],
+            )
+
+        serial = {tag: _file_bytes(path) for tag, path in core("serial").run().items()}
+        sharded = core("spawned")
+        if ran_before:
+            sharded.run()
+            assert sharded.lanes[0].plan is not None
+
+        multiprocessing = resilience.multiprocessing
+        get_context, methods = multiprocessing.get_context, []
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(
+            multiprocessing, "get_context",
+            lambda method=None: methods.append(method) or get_context(method),
+        )
+        _, paths = ShardedCampaignExecutor(sharded, workers=2, num_shards=2).run()
+        assert methods == ["spawn"]
+        assert {tag: _file_bytes(path) for tag, path in paths.items()} == serial

@@ -323,11 +323,11 @@ class TestRunSweep:
         original = sweep_module._execute_point
         calls = []
 
-        def crash_on_third(point, *args, **kwargs):
-            calls.append(point.index)
+        def crash_on_third(*args, **kwargs):
+            calls.append(args)
             if len(calls) == 3:
                 raise RuntimeError("simulated crash mid-sweep")
-            return original(point, *args, **kwargs)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(sweep_module, "_execute_point", crash_on_third)
         with pytest.raises(RuntimeError, match="simulated crash"):
@@ -513,11 +513,14 @@ class TestGoldenSharing:
     ):
         store = CampaignStore(tmp_path / "store")
         original = sweep_module._execute_point
+        calls = []
 
-        def crash_on_third(point, *args, **kwargs):
-            if point.index == 2:
+        def crash_on_third(*args, **kwargs):
+            # The store is empty: the third execution is point 2.
+            calls.append(args)
+            if len(calls) == 3:
                 raise RuntimeError("simulated crash mid-sweep")
-            return original(point, *args, **kwargs)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(sweep_module, "_execute_point", crash_on_third)
         with pytest.raises(RuntimeError, match="simulated crash"):
