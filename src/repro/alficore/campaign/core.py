@@ -69,7 +69,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.alficore.campaign.tasks import CampaignTask, StepContext
-from repro.alficore.digests import bytes_digest, model_fingerprint
+from repro.alficore.digests import bytes_digest, model_fingerprint, state_digest
 from repro.alficore.goldencache import (
     GoldenCache,
     GoldenCacheEntry,
@@ -86,7 +86,7 @@ from repro.data.wrapper import AlfiDataLoaderWrapper, ImageRecord
 from repro.nn import functional as F
 from repro.nn.forward_plan import ForwardPlan, StackedPass, _bitwise_equal, take_rows
 from repro.nn.module import Module
-from repro.nn.record import model_record, structure
+from repro.nn.record import ModelRecord, model_record, structure
 from repro.pytorchfi.core import NeuronFaultGroup
 from repro.pytorchfi.errormodels import ErrorModel
 
@@ -149,16 +149,20 @@ class _Lane:
     #: segments holding an injectable layer, hence the only ones a cached
     #: golden pass checkpoints (boundary 0 is the input batch and needs none).
     resumable: tuple[int, ...] = ()
-    #: Digest of the model's weights, taken when a run starts: the second
-    #: element of the lane's cache keys (spill directories outlive a campaign,
-    #: so entries recorded for other weights must never match), and what the
-    #: head fit's features and the model's recorded plan are checked against.
+    #: The model's identity (:func:`model_fingerprint`: its state, module
+    #: types and plain attributes), taken when a run starts: what the head
+    #: fit's features and the model's recorded plan are checked against, and
+    #: part of :attr:`head`.  ``None``: the model or the lane's custom
+    #: monitors hold state no digest reads, so the lane runs with no golden
+    #: cache, no head-feature seeding and no recorded plan.
     fingerprint: str | None = None
-    #: Digest of the model's ``repr`` (every module's type and settings),
-    #: taken when a run starts: the third element of the lane's cache keys,
-    #: for what the fingerprint does not see (a ``ReLU`` swapped for a
-    #: ``Tanh`` changes no weight).
-    modules: str | None = None
+    #: The golden cache of the lane's passes (``None`` with a refused
+    #: identity) and the head of their keys: lane name, model identity,
+    #: custom monitors' digest, kernel generation.  Spill directories outlive
+    #: a campaign, so an entry recorded for another model, under other
+    #: monitors or by other kernels must never match.
+    cache: GoldenCache | None = None
+    head: tuple = ()
     #: the head fit's features of ``model``, while they hold for this run
     #: (see :meth:`CampaignCore._head_features`)
     features: HeadFeatures | None = None
@@ -294,9 +298,10 @@ class CampaignCore:
         dl_shuffle: shuffle the dataset between epochs (seeded).
         resil_model: optional hardened variant evaluated under the same
             faults (its own fault-free pass is the resil baseline).
-        wrapper: optional pre-built ``ptfiwrap`` (e.g. with a reloaded fault
-            file); built from the scenario otherwise.  The hardened model's
-            wrapper is profiled with its scenario and input shape, over its
+        wrapper: optional pre-built ``ptfiwrap`` over ``model`` itself (e.g.
+            with a reloaded fault file; ``ValueError`` for a wrapper over
+            another model); built from the scenario otherwise.  The hardened
+            model's wrapper is profiled with its scenario and input shape, over its
             fault matrix, so both lanes read the matrix's layer indices alike.
         prefix_reuse: run every lane's faulty pass as a suffix-only
             forward from the first faulted layer, reusing the golden pass's
@@ -309,9 +314,10 @@ class CampaignCore:
             every lane are computed once per batch of images
             instead of once per epoch, and their boundary checkpoints are
             reused by later suffix-only faulty passes.  A cache handed in is
-            always used: it may be shared with other campaigns (a sweep
-            passes one cache to every grid point), so whether it can hit is
-            the owner's call, not this campaign's.
+            always used (by every lane that has an identity, see
+            :func:`model_fingerprint`): it may be shared with other campaigns
+            (a sweep passes one cache to every grid point), whose entries its
+            keys tell apart.
     """
 
     def __init__(
@@ -346,6 +352,11 @@ class CampaignCore:
             if wrapper is not None
             else ptfiwrap(model, scenario=self.scenario, input_shape=self.input_shape)
         )
+        if self.wrapper.model is not self.model:
+            raise ValueError(
+                "the wrapper is built over another model object than the campaign's: "
+                "its faults would land on a model the campaign never runs"
+            )
         self.resil_model = resil_model.eval() if resil_model is not None else None
         self.resil_wrapper = None
         if self.resil_model is not None:
@@ -445,10 +456,9 @@ class CampaignCore:
         group_start, group_stop = self._group_range(start, stop, policy)
         iterators = []
         for lane in self.lanes:
-            # Weights may have been mutated between runs of the same core;
-            # the cache keys must reflect the state of this run.
-            lane.fingerprint = model_fingerprint(lane.model)
-            lane.modules = bytes_digest(repr(lane.model).encode())
+            # The model or the monitors may have changed between runs of the
+            # same core; the cache keys must reflect the state of this run.
+            self._identify(lane)
             # ... and so must the plan: the run's first step looks it up in
             # the model's record again (the model may have been rebuilt).
             lane.planned = False
@@ -502,6 +512,27 @@ class CampaignCore:
                 "fault file provides fewer fault groups than the scenario needs"
             ) from None
 
+    def _identify(self, lane: _Lane) -> None:
+        """Take the lane's identity: :attr:`_Lane.fingerprint`, ``cache`` and ``head``.
+
+        An identity refused (see :func:`model_fingerprint`) leaves all three
+        empty, with one warning.
+        """
+        monitors = lane.monitor.custom_monitors if lane.monitor is not None else []
+        try:
+            fingerprint = model_fingerprint(lane.model)
+            head = (lane.name, fingerprint, state_digest(monitors), F.KERNEL_GENERATION)
+        except TypeError as error:
+            warnings.warn(
+                f"{type(lane.model).__name__}: no identity ({error}), running without "
+                "golden cache, head-feature seeding or recorded plan",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            lane.fingerprint, lane.cache, lane.head = None, None, ()
+            return
+        lane.fingerprint, lane.cache, lane.head = fingerprint, self.golden_cache, head
+
     # ------------------------------------------------------------------ #
     # prefix-reuse plumbing
     # ------------------------------------------------------------------ #
@@ -511,8 +542,9 @@ class CampaignCore:
         The plan is looked up in the model object's record
         (:mod:`repro.nn.record`), under a key of everything it depends on:
         every module of the model (qualified name, object and type), the
-        lane's weights fingerprint, and the digest, shape and dtype of
-        ``images[:1]``.  So every grid point of a sweep, and every ``run()``
+        lane's model identity, and the digest, shape and dtype of
+        ``images[:1]``; a lane without identity neither reads nor writes the
+        record.  So every grid point of a sweep, and every ``run()``
         on one model object, traces once between them, and a model changed
         between two runs of one core is traced again.  On a miss the model is
         traced and the plan replay-validated on the first sample of
@@ -540,10 +572,8 @@ class CampaignCore:
 
     def _learned_plan(self, lane: _Lane, images: np.ndarray) -> ForwardPlan | None:
         """The valid plan of ``lane.model`` from its record, else from a new trace."""
-        if lane.fingerprint is None:
-            lane.fingerprint = model_fingerprint(lane.model)
         key = (structure(lane.model), lane.fingerprint, image_key(images[:1]))
-        record = model_record(lane.model)
+        record = model_record(lane.model) if lane.fingerprint is not None else ModelRecord()
         if record.plan is not None and record.plan[0] == key:
             return record.plan[1]
         try:
@@ -563,11 +593,11 @@ class CampaignCore:
 
     @staticmethod
     def _head_features(lane: _Lane) -> HeadFeatures | None:
-        """The head fit's record of ``lane.model``, while its fingerprint still matches.
+        """The head fit's record of ``lane.model``, while its identity still matches.
 
-        A weight or buffer changed since the fit (a BN running mean edited in
-        place) changes the fingerprint.  Copies of the fitted model (a resil
-        lane, an unpickled shard model) have no record.
+        A weight, buffer, module or attribute changed since the fit (a BN
+        running mean edited in place) changes the identity.  Copies of the
+        fitted model (a resil lane, an unpickled shard model) have no record.
         """
         record = head_features(lane.model)
         return record if record is not None and lane.fingerprint == record.fingerprint else None
@@ -766,8 +796,8 @@ class CampaignCore:
                 self.rows_skipped += len(item.step.batch) - len(item.plan.rows)
             if item.rejoined:
                 self.rejoins += 1
-                if self.golden_cache is not None:
-                    self.golden_cache.rejoins += 1
+                if lane.cache is not None:
+                    lane.cache.rejoins += 1
 
     def _alone(
         self, lane: _Lane, item: _LaneStep, kinds: set[str], golden: bool
@@ -830,14 +860,13 @@ class CampaignCore:
 
         Returns the steps whose golden pass ran.
         """
-        cache = self.golden_cache
-        head = (lane.name, lane.fingerprint, lane.modules, F.KERNEL_GENERATION)
+        cache = lane.cache
         items: list[_LaneStep] = []
         for item in todo:
             if item.entry is not None:
                 continue
             if cache is not None:
-                item.key = head + item.step.cache_key
+                item.key = lane.head + item.step.cache_key
                 item.entry = cache.peek(item.key)
             if item.entry is None:
                 items.append(item)
@@ -876,7 +905,7 @@ class CampaignCore:
         records this step's two (boundary 0 is ``images``, a resume point
         past the last resumable boundary has nothing behind it).
         """
-        if self.golden_cache is not None:
+        if lane.cache is not None:
             return lane.resumable
         span = item.plan.span
         if span is None:
@@ -1060,7 +1089,7 @@ class CampaignCore:
             batch, epoch, index, list(groups), group_index, collect_applied, images, cache_key
         )
 
-    def _settle(self, item: _LaneStep) -> None:
+    def _settle(self, cache: GoldenCache, item: _LaneStep) -> None:
         """Make the cache lookup and insertion of ``item``'s golden pass.
 
         :meth:`_golden_block` only peeks, and the block's lookups and
@@ -1072,7 +1101,6 @@ class CampaignCore:
         receives the checkpoint the step computed, if any.  The task is
         handed the cached entry, whose ``derived`` values later hits share.
         """
-        cache = self.golden_cache
         entry = cache.get(item.key)
         if entry is None:
             boundaries = dict(item.entry.boundaries)
@@ -1104,10 +1132,10 @@ class CampaignCore:
             self._run_lane(lane, [step.groups[index] for step in block], block)
             for index, lane in enumerate(self.lanes)
         ]
-        if self.golden_cache is not None:
-            for position in range(len(block)):
-                for steps in lanes:
-                    self._settle(steps[position])
+        for position in range(len(block)):
+            for lane, steps in zip(self.lanes, lanes):
+                if lane.cache is not None:
+                    self._settle(lane.cache, steps[position])
         for position, step in enumerate(block):
             primary = lanes[0][position]
             resil_golden = resil_out = None

@@ -19,8 +19,11 @@ them once per epoch per image, and a sweep once per grid point.  The
   (``derived``: top-k and formatted record cells), so the golden half of a
   record is built once per image and goes when the entry goes.
 
-Entries are keyed by ``(lane, weight fingerprint, kernel generation, dataset
-image ids, batch digest, batch shape)`` — the digest covers the pixel bytes,
+Entries are keyed by ``(lane, model identity, custom monitors' digest,
+kernel generation, dataset image ids, batch digest, batch shape)``.  The
+identity (:func:`~repro.alficore.digests.model_fingerprint`) covers the
+weights, the module types and every setting a forward reads; the monitors'
+digest what ``clean`` was recorded under; the batch digest the pixel bytes,
 the shape how they are read.  Neither epoch nor scenario enters the key, so
 one cache serves every epoch of a campaign and every grid point of a sweep
 (:func:`repro.experiments.run_sweep` hands all points the same instance).
@@ -288,8 +291,8 @@ class HeadFeatures:
     (``head``) received for that image, for the images whose every leaf
     output row was finite during the fit — so a golden pass of them raises
     no NaN/Inf event before the head.  ``fingerprint`` is the model's
-    :func:`~repro.alficore.digests.model_fingerprint` once the head was
-    written: the features hold only while the model still has that state.
+    identity (:func:`~repro.alficore.digests.model_fingerprint`) once the
+    head was written: the features hold only while the model still has it.
     """
 
     head: Module

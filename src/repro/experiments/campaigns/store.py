@@ -16,10 +16,10 @@ Layout of a store directory::
 The run ID is content-addressed: a short digest over the point's *canonical*
 spec document (everything that affects the numbers — model, dataset,
 scenario, protection, task, options; **not** execution knobs like worker
-count or retry policy) together with the model-weight fingerprint.  Equal
-run ID ⟹ bit-identical campaign, so a lookup hit is always safe to reuse
-and a committed point directory is never rewritten (its bytes and mtimes
-stay untouched across re-runs).
+count or retry policy) together with the model identity (its
+fingerprint).  Equal run ID ⟹ bit-identical campaign, so a lookup hit is
+always safe to reuse and a committed point directory is never rewritten
+(its bytes and mtimes stay untouched across re-runs).
 
 Crash safety follows the repo-wide idiom: all execution happens in a
 ``<run_id>.wip`` directory; ``point.json`` is the commit marker, written

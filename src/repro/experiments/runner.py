@@ -51,7 +51,12 @@ def _build_core(spec: ExperimentSpec, plugin: Any, artifacts: Artifacts) -> Camp
         # The scenario's default sentinel: name result files and KPIs after
         # the spec's model instead of forcing every spec to repeat it.
         scenario = scenario.copy(model_name=spec.model.name)
-    model = artifacts.model if artifacts.model is not None else plugin.build_model(spec, dataset)
+    model = artifacts.model
+    if model is None and artifacts.wrapper is not None:
+        # A handed-in wrapper's faults are drawn for its own model.
+        model = artifacts.wrapper.model
+    if model is None:
+        model = plugin.build_model(spec, dataset)
     resil_model = artifacts.resil_model
     if resil_model is None and spec.protection is not None:
         resil_model = plugin.build_protection(spec, model, dataset)
@@ -107,14 +112,6 @@ def run(spec: ExperimentSpec, artifacts: Artifacts | None = None) -> CampaignRes
             "run() executes exactly one campaign"
         )
     artifacts = artifacts if artifacts is not None else Artifacts()
-    if artifacts.golden_cache is not None and artifacts.custom_monitors:
-        # A cache handed in may have been filled by other campaigns, and its
-        # entries say whether *their* monitors saw an event on a golden pass.
-        raise ValueError(
-            "Artifacts.golden_cache cannot be combined with custom_monitors: a "
-            "shared cache records whether each golden pass was clean under the "
-            "monitors of the campaign that filled it"
-        )
     plugin = TASKS.get(spec.task)
     spec.validate()
     execution_info = spec.execution.as_dict()

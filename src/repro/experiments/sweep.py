@@ -81,12 +81,14 @@ class SweepPlan:
         """Assign content-addressed run IDs to every point.
 
         Builds each point's model/dataset (deduplicated by configuration, so
-        a scenario-only grid builds the model exactly once), fingerprints
-        the weights, and derives ``run_id`` from the canonical spec document
-        plus the fingerprint.  With pre-built ``artifacts`` the supplied
-        model/dataset are used for every point — only legal when no axis
-        changes the model, dataset or task.  A point runs with nothing else
-        of them, so any other artifact is refused rather than dropped.
+        a scenario-only grid builds the model exactly once), takes the
+        model's identity (:func:`model_fingerprint`; a model without one
+        raises :class:`SweepError`), and derives ``run_id`` from the
+        canonical spec document plus the identity.  With pre-built
+        ``artifacts`` the supplied model/dataset are used for every point —
+        only legal when no axis changes the model, dataset or task.  A point
+        runs with nothing else of them, so any other artifact is refused
+        rather than dropped.
         """
         from repro.experiments.registry import DATASETS, TASKS
 
@@ -130,10 +132,9 @@ class SweepPlan:
                     )
                 dataset = datasets[dataset_key]
             if supplied and artifacts.model is not None:
-                model = artifacts.model
                 model_key = "supplied"
                 if model_key not in models:
-                    models[model_key] = (model, model_fingerprint(model))
+                    models[model_key] = _identified(artifacts.model)
             else:
                 model_key = config_digest(
                     {
@@ -143,12 +144,19 @@ class SweepPlan:
                     }
                 )
                 if model_key not in models:
-                    built = plugin.build_model(spec, dataset)
-                    models[model_key] = (built, model_fingerprint(built))
+                    models[model_key] = _identified(plugin.build_model(spec, dataset))
             model, fingerprint = models[model_key]
             point.run_id = point_run_id(canonical_spec_document(spec), fingerprint)
             self.artifacts[point.index] = (model, dataset)
             self.fingerprints[point.index] = fingerprint
+
+
+def _identified(model: Any) -> tuple[Any, str]:
+    """``model`` and its identity, which names its points' run IDs."""
+    try:
+        return model, model_fingerprint(model)
+    except TypeError as error:
+        raise SweepError(f"a sweep names its points by the model's identity: {error}") from None
 
 
 def expand(spec: ExperimentSpec) -> SweepPlan:
@@ -406,9 +414,11 @@ def _runs_as_shards(spec: ExperimentSpec) -> bool:
 def _shared_golden_cache(base: ExperimentSpec, store: CampaignStore | None) -> GoldenCache | None:
     """The one golden cache every point of a sweep runs with.
 
-    Keys hold the weight fingerprint and the batch digest but nothing of the
-    scenario, so points that share a model and dataset share golden passes
-    and points that do not simply miss.  With a store the cache spills to
+    Keys hold the model identity (weights, module types and the settings a
+    forward reads, such as a detector's ``score_threshold``), the custom
+    monitors and the batch digest but nothing of the scenario, so points
+    that share a model and dataset share golden passes and points that do
+    not simply miss.  With a store the cache spills to
     :meth:`CampaignStore.golden_dir`, which is how shard worker processes,
     a resumed sweep and a later sweep on the same store reuse it; without
     one it lives in memory for this call.  ``caching.prefix_reuse: false``

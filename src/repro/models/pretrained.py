@@ -16,7 +16,8 @@ image a campaign on the same dataset will see.  It keeps what that pass
 computed (:class:`~repro.alficore.goldencache.HeadFeatures`, one per fitted
 model object): the final layer's input per image, keyed by the image's
 content, for the images whose every leaf output row was finite, and the
-model's fingerprint once the head is written.  A cache-less campaign on that
+model's identity (:func:`~repro.alficore.digests.model_fingerprint`) once
+the head is written.  A cache-less campaign on that
 same object (:class:`~repro.alficore.campaign.core.CampaignCore`) then runs
 its golden passes as the checkpointed prefix its faulty passes need plus the
 head, from those features, instead of the whole backbone again.
@@ -147,10 +148,15 @@ def fit_classifier_head(
     if final_linear.bias is not None:
         final_linear.bias.copy_((bias * scale).astype(np.float32))
     del parent, child_name
+    try:
+        fingerprint = model_fingerprint(model)
+    except TypeError:
+        # A model without identity: no campaign could check the features hold.
+        return model
     model_record(model).head_features = HeadFeatures(
         head=final_linear,
         features={image_key(image): row for image, row, ok in zip(images, received, finite) if ok},
-        fingerprint=model_fingerprint(model),
+        fingerprint=fingerprint,
     )
     return model
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 # Bumped by every change that may move a result bit of any kernel below.  The
-# weights fingerprint does not cover arithmetic, so the golden-cache keys, the
+# model identity does not cover arithmetic, so the golden-cache keys, the
 # sweep store's run ids and the meta file carry this number: what other
 # kernels computed is a miss, never a hit.  2: one GEMM per sample (PR 21).
 KERNEL_GENERATION = 2

@@ -208,18 +208,33 @@ class TestFullGoldenFallbacks:
         model = _fitted("resnet18", dataset)
         model.stem[1].running_mean[0] += 0.5
         with warnings.catch_warnings():
-            # The fingerprint turns seeding off before any pass: nothing to warn about.
+            # The identity turns seeding off before any pass: nothing to warn about.
             warnings.filterwarnings("error", ".*a golden pass seeded", RuntimeWarning)
             seeded = _both(model, dataset, _scenario(), tmp_path)
         assert seeded.core.golden_seeded == 0
         assert seeded.core.lanes[0].features is None
 
-    def test_a_relu_swapped_in_place_warns_once(self, tmp_path):
+    def test_a_relu_swapped_in_place_drops_the_features(self, tmp_path):
+        # The identity names every module's type: seeding is off before any pass.
         dataset = _dataset()
         model = _fitted(dataset=dataset)
         index = next(i for i, m in enumerate(model.features) if isinstance(m, nn.ReLU))
         fingerprint = model_fingerprint(model)
         model.features._modules[str(index)] = nn.LeakyReLU(0.5)
+        assert model_fingerprint(model) != fingerprint
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", ".*a golden pass seeded", RuntimeWarning)
+            seeded = _both(model, dataset, _scenario(num_runs=2), tmp_path)
+        assert seeded.core.golden_seeded == 0
+        assert seeded.core.lanes[0].features is None
+
+    def test_a_relu_changed_where_no_identity_looks_warns_once(self, tmp_path, monkeypatch):
+        # A forward's code is not part of the identity: the first-use check
+        # is what catches a ReLU class patched after the fit.
+        dataset = _dataset()
+        model = _fitted(dataset=dataset)
+        fingerprint = model_fingerprint(model)
+        monkeypatch.setattr(nn.ReLU, "forward", lambda self, x: nn.functional.leaky_relu(x, 0.5))
         assert model_fingerprint(model) == fingerprint
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

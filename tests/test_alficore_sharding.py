@@ -626,6 +626,31 @@ class TestHandedInWrapper:
         assert run("1x2", 1, 2) == serial
         assert run("2x2", 2, 2) == serial
 
+    def test_a_handed_in_wrapper_without_model_runs_its_model(
+        self, fitted_model_and_dataset, tmp_path
+    ):
+        # The wrapper's faults are drawn for its own model: the campaign
+        # runs that object, not a second model built from the spec.
+        model, dataset = fitted_model_and_dataset
+
+        def run(sub, **artifacts):
+            spec = _wrapper_spec(tmp_path / sub)
+            wrapper = _handed_in_wrapper(spec, model, dataset, ("fcc",))
+            result = experiments.run(
+                spec, experiments.Artifacts(dataset=dataset, wrapper=wrapper, **artifacts)
+            )
+            assert result.core.model is wrapper.model is model
+            return {tag: _file_bytes(result.output_files[tag]) for tag in self.FILES}
+
+        assert run("bare") == run("with_model", model=model)
+
+    def test_a_wrapper_over_another_model_is_refused(self, fitted_model_and_dataset):
+        model, dataset = fitted_model_and_dataset
+        scenario = default_scenario(injection_target="weights", random_seed=1)
+        wrapper = ptfiwrap(model.clone(), scenario=scenario, input_shape=(3, 32, 32))
+        with pytest.raises(ValueError, match="another model object"):
+            CampaignCore(model, dataset, ClassificationTask(), scenario=scenario, wrapper=wrapper)
+
     def test_the_resil_lane_uses_the_handed_in_wrappers_layers(
         self, fitted_model_and_dataset, tmp_path
     ):

@@ -481,17 +481,32 @@ class TestCacheEntryStates:
         assert reloaded.rejoins == conv_rejoins
         assert "derived" not in next(iter(cache._entries.values())).as_state()
 
-    def test_a_handed_in_cache_is_refused_with_custom_monitors(self, tmp_path):
+    def test_a_handed_in_cache_misses_under_other_custom_monitors(self, tmp_path, monkeypatch):
         # Filled without custom monitors, every entry reads clean; under
-        # RangeMonitor(10.0) some of those golden passes would not be.
+        # RangeMonitor(10.0) some of those golden passes are not.  The key
+        # names the monitors, so the monitored campaign misses every entry.
+        events = []
+        consume = ClassificationTask.consume
+
+        def recording(self, ctx):
+            events.append(ctx.monitor.custom_events)
+            consume(self, ctx)
+
+        monkeypatch.setattr(ClassificationTask, "consume", recording)
         cache = GoldenCache()
         run(_spec("lenet5", "weights", tmp_path / "plain"), Artifacts(golden_cache=cache))
-        before = cache.stats()
-        assert before["entries"] == IMAGES
-        monitored = Artifacts(golden_cache=cache, custom_monitors=MIXED.custom_monitors)
-        with pytest.raises(ValueError, match="golden_cache cannot be combined with custom_monitors"):
-            run(_spec("lenet5", "weights", tmp_path / "monitored"), monitored)
-        assert cache.stats() == before
+        assert (cache.stats()["entries"], cache.misses) == (IMAGES, IMAGES)
+        events.clear()
+        handed = run(
+            _spec("lenet5", "weights", tmp_path / "monitored"),
+            dataclasses.replace(MIXED, golden_cache=cache),
+        )
+        assert (cache.stats()["entries"], cache.misses) == (2 * IMAGES, 2 * IMAGES)
+        handed_events = list(events)
+        events.clear()
+        fresh = run(_spec("lenet5", "weights", tmp_path / "fresh"), MIXED)
+        assert _result_bytes(handed) == _result_bytes(fresh)
+        assert handed_events == events and any(handed_events)
 
     def test_evicted_entry_takes_its_memo_with_it(self):
         cache = GoldenCache(byte_budget=1)

@@ -569,7 +569,7 @@ class TestGoldenSharing:
         assert extended.golden_cache_stats["misses"] == IMAGES
 
     def test_points_and_entries_of_other_kernels_are_misses(self, tmp_path, monkeypatch, naive):
-        # The weights fingerprint covers the parameters, not the arithmetic:
+        # The model identity covers the model, not the arithmetic:
         # what another generation of ``repro.nn.functional`` wrote into a store
         # or a spill directory must never be served.
         store = CampaignStore(tmp_path / "store")
