@@ -268,14 +268,11 @@ def test_prefix_reuse_vs_full_forward(benchmark, vgg_model, tmp_path):
     )
 
 
-def test_sharded_vs_serial_scaling(benchmark, vgg_model, tmp_path):
-    """Sharded executor vs serial path on a multi-group VGG-16 campaign.
+def _sharded_and_serial(vgg_model, tmp_path, timed=lambda run: run()):
+    """A multi-group VGG-16 campaign run sharded (through ``timed``), then serially.
 
-    The sharded run must be bit-identical to the serial run (byte-equal
-    record files, equal KPI summaries); on multi-core machines it must also
-    be faster.  Single-core machines (where a worker pool cannot win by
-    construction) still verify the equivalence and report the measured
-    ratio.
+    Returns ``(workers, images, run, (sharded_seconds, sharded), (serial_seconds,
+    serial))``; ``run(sub, workers, shards)`` runs and times the campaign again.
     """
     # Sized for a serial run of >= 1.5 s: a pool pays ~0.1 s of fork, fsync and
     # poll cost per shard wave, which a 0.3 s campaign cannot win back.
@@ -300,8 +297,48 @@ def test_sharded_vs_serial_scaling(benchmark, vgg_model, tmp_path):
         # partition + merge machinery with two in-process shards.
         return run(f"sharded_{workers}", workers, max(workers, 2))
 
-    sharded_seconds, sharded = benchmark.pedantic(sharded_run, rounds=1, iterations=1)
-    serial_seconds, serial = run("serial", 1, 1)
+    sharded = timed(sharded_run)
+    serial = run("serial", 1, 1)
+    return workers, images, run, sharded, serial
+
+
+@pytest.mark.timing
+def test_sharded_beats_serial(vgg_model, tmp_path):
+    """On a multi-core machine the sharded executor is faster than the serial path.
+
+    A wall-clock claim, so host load can fail it: tier-1 deselects the
+    ``timing`` marker, and CI's bench job runs it.  The end-to-end claim is
+    carried by ``det_weights_sharded``'s paired ``wall_s`` (``benchmarks/e2e``).
+    """
+    workers, _, run, (sharded_seconds, _), (serial_seconds, _) = _sharded_and_serial(
+        vgg_model, tmp_path
+    )
+    if workers == 1:
+        pytest.skip("a worker pool cannot beat the serial path on one core")
+    speedup = serial_seconds / sharded_seconds
+    if speedup <= 1:
+        # Shield against a cold first run or transient machine load: one
+        # re-measurement of the sharded path before judging the scaling claim.
+        sharded_seconds, _ = run("sharded_retry", workers, workers)
+        speedup = serial_seconds / sharded_seconds
+    assert speedup > 1, (
+        f"sharded executor ({workers} workers, {sharded_seconds:.2f}s) did not beat "
+        f"the serial path ({serial_seconds:.2f}s)"
+    )
+
+
+def test_sharded_vs_serial_scaling(benchmark, vgg_model, tmp_path):
+    """Sharded executor vs serial path on a multi-group VGG-16 campaign.
+
+    The sharded run must be bit-identical to the serial run (byte-equal
+    record files, equal KPI summaries); the measured ratio is reported
+    (:func:`test_sharded_beats_serial` judges it).
+    """
+    workers, images, _, (sharded_seconds, sharded), (serial_seconds, serial) = (
+        _sharded_and_serial(
+            vgg_model, tmp_path, lambda run: benchmark.pedantic(run, rounds=1, iterations=1)
+        )
+    )
 
     # Acceptance: workers=N output is bit-identical to workers=1.
     for tag in ("golden_csv", "corrupted_csv", "applied_faults", "faults"):
@@ -314,16 +351,6 @@ def test_sharded_vs_serial_scaling(benchmark, vgg_model, tmp_path):
     assert serial_kpis == sharded_kpis
 
     speedup = serial_seconds / sharded_seconds
-    if workers > 1 and speedup <= 1:
-        # Shield against a cold first run or transient machine load: one
-        # re-measurement of the sharded path before judging the scaling claim.
-        sharded_seconds, _ = run("sharded_retry", workers, workers)
-        speedup = serial_seconds / sharded_seconds
-    if workers > 1:
-        assert speedup > 1, (
-            f"sharded executor ({workers} workers, {sharded_seconds:.2f}s) did not beat "
-            f"the serial path ({serial_seconds:.2f}s)"
-        )
     report(
         "scale_sharded_executor",
         comparison_table(

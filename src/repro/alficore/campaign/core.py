@@ -3,19 +3,28 @@
 Dataset iteration, golden/faulty lock-step inference over the clone-free
 fault group sessions and the stream lifecycle.  A campaign is a list of
 *lanes* — the model under test and, optionally, its hardened ("resil")
-variant under the same faults.  A lane is one model object with one wrapper,
-one forward plan and (the primary lane) one monitor: its golden and its
-faulty pass run on that same object, which the lane's fault groups patch or
-hook while they are open.  Outputs are interpreted by the
+variant under the same faults.  A lane is one model object with one forward
+plan and (the primary lane) one monitor: its golden and its faulty pass run
+on that same object, which the fault groups patch or hook while they are
+open.  Outputs are interpreted by the
 :class:`~repro.alficore.campaign.tasks.CampaignTask` the core is given.
+
+A core runs a *group* of campaigns, its *points*, in one pass over the
+images (a core built for one campaign is the group of one).  The points
+share the lanes and the geometry (dataset, batch size, epochs, policy); each
+has its own scenario, wrappers, fault groups, task and writer.  A step's
+golden pass runs, or is looked up, once for every point, and each point's
+faulty pass of the step runs from it: a sweep over fault scenarios reads
+every image once.
 
 The unit of execution is a *block*: up to :data:`_BLOCK_ROWS` rows of
 consecutive steps of one lane, within one epoch and one ``run(start, stop)``
 range (``per_image``: 16 steps).  Row *i* of a batched forward is the forward
 of sample *i* alone, so the block's golden passes run as one stacked pass,
-cut back into one entry per step, and its faulty passes share one stacked
-suffix.  A lane that may not stack runs blocks of one step, through the same
-code.
+cut back into one entry per step, and the faulty passes of its steps and
+points share stacked suffixes of up to :data:`_BLOCK_ROWS` rows each.  A lane
+that may not stack runs blocks of one step and one faulty pass at a time,
+through the same code.
 
 Every faulty pass of a planned model runs ``[first, rejoin)``: from the
 group's first faulted segment — a golden checkpoint, or the input batch for
@@ -129,14 +138,20 @@ def _epoch_segments(start: int, stop: int, num_batches: int) -> Iterator[tuple[i
         step = segment_stop
 
 
+def _geometry(scenario: ScenarioConfig, shuffle: bool) -> tuple:
+    """What a scenario decides of a campaign's steps: their images, their order, their groups."""
+    seed = scenario.random_seed if shuffle else None
+    return scenario.dataset_size, scenario.batch_size, scenario.num_runs, scenario.inj_policy, seed
+
+
 @dataclass
 class _Lane:
     """One model of a campaign and everything the campaign keeps per model."""
 
-    #: first element of the lane's golden-cache keys
+    #: first element of the lane's golden-cache keys, and the key of the
+    #: lane's wrapper in every point's :attr:`_Point.wrappers`
     name: str
     model: Module
-    wrapper: ptfiwrap
     #: NaN/Inf + custom monitor, attached on the lane's first step, enabled
     #: only for passes whose events are consumed (the resil lane has none)
     monitor: InferenceMonitor | None
@@ -145,9 +160,10 @@ class _Lane:
     plan: ForwardPlan | None = None
     #: whether :attr:`plan` was looked up in this run
     planned: bool = False
-    #: Boundaries a fault group of ``wrapper`` can resume at, ascending: the
-    #: segments holding an injectable layer, hence the only ones a cached
-    #: golden pass checkpoints (boundary 0 is the input batch and needs none).
+    #: Boundaries a fault group of the lane's wrapper of any point can resume
+    #: at, ascending: the segments holding an injectable layer, hence the only
+    #: ones a cached golden pass checkpoints (boundary 0 is the input batch
+    #: and needs none).
     resumable: tuple[int, ...] = ()
     #: The model's identity (:func:`model_fingerprint`: its state, module
     #: types and plain attributes), taken when a run starts: what the head
@@ -172,6 +188,21 @@ class _Lane:
     verdicts: dict[str, bool] = field(default_factory=dict)
 
 
+@dataclass(eq=False)
+class _Point:
+    """One campaign of a core's group, and everything the core keeps per campaign."""
+
+    scenario: ScenarioConfig
+    #: per lane name, the wrapper whose fault matrix the point injects there
+    wrappers: dict[str, ptfiwrap]
+    task: CampaignTask
+    writer: CampaignResultWriter | None
+    #: overrides the error model derived from the scenario
+    error_model: ErrorModel | None
+    #: ``{tag: path}`` of the record files the last :meth:`CampaignCore.run` wrote
+    streams: dict[str, str] = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class StepPlan:
     """The shortcuts one lane's step may take (see :meth:`CampaignCore._step_plan`).
@@ -194,7 +225,7 @@ class StepPlan:
     seed: tuple[int, np.ndarray] | None
 
 
-@dataclass
+@dataclass(eq=False)
 class _Step:
     """One batch step of a campaign, as a block holds it."""
 
@@ -202,8 +233,8 @@ class _Step:
     epoch: int
     #: global step index
     index: int
-    #: the step's fault group of every lane
-    groups: list
+    #: per point, the step's fault group of every lane (by lane name)
+    groups: list[dict[str, object]]
     group_index: int
     collect_applied: bool
     #: the stacked images of ``batch``
@@ -214,18 +245,19 @@ class _Step:
 
 @dataclass(eq=False)
 class _LaneStep:
-    """One lane's share of a step while its block runs."""
+    """One lane's share of a step of one point while its block runs."""
 
     step: _Step
+    point: _Point
     group: object
     plan: StepPlan
-    #: the golden pass (cached or transient) and the activation the faulty
-    #: pass resumes from (``None``: the step has no span)
+    #: the step's golden pass (cached or transient, shared by its points)
+    #: and the activation the faulty pass resumes from (``None``: the step
+    #: has no span)
     entry: GoldenCacheEntry | None = None
     boundary: object = None
-    #: the golden pass's cache key, and the ``(index, checkpoint)`` its
-    #: cached entry lacked (see :meth:`CampaignCore._settle`)
-    key: tuple | None = None
+    #: the ``(index, checkpoint)`` the step's cached entry lacked (see
+    #: :meth:`CampaignCore._settle`)
     added: tuple[int, object] | None = None
     #: a neuron group's generator state as the step entered the group (see
     #: :meth:`CampaignCore._alone`)
@@ -239,8 +271,13 @@ class _LaneStep:
 
 
 #: Rows of one block: up to this many images of consecutive steps of a lane
-#: share one stacked golden pass and one stacked faulty suffix.
+#: share one stacked golden pass, and up to this many rows of its faulty
+#: passes one stacked suffix.
 _BLOCK_ROWS = 16
+
+#: Points one core runs at most: each keeps its record streams open while the
+#: group runs.
+MAX_POINTS = _BLOCK_ROWS
 
 #: What a shortcut's first use showed when it differed from the plain pass.
 _MISMATCH = {
@@ -275,9 +312,15 @@ class CampaignCore:
     golden/faulty lock-step inference on each lane (``lanes[0]``: the model
     under test, ``lanes[1]``: the optional hardened one), their fault group
     sessions, plans and monitor, and the stream lifecycle — and delegates all
-    output interpretation to a :class:`CampaignTask`.  A sharded campaign runs
-    copies of it (:meth:`for_shard`), each on its own step range
-    (``run(start, stop)``).
+    output interpretation to a :class:`CampaignTask`.  It runs a group of
+    campaigns, its ``points``: the arguments below are the first one's, and
+    :meth:`add_point` adds campaigns that differ from it in their faults
+    only.  Per *lane* the core keeps the model, its monitor, plan, identity,
+    golden-cache head and shortcut verdicts; per *point* the scenario, the
+    wrappers, the task and the writer.  ``task``, ``writer``, ``scenario``,
+    ``wrapper`` and ``resil_wrapper`` are the first point's.  A sharded
+    campaign (a group of one) runs copies of it (:meth:`for_shard`), each on
+    its own step range (``run(start, stop)``).
 
     Args:
         model: the fault-free baseline model.  Fault groups patch its weights
@@ -316,8 +359,8 @@ class CampaignCore:
             reused by later suffix-only faulty passes.  A cache handed in is
             always used (by every lane that has an identity, see
             :func:`model_fingerprint`): it may be shared with other campaigns
-            (a sweep passes one cache to every grid point), whose entries its
-            keys tell apart.
+            (a sweep passes one cache to every group of grid points), whose
+            entries its keys tell apart.
     """
 
     def __init__(
@@ -340,37 +383,15 @@ class CampaignCore:
             raise ValueError("a non-empty dataset is required to run a campaign")
         self.model = model.eval()
         self.dataset = dataset
-        self.task = task
-        self.scenario = normalize_campaign_scenario(scenario, dataset)
-        self.writer = writer
         self.input_shape = tuple(input_shape)
         self.custom_monitors = list(custom_monitors or [])
         self.dl_shuffle = dl_shuffle
-        self._error_model = error_model
-        self.wrapper = (
-            wrapper
-            if wrapper is not None
-            else ptfiwrap(model, scenario=self.scenario, input_shape=self.input_shape)
-        )
-        if self.wrapper.model is not self.model:
-            raise ValueError(
-                "the wrapper is built over another model object than the campaign's: "
-                "its faults would land on a model the campaign never runs"
-            )
         self.resil_model = resil_model.eval() if resil_model is not None else None
-        self.resil_wrapper = None
-        if self.resil_model is not None:
-            self.resil_wrapper = ptfiwrap(
-                self.resil_model,
-                scenario=self.wrapper.get_scenario(),
-                input_shape=self.wrapper.input_shape,
-                fault_matrix=self.wrapper.get_fault_matrix(),
-            )
         monitor = InferenceMonitor(self.model, custom_monitors=self.custom_monitors)
         monitor.enabled = False
-        self.lanes = [_Lane("golden", self.model, self.wrapper, monitor)]
+        self.lanes = [_Lane("golden", self.model, monitor)]
         if self.resil_model is not None:
-            self.lanes.append(_Lane("resil", self.resil_model, self.resil_wrapper, None))
+            self.lanes.append(_Lane("resil", self.resil_model, None))
         self.prefix_reuse = prefix_reuse
         self.golden_cache = golden_cache
         #: faulty passes that ended at a golden boundary (tail reuse), with or
@@ -382,6 +403,79 @@ class CampaignCore:
         #: from the head fit's features (a run's first one, which is checked
         #: against a full pass, is not counted)
         self.golden_seeded = 0
+        self.points: list[_Point] = []
+        self.add_point(task, scenario, writer, error_model, wrapper)
+
+    def add_point(
+        self,
+        task: CampaignTask,
+        scenario: ScenarioConfig | None = None,
+        writer: CampaignResultWriter | None = None,
+        error_model: ErrorModel | None = None,
+        wrapper: ptfiwrap | None = None,
+    ) -> None:
+        """Add a campaign that :meth:`run` runs with the others, in one pass over the images.
+
+        The arguments mean what they mean for the first point.  Its scenario
+        may differ from the first point's in the faults only: the images,
+        their order and the steps (``batch_size``, ``num_runs``,
+        ``inj_policy`` and, with ``dl_shuffle``, ``random_seed``) must be
+        the same (``ValueError`` otherwise), and a core holds at most
+        :data:`MAX_POINTS` points, one set of record streams each.
+        """
+        scenario = normalize_campaign_scenario(scenario, self.dataset)
+        if self.points:
+            if len(self.points) >= MAX_POINTS:
+                raise ValueError(f"a campaign group holds at most {MAX_POINTS} points")
+            if _geometry(scenario, self.dl_shuffle) != _geometry(self.scenario, self.dl_shuffle):
+                raise ValueError(
+                    "the points of a campaign group must step through the same images: "
+                    "batch_size, num_runs, inj_policy (and random_seed with dl_shuffle) "
+                    "must be equal"
+                )
+            if any(point.task is task for point in self.points):
+                raise ValueError("every point of a campaign group needs a task of its own")
+        if wrapper is None:
+            wrapper = ptfiwrap(self.model, scenario=scenario, input_shape=self.input_shape)
+        if wrapper.model is not self.model:
+            raise ValueError(
+                "the wrapper is built over another model object than the campaign's: "
+                "its faults would land on a model the campaign never runs"
+            )
+        wrappers = {"golden": wrapper}
+        if self.resil_model is not None:
+            wrappers["resil"] = ptfiwrap(
+                self.resil_model,
+                scenario=wrapper.get_scenario(),
+                input_shape=wrapper.input_shape,
+                fault_matrix=wrapper.get_fault_matrix(),
+            )
+        self.points.append(_Point(scenario, wrappers, task, writer, error_model))
+
+    @property
+    def task(self) -> CampaignTask:
+        """The first point's task."""
+        return self.points[0].task
+
+    @property
+    def writer(self) -> CampaignResultWriter | None:
+        """The first point's writer."""
+        return self.points[0].writer
+
+    @property
+    def scenario(self) -> ScenarioConfig:
+        """The first point's scenario; its geometry is every point's."""
+        return self.points[0].scenario
+
+    @property
+    def wrapper(self) -> ptfiwrap:
+        """The first point's wrapper of the model under test."""
+        return self.points[0].wrappers["golden"]
+
+    @property
+    def resil_wrapper(self) -> ptfiwrap | None:
+        """The first point's wrapper of the hardened model (``None``: no resil lane)."""
+        return self.points[0].wrappers.get("resil")
 
     def for_shard(
         self,
@@ -389,7 +483,7 @@ class CampaignCore:
         writer: CampaignResultWriter | None,
         golden_cache: GoldenCache | None,
     ) -> "CampaignCore":
-        """A copy of this core that runs a shard of the campaign.
+        """A copy of this core (a group of one) that runs a shard of the campaign.
 
         The copy shares every object of this core (model, dataset, scenario,
         wrappers, resil model, custom monitors, options), so the wrapper that
@@ -397,13 +491,15 @@ class CampaignCore:
         has its own ``task``, ``writer`` and ``golden_cache``, zero counters,
         and lanes that have learned nothing yet (no plan, verdicts or
         features): a plan holds its model by weak reference, so the copy
-        pickles for a worker process.
+        pickles for a worker process.  A group of several points does not
+        shard (``ValueError``).
         """
+        if len(self.points) != 1:
+            raise ValueError("a campaign group runs in one process: shard its points one by one")
         shard = copy.copy(self)
-        shard.task, shard.writer, shard.golden_cache = task, writer, golden_cache
-        shard.lanes = [
-            _Lane(lane.name, lane.model, lane.wrapper, lane.monitor) for lane in self.lanes
-        ]
+        shard.points = [replace(self.points[0], task=task, writer=writer, streams={})]
+        shard.golden_cache = golden_cache
+        shard.lanes = [_Lane(lane.name, lane.model, lane.monitor) for lane in self.lanes]
         shard.rejoins = shard.rows_skipped = shard.golden_seeded = 0
         return shard
 
@@ -441,10 +537,11 @@ class CampaignCore:
     # campaign execution
     # ------------------------------------------------------------------ #
     def run(self, start: int = 0, stop: int | None = None) -> dict[str, str]:
-        """Execute the steps ``[start, stop)`` of the campaign (all by default).
+        """Execute the steps ``[start, stop)`` of every point (all steps by default).
 
-        Results accumulate in ``self.task.state``; the returned dictionary
-        maps stream tags to the record files written (empty without writer).
+        Results accumulate in each point's ``task.state``, and each point's
+        ``streams`` maps stream tags to the record files written (empty
+        without writer).  Returns the first point's ``streams``.
         """
         total = self.total_steps
         stop = total if stop is None else min(stop, total)
@@ -454,7 +551,6 @@ class CampaignCore:
         per_epoch = policy is InjectionPolicy.PER_EPOCH
         loader = self.make_loader()
         group_start, group_stop = self._group_range(start, stop, policy)
-        iterators = []
         for lane in self.lanes:
             # The model or the monitors may have changed between runs of the
             # same core; the cache keys must reflect the state of this run.
@@ -466,21 +562,28 @@ class CampaignCore:
             # have changed in between); one that failed stays off.
             lane.verdicts = {kind: agreed for kind, agreed in lane.verdicts.items() if not agreed}
             lane.features = self._head_features(lane)
-            iterators.append(
-                lane.wrapper.get_fault_group_iter(
-                    self._error_model, start=group_start, stop=group_stop
+        iterators = [
+            {
+                lane.name: point.wrappers[lane.name].get_fault_group_iter(
+                    point.error_model, start=group_start, stop=group_stop
                 )
-            )
-        stream_paths = self.task.begin(self.writer, resil=self.resil_model is not None)
+                for lane in self.lanes
+            }
+            for point in self.points
+        ]
+        begun: list[_Point] = []
         try:
+            for point in self.points:
+                point.streams = point.task.begin(point.writer, resil=self.resil_model is not None)
+                begun.append(point)
             for epoch, first_batch, stop_batch in _epoch_segments(start, stop, self.num_batches):
                 if per_epoch:
-                    groups = [self._next_group(iterator) for iterator in iterators]
+                    groups = self._next_groups(iterators)
                 block: list[_Step] = []
                 for offset, batch in enumerate(loader.iter_batches(epoch, first_batch, stop_batch)):
                     step = epoch * self.num_batches + first_batch + offset
                     if not per_epoch:
-                        groups = [self._next_group(iterator) for iterator in iterators]
+                        groups = self._next_groups(iterators)
                     # The applied-fault log of an epoch group is collected
                     # exactly once, on the epoch's first (global) batch.
                     collect_applied = not per_epoch or first_batch + offset == 0
@@ -494,13 +597,22 @@ class CampaignCore:
                 if block:
                     self._run_block(block)
         finally:
-            self.task.end()
-            for iterator in iterators:
-                iterator.close()
+            for point in begun:
+                point.task.end()
+            for lanes in iterators:
+                for iterator in lanes.values():
+                    iterator.close()
             for lane in self.lanes:
                 if lane.monitor is not None:
                     lane.monitor.detach()
-        return stream_paths
+        return self.points[0].streams
+
+    def _next_groups(self, iterators: list[dict[str, Iterator]]) -> list[dict[str, object]]:
+        """The next fault group of every point and lane."""
+        return [
+            {name: self._next_group(iterator) for name, iterator in lanes.items()}
+            for lanes in iterators
+        ]
 
     @staticmethod
     def _next_group(groups: Iterator):
@@ -562,10 +674,12 @@ class CampaignCore:
             lane.plan = self._learned_plan(lane, images)
             lane.resumable = ()
             if lane.plan is not None:
-                neurons = self.scenario.injection_target == "neurons"
                 spans = (
-                    self._layer_span(lane.plan, layer.name, neurons)
-                    for layer in lane.wrapper.fault_injection.layers
+                    self._layer_span(
+                        lane.plan, layer.name, point.scenario.injection_target == "neurons"
+                    )
+                    for point in self.points
+                    for layer in point.wrappers[lane.name].fault_injection.layers
                 )
                 lane.resumable = tuple(sorted({span[0] for span in spans if span and span[0]}))
         return lane.plan
@@ -602,8 +716,8 @@ class CampaignCore:
         record = head_features(lane.model)
         return record if record is not None and lane.fingerprint == record.fingerprint else None
 
-    def _step_plan(self, lane: _Lane, group, images: np.ndarray) -> StepPlan:
-        """Decide which shortcuts the lane's step of ``group`` over ``images`` may take.
+    def _step_plan(self, lane: _Lane, point: _Point, group, images: np.ndarray) -> StepPlan:
+        """Decide which shortcuts the lane's step of ``point``'s ``group`` over ``images`` may take.
 
         The only place a shortcut is allowed or refused.  ``span`` is the
         group's :meth:`_faulted_span`.  ``rows`` are the rows a neuron
@@ -618,7 +732,7 @@ class CampaignCore:
         behind a clean one (see :meth:`_faulty_block`).
         """
         plan = self._plan_for(lane, images)
-        span = self._faulted_span(plan, lane.wrapper, group)
+        span = self._faulted_span(plan, point.wrappers[lane.name], group)
         custom = lane.monitor is not None and bool(lane.monitor.custom_monitors)
         allowed = {kind: not custom and lane.verdicts.get(kind) is not False for kind in _MISMATCH}
         rows = seed = None
@@ -707,72 +821,116 @@ class CampaignCore:
             and lane.verdicts.get("stack") is not False
         )
 
-    def _run_lane(
-        self, lane: _Lane, groups: list, steps: list[_Step]
-    ) -> list[_LaneStep]:
-        """One lane's share of a block of steps: per step, its golden entry and faulty pass.
+    def _run_lane(self, lane: _Lane, steps: list[_Step]) -> list[_LaneStep]:
+        """One lane's share of a block of steps: per step and point, its golden and faulty pass.
 
-        The steps run in order, as blocks of as many of them as the lane may
-        stack (:meth:`_stacks`), each through :meth:`_run_stack`, which
-        checks a shortcut's first use.  A step whose :class:`StepPlan` takes
-        a ``rows`` or ``seed`` shortcut still to be checked (see
-        :meth:`_unchecked`) runs as a block of one, and so does every step of
-        a lane that may not stack: through the same code.
+        Returns one :class:`_LaneStep` per step and point, step by step in
+        point order.  The steps run in order, as blocks of as many of them as
+        the lane may stack (:meth:`_stacks`), each through :meth:`_run_stack`,
+        which checks a shortcut's first use; a block holds every point of its
+        steps.  A step whose :class:`StepPlan` for any point takes a ``rows``
+        or ``seed`` shortcut still to be checked (see :meth:`_unchecked`) runs
+        as a block of one step, and so does every step of a lane that may not
+        stack: through the same code.
         """
+        points = len(self.points)
         done: list[_LaneStep] = []
-        while len(done) < len(steps):
+        while len(done) < len(steps) * points:
             todo: list[_LaneStep] = []
-            for step, group in zip(steps[len(done) :], groups[len(done) :]):
-                item = _LaneStep(step, group, self._step_plan(lane, group, step.images))
-                if todo and self._unchecked(lane, item.plan):
+            for step in steps[len(done) // points :]:
+                items = [
+                    _LaneStep(
+                        step,
+                        point,
+                        groups[lane.name],
+                        self._step_plan(lane, point, groups[lane.name], step.images),
+                    )
+                    for point, groups in zip(self.points, step.groups)
+                ]
+                unchecked = any(self._unchecked(lane, item.plan) for item in items)
+                if todo and unchecked:
                     break
-                todo.append(item)
+                todo += items
                 if lane.monitor is not None:
-                    # First step: the group iterator has registered the lane's
-                    # injection hooks by now, so the monitor's fire behind
-                    # them and scan the *corrupted* activation of a faulted
-                    # layer.
+                    # First step: the group iterators have registered the
+                    # lane's injection hooks by now, so the monitor's fire
+                    # behind them and scan the *corrupted* activation of a
+                    # faulted layer.
                     lane.monitor.attach()
-                if not self._stacks(lane) or self._unchecked(lane, item.plan):
+                if not self._stacks(lane) or unchecked:
                     break
             self._run_stack(lane, todo)
             done += todo
         return done
 
-    def _run_stack(self, lane: _Lane, todo: list[_LaneStep]) -> None:
-        """Run the steps ``todo`` of the lane as one block, check it, and count what it skipped.
+    def _faulty_stacks(self, lane: _Lane, todo: list[_LaneStep]) -> list[list[_LaneStep]]:
+        """``todo`` cut into the runs of items whose faulty passes share a stacked suffix.
 
-        The block runs as planned: golden side, then faulty side.  If it took
-        a shortcut whose first use this run is still to be checked (``rows``,
-        ``seed``, or a stack of several steps on either side), one of its
-        steps runs again without it (:meth:`_alone`) and keeps that plain
-        result: the step of a ``rows`` or ``seed`` shortcut (a block of one),
-        for a stack its first step whose suffix stayed in the stack to the
-        end.  ``seed`` holds if the two golden passes are equal, ``rows`` if
-        the faulty passes are as well (behind unequal golden passes it stays
-        unchecked), a stack if both are.  A stack that differs runs every
-        step again alone.
+        Consecutive items of up to :data:`_BLOCK_ROWS` rows together; one
+        item each on a lane that may not stack.
+        """
+        if not self._stacks(lane):
+            return [[item] for item in todo]
+        stacks: list[list[_LaneStep]] = []
+        rows = _BLOCK_ROWS
+        for item in todo:
+            size = len(item.step.batch)
+            if rows + size > _BLOCK_ROWS:
+                stacks.append([])
+                rows = 0
+            stacks[-1].append(item)
+            rows += size
+        return stacks
+
+    def _run_stack(self, lane: _Lane, todo: list[_LaneStep]) -> None:
+        """Run the items ``todo`` of the lane as one block, check it, and count what it skipped.
+
+        The block runs as planned: golden side, one pass per step for all of
+        its points, then faulty side, in stacks of up to :data:`_BLOCK_ROWS`
+        rows (:meth:`_faulty_stacks`).  If it took a shortcut whose first use
+        this run is still to be checked (``rows``, ``seed``, or a stack of
+        several steps or passes on either side), one of its items runs again
+        without it (:meth:`_alone`) and keeps that plain result: one that
+        took ``rows`` if that is checked; for a stack, the first whose step's
+        golden pass ran and whose suffix stayed in the stack to the end.
+        ``seed`` holds if the two golden passes are equal, ``rows`` if the
+        faulty passes are as well (behind unequal golden passes it stays
+        unchecked), a stack if both are.  Every other item that took a
+        shortcut that differs runs again alone, without it.
         """
         computed = self._golden_block(lane, todo)
-        stacked = self._faulty_block(lane, todo)
-        taken = {
-            "rows": any(item.plan.rows is not None for item in todo),
-            "seed": any(item.plan.seed is not None for item in computed),
-            "stack": len(computed) > 1 or len(stacked) > 1,
+        stacked: list[_LaneStep] = []
+        for items in self._faulty_stacks(lane, todo):
+            suffixes = self._faulty_block(lane, items)
+            if len(suffixes) > 1:
+                stacked += suffixes
+
+        def took(item: _LaneStep, kind: str) -> bool:
+            """Whether ``item`` took shortcut ``kind`` in this block."""
+            if kind == "rows":
+                return item.plan.rows is not None
+            if kind == "seed":
+                return item.plan.seed is not None and item.step in computed
+            return len(computed) > 1 or item in stacked
+
+        kinds = {
+            kind
+            for kind in _MISMATCH
+            if kind not in lane.verdicts and any(took(item, kind) for item in todo)
         }
-        kinds = {kind for kind, took in taken.items() if took and kind not in lane.verdicts}
         if kinds:
 
             def golden(item: _LaneStep) -> bool:
                 """Whether the plain run of ``item`` runs its golden pass again."""
-                return item in computed and ("seed" in kinds or len(computed) > 1)
+                return item.step in computed and ("seed" in kinds or len(computed) > 1)
 
             item = min(
                 todo,
-                key=lambda step: (
-                    len(computed) > 1 and step not in computed,
-                    len(stacked) > 1 and step not in stacked,
-                    step.rejoined,
+                key=lambda other: (
+                    "rows" in kinds and not took(other, "rows"),
+                    len(computed) > 1 and other.step not in computed,
+                    bool(stacked) and other not in stacked,
+                    other.rejoined,
                 ),
             )
             twin, same_golden = self._alone(lane, item, kinds, golden(item))
@@ -784,14 +942,17 @@ class CampaignCore:
             for kind in _MISMATCH:
                 if kind in kinds and (same_golden or kind != "rows"):
                     self._verdict(lane, kind, same_golden if kind == "seed" else same)
+            failed = {kind for kind in kinds if lane.verdicts.get(kind) is False}
             todo[todo.index(item)] = twin
-            if "stack" in kinds and not same:
+            if failed:
                 todo[:] = [
-                    step if step is twin else self._alone(lane, step, {"stack"}, golden(step))[0]
-                    for step in todo
+                    self._alone(lane, other, failed, golden(other))[0]
+                    if other is not twin and any(took(other, kind) for kind in failed)
+                    else other
+                    for other in todo
                 ]
+        self.golden_seeded += len({id(item.step) for item in todo if item.plan.seed is not None})
         for item in todo:
-            self.golden_seeded += item.plan.seed is not None
             if item.plan.rows is not None:
                 self.rows_skipped += len(item.step.batch) - len(item.plan.rows)
             if item.rejoined:
@@ -821,10 +982,9 @@ class CampaignCore:
             rows=None if "rows" in kinds else item.plan.rows,
             seed=None if "seed" in kinds else item.plan.seed,
         )
-        twin = _LaneStep(item.step, item.group, plan)
+        twin = _LaneStep(item.step, item.point, item.group, plan)
         if not golden:
-            twin.entry, twin.boundary = item.entry, item.boundary
-            twin.key, twin.added = item.key, item.added
+            twin.entry, twin.boundary, twin.added = item.entry, item.boundary, item.added
         self._golden_block(lane, [twin])
         same_golden = _same_golden(item.entry, twin.entry)
         item.entry = item.boundary = None
@@ -841,82 +1001,99 @@ class CampaignCore:
     # ------------------------------------------------------------------ #
     # golden side
     # ------------------------------------------------------------------ #
-    def _golden_block(self, lane: _Lane, todo: list[_LaneStep]) -> list[_LaneStep]:
+    def _golden_block(self, lane: _Lane, todo: list[_LaneStep]) -> list[_Step]:
         """Fetch or run the golden passes of ``todo``; fill in ``entry`` and ``boundary``.
 
-        A step that holds an entry already (the plain run of a step, sharing
-        its golden pass, see :meth:`_alone`) keeps it.  Every other step
-        looks its entry up in the cache, without counting the lookup: the
-        block's counted lookups and insertions follow once every lane has run
-        it (:meth:`_settle`).  The misses (without a cache: every step) run
-        as one stacked :meth:`_golden_passes` (two: the seeded ones and the
-        others), which records the union of the checkpoints they need and is
-        cut back into one owned entry per step.  ``boundary`` is the
-        activation the step's faulty pass resumes from: ``images`` for a
-        ``span`` that starts in segment 0, the checkpoint of boundary
-        ``span[0]`` otherwise (``None``: the step has no span).  A seeded
-        pass gives the same entries without running the segments between
-        those checkpoints and the head.
+        A step's golden pass is looked up or run once, and its items (one
+        per point) share the entry.  An item that holds an entry already
+        (the plain run of a step, sharing its golden pass, see
+        :meth:`_alone`) keeps it.  Every other step looks its entry up in the
+        cache, without counting the lookup: the block's counted lookups and
+        insertions follow once every lane has run it (:meth:`_settle`).  The
+        misses (without a cache: every step) run as one stacked
+        :meth:`_golden_passes` (two: the seeded ones and the others), which
+        records the union of the checkpoints their items need and is cut
+        back into one owned entry per step.  ``boundary`` is the activation
+        the item's faulty pass resumes from: ``images`` for a ``span`` that
+        starts in segment 0, the checkpoint of boundary ``span[0]`` otherwise
+        (``None``: the item has no span).  A seeded pass gives the same
+        entries without running the segments between those checkpoints and
+        the head.
 
         Returns the steps whose golden pass ran.
         """
         cache = lane.cache
-        items: list[_LaneStep] = []
+        looked: dict[int, GoldenCacheEntry | None] = {}
+        runs: dict[int, list[_LaneStep]] = {}
         for item in todo:
             if item.entry is not None:
                 continue
-            if cache is not None:
-                item.key = lane.head + item.step.cache_key
-                item.entry = cache.peek(item.key)
+            step = item.step
+            if id(step) not in looked:
+                looked[id(step)] = (
+                    cache.peek(lane.head + step.cache_key) if cache is not None else None
+                )
+            item.entry = looked[id(step)]
             if item.entry is None:
-                items.append(item)
+                runs.setdefault(id(step), []).append(item)
             else:
                 item.boundary = self._cached_boundary(lane, item)
+        steps = list(runs.values())
         if lane.plan is None:
-            for item in items:
-                item.entry = GoldenCacheEntry(
-                    self.task.infer(lane.model, item.step.images, item.step.batch)
-                )
-            return items
+            for items in steps:
+                step, task = items[0].step, items[0].point.task
+                entry = GoldenCacheEntry(task.infer(lane.model, step.images, step.batch))
+                for item in items:
+                    item.entry = entry
+            return [items[0].step for items in steps]
         # The monitor scan on the golden pass is only paid when something
         # reads ``clean``: a planned faulty pass (it may skip segments only
         # behind a clean golden pass) or a cache recording.
-        scanned = cache is not None or any(item.plan.span is not None for item in items)
+        scanned = cache is not None or any(
+            item.plan.span is not None for items in steps for item in items
+        )
         monitor = lane.monitor if scanned else None
         # Seeded and full golden passes run as one stack each.
         for seeded in (True, False):
-            part = [item for item in items if (item.plan.seed is not None) is seeded]
+            part = [items for items in steps if (items[0].plan.seed is not None) is seeded]
             if not part:
                 continue
-            for item, (output, checkpoints, clean) in zip(
+            for items, (output, checkpoints, clean) in zip(
                 part, self._golden_passes(lane, part, monitor)
             ):
-                item.entry = GoldenCacheEntry(output, checkpoints, clean)
-                span = item.plan.span
-                if span is not None:
-                    item.boundary = item.step.images if span[0] == 0 else checkpoints.get(span[0])
-        return items
+                entry = GoldenCacheEntry(output, checkpoints, clean)
+                for item in items:
+                    item.entry = entry
+                    span = item.plan.span
+                    if span is not None:
+                        item.boundary = (
+                            item.step.images if span[0] == 0 else checkpoints.get(span[0])
+                        )
+        return [items[0].step for items in steps]
 
-    def _wanted(self, lane: _Lane, item: _LaneStep) -> tuple[int, ...]:
-        """The boundaries the golden pass of ``item`` checkpoints.
+    def _wanted(self, lane: _Lane, items: list[_LaneStep]) -> tuple[int, ...]:
+        """The boundaries the golden pass of a step checkpoints for its ``items``.
 
         With a cache every boundary a fault group can resume at, so later
         epochs and grid points need no prefix pass; the transient path
-        records this step's two (boundary 0 is ``images``, a resume point
-        past the last resumable boundary has nothing behind it).
+        records the two of each item (boundary 0 is ``images``, a resume
+        point past the last resumable boundary has nothing behind it).
         """
         if lane.cache is not None:
             return lane.resumable
-        span = item.plan.span
-        if span is None:
-            return ()
-        behind = next((index for index in lane.resumable if index > span[1]), None)
-        return tuple(index for index in (span[0], behind) if index)
+        wanted: set[int] = set()
+        for item in items:
+            span = item.plan.span
+            if span is None:
+                continue
+            behind = next((index for index in lane.resumable if index > span[1]), None)
+            wanted.update(index for index in (span[0], behind) if index)
+        return tuple(sorted(wanted))
 
     def _golden_passes(
-        self, lane: _Lane, items: list[_LaneStep], monitor: InferenceMonitor | None
+        self, lane: _Lane, steps: list[list[_LaneStep]], monitor: InferenceMonitor | None
     ) -> list[tuple[object, dict, bool]]:
-        """The golden passes of ``items`` as one stacked pass, cut back into one per step.
+        """The golden passes of ``steps`` (each: its items) as one stacked pass, cut back per step.
 
         The pass resumes at the head from the steps' stacked features if
         every step is seeded.  Returns ``(output, checkpoints, clean)`` per
@@ -926,15 +1103,16 @@ class CampaignCore:
         rows; any other lane runs blocks of one step (see :meth:`_stacks`).
         """
         plan = lane.plan
-        wanted = [self._wanted(lane, item) for item in items]
-        seed = _stacked_seed(items)
-        sizes = [len(item.step.images) for item in items]
-        events = [MonitorResult() for _ in items]
+        firsts = [items[0] for items in steps]
+        wanted = [self._wanted(lane, items) for items in steps]
+        seed = _stacked_seed(firsts)
+        sizes = [len(item.step.images) for item in firsts]
+        events = [MonitorResult() for _ in firsts]
         with _scanning(monitor):
             if monitor is not None:
                 monitor.split(events, sizes)
             if plan.stackable:
-                images = [item.step.images for item in items]
+                images = [item.step.images for item in firsts]
                 outputs, checkpoints = plan.run_recording(
                     images[0] if len(images) == 1 else np.concatenate(images),
                     wanted,
@@ -942,7 +1120,7 @@ class CampaignCore:
                     sizes=sizes,
                 )
             else:
-                (item,) = items
+                (item,) = firsts
                 output, recorded = plan.run_recording(item.step.images, wanted[0], seed=seed)
                 outputs, checkpoints = [output], [recorded]
         clean = [monitor is None or result.clean for result in events]
@@ -991,13 +1169,13 @@ class CampaignCore:
 
         Returns the steps whose suffixes ran in the stack.
         """
-        task, monitor = self.task, lane.monitor
+        monitor = lane.monitor
         # Per planned pass: its suffix and the suffix's (output, rejoined_at),
         # once run; the passes of ``stacked`` run theirs as one stack.
         passes: list[tuple[_LaneStep, StackedPass, tuple | None]] = []
         stacked: list[tuple[_LaneStep, StackedPass]] = []
         for item in todo:
-            step, group, entry = item.step, item.group, item.entry
+            step, group, entry, task = item.step, item.group, item.entry, item.point.task
             span = item.plan.span if entry.clean else None
             rows = None
             if span is not None and isinstance(item.boundary, np.ndarray):
@@ -1041,6 +1219,7 @@ class CampaignCore:
             events = [item.events for item, _ in stacked]
             results = iter(self._suffix(lane, [suffix for _, suffix in stacked], events))
         for item, suffix, result in passes:
+            task = item.point.task
             value, rejoined_at = next(results) if result is None else result
             output = task.finish(value)
             item.rejoined = rejoined_at is not None
@@ -1089,27 +1268,31 @@ class CampaignCore:
             batch, epoch, index, list(groups), group_index, collect_applied, images, cache_key
         )
 
-    def _settle(self, cache: GoldenCache, item: _LaneStep) -> None:
-        """Make the cache lookup and insertion of ``item``'s golden pass.
+    def _settle(self, lane: _Lane, items: list[_LaneStep]) -> None:
+        """Make the cache lookup and insertion of the golden pass of one step's ``items``.
 
         :meth:`_golden_block` only peeks, and the block's lookups and
         insertions are made here, step by step and lane by lane: the order
-        in which steps run one at a time would make them.  So the cache's
-        counters and its LRU order do not depend on how steps are blocked.
-        A miss inserts the entry the step used (cached ones are evicted by
-        the insertions before, recorded ones are the block's own), a hit
-        receives the checkpoint the step computed, if any.  The task is
-        handed the cached entry, whose ``derived`` values later hits share.
+        in which steps run one at a time would make them, once per step
+        whatever the number of points.  So the cache's counters and its LRU
+        order do not depend on how steps are blocked.  A miss inserts the
+        entry the step used (cached ones are evicted by the insertions
+        before, recorded ones are the block's own), a hit receives the
+        checkpoints the items computed, if any.  The task is handed the
+        cached entry, whose ``derived`` values later hits share.
         """
-        entry = cache.get(item.key)
+        cache = lane.cache
+        key = lane.head + items[0].step.cache_key
+        added = dict(item.added for item in items if item.added is not None)
+        entry = cache.get(key)
         if entry is None:
-            boundaries = dict(item.entry.boundaries)
-            if item.added is not None:
-                boundaries.update([item.added])
-            entry = cache.put(item.key, item.entry.output, boundaries, item.entry.clean)
-        elif item.added is not None:
-            cache.add_boundary(item.key, *item.added)
-        item.entry = entry
+            golden = items[0].entry
+            entry = cache.put(key, golden.output, {**golden.boundaries, **added}, golden.clean)
+        else:
+            for index, value in added.items():
+                cache.add_boundary(key, index, value)
+        for item in items:
+            item.entry = entry
 
     def _block_steps(self) -> int:
         """Steps per block: enough for :data:`_BLOCK_ROWS` rows while a lane may stack them.
@@ -1122,45 +1305,44 @@ class CampaignCore:
         return max(1, _BLOCK_ROWS // self.scenario.batch_size)
 
     def _run_block(self, block: list[_Step]) -> None:
-        """Run a block of steps through every lane, then hand the task each step in order.
+        """Run a block of steps through every lane, then hand each point's task its steps in order.
 
         With a golden cache, the block's lookups and insertions are made in
         between (:meth:`_settle`).
         """
-        task = self.task
-        lanes = [
-            self._run_lane(lane, [step.groups[index] for step in block], block)
-            for index, lane in enumerate(self.lanes)
-        ]
+        points = len(self.points)
+        lanes = [self._run_lane(lane, block) for lane in self.lanes]
         for position in range(len(block)):
-            for lane, steps in zip(self.lanes, lanes):
+            for lane, items in zip(self.lanes, lanes):
                 if lane.cache is not None:
-                    self._settle(lane.cache, steps[position])
+                    self._settle(lane, items[position * points : (position + 1) * points])
         for position, step in enumerate(block):
-            primary = lanes[0][position]
-            resil_golden = resil_out = None
-            if len(lanes) > 1:
-                # The hardened model is judged against its *own* fault-free
-                # baseline, so that range clamping of rare fault-free
-                # activations is not misattributed to the injected fault.
-                resil = lanes[1][position]
-                resil_golden, resil_out = task.finish(resil.entry.output), resil.output
-            task.consume(
-                StepContext(
-                    batch=step.batch,
-                    epoch=step.epoch,
-                    step=step.index,
-                    group_index=step.group_index,
-                    golden=task.finish(primary.entry.output),
-                    corrupted=primary.output,
-                    applied=[fault.as_dict() for fault in primary.applied],
-                    monitor=primary.events,
-                    collect_applied=step.collect_applied,
-                    resil_golden=resil_golden,
-                    resil=resil_out,
-                    golden_derived=primary.entry.derived,
+            for index, point in enumerate(self.points):
+                task = point.task
+                primary = lanes[0][position * points + index]
+                resil_golden = resil_out = None
+                if len(lanes) > 1:
+                    # The hardened model is judged against its *own* fault-free
+                    # baseline, so that range clamping of rare fault-free
+                    # activations is not misattributed to the injected fault.
+                    resil = lanes[1][position * points + index]
+                    resil_golden, resil_out = task.finish(resil.entry.output), resil.output
+                task.consume(
+                    StepContext(
+                        batch=step.batch,
+                        epoch=step.epoch,
+                        step=step.index,
+                        group_index=step.group_index,
+                        golden=task.finish(primary.entry.output),
+                        corrupted=primary.output,
+                        applied=[fault.as_dict() for fault in primary.applied],
+                        monitor=primary.events,
+                        collect_applied=step.collect_applied,
+                        resil_golden=resil_golden,
+                        resil=resil_out,
+                        golden_derived=primary.entry.derived,
+                    )
                 )
-            )
 
 
 def _from_input(plan: ForwardPlan, last: int, golden, rows, joined: list, images):

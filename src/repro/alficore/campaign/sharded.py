@@ -22,6 +22,8 @@ from repro.alficore.resilience import (
     ShardSupervisor,
     atomic_write_pickle,
     commit_directory,
+    fsync_directory,
+    fsync_files,
 )
 from repro.alficore.results import CampaignResultWriter, merge_record_files
 
@@ -273,8 +275,10 @@ class ShardedCampaignExecutor:
             wip = Path(job.shard_dir)
             final = shards_root / f"shard_{index:02d}"
             files = {tag: Path(path).name for tag, path in stream_paths.items()}
-            # Written last: a shard directory with a readable payload holds
-            # everything a resumed run needs to merge it without re-running.
+            # Written last, behind the data of every record file: a shard
+            # directory with a readable payload holds everything a resumed
+            # run needs to merge it without re-running.
+            fsync_files(wip, files.values())
             atomic_write_pickle(
                 wip / self.SHARD_STATE_FILENAME,
                 {
@@ -285,6 +289,7 @@ class ShardedCampaignExecutor:
                     "stop": job.stop,
                 },
             )
+            fsync_directory(wip)
             commit_directory(wip, final)
             return index, state, {tag: str(final / name) for tag, name in files.items()}
 

@@ -24,7 +24,11 @@ layer below fixes that with two cooperating pieces:
   work-in-progress directory by rename and fsyncs its parent, and
   :func:`atomic_write_pickle` / :func:`atomic_replace_json` write single
   files the same way, so a reader sees the old or the new complete version,
-  never a partial write, even across a power loss.  A committed shard
+  never a partial write, even across a power loss.  A commit marker (a
+  shard's ``shard_state.pkl``, a sweep point's ``point.json``) is written
+  after :func:`fsync_files` made the data of every file it names durable,
+  and the directory is fsync'd before it is renamed, so no marker survives
+  a power loss that its files do not.  A committed shard
   directory is therefore its own record of completion: ``resume=True``
   merges the shards a previous run committed for the same campaign and
   re-runs the rest, byte-identically to an uninterrupted run, which is sound
@@ -48,7 +52,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import multiprocessing
 
@@ -146,7 +150,8 @@ class ExecutionPolicy:
 # --------------------------------------------------------------------------- #
 # atomic file helpers
 # --------------------------------------------------------------------------- #
-def _fsync_directory(path: Path) -> None:
+def fsync_directory(path: str | Path) -> None:
+    """fsync a directory: make the entries created, renamed or removed in it durable."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # e.g. platforms without directory fds
@@ -155,6 +160,20 @@ def _fsync_directory(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def fsync_files(directory: str | Path, names: Iterable[str | Path]) -> None:
+    """fsync the data of the files ``names`` of ``directory``.
+
+    A commit marker written after them can then name no file that a power
+    loss brings back empty.
+    """
+    for name in names:
+        fd = os.open(Path(directory) / name, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def atomic_replace_json(path: str | Path, document: Any) -> Path:
@@ -166,7 +185,7 @@ def atomic_replace_json(path: str | Path, document: Any) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
@@ -179,7 +198,7 @@ def atomic_replace_json(path: str | Path, document: Any) -> Path:
         except OSError:
             pass
         raise
-    _fsync_directory(path.parent)
+    fsync_directory(path.parent)
     return path
 
 
@@ -187,7 +206,7 @@ def atomic_write_pickle(path: str | Path, payload: Any) -> Path:
     """Pickle ``payload`` via fsync'd write-temp-then-rename (crash-safe)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
@@ -203,19 +222,21 @@ def atomic_write_pickle(path: str | Path, payload: Any) -> Path:
     return path
 
 
-def commit_directory(wip: str | Path, final: str | Path) -> Path:
+def commit_directory(wip: str | Path, final: str | Path, sync_parent: bool = True) -> Path:
     """Publish the finished directory ``wip`` as ``final`` (crash-safe).
 
     Whatever ``final`` held is replaced, ``wip`` is renamed into place and the
     parent directory is fsync'd, so after a crash or power loss ``final``
-    either does not exist or is complete.  Shard and sweep-point commits
-    both go through here.
+    either does not exist or is complete.  ``sync_parent=False`` leaves that
+    fsync to the caller, which publishes several directories with one.
+    Shard and sweep-point commits both go through here.
     """
     final = Path(final)
     if final.exists():
         shutil.rmtree(final)
     os.replace(wip, final)
-    _fsync_directory(final.parent)
+    if sync_parent:
+        fsync_directory(final.parent)
     return final
 
 

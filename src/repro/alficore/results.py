@@ -27,6 +27,7 @@ file back, one record at a time.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -121,6 +122,21 @@ def _json_default(value: Any) -> Any:
     return str(value)
 
 
+#: The one csv writer that formats the rows of every :class:`CsvRecordStream`:
+#: a ``csv.writer`` keeps a record buffer of tens of KiB, and a campaign group
+#: keeps a stream per point and record kind open at once.
+_ROW = io.StringIO()
+_ROW_WRITER = csv.writer(_ROW)
+
+
+def _csv_row(cells: Sequence) -> str:
+    """``cells`` as one CSV line, terminator included."""
+    _ROW.seek(0)
+    _ROW.truncate()
+    _ROW_WRITER.writerow(cells)
+    return _ROW.getvalue()
+
+
 class CsvRecordStream:
     """Incrementally write CSV rows (one record at a time).
 
@@ -137,17 +153,15 @@ class CsvRecordStream:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: IO[str] | None = None
-        self._writer: Any = None
         self._fieldnames = fieldnames
         self.num_records = 0
 
     def write(self, cells: list) -> None:
         """Append one finished row: its cells in column order."""
-        if self._writer is None:
+        if self._handle is None:
             self._handle = open(self.path, "w", newline="", encoding="utf-8")
-            self._writer = csv.writer(self._handle)
-            self._writer.writerow(self._fieldnames(len(cells)))
-        self._writer.writerow(cells)
+            self._handle.write(_csv_row(self._fieldnames(len(cells))))
+        self._handle.write(_csv_row(cells))
         self.num_records += 1
 
     def close(self) -> None:

@@ -122,6 +122,7 @@ def coco_annotations_to_json(dataset: CocoLikeDetectionDataset) -> dict:
     images = []
     annotations = []
     annotation_id = 1
+    targets = dataset.ground_truth()
     for index in range(len(dataset)):
         meta = dataset.metadata(index)
         images.append(
@@ -132,7 +133,7 @@ def coco_annotations_to_json(dataset: CocoLikeDetectionDataset) -> dict:
                 "width": meta["width"],
             }
         )
-        target = dataset.ground_truth()[index]
+        target = targets[index]
         for box, label in zip(target["boxes"], target["labels"]):
             x1, y1, x2, y2 = (float(v) for v in box)
             annotations.append(

@@ -4,16 +4,22 @@ A spec with a ``sweep:`` section (see
 :class:`~repro.experiments.spec.SweepSpec`) describes a *family* of
 campaigns: a cartesian grid over scenario/model/protection/task fields plus
 optional explicit extra points.  This module turns that declaration into a
-deterministic :class:`SweepPlan` of concrete child specs, executes the plan
-through the ordinary :func:`repro.experiments.run` path (so the supervised
-sharded backend's retry/timeout/backoff applies per point), and persists
-every completed point in a content-addressed
+deterministic :class:`SweepPlan` of concrete child specs and runs the points
+the store does not hold yet in *groups*: points that differ only in their
+faults (:func:`group_key`) run as one campaign over the images through
+:func:`repro.experiments.run`, each step's golden pass once for
+all of them, and every point's files are those a lone
+:func:`repro.experiments.run` of it writes.  Every completed point is
+persisted in a content-addressed
 :class:`~repro.experiments.campaigns.CampaignStore` — re-running a finished
 sweep recomputes **zero** points, and an interrupted sweep resumed with
-``resume=True`` produces a byte-identical aggregate table.  Every point of a
-sweep shares one :class:`~repro.alficore.goldencache.GoldenCache` (spilling
-to ``<store>/golden/``), so the fault-free pass of an image runs once per
-sweep, not once per grid point.
+``resume=True`` produces a byte-identical aggregate table.  A group that
+fails commits none of its points.  Every group of a sweep shares one
+:class:`~repro.alficore.goldencache.GoldenCache` (spilling to
+``<store>/golden/``), so the fault-free pass of an image runs once per
+sweep, not once per group.  Points that run as shards (``workers > 1``,
+``resume``) and points of the naive reference path (``caching:
+{prefix_reuse: false}``) run as groups of one, through the same code.
 
 Typical use::
 
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.alficore.campaign.core import MAX_POINTS
 from repro.alficore.digests import config_digest, model_fingerprint
 from repro.alficore.goldencache import DEFAULT_BYTE_BUDGET, GoldenCache
 from repro.experiments.campaigns.store import (
@@ -44,6 +51,29 @@ from repro.experiments.runner import Artifacts, run
 from repro.experiments.spec import ExperimentSpec
 
 TABLE_SCHEMA_VERSION = 1
+
+#: Scenario fields that choose a campaign's faults and nothing else the
+#: campaign reads: points that differ in these only run as one group.
+#: ``random_seed`` also seeds a shuffled loader, so with ``dl_shuffle`` it
+#: is not one of them.
+FAULT_FIELDS = frozenset(
+    {
+        "injection_target",
+        "rnd_value_type",
+        "rnd_bit_range",
+        "rnd_value_min",
+        "rnd_value_max",
+        "stuck_at_value",
+        "quantization",
+        "fault_persistence",
+        "max_faults_per_image",
+        "layer_types",
+        "layer_range",
+        "weighted_layer_selection",
+        "fault_file",
+        "random_seed",
+    }
+)
 
 
 class SweepError(RuntimeError):
@@ -282,7 +312,7 @@ class SweepResult:
     # aggregation
     # ------------------------------------------------------------------ #
     def table_columns(self) -> list[str]:
-        """Union of per-point summary keys, in first-appearance order."""
+        """``point``, ``run_id``, the axes in declaration order, then the sorted KPI columns."""
         kpi_columns: set[str] = set()
         for outcome in self.outcomes:
             kpi_columns.update(_flatten_summary(outcome.summary))
@@ -370,11 +400,53 @@ def _csv_cell(value: Any) -> str:
     return json.dumps(value)
 
 
-def _execute_point(
-    spec: ExperimentSpec, model: Any, dataset: Any, golden_cache: GoldenCache | None
-) -> CampaignResult:
-    """Run one grid point, under its :func:`_point_spec`, through the ordinary experiment path."""
-    return run(spec, Artifacts(model=model, dataset=dataset, golden_cache=golden_cache))
+def _execute_group(
+    specs: list[ExperimentSpec], model: Any, dataset: Any, golden_cache: GoldenCache | None
+) -> list[CampaignResult]:
+    """Run one group of grid points, under their :func:`_point_spec`, as one campaign."""
+    return run(specs, Artifacts(model=model, dataset=dataset, golden_cache=golden_cache))
+
+
+def group_key(spec: ExperimentSpec) -> str:
+    """What a point shares with the other points of its group: everything but its faults.
+
+    The digest of the spec's document without its ``name``, ``output_dir``
+    and scenario :data:`FAULT_FIELDS`.  Points of equal keys run on the same
+    model, dataset, task, protection, caching, batch size, policy and
+    epochs.
+    """
+    document = spec.as_dict()
+    for name in ("name", "output_dir", "sweep"):
+        document.pop(name)
+    faults = FAULT_FIELDS - ({"random_seed"} if spec.dl_shuffle else set())
+    document["scenario"] = {
+        name: value for name, value in document["scenario"].items() if name not in faults
+    }
+    return config_digest(document)
+
+
+def _groups(
+    pending: list[tuple[SweepPoint, ExperimentSpec]],
+) -> list[list[tuple[SweepPoint, ExperimentSpec]]]:
+    """The pending points, each with its child spec, cut into the groups that run as one.
+
+    Points of one :func:`group_key` form groups, in grid order, of at most
+    :data:`~repro.alficore.campaign.core.MAX_POINTS` points.  A point that
+    runs as shards, or on the naive reference path, is a group of one.
+    """
+    groups: list[list[tuple[SweepPoint, ExperimentSpec]]] = []
+    filling: dict[str, list[tuple[SweepPoint, ExperimentSpec]]] = {}
+    for point, child in pending:
+        if _runs_as_shards(child) or not child.caching.prefix_reuse:
+            groups.append([(point, child)])
+            continue
+        key = group_key(child)
+        group = filling.get(key)
+        if group is None or len(group) >= MAX_POINTS:
+            group = filling[key] = []
+            groups.append(group)
+        group.append((point, child))
+    return groups
 
 
 def _point_spec(
@@ -471,59 +543,67 @@ def run_sweep(
     emit = progress if progress is not None else (lambda line: None)
     campaign_store = resolve_store(spec, store)
     golden_cache = _shared_golden_cache(plan.base, campaign_store)
-    outcomes = []
-    sharded = False
+    outcomes: dict[int, SweepPointOutcome] = {}
+    pending = []
     for point in plan.points:
         run_id = point.run_id
         assert run_id is not None  # plan.resolve() filled it
         stored = campaign_store.lookup(run_id) if campaign_store is not None else None
         if stored is not None:
-            outcome = SweepPointOutcome(
+            outcomes[point.index] = SweepPointOutcome(
                 point=point, run_id=run_id, cached=True, summary=stored.summary,
                 stored=stored,
             )
             emit(f"point {point.index:>3} {run_id}  cached    {point.overrides}")
-        else:
-            model, dataset = plan.artifacts[point.index]
-            output_dir = (
-                campaign_store.begin(run_id, resume=resume)
-                if campaign_store is not None
-                else None
-            )
-            child = _point_spec(point, output_dir, workers, resume)
-            sharded |= _runs_as_shards(child)
-            # A failure here leaves the .wip directory in place: a later
-            # --resume merges the shards committed in it; a plain re-run
-            # discards it.
-            result = _execute_point(child, model, dataset, golden_cache)
+            continue
+        output_dir = campaign_store.wip_dir(run_id) if campaign_store is not None else None
+        pending.append((point, _point_spec(point, output_dir, workers, resume)))
+    sharded = False
+    for group in _groups(pending):
+        points = [point for point, _ in group]
+        model, dataset = plan.artifacts[points[0].index]
+        if campaign_store is not None:
+            for point in points:
+                campaign_store.begin(point.run_id, resume=resume)
+        sharded |= _runs_as_shards(group[0][1])
+        # A failure here commits none of the group's points and leaves their
+        # .wip directories in place: a later --resume merges the shards
+        # committed in them; a plain re-run discards them.
+        results = _execute_group([child for _, child in group], model, dataset, golden_cache)
+        for point, result in zip(points, results):
             if campaign_store is not None:
                 # The result's paths point into the .wip directory the commit
                 # renames away; the committed point is the one way back to it.
                 stored = campaign_store.commit(
-                    run_id,
+                    point.run_id,
                     result,
                     canonical_spec=canonical_spec_document(point.spec),
                     weights_fingerprint=plan.fingerprints[point.index],
                     overrides=point.overrides,
                 )
                 outcome = SweepPointOutcome(
-                    point=point, run_id=run_id, cached=False, summary=stored.summary,
+                    point=point, run_id=point.run_id, cached=False, summary=stored.summary,
                     stored=stored,
                 )
             else:
                 # Keep the records, not the engine: a core pins its wrappers,
-                # their fault matrix and its lanes' monitors for every point.
+                # their fault matrices and its lanes' monitors.
                 result.core = None
                 outcome = SweepPointOutcome(
-                    point=point, run_id=run_id, cached=False,
+                    point=point, run_id=point.run_id, cached=False,
                     summary=_json_value(result.summary), _result=result,
                 )
-            emit(f"point {point.index:>3} {run_id}  executed  {point.overrides}")
-        outcomes.append(outcome)
+            outcomes[point.index] = outcome
+        if campaign_store is not None:
+            # One fsync of the store root makes every rename of the group durable.
+            campaign_store.sync()
+        for point in points:
+            emit(f"point {point.index:>3} {point.run_id}  executed  {point.overrides}")
     # Shards open their own handles on the spill directory; their counts are
     # not this cache's.
     stats = golden_cache.stats() if golden_cache is not None and not sharded else None
-    sweep_result = SweepResult(plan, outcomes, campaign_store, golden_cache_stats=stats)
+    ordered = [outcomes[point.index] for point in plan.points]
+    sweep_result = SweepResult(plan, ordered, campaign_store, golden_cache_stats=stats)
     if campaign_store is not None:
         sweep_result.write_table(campaign_store.root)
     return sweep_result

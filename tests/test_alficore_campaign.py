@@ -9,7 +9,13 @@ import pytest
 
 import repro.alficore.campaign as campaign_package
 from benchmarks.conftest import run_campaign, run_streaming
-from repro.alficore import CampaignCore, CampaignResultWriter, ClassificationTask, default_scenario
+from repro.alficore import (
+    CampaignCore,
+    CampaignResultWriter,
+    ClassificationTask,
+    GoldenCache,
+    default_scenario,
+)
 from repro.alficore.campaign import ClassificationState, DetectionState, core, sharded, tasks
 from repro.alficore.monitoring import InferenceMonitor, RangeMonitor
 from repro.alficore.wrapper import ptfiwrap
@@ -307,6 +313,33 @@ def _task_raises_mid_run(core):
         core.run()
 
 
+def _with_the_other_target(core):
+    """Add a point of the other injection target, and a copy of the first point."""
+    scenario = core.scenario
+    other = "neurons" if scenario.injection_target == "weights" else "weights"
+    core.add_point(ClassificationTask(), scenario.copy(injection_target=other, random_seed=64))
+    core.add_point(ClassificationTask(), scenario)
+
+
+def _group(core):
+    _with_the_other_target(core)
+    core.run()
+
+
+def _group_raises_mid_run(core):
+    _with_the_other_target(core)
+    consume = core.points[1].task.consume
+
+    def failing(ctx):
+        if ctx.step == 4:
+            raise KeyError("the task gave up")
+        consume(ctx)
+
+    core.points[1].task.consume = failing
+    with pytest.raises(KeyError, match="the task gave up"):
+        core.run()
+
+
 class TestHookHygiene:
     """A campaign patches and hooks the caller's own model object(s); however
     it ends, they are handed back without a hook and computing the same bytes."""
@@ -314,7 +347,11 @@ class TestHookHygiene:
     @pytest.mark.parametrize("resil", [False, True], ids=["one-lane", "resil-lane"])
     @pytest.mark.parametrize("target", ["weights", "neurons"])
     @pytest.mark.parametrize(
-        "drive", [_serial, _two_shards_in_process, _slice, _task_raises_mid_run]
+        "drive",
+        [
+            _serial, _two_shards_in_process, _slice, _task_raises_mid_run,
+            _group, _group_raises_mid_run,
+        ],
     )
     def test_models_come_back_unhooked_and_byte_equal(
         self, fitted_model_and_dataset, drive, target, resil
@@ -335,3 +372,111 @@ class TestHookHygiene:
         drive(core)
         assert _hooks(*models) == []
         assert [net(images).tobytes() for net in models] == before
+
+
+class TestCampaignGroup:
+    """A core of several points runs each of them as a core of that point alone."""
+
+    SCENARIOS = [
+        dict(injection_target="weights", rnd_bit_range=(23, 30), random_seed=71),
+        dict(injection_target="neurons", rnd_bit_range=(23, 30), random_seed=72),
+        dict(
+            injection_target="weights", rnd_bit_range=(0, 22), random_seed=73,
+            max_faults_per_image=2,
+        ),
+        dict(
+            injection_target="neurons", rnd_bit_range=(30, 30), random_seed=74,
+            layer_range=(1, 2),
+        ),
+    ]
+
+    @staticmethod
+    def _scenario(index, fields, **geometry):
+        return default_scenario(model_name=f"point{index}", **fields, **geometry)
+
+    @pytest.mark.parametrize(
+        "geometry,resil,cached",
+        [
+            (dict(), False, False),
+            (dict(inj_policy="per_batch", batch_size=4), True, False),
+            (dict(inj_policy="per_epoch", batch_size=3, num_runs=2), False, True),
+            (dict(num_runs=2), True, True),
+        ],
+        ids=["per-image", "per-batch-4-resil", "per-epoch-cached", "per-image-resil-cached"],
+    )
+    def test_every_point_writes_what_it_writes_alone(
+        self, fitted_model_and_dataset, tmp_path, geometry, resil, cached
+    ):
+        model, dataset = fitted_model_and_dataset
+        resil_model = model.clone() if resil else None
+
+        def point_of(index, fields, folder):
+            scenario = self._scenario(index, fields, **geometry)
+            writer = CampaignResultWriter(
+                tmp_path / folder / str(index), campaign_name=f"point{index}"
+            )
+            return scenario, writer, ClassificationTask(collect_outputs=True)
+
+        alone = []
+        for index, fields in enumerate(self.SCENARIOS):
+            scenario, writer, task = point_of(index, fields, "alone")
+            lone = CampaignCore(
+                model, dataset, task, scenario=scenario, writer=writer, resil_model=resil_model,
+                golden_cache=GoldenCache() if cached else None,
+            )
+            lone.run()
+            alone.append(lone.points[0])
+
+        cache = GoldenCache() if cached else None
+        group = None
+        for index, fields in enumerate(self.SCENARIOS):
+            scenario, writer, task = point_of(index, fields, "group")
+            if group is None:
+                group = CampaignCore(
+                    model, dataset, task, scenario=scenario, writer=writer,
+                    resil_model=resil_model, golden_cache=cache,
+                )
+            else:
+                group.add_point(task, scenario, writer)
+        assert group.run() == group.points[0].streams
+        for lone, point in zip(alone, group.points):
+            assert sorted(point.streams) == sorted(lone.streams)
+            for tag, path in point.streams.items():
+                assert open(path, "rb").read() == open(lone.streams[tag], "rb").read(), tag
+            assert pickle.dumps(point.task.state) == pickle.dumps(lone.task.state)
+        if cached:
+            # One lookup per step, whatever the number of points.
+            steps = group.total_steps
+            assert cache.stats()["hits"] + cache.stats()["misses"] == steps * len(group.lanes)
+
+    def test_add_point_refuses_what_the_points_cannot_share(
+        self, fitted_model_and_dataset, monkeypatch
+    ):
+        model, dataset = fitted_model_and_dataset
+        scenario = self._scenario(0, self.SCENARIOS[0], inj_policy="per_batch", batch_size=2)
+        task = ClassificationTask()
+        group = CampaignCore(model, dataset, task, scenario=scenario)
+        for other in (
+            scenario.copy(batch_size=4),
+            scenario.copy(num_runs=2),
+            scenario.copy(inj_policy="per_epoch"),
+        ):
+            with pytest.raises(ValueError, match="same images"):
+                group.add_point(ClassificationTask(), other)
+        with pytest.raises(ValueError, match="task of its own"):
+            group.add_point(task, scenario)
+        with pytest.raises(ValueError, match="another model object"):
+            other_model = ptfiwrap(lenet5(seed=2), scenario=scenario)
+            group.add_point(ClassificationTask(), scenario, wrapper=other_model)
+        # The loader is seeded with the seed of a shuffled campaign.
+        shuffled = CampaignCore(
+            model, dataset, ClassificationTask(), scenario=scenario, dl_shuffle=True
+        )
+        with pytest.raises(ValueError, match="same images"):
+            shuffled.add_point(ClassificationTask(), scenario.copy(random_seed=99))
+        monkeypatch.setattr(core, "MAX_POINTS", 2)
+        group.add_point(ClassificationTask(), scenario.copy(random_seed=99))
+        with pytest.raises(ValueError, match="at most 2 points"):
+            group.add_point(ClassificationTask(), scenario.copy(random_seed=98))
+        with pytest.raises(ValueError, match="one process"):
+            group.for_shard(ClassificationTask(), None, None)

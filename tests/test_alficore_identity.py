@@ -219,6 +219,10 @@ def test_a_sweep_over_a_model_setting_serves_no_other_points_golden_pass(tmp_pat
     """The points share one golden cache; ``score_threshold`` is in the key."""
     result = run_sweep(_detection_sweep(tmp_path / "sweep"), store=CampaignStore(tmp_path / "s"))
     assert result.executed == 2
+    # A model setting is no fault field: each point is a group of its own,
+    # and neither finds the other's golden passes.
+    stats = result.golden_cache_stats
+    assert (stats["hits"], stats["misses"]) == (0, 16)
     golden = set()
     for outcome in result.outcomes:
         spec = outcome.point.spec.copy()

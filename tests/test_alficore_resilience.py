@@ -331,6 +331,83 @@ def _run_campaign(out_dir, model, dataset, scenario, task, workers, num_shards, 
     return state, paths, executor
 
 
+class TestDurableCommits:
+    """A commit marker reaches the disk after the data of every file it names."""
+
+    @staticmethod
+    def _recording_fsync(monkeypatch) -> list[Path]:
+        synced: list[Path] = []
+        fsync = os.fsync
+
+        def recording(fd: int) -> None:
+            synced.append(Path(os.readlink(f"/proc/self/fd/{fd}")))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        return synced
+
+    @staticmethod
+    def _assert_synced_before(synced: list[Path], committed: Path, marker: str) -> None:
+        """Every file of ``committed`` was synced, in its .wip directory, before ``marker``."""
+        wip = committed.with_name(committed.name + ".wip")
+        at = next(
+            index
+            for index, path in enumerate(synced)
+            if path.parent == wip and path.name.startswith(f"{marker}.")
+        )
+        # In place, or as the ``<name>.<random>.tmp`` an atomic writer renames.
+        before = [path.name for path in synced[:at] if path.parent == wip]
+        files = {path.name for path in committed.iterdir() if path.is_file()} - {marker}
+        assert files
+        for file in files:
+            assert any(
+                name == file or (name.startswith(f"{file}.") and name.endswith(".tmp"))
+                for name in before
+            ), (file, before)
+        # The directory, whose entries name them, before the rename.
+        assert wip in synced[at:]
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_a_shard_syncs_its_records_before_its_state(
+        self, fitted_model_and_dataset, tmp_path, monkeypatch
+    ):
+        model, dataset = fitted_model_and_dataset
+        synced = self._recording_fsync(monkeypatch)
+        scenario = default_scenario(injection_target="weights", random_seed=5, model_name="chaos")
+        _run_campaign(tmp_path / "out", model, dataset, scenario, ClassificationTask(), 1, 2)
+        shards = sorted((tmp_path / "out" / "shards").iterdir())
+        assert [shard.name for shard in shards] == ["shard_00", "shard_01"]
+        for shard in shards:
+            self._assert_synced_before(synced, shard, "shard_state.pkl")
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_a_sweep_point_syncs_its_files_before_its_marker(self, tmp_path, monkeypatch):
+        from repro.experiments import CampaignStore, Experiment, run_sweep
+
+        spec = (
+            Experiment.builder()
+            .name("durable")
+            .model("lenet5", num_classes=10, seed=0)
+            .dataset("synthetic-classification", num_samples=4, num_classes=10, seed=1)
+            .scenario(injection_target="weights", rnd_bit_range=(23, 30), random_seed=3)
+            .sweep(axes={"scenario.injection_target": ["weights", "neurons"]})
+            .build()
+        )
+        store = CampaignStore(tmp_path / "store")
+        synced = self._recording_fsync(monkeypatch)
+        result = run_sweep(spec, store=store)
+        assert result.executed == 2
+        points = [outcome.stored.path for outcome in result.outcomes]
+        for point in points:
+            self._assert_synced_before(synced, point, "point.json")
+        # Per point: each file, point_state.pkl, point.json and the .wip
+        # directory; one fsync of the store root for the group's renames.
+        mine = [path for path in synced if store.golden_dir() not in (path, *path.parents)]
+        files = sum(len(outcome.stored.output_files) for outcome in result.outcomes)
+        assert len(mine) == files + 3 * len(points) + 1
+        assert mine[-1] == store.root
+
+
 class TestCampaignChaos:
     """Worker chaos mid-campaign: merged outputs stay byte-identical."""
 

@@ -225,13 +225,17 @@ class TestClassificationShardEquivalence:
         counters = {"rejoins", "rows_skipped", "golden_seeded"}
         assert set(vars(shard)) == set(vars(core))
         for name, value in vars(core).items():
-            if name in {"task", "writer", "golden_cache", "lanes"} | counters:
+            if name in {"points", "golden_cache", "lanes"} | counters:
                 continue
             assert getattr(shard, name) is value, name
         assert {name: getattr(shard, name) for name in counters} == dict.fromkeys(counters, 0)
+        (point,) = core.points
+        (copied,) = shard.points
+        assert copied.scenario is point.scenario and copied.wrappers is point.wrappers
+        assert copied.error_model is point.error_model and copied.streams == {}
 
-        shared = {"name", "model", "wrapper", "monitor"}
-        blank = _Lane("lane", model, core.wrapper, None)
+        shared = {"name", "model", "monitor"}
+        blank = _Lane("lane", model, None)
         assert len(shard.lanes) == len(core.lanes) == 2
         for lane, copied in zip(core.lanes, shard.lanes):
             assert copied is not lane

@@ -70,7 +70,7 @@ def test_step_plan_decision_table(fitted, dataset, target, batch_size, custom, c
                 for kind, verdict in (("rows", rows_verdict), ("seed", seed_verdict))
                 if verdict is not None
             }
-            step = core._step_plan(lane, group, images)
+            step = core._step_plan(lane, core.points[0], group, images)
             assert isinstance(step, StepPlan)
             plan = lane.plan
             assert step.span is not None

@@ -366,8 +366,9 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "executed=2" in out and "cached=0" in out
         assert (tmp_path / "store" / "cli-sweep_sweep_table.csv").exists()
-        # Two points over six images: one golden pass each, then six hits.
-        assert "golden cache: hits=6 misses=6 entries=6 mib=" in out
+        # Two points over six images, one group: one golden pass and one
+        # lookup per image.
+        assert "golden cache: hits=0 misses=6 entries=6 mib=" in out
         assert " rejoined=" in out.split("golden cache:")[1].splitlines()[0]
         # Cache counters describe one invocation; they reach stdout only.
         for file in (tmp_path / "store").rglob("*"):

@@ -166,6 +166,40 @@ class TestCocoLikeDetectionDataset:
         for annotation in document["annotations"]:
             assert annotation["bbox"][2] > 0 and annotation["bbox"][3] > 0
 
+    def test_coco_json_export_copies_the_targets_once(self, monkeypatch):
+        dataset = CocoLikeDetectionDataset(num_samples=12, num_classes=3, seed=4)
+        # Reference: one image at a time, each from its own copy of the targets.
+        annotations = []
+        for index in range(len(dataset)):
+            meta = dataset.metadata(index)
+            target = dataset.ground_truth()[index]
+            for box, label in zip(target["boxes"], target["labels"]):
+                x1, y1, x2, y2 = (float(v) for v in box)
+                annotations.append(
+                    {
+                        "id": len(annotations) + 1,
+                        "image_id": meta["image_id"],
+                        "category_id": int(label),
+                        "bbox": [x1, y1, x2 - x1, y2 - y1],
+                        "area": float((x2 - x1) * (y2 - y1)),
+                        "iscrowd": 0,
+                    }
+                )
+        calls = []
+        ground_truth = CocoLikeDetectionDataset.ground_truth
+
+        def counted(self):
+            calls.append(self)
+            return ground_truth(self)
+
+        monkeypatch.setattr(CocoLikeDetectionDataset, "ground_truth", counted)
+        document = coco_annotations_to_json(dataset)
+        assert calls == [dataset]
+        assert document["annotations"] == json.loads(json.dumps(annotations))
+        assert [image["id"] for image in document["images"]] == [
+            dataset.metadata(index)["image_id"] for index in range(len(dataset))
+        ]
+
 
 class TestAlfiDataLoaderWrapper:
     def test_records_carry_metadata(self):

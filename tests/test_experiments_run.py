@@ -187,6 +187,33 @@ class TestFaultFileReplay:
         assert result.wrapper.get_fault_matrix() == FaultMatrix.load(stored)
 
 
+class TestGroupRun:
+    """``run([spec, ...])``: campaigns that differ in their faults, one pass over the images."""
+
+    def specs(self, tmp_path):
+        first = classification_spec(tmp_path / "p0")
+        second = classification_spec(tmp_path / "p1")
+        second.scenario = second.scenario.copy(injection_target="neurons", random_seed=77)
+        return [first, second]
+
+    def test_each_result_is_the_lone_runs(self, tmp_path):
+        group = run(self.specs(tmp_path / "group"))
+        alone = [run(spec) for spec in self.specs(tmp_path / "alone")]
+        assert len(group) == 2 and group[0].core is group[1].core
+        assert [result.spec.scenario for result in group] == [a.spec.scenario for a in alone]
+        for grouped, lone in zip(group, alone):
+            assert grouped.summary["corrupted"] == lone.summary["corrupted"]
+            assert sorted(grouped.output_files) == sorted(lone.output_files)
+            assert_files_identical(grouped.output_files, lone.output_files)
+
+    def test_a_wrapper_or_writer_serves_one_campaign(self, tmp_path):
+        from repro.alficore import ptfiwrap
+
+        model = build_model("lenet5", num_classes=CLASSES, seed=0)
+        with pytest.raises(ValueError, match="serves one campaign"):
+            run(self.specs(tmp_path), Artifacts(wrapper=ptfiwrap(model)))
+
+
 class TestCustomBackend:
     def test_registered_backend_receives_the_execution_section(self, tmp_path):
         received = []

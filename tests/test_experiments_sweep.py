@@ -8,6 +8,7 @@ sweep manager replaces.
 """
 
 import json
+import pickle
 import shutil
 from pathlib import Path
 
@@ -237,7 +238,7 @@ class TestResolve:
         from repro.alficore.monitoring import RangeMonitor
 
         executed = []
-        monkeypatch.setattr(sweep_module, "_execute_point", lambda *a, **k: executed.append(a))
+        monkeypatch.setattr(sweep_module, "_execute_group", lambda *a, **k: executed.append(a))
         artifacts = Artifacts(custom_monitors=[RangeMonitor(10.0)], num_classes=10)
         with pytest.raises(SweepError, match="model and dataset only; got custom_monitors, num_classes"):
             run_sweep(layer_sweep_spec(), artifacts)
@@ -294,7 +295,7 @@ class TestRunSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("a cached sweep must not execute any point")
 
-        monkeypatch.setattr(sweep_module, "_execute_point", forbidden)
+        monkeypatch.setattr(sweep_module, "_execute_group", forbidden)
         result = run_sweep(spec, store=store)
         assert (result.executed, result.cached) == (0, 2)
 
@@ -313,29 +314,45 @@ class TestRunSweep:
         assert run_sweep(spec).executed == 0
 
     def test_interrupted_sweep_resumes_byte_identical(self, tmp_path, monkeypatch):
-        spec = layer_sweep_spec(layers=((0, 0), (1, 1), (2, 2)))
+        # Epochs are no fault field: the grid runs as two groups, num_runs 1
+        # (points 0, 2, 4) then num_runs 2 (points 1, 3, 5).
+        spec = (
+            base_builder()
+            .sweep(
+                axes={
+                    "scenario.layer_range": [[0, 0], [1, 1], [2, 2]],
+                    "scenario.num_runs": [1, 2],
+                }
+            )
+            .build()
+        )
         baseline_store = CampaignStore(tmp_path / "baseline")
         run_sweep(spec, store=baseline_store)
         baseline_csv = (baseline_store.root / "sweep-test_sweep_table.csv").read_bytes()
         baseline_json = (baseline_store.root / "sweep-test_sweep_table.json").read_bytes()
 
         store = CampaignStore(tmp_path / "interrupted")
-        original = sweep_module._execute_point
+        original = sweep_module._execute_group
         calls = []
 
-        def crash_on_third(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 3:
+        def crash_on_second_group(specs, *args, **kwargs):
+            calls.append([child.name for child in specs])
+            if len(calls) == 2:
                 raise RuntimeError("simulated crash mid-sweep")
-            return original(*args, **kwargs)
+            return original(specs, *args, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "_execute_point", crash_on_third)
+        monkeypatch.setattr(sweep_module, "_execute_group", crash_on_second_group)
         with pytest.raises(RuntimeError, match="simulated crash"):
             run_sweep(spec, store=store)
-        monkeypatch.setattr(sweep_module, "_execute_point", original)
+        monkeypatch.setattr(sweep_module, "_execute_group", original)
+        assert calls == [
+            ["sweep-test-p000", "sweep-test-p002", "sweep-test-p004"],
+            ["sweep-test-p001", "sweep-test-p003", "sweep-test-p005"],
+        ]
+        assert len(store.completed_run_ids()) == 3
 
         resumed = run_sweep(spec, store=store, resume=True)
-        assert (resumed.executed, resumed.cached) == (1, 2)
+        assert (resumed.executed, resumed.cached) == (3, 3)
         assert (store.root / "sweep-test_sweep_table.csv").read_bytes() == baseline_csv
         assert (store.root / "sweep-test_sweep_table.json").read_bytes() == baseline_json
 
@@ -467,9 +484,10 @@ class TestGoldenSharing:
         result = run_sweep(grid_spec(), store=store)
         assert sweep_bytes(result) == naive["base"]
         stats = result.golden_cache_stats
+        # The grid is one group: each step's golden pass is looked up once.
         assert stats["misses"] == IMAGES
-        assert stats["hits"] == IMAGES * (self.POINTS - 1)
-        # Masked faults ended at a cached boundary, on first passes and hits alike.
+        assert stats["hits"] == 0
+        # Masked faults ended at a cached boundary.
         assert 0 < stats["rejoins"] <= IMAGES * self.POINTS
         assert stats["spill_writes"] == IMAGES == len(golden_files(store))
         # The spill directory is no grid point.
@@ -480,7 +498,7 @@ class TestGoldenSharing:
         result = run_sweep(grid_spec())
         stats = result.golden_cache_stats
         assert stats["spill_dir"] is None
-        assert (stats["misses"], stats["hits"]) == (IMAGES, IMAGES * (self.POINTS - 1))
+        assert (stats["misses"], stats["hits"]) == (IMAGES, 0)
         reference = json.loads(naive["base"]["table_json"])["rows"]
         assert result.table_rows() == reference
 
@@ -512,25 +530,23 @@ class TestGoldenSharing:
         self, tmp_path, monkeypatch, naive
     ):
         store = CampaignStore(tmp_path / "store")
-        original = sweep_module._execute_point
-        calls = []
+        original = sweep_module._execute_group
 
-        def crash_on_third(*args, **kwargs):
-            # The store is empty: the third execution is point 2.
-            calls.append(args)
-            if len(calls) == 3:
-                raise RuntimeError("simulated crash mid-sweep")
-            return original(*args, **kwargs)
+        def crash_after_the_group(*args, **kwargs):
+            # The group ran, and spilled its golden passes, but commits nothing.
+            original(*args, **kwargs)
+            raise RuntimeError("simulated crash mid-sweep")
 
-        monkeypatch.setattr(sweep_module, "_execute_point", crash_on_third)
+        monkeypatch.setattr(sweep_module, "_execute_group", crash_after_the_group)
         with pytest.raises(RuntimeError, match="simulated crash"):
             run_sweep(grid_spec(), store=store)
-        monkeypatch.setattr(sweep_module, "_execute_point", original)
+        monkeypatch.setattr(sweep_module, "_execute_group", original)
+        assert store.completed_run_ids() == []
         before = golden_files(store)
         assert len(before) == IMAGES
 
         resumed = run_sweep(grid_spec(), store=store, resume=True)
-        assert (resumed.executed, resumed.cached) == (2, 2)
+        assert (resumed.executed, resumed.cached) == (self.POINTS, 0)
         assert sweep_bytes(resumed) == naive["base"]
         assert golden_files(store) == before
 
@@ -543,7 +559,8 @@ class TestGoldenSharing:
         stats = extended.golden_cache_stats
         assert stats["misses"] == 0 and stats["spill_writes"] == 0
         assert stats["spill_loads"] == IMAGES
-        assert stats["hits"] == IMAGES * len(TARGETS)
+        # The two new points are one group: one lookup per image.
+        assert stats["hits"] == IMAGES
 
     def test_corrupt_spill_file_is_a_miss_not_a_crash(self, tmp_path, naive):
         store = CampaignStore(tmp_path / "store")
@@ -627,3 +644,204 @@ def test_a_sweep_learns_its_model_once(tmp_path, monkeypatch):
         for tag, path in fresh.output_files.items():
             assert open(path, "rb").read() == open(stored[tag], "rb").read(), tag
     assert calls["trace"] == 1 + len(result.outcomes)
+
+
+# --------------------------------------------------------------------------- #
+# groups: points that differ only in their faults run as one campaign
+# --------------------------------------------------------------------------- #
+def _recording_groups(monkeypatch):
+    """Record the point names of every group the sweep runs."""
+    groups = []
+    original = sweep_module._execute_group
+
+    def recording(specs, *args, **kwargs):
+        groups.append([child.name for child in specs])
+        return original(specs, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "_execute_group", recording)
+    return groups
+
+
+def _assert_points_equal_lone_runs(result, tmp_path):
+    """Every file of every point, the meta included, is that of a lone ``run()`` of it."""
+    for outcome in result.outcomes:
+        spec = outcome.point.spec.copy()
+        spec.output_dir = tmp_path / "alone" / outcome.run_id
+        alone = run(spec)
+        stored = outcome.stored.output_files
+        assert sorted(alone.output_files) == sorted(stored)
+        assert "meta" in stored
+        for tag, path in alone.output_files.items():
+            assert Path(path).read_bytes() == Path(stored[tag]).read_bytes(), (outcome.run_id, tag)
+
+
+GROUPED_GRIDS = {
+    "weights-x-neurons": dict(),
+    "per-batch-4": dict(scenario={"inj_policy": "per_batch", "batch_size": 4}),
+    "per-epoch-shuffled": dict(
+        scenario={"inj_policy": "per_epoch", "batch_size": 2, "num_runs": 2}, shuffle=True
+    ),
+    "protected": dict(protection="ranger"),
+    "cached-epochs": dict(scenario={"num_runs": 2}, caching={"golden_cache_mb": 8}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUPED_GRIDS))
+def test_every_point_of_a_grouped_sweep_is_a_lone_run(tmp_path, monkeypatch, case):
+    grid = GROUPED_GRIDS[case]
+    builder = base_builder().sweep(
+        axes={
+            "scenario.rnd_bit_range": [list(pair) for pair in BITS],
+            "scenario.injection_target": list(TARGETS),
+        }
+    )
+    if "scenario" in grid:
+        builder.scenario(
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=3,
+            model_name="lenet5", dataset_size=IMAGES, **grid["scenario"],
+        )
+    if "protection" in grid:
+        builder.protection(grid["protection"])
+    if "caching" in grid:
+        builder.caching(**grid["caching"])
+    if grid.get("shuffle"):
+        builder.shuffle()
+    groups = _recording_groups(monkeypatch)
+    result = run_sweep(builder.build(), store=CampaignStore(tmp_path / "store"))
+    assert groups == [[f"sweep-test-p{index:03d}" for index in range(4)]]
+    assert result.executed == 4
+    _assert_points_equal_lone_runs(result, tmp_path)
+
+
+def test_a_grouped_detection_sweep_is_lone_runs(tmp_path, monkeypatch):
+    # A detector's plan does not stack: its group runs one pass at a time.
+    spec = (
+        Experiment.builder()
+        .name("det")
+        .task("detection")
+        .model("yolov3", num_classes=5, seed=1)
+        .dataset("synthetic-coco", num_samples=4, num_classes=5, seed=3)
+        .scenario(
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=5,
+            model_name="yolov3", dataset_size=4,
+        )
+        .sweep(axes={"scenario.injection_target": list(TARGETS)})
+        .build()
+    )
+    groups = _recording_groups(monkeypatch)
+    result = run_sweep(spec, store=CampaignStore(tmp_path / "store"))
+    assert groups == [["det-p000", "det-p001"]]
+    assert (result.golden_cache_stats["hits"], result.golden_cache_stats["misses"]) == (0, 4)
+    _assert_points_equal_lone_runs(result, tmp_path)
+
+
+def test_a_grouped_sweep_without_a_store_keeps_each_points_result(monkeypatch):
+    groups = _recording_groups(monkeypatch)
+    result = run_sweep(grid_spec())
+    assert len(groups) == 1 and len(groups[0]) == 4
+    for outcome in result.outcomes:
+        alone = run(outcome.point.spec.copy())
+        kept = outcome.load_result()
+        assert kept.summary == alone.summary
+        assert pickle.dumps(kept.state) == pickle.dumps(alone.state)
+        assert kept.core is None
+
+
+def test_the_naive_path_and_shards_run_points_alone(tmp_path, monkeypatch):
+    groups = _recording_groups(monkeypatch)
+    run_sweep(grid_spec(prefix_reuse=False))
+    assert [len(group) for group in groups] == [1, 1, 1, 1]
+    groups.clear()
+    run_sweep(grid_spec(), store=CampaignStore(tmp_path / "store"), workers=2)
+    assert [len(group) for group in groups] == [1, 1, 1, 1]
+
+
+def test_a_group_holds_at_most_max_points(monkeypatch):
+    monkeypatch.setattr(sweep_module, "MAX_POINTS", 3)
+    groups = _recording_groups(monkeypatch)
+    run_sweep(grid_spec())
+    assert [len(group) for group in groups] == [3, 1]
+
+
+class TestGroupKey:
+    def key(self, **scenario):
+        fields = dict(
+            injection_target="weights", rnd_bit_range=(23, 30), random_seed=3,
+            model_name="lenet5", dataset_size=IMAGES,
+        )
+        fields.update(scenario)
+        return base_builder().scenario(**fields)
+
+    def test_fault_fields_share_a_key(self):
+        base = sweep_module.group_key(self.key().build())
+        for fields in (
+            {"injection_target": "neurons"},
+            {"rnd_bit_range": (0, 7)},
+            {"rnd_value_type": "stuck_at", "stuck_at_value": 0},
+            {"max_faults_per_image": 3},
+            {"layer_range": (1, 2)},
+            {"layer_types": ("conv2d",)},
+            {"weighted_layer_selection": False},
+            {"fault_persistence": "permanent"},
+            {"random_seed": 99},
+        ):
+            assert sweep_module.group_key(self.key(**fields).build()) == base, fields
+        named = self.key().name("other").output_dir("/elsewhere").build()
+        assert sweep_module.group_key(named) == base
+
+    def test_everything_else_splits_the_group(self):
+        base = sweep_module.group_key(self.key().build())
+        others = [
+            self.key(batch_size=4, inj_policy="per_batch").build(),
+            self.key(inj_policy="per_epoch").build(),
+            self.key(num_runs=2).build(),
+            self.key(model_name="renamed").build(),
+            self.key().model("lenet5", num_classes=10, seed=1).build(),
+            self.key().protection("ranger").build(),
+            self.key().caching(golden_cache_mb=8).build(),
+            self.key().options(collect_outputs=True).build(),
+        ]
+        keys = [sweep_module.group_key(spec) for spec in others]
+        assert base not in keys and len(set(keys)) == len(keys)
+
+    def test_the_seed_of_a_shuffled_loader_splits_the_group(self):
+        shuffled = self.key().shuffle()
+        reseeded = self.key(random_seed=99).shuffle()
+        assert sweep_module.group_key(shuffled.build()) != sweep_module.group_key(reseeded.build())
+
+    def test_a_batch_size_axis_runs_one_group_per_size(self, tmp_path, monkeypatch):
+        spec = (
+            self.key(inj_policy="per_batch")
+            .sweep(axes={"scenario.batch_size": [2, 3], "scenario.injection_target": list(TARGETS)})
+            .build()
+        )
+        groups = _recording_groups(monkeypatch)
+        result = run_sweep(spec, store=CampaignStore(tmp_path / "store"))
+        assert groups == [
+            ["sweep-test-p000", "sweep-test-p001"],
+            ["sweep-test-p002", "sweep-test-p003"],
+        ]
+        _assert_points_equal_lone_runs(result, tmp_path)
+
+
+def test_a_failure_inside_a_group_commits_none_of_its_points(tmp_path, monkeypatch, naive):
+    from repro.alficore.campaign import ClassificationTask
+
+    store = CampaignStore(tmp_path / "store")
+    consume = ClassificationTask.consume
+    calls = []
+
+    def failing(self, ctx):
+        calls.append(ctx.step)
+        if len(calls) == 10:
+            raise RuntimeError("simulated failure inside the group")
+        consume(self, ctx)
+
+    monkeypatch.setattr(ClassificationTask, "consume", failing)
+    with pytest.raises(RuntimeError, match="inside the group"):
+        run_sweep(grid_spec(), store=store)
+    monkeypatch.setattr(ClassificationTask, "consume", consume)
+    assert store.completed_run_ids() == []
+    rerun = run_sweep(grid_spec(), store=store)
+    assert (rerun.executed, rerun.cached) == (4, 0)
+    assert sweep_bytes(rerun) == naive["base"]
