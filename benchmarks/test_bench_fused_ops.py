@@ -9,7 +9,8 @@ reference model:
 
 * end-to-end full-model forward under the unfused interpreter executor vs
   the fused executor — both absolute times are recorded, and acceptance
-  requires that fusing is not slower.  The two executors share the
+  requires that fusing is not slower (a wall-clock claim, judged by the
+  ``timing``-marked test, which tier-1 deselects).  The two executors share the
   ``repro.nn.functional`` kernels, so their *ratio* falls whenever a shared
   kernel gets cheaper (the tap-loop pooling and single-buffer batch-norm
   kernels took it from 1.4x to ~1.2x while making both sides faster: 29.7
@@ -29,6 +30,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from benchmarks.conftest import BENCH_QUICK, record_benchmark, report
 from repro.models import elemnet
@@ -67,12 +69,53 @@ def _time_range(plan: ForwardPlan, start: int, stop: int, act: np.ndarray, round
     return best
 
 
-def test_fused_vs_interpreter_elemnet(benchmark):
-    """Fused executor is byte-identical to, and not slower than, the interpreter on elemnet."""
+def _plans() -> tuple[np.ndarray, ForwardPlan, ForwardPlan]:
+    """The input batch and elemnet's plans under the interpreter and the fused executor."""
     model = elemnet().eval()
     x = _input(BATCH)
     interp = ForwardPlan.trace(model, x, executor="interpreter")
     fused = ForwardPlan.trace(model, x, executor="fused")
+    return x, interp, fused
+
+
+def _best_forward(plan: ForwardPlan, x: np.ndarray) -> float:
+    """Best-of-``ROUNDS`` seconds of a full forward through ``plan``."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        plan.resume(0, x)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.timing
+def test_fused_beats_interpreter_elemnet():
+    """The fused executor is not slower than the interpreter end to end on elemnet.
+
+    A wall-clock claim, so host load can fail it: tier-1 deselects the
+    ``timing`` marker, and CI's bench job runs it.
+    """
+    x, interp, fused = _plans()
+    interp.resume(0, x)  # warm
+    fused.resume(0, x)
+    interp_seconds, fused_seconds = _best_forward(interp, x), _best_forward(fused, x)
+    if interp_seconds <= fused_seconds:
+        # Shield against transient load: one re-measurement of both paths
+        # (best-of-N each) before judging.
+        interp_seconds = min(interp_seconds, _best_forward(interp, x))
+        fused_seconds = min(fused_seconds, _best_forward(fused, x))
+    assert interp_seconds > fused_seconds, (
+        f"fused executor is slower than the interpreter end-to-end on elemnet: "
+        f"fused {fused_seconds * 1e3:.2f} ms vs interpreter {interp_seconds * 1e3:.2f} ms"
+    )
+
+
+def test_fused_vs_interpreter_elemnet(benchmark):
+    """Fused executor is byte-identical to the interpreter on elemnet; the times are reported.
+
+    :func:`test_fused_beats_interpreter_elemnet` judges the end-to-end ratio.
+    """
+    x, interp, fused = _plans()
     assert interp.valid and interp.executor_name == "interpreter"
     assert fused.valid and fused.executor_name == "fused"
     num_segments = len(interp.segments)
@@ -92,30 +135,9 @@ def test_fused_vs_interpreter_elemnet(benchmark):
     benchmark.pedantic(fused_forward, rounds=ROUNDS, iterations=1, warmup_rounds=1)
     fused_seconds = benchmark.stats.stats.min
 
-    def measure_interpreter() -> float:
-        best = float("inf")
-        for _ in range(ROUNDS):
-            t0 = time.perf_counter()
-            interp.resume(0, x)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
     interp.resume(0, x)  # warm
-    interp_seconds = measure_interpreter()
+    interp_seconds = _best_forward(interp, x)
     speedup = interp_seconds / fused_seconds
-    if speedup <= 1.0:
-        # Shield the CI gate against transient load: one re-measurement of
-        # both paths (best-of-N each) before judging.
-        interp_seconds = min(interp_seconds, measure_interpreter())
-        for _ in range(ROUNDS):
-            t0 = time.perf_counter()
-            fused.resume(0, x)
-            fused_seconds = min(fused_seconds, time.perf_counter() - t0)
-        speedup = interp_seconds / fused_seconds
-    assert speedup > 1.0, (
-        f"fused executor is slower than the interpreter end-to-end on elemnet: "
-        f"fused {fused_seconds * 1e3:.2f} ms vs interpreter {interp_seconds * 1e3:.2f} ms"
-    )
 
     # Per-region rows: identical boundary activations, both executors.
     rows = []

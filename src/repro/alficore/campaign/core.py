@@ -57,13 +57,14 @@ those features.
 
 Which of these shortcuts a step takes is a :class:`StepPlan`, decided before
 it runs by :meth:`CampaignCore._step_plan` alone; whether a lane stacks
-steps, by :meth:`CampaignCore._stacks`.  Sample-sparse rows, seeded golden
-passes and stacks share one first-use check, in
-:meth:`CampaignCore._run_stack`: a lane's first block of a run that takes
-one runs one of its steps again without it, alone
+steps, by :meth:`CampaignCore._stacks`.  Sample-sparse rows and stacks rest
+on one fact, row invariance, and share one verdict, ``rows``; seeded golden
+passes have their own, ``seed``.  Both are settled by one first-use check, in
+:meth:`CampaignCore._run_stack`: a lane's first block of a run that takes a
+shortcut runs one of its steps again without it, alone
 (:meth:`CampaignCore._alone`, the plain step), keeps that plain result and,
-with one warning, turns the shortcut off for the lane if the two differ; a
-stack that differs runs each of its steps alone.
+with one warning, turns the shortcut off for the lane if the two differ; the
+other steps of a block whose shortcut differed run alone too.
 """
 
 from __future__ import annotations
@@ -182,9 +183,12 @@ class _Lane:
     #: the head fit's features of ``model``, while they hold for this run
     #: (see :meth:`CampaignCore._head_features`)
     features: HeadFeatures | None = None
-    #: Whether a shortcut (``"rows"``, ``"seed"``, ``"stack"``) reproduced
-    #: the plain pass it stands for on its first use (absent: not checked yet
-    #: this run; ``False``: it differed, so the lane no longer takes it).
+    #: Whether a shortcut reproduced the plain pass it stands for on its
+    #: first use: ``"rows"``, that the lane's passes may share or drop batch
+    #: rows (sample-sparse rows, stacked golden passes and stacked suffixes);
+    #: ``"seed"``, that its golden passes may resume from the head fit's
+    #: features.  Absent: not checked yet this run; ``False``: it differed,
+    #: so the lane no longer takes it.
     verdicts: dict[str, bool] = field(default_factory=dict)
 
 
@@ -207,10 +211,10 @@ class _Point:
 class StepPlan:
     """The shortcuts one lane's step may take (see :meth:`CampaignCore._step_plan`).
 
-    A step that takes a shortcut still to be checked this run (``rows`` or
-    ``seed``, see :meth:`CampaignCore._unchecked`) runs as a block of one,
-    and its check runs it again with those fields cleared
-    (:meth:`CampaignCore._alone`).
+    A step whose ``seed`` is still to be checked this run runs as a block of
+    one (see :meth:`CampaignCore._run_lane`).  The first block that takes a
+    shortcut is checked by running one of its steps again alone, with the
+    fields of the checked shortcuts cleared (:meth:`CampaignCore._alone`).
     """
 
     #: plan segments ``(first, last)`` that execute a faulted layer of the
@@ -281,12 +285,10 @@ MAX_POINTS = _BLOCK_ROWS
 
 #: What a shortcut's first use showed when it differed from the plain pass.
 _MISMATCH = {
-    "rows": "a faulty pass of the faulted rows alone differs from the full-batch one "
-    "(the model mixes the samples of a batch), running full-batch passes",
+    "rows": "a pass that shares or drops batch rows differs from the step run alone "
+    "(the model mixes the samples of a batch), running full-batch passes, one step per block",
     "seed": "a golden pass seeded with the head fit's features differs from the full one "
     "(the model changed since the fit), running full golden passes",
-    "stack": "a step run in a stack of steps differs from the step run alone "
-    "(the rows of a batch are not independent), running one step per block",
 }
 
 
@@ -725,18 +727,15 @@ class CampaignCore:
         holds the head fit's features of every image (see
         :meth:`_head_features`) and the plan segment that is the fitted head,
         on a cache-less campaign (an entry holds every resumable checkpoint
-        anyway).  Both need a lane without custom monitors (they would see a
-        smaller array, or miss the skipped activations) on which the
-        shortcut has not differed from the plain pass.  Whether the faulty
-        pass may skip anything is known only once the golden pass has run:
-        behind a clean one (see :meth:`_faulty_block`).
+        anyway).  Each needs a lane that may take it (:meth:`_may_take`).
+        Whether the faulty pass may skip anything is known only once the
+        golden pass has run: behind a clean one (see :meth:`_faulty_block`).
         """
         plan = self._plan_for(lane, images)
         span = self._faulted_span(plan, point.wrappers[lane.name], group)
-        custom = lane.monitor is not None and bool(lane.monitor.custom_monitors)
-        allowed = {kind: not custom and lane.verdicts.get(kind) is not False for kind in _MISMATCH}
         rows = seed = None
-        if span is not None and isinstance(group, NeuronFaultGroup) and allowed["rows"]:
+        neurons = isinstance(group, NeuronFaultGroup)
+        if span is not None and neurons and self._may_take(lane, "rows"):
             named = group.rows(len(images))
             rows = named if 0 < len(named) < len(images) else None
         features = lane.features
@@ -745,18 +744,19 @@ class CampaignCore:
                 (index for index, segment in enumerate(plan.segments) if segment is features.head),
                 None,
             )
-            stacked = features.stacked(images) if head_at and allowed["seed"] else None
+            stacked = features.stacked(images) if head_at and self._may_take(lane, "seed") else None
             seed = None if stacked is None else (head_at, stacked)
         return StepPlan(span, rows, seed)
 
     @staticmethod
-    def _verdict(lane: _Lane, kind: str, agreed: bool) -> None:
-        """Record whether shortcut ``kind`` reproduced the plain pass; warn once if not."""
-        lane.verdicts[kind] = agreed
-        if not agreed:
-            warnings.warn(
-                f"{type(lane.model).__name__}: {_MISMATCH[kind]}", RuntimeWarning, stacklevel=3
-            )
+    def _may_take(lane: _Lane, kind: str) -> bool:
+        """Whether the lane may take shortcut ``kind`` (``"rows"`` or ``"seed"``).
+
+        It needs no custom monitor (one would see a smaller or stacked array,
+        or miss the skipped activations) and a verdict that is not ``False``.
+        """
+        custom = lane.monitor is not None and bool(lane.monitor.custom_monitors)
+        return not custom and lane.verdicts.get(kind) is not False
 
     @staticmethod
     def _faulted_span(
@@ -799,27 +799,15 @@ class CampaignCore:
         return None if first is None else (first, plan.last_segment_for(name))
 
     @staticmethod
-    def _unchecked(lane: _Lane, step: StepPlan) -> bool:
-        """Whether ``step`` takes a shortcut whose first use this run is still to be checked."""
-        return (step.rows is not None and "rows" not in lane.verdicts) or (
-            step.seed is not None and "seed" not in lane.verdicts
-        )
-
-    @staticmethod
     def _stacks(lane: _Lane) -> bool:
         """Whether the lane may run several steps as one block.
 
         It needs a plan whose every boundary is an array with the batch on
-        its first axis, no custom monitor (it would see stacked arrays), and
-        a stack that has not differed from a step run alone.
+        its first axis, and a lane that may take a row shortcut
+        (:meth:`_may_take`).
         """
-        custom = lane.monitor is not None and bool(lane.monitor.custom_monitors)
-        return (
-            lane.plan is not None
-            and lane.plan.stackable
-            and not custom
-            and lane.verdicts.get("stack") is not False
-        )
+        plan = lane.plan
+        return plan is not None and plan.stackable and CampaignCore._may_take(lane, "rows")
 
     def _run_lane(self, lane: _Lane, steps: list[_Step]) -> list[_LaneStep]:
         """One lane's share of a block of steps: per step and point, its golden and faulty pass.
@@ -828,14 +816,16 @@ class CampaignCore:
         point order.  The steps run in order, as blocks of as many of them as
         the lane may stack (:meth:`_stacks`), each through :meth:`_run_stack`,
         which checks a shortcut's first use; a block holds every point of its
-        steps.  A step whose :class:`StepPlan` for any point takes a ``rows``
-        or ``seed`` shortcut still to be checked (see :meth:`_unchecked`) runs
-        as a block of one step, and so does every step of a lane that may not
-        stack: through the same code.
+        steps.  A step whose :class:`StepPlan` for any point seeds its golden
+        pass while ``seed`` is still to be checked runs as a block of one
+        step (behind a stacked golden pass, a seeded one that differs could
+        not say which shortcut made it differ), and so does every step of a
+        lane that may not stack: through the same code.
         """
         points = len(self.points)
         done: list[_LaneStep] = []
         while len(done) < len(steps) * points:
+            seeding = "seed" not in lane.verdicts
             todo: list[_LaneStep] = []
             for step in steps[len(done) // points :]:
                 items = [
@@ -847,7 +837,7 @@ class CampaignCore:
                     )
                     for point, groups in zip(self.points, step.groups)
                 ]
-                unchecked = any(self._unchecked(lane, item.plan) for item in items)
+                unchecked = seeding and any(item.plan.seed is not None for item in items)
                 if todo and unchecked:
                     break
                 todo += items
@@ -866,15 +856,17 @@ class CampaignCore:
     def _faulty_stacks(self, lane: _Lane, todo: list[_LaneStep]) -> list[list[_LaneStep]]:
         """``todo`` cut into the runs of items whose faulty passes share a stacked suffix.
 
-        Consecutive items of up to :data:`_BLOCK_ROWS` rows together; one
-        item each on a lane that may not stack.
+        Consecutive items of up to :data:`_BLOCK_ROWS` rows together, the
+        budget :meth:`_block_steps` divides by the batch size; an item counts
+        the rows its pass runs (only its sparse ``rows``, if it has them).
+        One item each on a lane that may not stack.
         """
         if not self._stacks(lane):
             return [[item] for item in todo]
         stacks: list[list[_LaneStep]] = []
         rows = _BLOCK_ROWS
         for item in todo:
-            size = len(item.step.batch)
+            size = len(item.step.batch if item.plan.rows is None else item.plan.rows)
             if rows + size > _BLOCK_ROWS:
                 stacks.append([])
                 rows = 0
@@ -888,14 +880,14 @@ class CampaignCore:
         The block runs as planned: golden side, one pass per step for all of
         its points, then faulty side, in stacks of up to :data:`_BLOCK_ROWS`
         rows (:meth:`_faulty_stacks`).  If it took a shortcut whose first use
-        this run is still to be checked (``rows``, ``seed``, or a stack of
-        several steps or passes on either side), one of its items runs again
-        without it (:meth:`_alone`) and keeps that plain result: one that
-        took ``rows`` if that is checked; for a stack, the first whose step's
-        golden pass ran and whose suffix stayed in the stack to the end.
-        ``seed`` holds if the two golden passes are equal, ``rows`` if the
-        faulty passes are as well (behind unequal golden passes it stays
-        unchecked), a stack if both are.  Every other item that took a
+        this run is still to be checked (``rows``: sparse rows, or a stack of
+        several steps or passes on either side; ``seed``), one of its items
+        runs again without it (:meth:`_alone`) and keeps that plain result:
+        the first that took sparse rows, whose step's golden pass ran and
+        whose suffix stayed in the stack to the end, as far as the block has
+        one.  ``seed`` holds if the two golden passes are equal, ``rows`` if
+        the faulty passes are too; behind a seed under check, unequal golden
+        passes leave ``rows`` unchecked.  Every other item that took a
         shortcut that differs runs again alone, without it.
         """
         computed = self._golden_block(lane, todo)
@@ -907,17 +899,12 @@ class CampaignCore:
 
         def took(item: _LaneStep, kind: str) -> bool:
             """Whether ``item`` took shortcut ``kind`` in this block."""
-            if kind == "rows":
-                return item.plan.rows is not None
             if kind == "seed":
                 return item.plan.seed is not None and item.step in computed
-            return len(computed) > 1 or item in stacked
+            return item.plan.rows is not None or len(computed) > 1 or item in stacked
 
-        kinds = {
-            kind
-            for kind in _MISMATCH
-            if kind not in lane.verdicts and any(took(item, kind) for item in todo)
-        }
+        unchecked = (kind for kind in _MISMATCH if kind not in lane.verdicts)
+        kinds = {kind for kind in unchecked if any(took(item, kind) for item in todo)}
         if kinds:
 
             def golden(item: _LaneStep) -> bool:
@@ -927,22 +914,24 @@ class CampaignCore:
             item = min(
                 todo,
                 key=lambda other: (
-                    "rows" in kinds and not took(other, "rows"),
+                    "rows" in kinds and other.plan.rows is None,
                     len(computed) > 1 and other.step not in computed,
                     bool(stacked) and other not in stacked,
                     other.rejoined,
                 ),
             )
             twin, same_golden = self._alone(lane, item, kinds, golden(item))
-            same = (
-                same_golden
-                and item.events == twin.events
-                and _bitwise_equal(item.output, twin.output)
-            )
-            for kind in _MISMATCH:
-                if kind in kinds and (same_golden or kind != "rows"):
-                    self._verdict(lane, kind, same_golden if kind == "seed" else same)
-            failed = {kind for kind in kinds if lane.verdicts.get(kind) is False}
+            same = same_golden and item.events == twin.events
+            same = same and _bitwise_equal(item.output, twin.output)
+            agreed = {"seed": same_golden, "rows": same}
+            if not same_golden and "seed" in kinds:
+                kinds.discard("rows")  # either shortcut may have made the golden passes differ
+            for kind in sorted(kinds):
+                lane.verdicts[kind] = agreed[kind]
+                if not agreed[kind]:
+                    message = f"{type(lane.model).__name__}: {_MISMATCH[kind]}"
+                    warnings.warn(message, RuntimeWarning, stacklevel=2)
+            failed = {kind for kind in kinds if not agreed[kind]}
             todo[todo.index(item)] = twin
             if failed:
                 todo[:] = [
@@ -965,23 +954,21 @@ class CampaignCore:
     ) -> tuple[_LaneStep, bool]:
         """Run the step of ``item`` again, as a block of one and without the shortcuts ``kinds``.
 
-        The plain pass a shortcut stands for, which replaces ``item``.  Its
-        golden pass runs again if ``golden``; otherwise the run shares
-        ``item``'s (a cache hit is not looked up again).  ``item`` lets go of
-        its golden pass before the faulty pass runs, so the two golden passes
-        are not held at once through it.  The group is entered again as the
-        step entered it: a weight group replays its patch, and a neuron
-        group's generator is put back to the state the step found, then to
-        the one it had before.
+        The plain pass a shortcut stands for, which replaces ``item``: alone,
+        it shares no row with another step, and without ``rows`` its faulty
+        pass runs the whole batch.  Its golden pass runs again if ``golden``;
+        otherwise the run shares ``item``'s (a cache hit is not looked up
+        again).  ``item`` lets go of its golden pass before the faulty pass
+        runs, so the two golden passes are not held at once through it.  The
+        group is entered again as the step entered it: a weight group replays
+        its patch, and a neuron group's generator is put back to the state the
+        step found, then to the one it had before.
 
         Returns the new :class:`_LaneStep` and whether its golden pass equals
         ``item``'s.
         """
-        plan = replace(
-            item.plan,
-            rows=None if "rows" in kinds else item.plan.rows,
-            seed=None if "seed" in kinds else item.plan.seed,
-        )
+        # A kind is the name of the plan field that takes the shortcut.
+        plan = replace(item.plan, **dict.fromkeys(kinds))
         twin = _LaneStep(item.step, item.point, item.group, plan)
         if not golden:
             twin.entry, twin.boundary, twin.added = item.entry, item.boundary, item.added

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.alficore.campaign import CampaignCore, normalize_campaign_scenario
+from repro.alficore.digests import config_digest
 from repro.alficore.goldencache import GoldenCache
 from repro.alficore.results import CampaignResultWriter
 from repro.alficore.wrapper import ptfiwrap
@@ -43,6 +44,48 @@ class Artifacts:
     custom_monitors: list[Callable] | None = None
     golden_cache: GoldenCache | None = None
     num_classes: int | None = None
+
+
+#: Scenario fields that choose a campaign's faults and nothing else the
+#: campaign reads: campaigns that differ in these only may run as one group.
+#: ``random_seed`` also seeds a shuffled loader, so with ``dl_shuffle`` it
+#: is not one of them.
+FAULT_FIELDS = frozenset(
+    {
+        "injection_target",
+        "rnd_value_type",
+        "rnd_bit_range",
+        "rnd_value_min",
+        "rnd_value_max",
+        "stuck_at_value",
+        "quantization",
+        "fault_persistence",
+        "max_faults_per_image",
+        "layer_types",
+        "layer_range",
+        "weighted_layer_selection",
+        "fault_file",
+        "random_seed",
+    }
+)
+
+
+def group_key(spec: ExperimentSpec) -> str:
+    """What a campaign shares with the others of a :func:`run` group: everything but its faults.
+
+    The digest of the spec's document without its ``name``, ``output_dir``
+    and scenario :data:`FAULT_FIELDS`.  Specs of equal keys run on the same
+    model, dataset, task, protection, caching, batch size, policy and
+    epochs.
+    """
+    document = spec.as_dict()
+    for name in ("name", "output_dir", "sweep"):
+        document.pop(name)
+    faults = FAULT_FIELDS - ({"random_seed"} if spec.dl_shuffle else set())
+    document["scenario"] = {
+        name: value for name, value in document["scenario"].items() if name not in faults
+    }
+    return config_digest(document)
 
 
 def _build_core(specs: list[ExperimentSpec], plugin: Any, artifacts: Artifacts) -> CampaignCore:
@@ -122,9 +165,9 @@ def run(
     result, and every file it writes, is the one ``run(spec)`` of that spec
     alone gives: ``run(spec)`` is the group of one.  The specs of a group
     must agree on everything but the scenario's faults and their ``name``
-    and ``output_dir`` (:func:`repro.experiments.sweep.group_key` tells
-    which do), and a group of several runs in one process, on a backend
-    that does not shard it.
+    and ``output_dir``: their :func:`group_key` must be equal
+    (:class:`SpecError` otherwise, and for an empty group).  A group of
+    several runs in one process, on a backend that does not shard it.
 
     Args:
         spec: the declarative experiment description, or a group of them.
@@ -148,7 +191,6 @@ def run(
     artifacts = artifacts if artifacts is not None else Artifacts()
     if len(specs) > 1 and (artifacts.wrapper is not None or artifacts.writer is not None):
         raise ValueError("a wrapper or a writer artifact serves one campaign, not a group")
-    plugin = TASKS.get(specs[0].task)
     infos = []
     for child in specs:
         child.validate()
@@ -166,6 +208,13 @@ def run(
                 stacklevel=2,
             )
         infos.append(execution_info)
+    if len({group_key(child) for child in specs}) != 1:
+        raise SpecError(
+            "a group of specs must not be empty, and its specs may differ only in their name, "
+            "output_dir and the scenario's fault fields (runner.FAULT_FIELDS): a group builds "
+            "one model, dataset and set of options, from its first spec"
+        )
+    plugin = TASKS.get(specs[0].task)
     core = _build_core(specs, plugin, artifacts)
     backend = BACKENDS.get(specs[0].backend.name)
     # The backend returns the first point's state and record files; the core

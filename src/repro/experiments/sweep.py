@@ -6,9 +6,9 @@ campaigns: a cartesian grid over scenario/model/protection/task fields plus
 optional explicit extra points.  This module turns that declaration into a
 deterministic :class:`SweepPlan` of concrete child specs and runs the points
 the store does not hold yet in *groups*: points that differ only in their
-faults (:func:`group_key`) run as one campaign over the images through
-:func:`repro.experiments.run`, each step's golden pass once for
-all of them, and every point's files are those a lone
+faults (:func:`~repro.experiments.runner.group_key`) run as one campaign
+over the images through :func:`repro.experiments.run`, each step's golden
+pass once for all of them, and every point's files are those a lone
 :func:`repro.experiments.run` of it writes.  Every completed point is
 persisted in a content-addressed
 :class:`~repro.experiments.campaigns.CampaignStore` — re-running a finished
@@ -47,33 +47,10 @@ from repro.experiments.campaigns.store import (
     point_run_id,
 )
 from repro.experiments.result import CampaignResult
-from repro.experiments.runner import Artifacts, run
+from repro.experiments.runner import Artifacts, group_key, run
 from repro.experiments.spec import ExperimentSpec
 
 TABLE_SCHEMA_VERSION = 1
-
-#: Scenario fields that choose a campaign's faults and nothing else the
-#: campaign reads: points that differ in these only run as one group.
-#: ``random_seed`` also seeds a shuffled loader, so with ``dl_shuffle`` it
-#: is not one of them.
-FAULT_FIELDS = frozenset(
-    {
-        "injection_target",
-        "rnd_value_type",
-        "rnd_bit_range",
-        "rnd_value_min",
-        "rnd_value_max",
-        "stuck_at_value",
-        "quantization",
-        "fault_persistence",
-        "max_faults_per_image",
-        "layer_types",
-        "layer_range",
-        "weighted_layer_selection",
-        "fault_file",
-        "random_seed",
-    }
-)
 
 
 class SweepError(RuntimeError):
@@ -407,32 +384,15 @@ def _execute_group(
     return run(specs, Artifacts(model=model, dataset=dataset, golden_cache=golden_cache))
 
 
-def group_key(spec: ExperimentSpec) -> str:
-    """What a point shares with the other points of its group: everything but its faults.
-
-    The digest of the spec's document without its ``name``, ``output_dir``
-    and scenario :data:`FAULT_FIELDS`.  Points of equal keys run on the same
-    model, dataset, task, protection, caching, batch size, policy and
-    epochs.
-    """
-    document = spec.as_dict()
-    for name in ("name", "output_dir", "sweep"):
-        document.pop(name)
-    faults = FAULT_FIELDS - ({"random_seed"} if spec.dl_shuffle else set())
-    document["scenario"] = {
-        name: value for name, value in document["scenario"].items() if name not in faults
-    }
-    return config_digest(document)
-
-
 def _groups(
     pending: list[tuple[SweepPoint, ExperimentSpec]],
 ) -> list[list[tuple[SweepPoint, ExperimentSpec]]]:
     """The pending points, each with its child spec, cut into the groups that run as one.
 
-    Points of one :func:`group_key` form groups, in grid order, of at most
-    :data:`~repro.alficore.campaign.core.MAX_POINTS` points.  A point that
-    runs as shards, or on the naive reference path, is a group of one.
+    Points of one :func:`~repro.experiments.runner.group_key` form groups,
+    in grid order, of at most :data:`~repro.alficore.campaign.core.MAX_POINTS`
+    points.  A point that runs as shards, or on the naive reference path, is
+    a group of one.
     """
     groups: list[list[tuple[SweepPoint, ExperimentSpec]]] = []
     filling: dict[str, list[tuple[SweepPoint, ExperimentSpec]]] = {}

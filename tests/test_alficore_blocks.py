@@ -161,13 +161,49 @@ class TestBlocksKeepTheNaiveBytes:
         # Rows left the stack at two boundaries or more, and others ran to the end.
         assert None in rejoins and len(rejoins - {None}) >= 2
         assert blocked.core.rejoins == sum(at is not None for call in stacks for _, at in call)
-        assert blocked.core.lanes[0].verdicts["stack"] is True
+        assert blocked.core.lanes[0].verdicts["rows"] is True
 
     def test_neuron_groups_with_sparse_rows(self, tmp_path, stacks, monitor_results):
         scenario = {"inj_policy": "per_batch", "batch_size": 4}
         blocked = _both(tmp_path, monitor_results, "lenet5", "neurons", scenario)
         assert _stacked(stacks)
         assert blocked.core.rows_skipped > 0
+
+    @pytest.mark.parametrize("protection", [None, "ranger"], ids=["one_lane", "resil_lane"])
+    def test_one_check_covers_sparse_rows_and_the_stacks_behind_them(
+        self, tmp_path, monkeypatch, monitor_results, protection
+    ):
+        # A cache-less, head-fitted neuron campaign at batch 4: the first
+        # block, one step, runs sparse rows (and, on the fitted lane, a seeded
+        # golden pass); the blocks behind it stack steps and their sparse
+        # rows.  Both rest on row invariance, so one check per lane and run
+        # settles them: one step run again alone.
+        checks, sparse_stacks = [], []
+        alone, resume_stack = CampaignCore._alone, ForwardPlan.resume_stack
+
+        def checking(self, lane, item, kinds, golden):
+            checks.append((lane.name, item.step.index, sorted(kinds)))
+            return alone(self, lane, item, kinds, golden)
+
+        def stacking(self, passes, regroup=None):
+            if len(passes) > 1 and any(stacked.rows is not None for stacked in passes):
+                sparse_stacks.append(len(passes))
+            return resume_stack(self, passes, regroup)
+
+        monkeypatch.setattr(CampaignCore, "_alone", checking)
+        monkeypatch.setattr(ForwardPlan, "resume_stack", stacking)
+        scenario = {"inj_policy": "per_batch", "batch_size": 4, "num_runs": 2}
+        blocked = _both(
+            tmp_path, monitor_results, "lenet5", "neurons", scenario, protection=protection,
+            golden_cache_mb=0,
+        )
+        # The resil lane has no head fit to seed from.
+        expected = [("golden", 0, ["rows", "seed"])]
+        if protection is not None:
+            expected.append(("resil", 0, ["rows"]))
+        assert checks == expected
+        assert sparse_stacks and blocked.core.rows_skipped > 0
+        assert blocked.core.lanes[0].verdicts == {"rows": True, "seed": True}
 
     def test_nan_and_inf_rows_next_to_finite_ones(self, tmp_path, stacks, monitor_results):
         scenario = {"rnd_bit_range": (30, 30), "random_seed": 61}
@@ -188,7 +224,7 @@ class TestBlocksKeepTheNaiveBytes:
         blocked = _both(tmp_path, monitor_results, "lenet5", target, protection="ranger")
         assert "resil_csv" in blocked.output_files
         resil = blocked.core.lanes[1]
-        assert resil.verdicts["stack"] is True
+        assert resil.verdicts["rows"] is True
 
     def test_a_cached_three_epoch_campaign(self, tmp_path, stacks, golden_rows, monitor_results):
         blocked = _both(
@@ -290,10 +326,10 @@ def test_a_model_that_mixes_rows_fails_the_stack_check_once(tmp_path):
             files[reuse] = {tag: Path(path).read_bytes() for tag, path in paths.items()}
             cores[reuse] = core
     assert files[True] == files[False]
-    stacking = [w for w in caught if "not independent" in str(w.message)]
-    assert len(stacking) == 1 and stacking[0].category is RuntimeWarning
-    assert "_MixingNet" in str(stacking[0].message)
-    assert cores[True].lanes[0].verdicts["stack"] is False
+    mixing = [w for w in caught if "mixes the samples" in str(w.message)]
+    assert len(mixing) == 1 and mixing[0].category is RuntimeWarning
+    assert "_MixingNet" in str(mixing[0].message)
+    assert cores[True].lanes[0].verdicts == {"rows": False}
 
 
 def test_a_stacked_suffix_that_differs_is_rerun_one_pass_at_a_time(
@@ -313,9 +349,9 @@ def test_a_stacked_suffix_that_differs_is_rerun_one_pass_at_a_time(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         blocked = _both(tmp_path, monitor_results, "lenet5", "weights")
-    stacking = [w for w in caught if "not independent" in str(w.message)]
-    assert len(stacking) == 1
-    assert blocked.core.lanes[0].verdicts["stack"] is False
+    warned = [w for w in caught if "mixes the samples" in str(w.message)]
+    assert len(warned) == 1
+    assert blocked.core.lanes[0].verdicts["rows"] is False
 
 
 class _TiedNet(nn.Module):
@@ -363,5 +399,5 @@ def test_tied_weights_keep_the_naive_bytes(tmp_path, monkeypatch, tie_aware):
         if reuse:
             plan = core.lanes[0].plan
             assert plan.segment_for("encode") < plan.segment_for("decode")
-            assert core.lanes[0].verdicts["stack"] is True
+            assert core.lanes[0].verdicts["rows"] is True
     assert (files[True] == files[False]) is tie_aware

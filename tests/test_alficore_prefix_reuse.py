@@ -363,10 +363,11 @@ class TestForwardBudget:
 
         # The shape probe, then per block: one golden pass over its rows and
         # one stack of its faulty suffixes (the segments of the faults ran per
-        # step and are not spied).  The lane's first block of several steps
-        # runs one step again alone, golden pass and faulty pass: the first
-        # one that did not rejoin.  So does the lane's first sparse step: its
-        # second pass runs the whole batch and shares its golden pass.
+        # step and are not spied).  The lane's first block that shares or
+        # drops rows (several steps, or a sparse step) runs one step again
+        # alone, over the whole batch: the first sparse one, if any, and of
+        # those the first that did not rejoin.  Its golden pass runs again if
+        # it was stacked; a step alone shares its golden pass.
         expected = [("__call__", batch_size)]
         checked = False
         stacks = iter(rejoins)
@@ -375,15 +376,16 @@ class TestForwardBudget:
             faulty = [faulty_rows(step) for step in block]
             expected.append(("resume_stack", sum(faulty)))
             at = next(stacks)
-            if block == [0] and faulty[0] < steps[0]:
-                expected.append(("resume_stack", steps[0]))
-                next(stacks)
-            if len(block) > 1 and not checked:
-                checked = True
-                chosen = next((index for index, where in enumerate(at) if where is None), 0)
+            sparse = [index for index, step in enumerate(block) if faulty[index] < steps[step]]
+            if checked or not (sparse or len(block) > 1):
+                continue
+            checked = True
+            candidates = sparse or list(range(len(block)))
+            chosen = next((index for index in candidates if at[index] is None), candidates[0])
+            if len(block) > 1:
                 expected.append(("run_recording", steps[block[chosen]]))
-                expected.append(("resume_stack", faulty[chosen]))
-                next(stacks)
+            expected.append(("resume_stack", steps[block[chosen]]))
+            next(stacks)
         assert next(stacks, None) is None
         # ``resume`` runs a stack's tail inside ``resume_stack`` only.
         assert [pass_ for pass_ in passes if pass_[0] != "resume"] == expected

@@ -302,27 +302,58 @@ def test_a_model_that_starts_mixing_rows_between_runs_is_checked_again(tmp_path)
     assert len(mixing) == 1 and mixing[0].category is RuntimeWarning
     sparse = cores[True]
     # The first run skipped rows; the second one's check failed at its first
-    # step, and the stack of the steps behind it failed its own check.
+    # step, which turned sparse rows and stacks off for the rest of the run.
     assert sparse.rows_skipped == 4 * 3
-    assert sparse.lanes[0].verdicts == {"rows": False, "stack": False}
+    assert sparse.lanes[0].verdicts == {"rows": False}
+
+
+class _InfFirst:
+    """The dataset with an Inf pixel in its first image."""
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+
+    def __len__(self):
+        return len(self.dataset)
+
+    def __getitem__(self, index):
+        image, label = self.dataset[index]
+        if index == 0:
+            image = image.copy()
+            image[0, 0, 0] = np.inf
+        return image, label
 
 
 @pytest.mark.parametrize("mix", [True, False])
 def test_a_shared_stochastic_group_is_replayed_from_each_steps_state(tmp_path, mix):
     # A per-epoch neuron group is entered by every step of its epoch and draws
-    # its corruptions from one generator.  A step run again alone (the row
-    # check of the first step, the stack check of the block behind it and,
-    # on a model that mixes rows, every step of that block) must draw what
-    # the step drew, and leave the generator as the block left it.
+    # its corruptions from one generator.  A step run again alone (the rows
+    # check of a stacked block and, on a model that mixes rows, every step of
+    # that block) must draw what the step drew, and leave the generator as
+    # the block left it.  The first step's golden pass holds an Inf, so it
+    # runs the plain pass and takes no shortcut: the first check is that of
+    # the stacked block of the eight steps behind it.
     scenario = _scenario(layer_range=[0, 0], inj_policy="per_epoch", batch_size=2)
-    with warnings.catch_warnings(record=True) as caught:
+    alone = CampaignCore._alone
+    checked = []
+
+    def spy(self, lane, item, kinds, golden):
+        checked.append((item.step.index, frozenset(kinds)))
+        return alone(self, lane, item, kinds, golden)
+
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("always")
+        patch.setattr(CampaignCore, "_alone", spy)
         sparse = _core_both(
-            _MixingNet(mix).eval(), _dataset(), scenario, tmp_path, error_model=_Noise()
+            _MixingNet(mix).eval(), _InfFirst(_dataset()), scenario, tmp_path,
+            error_model=_Noise(),
         )
-    assert sparse.lanes[0].verdicts == {"rows": not mix, "stack": not mix}
-    for reason in ("mixes the samples", "not independent"):
-        warned = [w for w in caught if reason in str(w.message)]
-        assert len(warned) == int(mix)
-        assert all(w.category is RuntimeWarning for w in warned)
+    # The check runs one step of the block again; if it failed, so do the
+    # seven others.  Both runs of the pair are logged: only the first checks.
+    assert [step for step, _ in checked] == ([1] + list(range(2, 9)) if mix else [1])
+    assert {kinds for _, kinds in checked} == {frozenset({"rows"})}
+    assert sparse.lanes[0].verdicts == {"rows": not mix}
+    warned = [w for w in caught if "mixes the samples" in str(w.message)]
+    assert len(warned) == int(mix)
+    assert all(w.category is RuntimeWarning for w in warned)
     assert (sparse.rows_skipped > 0) is not mix

@@ -21,6 +21,7 @@ from repro.experiments import (
     ComponentSpec,
     Experiment,
     ExperimentSpec,
+    SpecError,
     register_backend,
     run,
 )
@@ -205,6 +206,25 @@ class TestGroupRun:
             assert grouped.summary["corrupted"] == lone.summary["corrupted"]
             assert sorted(grouped.output_files) == sorted(lone.output_files)
             assert_files_identical(grouped.output_files, lone.output_files)
+
+    def test_an_empty_group_is_refused(self):
+        with pytest.raises(SpecError, match="must not be empty"):
+            run([])
+
+    @pytest.mark.parametrize("section", ["model", "dataset", "scenario"])
+    def test_specs_that_differ_in_more_than_their_faults_are_refused(self, tmp_path, section):
+        # A group builds one model, dataset and step geometry, from its first
+        # spec: grouped, the second spec would silently run on the first's.
+        first, second = self.specs(tmp_path)
+        if section == "scenario":
+            second.scenario = second.scenario.copy(batch_size=3, inj_policy="per_batch")
+        else:
+            component = getattr(second, section)
+            params = {**component.params, "seed": component.params["seed"] + 1}
+            setattr(second, section, ComponentSpec(component.name, params))
+        with pytest.raises(SpecError, match="differ only"):
+            run([first, second])
+        assert not (tmp_path / "p0").exists()
 
     def test_a_wrapper_or_writer_serves_one_campaign(self, tmp_path):
         from repro.alficore import ptfiwrap
