@@ -22,9 +22,13 @@ consecutive steps of one lane, within one epoch and one ``run(start, stop)``
 range (``per_image``: 16 steps).  Row *i* of a batched forward is the forward
 of sample *i* alone, so the block's golden passes run as one stacked pass,
 cut back into one entry per step, and the faulty passes of its steps and
-points share stacked suffixes of up to :data:`_BLOCK_ROWS` rows each.  A lane
-that may not stack runs blocks of one step and one faulty pass at a time,
-through the same code.
+points share stacked suffixes of up to :data:`_BLOCK_ROWS` rows each.  A
+detector's output, one detection per image, is cut and joined by row like an
+array (see :func:`~repro.nn.forward_plan.batched`), so detector lanes stack
+too, unless a module inside the forward runs per image (a two-stage
+detector's second stage: see :attr:`ForwardPlan.stackable`).  A lane that
+may not stack runs blocks of one step and one faulty pass at a time, through
+the same code.
 
 Every faulty pass of a planned model runs ``[first, rejoin)``: from the
 group's first faulted segment — a golden checkpoint, or the input batch for
@@ -802,9 +806,9 @@ class CampaignCore:
     def _stacks(lane: _Lane) -> bool:
         """Whether the lane may run several steps as one block.
 
-        It needs a plan whose every boundary is an array with the batch on
-        its first axis, and a lane that may take a row shortcut
-        (:meth:`_may_take`).
+        It needs a plan whose every boundary holds the batch's rows
+        (:attr:`ForwardPlan.stackable`), and a lane that may take a row
+        shortcut (:meth:`_may_take`).
         """
         plan = lane.plan
         return plan is not None and plan.stackable and CampaignCore._may_take(lane, "rows")

@@ -25,6 +25,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.nn.forward_plan import batched
 from repro.nn.module import Module, RemovableHandle
 
 
@@ -184,12 +185,18 @@ class InferenceMonitor:
     def _scan_rows(
         self, results: list[MonitorResult], offsets: np.ndarray, layer_name: str, output
     ) -> None:
-        """:meth:`_scan` per stacked inference: ``results[i]`` gets rows ``offsets[i:i + 2]``."""
+        """:meth:`_scan` per stacked inference: ``results[i]`` gets rows ``offsets[i:i + 2]``.
+
+        An output that does not hold the rows (see
+        :func:`~repro.nn.forward_plan.batched`) is judged as a whole, for
+        every inference.
+        """
         rows = int(offsets[-1])
-        batched = isinstance(output, np.ndarray) and output.ndim > 0 and len(output) == rows
-        if not batched or self.custom_monitors:
+        split = batched(output, rows)
+        if not (split and isinstance(output, np.ndarray)) or self.custom_monitors:
+            # A list of rows (a detector's detections) is cut like an array.
             for result, start, stop in zip(results, offsets, offsets[1:]):
-                self._scan(result, layer_name, output[start:stop] if batched else output)
+                self._scan(result, layer_name, output[start:stop] if split else output)
             return
         if output.dtype.kind != "f":
             return
@@ -272,11 +279,14 @@ def _nan_inf(values: np.ndarray) -> tuple[bool, bool]:
 def output_has_nan_or_inf(output) -> tuple[bool, bool]:
     """Check a model output (array or list of detections) for NaN / Inf values.
 
+    Every array is scanned in its own dtype (a widening copy changes no
+    verdict); only values that are not numeric arrays are converted to float64.
+
     Returns:
         Tuple ``(has_nan, has_inf)``.
     """
     if not isinstance(output, (list, tuple)):
-        return _nan_inf(np.asarray(output, dtype=np.float64))
+        return _nan_inf(_numeric(output))
     has_nan = False
     has_inf = False
     for item in output:
@@ -285,7 +295,14 @@ def output_has_nan_or_inf(output) -> tuple[bool, bool]:
         else:
             arrays = [item]
         for values in arrays:
-            item_nan, item_inf = _nan_inf(np.asarray(values, dtype=np.float64))
+            item_nan, item_inf = _nan_inf(_numeric(values))
             has_nan |= item_nan
             has_inf |= item_inf
     return has_nan, has_inf
+
+
+def _numeric(values) -> np.ndarray:
+    """``values`` as an array ``isfinite`` takes: itself if numeric, else as float64."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return values
+    return np.asarray(values, dtype=np.float64)

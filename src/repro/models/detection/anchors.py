@@ -78,10 +78,16 @@ def decode_offsets(anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     exponentially.  ``dw``/``dh`` are clamped so that corrupted activations
     cannot overflow to infinite box sizes before the NaN/Inf monitor sees the
     raw tensors.
+
+    ``offsets`` of shape ``(batch, A, 4)`` decode ``batch`` images against
+    the same ``(A, 4)`` anchors at once; every element is computed as a
+    lone image's would be.  Any other shape is read as ``(-1, 4)``.
     """
     anchors = np.asarray(anchors, dtype=np.float32).reshape(-1, 4)
-    offsets = np.asarray(offsets, dtype=np.float32).reshape(-1, 4)
-    if anchors.shape != offsets.shape:
+    offsets = np.asarray(offsets, dtype=np.float32)
+    if offsets.ndim != 3:
+        offsets = offsets.reshape(-1, 4)
+    if anchors.shape != offsets.shape[-2:]:
         raise ValueError(f"anchors {anchors.shape} and offsets {offsets.shape} mismatch")
 
     anchor_w = anchors[:, 2] - anchors[:, 0]
@@ -89,7 +95,7 @@ def decode_offsets(anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     anchor_cx = anchors[:, 0] + anchor_w / 2
     anchor_cy = anchors[:, 1] + anchor_h / 2
 
-    dx, dy, dw, dh = offsets[:, 0], offsets[:, 1], offsets[:, 2], offsets[:, 3]
+    dx, dy, dw, dh = offsets[..., 0], offsets[..., 1], offsets[..., 2], offsets[..., 3]
     dw = np.clip(dw, -4.0, 4.0)
     dh = np.clip(dh, -4.0, 4.0)
 
@@ -105,6 +111,6 @@ def decode_offsets(anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
             pred_cx + pred_w / 2,
             pred_cy + pred_h / 2,
         ],
-        axis=1,
+        axis=-1,
     )
     return boxes.astype(np.float32)

@@ -77,6 +77,13 @@ def box_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5) -> np.ndarray:
     """Greedy non-maximum suppression.
 
+    Boxes are visited by decreasing score (ties in index order); a visited
+    box that no kept box overlaps above ``iou_threshold`` is kept.  The
+    overlaps are one :func:`box_iou` matrix of the ranked boxes against
+    themselves: each element has the bits a one-row call for that pair
+    computes, so the kept boxes are those of the loop that computes a row
+    per kept box.
+
     Args:
         boxes: corner-format boxes of shape ``(N, 4)``.
         scores: confidence scores of shape ``(N,)``.
@@ -93,13 +100,14 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5) -> np
         return np.zeros((0,), dtype=np.int64)
 
     order = np.argsort(-scores, kind="stable")
+    # By rank: overlapped[i, j] is whether the i-th box by score suppresses the j-th.
+    ranked = boxes[order]
+    overlapped = box_iou(ranked, ranked) > iou_threshold
+    suppressed = np.zeros(len(order), dtype=bool)
     keep: list[int] = []
-    while len(order) > 0:
-        current = int(order[0])
-        keep.append(current)
-        if len(order) == 1:
-            break
-        remaining = order[1:]
-        ious = box_iou(boxes[current : current + 1], boxes[remaining]).reshape(-1)
-        order = remaining[ious <= iou_threshold]
-    return np.asarray(keep, dtype=np.int64)
+    for rank in range(len(order)):
+        if suppressed[rank]:
+            continue
+        keep.append(rank)
+        suppressed[rank + 1 :] |= overlapped[rank, rank + 1 :]
+    return order[keep].astype(np.int64, copy=False)

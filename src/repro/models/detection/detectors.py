@@ -97,6 +97,12 @@ class _PostProcessing(Module):
         super().__init__()
         object.__setattr__(self, "detector", detector)
 
+    def _detections(
+        self, boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray
+    ) -> list[Detection]:
+        """One :meth:`_select` per image of a stack's ``(batch, A, ·)`` candidates."""
+        return [self._select(*candidates) for candidates in zip(boxes, scores, labels)]
+
     def _select(
         self, boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, clip: bool = True
     ) -> Detection:
@@ -177,27 +183,39 @@ class YoloV3Tiny(Module):
         return self.decode(raw)
 
 
+def _cells(raw: np.ndarray, anchors: int, outputs: int) -> np.ndarray:
+    """A head grid ``(batch, anchors * outputs, fh, fw)`` as ``(batch, fh * fw * anchors, outputs)``.
+
+    Cell-major, then anchor: the row order of :func:`generate_anchor_grid`.
+    """
+    batch, _, fh, fw = raw.shape
+    grid = raw.reshape(batch, anchors, outputs, fh, fw).transpose(0, 3, 4, 1, 2)
+    return grid.reshape(batch, fh * fw * anchors, outputs)
+
+
+def _picked(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate of ``(batch, A, classes)`` probabilities: the top class and its probability."""
+    labels = np.argmax(probs, axis=-1)
+    return labels, np.take_along_axis(probs, labels[..., None], axis=-1)[..., 0]
+
+
 class YoloDecode(_PostProcessing):
-    """Decode the raw YOLO head grid into per-image detections."""
+    """Decode the raw YOLO head grid into per-image detections.
+
+    The whole stack is decoded at once, each value as a lone image's would
+    be; only thresholding and NMS run per image.
+    """
 
     def forward(self, raw: np.ndarray) -> list[Detection]:
         detector = self.detector
-        batch, _, fh, fw = raw.shape
-        outputs_per_anchor = 5 + detector.num_classes
-        raw = raw.reshape(batch, detector.num_anchors, outputs_per_anchor, fh, fw)
+        _, _, fh, fw = raw.shape
+        cells = _cells(raw, detector.num_anchors, 5 + detector.num_classes)
         anchors = generate_anchor_grid((fh, fw), detector.image_size, detector.anchor_sizes)
-        detections: list[Detection] = []
-        for index in range(batch):
-            # (anchors, outputs, fh, fw) -> (fh*fw*anchors, outputs), cell-major
-            per_image = raw[index].transpose(2, 3, 0, 1).reshape(-1, outputs_per_anchor)
-            offsets = per_image[:, 0:4] * 0.1
-            objectness = F.sigmoid(per_image[:, 4])
-            class_probs = F.softmax(per_image[:, 5:], axis=1)
-            labels = np.argmax(class_probs, axis=1)
-            scores = objectness * class_probs[np.arange(len(labels)), labels]
-            boxes = decode_offsets(anchors, offsets)
-            detections.append(self._select(boxes, scores, labels))
-        return detections
+        offsets = cells[..., 0:4] * 0.1
+        objectness = F.sigmoid(cells[..., 4])
+        labels, probs = _picked(F.softmax(cells[..., 5:], axis=-1))
+        boxes = decode_offsets(anchors, offsets)
+        return self._detections(boxes, objectness * probs, labels)
 
 
 class RetinaNetLite(Module):
@@ -255,24 +273,20 @@ class RetinaNetTail(_PostProcessing):
 
     def forward(self, features: np.ndarray) -> list[Detection]:
         detector = self.detector
-        cls_raw = detector.cls_head(features)
-        box_raw = detector.box_head(features)
-        batch, _, fh, fw = cls_raw.shape
+        return self.decode(detector.cls_head(features), detector.box_head(features))
+
+    def decode(self, cls_raw: np.ndarray, box_raw: np.ndarray) -> list[Detection]:
+        """Per-image detections from the two heads' raw grids, decoded as one stack."""
+        detector = self.detector
+        _, _, fh, fw = cls_raw.shape
         anchors = generate_anchor_grid(
             (fh, fw), detector.image_size, detector.anchor_sizes, detector.aspect_ratios
         )
-        cls_raw = cls_raw.reshape(batch, detector.num_anchors, detector.num_classes, fh, fw)
-        box_raw = box_raw.reshape(batch, detector.num_anchors, 4, fh, fw)
-        detections: list[Detection] = []
-        for index in range(batch):
-            cls_scores = cls_raw[index].transpose(2, 3, 0, 1).reshape(-1, detector.num_classes)
-            offsets = box_raw[index].transpose(2, 3, 0, 1).reshape(-1, 4) * 0.1
-            probs = F.sigmoid(cls_scores)
-            labels = np.argmax(probs, axis=1)
-            scores = probs[np.arange(len(labels)), labels]
-            boxes = decode_offsets(anchors, offsets)
-            detections.append(self._select(boxes, scores, labels))
-        return detections
+        offsets = _cells(box_raw, detector.num_anchors, 4) * 0.1
+        labels, scores = _picked(
+            F.sigmoid(_cells(cls_raw, detector.num_anchors, detector.num_classes))
+        )
+        return self._detections(decode_offsets(anchors, offsets), scores, labels)
 
 
 class FasterRCNNLite(Module):

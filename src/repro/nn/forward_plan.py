@@ -27,7 +27,9 @@ the two passes, so recomputing it for the faulty one is pure waste.  A
   reuse*).  The golden pass need not be a cached one: one checkpoint behind
   the fault, recorded by the same step, is enough.  Stacking is exact
   because every kernel is row-invariant: row *i* of a batched forward is the
-  forward of row *i* alone.
+  forward of row *i* alone.  Rows are the first axis of an array, or the
+  items of a list with one non-array item per row (a detector's output, one
+  detection per image; see :func:`batched`).
 
 The flattening is *trace-based*: one instrumented forward pass records every
 module call with the identities of its first input and its output, and a
@@ -43,7 +45,8 @@ traced full-model output.
 Chain and containment are properties of the topology, not of the batch
 size, so campaigns trace with the first sample of their first batch (two
 one-sample forwards per model object, the trace and its replay, instead of
-two campaign-sized ones) and run the plan at any batch size afterwards.  A
+two campaign-sized ones, plus a two-sample forward that tells whether the
+plan stacks) and run the plan at any batch size afterwards.  A
 campaign keeps the plan it accepted in the model's record
 (:mod:`repro.nn.record`), so the next campaign on the same object does not
 trace again; a plan holds its model only weakly, so the record never keeps
@@ -72,8 +75,88 @@ class _TraceCall:
     in_id: int | None
     out_id: int | None = None
     children: list["_TraceCall"] = field(default_factory=list)
-    #: whether the output is an array with the input batch's rows on its first axis
+    #: whether the output holds the input batch's rows (see :func:`batched`)
     batched: bool = False
+
+
+def batched(value, rows: int) -> bool:
+    """Whether ``value`` holds ``rows`` batch rows, one per index of its first axis.
+
+    An array with ``rows`` entries on its first axis does, and so does a list
+    of ``rows`` items none of which is an array (a detector's list of
+    :class:`~repro.models.detection.Detection`, one per image).  A list of
+    arrays (a feature pyramid, ``[x]``) holds whole-batch values, not rows.
+    """
+    if isinstance(value, np.ndarray):
+        return value.ndim > 0 and len(value) == rows
+    return (
+        isinstance(value, list)
+        and len(value) == rows
+        and not any(isinstance(item, np.ndarray) for item in value)
+    )
+
+
+def _preorder(call: _TraceCall) -> list[_TraceCall]:
+    """``call`` and every module call below it, in call order."""
+    calls, pending = [], [call]
+    while pending:
+        current = pending.pop()
+        calls.append(current)
+        pending.extend(reversed(current.children))
+    return calls
+
+
+def _hooked(model: Module, pre_hook, post_hook) -> list:
+    """Register ``pre_hook`` and ``post_hook`` once on every module of ``model``."""
+    handles = []
+    seen: set[int] = set()
+    for module in model.modules():
+        if id(module) in seen:
+            continue
+        seen.add(id(module))
+        handles.append(module.register_forward_pre_hook(pre_hook))
+        handles.append(module.register_forward_hook(post_hook))
+    return handles
+
+
+def _holds_rows(model: Module, example_input, root_call: _TraceCall) -> bool:
+    """Whether every module call of a pass outputs the batch's rows, at two batch sizes.
+
+    Monitors scan the output of every leaf module a pass calls, including
+    those inside an atomic segment, and split a stacked pass's outputs by
+    row: a module called per image inside a segment (a two-stage detector's
+    per-proposal classifier) gives outputs whose rows are no batch rows.
+    One batch size cannot tell those apart from batch rows when their count
+    happens to equal it (one proposal per image in a one-image trace), so
+    the pass runs again over one more row, the first one repeated: it must
+    make the same module calls in the same order, each again holding the
+    batch's rows.  A per-image output's length does not follow the batch.
+    """
+    traced = _preorder(root_call)
+    if not all(call.batched for call in traced):
+        return False
+    rows = len(example_input) + 1
+    probed: list[list] = []
+    open_calls: list[list] = []
+
+    def pre_hook(module, inputs):
+        open_calls.append([id(module), False])
+        probed.append(open_calls[-1])
+
+    def post_hook(module, inputs, output):
+        open_calls.pop()[1] = batched(output, rows)
+
+    handles = _hooked(model, pre_hook, post_hook)
+    try:
+        model(np.concatenate((example_input, example_input[:1])))
+    except Exception:
+        return False
+    finally:
+        for handle in handles:
+            handle.remove()
+    return [module for module, _ in probed] == [id(call.module) for call in traced] and all(
+        holds for _, holds in probed
+    )
 
 
 def _snapshot(value):
@@ -81,6 +164,22 @@ def _snapshot(value):
     if isinstance(value, np.ndarray):
         return np.array(value, copy=True)
     return value
+
+
+def _join(stack, value):
+    """``value``'s rows appended to those of ``stack`` (an array or a list of rows)."""
+    if stack is None:
+        return value
+    if isinstance(value, list):
+        return [*stack, *value]
+    return np.concatenate((stack, value))
+
+
+def _owned_rows(value, start: int, stop: int):
+    """Rows ``[start, stop)`` of a batched value, owned: a copy of an array's, a new list."""
+    if isinstance(value, np.ndarray):
+        return np.array(value[start:stop], copy=True)
+    return value[start:stop]
 
 
 def take_rows(array: np.ndarray, rows) -> np.ndarray:
@@ -177,9 +276,10 @@ class ForwardPlan:
         # against the traced output before handing out the plan.
         self.executor_name = executor
         self._executor = make_executor(executor, self)
-        #: Whether every boundary and the output of the traced pass were
-        #: arrays with the batch on their first axis, so that passes of
-        #: several inputs may share one stacked forward (:meth:`resume_stack`).
+        #: Whether every boundary, the output and every module output of the
+        #: traced pass, and of a pass over one more row, held the batch's rows
+        #: (:func:`batched`), so that passes of several inputs may share one
+        #: stacked forward (:meth:`resume_stack`).
         self.stackable = stackable
         # Module name -> weight_span, filled on first use.
         self._weight_spans: dict[str, tuple[int, int] | None] = {}
@@ -202,7 +302,9 @@ class ForwardPlan:
             example_input: the input to trace and replay with.  Any batch
                 size the model accepts gives the same plan; campaigns pass
                 one sample (``images[:1]``), since the trace pins every
-                activation it sees until the pass ends.
+                activation it sees until the pass ends.  Whether the plan
+                stacks is also checked on a forward of one row more (the
+                first one repeated), which pins nothing.
             executor: execution backend name (see
                 :func:`repro.nn.ir.make_executor`; campaigns use the
                 default, the module path).  A non-default
@@ -232,7 +334,7 @@ class ForwardPlan:
 
         valid = len(segments) > 1
         if valid:
-            plan = build("module", all(call.batched for call in calls))
+            plan = build("module", _holds_rows(model, example_input, root_call))
             try:
                 replayed = plan.resume(0, example_input)
             except Exception:
@@ -285,20 +387,11 @@ class ForwardPlan:
         def post_hook(module, inputs, output):
             call = stack.pop()
             call.out_id = id(output)
-            call.batched = (
-                isinstance(output, np.ndarray) and output.ndim > 0 and len(output) == rows
-            )
+            call.batched = batched(output, rows)
             pinned.append(output)
             return None
 
-        handles = []
-        seen: set[int] = set()
-        for module in model.modules():
-            if id(module) in seen:
-                continue
-            seen.add(id(module))
-            handles.append(module.register_forward_pre_hook(pre_hook))
-            handles.append(module.register_forward_hook(post_hook))
+        handles = _hooked(model, pre_hook, post_hook)
         try:
             output = model(example_input)
         finally:
@@ -456,8 +549,10 @@ class ForwardPlan:
 
         Row *i* of a batched forward is the forward of row *i* alone, so
         each pass gets the bytes it would get run on its own; with more than
-        one pass the plan must be :attr:`stackable`.  A lone pass may hold
-        anything: boundaries that are not arrays are not compared.
+        one pass the plan must be :attr:`stackable`: a list of rows (a
+        detector's detections) is joined by concatenation and cut by
+        slicing like an array.  A lone pass may hold anything.  Boundaries
+        that are not arrays are never compared.
 
         Args:
             passes: the passes to run.
@@ -481,9 +576,9 @@ class ForwardPlan:
             while pending and passes[pending[-1]].start == at:
                 index = pending.pop()
                 activation = passes[index].activation
-                stack = activation if stack is None else np.concatenate((stack, activation))
+                stack = _join(stack, activation)
                 live.append(index)
-                sizes.append(len(activation) if isinstance(activation, np.ndarray) else 0)
+                sizes.append(len(activation) if isinstance(activation, (np.ndarray, list)) else 0)
             # Arrays only: what else a boundary may hold (a detector's list of
             # feature maps) is never taken for the golden value.
             if at < stop and isinstance(stack, np.ndarray):
@@ -576,7 +671,8 @@ class ForwardPlan:
             sizes: ``x`` stacks several inputs, of these many rows each.
                 ``boundaries`` then holds one iterable per input, and each
                 input's rows of a checkpoint are copied out when the pass
-                reaches it, so the stacked checkpoint is never held.
+                reaches it, so the stacked checkpoint is never held.  A list
+                of rows (see :func:`batched`) is cut by slicing.
 
         Returns:
             Tuple ``(output, checkpoints)`` where ``checkpoints`` maps
@@ -601,7 +697,7 @@ class ForwardPlan:
             def record(index, value):
                 for start, stop, indices, taken in rows:
                     if index in indices:
-                        taken[index] = np.array(value[start:stop], copy=True)
+                        taken[index] = _owned_rows(value, start, stop)
 
         skipped = range(0)
         if seed is not None:
@@ -619,5 +715,5 @@ class ForwardPlan:
                 continue
             value = self._executor.run_segment(index, value)
         if sizes is not None:
-            value = [np.array(value[start:stop], copy=True) for start, stop, _, _ in rows]
+            value = [_owned_rows(value, start, stop) for start, stop, _, _ in rows]
         return value, checkpoints

@@ -6,12 +6,13 @@ inputs are ``(N, features)``.
 
 Every golden and faulty inference of a campaign ends in these kernels, so
 each one is written as the cheapest numpy formulation of a *fixed*
-arithmetic: ``conv2d`` is one tap-loop :func:`im2col` of the whole batch plus
-one BLAS GEMM per sample and group, whose operand order, shapes and memory
-layouts are part of the contract; ``linear`` is one product per row; pooling
-and ``im2col`` loop over the ``kh * kw`` kernel taps (strided slices) instead
-of reducing or copying a 6-D window view; and the elementwise kernels run
-their ufuncs on one buffer.  No layer kernel mixes samples, so row ``i`` of a
+arithmetic: ``conv2d`` is, per sample, one :func:`im2col` into a reused
+column buffer plus one BLAS GEMM per group, whose operand order, shapes and
+memory layouts are part of the contract; ``linear`` is one product per row;
+``im2col`` copies one window view built over the padded buffer; pooling
+loops over the ``kh * kw`` kernel taps (strided slices) instead of reducing
+a 6-D window view; and the elementwise kernels run their ufuncs on one
+buffer.  No layer kernel mixes samples, so row ``i`` of a
 batched call is the call on ``x[i : i + 1]`` bit for bit
 (``tests/test_nn_batch_invariance.py``).  The result bits are pinned against
 the frozen previous generation in ``tests/oracles/`` (see "The bit-exactness
@@ -94,6 +95,7 @@ def im2col(
     kernel_size: tuple[int, int],
     stride: tuple[int, int],
     padding: tuple[int, int],
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Unfold image patches into columns for matmul-based convolution.
 
@@ -102,12 +104,15 @@ def im2col(
         kernel_size: ``(kh, kw)``.
         stride: ``(sh, sw)``.
         padding: ``(ph, pw)`` zero padding.
+        out: the columns of a previous call on images of the same shape and
+            dtype, reused to unfold into; a new array if ``None``.
 
     Returns:
         A tuple ``(columns, out_h, out_w)`` where ``columns`` is C-contiguous
         with shape ``(N, C * kh * kw, out_h * out_w)``.  For a pointwise
         kernel (1x1, stride 1, no padding) over a contiguous input the
-        columns are a view of ``images``, not a copy.
+        columns are a view of ``images``, not a copy, and ``out`` is not
+        written.
     """
     n, c, h, w = images.shape
     kh, kw = kernel_size
@@ -120,11 +125,20 @@ def im2col(
         # A pointwise convolution's columns are the image itself.
         return np.ascontiguousarray(images.reshape(n, c, h * w)), out_h, out_w
 
-    images = _pad_hw(images, ph, pw, 0.0)
-    columns = np.empty((n, c, kh * kw, out_h, out_w), dtype=images.dtype)
-    for index, tap in enumerate(_window_taps(images, kh, kw, sh, sw, out_h, out_w)):
-        columns[:, :, index] = tap
-    return columns.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+    if out is None:
+        out = np.empty((n, c * kh * kw, out_h * out_w), dtype=images.dtype)
+    padded = np.ascontiguousarray(_pad_hw(images, ph, pw, 0.0))
+    # Every window of the padded images at once, (N, C, kh, kw, out_h, out_w):
+    # a view built over the buffer, strided like the taps of _window_taps.
+    batch, channel, row, column = padded.strides
+    windows = np.ndarray(
+        (n, c, kh, kw, out_h, out_w),
+        dtype=padded.dtype,
+        buffer=padded,
+        strides=(batch, channel, row, column, row * sh, column * sw),
+    )
+    out.reshape(n, c, kh, kw, out_h, out_w)[...] = windows
+    return out, out_h, out_w
 
 
 def conv2d(
@@ -172,12 +186,12 @@ def conv2d(
     n = x.shape[0]
     out_channels, in_per_group, kh, kw = weight.shape
     out_per_group, features = out_channels // groups, in_per_group * kh * kw
-    columns, out_h, out_w = im2col(x, (kh, kw), _pair(stride), _pair(padding))
+    kernel, stride, padding = (kh, kw), _pair(stride), _pair(padding)
+    out_h = conv_output_size(x.shape[2], kh, stride[0], padding[0])
+    out_w = conv_output_size(x.shape[3], kw, stride[1], padding[1])
     positions = out_h * out_w
-    # A group's columns are a contiguous row block of the one unfold, its
-    # kernels a contiguous row block of the kernel matrix; both are indexed
-    # below as transposed views, (p, f) and (f, o).
-    columns = columns.reshape(n, groups, features, positions).transpose(0, 1, 3, 2)
+    # A group's kernels are a contiguous row block of the kernel matrix,
+    # indexed below as a transposed view, (f, o).
     kernels = weight.reshape(groups, out_per_group, features).transpose(0, 2, 1)
     output = np.empty((n, out_channels, out_h, out_w), dtype=np.float32)
     flat = output.reshape(n, groups, out_per_group, positions)
@@ -189,10 +203,17 @@ def conv2d(
     # layouts are part of the bit-exactness contract: left the transposed view
     # of the (f, p) columns, right the transposed view of the (o, f) kernels.
     # The (p, o) product goes straight into its (o, p) slice of the NCHW
-    # output, with the bias add folded in.
+    # output, with the bias add folded in.  Each sample is unfolded on its
+    # own, into one column buffer, so the columns of only one are ever held.
+    unfolded = None
     for sample in range(n):
+        unfolded, _, _ = im2col(
+            x[sample : sample + 1], kernel, stride, padding, out=unfolded
+        )
+        # A group's columns are a contiguous row block of the sample's unfold.
+        columns = unfolded.reshape(groups, features, positions).transpose(0, 2, 1)
         for group in range(groups):
-            product = np.dot(columns[sample, group], kernels[group]).T
+            product = np.dot(columns[group], kernels[group]).T
             if bias is None:
                 np.copyto(flat[sample, group], product)
             else:

@@ -127,6 +127,29 @@ class TestOutputNanInfCheck:
         assert output_has_nan_or_inf(np.zeros((0,))) == (False, False)
         assert output_has_nan_or_inf([Detection()]) == (False, False)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int32, np.bool_])
+    @pytest.mark.parametrize("values", [[0.5, 2.0], [np.nan, 1.0], [-np.inf, 0.0], [np.nan, np.inf]])
+    def test_arrays_are_scanned_in_their_own_dtype(self, monkeypatch, dtype, values):
+        from repro.alficore import monitoring
+
+        with np.errstate(invalid="ignore"):
+            array = np.array(values).astype(dtype)
+        expected = monitoring._nan_inf(array.astype(np.float64))
+        scanned = []
+        nan_inf = monitoring._nan_inf
+
+        def spy(values):
+            scanned.append(values.dtype)
+            return nan_inf(values)
+
+        monkeypatch.setattr(monitoring, "_nan_inf", spy)
+        detection = Detection(boxes=np.tile(array, 2).reshape(1, 4), scores=array[:1])
+        assert output_has_nan_or_inf(array) == expected
+        assert output_has_nan_or_inf([detection, array]) == expected
+        assert set(scanned) == {array.dtype}
+        # What is not a numeric array is read as float64, as before.
+        assert output_has_nan_or_inf([values]) == monitoring._nan_inf(np.asarray(values))
+
 
 class TestListOutputMonitoring:
     """Regression: list/tuple layer outputs must not bypass DUE detection."""
@@ -182,6 +205,32 @@ class TestListOutputMonitoring:
             model(np.ones((1, 4), dtype=np.float32))
             result = monitor.collect()
         assert result.nan_detected
+
+
+class TestStackedListOutputs:
+    """A stacked pass's list of detections is scanned row by row, like an array."""
+
+    @staticmethod
+    def _scan(payload, sizes):
+        model = nn.Sequential(TestListOutputMonitoring._DetectionHead(payload)).eval()
+        results = [MonitorResult() for _ in sizes]
+        monitor = InferenceMonitor(model)
+        with monitor:
+            monitor.split(results, sizes)
+            model(np.ones((sum(sizes), 4), dtype=np.float32))
+        return [(result.nan_layers, result.inf_layers) for result in results]
+
+    def test_each_row_gets_the_events_of_its_detections(self):
+        clean = Detection(boxes=np.zeros((1, 4), np.float32), scores=np.ones(1, np.float32))
+        nan = Detection(boxes=np.full((1, 4), np.nan, np.float32), scores=np.ones(1, np.float32))
+        inf = Detection(boxes=np.zeros((1, 4), np.float32), scores=np.full(1, np.inf, np.float32))
+        assert self._scan([clean, nan, clean, inf], [1, 2, 1]) == [
+            ([], []), (["0"], []), ([], ["0"])
+        ]
+
+    def test_a_list_of_arrays_is_judged_as_a_whole(self):
+        payload = [np.array([1.0, np.nan]), np.array([1.0, 2.0])]
+        assert self._scan(payload, [1, 1]) == [(["0"], []), (["0"], [])]
 
 
 class TestLeafScan:

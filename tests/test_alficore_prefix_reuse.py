@@ -266,7 +266,8 @@ class TestDiscoveryFailuresAreLoud:
 
 
 class TestForwardBudget:
-    """Plan discovery probes with one sample: the only campaign-sized
+    """Plan discovery probes with one sample (and two, to tell whether the
+    plan stacks): the only campaign-sized
     forwards are the ones that produce a record (and the wrapper's shape
     probe), stacked into blocks of up to 16 rows."""
 
@@ -342,10 +343,11 @@ class TestForwardBudget:
 
         assert _file_bytes(full) == _file_bytes(reused)
         # One trace for the one lane — a neuron campaign hooks the model it
-        # was given, so it has no second object to trace: a hooked forward
-        # and its replay.
+        # was given, so it has no second object to trace: a hooked forward,
+        # the two-sample pass that tells whether the plan stacks, and the
+        # replay.
         assert traced == [1]
-        assert probing == [("__call__", 1), ("resume", 1)]
+        assert probing == [("__call__", 1), ("__call__", 2), ("resume", 1)]
         assert roots and all(model is reused.core.model for model in roots)
         steps = [min(batch_size, images - start) for start in range(0, images, batch_size)]
         # The first step learns the plan and runs alone; behind it, blocks of
@@ -481,7 +483,10 @@ class TestDetectionCampaigns:
         reused = run(_detection_spec("yolov3", "weights", backend, tmp_path / "reuse", batched))
         assert _file_bytes(full) == _file_bytes(reused)
         suffixes = [batch for start, batch in resumed if start > 0]
-        assert suffixes and set(suffixes) == {4, 2}
+        # Serially, the second epoch's batches of 4 and 2 share one 6-row
+        # stack; each shard's 2 steps are its first block and its second.
+        expected = {4, 2, 6} if backend["name"] == "serial" else {4, 2}
+        assert suffixes and set(suffixes) == expected
         # resume(0, x) is the trace's replay, and only ever sees one image.
         assert {batch for start, batch in resumed if start == 0} == {1}
 

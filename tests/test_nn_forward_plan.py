@@ -31,6 +31,12 @@ PLAN_SEGMENTS = {
     "yolov3": 17,
 }
 
+# The registered models whose plan does not stack (ForwardPlan.stackable).
+# A model that stops stacking runs one step per block with every result byte
+# the same, only slower; this set is what makes that loud.  faster_rcnn's
+# second stage classifies each image's proposals on their own.
+NOT_STACKABLE = {"faster_rcnn"}
+
 
 def _input(batch=2, seed=0):
     return np.random.default_rng(seed).normal(size=(batch, 3, 32, 32)).astype(np.float32)
@@ -150,6 +156,7 @@ class TestLinearisation:
         plan = ForwardPlan.trace(MODELS.get(name)(seed=0).eval(), x)
         assert plan.valid, f"{name}: forward no longer linearises"
         assert plan.num_segments == PLAN_SEGMENTS[name], name
+        assert plan.stackable is (name not in NOT_STACKABLE), name
 
 
 class TestOneSampleTrace:
@@ -175,6 +182,9 @@ class TestOneSampleTrace:
             assert probe.valid and probe.executor_name == whole.executor_name == executor
             assert probe.segment_names == whole.segment_names
             assert probe._executed_in == whole._executed_in
+            # 16 rows are also 16 proposals per image: the verdict must not
+            # depend on the traced batch size.
+            assert probe.stackable is whole.stackable is (name not in NOT_STACKABLE)
             for batch, full in expected.items():
                 output, checkpoints = probe.run_recording(x[:batch], "all")
                 assert _bitwise_equal(output, full), (executor, batch)
